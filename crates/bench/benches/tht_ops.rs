@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo bench --bench tht_ops`
 
-use atm_core::{EntryKey, InFlightKeyTable, OutputSnapshot, TaskHistoryTable, ThtConfig, Waiter};
+use atm_core::{EntryKey, InFlightKeyTable, MemoStore, OutputSnapshot, ThtConfig, Waiter};
 use atm_eval::bench;
 use atm_runtime::{Access, DataStore, TaskId, TaskTypeId};
 use std::sync::Arc;
@@ -25,15 +25,13 @@ fn tht_operations() {
     let outputs = snapshot(&store, 1024, "out");
 
     // Pre-populated table for hit/miss lookups.
-    let tht = TaskHistoryTable::new(ThtConfig {
-        bucket_bits: 8,
-        ways: 128,
-    });
+    let tht = MemoStore::new(ThtConfig::default().store_config());
     for i in 0..4096u64 {
         tht.insert(
             key(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             TaskId::from_raw(i),
             Arc::clone(&outputs),
+            0,
         );
     }
     let hit_key = key(5u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -45,13 +43,16 @@ fn tht_operations() {
         let _ = tht.lookup(&miss_key);
     });
 
-    let evicting = TaskHistoryTable::new(ThtConfig {
-        bucket_bits: 4,
-        ways: 16,
-    });
+    let evicting = MemoStore::new(
+        ThtConfig {
+            bucket_bits: 4,
+            ways: 16,
+        }
+        .store_config(),
+    );
     let mut i = 0u64;
     bench("tht", "insert_with_fifo_eviction", || {
-        evicting.insert(key(i), TaskId::from_raw(i), Arc::clone(&outputs));
+        evicting.insert(key(i), TaskId::from_raw(i), Arc::clone(&outputs), 0);
         i = i.wrapping_add(1);
     });
 

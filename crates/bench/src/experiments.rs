@@ -1,22 +1,17 @@
-//! One function per table/figure of the paper's evaluation section, plus the
-//! experiments that go beyond it: memo-store cache pressure, warm start, and
-//! the mixed per-type-policy run.
+//! One function per table/figure of the paper's evaluation section
+//! (`table1`–`table3`, `sizing`, `figure3`–`figure9`), plus the four
+//! experiments that go beyond it: memo-store cache pressure (`pressure`),
+//! warm start (`warmstart`), the mixed per-type-policy run (`mixed`) and the
+//! scheduler sweep over its two supported mode axes (`scaling`) — 15 in all.
+//! Cross-commit performance questions belong to `benchmark/run.sh compare`.
 
 use crate::measure::{geomean, EvalContext};
 use crate::report::Report;
 use atm_apps::{AppId, RunOptions, Scale};
-use atm_core::{
-    AtmConfig, AtmEngine, EntryKey, MemoSpec, MemoStore, OutputSnapshot, PolicyKind, StoreConfig,
-    StoreCountersSnapshot, ThtConfig,
-};
-use atm_obs::{LatencyMetric, MemoDecision, MetricsSnapshot, Observability};
-use atm_runtime::{
-    Affinity, QueueMode, Region, RegionData, RegionId, RuntimeBuilder, TaskId, TaskTypeBuilder,
-    TaskTypeId, ThreadState,
-};
-use atm_serve::{ServeConfig, ServeEngine, ServeError};
+use atm_core::{AtmConfig, AtmEngine, MemoSpec, PolicyKind, StoreCountersSnapshot, ThtConfig};
+use atm_obs::{LatencyMetric, MemoDecision, Observability};
+use atm_runtime::{Affinity, QueueMode, Region, RuntimeBuilder, TaskTypeBuilder, ThreadState};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The experiments the harness can regenerate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,23 +49,11 @@ pub enum Experiment {
     /// swept over worker counts × ready-queue modes × dependence-chain
     /// shapes (count × length), in tasks/sec.
     Scaling,
-    /// Task-creation throughput: the master thread's submission rate swept
-    /// over batch sizes, plus the peak live-node gauge showing that node
-    /// retirement keeps graph memory bounded by the wave, not the run.
-    Creation,
-    /// The runtime as a long-running service: an open-loop offered-load
-    /// sweep over multi-tenant sessions, reporting request p50/p99 latency
-    /// and the admission-controlled saturation throughput.
-    Serve,
-    /// Memo-path read microbenchmark: a multi-reader hit-storm on the memo
-    /// store, A/B-ing the lock-free seqlock read path against the
-    /// mutex-guarded baseline (`StoreConfig::locked_reads`).
-    Memopath,
 }
 
 impl Experiment {
     /// All experiments, in the order `atm-eval all` runs them.
-    pub const ALL: [Experiment; 18] = [
+    pub const ALL: [Experiment; 15] = [
         Experiment::Table1,
         Experiment::Table2,
         Experiment::Table3,
@@ -86,9 +69,6 @@ impl Experiment {
         Experiment::WarmStart,
         Experiment::Mixed,
         Experiment::Scaling,
-        Experiment::Creation,
-        Experiment::Serve,
-        Experiment::Memopath,
     ];
 
     /// Command-line name.
@@ -109,9 +89,6 @@ impl Experiment {
             Experiment::WarmStart => "warmstart",
             Experiment::Mixed => "mixed",
             Experiment::Scaling => "scaling",
-            Experiment::Creation => "creation",
-            Experiment::Serve => "serve",
-            Experiment::Memopath => "memopath",
         }
     }
 
@@ -174,9 +151,6 @@ fn dispatch_experiment(experiment: Experiment, ctx: &EvalContext) -> Report {
         Experiment::WarmStart => warmstart(ctx),
         Experiment::Mixed => mixed(ctx),
         Experiment::Scaling => scaling(ctx),
-        Experiment::Creation => creation(ctx),
-        Experiment::Serve => serve(ctx),
-        Experiment::Memopath => memopath(ctx),
     }
 }
 
@@ -1795,643 +1769,6 @@ pub fn scaling(ctx: &EvalContext) -> Report {
     report
 }
 
-/// One round of the task-creation throughput experiment.
-struct CreationRound {
-    /// Submission throughput of the master thread (tasks per second spent
-    /// inside the submission phase only — the drain is excluded).
-    submit_tasks_per_sec: f64,
-    /// Largest `live_nodes` gauge observed right after a wave was submitted.
-    peak_live_nodes: u64,
-    /// `live_nodes` after the final taskwait (0 when every node retired).
-    final_live_nodes: u64,
-    /// Total nodes retired over the run.
-    retired_nodes: u64,
-}
-
-/// Submits `waves` waves of `wave_size` fine-grained inout-chain tasks in
-/// groups of `batch` (1 = the singleton `task(..).submit()` path), timing
-/// only the submission phase. Each task extends one of `chains` dependence
-/// chains, so every submission pays dependence analysis and edge wiring —
-/// the master-thread cost the paper's Figure 8 identifies as the bottleneck
-/// once ATM makes tasks cheap. Workers drain concurrently; a taskwait
-/// closes each wave, after which node retirement must have returned the
-/// graph to (near) empty — `peak_live_nodes` stays bounded by the wave, not
-/// the run.
-///
-/// With `independent` the batches are submitted through the declared
-/// conflict-free fast path (`BatchBuilder::independent`), which skips the
-/// per-batch conflict bookkeeping; the caller must pick `batch <= chains`
-/// so every batch really does touch distinct chains (verified by the
-/// runtime in debug builds).
-fn creation_round(
-    batch: usize,
-    waves: usize,
-    wave_size: usize,
-    chains: usize,
-    workers: usize,
-    obs: Option<&Arc<Observability>>,
-    independent: bool,
-) -> CreationRound {
-    let mut builder = RuntimeBuilder::new().workers(workers);
-    if let Some(obs) = obs {
-        builder = builder.observability(Arc::clone(obs));
-    }
-    let rt = builder.build();
-    let incr = rt.register_task_type(
-        TaskTypeBuilder::new("creation_incr", |ctx| {
-            let v = ctx.arg::<f64>(0)[0];
-            ctx.out(0, &[v + 1.0]);
-        })
-        .inout::<f64>()
-        .build(),
-    );
-    let cells: Vec<Region<f64>> = (0..chains)
-        .map(|c| rt.store().register_zeros(format!("cc{c}"), 1).unwrap())
-        .collect();
-
-    let mut submit_ns = 0u128;
-    let mut peak_live_nodes = 0u64;
-    for _ in 0..waves {
-        let started = std::time::Instant::now();
-        if batch == 1 {
-            for t in 0..wave_size {
-                rt.task(incr)
-                    .reads_writes(&cells[t % chains])
-                    .submit()
-                    .expect("creation task matches the declared signature");
-            }
-        } else {
-            let mut submitted = 0usize;
-            while submitted < wave_size {
-                let group = batch.min(wave_size - submitted);
-                let mut staged = rt.tasks(incr);
-                for t in submitted..submitted + group {
-                    staged = staged.next().reads_writes(&cells[t % chains]);
-                }
-                if independent {
-                    staged = staged.independent();
-                }
-                staged
-                    .submit_all()
-                    .expect("creation batch matches the declared signature");
-                submitted += group;
-            }
-        }
-        submit_ns += started.elapsed().as_nanos();
-        peak_live_nodes = peak_live_nodes.max(rt.stats().live_nodes);
-        rt.taskwait();
-    }
-    let stats = rt.stats();
-    let total = (waves * wave_size) as f64;
-    // Sanity: the chains ran to completion in dataflow order.
-    for (c, cell) in cells.iter().enumerate() {
-        let expected = (waves * (wave_size / chains + usize::from(c < wave_size % chains))) as f64;
-        assert_eq!(rt.store().read(*cell).lock().as_f64(), &[expected]);
-    }
-    rt.shutdown();
-    CreationRound {
-        submit_tasks_per_sec: total / (submit_ns as f64 / 1e9).max(1e-9),
-        peak_live_nodes,
-        final_live_nodes: stats.live_nodes,
-        retired_nodes: stats.retired_nodes,
-    }
-}
-
-/// One round of the release-path experiment: `waves` waves, each submitting
-/// `groups` independent fan-out groups — one inout writer plus `fanout`
-/// readers of its cell. Every writer's finish releases all of its readers
-/// at once, so the drain is dominated by the release path: under
-/// aggregation the finishing worker flushes the whole reader packet as one
-/// ready-queue push with one batched wakeup; with `aggregated == false`
-/// each reader is published (and the outstanding counter decremented)
-/// individually — the pre-aggregation baseline. Returns end-to-end
-/// tasks/sec over the waves (submission included; the fan-out drain
-/// dominates).
-fn release_round(
-    aggregated: bool,
-    waves: usize,
-    groups: usize,
-    fanout: usize,
-    workers: usize,
-    obs: Option<&Arc<Observability>>,
-) -> f64 {
-    let mut builder = RuntimeBuilder::new()
-        .workers(workers)
-        .aggregated_releases(aggregated);
-    if let Some(obs) = obs {
-        builder = builder.observability(Arc::clone(obs));
-    }
-    let rt = builder.build();
-    let bump = rt.register_task_type(
-        TaskTypeBuilder::new("release_bump", |ctx| {
-            let v = ctx.arg::<f64>(0)[0];
-            ctx.out(0, &[v + 1.0]);
-        })
-        .inout::<f64>()
-        .build(),
-    );
-    let probe = rt.register_task_type(
-        TaskTypeBuilder::new("release_probe", |ctx| {
-            std::hint::black_box(ctx.arg::<f64>(0)[0]);
-        })
-        .arg::<f64>()
-        .build(),
-    );
-    let cells: Vec<Region<f64>> = (0..groups)
-        .map(|g| rt.store().register_zeros(format!("rg{g}"), 1).unwrap())
-        .collect();
-    let started = std::time::Instant::now();
-    for _ in 0..waves {
-        for cell in &cells {
-            rt.task(bump)
-                .reads_writes(cell)
-                .submit()
-                .expect("release writer matches the declared signature");
-            for _ in 0..fanout {
-                rt.task(probe)
-                    .reads(cell)
-                    .submit()
-                    .expect("release reader matches the declared signature");
-            }
-        }
-        rt.taskwait();
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    for cell in &cells {
-        assert_eq!(rt.store().read(*cell).lock().as_f64(), &[waves as f64]);
-    }
-    rt.shutdown();
-    (waves * groups * (1 + fanout)) as f64 / elapsed.max(1e-9)
-}
-
-/// Parameters of the creation experiment at a given scale: (batch sizes,
-/// waves, wave_size, chains, workers).
-fn creation_params(scale: Scale) -> ([usize; 4], usize, usize, usize) {
-    match scale {
-        Scale::Tiny => ([1, 8, 64, 512], 4, 1024, 64),
-        _ => ([1, 8, 64, 512], 8, 4096, 256),
-    }
-}
-
-/// The task-creation experiment: submission throughput vs batch size, plus
-/// the bounded-memory evidence of graph-node retirement.
-pub fn creation(ctx: &EvalContext) -> Report {
-    let mut report = Report::new(
-        "creation",
-        "Task-creation throughput — batched vs singleton submission, peak live graph nodes",
-        "batch,submit_tasks_per_sec,peak_live_nodes,final_live_nodes,retired_nodes",
-    );
-    let (batches, waves, wave_size, chains) = creation_params(ctx.scale);
-    let workers = ctx.workers.clamp(1, 4);
-    let total = waves * wave_size;
-    report.linef(format_args!(
-        "{waves} waves x {wave_size} tasks over {chains} inout chains ({total} tasks, {workers} workers draining):"
-    ));
-    let obs = Arc::new(Observability::enabled());
-    let mut singleton_tps = 0.0f64;
-    let mut last_round_final_live = 0u64;
-    for batch in batches {
-        let round = creation_round(batch, waves, wave_size, chains, workers, Some(&obs), false);
-        if batch == 1 {
-            singleton_tps = round.submit_tasks_per_sec;
-        }
-        report.linef(format_args!(
-            "  batch {batch:>4}: {:>12.0} submitted tasks/sec   peak live nodes {:>6} (wave = {wave_size})   final {} retired {}",
-            round.submit_tasks_per_sec,
-            round.peak_live_nodes,
-            round.final_live_nodes,
-            round.retired_nodes,
-        ));
-        report.row(format!(
-            "{batch},{:.1},{},{},{}",
-            round.submit_tasks_per_sec,
-            round.peak_live_nodes,
-            round.final_live_nodes,
-            round.retired_nodes
-        ));
-        report.metric(
-            format!("b{batch}_submit_tasks_per_sec"),
-            round.submit_tasks_per_sec,
-        );
-        report.metric(
-            format!("b{batch}_peak_live_nodes"),
-            round.peak_live_nodes as f64,
-        );
-        if batch == 512 && singleton_tps > 0.0 {
-            report.metric(
-                "batch512_over_singleton",
-                round.submit_tasks_per_sec / singleton_tps,
-            );
-            report.linef(format_args!(
-                "batch-512 / singleton submission throughput: {:.2}x",
-                round.submit_tasks_per_sec / singleton_tps
-            ));
-        }
-        last_round_final_live = round.final_live_nodes;
-    }
-    report.metric("total_tasks", total as f64);
-    report.metric("final_live_nodes", last_round_final_live as f64);
-    // The declared-independent fast path: with batch == chains every batch
-    // touches distinct chains, so the submitter may declare it conflict-free
-    // and `submit_all` skips the per-batch conflict bookkeeping.
-    let ind_batch = 512.min(wave_size);
-    let conflict = creation_round(
-        ind_batch,
-        waves,
-        wave_size,
-        ind_batch,
-        workers,
-        Some(&obs),
-        false,
-    );
-    let fast = creation_round(
-        ind_batch,
-        waves,
-        wave_size,
-        ind_batch,
-        workers,
-        Some(&obs),
-        true,
-    );
-    report.metric(
-        "conflict_pass_submit_tasks_per_sec",
-        conflict.submit_tasks_per_sec,
-    );
-    report.metric(
-        "independent_batch_submit_tasks_per_sec",
-        fast.submit_tasks_per_sec,
-    );
-    if conflict.submit_tasks_per_sec > 0.0 {
-        report.metric(
-            "independent_over_conflict",
-            fast.submit_tasks_per_sec / conflict.submit_tasks_per_sec,
-        );
-        report.linef(format_args!(
-            "declared-independent batch-{ind_batch} over the conflict pass: {:.2}x",
-            fast.submit_tasks_per_sec / conflict.submit_tasks_per_sec
-        ));
-    }
-    // Release-path comparison: one writer releasing a packet of readers per
-    // finish, flushed aggregated (one push, one batched wakeup, one
-    // outstanding decrement per cycle) vs per-task (the pre-aggregation
-    // baseline, selectable via `RuntimeBuilder::aggregated_releases`).
-    let rel_aggregated = release_round(true, waves, 8, 32, workers, Some(&obs));
-    let rel_baseline = release_round(false, waves, 8, 32, workers, Some(&obs));
-    report.metric("release_aggregated_tasks_per_sec", rel_aggregated);
-    report.metric("release_unaggregated_tasks_per_sec", rel_baseline);
-    if rel_baseline > 0.0 {
-        report.metric(
-            "release_aggregated_over_unaggregated",
-            rel_aggregated / rel_baseline,
-        );
-        report.linef(format_args!(
-            "aggregated / per-task release flush on the 1->32 fan-out shape: {:.2}x",
-            rel_aggregated / rel_baseline
-        ));
-    }
-    report.line("Batching takes the submission lock, each slab shard's write lock and each");
-    report.line("touched live-index shard once per batch instead of once per task, so the");
-    report.line("master thread's creation throughput rises with the batch size; node");
-    report.line("retirement keeps the peak live-node count bounded by the in-flight wave");
-    report.line("no matter how many tasks the run submits in total.");
-    ctx.absorb_latency(&obs.metrics());
-    report
-}
-
-/// One offered-load point of the serving experiment.
-struct ServeRound {
-    /// Arrivals the open-loop schedule generated (accepted or not).
-    submitted: u64,
-    /// Requests admitted and completed (`submitted - rejected`).
-    completed: u64,
-    /// Arrivals shed with [`ServeError::Overloaded`].
-    rejected: u64,
-    /// Completed requests per second of wall clock (generation + drain).
-    achieved_rps: f64,
-    /// Request-latency median (submit → last task finished), nanoseconds.
-    p50_ns: u64,
-    /// Request-latency 99th percentile, nanoseconds.
-    p99_ns: u64,
-    /// The round's full latency snapshot (one fresh service per round).
-    latency: MetricsSnapshot,
-}
-
-/// Runs one open-loop point: `sessions` tenant threads each register
-/// `lanes` private regions and submit two-task chain requests against
-/// them at `offered_rps / sessions`, scheduled by absolute arrival
-/// deadlines. The generator is open-loop — a slow service does not slow
-/// the arrivals down (a thread that falls behind its schedule submits the
-/// missed arrivals back to back), so overload cannot hide in a closed
-/// feedback loop: past saturation the admission window fills and arrivals
-/// are shed with [`ServeError::Overloaded`] instead of queueing without
-/// bound. Each kernel spins `spin_us` of wall clock, so one request costs
-/// `2 * spin_us` of worker time on its lane.
-fn serve_round(
-    workers: usize,
-    spin_us: u64,
-    sessions: usize,
-    lanes: usize,
-    duration_ms: u64,
-    offered_rps: f64,
-) -> ServeRound {
-    let serve = ServeEngine::new(
-        ServeConfig::default()
-            .workers(workers)
-            .max_inflight_requests(64)
-            .max_live_tasks(4096),
-    );
-    let tt = serve.register_task_type(
-        TaskTypeBuilder::new("serve_spin", move |ctx| {
-            let v = ctx.arg::<f64>(0)[0];
-            let started = Instant::now();
-            while started.elapsed() < Duration::from_micros(spin_us) {
-                std::hint::spin_loop();
-            }
-            ctx.out(0, &[v + 1.0]);
-        })
-        .inout::<f64>()
-        .build(),
-    );
-
-    let wall_started = Instant::now();
-    let (submitted, rejected) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..sessions)
-            .map(|_| {
-                let serve = &serve;
-                scope.spawn(move || {
-                    let mut session = serve.session().expect("the service is accepting");
-                    let cells: Vec<Region<f64>> = (0..lanes)
-                        .map(|l| {
-                            session
-                                .register_zeros(format!("lane{l}"), 1)
-                                .expect("fresh session lane")
-                        })
-                        .collect();
-                    let interval = Duration::from_secs_f64(sessions as f64 / offered_rps);
-                    let deadline = Duration::from_millis(duration_ms);
-                    let started = Instant::now();
-                    let mut submitted = 0u64;
-                    let mut rejected = 0u64;
-                    let mut n = 0u32;
-                    loop {
-                        let arrival = interval * n;
-                        if arrival >= deadline {
-                            break;
-                        }
-                        let elapsed = started.elapsed();
-                        if arrival > elapsed {
-                            std::thread::sleep(arrival - elapsed);
-                        }
-                        let lane = &cells[n as usize % lanes];
-                        submitted += 1;
-                        match session
-                            .request()
-                            .task(tt)
-                            .reads_writes(lane)
-                            .task(tt)
-                            .reads_writes(lane)
-                            .submit()
-                        {
-                            Ok(_request) => {}
-                            Err(ServeError::Overloaded { .. }) => rejected += 1,
-                            Err(err) => panic!("serve round submission failed: {err}"),
-                        }
-                        n += 1;
-                    }
-                    session
-                        .close()
-                        .expect("close waits for the session's in-flight requests");
-                    (submitted, rejected)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("generator thread"))
-            .fold((0u64, 0u64), |acc, (s, r)| (acc.0 + s, acc.1 + r))
-    });
-    let report = serve.drain();
-    let wall_seconds = wall_started.elapsed().as_secs_f64();
-    let requests = report.latency.get(LatencyMetric::Request);
-    let completed = submitted - rejected;
-    // Every admitted request must have reported exactly one latency sample.
-    assert_eq!(requests.count, completed, "admitted vs recorded requests");
-    ServeRound {
-        submitted,
-        completed,
-        rejected,
-        achieved_rps: completed as f64 / wall_seconds.max(1e-9),
-        p50_ns: requests.p50(),
-        p99_ns: requests.p99(),
-        latency: report.latency,
-    }
-}
-
-/// Parameters of the serving experiment at a given scale: (per-kernel spin
-/// µs, sessions, lanes per session, milliseconds per point, offered-load
-/// ladder in requests/sec). The top rate is picked well past the worker
-/// capacity `workers / (2 * spin_us)` so the last point always saturates.
-fn serve_params(scale: Scale) -> (u64, usize, usize, u64, [f64; 3]) {
-    match scale {
-        Scale::Tiny => (50, 2, 2, 200, [1_000.0, 5_000.0, 40_000.0]),
-        _ => (50, 4, 2, 300, [2_000.0, 10_000.0, 80_000.0]),
-    }
-}
-
-/// The serving experiment: the runtime as a long-running multi-tenant
-/// service under an open-loop offered-load sweep — request latency
-/// percentiles per point, the admission-controlled saturation throughput,
-/// and the overload shed at the top of the ladder.
-pub fn serve(ctx: &EvalContext) -> Report {
-    let mut report = Report::new(
-        "serve",
-        "Serving — open-loop offered-load sweep: request latency and admission-controlled saturation",
-        "offered_rps,submitted,completed,rejected,achieved_rps,request_p50_ns,request_p99_ns",
-    );
-    let (spin_us, sessions, lanes, duration_ms, rates) = serve_params(ctx.scale);
-    let workers = ctx.workers.clamp(1, 4);
-    report.linef(format_args!(
-        "{sessions} tenant sessions x {lanes} lanes, 2-task chain requests (~{} us service), {workers} workers, {duration_ms} ms per point:",
-        2 * spin_us
-    ));
-    let mut merged = MetricsSnapshot::empty();
-    let mut saturation_rps = 0.0f64;
-    let mut top_rejected = 0u64;
-    for (i, &offered) in rates.iter().enumerate() {
-        let round = serve_round(workers, spin_us, sessions, lanes, duration_ms, offered);
-        report.linef(format_args!(
-            "  offered {offered:>8.0} req/s: achieved {:>8.0} req/s   rejected {:>6}/{:<6}   p50 {:>9} ns   p99 {:>9} ns",
-            round.achieved_rps, round.rejected, round.submitted, round.p50_ns, round.p99_ns,
-        ));
-        report.row(format!(
-            "{offered},{},{},{},{:.1},{},{}",
-            round.submitted,
-            round.completed,
-            round.rejected,
-            round.achieved_rps,
-            round.p50_ns,
-            round.p99_ns
-        ));
-        report.metric(format!("load{i}_offered_rps"), offered);
-        report.metric(format!("load{i}_achieved_rps"), round.achieved_rps);
-        report.metric(format!("load{i}_rejected"), round.rejected as f64);
-        report.metric(format!("load{i}_request_p50_ns"), round.p50_ns as f64);
-        report.metric(format!("load{i}_request_p99_ns"), round.p99_ns as f64);
-        saturation_rps = saturation_rps.max(round.achieved_rps);
-        top_rejected = round.rejected;
-        merged.merge(&round.latency);
-    }
-    let requests = merged.get(LatencyMetric::Request);
-    report.metric("request_p50_ns", requests.p50() as f64);
-    report.metric("request_p99_ns", requests.p99() as f64);
-    report.metric("request_count", requests.count as f64);
-    report.metric("saturation_rps", saturation_rps);
-    report.metric("overload_rejected", top_rejected as f64);
-    report.line("The generator is open-loop: arrivals follow the offered schedule no matter");
-    report.line("how the service is doing. Below saturation the service tracks the offered");
-    report.line("rate; past it the in-flight window fills, arrivals are shed with");
-    report.line("`Overloaded` (retry-after) instead of queueing without bound, and achieved");
-    report.line("throughput plateaus at the admission-controlled capacity.");
-    ctx.absorb_latency(&merged);
-    report
-}
-
-struct MemopathRound {
-    lookups: u64,
-    hits: u64,
-    hits_per_sec: f64,
-}
-
-/// One timed hit-storm round for the memo-path experiment: `readers`
-/// threads hammer a 64-key hot set of a prefilled 2⁶ × 16 store for
-/// `duration`, timing every 64th lookup into `obs` (same sampling overhead
-/// in both modes, so the A/B stays fair). The hot set is never evicted, so
-/// every lookup hits and the rate isolates pure read-path cost.
-fn memopath_round(
-    locked_reads: bool,
-    readers: usize,
-    duration: Duration,
-    obs: Option<&Observability>,
-) -> MemopathRound {
-    const KEYS: usize = 512;
-    const HOT: usize = 64;
-    let mut config = StoreConfig::paper(6, 16);
-    config.locked_reads = locked_reads;
-    let store = MemoStore::new(config);
-    let keys: Vec<EntryKey> = (0..KEYS)
-        .map(|i| EntryKey::new(TaskTypeId::from_raw(0), i as u64, 1.0))
-        .collect();
-    for (i, key) in keys.iter().enumerate() {
-        let values = vec![i as f32; 16];
-        let outputs = Arc::new(vec![OutputSnapshot {
-            region: RegionId::from_raw(0),
-            elem_range: 0..values.len(),
-            data: RegionData::F32(values),
-        }]);
-        store.insert(*key, TaskId::from_raw(i as u64), outputs, 1_000);
-    }
-    let started = Instant::now();
-    let (lookups, hits) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..readers)
-            .map(|r| {
-                let store = &store;
-                let keys = &keys;
-                scope.spawn(move || {
-                    let mut lookups = 0u64;
-                    let mut hits = 0u64;
-                    // Stagger the readers across the hot set so they still
-                    // collide on the same buckets but not in lockstep.
-                    let mut i = r * (HOT / readers.max(1));
-                    while started.elapsed() < duration {
-                        for _ in 0..256 {
-                            let key = &keys[i % HOT];
-                            i += 1;
-                            let hit = if lookups & 63 == 0 {
-                                let probe = Instant::now();
-                                let hit = store.lookup(key).is_some();
-                                let ns = probe.elapsed().as_nanos() as u64;
-                                if let Some(obs) = obs {
-                                    obs.record_latency(LatencyMetric::MemoLookup, r, ns);
-                                }
-                                hit
-                            } else {
-                                store.lookup(key).is_some()
-                            };
-                            lookups += 1;
-                            hits += u64::from(hit);
-                        }
-                    }
-                    (lookups, hits)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("reader thread"))
-            .fold((0u64, 0u64), |acc, (l, h)| (acc.0 + l, acc.1 + h))
-    });
-    let wall_seconds = started.elapsed().as_secs_f64();
-    MemopathRound {
-        lookups,
-        hits,
-        hits_per_sec: hits as f64 / wall_seconds.max(1e-9),
-    }
-}
-
-/// The memo-path experiment: a multi-reader hit-storm A/B-ing the seqlock
-/// read path against the mutex-guarded baseline on an otherwise identical
-/// store, reporting aggregate hit throughput per mode and their ratio.
-pub fn memopath(ctx: &EvalContext) -> Report {
-    let mut report = Report::new(
-        "memopath",
-        "Memo-path reads — seqlock set-associative lookups vs the locked-bucket baseline",
-        "mode,readers,lookups,hits,hits_per_sec",
-    );
-    let readers = ctx.workers.clamp(1, 4);
-    let duration = match ctx.scale {
-        Scale::Tiny => Duration::from_millis(80),
-        _ => Duration::from_millis(250),
-    };
-    report.linef(format_args!(
-        "{readers} reader threads on a 64-key hot set (2^6 buckets x 16 ways, 512 resident), {} ms per mode:",
-        duration.as_millis()
-    ));
-    let obs = Observability::enabled();
-    let mut rates = [0.0f64; 2];
-    for (slot, (mode, locked)) in [("seqlock", false), ("locked", true)]
-        .into_iter()
-        .enumerate()
-    {
-        let round = memopath_round(locked, readers, duration, Some(&obs));
-        assert_eq!(
-            round.hits, round.lookups,
-            "the hot set is never evicted, every lookup must hit"
-        );
-        report.linef(format_args!(
-            "  {mode:<8} {:>12.0} hits/s   ({} lookups)",
-            round.hits_per_sec, round.lookups
-        ));
-        report.row(format!(
-            "{mode},{readers},{},{},{:.1}",
-            round.lookups, round.hits, round.hits_per_sec
-        ));
-        report.metric(format!("{mode}_hits_per_sec"), round.hits_per_sec);
-        report.metric(format!("{mode}_lookups"), round.lookups as f64);
-        report.metric(format!("{mode}_hits"), round.hits as f64);
-        rates[slot] = round.hits_per_sec;
-    }
-    if rates[1] > 0.0 {
-        report.metric("seqlock_over_locked", rates[0] / rates[1]);
-    }
-    report.line("Both modes run the same store geometry and the same sampling schedule;");
-    report.line("the ratio isolates read-path cost — a version-validated atomic probe plus");
-    report.line("a hazard-protected Arc clone versus taking the bucket writer mutex on");
-    report.line("every read. The acceptance test (ignored, run isolated) requires the");
-    report.line("seqlock path to win at >= 4 hardware threads.");
-    ctx.absorb_latency(&obs.metrics());
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2644,20 +1981,20 @@ mod tests {
     }
 
     /// Overhead guard: a *disabled* observability handle must not slow the
-    /// hot paths down. Compares creation submit throughput with no handle
-    /// vs a disabled handle; wall-clock sensitive, so (like the other
-    /// throughput comparisons) it is ignored in the parallel suite, run
-    /// isolated in CI, and passes if any of three attempts stays within
-    /// the 2% budget.
+    /// hot paths down. Compares the scheduler flood's drain throughput
+    /// (submission, dispatch, release and memo hits all carry recording
+    /// hooks) with no handle vs a disabled handle; wall-clock sensitive, so
+    /// (like the other throughput comparison) it is ignored in the parallel
+    /// suite, run isolated in CI, and passes if any of three attempts stays
+    /// within the 2% budget.
     #[test]
     #[ignore = "wall-clock comparison; run isolated: cargo test -- --ignored --test-threads=1"]
     fn disabled_observability_costs_under_two_percent() {
         let disabled = Arc::new(Observability::disabled());
         let mut attempts = Vec::new();
         for _ in 0..3 {
-            let none = creation_round(64, 4, 2048, 64, 2, None, false).submit_tasks_per_sec;
-            let with =
-                creation_round(64, 4, 2048, 64, 2, Some(&disabled), false).submit_tasks_per_sec;
+            let none = flood_round(2, QueueMode::Stealing, 64, 128, None);
+            let with = flood_round(2, QueueMode::Stealing, 64, 128, Some(&disabled));
             assert!(none > 0.0 && with > 0.0);
             if with >= none * 0.98 {
                 return;
@@ -2665,7 +2002,7 @@ mod tests {
             attempts.push((none, with));
         }
         panic!(
-            "a disabled observability handle must cost < 2% submit throughput; \
+            "a disabled observability handle must cost < 2% flood throughput; \
              (none, disabled) tasks/s per attempt: {attempts:?}"
         );
     }
@@ -2763,388 +2100,6 @@ mod tests {
                 .iter()
                 .any(|(n, _)| n == "w4_pinned_over_unpinned"),
             "the affinity comparison must be reported"
-        );
-    }
-
-    /// The creation sweep reports a throughput per batch size and the
-    /// bounded-memory evidence: peak live nodes never exceed the in-flight
-    /// wave (constant in the total task count) and everything retires.
-    #[test]
-    fn creation_report_shows_bounded_live_nodes() {
-        let ctx = EvalContext::new(Scale::Tiny, 2);
-        let report = creation(&ctx);
-        let (batches, _waves, wave_size, _chains) = creation_params(Scale::Tiny);
-        assert_eq!(report.csv_rows.len(), batches.len());
-        let metric = |name: &str| -> f64 {
-            report
-                .metrics
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("metric {name} missing"))
-                .1
-        };
-        for batch in batches {
-            assert!(metric(&format!("b{batch}_submit_tasks_per_sec")) > 0.0);
-            let peak = metric(&format!("b{batch}_peak_live_nodes"));
-            assert!(
-                peak <= wave_size as f64,
-                "batch {batch}: peak live nodes {peak} must stay within one wave ({wave_size})"
-            );
-        }
-        assert_eq!(
-            metric("final_live_nodes"),
-            0.0,
-            "every node must retire once its wave drains"
-        );
-        assert!(report
-            .metrics
-            .iter()
-            .any(|(n, _)| n == "batch512_over_singleton"));
-        assert!(
-            report
-                .metrics
-                .iter()
-                .any(|(n, _)| n == "independent_over_conflict"),
-            "the declared-independent fast-path comparison must be reported"
-        );
-        assert!(
-            report
-                .metrics
-                .iter()
-                .any(|(n, _)| n == "release_aggregated_over_unaggregated"),
-            "the release-flush comparison must be reported"
-        );
-    }
-
-    /// The release-path round completes its fan-out dataflow correctly in
-    /// both flush modes (the assertions live inside `release_round`) and
-    /// reports a sane rate.
-    #[test]
-    fn release_round_is_correct_in_both_flush_modes() {
-        for aggregated in [true, false] {
-            let tps = release_round(aggregated, 2, 4, 8, 2, None);
-            assert!(
-                tps > 0.0,
-                "aggregated={aggregated}: throughput must be positive"
-            );
-        }
-    }
-
-    /// Tentpole acceptance: the aggregated release flush (one ready-queue
-    /// push, one batched wakeup and one outstanding decrement per finish
-    /// cycle) must beat the per-task publish baseline on the fan-out-heavy
-    /// 4-wave shape at 4 workers — the shape where every writer's finish
-    /// releases a 64-reader packet. A genuine comparison needs ≥ 4
-    /// hardware threads; on smaller machines only completion is asserted.
-    /// Wall-clock sensitive, so it is ignored in the parallel suite, run
-    /// isolated in CI, and passes if aggregation wins any of three
-    /// attempts.
-    #[test]
-    #[ignore = "wall-clock comparison; run isolated: cargo test -- --ignored --test-threads=1"]
-    fn creation_aggregated_release_beats_per_task_publish() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 4 {
-            assert!(release_round(true, 2, 4, 16, 2, None) > 0.0);
-            assert!(release_round(false, 2, 4, 16, 2, None) > 0.0);
-            return;
-        }
-        let best = |aggregated: bool| {
-            (0..3)
-                .map(|_| release_round(aggregated, 4, 16, 64, 4, None))
-                .fold(0.0f64, f64::max)
-        };
-        let mut attempts = Vec::new();
-        for _ in 0..3 {
-            let baseline = best(false);
-            let aggregated = best(true);
-            assert!(baseline > 0.0 && aggregated > 0.0);
-            if aggregated > baseline {
-                return;
-            }
-            attempts.push((baseline, aggregated));
-        }
-        panic!(
-            "the aggregated release flush must out-pace per-task publishes on \
-             {cores} cores; (per-task, aggregated) tasks/s per attempt: {attempts:?}"
-        );
-    }
-
-    /// Acceptance criterion: batch-512 submission throughput beats the
-    /// singleton path — the lock amortisation must be visible end to end.
-    /// Wall-clock sensitive, so (like the stealing-beats-fifo test) it is
-    /// ignored in the parallel suite and run isolated in CI; a single
-    /// comparison can be disturbed by background load, so it passes if the
-    /// batch wins any of three attempts.
-    #[test]
-    #[ignore = "wall-clock comparison; run isolated: cargo test -- --ignored --test-threads=1"]
-    fn creation_batch512_beats_singleton_submission() {
-        let mut attempts = Vec::new();
-        for _ in 0..3 {
-            let singleton = creation_round(1, 4, 2048, 64, 2, None, false).submit_tasks_per_sec;
-            let batched = creation_round(512, 4, 2048, 64, 2, None, false).submit_tasks_per_sec;
-            assert!(singleton > 0.0 && batched > 0.0);
-            if batched > singleton {
-                return;
-            }
-            attempts.push((singleton, batched));
-        }
-        panic!(
-            "batch-512 submission must out-pace singleton submission; \
-             (singleton, batched) tasks/s per attempt: {attempts:?}"
-        );
-    }
-
-    /// Satellite acceptance: a batch declared conflict-free skips the
-    /// per-batch conflict pass, so at batch == chains == 512 the fast path
-    /// must out-pace the ordinary bookkeeping on the same workload.
-    /// Wall-clock sensitive, so it is ignored in the parallel suite, run
-    /// isolated in CI, and passes if the fast path wins any of three
-    /// attempts.
-    #[test]
-    #[ignore = "wall-clock comparison; run isolated: cargo test -- --ignored --test-threads=1"]
-    fn creation_independent_batch_beats_the_conflict_pass() {
-        let mut attempts = Vec::new();
-        for _ in 0..3 {
-            let conflict = creation_round(512, 4, 2048, 512, 2, None, false).submit_tasks_per_sec;
-            let fast = creation_round(512, 4, 2048, 512, 2, None, true).submit_tasks_per_sec;
-            assert!(conflict > 0.0 && fast > 0.0);
-            if fast > conflict {
-                return;
-            }
-            attempts.push((conflict, fast));
-        }
-        panic!(
-            "the declared-independent batch path must out-pace the conflict pass; \
-             (conflict, independent) tasks/s per attempt: {attempts:?}"
-        );
-    }
-
-    /// Aggregate submission throughput of `threads` submitter threads, each
-    /// feeding `per_thread` singleton inout tasks into its own private
-    /// chain. Disjoint regions map to disjoint submission-lock shards, so
-    /// concurrent submitters must not serialise on one global lock. Two
-    /// workers drain concurrently; only the submission phase is timed.
-    fn submit_flood_tasks_per_sec(threads: usize, per_thread: usize) -> f64 {
-        let rt = RuntimeBuilder::new().workers(2).build();
-        let incr = rt.register_task_type(
-            TaskTypeBuilder::new("flood_incr", |ctx| {
-                let v = ctx.arg::<f64>(0)[0];
-                ctx.out(0, &[v + 1.0]);
-            })
-            .inout::<f64>()
-            .build(),
-        );
-        let cells: Vec<Region<f64>> = (0..threads)
-            .map(|t| rt.store().register_zeros(format!("fl{t}"), 1).unwrap())
-            .collect();
-        let started = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for cell in &cells {
-                let rt = &rt;
-                scope.spawn(move || {
-                    for _ in 0..per_thread {
-                        rt.task(incr)
-                            .reads_writes(cell)
-                            .submit()
-                            .expect("flood task matches the declared signature");
-                    }
-                });
-            }
-        });
-        let submit_seconds = started.elapsed().as_secs_f64();
-        rt.taskwait();
-        for cell in &cells {
-            assert_eq!(rt.store().read(*cell).lock().as_f64(), &[per_thread as f64]);
-        }
-        rt.shutdown();
-        (threads * per_thread) as f64 / submit_seconds.max(1e-9)
-    }
-
-    /// Tentpole acceptance: the sharded submission path lets independent
-    /// sessions submit concurrently — four submitter threads on private
-    /// regions must move the same total task count faster than one thread
-    /// (a single global submission lock would serialise them to at best
-    /// single-thread throughput). A genuine concurrency comparison needs
-    /// ≥ 4 hardware threads; on smaller machines (where the submitters
-    /// timeshare one core and the comparison measures the OS scheduler)
-    /// only completion is asserted. Wall-clock sensitive, so it is ignored
-    /// in the parallel suite, run isolated in CI, and passes if the
-    /// concurrent submitters win any of three attempts.
-    #[test]
-    #[ignore = "wall-clock comparison; run isolated: cargo test -- --ignored --test-threads=1"]
-    fn concurrent_submitters_outpace_a_single_submitter() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 4 {
-            assert!(submit_flood_tasks_per_sec(1, 4_096) > 0.0);
-            assert!(submit_flood_tasks_per_sec(4, 1_024) > 0.0);
-            return;
-        }
-        let mut attempts = Vec::new();
-        for _ in 0..3 {
-            let single = submit_flood_tasks_per_sec(1, 16_384);
-            let four = submit_flood_tasks_per_sec(4, 4_096);
-            assert!(single > 0.0 && four > 0.0);
-            if four > single {
-                return;
-            }
-            attempts.push((single, four));
-        }
-        panic!(
-            "four concurrent submitters must out-pace one submitter moving the \
-             same total on {cores} cores; (single, four-thread) tasks/s per \
-             attempt: {attempts:?}"
-        );
-    }
-
-    /// The serving sweep covers every offered-load point, records nonzero
-    /// request percentiles, finds a saturation throughput and sheds the
-    /// top point's overload through admission control instead of queueing
-    /// it (the ISSUE's overload acceptance).
-    #[test]
-    fn serve_report_covers_the_sweep_and_sheds_overload() {
-        let ctx = EvalContext::new(Scale::Tiny, 2);
-        let report = serve(&ctx);
-        let (_, _, _, _, rates) = serve_params(Scale::Tiny);
-        assert_eq!(report.csv_rows.len(), rates.len());
-        let metric = |name: &str| -> f64 {
-            report
-                .metrics
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("metric {name} missing"))
-                .1
-        };
-        assert!(metric("request_p50_ns") > 0.0);
-        assert!(metric("request_p99_ns") >= metric("request_p50_ns"));
-        assert!(metric("request_count") > 0.0);
-        assert!(metric("saturation_rps") > 0.0);
-        assert!(
-            metric("overload_rejected") > 0.0,
-            "the top offered load (2x worker capacity) must be shed via Overloaded"
-        );
-        for i in 0..rates.len() {
-            assert!(metric(&format!("load{i}_achieved_rps")) > 0.0);
-            assert!(metric(&format!("load{i}_request_p50_ns")) > 0.0);
-            assert!(metric(&format!("load{i}_request_p99_ns")) > 0.0);
-        }
-        // The request histogram also feeds the shared latency accumulator.
-        let latency = ctx.take_latency();
-        assert_eq!(
-            latency.get(LatencyMetric::Request).count as f64,
-            metric("request_count")
-        );
-    }
-
-    /// Acceptance criterion: a 4-worker service under mid load (a quarter
-    /// of its worker capacity) keeps p99 request latency bounded while
-    /// sustaining the offered, admission-controlled throughput — no
-    /// unbounded queue can build below saturation. The spinning kernels
-    /// need real parallelism: on machines under 4 hardware threads the
-    /// workers timeshare one core, the offered load sits at or above the
-    /// true capacity and the round measures the OS scheduler — there only
-    /// completion and accounting are asserted. Wall-clock sensitive, so it
-    /// is ignored in the parallel suite, run isolated (release) in CI, and
-    /// passes if any of three attempts meets all three bounds.
-    #[test]
-    #[ignore = "wall-clock comparison; run isolated: cargo test -- --ignored --test-threads=1"]
-    fn serve_four_workers_keep_p99_bounded_at_mid_load() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 4 {
-            let round = serve_round(4, 50, 4, 2, 200, 5_000.0);
-            assert_eq!(round.completed + round.rejected, round.submitted);
-            assert!(round.completed > 0 && round.p50_ns > 0);
-            return;
-        }
-        let offered = 10_000.0;
-        let mut attempts = Vec::new();
-        for _ in 0..3 {
-            // 4 workers x (1 / 100 µs) ≈ 40k req/s capacity; offer 10k.
-            let round = serve_round(4, 50, 4, 2, 400, offered);
-            let sustained = round.achieved_rps >= 0.5 * offered;
-            // Bounded: two orders of magnitude above the ~100 µs service
-            // time still catches runaway queueing by a wide margin.
-            let bounded = round.p99_ns < 50_000_000;
-            let admitted = round.rejected * 50 <= round.submitted;
-            if sustained && bounded && admitted {
-                return;
-            }
-            attempts.push((round.achieved_rps, round.p99_ns, round.rejected));
-        }
-        panic!(
-            "a 4-worker service at quarter load on {cores} cores must sustain \
-             >= {:.0} req/s with p99 < 50 ms and <= 2% shed; (achieved_rps, \
-             p99_ns, rejected) per attempt: {attempts:?}",
-            0.5 * offered
-        );
-    }
-
-    /// The memopath report carries both modes' throughput, a finite A/B
-    /// ratio, and the sampled lookup-latency percentiles every experiment
-    /// now publishes next to the release percentiles.
-    #[test]
-    fn memopath_report_has_both_modes_and_lookup_percentiles() {
-        let ctx = EvalContext::new(Scale::Tiny, 2);
-        let report = memopath(&ctx);
-        assert_eq!(report.csv_rows.len(), 2, "one row per mode");
-        let metric = |name: &str| -> f64 {
-            report
-                .metrics
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("metric {name} missing"))
-                .1
-        };
-        assert!(metric("seqlock_hits_per_sec") > 0.0);
-        assert!(metric("locked_hits_per_sec") > 0.0);
-        assert!(metric("seqlock_hits") > 0.0);
-        assert!(metric("locked_hits") > 0.0);
-        let ratio = metric("seqlock_over_locked");
-        assert!(ratio.is_finite() && ratio > 0.0);
-        // The sampled probes feed the shared latency accumulator that
-        // `run_experiment` turns into memo_lookup_p50/p99_ns.
-        let latency = ctx.take_latency();
-        let lookup = latency.get(LatencyMetric::MemoLookup);
-        assert!(lookup.count > 0);
-        assert!(lookup.p50() > 0 && lookup.p99() >= lookup.p50());
-    }
-
-    /// Acceptance criterion (the ISSUE's release gate): under a 4-reader
-    /// hit-storm the lock-free seqlock read path out-runs the mutex-guarded
-    /// baseline. A genuine contention comparison needs >= 4 hardware
-    /// threads; on smaller machines only completion is asserted. Like the
-    /// other wall-clock comparisons it is ignored in the parallel suite,
-    /// run isolated in CI, takes best-of-3 per mode and passes if the
-    /// seqlock path wins any of three attempts.
-    #[test]
-    #[ignore = "wall-clock comparison; run isolated: cargo test -- --ignored --test-threads=1"]
-    fn memopath_seqlock_beats_locked_reads() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let duration = Duration::from_millis(150);
-        if cores < 4 {
-            let round = memopath_round(false, 2, duration, None);
-            assert_eq!(round.hits, round.lookups);
-            assert!(round.hits_per_sec > 0.0);
-            return;
-        }
-        let best = |locked: bool| {
-            (0..3)
-                .map(|_| memopath_round(locked, 4, duration, None).hits_per_sec)
-                .fold(0.0f64, f64::max)
-        };
-        let mut attempts = Vec::new();
-        for _ in 0..3 {
-            let seqlock = best(false);
-            let locked = best(true);
-            assert!(seqlock > 0.0 && locked > 0.0);
-            if seqlock > locked {
-                return;
-            }
-            attempts.push((seqlock, locked));
-        }
-        panic!(
-            "lock-free reads must beat the locked baseline under a 4-reader \
-             hit-storm on {cores} cores; (seqlock, locked) hits/s per \
-             attempt: {attempts:?}"
         );
     }
 

@@ -1,13 +1,15 @@
 //! `atm-eval` — regenerates the tables and figures of the ATM paper, plus
-//! the memo-store experiments (cache pressure, warm start).
+//! the memo-store experiments (cache pressure, warm start), the mixed
+//! per-type-policy run and the scheduler scaling sweep. Performance across
+//! commits is judged by `benchmark/run.sh compare`, not here.
 //!
 //! ```text
 //! atm-eval <experiment>|all [--scale tiny|small] [--workers N]
 //!          [--csv DIR] [--json DIR] [--trace FILE] [--quick] [--list]
 //! ```
 //!
-//! Experiments: table1 table2 table3 sizing figure3 figure4 figure5 figure6
-//! figure7 figure8 figure9 pressure warmstart mixed scaling creation serve.
+//! Experiments (15): table1 table2 table3 sizing figure3 figure4 figure5
+//! figure6 figure7 figure8 figure9 pressure warmstart mixed scaling.
 //!
 //! `--quick` is the CI smoke mode: tiny scale, two workers. `--json DIR`
 //! writes one `BENCH_<experiment>.json` per experiment with the machine-

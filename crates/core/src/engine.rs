@@ -22,7 +22,7 @@ use crate::ikt::{InFlightKeyTable, Waiter};
 use crate::key::{KeyGenerator, KeyScratch};
 use crate::snapshot::{apply_snapshots_to, OutputSnapshot};
 use crate::stats::{AtmStats, AtmStatsSnapshot, ReuseEvent, TypeSummaries, TypeSummary};
-use crate::tht::{EntryKey, TaskHistoryTable, ThtConfig};
+use crate::tht::{EntryKey, ThtConfig};
 use crate::training::{evaluate_metric_data, TrainingController};
 use atm_hash::Percentage;
 use atm_obs::{
@@ -32,7 +32,7 @@ use atm_runtime::{
     ArgPrecision, DataStore, Decision, MemoPolicy, MemoSpec, RegionId, TaskId, TaskInterceptor,
     TaskTypeId, TaskView, ThreadState, Tracer,
 };
-use atm_store::{PersistError, PolicyKind, StoreConfig, StoreCountersSnapshot};
+use atm_store::{MemoStore, PersistError, PolicyKind, StoreConfig, StoreCountersSnapshot};
 use atm_sync::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
@@ -188,7 +188,6 @@ impl AtmConfig {
             byte_budget: self.byte_budget,
             max_entry_fraction: self.max_entry_fraction,
             policy: self.policy,
-            ..StoreConfig::default()
         }
     }
 }
@@ -287,7 +286,7 @@ struct DecisionScalars {
 /// [`atm_runtime::RuntimeBuilder::interceptor`].
 pub struct AtmEngine {
     config: AtmConfig,
-    tht: TaskHistoryTable,
+    memo_store: MemoStore,
     ikt: InFlightKeyTable,
     types: Mutex<HashMap<TaskTypeId, Arc<TypeState>>>,
     pending: Mutex<HashMap<TaskId, PendingExec>>,
@@ -302,7 +301,7 @@ impl AtmEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: AtmConfig) -> Self {
         AtmEngine {
-            tht: TaskHistoryTable::with_store_config(config.store_config()),
+            memo_store: MemoStore::new(config.store_config()),
             ikt: InFlightKeyTable::new(),
             types: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
@@ -324,7 +323,7 @@ impl AtmEngine {
     /// unified [`atm_runtime::Runtime::observe`] snapshot.
     #[must_use]
     pub fn with_observability(mut self, obs: Arc<Observability>) -> Self {
-        self.tht.set_observability(Arc::clone(&obs));
+        self.memo_store.set_observability(Arc::clone(&obs));
         self.obs = Some(obs);
         self
     }
@@ -366,9 +365,10 @@ impl AtmEngine {
         self.summaries.all()
     }
 
-    /// The Task History Table (for sizing experiments and diagnostics).
-    pub fn tht(&self) -> &TaskHistoryTable {
-        &self.tht
+    /// The memo store holding the Task History Table (sizing experiments,
+    /// diagnostics, persistence).
+    pub fn store(&self) -> &MemoStore {
+        &self.memo_store
     }
 
     /// The In-flight Key Table (diagnostics).
@@ -380,13 +380,13 @@ impl AtmEngine {
     /// insertions, evictions, rejected admissions, resident bytes, saved
     /// kernel nanoseconds).
     pub fn store_counters(&self) -> StoreCountersSnapshot {
-        self.tht.store_counters()
+        self.memo_store.counters()
     }
 
     /// Persists the memo store to `path` (versioned, checksummed binary
     /// snapshot; see `atm_store::persist`).
     pub fn save_store(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.tht.store().save_to(path)
+        self.memo_store.save_to(path)
     }
 
     /// Warm-starts the memo store from a snapshot written by
@@ -398,7 +398,7 @@ impl AtmEngine {
     /// and `key_seed` is unchanged — the natural situation for repeated
     /// runs of one application.
     pub fn warm_start_from(&self, path: impl AsRef<Path>) -> Result<usize, PersistError> {
-        self.tht.store().absorb_from(path)
+        self.memo_store.absorb_from(path)
     }
 
     /// ATM memory overhead in bytes: THT contents, IKT bookkeeping and the
@@ -410,7 +410,7 @@ impl AtmEngine {
             .values()
             .map(|t| t.keygen.memory_bytes())
             .sum();
-        self.tht.memory_bytes() + self.ikt.memory_bytes() + keygens
+        self.memo_store.memory_bytes() + self.ikt.memory_bytes() + keygens
     }
 
     /// The selection percentage currently in effect for a task type (the
@@ -669,7 +669,7 @@ impl TaskInterceptor for AtmEngine {
         let signature = Self::output_signature(store, &task);
         let lookup_start = self.obs_on().map(|_| tracer.now_ns());
         let entry = self
-            .tht
+            .memo_store
             .lookup(&key)
             .filter(|e| Self::entry_matches_shape(&e.outputs, &signature));
         if let (Some(obs), Some(start)) = (self.obs_on(), lookup_start) {
@@ -702,7 +702,7 @@ impl TaskInterceptor for AtmEngine {
 
             // Steady state: provide the outputs without executing. Only now
             // is the entry's benefit genuinely saved kernel time.
-            self.tht.note_saved(entry.benefit_ns);
+            self.memo_store.note_saved(entry.benefit_ns);
             let copy_start = tracer.now_ns();
             apply_snapshots_to(store, &entry.outputs, task.accesses);
             let copy_end = tracer.now_ns();
@@ -914,13 +914,13 @@ impl TaskInterceptor for AtmEngine {
             let still_stable = !self.writes_unstable_region(&state, &task);
             if still_stable {
                 let snaps = outputs.expect("snapshot exists when the THT is updated");
-                self.tht
-                    .insert_with_benefit(pending.key, task.id, snaps, kernel_ns);
+                self.memo_store
+                    .insert(pending.key, task.id, snaps, kernel_ns);
                 if let Some(obs) = self.obs_on() {
                     obs.sample_store_bytes(
                         worker,
                         tracer.now_ns(),
-                        self.tht.store_counters().resident_bytes as u64,
+                        self.memo_store.counters().resident_bytes as u64,
                     );
                 }
             }
@@ -931,7 +931,7 @@ impl TaskInterceptor for AtmEngine {
 
     fn observe(&self) -> Option<(EngineObservation, StoreObservation)> {
         let stats = self.stats.snapshot();
-        let store = self.tht.store_counters();
+        let store = self.memo_store.counters();
         Some((
             EngineObservation {
                 seen: stats.seen,
@@ -1079,7 +1079,7 @@ mod tests {
             let (d, _) = drive(&engine, &store, view_for(id, 0, &info, &accesses));
             assert_eq!(d, Decision::Execute);
         }
-        assert!(engine.tht().is_empty());
+        assert!(engine.store().is_empty());
         assert_eq!(engine.stats().seen, 0);
     }
 
@@ -1312,11 +1312,11 @@ mod tests {
             .with_byte_budget(4096)
             .with_admission_fraction(0.5);
         let engine = AtmEngine::new(config);
-        let store_config = engine.tht().store().config();
+        let store_config = engine.store().config();
         assert_eq!(store_config.policy, atm_store::PolicyKind::CostAware);
         assert_eq!(store_config.byte_budget, Some(4096));
         assert!((store_config.max_entry_fraction - 0.5).abs() < 1e-12);
-        assert_eq!(engine.tht().store().policy_name(), "cost-aware");
+        assert_eq!(engine.store().policy_name(), "cost-aware");
         assert_eq!(engine.store_counters(), Default::default());
     }
 
@@ -1329,7 +1329,7 @@ mod tests {
         let out = store.register_zeros::<f64>("out", 64).unwrap();
         let accesses = vec![Access::read(&input), Access::write(&out)];
         let _ = drive(&engine, &store, view_for(0, 0, &info, &accesses));
-        let exported = engine.tht().store().export();
+        let exported = engine.store().export();
         assert_eq!(exported.len(), 1);
         // drive() measures real time around the kernel, so the benefit can
         // be small but is recorded from the per-type timing stats.

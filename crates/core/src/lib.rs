@@ -10,9 +10,10 @@
 //! registered:
 //!
 //! * `MemoSpec::exact()` hashes the complete data inputs and stores the
-//!   task outputs in the [`tht::TaskHistoryTable`]. A later task with the
-//!   same input hash gets its outputs copied instead of executing, with
-//!   zero accuracy loss (the paper's Static ATM).
+//!   task outputs in the Task History Table (a [`MemoStore`] sized by
+//!   [`ThtConfig`]). A later task with the same input hash gets its outputs
+//!   copied instead of executing, with zero accuracy loss (the paper's
+//!   Static ATM).
 //! * `MemoSpec::approximate()` additionally *approximates*: it hashes only
 //!   a percentage `p` of the input bytes (most-significant bytes first), so
 //!   similar-but-not-identical tasks can also be memoized. An adaptive
@@ -105,7 +106,7 @@ pub use ikt::{InFlightKeyTable, Waiter};
 pub use key::{KeyGenerator, KeyResult};
 pub use snapshot::OutputSnapshot;
 pub use stats::{AtmStats, AtmStatsSnapshot, ReuseEvent, TypeSummary};
-pub use tht::{EntryKey, TaskHistoryTable, ThtConfig, ThtEntry};
+pub use tht::{EntryKey, ThtConfig};
 pub use training::{
     evaluate_metric, evaluate_metric_data, Phase, TrainingController, TrainingOutcome,
 };

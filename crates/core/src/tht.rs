@@ -1,24 +1,21 @@
-//! The Task History Table (THT).
+//! The Task History Table (THT) geometry.
 //!
 //! The THT is the central memoization structure of ATM (§III-A, Figure 1):
 //! a table of `2^N` buckets, each holding up to `M` entries. An entry stores
 //! the 8-byte hash key of a completed task's (sampled) inputs, the
 //! percentage `p` the key was computed with, and a full copy of the task's
-//! outputs. Buckets are protected by individual locks that allow parallel
-//! reads and exclusive writes; when a bucket is full the oldest entry is
-//! evicted first-in-first-out.
+//! outputs; when a bucket is full the oldest entry is evicted
+//! first-in-first-out.
 //!
-//! Since the introduction of the `atm-store` crate the THT is a thin façade
-//! over [`MemoStore`]: the paper's `(N, M)` geometry with FIFO eviction and
-//! no byte budget is one configuration of the store, and that configuration
-//! reproduces the original table bit for bit. The engine configures the
-//! store with whatever policy/budget/persistence the [`crate::AtmConfig`]
-//! asks for; this module keeps the paper-facing vocabulary and API.
+//! The table itself is [`atm_store::MemoStore`]: the paper's `(N, M)`
+//! geometry with FIFO eviction and no byte budget is one configuration of
+//! the store ([`ThtConfig::store_config`]), and that configuration
+//! reproduces the original table bit for bit. The engine holds the store
+//! directly, configured with whatever policy/budget the
+//! [`crate::AtmConfig`] asks for; this module keeps the paper-facing
+//! `(N, M)` vocabulary.
 
-use crate::snapshot::OutputSnapshot;
-use atm_runtime::TaskId;
-use atm_store::{MemoStore, StoreConfig, StoreCountersSnapshot};
-use std::sync::Arc;
+use atm_store::StoreConfig;
 
 pub use atm_store::EntryKey;
 
@@ -49,137 +46,18 @@ impl ThtConfig {
     }
 }
 
-/// One memoized task in the THT.
-#[derive(Debug, Clone)]
-pub struct ThtEntry {
-    /// The lookup key.
-    pub key: EntryKey,
-    /// The task that produced the outputs (reuse provenance for Figure 9).
-    pub producer: TaskId,
-    /// The stored outputs.
-    pub outputs: Arc<Vec<OutputSnapshot>>,
-    /// Estimated kernel nanoseconds a genuine bypass on this entry saves
-    /// (reported back to the store via [`TaskHistoryTable::note_saved`]).
-    pub benefit_ns: u64,
-}
-
-/// The Task History Table.
-#[derive(Debug)]
-pub struct TaskHistoryTable {
-    store: MemoStore,
-}
-
-impl TaskHistoryTable {
-    /// Creates an empty table with the given sizing (paper-faithful FIFO
-    /// eviction, no byte budget).
-    pub fn new(config: ThtConfig) -> Self {
-        Self::with_store_config(config.store_config())
-    }
-
-    /// Creates an empty table backed by a [`MemoStore`] with the full
-    /// policy/budget configuration.
-    pub fn with_store_config(config: StoreConfig) -> Self {
-        TaskHistoryTable {
-            store: MemoStore::new(config),
-        }
-    }
-
-    /// The underlying memo store (policy, budget and persistence live there).
-    pub fn store(&self) -> &MemoStore {
-        &self.store
-    }
-
-    /// Attaches an observability handle to the backing store (insert/evict
-    /// latencies, admission-denied and eviction decision events).
-    pub fn set_observability(&mut self, obs: Arc<atm_obs::Observability>) {
-        self.store.set_observability(obs);
-    }
-
-    /// The table sizing.
-    pub fn config(&self) -> ThtConfig {
-        let config = self.store.config();
-        ThtConfig {
-            bucket_bits: config.bucket_bits,
-            ways: config.ways,
-        }
-    }
-
-    /// Number of buckets (`2^N`).
-    pub fn bucket_count(&self) -> usize {
-        self.store.bucket_count()
-    }
-
-    /// Looks up an entry with exactly this key. Takes the bucket's read
-    /// lock, so concurrent lookups proceed in parallel.
-    pub fn lookup(&self, key: &EntryKey) -> Option<ThtEntry> {
-        self.store.lookup(key).map(|hit| ThtEntry {
-            key: *key,
-            producer: hit.producer,
-            outputs: hit.outputs,
-            benefit_ns: hit.benefit_ns,
-        })
-    }
-
-    /// Reports that a hit genuinely replaced an execution (see
-    /// [`MemoStore::note_saved`]).
-    pub fn note_saved(&self, benefit_ns: u64) {
-        self.store.note_saved(benefit_ns);
-    }
-
-    /// Inserts the outputs of a completed task. If the bucket already holds
-    /// `M` entries (or the store exceeds its byte budget) the configured
-    /// policy evicts — FIFO by default, exactly as in the paper.
-    pub fn insert(&self, key: EntryKey, producer: TaskId, outputs: Arc<Vec<OutputSnapshot>>) {
-        self.store.insert(key, producer, outputs, 0);
-    }
-
-    /// Like [`TaskHistoryTable::insert`], with the caller's estimate of the
-    /// kernel nanoseconds one hit on this entry saves (drives the
-    /// cost-aware eviction policy and the `saved_ns` counter).
-    pub fn insert_with_benefit(
-        &self,
-        key: EntryKey,
-        producer: TaskId,
-        outputs: Arc<Vec<OutputSnapshot>>,
-        benefit_ns: u64,
-    ) {
-        self.store.insert(key, producer, outputs, benefit_ns);
-    }
-
-    /// Total number of stored entries (diagnostic; takes every bucket lock).
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// True when the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Bytes currently stored in the table (keys + container overhead +
-    /// outputs), the main contributor to the ATM memory overhead of
-    /// Table III.
-    pub fn memory_bytes(&self) -> usize {
-        self.store.memory_bytes()
-    }
-
-    /// Counter snapshot: `(hits, misses, insertions, evictions)`.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        let c = self.store.counters();
-        (c.hits, c.misses, c.insertions, c.evictions)
-    }
-
-    /// The full store counter snapshot (includes admission rejections,
-    /// resident bytes and saved kernel nanoseconds).
-    pub fn store_counters(&self) -> StoreCountersSnapshot {
-        self.store.counters()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm_runtime::{Access, DataStore, TaskTypeId};
+    use crate::snapshot::OutputSnapshot;
+    use atm_runtime::{Access, DataStore, TaskId, TaskTypeId};
+    use atm_store::MemoStore;
+    use std::sync::Arc;
+
+    /// The paper's table: the store under [`ThtConfig::store_config`].
+    fn paper_table(config: ThtConfig) -> MemoStore {
+        MemoStore::new(config.store_config())
+    }
 
     fn snapshot(store: &DataStore, values: &[f32]) -> Arc<Vec<OutputSnapshot>> {
         // Region names are unique per store; derive one from the slot count.
@@ -200,24 +78,25 @@ mod tests {
     #[test]
     fn insert_then_lookup_hits() {
         let store = DataStore::new();
-        let tht = TaskHistoryTable::new(ThtConfig::default());
+        let tht = paper_table(ThtConfig::default());
         let outputs = snapshot(&store, &[1.0, 2.0]);
-        tht.insert(key(42), producer(), outputs);
+        tht.insert(key(42), producer(), outputs, 0);
         let entry = tht.lookup(&key(42)).expect("entry must be found");
         assert_eq!(entry.outputs[0].data.as_f32(), &[1.0, 2.0]);
         assert!(tht.lookup(&key(43)).is_none());
-        let (hits, misses, insertions, evictions) = tht.counters();
-        assert_eq!((hits, misses, insertions, evictions), (1, 1, 1, 0));
+        let c = tht.counters();
+        assert_eq!((c.hits, c.misses, c.insertions, c.evictions), (1, 1, 1, 0));
     }
 
     #[test]
     fn different_p_or_type_does_not_match() {
         let store = DataStore::new();
-        let tht = TaskHistoryTable::new(ThtConfig::default());
+        let tht = paper_table(ThtConfig::default());
         tht.insert(
             EntryKey::new(TaskTypeId::from_raw(0), 7, 1.0),
             producer(),
             snapshot(&store, &[1.0]),
+            0,
         );
         assert!(tht
             .lookup(&EntryKey::new(TaskTypeId::from_raw(0), 7, 0.5))
@@ -233,7 +112,7 @@ mod tests {
     #[test]
     fn fifo_eviction_keeps_the_newest_m_entries() {
         let store = DataStore::new();
-        let tht = TaskHistoryTable::new(ThtConfig {
+        let tht = paper_table(ThtConfig {
             bucket_bits: 0,
             ways: 2,
         });
@@ -243,12 +122,13 @@ mod tests {
                 key(hash_high << 32),
                 producer(),
                 snapshot(&store, &[hash_high as f32]),
+                0,
             );
         }
         assert_eq!(tht.len(), 2);
-        let (_, _, insertions, evictions) = tht.counters();
-        assert_eq!(insertions, 4);
-        assert_eq!(evictions, 2);
+        let counters = tht.counters();
+        assert_eq!(counters.insertions, 4);
+        assert_eq!(counters.evictions, 2);
         // The two most recent entries survive.
         assert!(tht.lookup(&key(2 << 32)).is_some());
         assert!(tht.lookup(&key(3 << 32)).is_some());
@@ -258,33 +138,33 @@ mod tests {
     #[test]
     fn memory_accounting_grows_and_shrinks() {
         let store = DataStore::new();
-        let tht = TaskHistoryTable::new(ThtConfig {
+        let tht = paper_table(ThtConfig {
             bucket_bits: 0,
             ways: 1,
         });
         assert_eq!(tht.memory_bytes(), 0);
-        tht.insert(key(1), producer(), snapshot(&store, &[1.0; 100]));
+        tht.insert(key(1), producer(), snapshot(&store, &[1.0; 100]), 0);
         let after_one = tht.memory_bytes();
         assert!(
             after_one >= 400,
             "at least the 400 output bytes must be accounted"
         );
         // Inserting a second entry evicts the first; memory should not double.
-        tht.insert(key(1 << 40), producer(), snapshot(&store, &[1.0; 100]));
+        tht.insert(key(1 << 40), producer(), snapshot(&store, &[1.0; 100]), 0);
         assert_eq!(tht.memory_bytes(), after_one);
     }
 
     #[test]
     fn keys_with_same_low_bits_land_in_same_bucket_but_do_not_collide() {
         let store = DataStore::new();
-        let tht = TaskHistoryTable::new(ThtConfig {
+        let tht = paper_table(ThtConfig {
             bucket_bits: 4,
             ways: 8,
         });
         let a = key(0x10);
         let b = key(0xA0_0010); // same low 4 bits
-        tht.insert(a, producer(), snapshot(&store, &[1.0]));
-        tht.insert(b, producer(), snapshot(&store, &[2.0]));
+        tht.insert(a, producer(), snapshot(&store, &[1.0]), 0);
+        tht.insert(b, producer(), snapshot(&store, &[2.0]), 0);
         assert_eq!(tht.lookup(&a).unwrap().outputs[0].data.as_f32(), &[1.0]);
         assert_eq!(tht.lookup(&b).unwrap().outputs[0].data.as_f32(), &[2.0]);
     }
@@ -292,7 +172,7 @@ mod tests {
     #[test]
     fn bucket_count_is_power_of_two() {
         assert_eq!(
-            TaskHistoryTable::new(ThtConfig {
+            paper_table(ThtConfig {
                 bucket_bits: 0,
                 ways: 1
             })
@@ -300,7 +180,7 @@ mod tests {
             1
         );
         assert_eq!(
-            TaskHistoryTable::new(ThtConfig {
+            paper_table(ThtConfig {
                 bucket_bits: 8,
                 ways: 1
             })
@@ -312,7 +192,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one way")]
     fn zero_ways_is_rejected() {
-        let _ = TaskHistoryTable::new(ThtConfig {
+        let _ = paper_table(ThtConfig {
             bucket_bits: 1,
             ways: 0,
         });

@@ -563,34 +563,19 @@ impl TaskGraph {
                 .iter()
                 .flat_map(|d| d.accesses.iter().map(|a| a.region)),
         );
-        self.submit_batch_with(&permit, descs, false)
+        self.submit_batch_with(&permit, descs)
     }
 
     /// The body of [`TaskGraph::submit_batch`], for callers that already
     /// hold the permit covering every region in the batch.
-    ///
-    /// `independent == true` declares that no two batch members conflict
-    /// with **each other** (dependences on earlier, non-batch tasks are
-    /// still computed): the dependence pass then scans only the pre-batch
-    /// live accessors and bulk-registers the batch's accesses afterwards,
-    /// skipping the member-vs-earlier-member conflict scan — O(B·live)
-    /// instead of O(B²·live) for B batch members sharing regions. The
-    /// declaration is trusted in release builds; debug builds verify it and
-    /// panic on a lie (a wrong declaration silently drops intra-batch
-    /// edges, i.e. races).
     pub fn submit_batch_with(
         &self,
         _permit: &SubmissionPermit<'_>,
         descs: Vec<TaskDesc>,
-        independent: bool,
     ) -> Vec<(TaskId, bool)> {
         if descs.is_empty() {
             return Vec::new();
         }
-        debug_assert!(
-            !independent || Self::batch_is_internally_independent(&descs),
-            "submit_batch_with(independent = true) on a batch with internal conflicts"
-        );
         let batch_len = descs.len();
         let first = self.next_seq.fetch_add(batch_len as u64, Ordering::SeqCst);
 
@@ -643,59 +628,23 @@ impl TaskGraph {
                 .enumerate()
                 .map(|(i, shard)| touched[i].then(|| shard.lock()))
                 .collect();
-            if independent {
-                // Fast path: every member's predecessors come from the
-                // pre-batch live set only, so scan first (without
-                // registering anything — members must not see each other)…
-                for node in &nodes {
-                    let mut preds: BTreeSet<TaskId> = BTreeSet::new();
-                    for access in &node.desc.accesses {
-                        let shard = guards[Self::live_shard_index(access.region)]
-                            .as_mut()
-                            .expect("touched shard is locked");
-                        if let Some(per_region) = shard.get(&access.region) {
-                            for (tid, prev_accesses) in per_region.iter() {
-                                if prev_accesses.iter().any(|prev| access.conflicts_with(prev)) {
-                                    preds.insert(*tid);
-                                }
-                            }
+            for node in &nodes {
+                let mut preds: BTreeSet<TaskId> = BTreeSet::new();
+                for access in &node.desc.accesses {
+                    let shard = guards[Self::live_shard_index(access.region)]
+                        .as_mut()
+                        .expect("touched shard is locked");
+                    let per_region = shard.entry(access.region).or_default();
+                    for (tid, prev_accesses) in per_region.iter() {
+                        if *tid != node.id
+                            && prev_accesses.iter().any(|prev| access.conflicts_with(prev))
+                        {
+                            preds.insert(*tid);
                         }
                     }
-                    preds_per_task.push(preds);
+                    per_region.entry(node.id).or_default().push(access.clone());
                 }
-                // …then bulk-register the whole batch's accesses.
-                for node in &nodes {
-                    for access in &node.desc.accesses {
-                        let shard = guards[Self::live_shard_index(access.region)]
-                            .as_mut()
-                            .expect("touched shard is locked");
-                        shard
-                            .entry(access.region)
-                            .or_default()
-                            .entry(node.id)
-                            .or_default()
-                            .push(access.clone());
-                    }
-                }
-            } else {
-                for node in &nodes {
-                    let mut preds: BTreeSet<TaskId> = BTreeSet::new();
-                    for access in &node.desc.accesses {
-                        let shard = guards[Self::live_shard_index(access.region)]
-                            .as_mut()
-                            .expect("touched shard is locked");
-                        let per_region = shard.entry(access.region).or_default();
-                        for (tid, prev_accesses) in per_region.iter() {
-                            if *tid != node.id
-                                && prev_accesses.iter().any(|prev| access.conflicts_with(prev))
-                            {
-                                preds.insert(*tid);
-                            }
-                        }
-                        per_region.entry(node.id).or_default().push(access.clone());
-                    }
-                    preds_per_task.push(preds);
-                }
+                preds_per_task.push(preds);
             }
         }
 
@@ -717,21 +666,6 @@ impl TaskGraph {
                 (node.id, ready)
             })
             .collect()
-    }
-
-    /// Debug-build check backing the `independent` fast-path declaration:
-    /// true when no two distinct batch members declare conflicting accesses.
-    fn batch_is_internally_independent(descs: &[TaskDesc]) -> bool {
-        for (i, earlier) in descs.iter().enumerate() {
-            for later in &descs[i + 1..] {
-                for access in &earlier.accesses {
-                    if later.accesses.iter().any(|b| access.conflicts_with(b)) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
     }
 
     /// Marks a ready task as picked up by a worker and returns its node, so
@@ -1365,58 +1299,6 @@ mod tests {
         }
         assert_eq!(g.finished_count(), 200);
         assert_eq!(g.live_nodes(), 0);
-    }
-
-    #[test]
-    fn independent_batch_fast_path_matches_slow_path_semantics() {
-        let (_store, r) = store_with_regions(5);
-        let g = TaskGraph::new();
-        // A live pre-batch writer: the fast path must still find it.
-        let (earlier, _) = g.submit(desc(vec![Access::write(&r[0])]));
-        let batch: Vec<TaskDesc> = (0..4)
-            .map(|i| desc(vec![Access::read(&r[0]), Access::write(&r[i + 1])]))
-            .collect();
-        let permit = g.lock_submission(
-            batch
-                .iter()
-                .flat_map(|d| d.accesses.iter().map(|a| a.region)),
-        );
-        let results = g.submit_batch_with(&permit, batch, true);
-        drop(permit);
-        assert_eq!(results.len(), 4);
-        assert!(
-            results.iter().all(|(_, ready)| !ready),
-            "every member still depends on the pre-batch writer"
-        );
-        for (id, _) in &results {
-            assert_eq!(g.unresolved(*id), 1);
-        }
-        g.mark_running(earlier);
-        assert_eq!(g.finish(earlier).len(), 4);
-        // The batch's own accesses were registered: a later writer of r1
-        // depends on the member that wrote it.
-        let (later, ready) = g.submit(desc(vec![Access::write(&r[1])]));
-        assert!(!ready);
-        assert_eq!(g.unresolved(later), 1);
-        assert!(g.edges_respect_submission_order());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "internal conflicts")]
-    fn lying_independence_declaration_is_caught_in_debug_builds() {
-        let (_store, r) = store_with_regions(1);
-        let g = TaskGraph::new();
-        let batch = vec![
-            desc(vec![Access::read_write(&r[0])]),
-            desc(vec![Access::read_write(&r[0])]),
-        ];
-        let permit = g.lock_submission(
-            batch
-                .iter()
-                .flat_map(|d| d.accesses.iter().map(|a| a.region)),
-        );
-        let _ = g.submit_batch_with(&permit, batch, true);
     }
 
     /// Concurrent finishes racing a stream of submissions never lose a

@@ -94,8 +94,6 @@ pub mod trace;
 
 pub use access::{Access, AccessMode};
 pub use interceptor::{Decision, NoopInterceptor, TaskInterceptor};
-#[allow(deprecated)]
-pub use memo::AtmTaskParams;
 pub use memo::{ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
 pub use ready_queue::QueueMode;
 pub use region::{

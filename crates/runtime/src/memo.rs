@@ -423,48 +423,6 @@ impl MemoSpec {
     }
 }
 
-/// ATM parameters attached to a task type by the programmer — the bridge
-/// from the pre-`MemoSpec` API (the paper's extended pragma annotations,
-/// §III-E and Table II).
-///
-/// Converts losslessly into an approximate-policy [`MemoSpec`]; new code
-/// should declare a `MemoSpec` directly.
-#[deprecated(
-    note = "declare a `MemoSpec` (e.g. `MemoSpec::approximate().tau(..).training_window(..)`) instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AtmTaskParams {
-    /// Number of correctly-approximated training tasks required before the
-    /// Dynamic ATM controller freezes `p` and enters the steady-state phase.
-    pub l_training: usize,
-    /// Maximum tolerated per-task Chebyshev relative error τ_max.
-    pub tau_max: f64,
-    /// Whether the hash-key generator uses type-aware (MSB-first) input
-    /// selection (§III-C).
-    pub type_aware: bool,
-}
-
-#[allow(deprecated)]
-impl Default for AtmTaskParams {
-    fn default() -> Self {
-        AtmTaskParams {
-            l_training: 15,
-            tau_max: 0.01,
-            type_aware: true,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<AtmTaskParams> for MemoSpec {
-    fn from(params: AtmTaskParams) -> MemoSpec {
-        MemoSpec::approximate()
-            .tau(params.tau_max)
-            .training_window(params.l_training)
-            .type_aware(params.type_aware)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,23 +629,6 @@ mod tests {
                 .validate_against_accesses(&accesses),
             Err(MemoSpecError::ArgIndexOutOfRange { index: 5, arity: 2 })
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn atm_task_params_bridge_into_an_approximate_spec() {
-        let params = AtmTaskParams {
-            l_training: 30,
-            tau_max: 0.2,
-            type_aware: false,
-        };
-        let spec: MemoSpec = params.into();
-        assert_eq!(spec.policy(), MemoPolicy::Approximate);
-        assert!((spec.tau_max() - 0.2).abs() < 1e-12);
-        assert_eq!(spec.training_window_len(), 30);
-        assert!(!spec.is_type_aware());
-        let default_spec: MemoSpec = AtmTaskParams::default().into();
-        assert_eq!(default_spec, MemoSpec::default());
     }
 
     #[test]

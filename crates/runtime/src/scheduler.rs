@@ -98,7 +98,6 @@ pub struct RuntimeBuilder {
     observability: Option<Arc<Observability>>,
     max_live_tasks: Option<u64>,
     affinity: Affinity,
-    aggregated_releases: bool,
 }
 
 impl Default for RuntimeBuilder {
@@ -119,7 +118,6 @@ impl RuntimeBuilder {
             observability: None,
             max_live_tasks: None,
             affinity: Affinity::default(),
-            aggregated_releases: true,
         }
     }
 
@@ -130,19 +128,6 @@ impl RuntimeBuilder {
     #[must_use]
     pub fn affinity(mut self, affinity: Affinity) -> Self {
         self.affinity = affinity;
-        self
-    }
-
-    /// Toggles release aggregation (default `true`). When on, a worker
-    /// flushes all successors released by one finish cycle — the executed
-    /// task plus its producer-completed deferred waiters — as **one**
-    /// ready-queue packet: one bulk push, one batched sleeper wakeup, one
-    /// outstanding-counter decrement. `false` restores the pre-aggregation
-    /// behaviour (one push and wakeup per task) and exists as the
-    /// measurable baseline for the release-path benchmarks.
-    #[must_use]
-    pub fn aggregated_releases(mut self, aggregated: bool) -> Self {
-        self.aggregated_releases = aggregated;
         self
     }
 
@@ -221,7 +206,6 @@ impl RuntimeBuilder {
             obs: self.observability,
             max_live_tasks: self.max_live_tasks,
             affinity: self.affinity,
-            aggregated_releases: self.aggregated_releases,
             pinned_workers: AtomicUsize::new(0),
         });
         let handles = (0..self.workers)
@@ -260,9 +244,6 @@ struct Inner {
     max_live_tasks: Option<u64>,
     /// Worker CPU placement policy (see [`RuntimeBuilder::affinity`]).
     affinity: Affinity,
-    /// Whether finish cycles flush releases as one packet (see
-    /// [`RuntimeBuilder::aggregated_releases`]).
-    aggregated_releases: bool,
     /// How many worker threads successfully pinned themselves at startup.
     pinned_workers: AtomicUsize,
 }
@@ -282,12 +263,9 @@ impl Inner {
     /// every deferred task whose completion that execution produced.
     ///
     /// All successors released by the whole cycle accumulate in `packet`
-    /// (the worker's reusable scratch) and — under aggregation — flush as
-    /// **one** ready-queue push with one batched sleeper wakeup, followed by
-    /// **one** `outstanding` decrement covering every completed task. With
-    /// [`RuntimeBuilder::aggregated_releases`]`(false)` each task instead
-    /// pushes its own successors and decrements individually, reproducing
-    /// the pre-aggregation release path as a measurable baseline.
+    /// (the worker's reusable scratch) and flush as **one** ready-queue push
+    /// with one batched sleeper wakeup, followed by **one** `outstanding`
+    /// decrement covering every completed task.
     ///
     /// Completion hooks run last, after the publish and the decrement, so a
     /// notify that signals "request done" observes a settled runtime.
@@ -304,11 +282,6 @@ impl Inner {
         let cycle_start = self.obs_on().map(|_| self.tracer.now_ns());
 
         self.graph.finish_node_into(executed, packet);
-        if !self.aggregated_releases {
-            self.queue.push_from(worker, packet);
-            packet.clear();
-            self.decrement_outstanding(1);
-        }
         for &id in completed_deferred {
             // Deferred tasks finish on their producer's worker; the worker
             // does not hold their node, so look it up (and read the
@@ -323,17 +296,10 @@ impl Inner {
                 );
             }
             self.graph.finish_node_into(&node, packet);
-            if !self.aggregated_releases {
-                self.queue.push_from(worker, packet);
-                packet.clear();
-                self.decrement_outstanding(1);
-            }
             deferred_nodes.push(node);
         }
-        if self.aggregated_releases {
-            self.queue.push_from(worker, packet);
-            self.decrement_outstanding(1 + completed_deferred.len() as u64);
-        }
+        self.queue.push_from(worker, packet);
+        self.decrement_outstanding(1 + completed_deferred.len() as u64);
 
         if let Some(notify) = &executed.desc().notify {
             notify.task_finished(worker, executed.id());
@@ -660,31 +626,7 @@ impl Runtime {
     /// batch members included, exactly the graph the equivalent one-by-one
     /// submissions build — and every immediately-ready task is pushed to
     /// the Ready Queue in id order.
-    pub fn try_submit_all(&self, descs: Vec<TaskDesc>) -> Result<Vec<TaskId>, SubmitError> {
-        self.try_submit_all_inner(descs, false)
-    }
-
-    /// [`Runtime::try_submit_all`] with a caller-supplied promise that no
-    /// two tasks **in the batch** conflict with each other (dependences on
-    /// earlier, unfinished tasks outside the batch are still derived). The
-    /// dependence pass then skips the per-member conflict bookkeeping —
-    /// O(batch · prior-live) instead of quadratic in the batch — which is
-    /// what makes wide independent waves (a serving tier's concurrent
-    /// requests, a fork-join wave) cheap to open. The promise is verified in
-    /// debug builds and trusted in release builds; a false promise produces
-    /// missing intra-batch dependences.
-    pub fn try_submit_all_independent(
-        &self,
-        descs: Vec<TaskDesc>,
-    ) -> Result<Vec<TaskId>, SubmitError> {
-        self.try_submit_all_inner(descs, true)
-    }
-
-    fn try_submit_all_inner(
-        &self,
-        mut descs: Vec<TaskDesc>,
-        independent: bool,
-    ) -> Result<Vec<TaskId>, SubmitError> {
+    pub fn try_submit_all(&self, mut descs: Vec<TaskDesc>) -> Result<Vec<TaskId>, SubmitError> {
         if descs.is_empty() {
             return Ok(Vec::new());
         }
@@ -727,10 +669,7 @@ impl Runtime {
         for desc in &mut descs {
             desc.submitted_at_ns = start;
         }
-        let submitted = self
-            .inner
-            .graph
-            .submit_batch_with(&permit, descs, independent);
+        let submitted = self.inner.graph.submit_batch_with(&permit, descs);
         drop(permit);
         let ready: Vec<TaskId> = submitted
             .iter()
@@ -1001,48 +940,6 @@ mod tests {
             rt.taskwait();
         }
         assert_eq!(rt.store().read(acc).lock().as_f64(), &[50.0]);
-        rt.shutdown();
-    }
-
-    /// The unaggregated release path (one push and one decrement per task)
-    /// is kept as the measurable baseline for the aggregation benchmarks —
-    /// it must stay correct, including under fan-out (one writer releasing
-    /// many readers at once) and deferred completions' multi-task cycles.
-    #[test]
-    fn unaggregated_release_mode_computes_the_same_results() {
-        let rt = RuntimeBuilder::new()
-            .workers(4)
-            .aggregated_releases(false)
-            .build();
-        let src = rt.store().register_zeros::<f64>("src", 1).unwrap();
-        let outs: Vec<Region<f64>> = (0..16)
-            .map(|i| rt.store().register_zeros(format!("o{i}"), 1).unwrap())
-            .collect();
-        let produce = rt.register_task_type(
-            TaskTypeBuilder::new("produce", |ctx| ctx.out(0, &[21.0f64]))
-                .out::<f64>()
-                .build(),
-        );
-        let double = rt.register_task_type(
-            TaskTypeBuilder::new("double", |ctx| {
-                let x = ctx.arg::<f64>(0)[0];
-                ctx.out(1, &[x * 2.0]);
-            })
-            .arg::<f64>()
-            .out::<f64>()
-            .build(),
-        );
-        for _wave in 0..8 {
-            rt.task(produce).writes(&src).submit().unwrap();
-            for out in &outs {
-                rt.task(double).reads(&src).writes(out).submit().unwrap();
-            }
-        }
-        rt.taskwait();
-        for out in &outs {
-            assert_eq!(rt.store().read(*out).lock().as_f64(), &[42.0]);
-        }
-        assert_eq!(rt.stats().executed, 8 * 17);
         rt.shutdown();
     }
 

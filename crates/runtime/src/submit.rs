@@ -390,7 +390,6 @@ pub struct BatchBuilder<'rt> {
     default_type: Option<TaskTypeId>,
     staged: Vec<TaskDesc>,
     current: Option<TaskDesc>,
-    independent: bool,
 }
 
 impl<'rt> BatchBuilder<'rt> {
@@ -400,20 +399,7 @@ impl<'rt> BatchBuilder<'rt> {
             default_type,
             staged: Vec::new(),
             current: None,
-            independent: false,
         }
-    }
-
-    /// Declares that no two tasks **in this batch** conflict with each
-    /// other (none writes a byte range another member touches); dependences
-    /// on earlier, unfinished tasks outside the batch are still derived.
-    /// The dependence pass then skips the per-member conflict bookkeeping,
-    /// making wide independent waves cheap to open — see
-    /// [`Runtime::try_submit_all_independent`]. The declaration is verified
-    /// in debug builds and trusted in release builds.
-    pub fn independent(mut self) -> Self {
-        self.independent = true;
-        self
     }
 
     fn seal_current(&mut self) {
@@ -508,11 +494,7 @@ impl<'rt> BatchBuilder<'rt> {
     /// submitted. An empty batch is a no-op returning no ids.
     pub fn submit_all(mut self) -> Result<Vec<TaskId>, SubmitError> {
         self.seal_current();
-        if self.independent {
-            self.runtime.try_submit_all_independent(self.staged)
-        } else {
-            self.runtime.try_submit_all(self.staged)
-        }
+        self.runtime.try_submit_all(self.staged)
     }
 }
 

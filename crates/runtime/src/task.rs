@@ -240,7 +240,6 @@ pub struct TaskTypeBuilder {
     kernel: TaskKernel,
     signature: Option<TaskSignature>,
     spec: Option<MemoSpec>,
-    opted_in: bool,
 }
 
 impl TaskTypeBuilder {
@@ -254,7 +253,6 @@ impl TaskTypeBuilder {
             kernel: Arc::new(kernel),
             signature: None,
             spec: None,
-            opted_in: false,
         }
     }
 
@@ -264,7 +262,7 @@ impl TaskTypeBuilder {
     /// non-default policy.
     #[must_use]
     pub fn memoizable(mut self) -> Self {
-        self.opted_in = true;
+        self.spec.get_or_insert_with(MemoSpec::default);
         self
     }
 
@@ -274,18 +272,6 @@ impl TaskTypeBuilder {
     #[must_use]
     pub fn memo(mut self, spec: MemoSpec) -> Self {
         self.spec = Some(spec);
-        self.opted_in = true;
-        self
-    }
-
-    /// Sets the ATM pragma parameters of the pre-`MemoSpec` API. Does not
-    /// opt the type into memoization by itself (combine with
-    /// [`TaskTypeBuilder::memoizable`], as before).
-    #[deprecated(note = "use `TaskTypeBuilder::memo(MemoSpec::...)` instead")]
-    #[allow(deprecated)]
-    #[must_use]
-    pub fn atm_params(mut self, params: crate::memo::AtmTaskParams) -> Self {
-        self.spec = Some(params.into());
         self
     }
 
@@ -358,17 +344,13 @@ impl TaskTypeBuilder {
     /// Finishes the builder, reporting an invalid memoization spec as a
     /// [`MemoSpecError`] instead of panicking.
     pub fn try_build(self) -> Result<TaskTypeInfo, MemoSpecError> {
-        let memo = if self.opted_in {
-            let spec = self.spec.unwrap_or_default();
+        if let Some(spec) = &self.spec {
             spec.validate(self.signature.as_ref())?;
-            Some(spec)
-        } else {
-            None
-        };
+        }
         Ok(TaskTypeInfo {
             name: self.name,
             kernel: self.kernel,
-            memo,
+            memo: self.spec,
             signature: self.signature,
         })
     }
@@ -659,29 +641,6 @@ mod tests {
         let plain = TaskTypeBuilder::new("t", |_| {}).build();
         assert!(plain.memo.is_none());
         assert!(!plain.memoizable());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_atm_params_bridge_into_the_spec() {
-        use crate::memo::AtmTaskParams;
-        // As before, `atm_params` alone does not opt the type in…
-        let not_opted = TaskTypeBuilder::new("t", |_| {})
-            .atm_params(AtmTaskParams::default())
-            .build();
-        assert!(!not_opted.memoizable());
-        // …but combined with `memoizable()` the parameters become the spec.
-        let info = TaskTypeBuilder::new("t", |_| {})
-            .memoizable()
-            .atm_params(AtmTaskParams {
-                l_training: 7,
-                tau_max: 0.5,
-                type_aware: true,
-            })
-            .build();
-        let spec = info.memo.unwrap();
-        assert_eq!(spec.training_window_len(), 7);
-        assert!((spec.tau_max() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -492,7 +492,6 @@ impl Session<'_> {
             session: self,
             staged: Vec::new(),
             current: None,
-            independent: false,
         }
     }
 
@@ -531,7 +530,6 @@ pub struct RequestBuilder<'s, 'serve> {
     session: &'s Session<'serve>,
     staged: Vec<TaskDesc>,
     current: Option<TaskDesc>,
-    independent: bool,
 }
 
 impl RequestBuilder<'_, '_> {
@@ -581,14 +579,6 @@ impl RequestBuilder<'_, '_> {
     /// Opts the open task into memoization.
     pub fn memo(mut self, spec: impl Into<MemoSpec>) -> Self {
         self.current_mut().memo = Some(spec.into());
-        self
-    }
-
-    /// Declares that the request's tasks are mutually independent, enabling
-    /// the runtime's fast batch dependence pass (see
-    /// [`atm_runtime::Runtime::try_submit_all_independent`]).
-    pub fn independent(mut self) -> Self {
-        self.independent = true;
         self
     }
 
@@ -646,12 +636,7 @@ impl RequestBuilder<'_, '_> {
             .drain(..)
             .map(|desc| desc.with_notify(Arc::clone(&tracker) as Arc<dyn TaskNotify>))
             .collect();
-        let submitted = if self.independent {
-            serve.runtime.try_submit_all_independent(descs)
-        } else {
-            serve.runtime.try_submit_all(descs)
-        };
-        if let Err(err) = submitted {
+        if let Err(err) = serve.runtime.try_submit_all(descs) {
             // Give back the admission slot: nothing was submitted.
             self.session
                 .state

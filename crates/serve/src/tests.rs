@@ -3,7 +3,31 @@
 
 use super::*;
 use atm_runtime::{RegionStatus, TaskTypeBuilder};
-use atm_sync::Event;
+use atm_sync::{Condvar, Mutex};
+
+/// A one-shot gate for kernels that must stay blocked until the test has
+/// made its assertions. Opening it releases every current and future
+/// waiter, so — unlike the binary, auto-resetting `atm_sync::Event` — no
+/// test depends on one signal reaching one particular blocked kernel.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn wait(&self) {
+        let mut open = self.open.lock();
+        while !*open {
+            self.opened.wait(&mut open);
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock() = true;
+        self.opened.notify_all();
+    }
+}
 
 fn scale_type(serve: &ServeEngine) -> TaskTypeId {
     serve.register_task_type(
@@ -50,7 +74,7 @@ fn request_round_trip_records_latency() {
 
 #[test]
 fn full_request_window_is_rejected_with_a_retry_hint() {
-    let gate = Arc::new(Event::new());
+    let gate = Arc::new(Gate::default());
     let gate_in_kernel = Arc::clone(&gate);
     let serve = ServeEngine::new(
         ServeConfig::default()
@@ -76,7 +100,7 @@ fn full_request_window_is_rejected_with_a_retry_hint() {
         .writes(&regions[0])
         .submit()
         .unwrap();
-    let _second = session
+    let second = session
         .request()
         .task(blocker)
         .writes(&regions[1])
@@ -95,19 +119,16 @@ fn full_request_window_is_rejected_with_a_retry_hint() {
         }
         other => panic!("expected Overloaded, got {:?}", other.map(|_| ())),
     }
-    // Draining the window restores admission. (The single worker executes
-    // the blocked kernels one at a time; each wait consumes one signal, so
-    // signal once per blocked task.)
-    gate.signal();
+    // Draining the window restores admission.
+    gate.open();
     first.wait();
-    gate.signal();
     let third = session
         .request()
         .task(blocker)
         .writes(&regions[2])
         .submit()
         .unwrap();
-    gate.signal();
+    second.wait();
     third.wait();
     session.close().unwrap();
     serve.drain();
@@ -115,7 +136,7 @@ fn full_request_window_is_rejected_with_a_retry_hint() {
 
 #[test]
 fn runtime_live_task_window_backpressures_large_requests() {
-    let gate = Arc::new(Event::new());
+    let gate = Arc::new(Gate::default());
     let gate_in_kernel = Arc::clone(&gate);
     let serve = ServeEngine::new(
         ServeConfig::default()
@@ -150,14 +171,13 @@ fn runtime_live_task_window_backpressures_large_requests() {
         .writes(&regions[1])
         .task(blocker)
         .writes(&regions[2])
-        .independent()
         .submit();
     assert!(matches!(
         err,
         Err(ServeError::Overloaded { capacity: 2, .. })
     ));
     assert_eq!(serve.inflight_requests(), 1, "rolled back the request slot");
-    gate.signal();
+    gate.open();
     first.wait();
     session.close().unwrap();
     serve.drain();
@@ -165,7 +185,7 @@ fn runtime_live_task_window_backpressures_large_requests() {
 
 #[test]
 fn draining_rejects_new_work_but_finishes_in_flight_requests() {
-    let gate = Arc::new(Event::new());
+    let gate = Arc::new(Gate::default());
     let gate_in_kernel = Arc::clone(&gate);
     let serve = ServeEngine::new(ServeConfig::default().workers(1));
     let blocker = serve.register_task_type(
@@ -185,7 +205,7 @@ fn draining_rejects_new_work_but_finishes_in_flight_requests() {
         // The drain cannot finish while the kernel is gated.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!handle.is_finished(), "drain must wait for in-flight work");
-        gate.signal();
+        gate.open();
         handle.join().unwrap()
     });
     request.wait();

@@ -31,9 +31,9 @@
 //! pair on a thread-private line and one `Arc` increment. Nothing on the read
 //! path writes to memory shared with other readers.
 //!
-//! `StoreConfig::locked_reads` keeps the old mutex-guarded read path
-//! available for A/B comparison (the `memopath` experiment) and as the
-//! fallback the seqlock path escapes to under writer starvation.
+//! One mutex-guarded pass (the private `lookup_locked`) remains as the
+//! fallback the seqlock path escapes to under writer starvation or hazard
+//! exhaustion.
 //!
 //! Slots are preallocated: the default geometry (2⁸ buckets × 128 ways,
 //! ~96 B per slot) reserves ≈3 MiB up front, the price of fixed-position
@@ -109,11 +109,6 @@ pub struct StoreConfig {
     /// Eviction policy used for both the per-bucket `ways` cap and the
     /// global budget.
     pub policy: PolicyKind,
-    /// Route lookups through the per-bucket writer mutex instead of the
-    /// lock-free seqlock path. Same results, different cost model; exists
-    /// for A/B measurement (the `memopath` experiment) and as an escape
-    /// hatch.
-    pub locked_reads: bool,
 }
 
 impl Default for StoreConfig {
@@ -124,7 +119,6 @@ impl Default for StoreConfig {
             byte_budget: None,
             max_entry_fraction: 1.0,
             policy: PolicyKind::Fifo,
-            locked_reads: false,
         }
     }
 }
@@ -157,13 +151,6 @@ impl StoreConfig {
     #[must_use]
     pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Selects mutex-guarded lookups instead of the seqlock read path.
-    #[must_use]
-    pub fn with_locked_reads(mut self) -> Self {
-        self.locked_reads = true;
         self
     }
 }
@@ -561,24 +548,18 @@ impl MemoStore {
 
     /// Looks up an entry with exactly this key.
     ///
-    /// On the default path this takes **no lock**: each slot of the key's
-    /// bucket is read under its seqlock version (protocol 6), and a hit
-    /// clones the outputs `Arc` under hazard-pointer protection. Concurrent
-    /// lookups — even of the same entry — share no written cache line. With
-    /// [`StoreConfig::locked_reads`] the lookup instead takes the bucket's
-    /// writer mutex (the A/B baseline). A hit refreshes the entry's recency
-    /// stamp (LRU bookkeeping).
+    /// This takes **no lock**: each slot of the key's bucket is read under
+    /// its seqlock version (protocol 6), and a hit clones the outputs `Arc`
+    /// under hazard-pointer protection. Concurrent lookups — even of the
+    /// same entry — share no written cache line. A hit refreshes the entry's
+    /// recency stamp (LRU bookkeeping).
     ///
     /// A hit does *not* accrue `saved_ns`: the caller may still execute the
     /// task (dynamic-ATM training, output-shape mismatch), so it reports
     /// genuinely avoided work separately via [`MemoStore::note_saved`].
     pub fn lookup(&self, key: &EntryKey) -> Option<MemoHit> {
         let bucket = &self.buckets[self.bucket_of(key)];
-        let found = if self.config.locked_reads {
-            self.lookup_locked(bucket, key)
-        } else {
-            self.lookup_seqlock(bucket, key)
-        };
+        let found = self.lookup_seqlock(bucket, key);
         let shard = self.reader_shard();
         if found.is_some() {
             shard.hits.fetch_add(1, Ordering::Relaxed);
@@ -649,9 +630,9 @@ impl MemoStore {
         None
     }
 
-    /// The mutex-guarded read path: the A/B baseline and the seqlock
-    /// fallback. Holding the bucket writer lock excludes publication, so
-    /// slots can be read directly and the `Arc` cloned without a hazard.
+    /// The mutex-guarded read path: the seqlock reader's fallback. Holding
+    /// the bucket writer lock excludes publication, so slots can be read
+    /// directly and the `Arc` cloned without a hazard.
     fn lookup_locked(&self, bucket: &Bucket, key: &EntryKey) -> Option<MemoHit> {
         let _writer = bucket.writer.lock();
         for slot in bucket.slots.iter() {
@@ -1252,21 +1233,22 @@ mod tests {
         });
     }
 
+    /// The seqlock reader's fallback is unreachable without writer
+    /// starvation, so it is exercised directly.
     #[test]
     fn locked_reads_sees_the_same_entries() {
-        let store = MemoStore::new(StoreConfig {
-            locked_reads: true,
-            ..one_bucket(PolicyKind::Lru, 4)
-        });
+        let store = MemoStore::new(one_bucket(PolicyKind::Lru, 4));
         store.insert(key(1), producer(1), snapshot(&[1.0; 4]), 100);
         store.insert(key(2), producer(2), snapshot(&[2.0; 4]), 200);
-        let hit = store.lookup(&key(2)).unwrap();
+        let bucket = &store.buckets[0];
+        let hit = store.lookup_locked(bucket, &key(2)).unwrap();
         assert_eq!(hit.producer, producer(2));
         assert_eq!(hit.benefit_ns, 200);
         assert_eq!(hit.outputs[0].data.as_f32(), &[2.0; 4]);
-        assert!(store.lookup(&key(3)).is_none());
-        let counters = store.counters();
-        assert_eq!((counters.hits, counters.misses), (1, 1));
+        assert!(store.lookup_locked(bucket, &key(3)).is_none());
+        let seqlock = store.lookup(&key(2)).unwrap();
+        assert_eq!(seqlock.producer, hit.producer);
+        assert_eq!(seqlock.outputs[0].data.as_f32(), &[2.0; 4]);
     }
 
     #[test]

@@ -270,12 +270,9 @@ fn seqlock_store_is_observationally_equivalent_to_the_deque_store() {
     for policy in [PolicyKind::Fifo, PolicyKind::Lru, PolicyKind::CostAware] {
         for ways in [1usize, 2, 4] {
             for bucket_bits in [0u32, 2] {
-                for locked_reads in [false, true] {
-                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let mut config = StoreConfig::paper(bucket_bits, ways).with_policy(policy);
-                    config.locked_reads = locked_reads;
-                    run_program(config, seed);
-                }
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let config = StoreConfig::paper(bucket_bits, ways).with_policy(policy);
+                run_program(config, seed);
             }
         }
     }

@@ -10,18 +10,12 @@
 //!   hole in the model — so CI fails on it.
 //! * `check-trace FILE` validates a Chrome-trace file produced by
 //!   `atm-eval --trace` (see [`check_trace`]).
-//! * `check-serve FILE` validates the `BENCH_serve.json` machine report
-//!   produced by `atm-eval serve --json` (see [`check_serve`]).
-//! * `check-memopath FILE` validates the `BENCH_memopath.json` machine
-//!   report produced by `atm-eval memopath --json` (see [`check_memopath`]).
 //!
 //! The lint is a line-based substring scan, deliberately dependency-free
 //! (no syn, no regex crate): false positives are possible in principle but
 //! have not occurred, and the failure message names the exact file:line to
 //! fix or exempt.
 
-mod check_memopath;
-mod check_serve;
 mod check_trace;
 
 use std::fmt::Write as _;
@@ -174,56 +168,8 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "check-serve" => {
-            let Some(path) = std::env::args().nth(2) else {
-                eprintln!("usage: cargo run -p xtask -- check-serve FILE");
-                return ExitCode::FAILURE;
-            };
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("check-serve: cannot read {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match check_serve::check_serve(&text) {
-                Ok(summary) => {
-                    println!("check-serve: {path}: {summary}");
-                    ExitCode::SUCCESS
-                }
-                Err(err) => {
-                    eprintln!("check-serve: {path}: {err}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "check-memopath" => {
-            let Some(path) = std::env::args().nth(2) else {
-                eprintln!("usage: cargo run -p xtask -- check-memopath FILE");
-                return ExitCode::FAILURE;
-            };
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(err) => {
-                    eprintln!("check-memopath: cannot read {path}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match check_memopath::check_memopath(&text) {
-                Ok(summary) => {
-                    println!("check-memopath: {path}: {summary}");
-                    ExitCode::SUCCESS
-                }
-                Err(err) => {
-                    eprintln!("check-memopath: {path}: {err}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         other => {
-            eprintln!(
-                "unknown xtask command {other:?}; available: lint-sync check-trace check-serve check-memopath"
-            );
+            eprintln!("unknown xtask command {other:?}; available: lint-sync check-trace");
             ExitCode::FAILURE
         }
     }

@@ -101,7 +101,7 @@ fn main() {
     report("cold run", &cold);
     println!(
         "  snapshot            : {} entries -> {}\n",
-        cold.tht().len(),
+        cold.store().len(),
         path.display()
     );
 
