@@ -18,9 +18,9 @@ use atm_core::{
     TypeSummary,
 };
 use atm_metrics::{correctness_percent, euclidean_relative_error};
-use atm_obs::{DecisionSnapshot, MetricsSnapshot, Observability};
+use atm_obs::{CounterSample, DecisionSnapshot, MetricsSnapshot, Observability};
 use atm_runtime::{
-    QueueMode, Runtime, RuntimeBuilder, RuntimeStatsSnapshot, TaskTypeId, TraceSummary, Tracer,
+    QueueMode, Runtime, RuntimeBuilder, RuntimeStatsSnapshot, TaskTypeId, TraceSummary,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -47,11 +47,13 @@ pub struct RunOptions {
     pub workers: usize,
     /// ATM configuration (use [`AtmConfig::off`] for the baseline).
     pub atm: AtmConfig,
-    /// Whether to record execution traces and ready-queue samples.
-    pub tracing: bool,
-    /// Whether to record latency histograms, memo-decision events and task
-    /// spans (the [`atm_obs`] layer).
-    pub observability: bool,
+    /// What the run records, as the constructor of its [`atm_obs`] handle:
+    /// `None` attaches nothing, [`Observability::enabled`] records latency
+    /// histograms and the bounded memo-decision rings,
+    /// [`Observability::capture`] also the unbounded trace material (thread
+    /// states, ready-queue samples, full reuse provenance). Each run builds
+    /// its own handle.
+    pub observability: Option<fn() -> Observability>,
     /// Ready-queue discipline of the runtime ([`QueueMode::Stealing`] by
     /// default; [`QueueMode::Fifo`] reproduces the paper's single queue).
     pub queue_mode: QueueMode,
@@ -67,8 +69,7 @@ impl RunOptions {
         RunOptions {
             workers,
             atm: AtmConfig::off(),
-            tracing: false,
-            observability: false,
+            observability: None,
             queue_mode: QueueMode::default(),
             warm_start: None,
             store_save: None,
@@ -80,26 +81,27 @@ impl RunOptions {
         RunOptions {
             workers,
             atm,
-            tracing: false,
-            observability: false,
+            observability: None,
             queue_mode: QueueMode::default(),
             warm_start: None,
             store_save: None,
         }
     }
 
-    /// Enables tracing.
+    /// Records everything, unbounded logs included (a capture handle): the
+    /// execution trace of Figures 7/8 and the full reuse provenance of
+    /// Figure 9.
     #[must_use]
     pub fn traced(mut self) -> Self {
-        self.tracing = true;
+        self.observability = Some(Observability::capture);
         self
     }
 
-    /// Enables the observability layer (latency histograms, memo-decision
-    /// events, task spans).
+    /// Records at least the bounded material (latency histograms and the
+    /// memo-decision rings); a run already [`RunOptions::traced`] stays so.
     #[must_use]
     pub fn observed(mut self) -> Self {
-        self.observability = true;
+        self.observability.get_or_insert(Observability::enabled);
         self
     }
 
@@ -147,19 +149,21 @@ pub struct AppRun {
     pub store_counters: StoreCountersSnapshot,
     /// Per-task-type ATM summaries (chosen `p`, hits, phase).
     pub type_summaries: HashMap<TaskTypeId, TypeSummary>,
-    /// Reuse provenance events (Figure 9).
+    /// Reuse provenance events (Figure 9), read from the retained records
+    /// of `decisions`: complete on a traced run, ring-bounded on an observed
+    /// one, empty otherwise.
     pub reuse_events: Vec<ReuseEvent>,
     /// ATM memory overhead in bytes (Table III numerator).
     pub atm_memory_bytes: usize,
     /// Application data footprint in bytes (Table III denominator).
     pub app_memory_bytes: usize,
-    /// Trace summary, when tracing was enabled (Figure 7).
+    /// Thread-state summary of a traced run (Figure 7).
     pub trace: Option<TraceSummary>,
-    /// Ready-queue depth samples, when tracing was enabled (Figure 8).
-    pub ready_samples: Vec<atm_runtime::trace::ReadySample>,
-    /// Latency histograms (empty unless observability was enabled).
+    /// Ready-queue depth samples of a traced run (Figure 8).
+    pub ready_samples: Vec<CounterSample>,
+    /// Latency histograms (empty unless the run was observed).
     pub latency: MetricsSnapshot,
-    /// Memo-decision audit trail (empty unless observability was enabled).
+    /// Memo-decision audit trail (empty unless the run was observed).
     pub decisions: DecisionSnapshot,
 }
 
@@ -250,8 +254,14 @@ impl TaskedRun {
     /// options carry a warm-start snapshot it is absorbed into the memo
     /// store before any task can run.
     pub fn new(options: &RunOptions) -> Self {
-        let obs = Arc::new(Observability::new(options.observability));
-        let engine = Arc::new(AtmEngine::new(options.atm).with_observability(Arc::clone(&obs)));
+        let obs = options.observability.map(|make| Arc::new(make()));
+        let mut engine = AtmEngine::new(options.atm);
+        let mut builder = RuntimeBuilder::new();
+        if let Some(obs) = obs {
+            engine = engine.with_observability(Arc::clone(&obs));
+            builder = builder.observability(obs);
+        }
+        let engine = Arc::new(engine);
         if let Some(path) = &options.warm_start {
             // Warm start is an optimisation: a missing or corrupt snapshot
             // (e.g. the first-ever run) degrades to a cold start, it does
@@ -260,10 +270,8 @@ impl TaskedRun {
                 eprintln!("warm start from {path:?} unavailable, starting cold: {err}");
             }
         }
-        let runtime = RuntimeBuilder::new()
+        let runtime = builder
             .workers(options.workers)
-            .tracing(options.tracing)
-            .observability(obs)
             .queue_mode(options.queue_mode)
             .interceptor(Arc::clone(&engine) as Arc<dyn atm_runtime::TaskInterceptor>)
             .build();
@@ -292,11 +300,6 @@ impl TaskedRun {
         self.started = Instant::now();
     }
 
-    /// The tracer of the underlying runtime.
-    pub fn tracer(&self) -> &Tracer {
-        self.runtime.tracer()
-    }
-
     /// Waits for all tasks, collects statistics and produces the [`AppRun`].
     /// `collect_output` extracts the correctness output from the data store.
     pub fn finish(
@@ -307,12 +310,14 @@ impl TaskedRun {
         let wall = self.started.elapsed();
         let output = collect_output(self.runtime.store());
         let app_memory_bytes = self.runtime.store().total_bytes();
-        let trace = if self.runtime.tracer().is_enabled() {
-            Some(self.runtime.tracer().summary())
-        } else {
-            None
+        let (trace, ready_samples) = match self.runtime.observability() {
+            Some(obs) => {
+                let states = obs.states();
+                let trace = (!states.is_empty()).then(|| TraceSummary::from_states(&states));
+                (trace, obs.ready_depth_samples())
+            }
+            None => (None, Vec::new()),
         };
-        let ready_samples = self.runtime.tracer().ready_samples();
         if let Some(path) = &self.store_save {
             // The run's results are already computed; a failed save (full
             // disk, bad path) costs the snapshot, not the run.
@@ -321,8 +326,8 @@ impl TaskedRun {
             }
         }
         // One unified observation replaces the disjoint runtime/engine/store
-        // snapshot calls; the engine keeps providing the richer per-type and
-        // provenance views the observation DTOs do not carry.
+        // snapshot calls; the engine keeps providing the richer per-type
+        // view the observation DTOs do not carry.
         let observation = self.runtime.observe();
         let run = AppRun {
             output,
@@ -331,7 +336,7 @@ impl TaskedRun {
             atm_stats: self.engine.stats(),
             store_counters: self.engine.store_counters(),
             type_summaries: self.engine.type_summaries(),
-            reuse_events: self.engine.reuse_events(),
+            reuse_events: ReuseEvent::from_decisions(&observation.decisions),
             atm_memory_bytes: self.engine.memory_bytes(),
             app_memory_bytes,
             trace,
@@ -363,7 +368,8 @@ mod tests {
         let with = RunOptions::with_atm(2, AtmConfig::static_atm())
             .traced()
             .queued(QueueMode::Fifo);
-        assert!(with.tracing);
+        assert!(base.observability.is_none());
+        assert!(with.observability.is_some());
         assert!(atm_is_enabled(&with.atm));
         assert_eq!(with.queue_mode, QueueMode::Fifo);
     }
@@ -471,6 +477,11 @@ mod tests {
                 .count(tt.index() as u32, atm_obs::MemoDecision::ThtHit),
             run.atm_stats.tht_bypassed
         );
+        // The one reuse reads back from the decision stream; the unbounded
+        // trace material is a traced run's.
+        assert_eq!(run.reuse_events.len(), 1);
+        assert!(run.reuse_events[0].from_tht);
+        assert!(run.trace.is_none() && run.ready_samples.is_empty());
 
         // Without `.observed()` the same run reports empty instrumentation.
         let silent = TaskedRun::new(&RunOptions::baseline(1));
@@ -498,7 +509,8 @@ mod tests {
 
     #[test]
     fn tasked_run_smoke_test() {
-        let mut harness = TaskedRun::new(&RunOptions::baseline(1));
+        // `.observed()` (forced on every measured run) keeps a traced run traced.
+        let mut harness = TaskedRun::new(&RunOptions::baseline(1).traced().observed());
         let region = harness
             .runtime()
             .store()
@@ -515,5 +527,8 @@ mod tests {
         assert_eq!(run.output, vec![1.0, 2.0]);
         assert_eq!(run.runtime_stats.executed, 1);
         assert!(run.app_memory_bytes >= 16);
+        let trace = run.trace.expect("a traced run carries its state summary");
+        assert!(trace.state_ns(atm_runtime::ThreadState::TaskExecution) > 0);
+        assert!(!run.ready_samples.is_empty());
     }
 }

@@ -15,9 +15,10 @@
 //! writes one `BENCH_<experiment>.json` per experiment with the machine-
 //! readable metrics (memo-store hits, misses, insertions, evictions,
 //! rejected admissions, resident bytes, saved kernel time, task-latency
-//! percentiles). `--trace FILE` additionally runs a traced, observed
-//! workload after the experiments and writes a Chrome Trace Event Format
-//! file that <https://ui.perfetto.dev> loads directly.
+//! percentiles). `--trace FILE` additionally runs a small workload under a
+//! capture handle after the experiments and writes everything it recorded
+//! as a Chrome Trace Event Format file that <https://ui.perfetto.dev>
+//! loads directly.
 
 use atm_apps::Scale;
 use atm_eval::{all_experiments, run_experiment, EvalContext, Experiment};

@@ -1,30 +1,25 @@
-//! Chrome-trace export: runs a small memoizable workload with tracing and
-//! observability enabled and merges everything the stack recorded into one
-//! Chrome Trace Event Format JSON file that <https://ui.perfetto.dev>
-//! opens directly.
+//! Chrome-trace export: runs a small memoizable workload under a capture
+//! handle and merges everything the stack recorded into it into one Chrome
+//! Trace Event Format JSON file that <https://ui.perfetto.dev> opens
+//! directly.
 //!
-//! The trace carries four kinds of tracks under one process:
+//! The trace carries four kinds of tracks under one process, all on the
+//! handle's clock:
 //!
 //! * **per-worker state tracks** (`tid = worker`): the
-//!   [`ThreadState`](atm_runtime::ThreadState) intervals of the runtime
-//!   tracer, the trace equivalent of the paper's Figure 7/8 state
-//!   breakdown;
+//!   [`ThreadState`](atm_runtime::ThreadState) intervals, the trace
+//!   equivalent of the paper's Figure 7/8 state breakdown;
 //! * **per-worker task tracks** (`tid = 1000 + worker`): one span per task
 //!   (named after its task type) whose args carry the memo decision(s) the
 //!   engine took for it, joined from the decision audit stream by task id;
 //! * **ready-depth counter** (`tid = 9998`): the scheduler's ready-queue
 //!   depth samples;
 //! * **store-bytes counter** (`tid = 9999`): the memo store's byte
-//!   occupancy samples. The store stamps these on its own monotonic clock,
-//!   so this track is internally ordered but not aligned with the tracer
-//!   timeline.
+//!   occupancy after each insert.
 
 use atm_core::{AtmConfig, AtmEngine, MemoSpec};
-use atm_obs::{
-    json_f64, ChromeTraceBuilder, CounterSample, DecisionRecord, DecisionSnapshot, Observability,
-    TaskSpan,
-};
-use atm_runtime::{ReadySample, RuntimeBuilder, TaskTypeBuilder, TraceEvent};
+use atm_obs::{json_f64, ChromeTraceBuilder, DecisionRecord, Observability};
+use atm_runtime::{RuntimeBuilder, TaskTypeBuilder};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -38,20 +33,14 @@ const READY_TID: u64 = 9998;
 /// The store-byte-occupancy counter track.
 const STORE_TID: u64 = 9999;
 
-/// Assembles a Chrome-trace JSON array from the raw observability material.
+/// Assembles a Chrome-trace JSON array from everything a capture handle
+/// recorded.
 ///
-/// Inputs are expected in the order their producers return them (tracer
-/// events sorted by start time, spans by `(start_ns, task_id)`, counter
-/// samples by time); the assembly preserves that order per `tid`, which is
-/// what [`ChromeTraceBuilder`] requires.
-pub fn assemble_chrome_trace(
-    events: &[TraceEvent],
-    ready: &[ReadySample],
-    spans: &[TaskSpan],
-    decisions: &DecisionSnapshot,
-    store_bytes: &[CounterSample],
-    type_name: impl Fn(u32) -> Option<String>,
-) -> String {
+/// The handle returns each log merged and time-sorted; the assembly
+/// preserves that order per `tid`, which is what [`ChromeTraceBuilder`]
+/// requires.
+pub fn assemble_chrome_trace(obs: &Observability) -> String {
+    let (events, spans, decisions) = (obs.states(), obs.spans(), obs.decisions());
     let mut trace = ChromeTraceBuilder::new();
     trace.process_name(PID, "atm-eval");
 
@@ -72,26 +61,27 @@ pub fn assemble_chrome_trace(
 
     // Per-worker state intervals: the global sort by start time keeps each
     // worker's tid internally non-decreasing.
-    for event in events {
+    for event in &events {
         trace.complete(
             PID,
             event.worker as u64,
-            event.state.label(),
+            event.state,
             event.start_ns,
             event.end_ns,
             &[],
         );
     }
 
-    // Task spans, with the memo decision(s) of each task joined in by id.
-    // The decision rings are bounded, so the join is best-effort: tasks
-    // whose records were overwritten simply carry no decision args.
+    // Task spans, with the memo decision(s) of each task joined in by id;
+    // tasks the engine took no decision on carry no decision args.
     let mut by_task: HashMap<u64, Vec<&DecisionRecord>> = HashMap::new();
     for record in &decisions.records {
         by_task.entry(record.task_id).or_default().push(record);
     }
-    for span in spans {
-        let name = type_name(span.task_type).unwrap_or_else(|| format!("type {}", span.task_type));
+    for span in &spans {
+        let name = obs
+            .type_name(span.task_type)
+            .unwrap_or_else(|| format!("type {}", span.task_type));
         let mut args: Vec<(&str, String)> = Vec::new();
         let joined;
         if let Some(records) = by_task.get(&span.task_id) {
@@ -120,16 +110,16 @@ pub fn assemble_chrome_trace(
         );
     }
 
-    for sample in ready {
+    for sample in obs.ready_depth_samples() {
         trace.counter(
             PID,
             READY_TID,
             "ready_depth",
-            sample.at_ns,
-            sample.depth as f64,
+            sample.t_ns,
+            sample.value as f64,
         );
     }
-    for sample in store_bytes {
+    for sample in obs.store_bytes_samples() {
         trace.counter(
             PID,
             STORE_TID,
@@ -143,19 +133,18 @@ pub fn assemble_chrome_trace(
 }
 
 /// Runs the capture workload — a memoizable square kernel resubmitted over
-/// a handful of inputs under Dynamic ATM, with tracing and observability
-/// on — and returns the assembled Chrome-trace JSON.
+/// a handful of inputs under Dynamic ATM, runtime and engine sharing one
+/// capture handle — and returns the assembled Chrome-trace JSON.
 pub fn capture_chrome_trace(workers: usize) -> String {
     const WAVES: usize = 3;
     const PAYLOADS: usize = 4;
     const ELEMS: usize = 256;
 
-    let obs = Arc::new(Observability::enabled());
+    let obs = Arc::new(Observability::capture());
     let engine =
         Arc::new(AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs)));
     let rt = RuntimeBuilder::new()
         .workers(workers.max(1))
-        .tracing(true)
         .observability(Arc::clone(&obs))
         .interceptor(engine.clone() as Arc<dyn atm_runtime::TaskInterceptor>)
         .build();
@@ -204,16 +193,8 @@ pub fn capture_chrome_trace(workers: usize) -> String {
         rt.taskwait();
     }
 
-    let events = rt.tracer().events();
-    let ready = rt.tracer().ready_samples();
-    let spans = obs.spans();
-    let decisions = obs.decisions();
-    let store_bytes = obs.store_bytes_samples();
     rt.shutdown();
-
-    assemble_chrome_trace(&events, &ready, &spans, &decisions, &store_bytes, |t| {
-        obs.type_name(t)
-    })
+    assemble_chrome_trace(&obs)
 }
 
 /// Captures a trace (see [`capture_chrome_trace`]) and writes it to `path`.
@@ -229,45 +210,42 @@ pub fn write_chrome_trace(path: &Path, workers: usize) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm_obs::MemoDecision;
+    use atm_obs::{MemoDecision, StateSpan, TaskSpan};
     use atm_runtime::ThreadState;
 
     #[test]
     fn assembly_merges_all_four_track_kinds() {
-        let events = [TraceEvent {
+        let obs = Observability::capture();
+        obs.record_state(StateSpan {
             worker: 0,
-            state: ThreadState::TaskExecution,
+            state: ThreadState::TaskExecution.label(),
             start_ns: 1_000,
             end_ns: 5_000,
-        }];
-        let ready = [ReadySample {
-            at_ns: 1_500,
-            depth: 3,
-        }];
-        let spans = [TaskSpan {
+        });
+        obs.sample_ready_depth(0, 3);
+        obs.record_span(TaskSpan {
             worker: 0,
             task_id: 7,
             task_type: 2,
             start_ns: 1_200,
             end_ns: 4_800,
-        }];
-        let mut decisions = DecisionSnapshot::default();
-        decisions.records.push(DecisionRecord {
-            task_type: 2,
-            task_id: 7,
-            decision: MemoDecision::ThtHit,
-            metric_value: 0.0,
-            tau: 0.2,
-            p: 0.5,
-            t_ns: 1_300,
         });
-        let store_bytes = [CounterSample {
-            t_ns: 2_000,
-            value: 4_096,
-        }];
-        let json = assemble_chrome_trace(&events, &ready, &spans, &decisions, &store_bytes, |t| {
-            (t == 2).then(|| "square".to_string())
-        });
+        obs.record_decision(
+            0,
+            DecisionRecord {
+                task_type: 2,
+                task_id: 7,
+                decision: MemoDecision::ThtHit,
+                metric_value: 0.0,
+                tau: 0.2,
+                p: 0.5,
+                producer: Some(3),
+                t_ns: 1_300,
+            },
+        );
+        obs.sample_store_bytes(0, 4_096);
+        obs.note_type_name(2, "square");
+        let json = assemble_chrome_trace(&obs);
         assert!(json.contains("\"name\":\"Task Execution\""));
         assert!(json.contains("\"name\":\"square\""));
         assert!(json.contains("\"decision\":\"tht_hit\""));
@@ -282,17 +260,15 @@ mod tests {
 
     #[test]
     fn unknown_types_and_missing_decisions_still_export() {
-        let spans = [TaskSpan {
+        let obs = Observability::capture();
+        obs.record_span(TaskSpan {
             worker: 1,
             task_id: 42,
             task_type: 9,
             start_ns: 100,
             end_ns: 200,
-        }];
-        let json =
-            assemble_chrome_trace(&[], &[], &spans, &DecisionSnapshot::default(), &[], |_| {
-                None
-            });
+        });
+        let json = assemble_chrome_trace(&obs);
         assert!(json.contains("\"name\":\"type 9\""));
         assert!(json.contains("\"latency_ns\":100"));
         assert!(!json.contains("\"decision\""));

@@ -21,7 +21,7 @@
 use crate::ikt::{InFlightKeyTable, Waiter};
 use crate::key::{KeyGenerator, KeyScratch};
 use crate::snapshot::{apply_snapshots_to, OutputSnapshot};
-use crate::stats::{AtmStats, AtmStatsSnapshot, ReuseEvent, TypeSummaries, TypeSummary};
+use crate::stats::{AtmStatsSnapshot, TypeSummary};
 use crate::tht::{EntryKey, ThtConfig};
 use crate::training::{evaluate_metric_data, TrainingController};
 use atm_hash::Percentage;
@@ -33,6 +33,7 @@ use atm_runtime::{
     TaskTypeId, TaskView, ThreadState, Tracer,
 };
 use atm_store::{MemoStore, PersistError, PolicyKind, StoreConfig, StoreCountersSnapshot};
+use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
@@ -192,8 +193,32 @@ impl AtmConfig {
     }
 }
 
-/// Per-task-type engine state: the resolved policy of one task type.
+/// The engine's one always-on counter block, kept per task type (the
+/// aggregate [`AtmEngine::stats`] is the sum over the types).
+#[derive(Default)]
+struct TypeCounters {
+    /// Tasks of this type handled by the engine.
+    seen: AtomicU64,
+    /// Tasks bypassed with outputs copied from the THT.
+    tht_bypassed: AtomicU64,
+    /// Tasks deferred to an in-flight producer.
+    ikt_deferred: AtomicU64,
+    /// THT hits that were verified by execution during training.
+    training_hits: AtomicU64,
+    /// Tasks executed.
+    executed: AtomicU64,
+    /// Nanoseconds spent computing hash keys.
+    hash_ns: AtomicU64,
+    /// Nanoseconds spent copying outputs (THT hits, IKT copy-outs, THT updates).
+    copy_ns: AtomicU64,
+}
+
+/// Per-task-type engine state: the resolved policy of one task type and
+/// its counters.
 struct TypeState {
+    /// The type's name, captured once when the type is resolved.
+    name: String,
+    counters: TypeCounters,
     keygen: KeyGenerator,
     controller: Mutex<TrainingController>,
     /// The effective spec of the type (resolved when its first instance
@@ -206,7 +231,43 @@ struct TypeState {
     honor_overrides: bool,
 }
 
+impl TypeCounters {
+    fn add(counter: &AtomicU64, value: u64) {
+        counter.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Point-in-time copy of the counters.
+    fn snapshot(&self) -> AtmStatsSnapshot {
+        AtmStatsSnapshot {
+            seen: self.seen.load(Ordering::Relaxed),
+            tht_bypassed: self.tht_bypassed.load(Ordering::Relaxed),
+            ikt_deferred: self.ikt_deferred.load(Ordering::Relaxed),
+            training_hits: self.training_hits.load(Ordering::Relaxed),
+            executed: self.executed.load(Ordering::Relaxed),
+            hash_ns: self.hash_ns.load(Ordering::Relaxed),
+            copy_ns: self.copy_ns.load(Ordering::Relaxed),
+        }
+    }
+}
+
 impl TypeState {
+    /// The type's counters joined with its controller's current state.
+    fn summary(&self) -> TypeSummary {
+        let counts = self.counters.snapshot();
+        let controller = self.controller.lock();
+        TypeSummary {
+            name: self.name.clone(),
+            seen: counts.seen,
+            tht_bypassed: counts.tht_bypassed,
+            ikt_deferred: counts.ikt_deferred,
+            training_hits: counts.training_hits,
+            final_p: controller.current_p().fraction(),
+            steady: !controller.is_training(),
+            unstable_outputs: controller.unstable_outputs().len(),
+            down_shifts: controller.down_shifts(),
+        }
+    }
+
     /// One selection percentage per read access of `accesses`, in
     /// declaration order, written into the reused `out` vector: the spec's
     /// per-argument override where one was declared, the type-wide `p`
@@ -290,8 +351,6 @@ pub struct AtmEngine {
     ikt: InFlightKeyTable,
     types: Mutex<HashMap<TaskTypeId, Arc<TypeState>>>,
     pending: Mutex<HashMap<TaskId, PendingExec>>,
-    stats: AtmStats,
-    summaries: TypeSummaries,
     obs: Option<Arc<Observability>>,
     /// Per-worker key-computation scratch (see [`ScratchSlot`]).
     key_scratch: Box<[ScratchSlot]>,
@@ -305,8 +364,6 @@ impl AtmEngine {
             ikt: InFlightKeyTable::new(),
             types: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
-            stats: AtmStats::new(),
-            summaries: TypeSummaries::new(),
             config,
             obs: None,
             key_scratch: (0..KEY_SCRATCH_SLOTS)
@@ -317,24 +374,19 @@ impl AtmEngine {
 
     /// Attaches an observability handle: every memo decision (THT hit, IKT
     /// defer, miss, training accept/reject, down-shift) lands in its
-    /// decision stream, the memo-lookup latency in its histograms, and the
-    /// backing store reports its own insert/evict events. Share the same
-    /// handle with [`atm_runtime::RuntimeBuilder::observability`] to get a
-    /// unified [`atm_runtime::Runtime::observe`] snapshot.
+    /// decision stream — reuse decisions naming their producer, which makes
+    /// the stream the reuse provenance ([`crate::ReuseEvent::from_decisions`])
+    /// — the memo-lookup latency in its histograms, and the backing store
+    /// reports its own insert/evict events, all on the handle's clock.
+    /// Share the same handle with
+    /// [`atm_runtime::RuntimeBuilder::observability`] to get a unified
+    /// [`atm_runtime::Runtime::observe`] snapshot. Without a handle the
+    /// engine only counts.
     #[must_use]
     pub fn with_observability(mut self, obs: Arc<Observability>) -> Self {
         self.memo_store.set_observability(Arc::clone(&obs));
         self.obs = Some(obs);
         self
-    }
-
-    /// The attached observability handle, but only when it records.
-    #[inline]
-    fn obs_on(&self) -> Option<&Observability> {
-        match &self.obs {
-            Some(obs) if obs.is_enabled() => Some(obs),
-            _ => None,
-        }
     }
 
     /// Convenience: creates the engine already wrapped in an [`Arc`] so it
@@ -349,20 +401,30 @@ impl AtmEngine {
         self.config
     }
 
-    /// Aggregate statistics snapshot.
+    /// Aggregate statistics snapshot: the sum of the per-type counters.
     pub fn stats(&self) -> AtmStatsSnapshot {
-        self.stats.snapshot()
+        let mut total = AtmStatsSnapshot::default();
+        for state in self.types.lock().values() {
+            let counts = state.counters.snapshot();
+            total.seen += counts.seen;
+            total.tht_bypassed += counts.tht_bypassed;
+            total.ikt_deferred += counts.ikt_deferred;
+            total.training_hits += counts.training_hits;
+            total.executed += counts.executed;
+            total.hash_ns += counts.hash_ns;
+            total.copy_ns += counts.copy_ns;
+        }
+        total
     }
 
-    /// Reuse provenance events (Figure 9).
-    pub fn reuse_events(&self) -> Vec<ReuseEvent> {
-        self.stats.reuse_events()
-    }
-
-    /// Per-task-type summaries (chosen `p`, phase, hit counts).
+    /// Per-task-type summaries (chosen `p`, phase, hit counts), built on
+    /// read from each type's counters and controller.
     pub fn type_summaries(&self) -> HashMap<TaskTypeId, TypeSummary> {
-        self.refresh_summaries();
-        self.summaries.all()
+        self.types
+            .lock()
+            .iter()
+            .map(|(type_id, state)| (*type_id, state.summary()))
+            .collect()
     }
 
     /// The memo store holding the Task History Table (sizing experiments,
@@ -427,16 +489,17 @@ impl AtmEngine {
     }
 
     /// Appends one record to the memo-decision audit stream (no-op without
-    /// an enabled observability handle).
+    /// an observability handle). `producer` is the task whose outputs
+    /// served this one, on reuse decisions.
     fn record_memo_decision(
         &self,
         worker: usize,
         task: &TaskView<'_>,
-        tracer: &Tracer,
         decision: MemoDecision,
+        producer: Option<TaskId>,
         scalars: DecisionScalars,
     ) {
-        if let Some(obs) = self.obs_on() {
+        if let Some(obs) = &self.obs {
             obs.record_decision(
                 worker,
                 DecisionRecord {
@@ -446,7 +509,8 @@ impl AtmEngine {
                     metric_value: scalars.metric_value,
                     tau: scalars.tau,
                     p: scalars.p,
-                    t_ns: tracer.now_ns(),
+                    producer: producer.map(TaskId::raw),
+                    t_ns: obs.now_ns(),
                 },
             );
         }
@@ -481,6 +545,8 @@ impl AtmEngine {
             },
         };
         let state = Arc::new(TypeState {
+            name: view.info.name.to_owned(),
+            counters: TypeCounters::default(),
             keygen: KeyGenerator::new(
                 self.config.key_seed
                     ^ (view.type_id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -527,23 +593,6 @@ impl AtmEngine {
             .iter()
             .filter(|a| a.mode.is_write())
             .any(|a| controller.is_unstable(a.region))
-    }
-
-    fn refresh_summaries(&self) {
-        let types = self.types.lock();
-        for (type_id, state) in types.iter() {
-            let controller = state.controller.lock();
-            let p = controller.current_p().fraction();
-            let steady = !controller.is_training();
-            let unstable = controller.unstable_outputs().len();
-            let down_shifts = controller.down_shifts();
-            self.summaries.update(*type_id, |s| {
-                s.final_p = p;
-                s.steady = steady;
-                s.unstable_outputs = unstable;
-                s.down_shifts = down_shifts;
-            });
-        }
     }
 
     fn failing_output_regions(
@@ -594,16 +643,8 @@ impl TaskInterceptor for AtmEngine {
             return Decision::Execute;
         }
 
-        self.stats.incr(&self.stats.seen);
-        let type_name = task.info.name.clone();
-        self.summaries.update(task.type_id, |s| {
-            if s.name.is_empty() {
-                s.name = type_name;
-            }
-            s.seen += 1;
-        });
-
         let state = self.type_state(&task);
+        TypeCounters::add(&state.counters.seen, 1);
         let (p, training, tau_max) = {
             let controller = state.controller.lock();
             (
@@ -611,6 +652,16 @@ impl TaskInterceptor for AtmEngine {
                 controller.is_training(),
                 controller.tau_max(),
             )
+        };
+        // Every decision taken on this path carries the same scalars: no
+        // observed error, the τ and the p in effect.
+        let decide = |decision, producer| {
+            let scalars = DecisionScalars {
+                metric_value: 0.0,
+                tau: tau_max,
+                p: p.fraction(),
+            };
+            self.record_memo_decision(worker, &task, decision, producer, scalars);
         };
 
         // Hash-key computation (traced as its own state, Figure 7). Each
@@ -633,7 +684,7 @@ impl TaskInterceptor for AtmEngine {
             hash_start,
             hash_end,
         );
-        self.stats.add(&self.stats.hash_ns, hash_end - hash_start);
+        TypeCounters::add(&state.counters.hash_ns, hash_end - hash_start);
         let key = EntryKey::new(task.type_id, key_result.key, p.fraction());
 
         // Outputs black-listed during training are never memoized in the
@@ -649,43 +700,27 @@ impl TaskInterceptor for AtmEngine {
                     dispatched_ns: tracer.now_ns(),
                 },
             );
-            self.stats.incr(&self.stats.executed);
-            self.record_memo_decision(
-                worker,
-                &task,
-                tracer,
-                MemoDecision::MissExecute,
-                DecisionScalars {
-                    metric_value: 0.0,
-                    tau: tau_max,
-                    p: p.fraction(),
-                },
-            );
+            TypeCounters::add(&state.counters.executed, 1);
+            decide(MemoDecision::MissExecute, None);
             return Decision::Execute;
         }
 
         // Task History Table probe. An entry only counts as a hit when its
         // stored outputs have exactly the shape this task declares.
         let signature = Self::output_signature(store, &task);
-        let lookup_start = self.obs_on().map(|_| tracer.now_ns());
+        let lookup_start = self.obs.as_ref().map(|obs| obs.now_ns());
         let entry = self
             .memo_store
             .lookup(&key)
             .filter(|e| Self::entry_matches_shape(&e.outputs, &signature));
-        if let (Some(obs), Some(start)) = (self.obs_on(), lookup_start) {
-            obs.record_latency(
-                LatencyMetric::MemoLookup,
-                worker,
-                tracer.now_ns().saturating_sub(start),
-            );
+        if let (Some(obs), Some(start)) = (&self.obs, lookup_start) {
+            obs.record_latency(LatencyMetric::MemoLookup, worker, obs.now_ns() - start);
         }
         if let Some(entry) = entry {
             if training {
                 // Training phase: execute anyway and verify the
                 // approximation in `after_execute`.
-                self.stats.incr(&self.stats.training_hits);
-                self.summaries
-                    .update(task.type_id, |s| s.training_hits += 1);
+                TypeCounters::add(&state.counters.training_hits, 1);
                 self.pending.lock().insert(
                     task.id,
                     PendingExec {
@@ -696,7 +731,7 @@ impl TaskInterceptor for AtmEngine {
                         dispatched_ns: tracer.now_ns(),
                     },
                 );
-                self.stats.incr(&self.stats.executed);
+                TypeCounters::add(&state.counters.executed, 1);
                 return Decision::Execute;
             }
 
@@ -707,25 +742,9 @@ impl TaskInterceptor for AtmEngine {
             apply_snapshots_to(store, &entry.outputs, task.accesses);
             let copy_end = tracer.now_ns();
             tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
-            self.stats.add(&self.stats.copy_ns, copy_end - copy_start);
-            self.stats.incr(&self.stats.tht_bypassed);
-            self.summaries.update(task.type_id, |s| s.tht_bypassed += 1);
-            self.stats.record_reuse(ReuseEvent {
-                producer: entry.producer,
-                consumer: task.id,
-                from_tht: true,
-            });
-            self.record_memo_decision(
-                worker,
-                &task,
-                tracer,
-                MemoDecision::ThtHit,
-                DecisionScalars {
-                    metric_value: 0.0,
-                    tau: tau_max,
-                    p: p.fraction(),
-                },
-            );
+            TypeCounters::add(&state.counters.copy_ns, copy_end - copy_start);
+            TypeCounters::add(&state.counters.tht_bypassed, 1);
+            decide(MemoDecision::ThtHit, Some(entry.producer));
             return Decision::Memoized;
         }
 
@@ -737,24 +756,8 @@ impl TaskInterceptor for AtmEngine {
                 accesses: task.accesses.to_vec(),
             };
             if let Some(producer) = self.ikt.register_waiter(&key, waiter) {
-                self.stats.incr(&self.stats.ikt_deferred);
-                self.summaries.update(task.type_id, |s| s.ikt_deferred += 1);
-                self.stats.record_reuse(ReuseEvent {
-                    producer,
-                    consumer: task.id,
-                    from_tht: false,
-                });
-                self.record_memo_decision(
-                    worker,
-                    &task,
-                    tracer,
-                    MemoDecision::IktDefer,
-                    DecisionScalars {
-                        metric_value: 0.0,
-                        tau: tau_max,
-                        p: p.fraction(),
-                    },
-                );
+                TypeCounters::add(&state.counters.ikt_deferred, 1);
+                decide(MemoDecision::IktDefer, Some(producer));
                 return Decision::Deferred;
             }
         }
@@ -771,18 +774,8 @@ impl TaskInterceptor for AtmEngine {
                 dispatched_ns: tracer.now_ns(),
             },
         );
-        self.stats.incr(&self.stats.executed);
-        self.record_memo_decision(
-            worker,
-            &task,
-            tracer,
-            MemoDecision::MissExecute,
-            DecisionScalars {
-                metric_value: 0.0,
-                tau: tau_max,
-                p: p.fraction(),
-            },
-        );
+        TypeCounters::add(&state.counters.executed, 1);
+        decide(MemoDecision::MissExecute, None);
         Decision::Execute
     }
 
@@ -828,34 +821,19 @@ impl TaskInterceptor for AtmEngine {
             }
             let down_shifted = controller.down_shifts() > shifts_before;
             drop(controller);
-            let accepted = tau < tau_max;
-            self.record_memo_decision(
-                worker,
-                &task,
-                tracer,
-                if accepted {
-                    MemoDecision::TrainingAccept
-                } else {
-                    MemoDecision::TrainingReject
-                },
-                DecisionScalars {
-                    metric_value: tau,
-                    tau: tau_max,
-                    p: p_tested,
-                },
-            );
+            let verdict = if tau < tau_max {
+                MemoDecision::TrainingAccept
+            } else {
+                MemoDecision::TrainingReject
+            };
+            let scalars = DecisionScalars {
+                metric_value: tau,
+                tau: tau_max,
+                p: p_tested,
+            };
+            self.record_memo_decision(worker, &task, verdict, None, scalars);
             if down_shifted {
-                self.record_memo_decision(
-                    worker,
-                    &task,
-                    tracer,
-                    MemoDecision::DownShift,
-                    DecisionScalars {
-                        metric_value: tau,
-                        tau: tau_max,
-                        p: p_tested,
-                    },
-                );
+                self.record_memo_decision(worker, &task, MemoDecision::DownShift, None, scalars);
             }
         }
 
@@ -868,7 +846,7 @@ impl TaskInterceptor for AtmEngine {
             let snaps = Arc::new(OutputSnapshot::capture_all(store, task.accesses));
             let copy_end = tracer.now_ns();
             tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
-            self.stats.add(&self.stats.copy_ns, copy_end - copy_start);
+            TypeCounters::add(&state.counters.copy_ns, copy_end - copy_start);
             Some(snaps)
         } else {
             None
@@ -893,7 +871,7 @@ impl TaskInterceptor for AtmEngine {
                         apply_snapshots_to(store, snaps, &waiter.accesses);
                         let copy_end = tracer.now_ns();
                         tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
-                        self.stats.add(&self.stats.copy_ns, copy_end - copy_start);
+                        TypeCounters::add(&state.counters.copy_ns, copy_end - copy_start);
                     } else {
                         // Shape mismatch (same key, different output layout):
                         // the deferred task cannot be satisfied by a copy, so
@@ -901,7 +879,7 @@ impl TaskInterceptor for AtmEngine {
                         // satisfied when it was deferred — and complete it.
                         let ctx = atm_runtime::TaskContext::new(store, &waiter.accesses);
                         (task.info.kernel)(&ctx);
-                        self.stats.incr(&self.stats.executed);
+                        TypeCounters::add(&state.counters.executed, 1);
                     }
                     completed.push(waiter.task);
                 }
@@ -916,13 +894,6 @@ impl TaskInterceptor for AtmEngine {
                 let snaps = outputs.expect("snapshot exists when the THT is updated");
                 self.memo_store
                     .insert(pending.key, task.id, snaps, kernel_ns);
-                if let Some(obs) = self.obs_on() {
-                    obs.sample_store_bytes(
-                        worker,
-                        tracer.now_ns(),
-                        self.memo_store.counters().resident_bytes as u64,
-                    );
-                }
             }
         }
 
@@ -930,29 +901,7 @@ impl TaskInterceptor for AtmEngine {
     }
 
     fn observe(&self) -> Option<(EngineObservation, StoreObservation)> {
-        let stats = self.stats.snapshot();
-        let store = self.memo_store.counters();
-        Some((
-            EngineObservation {
-                seen: stats.seen,
-                tht_bypassed: stats.tht_bypassed,
-                ikt_deferred: stats.ikt_deferred,
-                training_hits: stats.training_hits,
-                executed: stats.executed,
-                hash_ns: stats.hash_ns,
-                copy_ns: stats.copy_ns,
-            },
-            StoreObservation {
-                hits: store.hits,
-                misses: store.misses,
-                insertions: store.insertions,
-                evictions: store.evictions,
-                rejected_admissions: store.rejected_admissions,
-                saved_ns: store.saved_ns,
-                resident_bytes: store.resident_bytes as u64,
-                entries: store.entries as u64,
-            },
-        ))
+        Some((self.stats(), self.memo_store.counters()))
     }
 }
 
@@ -991,7 +940,7 @@ mod tests {
     /// Drives the engine by hand (without the scheduler) the way a worker
     /// would: before_execute, optionally run the kernel, after_execute.
     fn drive(engine: &AtmEngine, store: &DataStore, view: TaskView<'_>) -> (Decision, Vec<TaskId>) {
-        let tracer = Tracer::new(false);
+        let tracer = Tracer::new(None);
         let decision = engine.before_execute(view, store, &tracer, 0);
         let executed = decision == Decision::Execute;
         if executed {
@@ -1004,7 +953,8 @@ mod tests {
 
     #[test]
     fn static_atm_memoizes_identical_inputs() {
-        let engine = AtmEngine::new(AtmConfig::static_atm());
+        let obs = Arc::new(Observability::enabled());
+        let engine = AtmEngine::new(AtmConfig::static_atm()).with_observability(Arc::clone(&obs));
         let store = DataStore::new();
         let info = memoizable_info();
         let input = store.register_typed("in", vec![1.0f64, 2.0, 3.0]).unwrap();
@@ -1027,7 +977,15 @@ mod tests {
         assert_eq!(stats.seen, 2);
         assert_eq!(stats.executed, 1);
         assert_eq!(stats.tht_bypassed, 1);
-        assert_eq!(engine.reuse_events().len(), 1);
+        // The one reuse is on the decision stream, naming its producer.
+        assert_eq!(
+            crate::ReuseEvent::from_decisions(&obs.decisions()),
+            vec![crate::ReuseEvent {
+                producer: TaskId::from_raw(0),
+                consumer: TaskId::from_raw(1),
+                from_tht: true,
+            }]
+        );
         assert!(engine.memory_bytes() > 0);
     }
 
@@ -1127,7 +1085,7 @@ mod tests {
 
     #[test]
     fn decision_stream_reconciles_with_engine_stats() {
-        let obs = Arc::new(atm_obs::Observability::enabled());
+        let obs = Arc::new(Observability::capture());
         let engine = AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs));
         let store = DataStore::new();
         let info = TaskTypeBuilder::new("square", |ctx| {
@@ -1148,8 +1106,27 @@ mod tests {
         }
 
         let stats = engine.stats();
+        // `stats()` is made by summing the per-type counters; pin the sum
+        // against the per-type view.
+        let summaries = engine.type_summaries();
+        let sum = |f: fn(&TypeSummary) -> u64| summaries.values().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.seen), stats.seen);
+        assert_eq!(sum(|s| s.tht_bypassed), stats.tht_bypassed);
+        assert_eq!(sum(|s| s.ikt_deferred), stats.ikt_deferred);
+        assert_eq!(sum(|s| s.training_hits), stats.training_hits);
+        assert_eq!(stats.seen, 6);
+
         let decisions = obs.decisions();
         use atm_obs::MemoDecision as D;
+        // Every reuse decision names its producer; nothing else does.
+        for record in &decisions.records {
+            let reuse = matches!(record.decision, D::ThtHit | D::IktDefer);
+            assert_eq!(record.producer.is_some(), reuse, "{record:?}");
+        }
+        assert_eq!(
+            crate::ReuseEvent::from_decisions(&decisions).len() as u64,
+            stats.reused()
+        );
         assert_eq!(decisions.count(0, D::ThtHit), stats.tht_bypassed);
         assert_eq!(decisions.count(0, D::IktDefer), stats.ikt_deferred);
         assert_eq!(
@@ -1170,12 +1147,15 @@ mod tests {
         let lookups = metrics.get(atm_obs::LatencyMetric::MemoLookup);
         assert!(lookups.count > 0, "THT probes must be timed");
         // The store-occupancy track was sampled at each THT insert.
-        assert!(!obs.store_bytes_samples().is_empty());
+        assert_eq!(
+            obs.store_bytes_samples().len() as u64,
+            engine.store_counters().insertions
+        );
     }
 
     #[test]
     fn down_shift_emits_a_decision_event() {
-        let obs = Arc::new(atm_obs::Observability::enabled());
+        let obs = Arc::new(Observability::enabled());
         let engine = AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs));
         let store = DataStore::new();
         // A kernel whose output depends on bits the sampled hash key misses:
@@ -1223,7 +1203,7 @@ mod tests {
         let input = store.register_typed("in", vec![3.0f64, 4.0]).unwrap();
         let out_a = store.register_zeros::<f64>("a", 2).unwrap();
         let out_b = store.register_zeros::<f64>("b", 2).unwrap();
-        let tracer = Tracer::new(false);
+        let tracer = Tracer::new(None);
 
         let acc_a = vec![Access::read(&input), Access::write(&out_a)];
         let acc_b = vec![Access::read(&input), Access::write(&out_b)];
@@ -1258,7 +1238,7 @@ mod tests {
         let input = store.register_typed("in", vec![1.0f64]).unwrap();
         let out_a = store.register_zeros::<f64>("a", 1).unwrap();
         let out_b = store.register_zeros::<f64>("b", 1).unwrap();
-        let tracer = Tracer::new(false);
+        let tracer = Tracer::new(None);
 
         let acc_a = vec![Access::read(&input), Access::write(&out_a)];
         let acc_b = vec![Access::read(&input), Access::write(&out_b)];

@@ -105,7 +105,7 @@ pub use engine::{AtmConfig, AtmEngine, AtmMode};
 pub use ikt::{InFlightKeyTable, Waiter};
 pub use key::{KeyGenerator, KeyResult};
 pub use snapshot::OutputSnapshot;
-pub use stats::{AtmStats, AtmStatsSnapshot, ReuseEvent, TypeSummary};
+pub use stats::{AtmStatsSnapshot, ReuseEvent, TypeSummary};
 pub use tht::{EntryKey, ThtConfig};
 pub use training::{
     evaluate_metric, evaluate_metric_data, Phase, TrainingController, TrainingOutcome,

@@ -1,14 +1,19 @@
-//! ATM engine statistics.
+//! Read-side views of the ATM engine's accounting.
 //!
-//! These counters feed most of the evaluation: reuse percentages, the chosen
-//! `p` per task type, the memory overhead of Table III, the hash/copy time
-//! split of Figure 7, and the reuse-provenance events behind Figure 9.
+//! The engine counts once, per task type, on the type's own state; nothing
+//! here is written on the task path. [`AtmStatsSnapshot`] is the sum over
+//! the types, [`TypeSummary`] one type's counts joined with its training
+//! controller, and [`ReuseEvent`] the reuse provenance read back from the
+//! decision stream of the run's observability handle. They feed most of the
+//! evaluation: reuse percentages, the chosen `p` per task type, the
+//! hash/copy time split of Figure 7 and the provenance behind Figure 9.
 
-use atm_hash::Percentage;
-use atm_runtime::{TaskId, TaskTypeId};
-use atm_sync::atomic::{AtomicU64, Ordering};
-use atm_sync::Mutex;
-use std::collections::HashMap;
+use atm_obs::{DecisionSnapshot, MemoDecision};
+use atm_runtime::TaskId;
+
+/// Point-in-time copy of the engine's aggregate counters: the cross-layer
+/// [`atm_obs::EngineObservation`] under the name this crate has always used.
+pub use atm_obs::EngineObservation as AtmStatsSnapshot;
 
 /// One reuse event: `consumer` had its outputs provided by `producer`
 /// (either through the THT or through an IKT postponed copy-out).
@@ -23,6 +28,31 @@ pub struct ReuseEvent {
     pub consumer: TaskId,
     /// Whether the reuse came from the THT (`false` means IKT).
     pub from_tht: bool,
+}
+
+impl ReuseEvent {
+    /// The reuse events among the retained records of a decision stream:
+    /// one per [`MemoDecision::ThtHit`] / [`MemoDecision::IktDefer`] record,
+    /// oldest first. Complete when the stream dropped nothing (a capture
+    /// handle never does).
+    pub fn from_decisions(decisions: &DecisionSnapshot) -> Vec<ReuseEvent> {
+        decisions
+            .records
+            .iter()
+            .filter_map(|r| {
+                let from_tht = match r.decision {
+                    MemoDecision::ThtHit => true,
+                    MemoDecision::IktDefer => false,
+                    _ => return None,
+                };
+                Some(ReuseEvent {
+                    producer: TaskId::from_raw(r.producer?),
+                    consumer: TaskId::from_raw(r.task_id),
+                    from_tht,
+                })
+            })
+            .collect()
+    }
 }
 
 /// Per-task-type summary exposed after a run.
@@ -49,196 +79,53 @@ pub struct TypeSummary {
     pub down_shifts: u64,
 }
 
-/// Aggregate counters of the ATM engine.
-#[derive(Debug, Default)]
-pub struct AtmStats {
-    /// Tasks of memoizable types handled by the engine.
-    pub seen: AtomicU64,
-    /// Tasks bypassed with outputs copied from the THT.
-    pub tht_bypassed: AtomicU64,
-    /// Tasks deferred to an in-flight producer.
-    pub ikt_deferred: AtomicU64,
-    /// THT hits that were verified by execution during training.
-    pub training_hits: AtomicU64,
-    /// Tasks executed (memoizable types only).
-    pub executed: AtomicU64,
-    /// Nanoseconds spent computing hash keys.
-    pub hash_ns: AtomicU64,
-    /// Nanoseconds spent copying outputs (THT hits, IKT copy-outs, THT updates).
-    pub copy_ns: AtomicU64,
-    /// Reuse provenance events (Figure 9).
-    pub reuse_events: Mutex<Vec<ReuseEvent>>,
-}
-
-impl AtmStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn add(&self, counter: &AtomicU64, value: u64) {
-        counter.fetch_add(value, Ordering::Relaxed);
-    }
-
-    pub(crate) fn incr(&self, counter: &AtomicU64) {
-        self.add(counter, 1);
-    }
-
-    pub(crate) fn record_reuse(&self, event: ReuseEvent) {
-        self.reuse_events.lock().push(event);
-    }
-
-    /// Immutable snapshot of the aggregate counters.
-    pub fn snapshot(&self) -> AtmStatsSnapshot {
-        AtmStatsSnapshot {
-            seen: self.seen.load(Ordering::Relaxed),
-            tht_bypassed: self.tht_bypassed.load(Ordering::Relaxed),
-            ikt_deferred: self.ikt_deferred.load(Ordering::Relaxed),
-            training_hits: self.training_hits.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            hash_ns: self.hash_ns.load(Ordering::Relaxed),
-            copy_ns: self.copy_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The recorded reuse events (cloned).
-    pub fn reuse_events(&self) -> Vec<ReuseEvent> {
-        self.reuse_events.lock().clone()
-    }
-}
-
-/// Point-in-time copy of the aggregate counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AtmStatsSnapshot {
-    /// Tasks of memoizable types handled by the engine.
-    pub seen: u64,
-    /// Tasks bypassed with outputs copied from the THT.
-    pub tht_bypassed: u64,
-    /// Tasks deferred to an in-flight producer.
-    pub ikt_deferred: u64,
-    /// THT hits verified by execution during training.
-    pub training_hits: u64,
-    /// Tasks executed (memoizable types only).
-    pub executed: u64,
-    /// Nanoseconds spent computing hash keys.
-    pub hash_ns: u64,
-    /// Nanoseconds spent copying outputs.
-    pub copy_ns: u64,
-}
-
-impl AtmStatsSnapshot {
-    /// Tasks whose execution was avoided.
-    pub fn reused(&self) -> u64 {
-        self.tht_bypassed + self.ikt_deferred
-    }
-
-    /// The paper's reuse metric over the tasks the engine saw.
-    pub fn reuse_percent(&self) -> f64 {
-        if self.seen == 0 {
-            return 0.0;
-        }
-        100.0 * self.reused() as f64 / self.seen as f64
-    }
-}
-
-/// Tracks per-type summaries built up by the engine.
-#[derive(Debug, Default)]
-pub struct TypeSummaries {
-    inner: Mutex<HashMap<TaskTypeId, TypeSummary>>,
-}
-
-impl TypeSummaries {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Updates (or creates) the summary of one type.
-    pub fn update(&self, type_id: TaskTypeId, f: impl FnOnce(&mut TypeSummary)) {
-        let mut inner = self.inner.lock();
-        let entry = inner.entry(type_id).or_insert_with(|| TypeSummary {
-            name: String::new(),
-            seen: 0,
-            tht_bypassed: 0,
-            ikt_deferred: 0,
-            training_hits: 0,
-            final_p: Percentage::FULL.fraction(),
-            steady: false,
-            unstable_outputs: 0,
-            down_shifts: 0,
-        });
-        f(entry);
-    }
-
-    /// All summaries (cloned), keyed by type id.
-    pub fn all(&self) -> HashMap<TaskTypeId, TypeSummary> {
-        self.inner.lock().clone()
-    }
-
-    /// The summary of one type, if it was ever seen.
-    pub fn get(&self, type_id: TaskTypeId) -> Option<TypeSummary> {
-        self.inner.lock().get(&type_id).cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atm_obs::DecisionRecord;
 
     #[test]
     fn snapshot_and_reuse_percent() {
-        let stats = AtmStats::new();
-        for _ in 0..10 {
-            stats.incr(&stats.seen);
-        }
-        stats.incr(&stats.tht_bypassed);
-        stats.incr(&stats.tht_bypassed);
-        stats.incr(&stats.ikt_deferred);
-        stats.add(&stats.hash_ns, 1000);
-        let snap = stats.snapshot();
-        assert_eq!(snap.seen, 10);
+        let snap = AtmStatsSnapshot {
+            seen: 10,
+            tht_bypassed: 2,
+            ikt_deferred: 1,
+            hash_ns: 1000,
+            ..Default::default()
+        };
         assert_eq!(snap.reused(), 3);
         assert!((snap.reuse_percent() - 30.0).abs() < 1e-12);
     }
 
     #[test]
-    fn reuse_events_round_trip() {
-        let stats = AtmStats::new();
-        stats.record_reuse(ReuseEvent {
-            producer: TaskId::from_raw(1),
-            consumer: TaskId::from_raw(5),
-            from_tht: true,
-        });
-        stats.record_reuse(ReuseEvent {
-            producer: TaskId::from_raw(2),
-            consumer: TaskId::from_raw(6),
-            from_tht: false,
-        });
-        let events = stats.reuse_events();
+    fn reuse_provenance_reads_back_from_decisions() {
+        let record = |task_id, decision, producer| DecisionRecord {
+            task_type: 0,
+            task_id,
+            decision,
+            metric_value: 0.0,
+            tau: 0.0,
+            p: 1.0,
+            producer,
+            t_ns: task_id,
+        };
+        let mut decisions = DecisionSnapshot::default();
+        decisions.records.extend([
+            record(4, MemoDecision::MissExecute, None),
+            record(5, MemoDecision::ThtHit, Some(1)),
+            record(6, MemoDecision::IktDefer, Some(2)),
+        ]);
+        let events = ReuseEvent::from_decisions(&decisions);
         assert_eq!(events.len(), 2);
         assert!(events[0].from_tht);
+        assert_eq!(events[0].consumer, TaskId::from_raw(5));
+        assert!(!events[1].from_tht);
         assert_eq!(events[1].producer, TaskId::from_raw(2));
     }
 
     #[test]
-    fn type_summaries_accumulate() {
-        let summaries = TypeSummaries::new();
-        let t = TaskTypeId::from_raw(3);
-        summaries.update(t, |s| {
-            s.name = "bs_thread".into();
-            s.seen += 1;
-        });
-        summaries.update(t, |s| s.seen += 1);
-        let got = summaries.get(t).unwrap();
-        assert_eq!(got.name, "bs_thread");
-        assert_eq!(got.seen, 2);
-        assert_eq!(summaries.all().len(), 1);
-        assert!(summaries.get(TaskTypeId::from_raw(9)).is_none());
-    }
-
-    #[test]
     fn empty_snapshot_is_zero() {
-        let snap = AtmStats::new().snapshot();
+        let snap = AtmStatsSnapshot::default();
         assert_eq!(snap.reuse_percent(), 0.0);
         assert_eq!(snap.reused(), 0);
     }

@@ -7,7 +7,9 @@
 //! a ring is full the oldest record is overwritten and a drop counter
 //! ticks, while the per-`(type, decision)` *counts* stay exact regardless
 //! of drops, so aggregate reconciliation against the engine's own counters
-//! holds even on runs long enough to wrap the rings.
+//! holds even on runs long enough to wrap the rings. A capture handle sizes
+//! the rings without bound, which makes the stream the run's full reuse
+//! provenance (Figure 9).
 
 use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::Mutex;
@@ -84,7 +86,11 @@ pub struct DecisionRecord {
     pub tau: f64,
     /// The selection percentage `p` in effect, as a fraction.
     pub p: f64,
-    /// Timestamp on the run's trace clock (`Tracer::now_ns`).
+    /// Reuse provenance: the raw id of the task whose outputs served this
+    /// one. `Some` on every [`MemoDecision::ThtHit`] and
+    /// [`MemoDecision::IktDefer`] record, `None` elsewhere.
+    pub producer: Option<u64>,
+    /// Timestamp on the handle's clock ([`crate::Observability::now_ns`]).
     pub t_ns: u64,
 }
 
@@ -210,15 +216,6 @@ impl DecisionSnapshot {
             .unwrap_or(0)
     }
 
-    /// Per-decision counts of one task type.
-    pub fn counts_for(&self, task_type: u32) -> HashMap<MemoDecision, u64> {
-        self.counts
-            .iter()
-            .filter(|((t, _), _)| *t == task_type)
-            .map(|((_, d), v)| (*d, *v))
-            .collect()
-    }
-
     /// The retained records of one task type, oldest first.
     pub fn records_for(&self, task_type: u32) -> Vec<DecisionRecord> {
         self.records
@@ -234,13 +231,14 @@ impl DecisionSnapshot {
         for r in &self.records {
             out.push_str(&format!(
                 "{{\"task_type\":{},\"task_id\":{},\"decision\":\"{}\",\
-                 \"metric_value\":{},\"tau\":{},\"p\":{},\"t_ns\":{}}}\n",
+                 \"metric_value\":{},\"tau\":{},\"p\":{},\"producer\":{},\"t_ns\":{}}}\n",
                 r.task_type,
                 r.task_id,
                 r.decision.name(),
                 crate::chrome::json_f64(r.metric_value),
                 crate::chrome::json_f64(r.tau),
                 crate::chrome::json_f64(r.p),
+                r.producer.map_or("null".to_string(), |id| id.to_string()),
                 r.t_ns
             ));
         }
@@ -260,6 +258,7 @@ mod tests {
             metric_value: 0.5,
             tau: 0.2,
             p: 1.0,
+            producer: None,
             t_ns,
         }
     }
@@ -274,7 +273,7 @@ mod tests {
         let times: Vec<u64> = snap.records.iter().map(|r| r.t_ns).collect();
         assert_eq!(times, vec![10, 20, 30]);
         assert_eq!(snap.count(0, MemoDecision::ThtHit), 1);
-        assert_eq!(snap.counts_for(0).len(), 2);
+        assert_eq!(snap.count(0, MemoDecision::MissExecute), 1);
         assert_eq!(snap.records_for(1).len(), 1);
         assert_eq!(snap.dropped, 0);
     }

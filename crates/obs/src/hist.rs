@@ -26,8 +26,8 @@ pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / SUB_BUCKETS as f64;
 /// remaining 58 ranges (highest index `((58 + 1) << SUB_BITS) + 31`).
 pub const BUCKETS: usize = ((64 - SUB_BITS) as usize + 1) << SUB_BITS;
 
-/// Number of shards. Workers map onto shards by `worker % SHARDS`; the
-/// count matches the runtime tracer's event shards so any realistic worker
+/// Number of shards (histograms, decision rings and capture logs alike).
+/// Workers map onto shards by `worker % SHARDS`, so any realistic worker
 /// count gets a private lane.
 pub const SHARDS: usize = 16;
 

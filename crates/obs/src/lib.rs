@@ -1,21 +1,28 @@
-//! `atm-obs` — the unified observability layer of the ATM stack.
+//! `atm-obs` — the one telemetry spine of the ATM stack.
 //!
-//! One [`Observability`] handle is shared by the runtime, the ATM engine,
-//! and the memo store. It bundles the three pillars:
+//! Every layer keeps its own always-on counter block (runtime, engine,
+//! store); every *timestamped* event goes to one [`Observability`] handle,
+//! shared by the runtime, the ATM engine and the memo store and stamped by
+//! the handle's clock ([`Observability::now_ns`]). There is no disabled
+//! handle: a layer either has one attached or records nothing. A handle
+//! comes in two levels:
 //!
-//! * **Latency histograms** ([`MetricsRegistry`]): per-worker cache-padded
-//!   shards of dependency-free HdrHistogram-style log-linear buckets, one
-//!   per [`LatencyMetric`] (task end-to-end, kernel, submit-path, memo
-//!   lookup, store insert/evict), with `p50/p90/p99/p999` extraction.
-//! * **Memo-decision audit trail** ([`DecisionLog`]): every interceptor and
+//! * [`Observability::enabled`] records the **bounded** material, cheap
+//!   enough for a long-running service:
+//!   latency histograms ([`MetricsSnapshot`]: per-worker cache-padded shards
+//!   of dependency-free HdrHistogram-style log-linear buckets, one per
+//!   [`LatencyMetric`], with `p50/p90/p99/p999` extraction) and the
+//!   memo-decision audit trail ([`DecisionSnapshot`]: every interceptor and
 //!   store decision as a structured record in bounded per-worker rings with
-//!   exact per-type counts and a drop counter, dumpable as JSONL.
-//! * **Trace export** ([`ChromeTraceBuilder`] plus the [`SpanLog`] /
-//!   [`CounterSeries`] raw material): Chrome Trace Event Format JSON that
-//!   <https://ui.perfetto.dev> opens directly.
+//!   exact per-type counts and a drop counter, dumpable as JSONL).
+//! * [`Observability::capture`] additionally keeps the **unbounded** logs a
+//!   trace or a figure is drawn from: thread-state intervals
+//!   ([`StateSpan`]), per-task spans ([`TaskSpan`]), ready-queue depth and
+//!   store byte-occupancy samples ([`CounterSample`]), and a decision stream
+//!   that never drops — the run's full reuse provenance.
 //!
-//! Everything short-circuits when the handle is disabled, so an attached
-//! but disabled `Observability` stays off the hot paths' critical budget.
+//! [`ChromeTraceBuilder`] turns the capture material into Chrome Trace
+//! Event Format JSON that <https://ui.perfetto.dev> opens directly.
 //!
 //! # Quick start
 //!
@@ -38,7 +45,8 @@
 //!         metric_value: 0.0,
 //!         tau: 0.2,
 //!         p: 0.5,
-//!         t_ns: 12_500,
+//!         producer: Some(3),
+//!         t_ns: obs.now_ns(),
 //!     },
 //! );
 //!
@@ -70,92 +78,132 @@ pub mod span;
 pub use chrome::{json_escape, json_f64, ChromeTraceBuilder};
 pub use decision::{DecisionLog, DecisionRecord, DecisionSnapshot, MemoDecision};
 pub use hist::{Histogram, HistogramSnapshot, RELATIVE_ERROR_BOUND};
-pub use metrics::{Counter, Gauge, LatencyMetric, MetricsRegistry, MetricsSnapshot};
-pub use span::{CounterSample, CounterSeries, SpanLog, TaskSpan};
+pub use metrics::{LatencyMetric, MetricsRegistry, MetricsSnapshot};
+pub use span::{CounterSample, StateSpan, TaskSpan};
 
 use atm_sync::Mutex;
+use span::ShardedLog;
 use std::collections::HashMap;
+use std::time::Instant;
+
+/// The logs only a capture handle keeps: they grow with the run.
+struct CaptureLogs {
+    states: ShardedLog<StateSpan>,
+    spans: ShardedLog<TaskSpan>,
+    ready_depth: ShardedLog<CounterSample>,
+    store_bytes: ShardedLog<CounterSample>,
+}
 
 /// The shared observability handle: one per run, threaded through runtime,
-/// engine, and store. All recording methods are no-ops when the handle is
-/// disabled.
+/// engine and store, and the owner of the run's clock.
 pub struct Observability {
-    enabled: bool,
+    origin: Instant,
     metrics: MetricsRegistry,
     decisions: DecisionLog,
-    spans: SpanLog,
-    store_bytes: CounterSeries,
+    capture: Option<CaptureLogs>,
     type_names: Mutex<HashMap<u32, String>>,
 }
 
 impl Observability {
-    /// Creates a handle; `enabled = false` makes every record a no-op.
-    pub fn new(enabled: bool) -> Self {
+    fn new(decisions: DecisionLog, capture: Option<CaptureLogs>) -> Self {
         Self {
-            enabled,
+            origin: Instant::now(),
             metrics: MetricsRegistry::new(),
-            decisions: DecisionLog::new(),
-            spans: SpanLog::new(),
-            store_bytes: CounterSeries::new(),
+            decisions,
+            capture,
             type_names: Mutex::new(HashMap::new()),
         }
     }
 
-    /// An enabled handle.
+    /// A handle recording the bounded material: latency histograms and the
+    /// decision rings. Memory stays constant however long the process runs.
     pub fn enabled() -> Self {
-        Self::new(true)
+        Self::new(DecisionLog::new(), None)
     }
 
-    /// A disabled handle: same wiring, every record short-circuits.
-    pub fn disabled() -> Self {
-        Self::new(false)
+    /// A handle that also keeps the unbounded logs (state intervals, task
+    /// spans, ready-depth and store-bytes samples) and never drops a
+    /// decision record. For a trace or a figure, not for a service.
+    pub fn capture() -> Self {
+        Self::new(
+            DecisionLog::with_capacity(usize::MAX),
+            Some(CaptureLogs {
+                states: ShardedLog::new(),
+                spans: ShardedLog::new(),
+                ready_depth: ShardedLog::new(),
+                store_bytes: ShardedLog::new(),
+            }),
+        )
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// The instant the handle's clock counts from.
+    pub fn origin(&self) -> Instant {
+        self.origin
+    }
+
+    /// Nanoseconds since the handle was created: the one clock every
+    /// recorded timestamp is on.
+    pub fn now_ns(&self) -> u64 {
+        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Records a nanosecond duration into `metric` on `worker`'s shard.
     #[inline]
     pub fn record_latency(&self, metric: LatencyMetric, worker: usize, ns: u64) {
-        if self.enabled {
-            self.metrics.record(metric, worker, ns);
-        }
+        self.metrics.record(metric, worker, ns);
     }
 
     /// Records a memo decision on `worker`'s shard.
     #[inline]
     pub fn record_decision(&self, worker: usize, record: DecisionRecord) {
-        if self.enabled {
-            self.decisions.record(worker, record);
+        self.decisions.record(worker, record);
+    }
+
+    /// Records a thread-state interval (capture only).
+    #[inline]
+    pub fn record_state(&self, span: StateSpan) {
+        if let Some(logs) = &self.capture {
+            logs.states.push(span.worker, span);
         }
     }
 
-    /// Records a task span.
+    /// Records a task span (capture only).
     #[inline]
     pub fn record_span(&self, span: TaskSpan) {
-        if self.enabled {
-            self.spans.record(span);
+        if let Some(logs) = &self.capture {
+            logs.spans.push(span.worker, span);
         }
     }
 
-    /// Samples the store's byte occupancy at `t_ns`.
+    /// Samples the ready-queue depth, stamped now (capture only).
     #[inline]
-    pub fn sample_store_bytes(&self, worker: usize, t_ns: u64, bytes: u64) {
-        if self.enabled {
-            self.store_bytes.sample(worker, t_ns, bytes);
+    pub fn sample_ready_depth(&self, worker: usize, depth: u64) {
+        if let Some(logs) = &self.capture {
+            logs.ready_depth.push(worker, self.sample(depth));
+        }
+    }
+
+    /// Samples the store's byte occupancy, stamped now (capture only).
+    #[inline]
+    pub fn sample_store_bytes(&self, worker: usize, bytes: u64) {
+        if let Some(logs) = &self.capture {
+            logs.store_bytes.push(worker, self.sample(bytes));
+        }
+    }
+
+    fn sample(&self, value: u64) -> CounterSample {
+        CounterSample {
+            t_ns: self.now_ns(),
+            value,
         }
     }
 
     /// Registers the display name of a task type id (used by trace export).
     pub fn note_type_name(&self, task_type: u32, name: &str) {
-        if self.enabled {
-            self.type_names
-                .lock()
-                .entry(task_type)
-                .or_insert_with(|| name.to_string());
-        }
+        self.type_names
+            .lock()
+            .entry(task_type)
+            .or_insert_with(|| name.to_string());
     }
 
     /// The registered name of a task type, if any.
@@ -173,21 +221,42 @@ impl Observability {
         self.decisions.snapshot()
     }
 
-    /// All recorded task spans, sorted by start time.
+    /// One capture log merged into a timeline; empty below capture level.
+    fn timeline<T: Clone, K: Ord>(
+        &self,
+        log: impl FnOnce(&CaptureLogs) -> &ShardedLog<T>,
+        key: impl FnMut(&T) -> K,
+    ) -> Vec<T> {
+        self.capture
+            .as_ref()
+            .map_or_else(Vec::new, |logs| log(logs).sorted_by_key(key))
+    }
+
+    /// All recorded thread-state intervals, sorted by `(start_ns, worker)`.
+    pub fn states(&self) -> Vec<StateSpan> {
+        self.timeline(|l| &l.states, |s| (s.start_ns, s.worker))
+    }
+
+    /// All recorded task spans, sorted by `(start_ns, task_id)`.
     pub fn spans(&self) -> Vec<TaskSpan> {
-        self.spans.spans()
+        self.timeline(|l| &l.spans, |s| (s.start_ns, s.task_id))
+    }
+
+    /// All ready-queue depth samples, sorted by time.
+    pub fn ready_depth_samples(&self) -> Vec<CounterSample> {
+        self.timeline(|l| &l.ready_depth, |s| s.t_ns)
     }
 
     /// All store byte-occupancy samples, sorted by time.
     pub fn store_bytes_samples(&self) -> Vec<CounterSample> {
-        self.store_bytes.samples()
+        self.timeline(|l| &l.store_bytes, |s| s.t_ns)
     }
 }
 
 impl std::fmt::Debug for Observability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Observability")
-            .field("enabled", &self.enabled)
+            .field("capture", &self.capture.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -219,6 +288,14 @@ impl EngineObservation {
     pub fn reused(&self) -> u64 {
         self.tht_bypassed + self.ikt_deferred
     }
+
+    /// The paper's reuse metric over the tasks the engine saw.
+    pub fn reuse_percent(&self) -> f64 {
+        if self.seen == 0 {
+            return 0.0;
+        }
+        100.0 * self.reused() as f64 / self.seen as f64
+    }
 }
 
 /// Cross-layer view of the memo store's counters (see `EngineObservation`
@@ -247,10 +324,8 @@ pub struct StoreObservation {
 mod tests {
     use super::*;
 
-    #[test]
-    fn disabled_handle_records_nothing() {
-        let obs = Observability::disabled();
-        obs.record_latency(LatencyMetric::Kernel, 0, 100);
+    fn record_one_of_everything(obs: &Observability) {
+        obs.record_latency(LatencyMetric::MemoLookup, 2, 400);
         obs.record_decision(
             0,
             DecisionRecord {
@@ -260,9 +335,16 @@ mod tests {
                 metric_value: 0.0,
                 tau: 0.0,
                 p: 1.0,
-                t_ns: 1,
+                producer: None,
+                t_ns: obs.now_ns(),
             },
         );
+        obs.record_state(StateSpan {
+            worker: 0,
+            state: "Task Execution",
+            start_ns: 0,
+            end_ns: 1,
+        });
         obs.record_span(TaskSpan {
             worker: 0,
             task_id: 0,
@@ -270,31 +352,54 @@ mod tests {
             start_ns: 0,
             end_ns: 1,
         });
-        obs.sample_store_bytes(0, 1, 64);
-        obs.note_type_name(0, "t");
-        assert!(!obs.is_enabled());
-        assert_eq!(obs.metrics().get(LatencyMetric::Kernel).count, 0);
-        assert_eq!(obs.decisions().total(), 0);
+        obs.sample_ready_depth(0, 3);
+        obs.sample_store_bytes(0, 1024);
+    }
+
+    #[test]
+    fn bounded_handle_keeps_no_unbounded_log() {
+        let obs = Observability::enabled();
+        record_one_of_everything(&obs);
+        assert_eq!(obs.metrics().get(LatencyMetric::MemoLookup).count, 1);
+        assert_eq!(obs.decisions().total(), 1);
+        assert!(obs.states().is_empty());
         assert!(obs.spans().is_empty());
+        assert!(obs.ready_depth_samples().is_empty());
         assert!(obs.store_bytes_samples().is_empty());
-        assert!(obs.type_name(0).is_none());
     }
 
     #[test]
     fn enabled_handle_round_trips() {
-        let obs = Observability::enabled();
-        obs.record_latency(LatencyMetric::MemoLookup, 2, 400);
-        obs.sample_store_bytes(0, 10, 1024);
+        let obs = Observability::capture();
+        let before = obs.now_ns();
+        record_one_of_everything(&obs);
+        let after = obs.now_ns();
         obs.note_type_name(3, "cholesky_potrf");
         obs.note_type_name(3, "other"); // first registration wins
         assert_eq!(obs.metrics().get(LatencyMetric::MemoLookup).count, 1);
-        assert_eq!(
-            obs.store_bytes_samples(),
-            vec![CounterSample {
-                t_ns: 10,
-                value: 1024
-            }]
-        );
+        assert_eq!(obs.decisions().total(), 1);
+        assert_eq!(obs.states().len(), 1);
+        assert_eq!(obs.spans().len(), 1);
+        // Samples are stamped on the handle's own clock.
+        let depth = obs.ready_depth_samples();
+        assert_eq!(depth.len(), 1);
+        assert_eq!(depth[0].value, 3);
+        assert!((before..=after).contains(&depth[0].t_ns));
+        let bytes = obs.store_bytes_samples();
+        assert_eq!(bytes[0].value, 1024);
+        assert!((before..=after).contains(&bytes[0].t_ns));
         assert_eq!(obs.type_name(3).as_deref(), Some("cholesky_potrf"));
+    }
+
+    #[test]
+    fn capture_handle_never_drops_a_decision() {
+        let obs = Observability::capture();
+        let offered = 2 * decision::DEFAULT_RING_CAPACITY + 1;
+        for _ in 0..offered {
+            record_one_of_everything(&obs); // all decisions on one shard
+        }
+        let snap = obs.decisions();
+        assert_eq!(snap.records.len(), offered);
+        assert_eq!(snap.dropped, 0);
     }
 }

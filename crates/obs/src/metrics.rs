@@ -1,8 +1,7 @@
 //! The metrics registry: the fixed set of latency histograms the stack
-//! records into, plus general-purpose sharded counters and gauges.
+//! records into.
 
-use crate::hist::{Histogram, HistogramSnapshot, SHARDS};
-use atm_sync::atomic::{AtomicU64, Ordering};
+use crate::hist::{Histogram, HistogramSnapshot};
 
 /// The latency distributions the stack records, one histogram each. All
 /// values are nanosecond durations.
@@ -140,72 +139,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// A cache-padded shard of one counter.
-#[repr(align(128))]
-#[derive(Default)]
-struct CounterShard {
-    value: AtomicU64,
-}
-
-/// A monotone counter sharded per worker: `add` is one relaxed `fetch_add`
-/// on the caller's own cache line, `value` sums the shards.
-pub struct Counter {
-    shards: Vec<CounterShard>,
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| CounterShard::default()).collect(),
-        }
-    }
-
-    /// Adds `n` on `worker`'s shard.
-    pub fn add(&self, worker: usize, n: u64) {
-        self.shards[worker % SHARDS]
-            .value
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sum across all shards.
-    pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.value.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-/// A last-writer-wins gauge (e.g. current byte occupancy).
-#[derive(Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Creates a zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Reads the gauge.
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,18 +163,6 @@ mod tests {
         acc.merge(&reg.snapshot());
         acc.merge(&reg.snapshot());
         assert_eq!(acc.get(LatencyMetric::TaskLatency).count, 2);
-    }
-
-    #[test]
-    fn counter_and_gauge() {
-        let c = Counter::new();
-        c.add(0, 2);
-        c.add(31, 3);
-        assert_eq!(c.value(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        g.set(4);
-        assert_eq!(g.value(), 4);
     }
 
     #[test]

@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn noop_interceptor_always_executes() {
         let store = DataStore::new();
-        let tracer = Tracer::new(false);
+        let tracer = Tracer::new(None);
         let info = TaskTypeBuilder::new("t", |_| {}).build();
         let view = TaskView {
             id: TaskId(0),

@@ -40,8 +40,9 @@
 //!   in: it is consulted right after a task is pulled from the Ready Queue
 //!   (memoize / defer / execute) and right after a task completes (update
 //!   the history tables, perform postponed copy-outs);
-//! * **tracing** ([`trace`]) of per-thread states and ready-queue depth,
-//!   which is the data behind the execution-trace figures of the paper;
+//! * the **thread-state vocabulary and the run's clock** ([`trace`]): the
+//!   states of the paper's execution-trace figures, recorded — with
+//!   everything else timestamped — into one `atm_obs::Observability` handle;
 //! * **statistics** ([`stats`]) of what the runtime did.
 //!
 //! # Example
@@ -107,7 +108,7 @@ pub use task::{
     SigParam, TaskContext, TaskDesc, TaskId, TaskNotify, TaskSignature, TaskTypeBuilder,
     TaskTypeId, TaskTypeInfo, TaskView, VariadicSig,
 };
-pub use trace::{ReadySample, ThreadState, TraceEvent, TraceSummary, Tracer};
+pub use trace::{ThreadState, TraceSummary, Tracer};
 
 /// Convenient glob import for applications built on the runtime.
 pub mod prelude {

@@ -17,8 +17,8 @@
 //!   touches a shared lock, which is what lets fine-grained (memoized)
 //!   task floods scale with the core count.
 //!
-//! Pushes and pops optionally sample the queue depth into the tracer, which
-//! is the data behind Figure 8(b)/(d).
+//! Pushes and pops sample the queue depth through the tracer (kept by a
+//! capture handle only), which is the data behind Figure 8(b)/(d).
 
 use crate::task::TaskId;
 use crate::trace::Tracer;
@@ -394,7 +394,7 @@ enum QueueImpl {
 
 impl ReadyQueue {
     /// Creates an empty, open queue for `workers` worker threads. Depth
-    /// samples are recorded through `tracer` when tracing is enabled.
+    /// samples are forwarded through `tracer`.
     pub fn new(mode: QueueMode, workers: usize, tracer: Arc<Tracer>) -> Self {
         let imp = match mode {
             QueueMode::Fifo => QueueImpl::Fifo(FifoQueue::new()),
@@ -488,7 +488,7 @@ mod tests {
     use std::time::Duration;
 
     fn queue(mode: QueueMode, workers: usize) -> ReadyQueue {
-        ReadyQueue::new(mode, workers, Arc::new(Tracer::new(false)))
+        ReadyQueue::new(mode, workers, Arc::new(Tracer::new(None)))
     }
 
     #[test]
@@ -550,28 +550,30 @@ mod tests {
 
     #[test]
     fn depth_samples_are_recorded_when_tracing() {
-        let tracer = Arc::new(Tracer::new(true));
-        let q = ReadyQueue::new(QueueMode::Fifo, 1, Arc::clone(&tracer));
+        let obs = Arc::new(atm_obs::Observability::capture());
+        let tracer = Arc::new(Tracer::new(Some(Arc::clone(&obs))));
+        let q = ReadyQueue::new(QueueMode::Fifo, 1, tracer);
         q.push(TaskId(1));
         q.push(TaskId(2));
         let _ = q.pop(0);
-        let samples = tracer.ready_samples();
+        let samples = obs.ready_depth_samples();
         assert_eq!(samples.len(), 3);
-        assert_eq!(samples[0].depth, 1);
-        assert_eq!(samples[1].depth, 2);
-        assert_eq!(samples[2].depth, 1);
+        assert_eq!(samples[0].value, 1);
+        assert_eq!(samples[1].value, 2);
+        assert_eq!(samples[2].value, 1);
     }
 
     #[test]
     fn stealing_mode_also_samples_depth() {
-        let tracer = Arc::new(Tracer::new(true));
-        let q = ReadyQueue::new(QueueMode::Stealing, 2, Arc::clone(&tracer));
+        let obs = Arc::new(atm_obs::Observability::capture());
+        let tracer = Arc::new(Tracer::new(Some(Arc::clone(&obs))));
+        let q = ReadyQueue::new(QueueMode::Stealing, 2, tracer);
         q.push(TaskId(1));
         q.push_from(0, &[TaskId(2), TaskId(3)]);
         let _ = q.pop(0);
-        let samples = tracer.ready_samples();
+        let samples = obs.ready_depth_samples();
         assert!(samples.len() >= 3);
-        assert_eq!(samples.last().unwrap().depth, 2);
+        assert_eq!(samples.last().unwrap().value, 2);
     }
 
     #[test]

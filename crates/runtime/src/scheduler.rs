@@ -92,7 +92,6 @@ impl Affinity {
 /// Configuration and construction of a [`Runtime`].
 pub struct RuntimeBuilder {
     workers: usize,
-    tracing: bool,
     queue_mode: QueueMode,
     interceptor: Arc<dyn TaskInterceptor>,
     observability: Option<Arc<Observability>>,
@@ -107,12 +106,11 @@ impl Default for RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Starts a builder with 1 worker, tracing disabled, the work-stealing
-    /// ready queue and no interceptor (the "no ATM" baseline).
+    /// Starts a builder with 1 worker, no observability handle, the
+    /// work-stealing ready queue and no interceptor (the "no ATM" baseline).
     pub fn new() -> Self {
         RuntimeBuilder {
             workers: 1,
-            tracing: false,
             queue_mode: QueueMode::default(),
             interceptor: Arc::new(NoopInterceptor),
             observability: None,
@@ -152,14 +150,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables execution tracing (Figures 7/8). Disabled by default so the
-    /// instrumentation does not distort speedup measurements.
-    #[must_use]
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.tracing = enabled;
-        self
-    }
-
     /// Selects the Ready Queue discipline. [`QueueMode::Stealing`] (the
     /// default) scales fine-grained task floods across workers;
     /// [`QueueMode::Fifo`] reproduces the paper's single global queue and
@@ -178,10 +168,12 @@ impl RuntimeBuilder {
     }
 
     /// Attaches an observability handle (see [`atm_obs::Observability`]).
-    /// The runtime records per-task latency histograms and trace spans into
-    /// it; share the same handle with the ATM engine to get one unified
-    /// [`Observation`]. A disabled handle (or none, the default) keeps the
-    /// hot paths free of recording work.
+    /// The runtime records per-task latency histograms into it and runs on
+    /// its clock; a capture handle ([`Observability::capture`]) also gets
+    /// thread-state intervals, task spans and ready-queue depth samples
+    /// (Figures 7/8). Share the same handle with the ATM engine to get one
+    /// unified [`Observation`]. Without one (the default) the hot paths do
+    /// no recording work.
     #[must_use]
     pub fn observability(mut self, obs: Arc<Observability>) -> Self {
         self.observability = Some(obs);
@@ -190,7 +182,7 @@ impl RuntimeBuilder {
 
     /// Builds the runtime and spawns its worker threads.
     pub fn build(self) -> Runtime {
-        let tracer = Arc::new(Tracer::new(self.tracing));
+        let tracer = Arc::new(Tracer::new(self.observability));
         let inner = Arc::new(Inner {
             store: DataStore::new(),
             registry: RwLock::new(Vec::new()),
@@ -203,7 +195,6 @@ impl RuntimeBuilder {
             done_lock: Mutex::new(()),
             all_done: Condvar::new(),
             workers: self.workers,
-            obs: self.observability,
             max_live_tasks: self.max_live_tasks,
             affinity: self.affinity,
             pinned_workers: AtomicUsize::new(0),
@@ -237,8 +228,6 @@ struct Inner {
     done_lock: Mutex<()>,
     all_done: Condvar,
     workers: usize,
-    /// Observability handle, when one was attached to the builder.
-    obs: Option<Arc<Observability>>,
     /// Admission window: cap on `outstanding` enforced at submission (see
     /// [`RuntimeBuilder::max_live_tasks`]). `None` admits unconditionally.
     max_live_tasks: Option<u64>,
@@ -249,14 +238,11 @@ struct Inner {
 }
 
 impl Inner {
-    /// The attached observability handle, but only when it records — the
-    /// hot paths branch on this once and skip all recording otherwise.
+    /// The attached observability handle, if any (it rides on the tracer,
+    /// whose clock it owns).
     #[inline]
-    fn obs_on(&self) -> Option<&Observability> {
-        match &self.obs {
-            Some(obs) if obs.is_enabled() => Some(obs),
-            _ => None,
-        }
+    fn obs(&self) -> Option<&Observability> {
+        self.tracer.observability().map(Arc::as_ref)
     }
 
     /// Completes one finish cycle: the task the worker just executed plus
@@ -279,7 +265,7 @@ impl Inner {
     ) {
         packet.clear();
         deferred_nodes.clear();
-        let cycle_start = self.obs_on().map(|_| self.tracer.now_ns());
+        let cycle_start = self.obs().map(|_| self.tracer.now_ns());
 
         self.graph.finish_node_into(executed, packet);
         for &id in completed_deferred {
@@ -287,7 +273,7 @@ impl Inner {
             // does not hold their node, so look it up (and read the
             // submission stamp) before retiring it.
             let node = self.graph.node(id);
-            if let Some(obs) = self.obs_on() {
+            if let Some(obs) = self.obs() {
                 let finished = self.tracer.now_ns();
                 obs.record_latency(
                     LatencyMetric::TaskLatency,
@@ -309,13 +295,27 @@ impl Inner {
                 notify.task_finished(worker, node.id());
             }
         }
-        if let Some(obs) = self.obs_on() {
-            let start = cycle_start.unwrap_or(0);
+        if let (Some(obs), Some(start)) = (self.obs(), cycle_start) {
             obs.record_latency(
                 LatencyMetric::Release,
                 worker,
                 self.tracer.now_ns().saturating_sub(start),
             );
+        }
+    }
+
+    /// Accounts for one submit call that began at `start` and put `count`
+    /// tasks into the graph. The master (submitting) thread owns the last
+    /// stats shard and is traced as worker index `workers`.
+    fn note_submitted(&self, count: u64, start: u64) {
+        let end = self.tracer.now_ns();
+        let stats = self.stats.shard(self.workers);
+        stats.add(&stats.submitted, count);
+        stats.add(&stats.creation_ns, end - start);
+        self.tracer
+            .record(self.workers, ThreadState::TaskCreation, start, end);
+        if let Some(obs) = self.obs() {
+            obs.record_latency(LatencyMetric::Submit, self.workers, end - start);
         }
     }
 
@@ -393,7 +393,7 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
                     .record(worker, ThreadState::TaskExecution, start, end);
                 stats.add(&stats.kernel_ns, end - start);
                 stats.incr(&stats.executed);
-                if let Some(obs) = inner.obs_on() {
+                if let Some(obs) = inner.obs() {
                     obs.record_latency(LatencyMetric::Kernel, worker, end - start);
                 }
                 true
@@ -416,7 +416,7 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
             inner
                 .interceptor
                 .after_execute(view, &inner.store, &inner.tracer, worker, executed);
-        if let Some(obs) = inner.obs_on() {
+        if let Some(obs) = inner.obs() {
             let finished = inner.tracer.now_ns();
             obs.record_latency(
                 LatencyMetric::TaskLatency,
@@ -460,11 +460,6 @@ impl Runtime {
         &self.inner.store
     }
 
-    /// The execution tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.inner.tracer
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.inner.workers
@@ -491,7 +486,7 @@ impl Runtime {
     pub fn register_task_type(&self, info: TaskTypeInfo) -> TaskTypeId {
         let mut registry = self.inner.registry.write();
         let id = TaskTypeId(u32::try_from(registry.len()).expect("too many task types"));
-        if let Some(obs) = self.inner.obs_on() {
+        if let Some(obs) = self.inner.obs() {
             obs.note_type_name(id.index() as u32, &info.name);
         }
         registry.push(Arc::new(info));
@@ -599,18 +594,7 @@ impl Runtime {
         if ready {
             self.inner.queue.push(id);
         }
-        let end = self.inner.tracer.now_ns();
-        // The master (submitting) thread owns the last stats shard and is
-        // traced as worker index `workers`.
-        let stats = self.inner.stats.shard(self.inner.workers);
-        stats.incr(&stats.submitted);
-        stats.add(&stats.creation_ns, end - start);
-        self.inner
-            .tracer
-            .record(self.inner.workers, ThreadState::TaskCreation, start, end);
-        if let Some(obs) = self.inner.obs_on() {
-            obs.record_latency(LatencyMetric::Submit, self.inner.workers, end - start);
-        }
+        self.inner.note_submitted(1, start);
         Ok(id)
     }
 
@@ -677,18 +661,7 @@ impl Runtime {
             .map(|(id, _)| *id)
             .collect();
         self.inner.queue.push_all(&ready);
-        let end = self.inner.tracer.now_ns();
-        // The master (submitting) thread owns the last stats shard and is
-        // traced as worker index `workers`.
-        let stats = self.inner.stats.shard(self.inner.workers);
-        stats.add(&stats.submitted, count);
-        stats.add(&stats.creation_ns, end - start);
-        self.inner
-            .tracer
-            .record(self.inner.workers, ThreadState::TaskCreation, start, end);
-        if let Some(obs) = self.inner.obs_on() {
-            obs.record_latency(LatencyMetric::Submit, self.inner.workers, end - start);
-        }
+        self.inner.note_submitted(count, start);
         Ok(submitted.into_iter().map(|(id, _)| id).collect())
     }
 
@@ -756,7 +729,7 @@ impl Runtime {
             Some((engine, store)) => (Some(engine), Some(store)),
             None => (None, None),
         };
-        let (latency, decisions) = match &self.inner.obs {
+        let (latency, decisions) = match self.inner.obs() {
             Some(obs) => (obs.metrics(), obs.decisions()),
             None => (MetricsSnapshot::empty(), DecisionSnapshot::default()),
         };
@@ -771,7 +744,7 @@ impl Runtime {
 
     /// The observability handle attached at build time, if any.
     pub fn observability(&self) -> Option<&Arc<Observability>> {
-        self.inner.obs.as_ref()
+        self.inner.tracer.observability()
     }
 
     /// Current depth of the ready queue (diagnostic).
@@ -1002,7 +975,11 @@ mod tests {
 
     #[test]
     fn stats_and_tracer_capture_execution() {
-        let rt = RuntimeBuilder::new().workers(1).tracing(true).build();
+        let obs = Arc::new(Observability::capture());
+        let rt = RuntimeBuilder::new()
+            .workers(1)
+            .observability(Arc::clone(&obs))
+            .build();
         let r = rt.store().register_zeros::<f32>("r", 128).unwrap();
         let tt = rt.register_task_type(
             TaskTypeBuilder::new("work", |ctx| {
@@ -1020,10 +997,10 @@ mod tests {
         assert_eq!(stats.submitted, 10);
         assert_eq!(stats.executed, 10);
         assert!(stats.kernel_ns > 0);
-        let summary = rt.tracer().summary();
+        let summary = crate::trace::TraceSummary::from_states(&obs.states());
         assert!(summary.state_ns(ThreadState::TaskExecution) > 0);
         assert!(summary.state_ns(ThreadState::TaskCreation) > 0);
-        assert!(!rt.tracer().ready_samples().is_empty());
+        assert!(!obs.ready_depth_samples().is_empty());
         rt.shutdown();
     }
 
@@ -1427,7 +1404,7 @@ mod tests {
 
     #[test]
     fn observe_unifies_stats_latency_spans_and_type_names() {
-        let obs = Arc::new(Observability::enabled());
+        let obs = Arc::new(Observability::capture());
         let rt = RuntimeBuilder::new()
             .workers(2)
             .observability(Arc::clone(&obs))
@@ -1487,29 +1464,6 @@ mod tests {
         assert_eq!(o.latency.get(LatencyMetric::TaskLatency).count, 0);
         assert_eq!(o.decisions.total(), 0);
         assert!(rt.observability().is_none());
-        rt.shutdown();
-    }
-
-    #[test]
-    fn disabled_observability_handle_records_nothing() {
-        let obs = Arc::new(Observability::disabled());
-        let rt = RuntimeBuilder::new()
-            .workers(1)
-            .observability(Arc::clone(&obs))
-            .build();
-        let r = rt.store().register_zeros::<f32>("r", 1).unwrap();
-        let tt = rt.register_task_type(
-            TaskTypeBuilder::new("t", |ctx| ctx.out(0, &[1.0f32]))
-                .out::<f32>()
-                .build(),
-        );
-        rt.task(tt).writes(&r).submit().unwrap();
-        rt.taskwait();
-        assert_eq!(
-            rt.observe().latency.get(LatencyMetric::TaskLatency).count,
-            0
-        );
-        assert!(obs.spans().is_empty());
         rt.shutdown();
     }
 

@@ -1,8 +1,9 @@
 //! Runtime-level execution statistics.
 //!
-//! These counters describe what the *runtime* did (tasks created, executed,
-//! bypassed, deferred); the ATM engine keeps its own finer-grained counters
-//! (hash hits per table, chosen `p`, training progress) in `atm-core`.
+//! The runtime's one always-on counter block: what the *runtime* did (tasks
+//! created, executed, bypassed, deferred). What the memoizer decided is
+//! counted once per task type by the engine in `atm-core`; both reach a
+//! caller together through [`crate::Runtime::observe`].
 //!
 //! The counters are **sharded per worker**: each worker writes only its own
 //! cache-padded shard (submitting threads share the last shard) with

@@ -1,14 +1,18 @@
-//! Execution tracing: per-thread state intervals and ready-queue sampling.
+//! The paper's thread-state vocabulary, and the clock.
 //!
 //! Figures 7 and 8 of the paper are Paraver execution traces: per-core time
 //! lines coloured by thread state (task execution, ATM hash-key computation,
 //! ATM memoization copies, task creation & scheduling, idle) and, for
-//! Figure 8, the number of ready tasks in the runtime over time. The
-//! [`Tracer`] collects exactly that information so the evaluation harness can
-//! print state breakdowns and ready-task time series.
+//! Figure 8, the number of ready tasks in the runtime over time.
+//! [`ThreadState`] names those states and [`TraceSummary`] aggregates them;
+//! the intervals themselves live in the run's [`Observability`] handle. The
+//! [`Tracer`] is what the scheduler hands every [`crate::TaskInterceptor`]
+//! call: the run's clock, plus a forwarder of state intervals and
+//! ready-depth samples to that handle.
 
-use atm_sync::Mutex;
-use std::time::{Duration, Instant};
+use atm_obs::{Observability, StateSpan};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Thread states distinguished by the tracer (the legend of Figures 7/8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,144 +55,60 @@ impl ThreadState {
     }
 }
 
-/// One recorded interval on a worker's time line.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Worker index (0 = master / submitting thread, 1.. = workers).
-    pub worker: usize,
-    /// The state the worker was in.
-    pub state: ThreadState,
-    /// Interval start, nanoseconds since the tracer was created.
-    pub start_ns: u64,
-    /// Interval end, nanoseconds since the tracer was created.
-    pub end_ns: u64,
-}
-
-impl TraceEvent {
-    /// Interval length.
-    pub fn duration(&self) -> Duration {
-        Duration::from_nanos(self.end_ns.saturating_sub(self.start_ns))
-    }
-}
-
-/// One sample of the ready-queue depth (Figure 8's "number of ready tasks").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadySample {
-    /// Nanoseconds since the tracer was created.
-    pub at_ns: u64,
-    /// Number of tasks in the ready queue after the event.
-    pub depth: usize,
-}
-
-/// Number of per-worker event-buffer shards (events shard by
-/// `worker % EVENT_SHARDS`, so concurrent workers record without contending
-/// on one lock).
-const EVENT_SHARDS: usize = 16;
-
-/// Collects trace events and ready-queue samples.
+/// The run's clock and the forwarder of thread-state intervals and
+/// ready-queue depth samples to the attached [`Observability`] handle.
 ///
-/// The tracer can be disabled (the default for performance runs); in that
-/// case recording is a cheap no-op so the instrumentation does not distort
-/// the speedup measurements. When enabled, events are buffered in
-/// per-worker shards and merged (sorted by start time) on read, so even a
-/// traced run keeps workers off a shared lock on the hot path.
+/// The clock always runs (the layers' always-on counters time kernels,
+/// hashing and copies with it). With a handle attached it *is* the handle's
+/// clock, so everything the runtime, the engine and the store stamp lands
+/// on one timeline; without one, recording is a no-op.
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: bool,
     origin: Instant,
-    events: Vec<Mutex<Vec<TraceEvent>>>,
-    /// Sharded like `events`: ready-depth sampling happens on scheduler
-    /// push/pop, a traced hot path that must not funnel every worker
-    /// through one lock.
-    ready_samples: Vec<Mutex<Vec<ReadySample>>>,
+    obs: Option<Arc<Observability>>,
 }
 
 impl Tracer {
-    /// Creates a tracer; `enabled = false` turns all recording into no-ops.
-    pub fn new(enabled: bool) -> Self {
+    /// Creates a tracer forwarding to `obs` (and sharing its clock), or a
+    /// bare clock when `None`.
+    pub fn new(obs: Option<Arc<Observability>>) -> Self {
         Tracer {
-            enabled,
-            origin: Instant::now(),
-            events: (0..EVENT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
-            ready_samples: (0..EVENT_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            origin: obs.as_ref().map_or_else(Instant::now, |o| o.origin()),
+            obs,
         }
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// The attached observability handle, if any.
+    pub fn observability(&self) -> Option<&Arc<Observability>> {
+        self.obs.as_ref()
     }
 
-    /// Nanoseconds elapsed since the tracer was created.
+    /// Nanoseconds elapsed on the run's clock.
     pub fn now_ns(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Records an interval in `state` on `worker`'s time line.
+    /// Records an interval in `state` on `worker`'s time line. Empty and
+    /// backwards intervals are dropped.
     pub fn record(&self, worker: usize, state: ThreadState, start_ns: u64, end_ns: u64) {
-        if !self.enabled || end_ns <= start_ns {
+        if end_ns <= start_ns {
             return;
         }
-        self.events[worker % EVENT_SHARDS].lock().push(TraceEvent {
-            worker,
-            state,
-            start_ns,
-            end_ns,
-        });
-    }
-
-    /// Times `f` and records it as one interval of `state`.
-    pub fn scope<R>(&self, worker: usize, state: ThreadState, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
-            return f();
-        }
-        let start = self.now_ns();
-        let result = f();
-        let end = self.now_ns();
-        self.record(worker, state, start, end);
-        result
-    }
-
-    /// Records the current ready-queue depth on `worker`'s sample shard.
-    pub fn sample_ready_depth(&self, worker: usize, depth: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.ready_samples[worker % EVENT_SHARDS]
-            .lock()
-            .push(ReadySample {
-                at_ns: self.now_ns(),
-                depth,
+        if let Some(obs) = &self.obs {
+            obs.record_state(StateSpan {
+                worker,
+                state: state.label(),
+                start_ns,
+                end_ns,
             });
+        }
     }
 
-    /// All recorded events, merged across the per-worker shards and sorted
-    /// into one timeline (by start time, then worker).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut merged: Vec<TraceEvent> = self
-            .events
-            .iter()
-            .flat_map(|shard| shard.lock().clone())
-            .collect();
-        merged.sort_by_key(|ev| (ev.start_ns, ev.worker));
-        merged
-    }
-
-    /// All recorded ready-queue samples, merged across the shards and
-    /// sorted by sample time.
-    pub fn ready_samples(&self) -> Vec<ReadySample> {
-        let mut merged: Vec<ReadySample> = self
-            .ready_samples
-            .iter()
-            .flat_map(|shard| shard.lock().clone())
-            .collect();
-        merged.sort_by_key(|s| s.at_ns);
-        merged
-    }
-
-    /// Aggregates the total time per (worker, state).
-    pub fn summary(&self) -> TraceSummary {
-        TraceSummary::from_events(&self.events())
+    /// Records the current ready-queue depth, seen from `worker`.
+    pub fn sample_ready_depth(&self, worker: usize, depth: usize) {
+        if let Some(obs) = &self.obs {
+            obs.sample_ready_depth(worker, depth as u64);
+        }
     }
 }
 
@@ -204,17 +124,18 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    fn from_events(events: &[TraceEvent]) -> Self {
+    /// Aggregates recorded state intervals ([`Observability::states`]).
+    /// Intervals whose label is not a [`ThreadState`] are ignored.
+    pub fn from_states(events: &[StateSpan]) -> Self {
         let mut per_state: Vec<(ThreadState, u64)> =
             ThreadState::ALL.iter().map(|&s| (s, 0u64)).collect();
         let mut min_start = u64::MAX;
         let mut max_end = 0u64;
         let mut workers = std::collections::BTreeSet::new();
         for ev in events {
-            let slot = per_state
-                .iter_mut()
-                .find(|(s, _)| *s == ev.state)
-                .expect("state table covers all states");
+            let Some(slot) = per_state.iter_mut().find(|(s, _)| s.label() == ev.state) else {
+                continue;
+            };
             slot.1 += ev.end_ns - ev.start_ns;
             min_start = min_start.min(ev.start_ns);
             max_end = max_end.max(ev.end_ns);
@@ -223,11 +144,7 @@ impl TraceSummary {
         TraceSummary {
             per_state_ns: per_state,
             workers: workers.len(),
-            span_ns: if events.is_empty() {
-                0
-            } else {
-                max_end - min_start
-            },
+            span_ns: max_end.saturating_sub(min_start),
         }
     }
 
@@ -253,25 +170,52 @@ impl TraceSummary {
 mod tests {
     use super::*;
 
+    fn capturing() -> (Arc<Observability>, Tracer) {
+        let obs = Arc::new(Observability::capture());
+        let tracer = Tracer::new(Some(Arc::clone(&obs)));
+        (obs, tracer)
+    }
+
+    fn summary(obs: &Observability) -> TraceSummary {
+        TraceSummary::from_states(&obs.states())
+    }
+
     #[test]
     fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::new(false);
+        // No handle: a bare clock.
+        let tracer = Tracer::new(None);
         tracer.record(0, ThreadState::TaskExecution, 0, 100);
         tracer.sample_ready_depth(0, 5);
-        let value = tracer.scope(0, ThreadState::Memoization, || 42);
-        assert_eq!(value, 42);
-        assert!(tracer.events().is_empty());
-        assert!(tracer.ready_samples().is_empty());
+        assert!(tracer.observability().is_none());
+        // A bounded handle keeps histograms and decisions, not intervals.
+        let obs = Arc::new(Observability::enabled());
+        let tracer = Tracer::new(Some(Arc::clone(&obs)));
+        tracer.record(0, ThreadState::TaskExecution, 0, 100);
+        tracer.sample_ready_depth(0, 5);
+        assert!(obs.states().is_empty());
+        assert!(obs.ready_depth_samples().is_empty());
+    }
+
+    #[test]
+    fn tracer_reads_the_handles_clock() {
+        let obs = Arc::new(Observability::capture());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let tracer = Tracer::new(Some(Arc::clone(&obs)));
+        let (before, now, after) = (obs.now_ns(), tracer.now_ns(), obs.now_ns());
+        assert!(
+            before <= now && now <= after,
+            "{before} <= {now} <= {after}"
+        );
     }
 
     #[test]
     fn record_and_summarise() {
-        let tracer = Tracer::new(true);
+        let (obs, tracer) = capturing();
         tracer.record(0, ThreadState::TaskExecution, 0, 100);
         tracer.record(1, ThreadState::TaskExecution, 50, 150);
         tracer.record(1, ThreadState::HashKeyComputation, 150, 170);
         tracer.record(0, ThreadState::Idle, 100, 130);
-        let summary = tracer.summary();
+        let summary = summary(&obs);
         assert_eq!(summary.state_ns(ThreadState::TaskExecution), 200);
         assert_eq!(summary.state_ns(ThreadState::HashKeyComputation), 20);
         assert_eq!(summary.state_ns(ThreadState::Idle), 30);
@@ -282,56 +226,41 @@ mod tests {
 
     #[test]
     fn zero_length_intervals_are_dropped() {
-        let tracer = Tracer::new(true);
+        let (obs, tracer) = capturing();
         tracer.record(0, ThreadState::Other, 10, 10);
         tracer.record(0, ThreadState::Other, 10, 5);
-        assert!(tracer.events().is_empty());
-    }
-
-    #[test]
-    fn scope_measures_and_returns() {
-        let tracer = Tracer::new(true);
-        let out = tracer.scope(3, ThreadState::Memoization, || {
-            std::thread::sleep(Duration::from_millis(2));
-            "done"
-        });
-        assert_eq!(out, "done");
-        let events = tracer.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].worker, 3);
-        assert_eq!(events[0].state, ThreadState::Memoization);
-        assert!(events[0].duration() >= Duration::from_millis(1));
+        assert!(obs.states().is_empty());
     }
 
     #[test]
     fn ready_samples_are_ordered_by_time() {
-        let tracer = Tracer::new(true);
+        let (obs, tracer) = capturing();
         for (i, depth) in [1usize, 2, 3, 2, 1, 0].into_iter().enumerate() {
             // Rotate across workers so samples land on different shards,
             // proving the merge re-establishes one timeline.
             tracer.sample_ready_depth(i % 4, depth);
         }
-        let samples = tracer.ready_samples();
+        let samples = obs.ready_depth_samples();
         assert_eq!(samples.len(), 6);
-        assert!(samples.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
-        assert_eq!(samples.last().unwrap().depth, 0);
+        assert!(samples.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+        assert_eq!(samples.last().unwrap().value, 0);
     }
 
     #[test]
     fn workers_counts_distinct_recorders_not_max_index() {
         // Regression: only worker 3 records — `workers` used to report 4
         // (`max_worker + 1`), counting three workers that never recorded.
-        let tracer = Tracer::new(true);
+        let (obs, tracer) = capturing();
         tracer.record(3, ThreadState::TaskExecution, 0, 100);
-        assert_eq!(tracer.summary().workers, 1);
+        assert_eq!(summary(&obs).workers, 1);
         // Sparse sets count their actual size, not their span.
         tracer.record(7, ThreadState::Idle, 100, 120);
-        assert_eq!(tracer.summary().workers, 2);
+        assert_eq!(summary(&obs).workers, 2);
     }
 
     #[test]
     fn empty_summary_is_all_zero() {
-        let summary = Tracer::new(true).summary();
+        let summary = TraceSummary::from_states(&[]);
         assert_eq!(summary.workers, 0);
         assert_eq!(summary.span_ns, 0);
         assert_eq!(summary.state_fraction(ThreadState::TaskExecution), 0.0);

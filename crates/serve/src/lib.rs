@@ -270,7 +270,7 @@ struct RequestTracker {
     done: Event,
     shared: Arc<Shared>,
     session: Arc<SessionState>,
-    obs: Arc<Observability>,
+    obs: Option<Arc<Observability>>,
 }
 
 impl TaskNotify for RequestTracker {
@@ -280,9 +280,8 @@ impl TaskNotify for RequestTracker {
         }
         let elapsed = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.latency_ns.store(elapsed, Ordering::SeqCst);
-        if self.obs.is_enabled() {
-            self.obs
-                .record_latency(LatencyMetric::Request, worker, elapsed);
+        if let Some(obs) = &self.obs {
+            obs.record_latency(LatencyMetric::Request, worker, elapsed);
         }
         self.session.open_requests.fetch_sub(1, Ordering::SeqCst);
         self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -333,34 +332,34 @@ impl Request {
 pub struct ServeEngine {
     runtime: Runtime,
     engine: Option<Arc<AtmEngine>>,
-    obs: Arc<Observability>,
     shared: Arc<Shared>,
     next_session: AtomicU64,
 }
 
 impl ServeEngine {
-    /// Builds the service: runtime, optional memoization engine and the
-    /// shared observability handle, wired together.
+    /// Builds the service: runtime, optional memoization engine and — when
+    /// metrics are recorded — the observability handle they share. The
+    /// handle is the bounded kind ([`Observability::enabled`]): histograms
+    /// and decision rings, nothing that grows with uptime.
     pub fn new(config: ServeConfig) -> Self {
-        let obs = Arc::new(if config.record_metrics {
-            Observability::enabled()
-        } else {
-            Observability::disabled()
-        });
+        let obs = config
+            .record_metrics
+            .then(|| Arc::new(Observability::enabled()));
         let mut builder = RuntimeBuilder::new()
             .workers(config.workers)
-            .max_live_tasks(config.max_live_tasks)
-            .observability(Arc::clone(&obs));
-        let engine = config
-            .atm
-            .map(|atm| Arc::new(AtmEngine::new(atm).with_observability(Arc::clone(&obs))));
+            .max_live_tasks(config.max_live_tasks);
+        let mut engine = config.atm.map(AtmEngine::new);
+        if let Some(obs) = &obs {
+            builder = builder.observability(Arc::clone(obs));
+            engine = engine.map(|engine| engine.with_observability(Arc::clone(obs)));
+        }
+        let engine = engine.map(Arc::new);
         if let Some(engine) = &engine {
             builder = builder.interceptor(Arc::clone(engine) as Arc<_>);
         }
         ServeEngine {
             runtime: builder.build(),
             engine,
-            obs,
             shared: Arc::new(Shared {
                 accepting: AtomicBool::new(true),
                 inflight: AtomicUsize::new(0),
@@ -373,7 +372,7 @@ impl ServeEngine {
         }
     }
 
-    /// The underlying runtime (regions, stats, tracer).
+    /// The underlying runtime (regions, stats, the observability handle).
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
     }
@@ -381,12 +380,6 @@ impl ServeEngine {
     /// The installed memoization engine, when one was configured.
     pub fn engine(&self) -> Option<&Arc<AtmEngine>> {
         self.engine.as_ref()
-    }
-
-    /// The shared observability handle ([`LatencyMetric::Request`] carries
-    /// the request-latency histogram).
-    pub fn observability(&self) -> &Arc<Observability> {
-        &self.obs
     }
 
     /// Registers a task type shared by all sessions — the service's fixed
@@ -629,7 +622,7 @@ impl RequestBuilder<'_, '_> {
             done: Event::new(),
             shared: Arc::clone(shared),
             session: Arc::clone(&self.session.state),
-            obs: Arc::clone(&serve.obs),
+            obs: serve.runtime.observability().cloned(),
         });
         let descs: Vec<TaskDesc> = self
             .staged

@@ -62,7 +62,6 @@ use atm_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use atm_sync::{thread_ordinal, Mutex};
 use std::ptr;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The lookup key of a memo entry.
 ///
@@ -364,27 +363,9 @@ impl InsertOutcome {
     }
 }
 
-/// Point-in-time copy of the store counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreCountersSnapshot {
-    /// Successful lookups.
-    pub hits: u64,
-    /// Failed lookups.
-    pub misses: u64,
-    /// Entries stored (including replacements).
-    pub insertions: u64,
-    /// Entries evicted (ways cap or byte budget).
-    pub evictions: u64,
-    /// Entries refused by admission control.
-    pub rejected_admissions: u64,
-    /// Estimated kernel nanoseconds saved by hits that actually replaced an
-    /// execution (reported via [`MemoStore::note_saved`]).
-    pub saved_ns: u64,
-    /// Bytes currently charged against the budget.
-    pub resident_bytes: usize,
-    /// Entries currently resident.
-    pub entries: usize,
-}
+/// Point-in-time copy of the store counters: the cross-layer
+/// [`atm_obs::StoreObservation`] under the name this crate has always used.
+pub use atm_obs::StoreObservation as StoreCountersSnapshot;
 
 /// How many non-empty buckets a budget eviction samples before asking the
 /// policy for a victim. Sampling (rather than scanning every bucket) keeps
@@ -429,11 +410,9 @@ pub struct MemoStore {
     reader_stats: Box<[ReaderShard]>,
     hazards: HazardRegistry,
     /// Observability handle (attached post-construction, see
-    /// [`MemoStore::set_observability`]). Store-side decision events are
-    /// stamped on `obs_origin`'s clock — monotonic, but not aligned with
-    /// any runtime tracer timeline.
+    /// [`MemoStore::set_observability`]); store-side events are stamped on
+    /// its clock, the same one the runtime and the engine stamp on.
     obs: Option<Arc<Observability>>,
-    obs_origin: Instant,
 }
 
 impl MemoStore {
@@ -468,36 +447,24 @@ impl MemoStore {
             reader_stats: (0..READER_SHARDS).map(|_| ReaderShard::default()).collect(),
             hazards: HazardRegistry::new(),
             obs: None,
-            obs_origin: Instant::now(),
         }
     }
 
     /// Attaches an observability handle: insert/evict latencies land in its
-    /// histograms and admission-denied/eviction decisions in its decision
-    /// stream (sharded by bucket index, since the store does not know which
-    /// worker is calling).
+    /// histograms, admission-denied/eviction decisions in its decision
+    /// stream and (capture handles) the byte occupancy after each insert in
+    /// its store-bytes track — all sharded by bucket index, since the store
+    /// does not know which worker is calling.
     pub fn set_observability(&mut self, obs: Arc<Observability>) {
         self.obs = Some(obs);
     }
 
-    /// The attached handle, but only when it records.
-    #[inline]
-    fn obs_on(&self) -> Option<&Observability> {
-        match &self.obs {
-            Some(obs) if obs.is_enabled() => Some(obs),
-            _ => None,
-        }
-    }
-
-    /// Event timestamp on the store's own monotonic clock.
-    fn obs_ns(&self) -> u64 {
-        u64::try_from(self.obs_origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn record_eviction(
-        &self,
+    /// Records a store-side decision (admission denial, eviction) about the
+    /// `bytes`-sized entry `key` produced by `producer`.
+    fn record_decision(
         obs: &Observability,
         shard: usize,
+        decision: MemoDecision,
         key: &EntryKey,
         producer: TaskId,
         bytes: usize,
@@ -507,11 +474,12 @@ impl MemoStore {
             DecisionRecord {
                 task_type: key.task_type.index() as u32,
                 task_id: producer.raw(),
-                decision: MemoDecision::Eviction,
+                decision,
                 metric_value: bytes as f64,
                 tau: 0.0,
                 p: f64::from_bits(key.p_bits),
-                t_ns: self.obs_ns(),
+                producer: None,
+                t_ns: obs.now_ns(),
             },
         );
     }
@@ -684,8 +652,8 @@ impl MemoStore {
         outputs: Arc<Vec<OutputSnapshot>>,
         benefit_ns: u64,
     ) -> InsertOutcome {
-        let observing = self.obs_on().is_some();
-        let insert_start = observing.then(Instant::now);
+        let obs = self.obs.as_deref();
+        let insert_start = obs.map(Observability::now_ns);
         let shard = self.bucket_of(&key);
         let bucket = &self.buckets[shard];
         let charged = entry_charge_bytes(&outputs);
@@ -696,23 +664,10 @@ impl MemoStore {
                     .stats
                     .rejected_admissions
                     .fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = self.obs_on() {
-                    obs.record_decision(
-                        shard,
-                        DecisionRecord {
-                            task_type: key.task_type.index() as u32,
-                            task_id: producer.raw(),
-                            decision: MemoDecision::AdmissionDenied,
-                            metric_value: charged as f64,
-                            tau: 0.0,
-                            p: f64::from_bits(key.p_bits),
-                            t_ns: self.obs_ns(),
-                        },
-                    );
-                    if let Some(start) = insert_start {
-                        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        obs.record_latency(LatencyMetric::StoreInsert, shard, ns);
-                    }
+                if let (Some(obs), Some(start)) = (obs, insert_start) {
+                    let denied = MemoDecision::AdmissionDenied;
+                    Self::record_decision(obs, shard, denied, &key, producer, charged);
+                    obs.record_latency(LatencyMetric::StoreInsert, shard, obs.now_ns() - start);
                 }
                 return InsertOutcome::Rejected;
             }
@@ -776,7 +731,7 @@ impl MemoStore {
                 // strong count comes straight back.
                 freed += charged;
                 self_evicted = true;
-                if observing {
+                if obs.is_some() {
                     evicted_entries.push((key, producer, charged));
                 }
                 // SAFETY: `new_ptr` came from `Arc::into_raw` above and was
@@ -786,7 +741,7 @@ impl MemoStore {
                 let slot = &slots[order[victim]];
                 let vbytes = slot.charged_bytes.load(Ordering::Relaxed) as usize;
                 freed += vbytes;
-                if observing {
+                if obs.is_some() {
                     evicted_entries.push((
                         slot.key(),
                         TaskId::from_raw(slot.producer.load(Ordering::Relaxed)),
@@ -810,14 +765,13 @@ impl MemoStore {
         // their charges are already in the counter.
         self.resident_bytes.0.fetch_sub(freed, Ordering::Relaxed);
         self.enforce_budget();
-        if let Some(obs) = self.obs_on() {
+        if let (Some(obs), Some(start)) = (obs, insert_start) {
             for (ekey, eproducer, ebytes) in &evicted_entries {
-                self.record_eviction(obs, shard, ekey, *eproducer, *ebytes);
+                let evicted = MemoDecision::Eviction;
+                Self::record_decision(obs, shard, evicted, ekey, *eproducer, *ebytes);
             }
-            if let Some(start) = insert_start {
-                let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                obs.record_latency(LatencyMetric::StoreInsert, shard, ns);
-            }
+            obs.sample_store_bytes(shard, self.memory_bytes() as u64);
+            obs.record_latency(LatencyMetric::StoreInsert, shard, obs.now_ns() - start);
         }
         if replaced {
             InsertOutcome::Replaced
@@ -842,12 +796,11 @@ impl MemoStore {
         // but not yet published).
         let mut fruitless = 0;
         while self.resident_bytes.0.load(Ordering::Relaxed) > budget && fruitless < 8 {
-            let round_start = self.obs_on().map(|_| Instant::now());
+            let round_start = self.obs.as_deref().map(Observability::now_ns);
             if self.evict_round(budget) {
                 fruitless = 0;
-                if let (Some(obs), Some(start)) = (self.obs_on(), round_start) {
-                    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    obs.record_latency(LatencyMetric::StoreEvict, 0, ns);
+                if let (Some(obs), Some(start)) = (self.obs.as_deref(), round_start) {
+                    obs.record_latency(LatencyMetric::StoreEvict, 0, obs.now_ns() - start);
                 }
             } else {
                 fruitless += 1;
@@ -911,8 +864,8 @@ impl MemoStore {
                 drop(writer);
                 self.resident_bytes.0.fetch_sub(bytes, Ordering::Relaxed);
                 evicted_any = true;
-                if let Some(obs) = self.obs_on() {
-                    self.record_eviction(obs, b, &key, producer, bytes);
+                if let Some(obs) = &self.obs {
+                    Self::record_decision(obs, b, MemoDecision::Eviction, &key, producer, bytes);
                 }
             }
         }
@@ -953,14 +906,14 @@ impl MemoStore {
     /// workspace reads them — are exact in all fields.
     pub fn counters(&self) -> StoreCountersSnapshot {
         let mut snap = StoreCountersSnapshot {
-            resident_bytes: self.resident_bytes.0.load(Ordering::Relaxed),
+            resident_bytes: self.memory_bytes() as u64,
             ..Default::default()
         };
         for bucket in &self.buckets {
             snap.insertions += bucket.stats.insertions.load(Ordering::Relaxed);
             snap.evictions += bucket.stats.evictions.load(Ordering::Relaxed);
             snap.rejected_admissions += bucket.stats.rejected_admissions.load(Ordering::Relaxed);
-            snap.entries += bucket.stats.entries.load(Ordering::Relaxed) as usize;
+            snap.entries += bucket.stats.entries.load(Ordering::Relaxed);
         }
         for shard in self.reader_stats.iter() {
             snap.hits += shard.hits.load(Ordering::Relaxed);
@@ -1114,7 +1067,7 @@ mod tests {
         );
         let counters = store.counters();
         assert!(counters.evictions > 0, "the budget must have evicted");
-        assert_eq!(counters.entries, store.len());
+        assert_eq!(counters.entries, store.len() as u64);
     }
 
     #[test]
@@ -1316,16 +1269,45 @@ mod tests {
         let outcome = capped.insert(key(3), producer(7), snapshot(&[3.0; 64]), 0);
         assert_eq!(outcome, InsertOutcome::Rejected);
         assert_eq!(obs.decisions().count(0, MemoDecision::AdmissionDenied), 1);
+        // A bounded handle keeps no per-insert byte samples.
+        assert!(obs.store_bytes_samples().is_empty());
     }
 
+    /// The store's events land on the handle's timeline, not on a clock of
+    /// the store's own: a store built (well) before the handle still stamps
+    /// its budget evictions and byte samples between two readings of the
+    /// handle's clock taken around the insert.
     #[test]
-    fn disabled_observability_leaves_the_store_silent() {
-        let obs = Arc::new(Observability::disabled());
-        let mut store = MemoStore::new(one_bucket(PolicyKind::Fifo, 1));
+    fn store_events_are_stamped_on_the_handles_clock() {
+        let entry = entry_charge_bytes(&snapshot(&[0.0; 64]));
+        let mut store = MemoStore::new(StoreConfig {
+            byte_budget: Some(2 * entry),
+            ..one_bucket(PolicyKind::Fifo, 8)
+        });
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let obs = Arc::new(Observability::capture());
         store.set_observability(Arc::clone(&obs));
-        store.insert(key(1), producer(0), snapshot(&[1.0; 8]), 0);
-        store.insert(key(2), producer(1), snapshot(&[2.0; 8]), 0);
-        assert_eq!(obs.decisions().total(), 0);
-        assert_eq!(obs.metrics().get(LatencyMetric::StoreInsert).count, 0);
+        store.insert(key(1), producer(1), snapshot(&[1.0; 64]), 0);
+        store.insert(key(2), producer(2), snapshot(&[2.0; 64]), 0);
+
+        let before = obs.now_ns();
+        store.insert(key(3), producer(3), snapshot(&[3.0; 64]), 0);
+        let after = obs.now_ns();
+
+        let decisions = obs.decisions();
+        assert_eq!(decisions.count(0, MemoDecision::Eviction), 1);
+        let eviction = decisions.records.last().unwrap();
+        assert_eq!(eviction.decision, MemoDecision::Eviction);
+        assert!(
+            (before..=after).contains(&eviction.t_ns),
+            "eviction at {} outside [{before}, {after}]",
+            eviction.t_ns
+        );
+        let samples = obs.store_bytes_samples();
+        assert_eq!(samples.len(), 3, "one byte sample per insert");
+        let last = samples.last().unwrap();
+        assert!((before..=after).contains(&last.t_ns));
+        assert_eq!(last.value, store.memory_bytes() as u64);
+        assert!(last.value <= 2 * entry as u64);
     }
 }

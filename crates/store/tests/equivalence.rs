@@ -230,7 +230,11 @@ fn run_program(config: StoreConfig, seed: u64) {
         counters.evictions, reference.evictions,
         "evictions (seed {seed})"
     );
-    assert_eq!(counters.entries, reference.len(), "entries (seed {seed})");
+    assert_eq!(
+        counters.entries,
+        reference.len() as u64,
+        "entries (seed {seed})"
+    );
 
     // …export view, in the old store's bucket-then-queue order…
     let exported = store.export();

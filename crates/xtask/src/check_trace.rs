@@ -6,7 +6,10 @@
 //! `pid` / `tid` keys (with `ts` on every non-metadata event), and the
 //! timestamps of each `(pid, tid)` track must be non-decreasing in file
 //! order — the contract `ChromeTraceBuilder` documents and Perfetto's
-//! importer relies on. Like `lint-sync`, the validator is deliberately
+//! importer relies on. Every layer stamps on the one clock of the run's
+//! observability handle, so the counter tracks (ready depth, store bytes)
+//! must also fall inside the time span the interval tracks cover: a sample
+//! outside it was stamped on some other clock. Like `lint-sync`, the validator is deliberately
 //! dependency-free: a ~100-line recursive-descent JSON parser is all the
 //! format needs.
 
@@ -255,6 +258,10 @@ pub fn check_trace(text: &str) -> Result<String, String> {
     let mut timed = 0usize;
     let mut counters = 0usize;
     let mut complete = 0usize;
+    // Span covered by the complete events, and the counter samples to hold
+    // against it.
+    let (mut span_start, mut span_end) = (f64::INFINITY, f64::NEG_INFINITY);
+    let mut counter_ts: Vec<(usize, f64)> = Vec::new();
     for (index, event) in events.iter().enumerate() {
         let at = |key: &str| -> Result<&Json, String> {
             event
@@ -273,21 +280,28 @@ pub fn check_trace(text: &str) -> Result<String, String> {
             .as_num()
             .ok_or_else(|| format!("event {index}: \"tid\" must be a number"))?
             as u64;
-        match ph.as_str() {
-            // Metadata events carry no timestamp.
-            "M" => continue,
-            "X" => {
-                complete += 1;
-                at("dur")?
-                    .as_num()
-                    .ok_or_else(|| format!("event {index}: \"dur\" must be a number"))?;
-            }
-            "C" => counters += 1,
-            other => return Err(format!("event {index}: unsupported ph {other:?}")),
+        // Metadata events carry no timestamp.
+        if ph == "M" {
+            continue;
         }
         let ts = at("ts")?
             .as_num()
             .ok_or_else(|| format!("event {index}: \"ts\" must be a number"))?;
+        match ph.as_str() {
+            "X" => {
+                complete += 1;
+                let dur = at("dur")?
+                    .as_num()
+                    .ok_or_else(|| format!("event {index}: \"dur\" must be a number"))?;
+                span_start = span_start.min(ts);
+                span_end = span_end.max(ts + dur);
+            }
+            "C" => {
+                counters += 1;
+                counter_ts.push((index, ts));
+            }
+            other => return Err(format!("event {index}: unsupported ph {other:?}")),
+        }
         timed += 1;
         if let Some(&previous) = last_ts.get(&(pid, tid)) {
             if ts < previous {
@@ -305,9 +319,20 @@ pub fn check_trace(text: &str) -> Result<String, String> {
     if counters == 0 {
         return Err("trace has no counter (ph \"C\") events".into());
     }
+    // Timestamps are microseconds printed to the nanosecond; half a
+    // nanosecond absorbs the `ts + dur` rounding.
+    const SLACK_US: f64 = 0.0005;
+    for (index, ts) in counter_ts {
+        if ts < span_start - SLACK_US || ts > span_end + SLACK_US {
+            return Err(format!(
+                "event {index}: counter sample at ts {ts} lies outside the span \
+                 [{span_start}, {span_end}] of the interval tracks (stamped on another clock?)"
+            ));
+        }
+    }
     Ok(format!(
         "{} events ({complete} spans, {counters} counter samples, {timed} timed) \
-         across {} tracks, timestamps monotonic per track",
+         across {} tracks, timestamps monotonic per track, counters inside the span",
         events.len(),
         last_ts.len()
     ))
@@ -370,6 +395,11 @@ mod tests {
             .contains("goes backwards"));
         // ts fine when tracks interleave.
         assert!(check_trace(&valid_trace()).is_ok());
+        // A counter sample beyond the last interval: another clock's stamp.
+        let misaligned = valid_trace().replace("\"ts\":2.500", "\"ts\":5000.000");
+        assert!(check_trace(&misaligned)
+            .unwrap_err()
+            .contains("outside the span"));
     }
 
     #[test]

@@ -29,7 +29,10 @@ fn wait_for(what: &str, timeout: Duration, condition: impl Fn() -> bool) {
 fn one_execution_plus_n_postponed_copy_outs() {
     const WAITERS: usize = 3;
 
-    let engine = AtmEngine::shared(AtmConfig::static_atm());
+    // The engine's handle carries the reuse provenance checked below.
+    let obs = Arc::new(atm_obs::Observability::enabled());
+    let engine =
+        Arc::new(AtmEngine::new(AtmConfig::static_atm()).with_observability(Arc::clone(&obs)));
     let rt = RuntimeBuilder::new()
         .workers(1 + WAITERS)
         .interceptor(engine.clone())
@@ -74,7 +77,7 @@ fn one_execution_plus_n_postponed_copy_outs() {
 
     // Producer first; wait until its kernel is actually running (its key is
     // registered in the IKT before the kernel starts).
-    rt.task(tt).reads(&input).writes(&outs[0]).submit().unwrap();
+    let producer = rt.task(tt).reads(&input).writes(&outs[0]).submit().unwrap();
     wait_for(
         "the producer to enter its kernel",
         Duration::from_secs(10),
@@ -112,11 +115,11 @@ fn one_execution_plus_n_postponed_copy_outs() {
         assert_eq!(rt.store().read(*out).lock().as_f64(), &[3.0, 5.0, 7.0, 9.0]);
     }
 
-    // The reuse provenance records one event per postponed copy-out, all
-    // attributed to the producer task.
-    let events = engine.reuse_events();
+    // The decision stream carries one provenance record per postponed
+    // copy-out, all attributed to the producer task, none from the THT.
+    let events = atm_suite::atm::ReuseEvent::from_decisions(&obs.decisions());
     assert_eq!(events.len(), WAITERS);
-    assert!(events.iter().all(|e| !e.from_tht));
+    assert!(events.iter().all(|e| !e.from_tht && e.producer == producer));
 
     // A latecomer with the same key now hits the THT instead of the IKT.
     let late = rt.store().register_zeros::<f64>("late", 4).unwrap();
