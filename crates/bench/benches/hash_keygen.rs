@@ -58,7 +58,70 @@ fn keygen_vs_input_size() {
     }
 }
 
+/// The three key shapes at the stencils' task shape — a 128 × 128 `f32`
+/// block and its four 128-element halos, 66 KiB — with the regions left
+/// alone between keys (*clean*: exact arguments are served from their
+/// digest slots) and opened for writing before every key (*dirty*: every
+/// exact argument is re-hashed, as in a sweep that rewrites its inputs).
+/// A regression in one shape shows here without a benchmark pass.
+fn key_path_shapes() {
+    let store = DataStore::new();
+    let block = store
+        .register_typed(
+            "block",
+            (0..128 * 128).map(|i| i as f32).collect::<Vec<f32>>(),
+        )
+        .unwrap();
+    let halos: Vec<_> = (0..4)
+        .map(|h| {
+            let halo = (0..128).map(|i| (h * 128 + i) as f32).collect::<Vec<f32>>();
+            store.register_typed(format!("halo{h}"), halo).unwrap()
+        })
+        .collect();
+    let mut accesses = vec![Access::read(&block)];
+    accesses.extend(halos.iter().map(Access::read));
+    let total_bytes = (128 * 128 + 4 * 128) * 4;
+    let keygen = KeyGenerator::new(11, true);
+    let half = Percentage::from_fraction(0.5);
+
+    let shapes: [(&str, Vec<Percentage>); 5] = [
+        ("full p=100%", vec![Percentage::FULL; 5]),
+        ("sampled p=50%", vec![half; 5]),
+        ("sampled p=2^-15", vec![Percentage::MIN; 5]),
+        // The block sampled, the halos pinned exact (`MemoSpec::arg_exact`).
+        ("mixed p=50%", {
+            let mut v = vec![Percentage::FULL; 5];
+            v[0] = half;
+            v
+        }),
+        ("mixed p=2^-15", {
+            let mut v = vec![Percentage::FULL; 5];
+            v[0] = Percentage::MIN;
+            v
+        }),
+    ];
+    for (label, precisions) in &shapes {
+        for dirty in [false, true] {
+            let state = if dirty { "dirty" } else { "clean" };
+            let mut selected = 0;
+            let result = bench("key_path_66KiB", &format!("{label} {state}"), || {
+                if dirty {
+                    for access in &accesses {
+                        drop(store.write(access.region).lock());
+                    }
+                }
+                selected = keygen.compute(&store, &accesses, precisions).selected_bytes;
+            });
+            println!(
+                "  -> {:.3} ns per selected byte ({selected} of {total_bytes})",
+                result.median_ns / selected as f64
+            );
+        }
+    }
+}
+
 fn main() {
     keygen_vs_percentage();
     keygen_vs_input_size();
+    key_path_shapes();
 }

@@ -354,6 +354,10 @@ pub struct AtmEngine {
     obs: Option<Arc<Observability>>,
     /// Per-worker key-computation scratch (see [`ScratchSlot`]).
     key_scratch: Box<[ScratchSlot]>,
+    /// Debug-build odometer of allocation events on the engine's own part of
+    /// `before_execute` (see [`AtmEngine::alloc_events`]).
+    #[cfg(debug_assertions)]
+    alloc_events: AtomicU64,
 }
 
 impl AtmEngine {
@@ -369,6 +373,45 @@ impl AtmEngine {
             key_scratch: (0..KEY_SCRATCH_SLOTS)
                 .map(|_| ScratchSlot::default())
                 .collect(),
+            #[cfg(debug_assertions)]
+            alloc_events: AtomicU64::new(0),
+        }
+    }
+
+    /// Allocation events recorded on `before_execute` (debug builds only):
+    /// the key path's ([`KeyGenerator::alloc_events`], summed over the task
+    /// types) plus the engine's own — resolving a task type, growth of the
+    /// per-worker scratch or of the pending-task map, and the waiter built
+    /// when a task defers onto an in-flight producer. A warm engine keeps
+    /// this flat across misses and hits alike; what a miss allocates (its
+    /// output snapshot) it allocates in `after_execute`.
+    #[cfg(debug_assertions)]
+    pub fn alloc_events(&self) -> u64 {
+        let keygens: u64 = self
+            .types
+            .lock()
+            .values()
+            .map(|t| t.keygen.alloc_events())
+            .sum();
+        self.alloc_events.load(Ordering::Relaxed) + keygens
+    }
+
+    #[cfg(debug_assertions)]
+    fn note_alloc(&self) {
+        self.alloc_events.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn note_alloc(&self) {}
+
+    /// Files the bookkeeping of a task that is about to execute.
+    fn set_pending(&self, task: TaskId, exec: PendingExec) {
+        let mut pending = self.pending.lock();
+        let capacity = pending.capacity();
+        pending.insert(task, exec);
+        if pending.capacity() != capacity {
+            self.note_alloc();
         }
     }
 
@@ -455,10 +498,13 @@ impl AtmEngine {
     /// [`AtmEngine::save_store`] in a previous run. Entries go through the
     /// normal admission/eviction path; the number admitted is returned.
     ///
-    /// Hash keys embed the task-type id and the key seed, so the snapshot
+    /// A key is the composition of the task's input digests under the
+    /// type's seed (the task-type id mixed into `key_seed`), so the snapshot
     /// only produces hits when task types are registered in the same order
     /// and `key_seed` is unchanged — the natural situation for repeated
-    /// runs of one application.
+    /// runs of one application. A snapshot written in an older key space
+    /// (format version 1) is refused with
+    /// [`PersistError::UnsupportedVersion`].
     pub fn warm_start_from(&self, path: impl AsRef<Path>) -> Result<usize, PersistError> {
         self.memo_store.absorb_from(path)
     }
@@ -557,31 +603,28 @@ impl AtmEngine {
             honor_overrides: matches!(self.config.mode, AtmMode::Dynamic),
         });
         types.insert(view.type_id, Arc::clone(&state));
+        self.note_alloc();
         state
     }
 
-    /// The output signature of a task: the element count of every write
-    /// access, in declaration order. Stored outputs (THT entries, in-flight
-    /// producers) can only serve tasks with an identical signature; task
-    /// types normally have a fixed signature, but the engine must not trust
-    /// that (§III-E: under-declared or irregular outputs are a user-side
-    /// hazard the runtime has to survive).
-    fn output_signature(store: &DataStore, view: &TaskView<'_>) -> Vec<usize> {
-        view.accesses
-            .iter()
-            .filter(|a| a.mode.is_write())
-            .map(|a| crate::snapshot::elem_range_of(store, a).len())
-            .collect()
-    }
-
-    /// True when a stored set of output snapshots can be copied into a task
-    /// with the given output signature.
-    fn entry_matches_shape(outputs: &[OutputSnapshot], signature: &[usize]) -> bool {
-        outputs.len() == signature.len()
-            && outputs
-                .iter()
-                .zip(signature)
-                .all(|(snapshot, &len)| snapshot.elem_range.len() == len)
+    /// True when a stored set of output snapshots can be copied into the
+    /// write accesses of `accesses`: the same number of outputs with the
+    /// same element counts, in declaration order. Stored outputs (THT
+    /// entries, in-flight producers) can only serve tasks of identical
+    /// output shape; task types normally have a fixed one, but the engine
+    /// must not trust that (§III-E: under-declared or irregular outputs are
+    /// a user-side hazard the runtime has to survive).
+    fn entry_matches_shape(
+        store: &DataStore,
+        outputs: &[OutputSnapshot],
+        accesses: &[atm_runtime::Access],
+    ) -> bool {
+        let mut writes = accesses.iter().filter(|a| a.mode.is_write());
+        outputs.iter().all(|snapshot| {
+            writes.next().is_some_and(|access| {
+                crate::snapshot::elem_range_of(store, access).len() == snapshot.elem_range.len()
+            })
+        }) && writes.next().is_none()
     }
 
     fn writes_unstable_region(&self, state: &TypeState, view: &TaskView<'_>) -> bool {
@@ -670,7 +713,11 @@ impl TaskInterceptor for AtmEngine {
         // this worker's scratch slot: warm lookups allocate nothing.
         let mut slot = self.key_scratch[worker % KEY_SCRATCH_SLOTS].scratch.lock();
         let ws = &mut *slot;
+        let precisions_capacity = ws.precisions.capacity();
         state.arg_precisions_into(task.accesses, p, &mut ws.precisions);
+        if ws.precisions.capacity() != precisions_capacity {
+            self.note_alloc();
+        }
         let hash_start = tracer.now_ns();
         let key_result =
             state
@@ -690,7 +737,7 @@ impl TaskInterceptor for AtmEngine {
         // Outputs black-listed during training are never memoized in the
         // steady state (§III-D): execute, and skip the THT update later.
         if !training && self.writes_unstable_region(&state, &task) {
-            self.pending.lock().insert(
+            self.set_pending(
                 task.id,
                 PendingExec {
                     key,
@@ -707,12 +754,11 @@ impl TaskInterceptor for AtmEngine {
 
         // Task History Table probe. An entry only counts as a hit when its
         // stored outputs have exactly the shape this task declares.
-        let signature = Self::output_signature(store, &task);
         let lookup_start = self.obs.as_ref().map(|obs| obs.now_ns());
         let entry = self
             .memo_store
             .lookup(&key)
-            .filter(|e| Self::entry_matches_shape(&e.outputs, &signature));
+            .filter(|e| Self::entry_matches_shape(store, &e.outputs, task.accesses));
         if let (Some(obs), Some(start)) = (&self.obs, lookup_start) {
             obs.record_latency(LatencyMetric::MemoLookup, worker, obs.now_ns() - start);
         }
@@ -721,7 +767,7 @@ impl TaskInterceptor for AtmEngine {
                 // Training phase: execute anyway and verify the
                 // approximation in `after_execute`.
                 TypeCounters::add(&state.counters.training_hits, 1);
-                self.pending.lock().insert(
+                self.set_pending(
                     task.id,
                     PendingExec {
                         key,
@@ -748,23 +794,31 @@ impl TaskInterceptor for AtmEngine {
             return Decision::Memoized;
         }
 
-        // In-flight Key Table probe (steady state only; during training the
-        // task must execute so there is nothing to defer onto).
-        if self.config.use_ikt && !training {
-            let waiter = Waiter {
-                task: task.id,
-                accesses: task.accesses.to_vec(),
-            };
-            if let Some(producer) = self.ikt.register_waiter(&key, waiter) {
+        // In-flight Key Table: one access that either defers this task onto
+        // the in-flight producer of its key or leaves the key in the table
+        // while this task executes. During training the task must execute,
+        // so it only ever registers as a producer.
+        let mut registered_ikt = false;
+        if self.config.use_ikt && training {
+            registered_ikt = self.ikt.register_producer(key, task.id);
+        } else if self.config.use_ikt {
+            let joined = self.ikt.join_or_produce(key, task.id, || {
+                self.note_alloc();
+                Waiter {
+                    task: task.id,
+                    accesses: task.accesses.to_vec(),
+                }
+            });
+            if let Some(producer) = joined {
                 TypeCounters::add(&state.counters.ikt_deferred, 1);
                 decide(MemoDecision::IktDefer, Some(producer));
                 return Decision::Deferred;
             }
+            registered_ikt = true;
         }
 
-        // Miss everywhere: execute, leaving the key in the IKT while in flight.
-        let registered_ikt = self.config.use_ikt && self.ikt.register_producer(key, task.id);
-        self.pending.lock().insert(
+        // Miss everywhere: execute.
+        self.set_pending(
             task.id,
             PendingExec {
                 key,
@@ -860,13 +914,7 @@ impl TaskInterceptor for AtmEngine {
                     .as_ref()
                     .expect("snapshot exists when registered in the IKT");
                 for waiter in waiters {
-                    let waiter_signature: Vec<usize> = waiter
-                        .accesses
-                        .iter()
-                        .filter(|a| a.mode.is_write())
-                        .map(|a| crate::snapshot::elem_range_of(store, a).len())
-                        .collect();
-                    if Self::entry_matches_shape(snaps, &waiter_signature) {
+                    if Self::entry_matches_shape(store, snaps, &waiter.accesses) {
                         let copy_start = tracer.now_ns();
                         apply_snapshots_to(store, snaps, &waiter.accesses);
                         let copy_end = tracer.now_ns();
@@ -1230,6 +1278,80 @@ mod tests {
         assert_eq!(engine.stats().ikt_deferred, 1);
     }
 
+    /// The allocation-free miss: once the type is resolved, the worker's
+    /// scratch has its capacity and the pending map its buckets, a
+    /// steady-state `before_execute` that misses everywhere (THT and IKT)
+    /// records no allocation event — the waiter is built only by a task
+    /// that actually defers, the output shape is compared in place — and
+    /// neither does one that hits.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn miss_and_hit_paths_allocate_nothing_after_warmup() {
+        let engine = AtmEngine::new(AtmConfig::static_atm());
+        let store = DataStore::new();
+        let info = memoizable_info();
+        let tracer = Tracer::new(None);
+        let out = store.register_zeros::<f64>("out", 4).unwrap();
+        let inputs: Vec<Region<f64>> = (0..96)
+            .map(|i| {
+                store
+                    .register_typed(format!("in{i}"), vec![i as f64; 4])
+                    .unwrap()
+            })
+            .collect();
+        let accesses_of = |input: &Region<f64>| vec![Access::read(input), Access::write(&out)];
+        let (warm, steady) = inputs.split_at(32);
+        for (id, input) in warm.iter().enumerate() {
+            let accesses = accesses_of(input);
+            let (d, _) = drive(&engine, &store, view_for(id as u64, 0, &info, &accesses));
+            assert_eq!(d, Decision::Execute);
+        }
+
+        let warmed = engine.alloc_events();
+        for (id, input) in steady.iter().enumerate() {
+            let accesses = accesses_of(input);
+            let view = view_for(100 + id as u64, 0, &info, &accesses);
+            assert_eq!(
+                engine.before_execute(view, &store, &tracer, 0),
+                Decision::Execute
+            );
+            assert_eq!(
+                engine.alloc_events(),
+                warmed,
+                "a steady-state miss must not allocate in before_execute"
+            );
+            let ctx = atm_runtime::TaskContext::new(&store, &accesses);
+            (info.kernel)(&ctx);
+            engine.after_execute(view, &store, &tracer, 0, true);
+        }
+        for (id, input) in inputs.iter().enumerate() {
+            let accesses = accesses_of(input);
+            let view = view_for(1_000 + id as u64, 0, &info, &accesses);
+            assert_eq!(
+                engine.before_execute(view, &store, &tracer, 0),
+                Decision::Memoized
+            );
+        }
+        assert_eq!(engine.alloc_events(), warmed, "hits must not allocate");
+
+        // The one allocation left on the path: a task that defers onto an
+        // in-flight producer owns a copy of its accesses until it is served.
+        let twin_in = store.register_typed("twin", vec![-1.0f64; 4]).unwrap();
+        let twin = accesses_of(&twin_in);
+        let producer = view_for(5_000, 0, &info, &twin);
+        let waiter = view_for(5_001, 0, &info, &twin);
+        assert_eq!(
+            engine.before_execute(producer, &store, &tracer, 0),
+            Decision::Execute
+        );
+        assert_eq!(engine.alloc_events(), warmed);
+        assert_eq!(
+            engine.before_execute(waiter, &store, &tracer, 0),
+            Decision::Deferred
+        );
+        assert_eq!(engine.alloc_events(), warmed + 1);
+    }
+
     #[test]
     fn disabling_ikt_prevents_deferral() {
         let engine = AtmEngine::new(AtmConfig::static_atm().without_ikt());
@@ -1282,6 +1404,42 @@ mod tests {
         assert_eq!(d2, Decision::Memoized, "warm start must hit immediately");
         assert_eq!(store2.read(out2).lock().as_f64(), &[1.0, 4.0, 9.0]);
         assert_eq!(warm.stats().executed, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Exact-shape keys moved to the digest composition, so a snapshot in
+    /// the old key space (format version 1) is refused, not loaded as
+    /// entries that can never hit.
+    #[test]
+    fn warm_start_refuses_a_version_1_snapshot() {
+        let cold = AtmEngine::new(AtmConfig::static_atm());
+        let store = DataStore::new();
+        let info = memoizable_info();
+        let input = store.register_typed("in", vec![1.0f64, 2.0]).unwrap();
+        let out = store.register_zeros::<f64>("out", 2).unwrap();
+        let accesses = vec![Access::read(&input), Access::write(&out)];
+        drive(&cold, &store, view_for(0, 0, &info, &accesses));
+
+        // Rewrite the version field (bytes 8..12) and the FNV-1a trailer.
+        let mut bytes = cold.store().to_snapshot_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 8;
+        let checksum = bytes[..body]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        let path =
+            std::env::temp_dir().join(format!("atm-engine-v1-snapshot-{}.bin", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let warm = AtmEngine::new(AtmConfig::static_atm());
+        assert!(matches!(
+            warm.warm_start_from(&path),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
+        assert!(warm.store().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 

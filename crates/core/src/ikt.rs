@@ -60,6 +60,35 @@ impl InFlightKeyTable {
         }
     }
 
+    /// The miss path's one table access: if a task with this key is in
+    /// flight, registers the postponed copy-out `waiter()` builds and returns
+    /// the producer's id; otherwise registers `task` as the key's producer
+    /// and returns `None`. Both outcomes are decided under a single lock
+    /// acquisition, and the waiter — which owns a copy of the task's
+    /// accesses — is only built when the task actually joins.
+    pub fn join_or_produce(
+        &self,
+        key: EntryKey,
+        task: TaskId,
+        waiter: impl FnOnce() -> Waiter,
+    ) -> Option<TaskId> {
+        let mut inner = self.inner.lock();
+        match inner.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut in_flight) => {
+                let entry = in_flight.get_mut();
+                entry.waiters.push(waiter());
+                Some(entry.producer)
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(InFlightEntry {
+                    producer: task,
+                    waiters: Vec::new(),
+                });
+                None
+            }
+        }
+    }
+
     /// If a task with this key is in flight, registers a postponed copy-out
     /// for `waiter` and returns the producer's id. Otherwise returns `None`.
     pub fn register_waiter(&self, key: &EntryKey, waiter: Waiter) -> Option<TaskId> {
@@ -163,6 +192,29 @@ mod tests {
         assert_eq!(waiters.len(), 2);
         assert_eq!(waiters[0].task, TaskId::from_raw(2));
         assert_eq!(waiters[1].task, TaskId::from_raw(3));
+        assert!(ikt.is_empty());
+    }
+
+    #[test]
+    fn join_or_produce_builds_the_waiter_only_when_it_joins() {
+        let ikt = InFlightKeyTable::new();
+        // Nothing in flight: the task becomes the producer, no waiter built.
+        let joined = ikt.join_or_produce(key(3), TaskId::from_raw(1), || {
+            unreachable!("no producer in flight, so nothing to wait for")
+        });
+        assert_eq!(joined, None);
+        assert!(
+            !ikt.register_producer(key(3), TaskId::from_raw(9)),
+            "task 1 holds the key"
+        );
+        // A twin arrives while task 1 is in flight: it joins as a waiter.
+        assert_eq!(
+            ikt.join_or_produce(key(3), TaskId::from_raw(2), || waiter(2)),
+            Some(TaskId::from_raw(1))
+        );
+        let waiters = ikt.retire(&key(3), TaskId::from_raw(1));
+        assert_eq!(waiters.len(), 1);
+        assert_eq!(waiters[0].task, TaskId::from_raw(2));
         assert!(ikt.is_empty());
     }
 

@@ -1,65 +1,70 @@
 //! Hash-key generation for task instances.
 //!
 //! Combines the runtime's view of a task (its read accesses over typed
-//! regions) with the `atm-hash` sampling machinery (§III-B/§III-C of the
-//! paper): the concatenated input bytes are sampled through a per-task-type
-//! shuffled index vector (built once and cached) and hashed with the Jenkins
-//! hash into the 8-byte key stored in the THT/IKT.
+//! regions) with the `atm-hash` machinery (§III-B/§III-C of the paper) into
+//! the 8-byte lookup3 key stored in the THT/IKT. A key costs one word-wide
+//! pass over the bytes that *changed*:
 //!
-//! The cost of computing a key is proportional to the number of *selected*
-//! bytes: the sampled bytes are gathered directly from the typed region
-//! storage, without serialising the whole input first. This is what makes
-//! Dynamic ATM's small `p` values reduce the hashing overhead (the gap
-//! between "Static ATM" and "Oracle (100%)" in Figure 3).
+//! * **Exact arguments** (`p` = 100 %) contribute a *digest*: lookup3 of the
+//!   argument's bytes under the fixed [`DIGEST_SEED`], hashed three 32-bit
+//!   words per step straight from the typed storage. The digest of a
+//!   *whole region* is cached in the region's digest slot, tagged with the
+//!   region's write version ([`RegionRead::digest_or_fill`]): a region
+//!   nobody wrote since it was last hashed is identified by its version,
+//!   not re-read. The key is lookup3, under the task type's seed, over the
+//!   arguments' contributions `d₀‖…‖dₙ`.
+//! * **Sampled arguments** (a per-argument override below 100 % beside
+//!   other precisions) contribute the lookup3 of their selected bytes.
+//! * **Uniformly sampled instances** (one `p` < 100 % for every argument —
+//!   Dynamic ATM's shape) hash the selected bytes of the whole input in the
+//!   order of the per-type shuffled index vector, as the paper describes,
+//!   bit-identical to the original single-`p` pipeline. The shuffle is
+//!   resolved once per (shape, `p`) into a plan of (segment, element, byte
+//!   lane) triples cached beside it, so each selected byte costs one
+//!   indexed load and a shift: the cost of a key stays proportional to the
+//!   number of *selected* bytes, which is what makes Dynamic ATM's small
+//!   `p` values reduce the hashing overhead (the gap between "Static ATM"
+//!   and "Oracle (100%)" in Figure 3).
 
-use crate::snapshot::elem_range_of;
+use crate::snapshot::{elem_range_of, elem_range_within};
 use atm_hash::shuffle::InputSpec;
-use atm_hash::{jenkins_hash64, ByteLayout, InputSampler, JenkinsStream, Percentage};
-use atm_runtime::{Access, DataStore, RegionData, RegionReadGuard};
+use atm_hash::{ByteLayout, InputSampler, JenkinsStream, Percentage, PlannedByte};
+use atm_runtime::{
+    Access, DataStore, ElemWindow, RegionData, RegionRead, RegionReadGuard, WordSink,
+};
 use atm_sync::Mutex;
-use atm_sync::RwLockReadGuard;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 #[cfg(debug_assertions)]
 use atm_sync::atomic::{AtomicU64, Ordering};
 
+/// Seed of the per-argument digests of exact arguments. One constant for
+/// every task type, engine and key seed: a region has a single digest slot,
+/// and what it caches must not depend on who asks. The task type's own seed
+/// enters where the digests are combined into the key.
+pub const DIGEST_SEED: u64 = 0xD16E_57ED_0A7B_5EED;
+
 /// Read accesses held in a fixed stack array on the sampled key path; more
 /// than this many read arguments falls back to heap-allocated guard vectors.
 const INLINE_READS: usize = 8;
 
-/// Reusable scratch for [`KeyGenerator::compute_with_scratch`]: every
+/// Reusable scratch for [`KeyGenerator::compute_with_scratch`]: the one
 /// heap-backed temporary the key pipeline needs, owned by the caller (the
 /// engine keeps one per worker) so the steady-state lookup path performs no
-/// allocation — the vectors reach their high-water capacity during warm-up
-/// and are only cleared afterwards.
+/// allocation — it reaches its high-water capacity during warm-up and is
+/// only cleared afterwards.
 #[derive(Debug, Default)]
 pub struct KeyScratch {
-    /// Element range of each read access, in declaration order.
-    ranges: Vec<std::ops::Range<usize>>,
-    /// `(elements, elem_width)` of each read access.
+    /// `(elements, elem_width)` of each read access (the sampled shape
+    /// looks its plan up by it).
     signature: LayoutSignature,
-    /// Gather buffer for the mixed-precision path (the one place the bytes
-    /// must be materialised: per-argument shuffles interleave arguments in
-    /// an order no single pass over the regions can stream).
-    bytes: Vec<u8>,
 }
 
 impl KeyScratch {
     /// Creates an empty scratch; capacity grows on first use.
     pub fn new() -> Self {
         KeyScratch::default()
-    }
-
-    /// Capacities of every backing vector, for steady-state alloc tracking
-    /// (debug builds only — the release lookup path never inspects them).
-    #[cfg(debug_assertions)]
-    fn capacities(&self) -> (usize, usize, usize) {
-        (
-            self.ranges.capacity(),
-            self.signature.capacity(),
-            self.bytes.capacity(),
-        )
     }
 }
 
@@ -71,7 +76,82 @@ pub type LayoutSignature = Vec<(usize, usize)>;
 
 /// Cache of per-argument samplers, keyed by the read-argument index and its
 /// `(elements, elem_width)` shape.
-type ArgSamplerCache = HashMap<(usize, (usize, usize)), Arc<InputSampler>>;
+type ArgSamplerCache = HashMap<(usize, (usize, usize)), CachedSampler>;
+
+/// A cached shuffle and, beside it, the plans derived from it: one per
+/// selection size requested so far (a training run climbs at most the 16
+/// rungs of the precision ladder).
+#[derive(Debug)]
+struct CachedSampler {
+    sampler: InputSampler,
+    plans: Vec<Arc<[PlannedByte]>>,
+}
+
+impl CachedSampler {
+    fn new(specs: Vec<InputSpec>, type_aware: bool, seed: u64) -> Self {
+        CachedSampler {
+            sampler: InputSampler::new(ByteLayout::new(specs), type_aware, seed),
+            plans: Vec::new(),
+        }
+    }
+
+    /// The plan selecting `p` of the input (a prefix of the shuffle, so its
+    /// length identifies it), built on first use.
+    fn plan(&mut self, p: Percentage) -> Arc<[PlannedByte]> {
+        let selected = p.bytes_of(self.sampler.total_bytes());
+        if let Some(plan) = self.plans.iter().find(|plan| plan.len() == selected) {
+            return Arc::clone(plan);
+        }
+        let plan: Arc<[PlannedByte]> = self.sampler.plan(p).into();
+        self.plans.push(Arc::clone(&plan));
+        plan
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let plans: usize = self.plans.iter().map(|plan| plan.len()).sum();
+        self.sampler.memory_bytes() + plans * std::mem::size_of::<PlannedByte>()
+    }
+}
+
+/// Feeds a region's words into a lookup3 stream.
+struct HashSink<'a>(&'a mut JenkinsStream);
+
+impl WordSink for HashSink<'_> {
+    #[inline]
+    fn words(&mut self, words: impl Iterator<Item = u32>) {
+        self.0.push_words(words);
+    }
+
+    #[inline]
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0.push_slice(bytes);
+    }
+}
+
+/// lookup3 over the little-endian bytes of `window`, a word at a time from
+/// the typed storage.
+fn digest_of(window: ElemWindow<'_>, bytes: usize) -> u64 {
+    let mut stream = JenkinsStream::new(DIGEST_SEED, bytes);
+    window.le_words(&mut HashSink(&mut stream));
+    stream.finish()
+}
+
+/// lookup3 over the bytes `plan` selects, in plan order; `segments[i]` is
+/// the window of the plan's segment `i`. The scattered bytes are gathered a
+/// few blocks at a time so the hasher takes them as whole blocks.
+fn hash_planned(plan: &[PlannedByte], segments: &[ElemWindow<'_>], seed: u64) -> u64 {
+    const GATHER: usize = 32 * 12;
+    let mut stream = JenkinsStream::new(seed, plan.len());
+    let mut gathered = [0u8; GATHER];
+    for chunk in plan.chunks(GATHER) {
+        for (byte, planned) in gathered.iter_mut().zip(chunk) {
+            *byte =
+                segments[usize::from(planned.segment)].lane(planned.elem as usize, planned.lane);
+        }
+        stream.push_slice(&gathered[..chunk.len()]);
+    }
+    stream.finish()
+}
 
 /// Per-task-type hash-key generator with cached shuffled index vectors.
 ///
@@ -79,23 +159,30 @@ type ArgSamplerCache = HashMap<(usize, (usize, usize)), Arc<InputSampler>>;
 /// percentage, which is how a [`MemoSpec`](atm_runtime::MemoSpec)'s
 /// per-argument overrides reach the key pipeline (a small control argument
 /// hashed exactly, a large field argument hashed at the trained `p`). When
-/// every entry of the vector is equal — the default, override-free case —
-/// the generator uses the exact same whole-layout shuffle as the original
-/// single-`p` implementation, so default-spec keys are bit-identical to the
-/// paper reproduction's.
+/// every entry of the vector is the same `p` < 100 % — Dynamic ATM's
+/// default, override-free case — the generator walks the exact same
+/// whole-layout shuffle as the original single-`p` implementation, so those
+/// keys are bit-identical to the paper reproduction's.
 #[derive(Debug)]
 pub struct KeyGenerator {
-    samplers: Mutex<HashMap<LayoutSignature, Arc<InputSampler>>>,
+    samplers: Mutex<HashMap<LayoutSignature, CachedSampler>>,
     /// Per-argument samplers for mixed-precision instances.
     arg_samplers: Mutex<ArgSamplerCache>,
     type_aware: bool,
     seed: u64,
-    /// Debug-build odometer of allocation events on the key path: sampler
-    /// construction, scratch capacity growth, and the rare spill past
-    /// [`INLINE_READS`]. Steady state is *flat* — asserted by the
-    /// `lookup_path_allocations_go_flat_after_warmup` test.
+    /// Debug-build odometers of the key path. See
+    /// [`alloc_events`](Self::alloc_events),
+    /// [`digest_hits`](Self::digest_hits).
     #[cfg(debug_assertions)]
+    counters: DebugCounters,
+}
+
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct DebugCounters {
     alloc_events: AtomicU64,
+    digest_hits: AtomicU64,
+    digest_fills: AtomicU64,
 }
 
 impl KeyGenerator {
@@ -109,26 +196,56 @@ impl KeyGenerator {
             type_aware,
             seed,
             #[cfg(debug_assertions)]
-            alloc_events: AtomicU64::new(0),
+            counters: DebugCounters::default(),
         }
     }
 
     /// Number of allocation events the key path has recorded (debug builds
-    /// only): sampler builds, scratch growth, inline-guard spills. A warm
-    /// generator computing keys over known shapes keeps this flat.
+    /// only): sampler and plan builds, scratch growth, inline-guard spills.
+    /// A warm generator computing keys over known shapes keeps this flat —
+    /// asserted by the `lookup_path_allocations_go_flat_after_warmup` test.
     #[cfg(debug_assertions)]
     pub fn alloc_events(&self) -> u64 {
-        self.alloc_events.load(Ordering::Relaxed)
+        self.counters.alloc_events.load(Ordering::Relaxed)
+    }
+
+    /// Whole-region exact arguments this generator keyed from a region's
+    /// cached digest, without reading the region (debug builds only).
+    #[cfg(debug_assertions)]
+    pub fn digest_hits(&self) -> u64 {
+        self.counters.digest_hits.load(Ordering::Relaxed)
+    }
+
+    /// Whole-region exact arguments this generator hashed and published
+    /// because the region was written since its slot was last filled (debug
+    /// builds only).
+    #[cfg(debug_assertions)]
+    pub fn digest_fills(&self) -> u64 {
+        self.counters.digest_fills.load(Ordering::Relaxed)
     }
 
     #[cfg(debug_assertions)]
     fn note_alloc(&self) {
-        self.alloc_events.fetch_add(1, Ordering::Relaxed);
+        self.counters.alloc_events.fetch_add(1, Ordering::Relaxed);
     }
 
     #[cfg(not(debug_assertions))]
     #[inline(always)]
     fn note_alloc(&self) {}
+
+    #[cfg(debug_assertions)]
+    fn note_digest(&self, filled: bool) {
+        let counter = if filled {
+            &self.counters.digest_fills
+        } else {
+            &self.counters.digest_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn note_digest(&self, _filled: bool) {}
 
     /// Whether type-aware selection is enabled.
     pub fn is_type_aware(&self) -> bool {
@@ -172,92 +289,71 @@ impl KeyGenerator {
         precisions: &[Percentage],
         scratch: &mut KeyScratch,
     ) -> KeyResult {
-        #[cfg(debug_assertions)]
-        let caps_before = scratch.capacities();
-        let result = self.compute_inner(store, accesses, precisions, scratch);
-        #[cfg(debug_assertions)]
-        if scratch.capacities() != caps_before {
-            self.note_alloc();
+        let reads = accesses.iter().filter(|a| a.mode.is_read()).count();
+        assert_eq!(
+            precisions.len(),
+            reads,
+            "one precision per read access: got {} precisions for {} reads",
+            precisions.len(),
+            reads
+        );
+        // One p < 100 % for every argument (no per-argument overrides) goes
+        // through the whole-layout shuffle, bit-identical to the single-`p`
+        // pipeline; every other vector composes per-argument contributions.
+        let uniformly_sampled = precisions.first().is_some_and(|p| !p.is_full())
+            && precisions.windows(2).all(|w| w[0] == w[1]);
+        if uniformly_sampled {
+            self.compute_sampled(store, accesses, precisions[0], scratch)
+        } else {
+            self.compute_composed(store, accesses, precisions)
         }
-        result
     }
 
-    fn compute_inner(
+    /// Exact and mixed-precision keys: lookup3, under the type's seed, over
+    /// one 8-byte contribution per read argument — the digest of an exact
+    /// argument (served from the region's slot when the argument is a whole
+    /// region nobody wrote since it was last hashed; a ranged argument is
+    /// hashed every time and never cached), the lookup3 of its selected
+    /// bytes for a sampled one. One region is locked at a time.
+    fn compute_composed(
         &self,
         store: &DataStore,
         accesses: &[Access],
         precisions: &[Percentage],
-        scratch: &mut KeyScratch,
     ) -> KeyResult {
-        scratch.ranges.clear();
-        scratch.signature.clear();
-        let mut total_bytes = 0usize;
-        for a in accesses.iter().filter(|a| a.mode.is_read()) {
-            let range = elem_range_of(store, a);
-            let width = a.elem.width();
-            total_bytes += range.len() * width;
-            scratch.signature.push((range.len(), width));
-            scratch.ranges.push(range);
-        }
-        assert_eq!(
-            precisions.len(),
-            scratch.ranges.len(),
-            "one precision per read access: got {} precisions for {} reads",
-            precisions.len(),
-            scratch.ranges.len()
-        );
-
-        if total_bytes == 0 {
-            return KeyResult {
-                key: jenkins_hash64(&[], self.seed),
-                selected_bytes: 0,
-                total_bytes: 0,
-            };
-        }
-
-        // The uniform case (no per-argument overrides) goes through the
-        // whole-layout shuffle, bit-identical to the single-`p` pipeline.
-        if precisions.windows(2).all(|w| w[0] == w[1]) {
-            return self.compute_uniform_inner(
-                store,
-                accesses,
-                total_bytes,
-                precisions[0],
-                scratch,
-            );
-        }
-
-        // Mixed precision: gather per argument — full segments contiguously,
-        // sampled segments through a per-argument significance shuffle. This
-        // is the one path that materialises bytes, into the reused scratch.
-        scratch.bytes.clear();
-        let buf = &mut scratch.bytes;
-        for (j, (access, &p)) in accesses
-            .iter()
-            .filter(|a| a.mode.is_read())
-            .zip(precisions)
-            .enumerate()
-        {
-            let (elements, width) = scratch.signature[j];
-            if elements == 0 {
-                continue;
-            }
-            let range = scratch.ranges[j].clone();
+        let mut key = JenkinsStream::new(self.seed, 8 * precisions.len());
+        let (mut selected_bytes, mut total_bytes) = (0usize, 0usize);
+        let reads = accesses.iter().filter(|a| a.mode.is_read());
+        for (arg, (access, &p)) in reads.zip(precisions).enumerate() {
             let region = store.read(access.region);
-            let guard = region.lock();
-            if p.is_full() {
-                guard.with_bytes_in_elem_range(range, |bytes| buf.extend_from_slice(bytes));
-                continue;
-            }
-            let sampler = self.arg_sampler_for(j, (elements, width));
-            let base_byte = range.start * width;
-            for &flat in sampler.selected_indices(p) {
-                buf.push(guard.byte_at(base_byte + flat as usize));
-            }
+            let data = region.lock();
+            let range = elem_range_within(access, data.len());
+            let width = access.elem.width();
+            let bytes = range.len() * width;
+            total_bytes += bytes;
+            let contribution = if !p.is_full() {
+                let plan = self.arg_plan(arg, (range.len(), width), p);
+                selected_bytes += plan.len();
+                hash_planned(&plan, &[data.window(range)], self.seed)
+            } else {
+                selected_bytes += bytes;
+                if range == (0..data.len()) {
+                    let mut filled = false;
+                    let digest = data.digest_or_fill(|whole| {
+                        filled = true;
+                        digest_of(whole.window(range), bytes)
+                    });
+                    self.note_digest(filled);
+                    digest
+                } else {
+                    digest_of(data.window(range), bytes)
+                }
+            };
+            key.push_words([contribution as u32, (contribution >> 32) as u32]);
         }
         KeyResult {
-            key: jenkins_hash64(buf, self.seed),
-            selected_bytes: buf.len(),
+            key: key.finish(),
+            selected_bytes,
             total_bytes,
         }
     }
@@ -275,144 +371,135 @@ impl KeyGenerator {
         self.compute(store, accesses, &vec![p; reads])
     }
 
-    /// Uniform-precision key: streams every selected byte straight through
-    /// the Jenkins block hasher — no gather buffer exists on this path.
-    fn compute_uniform_inner(
+    /// Uniformly sampled key: the selected bytes of the whole input, in
+    /// shuffle order, through one lookup3 stream.
+    fn compute_sampled(
         &self,
         store: &DataStore,
         accesses: &[Access],
-        total_bytes: usize,
         p: Percentage,
         scratch: &mut KeyScratch,
     ) -> KeyResult {
-        // Full selection (exact memoization): stream the inputs through the
-        // hasher segment by segment, one region guard live at a time.
-        if p.is_full() {
-            let mut stream = JenkinsStream::new(self.seed, total_bytes);
-            for (access, range) in accesses
-                .iter()
-                .filter(|a| a.mode.is_read())
-                .zip(&scratch.ranges)
-            {
-                let region = store.read(access.region);
-                let guard = region.lock();
-                guard.with_bytes_in_elem_range(range.clone(), |bytes| stream.push_slice(bytes));
-            }
-            return KeyResult {
-                key: stream.finish(),
-                selected_bytes: total_bytes,
-                total_bytes,
-            };
-        }
-
-        let sampler = self.sampler_for(&scratch.signature);
-        let selected = sampler.selected_indices(p);
-        let layout = sampler.layout();
-
         // The shuffle visits bytes across *all* segments in selection order,
         // so every read region must be locked at once. Up to INLINE_READS
-        // regions the handles and guards live on the stack; beyond that we
-        // spill to vectors (a counted allocation event).
-        let reads_len = scratch.ranges.len();
-        let mut stream = JenkinsStream::new(self.seed, selected.len());
+        // regions the handles, guards and windows live on the stack; beyond
+        // that we spill to vectors (a counted allocation event).
+        let reads = || accesses.iter().filter(|a| a.mode.is_read());
+        let reads_len = reads().count();
         if reads_len <= INLINE_READS {
             let mut handles: [Option<RegionReadGuard<'_>>; INLINE_READS] = Default::default();
-            for (j, access) in accesses
-                .iter()
-                .filter(|a| a.mode.is_read())
-                .enumerate()
-                .take(INLINE_READS)
-            {
-                handles[j] = Some(store.read(access.region));
+            for (handle, access) in handles.iter_mut().zip(reads()) {
+                *handle = Some(store.read(access.region));
             }
-            let mut guards: [Option<RwLockReadGuard<'_, RegionData>>; INLINE_READS] =
-                Default::default();
-            for (j, handle) in handles.iter().enumerate().take(reads_len) {
-                guards[j] = Some(handle.as_ref().expect("handle filled above").lock());
+            let mut guards: [Option<RegionRead<'_>>; INLINE_READS] = Default::default();
+            for (guard, handle) in guards.iter_mut().zip(handles.iter().flatten()) {
+                *guard = Some(handle.lock());
             }
-            for &flat in selected {
-                let (segment, offset) = layout.locate(flat as usize);
-                let (_, width) = scratch.signature[segment];
-                let base_byte = scratch.ranges[segment].start * width;
-                let guard = guards[segment].as_ref().expect("guard filled above");
-                stream.push(guard.byte_at(base_byte + offset));
-            }
+            let mut segments = [ElemWindow::U8(&[]); INLINE_READS];
+            let locked = guards.iter().flatten().map(|guard| &**guard);
+            self.hash_sampled(reads().zip(locked), &mut segments, p, scratch)
         } else {
             self.note_alloc();
-            let handles: Vec<_> = accesses
-                .iter()
-                .filter(|a| a.mode.is_read())
-                .map(|a| store.read(a.region))
-                .collect();
+            let handles: Vec<_> = reads().map(|a| store.read(a.region)).collect();
             let guards: Vec<_> = handles.iter().map(|h| h.lock()).collect();
-            for &flat in selected {
-                let (segment, offset) = layout.locate(flat as usize);
-                let (_, width) = scratch.signature[segment];
-                let base_byte = scratch.ranges[segment].start * width;
-                stream.push(guards[segment].byte_at(base_byte + offset));
-            }
+            let mut segments = vec![ElemWindow::U8(&[]); reads_len];
+            let locked = guards.iter().map(|guard| &**guard);
+            self.hash_sampled(reads().zip(locked), &mut segments, p, scratch)
         }
+    }
+
+    /// The body of [`compute_sampled`](Self::compute_sampled) once every
+    /// read region is locked: resolves each access's window into
+    /// `segments`, looks the plan up by the resulting shape and walks it.
+    fn hash_sampled<'a>(
+        &self,
+        locked: impl Iterator<Item = (&'a Access, &'a RegionData)>,
+        segments: &mut [ElemWindow<'a>],
+        p: Percentage,
+        scratch: &mut KeyScratch,
+    ) -> KeyResult {
+        let capacity = scratch.signature.capacity();
+        scratch.signature.clear();
+        let mut total_bytes = 0usize;
+        for (segment, (access, data)) in segments.iter_mut().zip(locked) {
+            let range = elem_range_within(access, data.len());
+            let width = access.elem.width();
+            total_bytes += range.len() * width;
+            scratch.signature.push((range.len(), width));
+            *segment = data.window(range);
+        }
+        if scratch.signature.capacity() != capacity {
+            self.note_alloc();
+        }
+        let plan = self.plan(&scratch.signature, p);
         KeyResult {
-            key: stream.finish(),
-            selected_bytes: selected.len(),
+            key: hash_planned(&plan, segments, self.seed),
+            selected_bytes: plan.len(),
             total_bytes,
         }
     }
 
-    /// Memory held by the cached index vectors (Table III accounting).
+    /// Memory held by the cached index vectors and the plans derived from
+    /// them (Table III accounting).
     pub fn memory_bytes(&self) -> usize {
         let whole: usize = self
             .samplers
             .lock()
             .values()
-            .map(|s| s.memory_bytes())
+            .map(CachedSampler::memory_bytes)
             .sum();
         let per_arg: usize = self
             .arg_samplers
             .lock()
             .values()
-            .map(|s| s.memory_bytes())
+            .map(CachedSampler::memory_bytes)
             .sum();
         whole + per_arg
     }
 
-    fn sampler_for(&self, signature: &LayoutSignature) -> Arc<InputSampler> {
+    /// The whole-layout plan for `signature` at `p`.
+    fn plan(&self, signature: &LayoutSignature, p: Percentage) -> Arc<[PlannedByte]> {
         let mut samplers = self.samplers.lock();
-        if let Some(existing) = samplers.get(signature) {
-            return Arc::clone(existing);
-        }
-        let layout = ByteLayout::new(
-            signature
+        if !samplers.contains_key(signature) {
+            let specs = signature
                 .iter()
                 .map(|&(elements, elem_width)| InputSpec {
                     elements,
                     elem_width,
                 })
-                .collect(),
-        );
-        let sampler = Arc::new(InputSampler::new(layout, self.type_aware, self.seed));
-        samplers.insert(signature.clone(), Arc::clone(&sampler));
-        self.note_alloc();
-        sampler
+                .collect();
+            let sampler = CachedSampler::new(specs, self.type_aware, self.seed);
+            samplers.insert(signature.clone(), sampler);
+        }
+        let sampler = samplers.get_mut(signature).expect("inserted above");
+        self.plan_of(sampler, p)
     }
 
-    /// Sampler over a single argument's bytes, for mixed-precision
+    /// The plan over a single argument's bytes, for mixed-precision
     /// instances. The shuffle seed mixes in the argument index so two
     /// same-shaped arguments do not share a selection pattern.
-    fn arg_sampler_for(&self, arg: usize, shape: (usize, usize)) -> Arc<InputSampler> {
+    fn arg_plan(&self, arg: usize, shape: (usize, usize), p: Percentage) -> Arc<[PlannedByte]> {
         let mut samplers = self.arg_samplers.lock();
-        if let Some(existing) = samplers.get(&(arg, shape)) {
-            return Arc::clone(existing);
+        let sampler = samplers.entry((arg, shape)).or_insert_with(|| {
+            let spec = InputSpec {
+                elements: shape.0,
+                elem_width: shape.1,
+            };
+            let seed = self.seed ^ (arg as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+            CachedSampler::new(vec![spec], self.type_aware, seed)
+        });
+        self.plan_of(sampler, p)
+    }
+
+    /// `sampler`'s plan at `p`, counting the build (of the plan, and with
+    /// it of a sampler that had none yet) as an allocation event.
+    fn plan_of(&self, sampler: &mut CachedSampler, p: Percentage) -> Arc<[PlannedByte]> {
+        let plans = sampler.plans.len();
+        let plan = sampler.plan(p);
+        if sampler.plans.len() != plans {
+            self.note_alloc();
         }
-        let layout = ByteLayout::new(vec![InputSpec {
-            elements: shape.0,
-            elem_width: shape.1,
-        }]);
-        let seed = self.seed ^ (arg as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        let sampler = Arc::new(InputSampler::new(layout, self.type_aware, seed));
-        samplers.insert((arg, shape), Arc::clone(&sampler));
-        self.note_alloc();
-        sampler
+        plan
     }
 }
 
@@ -531,7 +618,14 @@ mod tests {
         let _ = keygen.compute_uniform(&store, &[Access::read(&big)], p);
         let _ = keygen.compute_uniform(&store, &[Access::read(&small)], p);
         assert_eq!(keygen.samplers.lock().len(), 2);
-        assert_eq!(keygen.memory_bytes(), (128 * 4 + 16 * 4) * 4);
+        // Per shape: the shuffle (4 B per input byte) and, beside it, the
+        // one plan built so far (8 B per byte selected at p = 50 %).
+        let input_bytes = 128 * 4 + 16 * 4;
+        assert_eq!(
+            keygen.memory_bytes(),
+            input_bytes * 4 + input_bytes / 2 * std::mem::size_of::<PlannedByte>()
+        );
+        assert_eq!(std::mem::size_of::<PlannedByte>(), 8);
     }
 
     #[test]

@@ -56,18 +56,33 @@ fn final_mix(a: &mut u32, b: &mut u32, c: &mut u32) {
     *c = c.wrapping_sub(rot(*b, 24));
 }
 
-/// Reads a little-endian `u32` from up to four bytes of `data` starting at
-/// `offset`, zero-padding past the end. lookup3 reads keys in 12-byte blocks;
-/// this helper handles the tail without unaligned or out-of-bounds reads.
+/// Reads the little-endian `u32` at `at` of a whole 12-byte block.
 #[inline(always)]
-fn read_u32_padded(data: &[u8], offset: usize) -> u32 {
-    let mut word = 0u32;
-    for i in 0..4 {
-        if let Some(&byte) = data.get(offset + i) {
-            word |= u32::from(byte) << (8 * i);
-        }
+fn le_word(block: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]])
+}
+
+/// Adds one whole 12-byte block to the state (the `a += k[0]; b += k[1];
+/// c += k[2]` of the reference loop, before `mix` or `final`).
+#[inline(always)]
+fn add_block(a: &mut u32, b: &mut u32, c: &mut u32, block: &[u8]) {
+    *a = a.wrapping_add(le_word(block, 0));
+    *b = b.wrapping_add(le_word(block, 4));
+    *c = c.wrapping_add(le_word(block, 8));
+}
+
+/// The last step of lookup3 over the stream's final 1..=12 bytes: the
+/// partial block is zero-padded to three words and sent through `final`.
+/// Empty input skips the final mix entirely.
+#[inline(always)]
+fn finish_tail(mut a: u32, mut b: u32, mut c: u32, tail: &[u8]) -> (u32, u32) {
+    if !tail.is_empty() {
+        let mut last = [0u8; 12];
+        last[..tail.len()].copy_from_slice(tail);
+        add_block(&mut a, &mut b, &mut c, &last);
+        final_mix(&mut a, &mut b, &mut c);
     }
-    word
+    (c, b)
 }
 
 /// Jenkins `hashlittle2`: hashes `data` and returns two 32-bit results.
@@ -83,47 +98,16 @@ pub fn hashlittle2(data: &[u8], pc: u32, pb: u32) -> (u32, u32) {
     let mut b: u32 = a;
     let mut c: u32 = a.wrapping_add(pb);
 
-    let mut length = data.len();
-    let mut offset = 0usize;
-
-    // Process all but the last (possibly partial) 12-byte block.
-    while length > 12 {
-        a = a.wrapping_add(read_u32_padded(data, offset));
-        b = b.wrapping_add(read_u32_padded(data, offset + 4));
-        c = c.wrapping_add(read_u32_padded(data, offset + 8));
+    // All but the last (possibly partial) 12-byte block: `> 12`, not `>=`,
+    // because lookup3 routes a trailing full block through `final`.
+    let mut rest = data;
+    while rest.len() > 12 {
+        let (block, tail) = rest.split_at(12);
+        add_block(&mut a, &mut b, &mut c, block);
         mix(&mut a, &mut b, &mut c);
-        offset += 12;
-        length -= 12;
+        rest = tail;
     }
-
-    // Final block: lookup3 skips the final mix entirely for empty input.
-    if length > 0 {
-        a = a.wrapping_add(read_u32_padded_bounded(data, offset, length, 0));
-        b = b.wrapping_add(read_u32_padded_bounded(data, offset, length, 4));
-        c = c.wrapping_add(read_u32_padded_bounded(data, offset, length, 8));
-        final_mix(&mut a, &mut b, &mut c);
-    }
-
-    (c, b)
-}
-
-/// Reads a little-endian `u32` from the final block, where only
-/// `remaining - word_offset` bytes are valid.
-#[inline(always)]
-fn read_u32_padded_bounded(
-    data: &[u8],
-    offset: usize,
-    remaining: usize,
-    word_offset: usize,
-) -> u32 {
-    let mut word = 0u32;
-    for i in 0..4 {
-        let idx = word_offset + i;
-        if idx < remaining {
-            word |= u32::from(data[offset + idx]) << (8 * i);
-        }
-    }
-    word
+    finish_tail(a, b, c, rest)
 }
 
 /// 64-bit Jenkins key: `hashlittle2` with both words combined.
@@ -135,24 +119,27 @@ pub fn jenkins_hash64(data: &[u8], seed: u64) -> u64 {
     (u64::from(c) << 32) | u64::from(b)
 }
 
-/// Incremental 64-bit Jenkins hashing over scattered bytes, in constant
-/// space.
+/// Incremental 64-bit Jenkins hashing, in constant space.
 ///
-/// The ATM key generator feeds sampled input bytes through this stream as it
-/// walks the cached shuffle, instead of materialising them into a scratch
-/// buffer first. lookup3 folds the *total* input length into the initial
-/// state, so the stream must be constructed with the final byte count
-/// upfront — key generation always knows it (it is the sampled-byte count
-/// the precision dictates). The stream then consumes bytes through a single
-/// 12-byte block: full blocks are `mix`ed immediately, except the last one,
-/// which lookup3 routes through the `final` path. The result is bit-identical
-/// to [`jenkins_hash64`] over the concatenation of everything pushed.
+/// The ATM key generator feeds input through this stream from where the
+/// data lives instead of serialising it first: whole element ranges as
+/// little-endian words ([`push_words`](Self::push_words)), raw byte regions
+/// as slices ([`push_slice`](Self::push_slice)), sampled bytes one at a
+/// time ([`push`](Self::push)). lookup3 folds the *total* input length into
+/// the initial state, so the stream must be constructed with the final byte
+/// count upfront — key generation always knows it. Whole 12-byte blocks are
+/// `mix`ed straight from the caller's words or slice; only a block that
+/// straddles two pushes, and the stream's last block (which lookup3 routes
+/// through `final`), pass through the 12-byte buffer. The result is
+/// bit-identical to [`jenkins_hash64`] over the concatenation of everything
+/// pushed.
 #[derive(Debug, Clone)]
 pub struct JenkinsStream {
     a: u32,
     b: u32,
     c: u32,
-    /// The current (possibly final) 12-byte lookup3 block.
+    /// A block begun by one push and not yet completed, or the stream's
+    /// last block awaiting [`finish`](Self::finish).
     block: [u8; 12],
     /// Valid bytes in `block`.
     filled: usize,
@@ -167,7 +154,7 @@ impl JenkinsStream {
     ///
     /// # Panics
     /// [`finish`](Self::finish) panics if fewer than `total_len` bytes were
-    /// pushed; [`push`](Self::push) panics on the byte that would exceed it.
+    /// pushed; pushing past it panics in debug builds.
     pub fn new(seed: u64, total_len: usize) -> Self {
         let pc = seed as u32;
         let pb = (seed >> 32) as u32;
@@ -185,6 +172,36 @@ impl JenkinsStream {
         }
     }
 
+    /// True while more than one block's worth of input is still to come, so
+    /// the next whole block is an inner one (`mix`) and not the stream's
+    /// last (`final`).
+    #[inline(always)]
+    fn next_block_is_inner(&self) -> bool {
+        self.total.saturating_sub(self.pushed) > 12
+    }
+
+    /// Mixes three words that form a whole inner block.
+    #[inline(always)]
+    fn mix_words(&mut self, w0: u32, w1: u32, w2: u32) {
+        self.a = self.a.wrapping_add(w0);
+        self.b = self.b.wrapping_add(w1);
+        self.c = self.c.wrapping_add(w2);
+        mix(&mut self.a, &mut self.b, &mut self.c);
+        self.pushed += 12;
+    }
+
+    /// Mixes the buffered block once it is whole — unless it is the
+    /// stream's last, which waits for [`finish`](Self::finish).
+    #[inline(always)]
+    fn mix_buffered_if_inner(&mut self) {
+        if self.filled == 12 && self.pushed < self.total {
+            let block = self.block;
+            add_block(&mut self.a, &mut self.b, &mut self.c, &block);
+            mix(&mut self.a, &mut self.b, &mut self.c);
+            self.filled = 0;
+        }
+    }
+
     /// Appends one byte to the stream.
     #[inline]
     pub fn push(&mut self, byte: u8) {
@@ -196,23 +213,77 @@ impl JenkinsStream {
         self.block[self.filled] = byte;
         self.filled += 1;
         self.pushed += 1;
-        // A full block is mixed immediately — unless it is the last block,
-        // which lookup3 sends through the `final` path instead (`while
-        // length > 12`, not `>=`, in the reference loop).
-        if self.filled == 12 && self.pushed < self.total {
-            self.a = self.a.wrapping_add(read_u32_padded(&self.block, 0));
-            self.b = self.b.wrapping_add(read_u32_padded(&self.block, 4));
-            self.c = self.c.wrapping_add(read_u32_padded(&self.block, 8));
-            mix(&mut self.a, &mut self.b, &mut self.c);
-            self.filled = 0;
-        }
+        self.mix_buffered_if_inner();
     }
 
     /// Appends a slice of bytes to the stream.
     #[inline]
-    pub fn push_slice(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.push(byte);
+    pub fn push_slice(&mut self, mut bytes: &[u8]) {
+        debug_assert!(
+            self.pushed + bytes.len() <= self.total,
+            "pushed more bytes than the declared total {}",
+            self.total
+        );
+        // Complete a block an earlier push left partial.
+        if self.filled > 0 {
+            let take = bytes.len().min(12 - self.filled);
+            self.block[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            self.pushed += take;
+            bytes = &bytes[take..];
+            self.mix_buffered_if_inner();
+            if bytes.is_empty() {
+                return;
+            }
+        }
+        // Whole inner blocks, straight from the slice.
+        while bytes.len() >= 12 && self.next_block_is_inner() {
+            let (block, rest) = bytes.split_at(12);
+            self.mix_words(le_word(block, 0), le_word(block, 4), le_word(block, 8));
+            bytes = rest;
+        }
+        // What is left starts a new block: fewer than 12 bytes, or exactly
+        // the stream's last block.
+        self.block[..bytes.len()].copy_from_slice(bytes);
+        self.filled = bytes.len();
+        self.pushed += bytes.len();
+    }
+
+    /// Appends 32-bit words, each as its four little-endian bytes — three
+    /// words per `mix` step while the stream is word-aligned on a block
+    /// boundary, which a run of 4- or 8-byte elements always is after at
+    /// most two words. This is the entry typed region storage hashes
+    /// through (`to_bits`, no serialisation buffer).
+    #[inline]
+    pub fn push_words(&mut self, words: impl IntoIterator<Item = u32>) {
+        let mut words = words.into_iter();
+        // Realign to a block boundary through the buffered path. A stream
+        // left mid-word by an earlier byte push never realigns and takes
+        // this path for every word.
+        while self.filled != 0 {
+            match words.next() {
+                Some(word) => self.push_slice(&word.to_le_bytes()),
+                None => return,
+            }
+        }
+        while self.next_block_is_inner() {
+            let Some(w0) = words.next() else { return };
+            let Some(w1) = words.next() else {
+                return self.push_slice(&w0.to_le_bytes());
+            };
+            let Some(w2) = words.next() else {
+                self.push_slice(&w0.to_le_bytes());
+                return self.push_slice(&w1.to_le_bytes());
+            };
+            debug_assert!(
+                self.pushed + 12 <= self.total,
+                "pushed past the declared total"
+            );
+            self.mix_words(w0, w1, w2);
+        }
+        // The stream's last block.
+        for word in words {
+            self.push_slice(&word.to_le_bytes());
         }
     }
 
@@ -239,14 +310,7 @@ impl JenkinsStream {
             "stream finished after {} of {} declared bytes",
             self.pushed, self.total
         );
-        let (mut a, mut b, mut c) = (self.a, self.b, self.c);
-        // Final block: lookup3 skips the final mix entirely for empty input.
-        if self.filled > 0 {
-            a = a.wrapping_add(read_u32_padded_bounded(&self.block, 0, self.filled, 0));
-            b = b.wrapping_add(read_u32_padded_bounded(&self.block, 0, self.filled, 4));
-            c = c.wrapping_add(read_u32_padded_bounded(&self.block, 0, self.filled, 8));
-            final_mix(&mut a, &mut b, &mut c);
-        }
+        let (c, b) = finish_tail(self.a, self.b, self.c, &self.block[..self.filled]);
         (u64::from(c) << 32) | u64::from(b)
     }
 }
@@ -361,6 +425,47 @@ mod tests {
                 stream.push(byte);
             }
             assert_eq!(stream.finish(), oneshot, "len {len} byte-wise diverged");
+            // The word entry at every split: `split` bytes through the
+            // slice path (leaving the stream at every alignment), then as
+            // many whole words as fit, then the byte tail — and the same
+            // with the words first.
+            let words_of = |bytes: &[u8]| -> Vec<u32> {
+                bytes
+                    .chunks_exact(4)
+                    .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+                    .collect()
+            };
+            for split in 0..=len {
+                let (head, rest) = data[..len].split_at(split);
+                let whole = rest.len() / 4 * 4;
+                let mut stream = JenkinsStream::new(0xA5A5_5A5A_DEAD_BEEF, len);
+                stream.push_slice(head);
+                stream.push_words(words_of(&rest[..whole]));
+                stream.push_slice(&rest[whole..]);
+                assert_eq!(
+                    stream.finish(),
+                    oneshot,
+                    "len {len}: {split} bytes then words diverged"
+                );
+
+                let whole = head.len() / 4 * 4;
+                let mut stream = JenkinsStream::new(0xA5A5_5A5A_DEAD_BEEF, len);
+                stream.push_words(words_of(&head[..whole]));
+                stream.push_slice(&head[whole..]);
+                stream.push_slice(rest);
+                assert_eq!(
+                    stream.finish(),
+                    oneshot,
+                    "len {len}: words then bytes from {split} diverged"
+                );
+                // Words arriving in two runs (two arguments back to back).
+                if len % 4 == 0 && split % 4 == 0 {
+                    let mut stream = JenkinsStream::new(0xA5A5_5A5A_DEAD_BEEF, len);
+                    stream.push_words(words_of(head));
+                    stream.push_words(words_of(rest));
+                    assert_eq!(stream.finish(), oneshot, "len {len}: word runs {split}");
+                }
+            }
         }
     }
 

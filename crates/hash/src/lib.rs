@@ -32,7 +32,7 @@ pub mod shuffle;
 
 pub use jenkins::{hashlittle2, jenkins_hash64, one_at_a_time, JenkinsStream};
 pub use prng::{SplitMix64, Xoshiro256StarStar};
-pub use sampler::{ByteLayout, InputSampler, SampledKey};
+pub use sampler::{ByteLayout, InputSampler, PlannedByte, SampledKey};
 pub use shuffle::{fisher_yates, significance_ordered_indices};
 
 /// Fraction of selected input bytes, `0 < p ≤ 1`.

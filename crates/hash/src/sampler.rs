@@ -77,6 +77,20 @@ impl ByteLayout {
     }
 }
 
+/// One selected byte of a sampling plan, resolved to where it lives: which
+/// input segment, which element of that segment, and which byte lane of the
+/// element (lane 0 is the least significant byte, as in little-endian
+/// storage).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlannedByte {
+    /// Element index within the segment.
+    pub elem: u32,
+    /// Index of the input segment, in declaration order.
+    pub segment: u16,
+    /// Byte lane within the element, `0..elem_width`.
+    pub lane: u8,
+}
+
 /// The result of sampling and hashing one task instance's inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampledKey {
@@ -187,6 +201,30 @@ impl InputSampler {
     pub fn selected_indices(&self, p: Percentage) -> &[u32] {
         let selected = p.bytes_of(self.total_bytes());
         &self.indices[..selected]
+    }
+
+    /// Resolves the selection at `p` into `(segment, element, lane)`
+    /// coordinates, in selection order: the flat-index arithmetic
+    /// ([`ByteLayout::locate`], then the split into element and lane) done
+    /// once, so a key generator that caches the plan beside this sampler
+    /// reads each selected byte with one indexed load and a shift.
+    ///
+    /// # Panics
+    /// Panics if the layout has more than `u16::MAX` segments or an element
+    /// wider than 255 bytes.
+    pub fn plan(&self, p: Percentage) -> Vec<PlannedByte> {
+        self.selected_indices(p)
+            .iter()
+            .map(|&flat| {
+                let (segment, offset) = self.layout.locate(flat as usize);
+                let width = self.layout.specs[segment].elem_width.max(1);
+                PlannedByte {
+                    elem: (offset / width) as u32,
+                    segment: u16::try_from(segment).expect("at most u16::MAX input segments"),
+                    lane: u8::try_from(offset % width).expect("element width fits a byte"),
+                }
+            })
+            .collect()
     }
 
     fn check_segments(&self, segments: &[&[u8]]) {
@@ -342,6 +380,35 @@ mod tests {
         let full = sampler.selected_indices(Percentage::FULL);
         assert_eq!(full.len(), 256);
         assert_eq!(&full[..128], half);
+    }
+
+    #[test]
+    fn plan_addresses_the_selected_bytes_in_selection_order() {
+        // Mixed widths, an empty segment in the middle: every planned byte
+        // must name the same byte its flat index does.
+        let layout = ByteLayout::from_pairs(&[(5, 4), (0, 8), (3, 8), (7, 1)]);
+        let offsets = [0usize, 20, 20, 44];
+        for type_aware in [false, true] {
+            let sampler = InputSampler::new(layout.clone(), type_aware, 23);
+            for p in [
+                Percentage::MIN,
+                Percentage::from_fraction(0.3),
+                Percentage::FULL,
+            ] {
+                let plan = sampler.plan(p);
+                let selected = sampler.selected_indices(p);
+                assert_eq!(plan.len(), selected.len());
+                for (planned, &flat) in plan.iter().zip(selected) {
+                    let segment = planned.segment as usize;
+                    let width = layout.specs()[segment].elem_width;
+                    assert!((planned.lane as usize) < width);
+                    assert_eq!(
+                        offsets[segment] + planned.elem as usize * width + planned.lane as usize,
+                        flat as usize
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -98,8 +98,8 @@ pub use interceptor::{Decision, NoopInterceptor, TaskInterceptor};
 pub use memo::{ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
 pub use ready_queue::QueueMode;
 pub use region::{
-    DataStore, DeregisterError, Elem, ElemType, Region, RegionData, RegionId, RegionReadGuard,
-    RegionStatus, RegisterError,
+    DataStore, DeregisterError, Elem, ElemType, ElemWindow, Region, RegionData, RegionId,
+    RegionRead, RegionReadGuard, RegionStatus, RegisterError, WordSink,
 };
 pub use scheduler::{Affinity, Observation, Runtime, RuntimeBuilder};
 pub use stats::{RuntimeStats, RuntimeStatsSnapshot};

@@ -22,6 +22,7 @@
 //! never lock contention on a region; the lock is a cheap safety net that
 //! keeps the whole crate free of `unsafe`.
 
+use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -296,6 +297,77 @@ pub enum RegionStatus {
     Unknown,
 }
 
+/// Receiver of [`ElemWindow::le_words`]: a consumer of a region's
+/// little-endian serialisation that takes it a word at a time (a streaming
+/// hasher, in practice).
+pub trait WordSink {
+    /// A run of 32-bit words, each standing for its four little-endian
+    /// bytes.
+    fn words(&mut self, words: impl Iterator<Item = u32>);
+    /// A run of raw bytes.
+    fn bytes(&mut self, bytes: &[u8]);
+}
+
+/// A borrowed window of a region's elements ([`RegionData::window`]),
+/// readable as the little-endian serialisation the ATM hash keys are
+/// defined over without producing it: whole, a 32-bit word at a time
+/// ([`le_words`](ElemWindow::le_words)), or one byte of one element
+/// ([`lane`](ElemWindow::lane)).
+#[derive(Debug, Clone, Copy)]
+pub enum ElemWindow<'a> {
+    /// 32-bit floats.
+    F32(&'a [f32]),
+    /// 64-bit floats.
+    F64(&'a [f64]),
+    /// 32-bit signed integers.
+    I32(&'a [i32]),
+    /// 64-bit signed integers.
+    I64(&'a [i64]),
+    /// Raw bytes.
+    U8(&'a [u8]),
+}
+
+impl ElemWindow<'_> {
+    /// Byte `lane` (0 = least significant, the little-endian order) of
+    /// element `elem` of the window: one indexed load and a shift of the
+    /// element's bits. This is how the key generator reads the bytes a
+    /// sampling plan selected, so key generation stays proportional to the
+    /// number of *selected* bytes.
+    #[inline(always)]
+    pub fn lane(&self, elem: usize, lane: u8) -> u8 {
+        let shift = 8 * u32::from(lane);
+        match self {
+            ElemWindow::F32(v) => (v[elem].to_bits() >> shift) as u8,
+            ElemWindow::F64(v) => (v[elem].to_bits() >> shift) as u8,
+            ElemWindow::I32(v) => (v[elem] >> shift) as u8,
+            ElemWindow::I64(v) => (v[elem] >> shift) as u8,
+            ElemWindow::U8(v) => v[elem],
+        }
+    }
+
+    /// Feeds the window to `sink` as little-endian 32-bit words, straight
+    /// from the typed storage: a 4-byte element is its `to_bits`, an 8-byte
+    /// element its low word then its high word, and a `U8` window — whose
+    /// storage already *is* its serialisation — goes through as one byte
+    /// run. The bytes the sink receives, in order, equal
+    /// [`RegionData::bytes_in_elem_range`] over the same range; nothing is
+    /// allocated or copied on the way. This is the path the key generator
+    /// hashes whole arguments through.
+    #[inline]
+    pub fn le_words(&self, sink: &mut impl WordSink) {
+        fn halves(bits: u64) -> [u32; 2] {
+            [bits as u32, (bits >> 32) as u32]
+        }
+        match self {
+            ElemWindow::F32(v) => sink.words(v.iter().map(|x| x.to_bits())),
+            ElemWindow::F64(v) => sink.words(v.iter().flat_map(|x| halves(x.to_bits()))),
+            ElemWindow::I32(v) => sink.words(v.iter().map(|&x| x as u32)),
+            ElemWindow::I64(v) => sink.words(v.iter().flat_map(|&x| halves(x as u64))),
+            ElemWindow::U8(v) => sink.bytes(v),
+        }
+    }
+}
+
 /// Typed storage of one region.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegionData {
@@ -380,20 +452,26 @@ impl RegionData {
     }
 
     /// Returns the byte at `offset` of the little-endian serialisation of
-    /// the data, without materialising the whole byte vector. Used by the
-    /// ATM key generator to gather the sampled input bytes directly from the
-    /// region storage (the cost of key generation must stay proportional to
-    /// the number of *selected* bytes, not to the total input size).
+    /// the data, without materialising the whole byte vector. The
+    /// flat-offset reference the sampled key plans are checked against; the
+    /// key path itself addresses bytes by [`ElemWindow::lane`].
     #[inline]
     pub fn byte_at(&self, offset: usize) -> u8 {
         let width = self.elem_type().width();
-        let (elem, byte) = (offset / width, offset % width);
+        self.window(0..self.len())
+            .lane(offset / width, (offset % width) as u8)
+    }
+
+    /// Borrows the elements in `elem_range` as a typed window — the view the
+    /// ATM key generator reads through (no copy, no serialisation).
+    #[inline]
+    pub fn window(&self, elem_range: std::ops::Range<usize>) -> ElemWindow<'_> {
         match self {
-            RegionData::F32(v) => v[elem].to_le_bytes()[byte],
-            RegionData::F64(v) => v[elem].to_le_bytes()[byte],
-            RegionData::I32(v) => v[elem].to_le_bytes()[byte],
-            RegionData::I64(v) => v[elem].to_le_bytes()[byte],
-            RegionData::U8(v) => v[elem],
+            RegionData::F32(v) => ElemWindow::F32(&v[elem_range]),
+            RegionData::F64(v) => ElemWindow::F64(&v[elem_range]),
+            RegionData::I32(v) => ElemWindow::I32(&v[elem_range]),
+            RegionData::I64(v) => ElemWindow::I64(&v[elem_range]),
+            RegionData::U8(v) => ElemWindow::U8(&v[elem_range]),
         }
     }
 
@@ -405,28 +483,6 @@ impl RegionData {
             RegionData::I32(v) => v[elem_range].iter().flat_map(|x| x.to_le_bytes()).collect(),
             RegionData::I64(v) => v[elem_range].iter().flat_map(|x| x.to_le_bytes()).collect(),
             RegionData::U8(v) => v[elem_range].to_vec(),
-        }
-    }
-
-    /// Streams the little-endian serialisation of the elements in
-    /// `elem_range` through `f` without allocating. `f` is called once per
-    /// element with that element's bytes (once with the whole sub-slice for
-    /// `U8` regions, whose storage already *is* its serialisation). The
-    /// concatenation of all callback slices equals
-    /// [`bytes_in_elem_range`](RegionData::bytes_in_elem_range) — this is
-    /// the zero-allocation path the ATM key generator hashes through.
-    #[inline]
-    pub fn with_bytes_in_elem_range(
-        &self,
-        elem_range: std::ops::Range<usize>,
-        mut f: impl FnMut(&[u8]),
-    ) {
-        match self {
-            RegionData::F32(v) => v[elem_range].iter().for_each(|x| f(&x.to_le_bytes())),
-            RegionData::F64(v) => v[elem_range].iter().for_each(|x| f(&x.to_le_bytes())),
-            RegionData::I32(v) => v[elem_range].iter().for_each(|x| f(&x.to_le_bytes())),
-            RegionData::I64(v) => v[elem_range].iter().for_each(|x| f(&x.to_le_bytes())),
-            RegionData::U8(v) => f(&v[elem_range]),
         }
     }
 
@@ -555,6 +611,48 @@ struct RegionSlot {
     /// stale — it lets hot paths like submission validation read the type
     /// without touching the data lock.
     elem: ElemType,
+    /// Write version: how many times the region was opened for writing.
+    /// Bumped *under the write lock* by the only two ways into the data
+    /// ([`RegionWriteGuard::lock`], [`DataStore::restore`]) and read under
+    /// the read lock, so between two bumps the bytes cannot have changed —
+    /// the version identifies the contents (CONCURRENCY.md, protocol 7).
+    version: AtomicU64,
+    /// The version `digest` was computed at, or [`NO_DIGEST`].
+    digest_version: AtomicU64,
+    /// One cached digest of the whole region (see
+    /// [`RegionRead::digest_or_fill`]). It lives and dies with the region:
+    /// ids are never reused, so a re-registered name starts from an empty
+    /// slot.
+    digest: AtomicU64,
+}
+
+/// `digest_version` of a slot nothing was published to yet; no region is
+/// ever written `u64::MAX` times.
+const NO_DIGEST: u64 = u64::MAX;
+
+impl RegionSlot {
+    fn new(name: String, data: RegionData) -> Self {
+        RegionSlot {
+            elem: data.elem_type(),
+            data: RwLock::new(data),
+            name,
+            version: AtomicU64::new(0),
+            digest_version: AtomicU64::new(NO_DIGEST),
+            digest: AtomicU64::new(0),
+        }
+    }
+
+    /// Locks the data for writing and bumps the write version. The bump
+    /// sits inside the critical section: a reader that holds the read lock
+    /// sees either the version before the writer got in, with the bytes of
+    /// that version, or — after the writer is done — a later one.
+    fn write(&self) -> RwLockWriteGuard<'_, RegionData> {
+        let guard = self.data.write();
+        // Ordered by the lock, like the data it describes; `Release` so the
+        // pairing with `RegionRead::version` does not lean on that alone.
+        self.version.fetch_add(1, Ordering::Release);
+        guard
+    }
 }
 
 /// Registration state: the region slots plus the name index used to reject
@@ -629,15 +727,9 @@ impl DataStore {
             .checked_add(1)
             .expect("more than u32::MAX regions");
         registry.by_name.insert(name.clone(), id);
-        let elem = data.elem_type();
-        registry.slots.insert(
-            id.0,
-            Arc::new(RegionSlot {
-                data: RwLock::new(data),
-                name,
-                elem,
-            }),
-        );
+        registry
+            .slots
+            .insert(id.0, Arc::new(RegionSlot::new(name, data)));
         Ok(id)
     }
 
@@ -772,7 +864,7 @@ impl DataStore {
     /// Panics if the new data has a different type or length than the
     /// current contents (regions are fixed-shape once registered).
     pub fn restore(&self, id: impl Into<RegionId>, data: &RegionData) {
-        self.slot(id.into()).data.write().copy_from(data);
+        self.slot(id.into()).write().copy_from(data);
     }
 
     fn slot(&self, id: RegionId) -> Arc<RegionSlot> {
@@ -793,8 +885,61 @@ pub struct RegionReadGuard<'a> {
 
 impl RegionReadGuard<'_> {
     /// Locks the region for reading and returns the guard.
-    pub fn lock(&self) -> RwLockReadGuard<'_, RegionData> {
-        self.slot.data.read()
+    pub fn lock(&self) -> RegionRead<'_> {
+        RegionRead {
+            data: self.slot.data.read(),
+            slot: &self.slot,
+        }
+    }
+}
+
+/// A region locked for reading: its data (through `Deref`) together with
+/// the write version that identifies those bytes and the region's digest
+/// slot. Holding the lock is what makes the three agree — no writer can
+/// bump the version or change a byte while this guard lives — which is why
+/// the version and the slot are only reachable through it.
+pub struct RegionRead<'a> {
+    data: RwLockReadGuard<'a, RegionData>,
+    slot: &'a RegionSlot,
+}
+
+impl std::ops::Deref for RegionRead<'_> {
+    type Target = RegionData;
+
+    fn deref(&self) -> &RegionData {
+        &self.data
+    }
+}
+
+impl RegionRead<'_> {
+    /// The region's write version: it changes whenever the region is opened
+    /// for writing ([`RegionWriteGuard::lock`], [`DataStore::restore`]) and
+    /// never otherwise, so equal versions of one region mean equal bytes.
+    pub fn version(&self) -> u64 {
+        self.slot.version.load(Ordering::Acquire)
+    }
+
+    /// The digest of the whole region cached for its current version, or —
+    /// when the region was written since the slot was last filled —
+    /// `fill(data)`, computed now and published for the next reader while
+    /// this read lock is still held.
+    ///
+    /// A region has **one** slot, so every caller must pass the same pure
+    /// function of the region's bytes (the ATM key generator's
+    /// fixed-seed lookup3, whatever the task type or engine). Two readers
+    /// that race to fill the slot hold the read lock together, therefore
+    /// hash the same version and publish the same value.
+    pub fn digest_or_fill(&self, fill: impl FnOnce(&RegionData) -> u64) -> u64 {
+        let version = self.version();
+        // Acquire pairs with the Release publication below: a reader that
+        // sees this version's tag also sees this version's digest.
+        if self.slot.digest_version.load(Ordering::Acquire) == version {
+            return self.slot.digest.load(Ordering::Relaxed);
+        }
+        let digest = fill(&self.data);
+        self.slot.digest.store(digest, Ordering::Relaxed);
+        self.slot.digest_version.store(version, Ordering::Release);
+        digest
     }
 }
 
@@ -807,7 +952,7 @@ pub struct RegionWriteGuard<'a> {
 impl RegionWriteGuard<'_> {
     /// Locks the region for writing and returns the guard.
     pub fn lock(&self) -> RwLockWriteGuard<'_, RegionData> {
-        self.slot.data.write()
+        self.slot.write()
     }
 }
 

@@ -5,11 +5,39 @@
 //! ranges, so there is no `unsafe` block to audit line by line. What CAN
 //! still go wrong without `unsafe` is logic on the byte views — element
 //! widths, range arithmetic, cross-type restores — so this suite drives
-//! exactly those paths (read, write, slice, restore) and the nightly Miri
-//! job replays it to certify the absence of UB end to end, `forbid` attr
+//! exactly those paths (read, write, slice, restore, the word and lane
+//! views the ATM key generator hashes through, and the write version and
+//! digest slot that let it skip unwritten regions) and the nightly Miri job
+//! replays it to certify the absence of UB end to end, `forbid` attr
 //! included.
 
-use atm_runtime::{DataStore, ElemType, RegionData};
+use atm_runtime::{DataStore, ElemType, RegionData, WordSink};
+
+/// Collects what a window feeds its sink, as bytes.
+#[derive(Default)]
+struct Collect(Vec<u8>);
+
+impl WordSink for Collect {
+    fn words(&mut self, words: impl Iterator<Item = u32>) {
+        for word in words {
+            self.0.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+fn one_of_each() -> Vec<RegionData> {
+    vec![
+        RegionData::F32(vec![1.5, -2.5, 3.25, 0.0, f32::MAX]),
+        RegionData::F64(vec![1.5, -0.0, f64::MIN_POSITIVE, 1e300]),
+        RegionData::I32(vec![0x0102_0304, -5, i32::MIN]),
+        RegionData::I64(vec![-1, i64::MAX, 0x0102_0304_0506_0708]),
+        RegionData::U8(vec![0xAB, 0xCD, 0xEF, 0x01, 0x23, 0x45, 0x67]),
+    ]
+}
 
 #[test]
 fn typed_views_round_trip_through_bytes() {
@@ -81,4 +109,93 @@ fn every_element_type_exposes_consistent_bytes() {
     );
     assert_eq!(store.read(u8s).lock().to_bytes(), vec![0xAB, 0xCD]);
     assert_eq!(store.read(u8s).lock().byte_at(1), 0xCD);
+}
+
+#[test]
+fn word_and_lane_views_agree_with_the_serialisation_on_every_window() {
+    for data in one_of_each() {
+        let width = data.elem_type().width();
+        for start in 0..=data.len() {
+            for end in start..=data.len() {
+                let bytes = data.bytes_in_elem_range(start..end);
+                let window = data.window(start..end);
+                // The word view: same bytes, same order, nothing else.
+                let mut fed = Collect::default();
+                window.le_words(&mut fed);
+                assert_eq!(fed.0, bytes, "{:?} {start}..{end}", data.elem_type());
+                // The lane view: byte `lane` of element `elem` of the window.
+                for (offset, &byte) in bytes.iter().enumerate() {
+                    assert_eq!(window.lane(offset / width, (offset % width) as u8), byte);
+                }
+            }
+        }
+        let all = data.to_bytes();
+        for (offset, &byte) in all.iter().enumerate() {
+            assert_eq!(data.byte_at(offset), byte);
+        }
+    }
+}
+
+#[test]
+fn both_write_funnels_bump_the_version_and_reads_do_not() {
+    let store = DataStore::new();
+    let r = store.register_typed::<i64>("v", vec![1, 2, 3]).unwrap();
+    let v0 = store.read(r).lock().version();
+    // Reading — through the handle or the store's own accessors — is not a
+    // write.
+    let _ = store.snapshot(r);
+    let _ = store.contents(&r);
+    assert_eq!(store.size_bytes(r), 24);
+    assert_eq!(store.read(r).lock().version(), v0);
+
+    // Funnel one: the write guard, whether or not anything is stored.
+    store.write(r).lock().as_elems_mut::<i64>()[0] = 9;
+    let v1 = store.read(r).lock().version();
+    assert!(v1 > v0);
+    drop(store.write(r).lock());
+    let v2 = store.read(r).lock().version();
+    assert!(v2 > v1, "opening for writing counts as a write");
+
+    // Funnel two: restore.
+    store.restore(r, &RegionData::I64(vec![7, 7, 7]));
+    assert!(store.read(r).lock().version() > v2);
+
+    // Versions belong to the region, not to the name.
+    store.deregister(r).unwrap();
+    let again = store.register_typed::<i64>("v", vec![7, 7, 7]).unwrap();
+    assert_eq!(store.read(again).lock().version(), v0);
+}
+
+#[test]
+fn digest_slot_is_served_until_the_region_is_written() {
+    let store = DataStore::new();
+    let r = store.register_typed::<u8>("d", vec![1, 2, 3]).unwrap();
+    let sum = |data: &RegionData| data.to_bytes().iter().map(|&b| u64::from(b)).sum::<u64>();
+    let never = |_: &RegionData| -> u64 { panic!("the slot holds this version's digest") };
+
+    let handle = store.read(r);
+    assert_eq!(handle.lock().digest_or_fill(sum), 6, "empty slot: filled");
+    assert_eq!(
+        handle.lock().digest_or_fill(never),
+        6,
+        "served from the slot"
+    );
+    // Two read locks at once see the same slot.
+    let (a, b) = (handle.lock(), handle.lock());
+    assert_eq!(a.digest_or_fill(never), b.digest_or_fill(never));
+    drop((a, b));
+
+    // Either funnel invalidates it, even when the bytes end up the same.
+    drop(store.write(r).lock());
+    assert_eq!(handle.lock().digest_or_fill(|_| 60), 60, "refilled");
+    store.restore(r, &RegionData::U8(vec![4, 4, 4]));
+    assert_eq!(handle.lock().digest_or_fill(sum), 12);
+    assert_eq!(handle.lock().digest_or_fill(never), 12);
+
+    // The slot lives and dies with the region: a handle that outlives the
+    // deregistration keeps its own, the re-registered name starts empty.
+    store.deregister(r).unwrap();
+    assert_eq!(handle.lock().digest_or_fill(never), 12);
+    let again = store.register_typed::<u8>("d", vec![4, 4, 4]).unwrap();
+    assert_eq!(store.read(again).lock().digest_or_fill(|_| 1), 1);
 }

@@ -7,7 +7,7 @@
 //! binary file and [`MemoStore::load_from`] / [`MemoStore::absorb_from`]
 //! rebuild them, letting a run *warm-start* from a previous run's table.
 //!
-//! ## Format (version 1, all integers little-endian)
+//! ## Format (version 2, all integers little-endian)
 //!
 //! ```text
 //! [0..8)   magic  b"ATMSTORE"
@@ -27,6 +27,16 @@
 //! remaining buffer and finally the checksum; any mismatch is a
 //! [`PersistError`], never a panic or a silently wrong table.
 //!
+//! The format version doubles as the **key-space version**: the `hash` of
+//! an entry is only worth storing if the loading run computes the same hash
+//! for the same inputs. Version 1 keyed an exact task by lookup3 over its
+//! concatenated input bytes; version 2 keys it by lookup3 over the
+//! per-argument digests (`atm_core::key`), so a version-1 file holds
+//! entries no version-2 run can ever hit — it is refused with
+//! [`PersistError::UnsupportedVersion`] instead of being loaded as dead
+//! weight, and a warm start that finds one degrades to a cold start. The
+//! byte layout itself did not change.
+//!
 //! Warm-start caveat: hash keys embed the task-type id and the key-seed, so
 //! a snapshot is only meaningful to a run that registers its task types in
 //! the same order and uses the same `key_seed` — the natural situation for
@@ -39,7 +49,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"ATMSTORE";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Error decoding or transferring a store snapshot.
 #[derive(Debug)]
@@ -217,7 +227,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Writes the version-1 snapshot body (everything but the checksum
+/// Writes the snapshot body (everything but the checksum
 /// trailer) through a checksumming writer. One output's payload is
 /// materialised at a time, so a streamed checkpoint never holds the whole
 /// table as bytes.
@@ -246,14 +256,14 @@ fn write_snapshot<W: std::io::Write>(
     Ok(())
 }
 
-/// Encodes entries into the version-1 snapshot byte layout.
+/// Encodes entries into the snapshot byte layout.
 fn encode_entries(entries: &[ExportedEntry]) -> Vec<u8> {
     let mut w = ChecksumWriter::new(Vec::new());
     write_snapshot(&mut w, entries).expect("writing to a Vec cannot fail");
     w.finish().expect("writing to a Vec cannot fail")
 }
 
-/// Decodes a version-1 snapshot, validating structure and checksum.
+/// Decodes a snapshot, validating structure, version and checksum.
 fn decode_entries(bytes: &[u8]) -> Result<Vec<ExportedEntry>, PersistError> {
     if bytes.len() < MAGIC.len() + 4 + 8 + 8 {
         return Err(PersistError::Truncated);
@@ -487,6 +497,38 @@ mod tests {
             decode_entries(&versioned),
             Err(PersistError::UnsupportedVersion(99))
         ));
+    }
+
+    /// A version-1 file is structurally sound but from the old key space
+    /// (exact keys over concatenated input bytes): every way in refuses it,
+    /// and a refused warm start leaves the store empty — a cold start.
+    #[test]
+    fn version_1_snapshots_are_refused_by_every_loader() {
+        let (_data, store) = sample_store();
+        let mut v1 = store.to_snapshot_bytes();
+        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        let body_len = v1.len() - 8;
+        let checksum = fnv1a64(&v1[..body_len]);
+        v1[body_len..].copy_from_slice(&checksum.to_le_bytes());
+
+        let cold = MemoStore::new(StoreConfig::default());
+        assert!(matches!(
+            cold.absorb_snapshot_bytes(&v1),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
+        let path =
+            std::env::temp_dir().join(format!("atm-store-v1-test-{}.bin", std::process::id()));
+        std::fs::write(&path, &v1).unwrap();
+        assert!(matches!(
+            cold.absorb_from(&path),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
+        assert!(matches!(
+            MemoStore::load_from(&path, StoreConfig::default()),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
+        std::fs::remove_file(&path).unwrap();
+        assert!(cold.is_empty(), "a refused snapshot must admit nothing");
     }
 
     #[test]

@@ -129,14 +129,21 @@ pub fn outputs_as_f64(store: &DataStore, accesses: &[Access]) -> Vec<f64> {
 
 /// Element range covered by an access (whole region when unranged).
 pub fn elem_range_of(store: &DataStore, access: &Access) -> Range<usize> {
-    let width = access.elem.width();
     match &access.range {
-        Some(r) => (r.start / width)..(r.end / width),
-        None => {
-            let region = store.read(access.region);
-            let len = region.lock().len();
-            0..len
+        Some(_) => elem_range_within(access, 0),
+        None => elem_range_within(access, store.read(access.region).lock().len()),
+    }
+}
+
+/// [`elem_range_of`] for a caller that already holds the region locked and
+/// knows its length: `region_len` is what an unranged access covers.
+pub fn elem_range_within(access: &Access, region_len: usize) -> Range<usize> {
+    match &access.range {
+        Some(bytes) => {
+            let width = access.elem.width();
+            (bytes.start / width)..(bytes.end / width)
         }
+        None => 0..region_len,
     }
 }
 
