@@ -391,6 +391,7 @@ mod tests {
             run.atm_stats.training_hits > 0,
             "the training phase must have verified some hits"
         );
+        assert_eq!(run.atm_stats.gated, 0, "a type that pays is never gated");
     }
 
     #[test]

@@ -439,6 +439,7 @@ mod tests {
             correctness > 80.0,
             "Kmeans dynamic correctness too low: {correctness:.2}%"
         );
+        assert_eq!(run.atm_stats.gated, 0, "a type that pays is never gated");
     }
 
     #[test]

@@ -678,6 +678,23 @@ mod tests {
         assert_eq!(run.atm_stats.seen, 64);
     }
 
+    /// The stencils never pay back what keying them costs (1–3 % reuse at
+    /// p = 0.5): the profitability ledger closes the type, and a gated task
+    /// simply executes, so the result is exact.
+    #[test]
+    fn dynamic_atm_gates_the_stencils_and_stays_exact() {
+        for variant in [StencilVariant::GaussSeidel, StencilVariant::Jacobi] {
+            let app = Stencil::new(variant, StencilConfig::for_scale(Scale::Small));
+            let run = app.run_tasked(&RunOptions::with_atm(2, AtmConfig::dynamic_atm()));
+            assert_eq!(app.correctness_percent(&run.output), 100.0, "{variant:?}");
+            let stats = run.atm_stats;
+            assert!(stats.gated > 0, "{variant:?}: {stats:?}");
+            assert_eq!(stats.seen, stats.reused() + stats.executed);
+            let lookups = run.store_counters.hits + run.store_counters.misses;
+            assert!(lookups <= stats.seen - stats.gated, "{variant:?}");
+        }
+    }
+
     #[test]
     fn table_info_reports_block_plus_halo_inputs() {
         let app = Stencil::at_scale(StencilVariant::Jacobi, Scale::Tiny);

@@ -392,6 +392,7 @@ mod tests {
             correctness > 90.0,
             "dynamic Swaptions correctness too low: {correctness:.2}%"
         );
+        assert_eq!(run.atm_stats.gated, 0, "a type that pays is never gated");
     }
 
     #[test]

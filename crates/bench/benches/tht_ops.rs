@@ -1,12 +1,23 @@
 //! Task History Table and In-flight Key Table operation costs: lookup hits,
-//! lookup misses, inserts with FIFO eviction, IKT producer/waiter traffic.
+//! lookup misses, inserts with FIFO eviction, IKT producer/waiter traffic —
+//! and what one `AtmEngine::before_execute` costs on top of them when the
+//! task hits, misses, or belongs to a type its profitability ledger closed
+//! (`engine_before`: the gated row is the whole point of the gate, and a
+//! gate that stops closing shows here as a missing row's worth of time).
 //!
 //! Run with: `cargo bench --bench tht_ops`
 
-use atm_core::{EntryKey, InFlightKeyTable, MemoStore, OutputSnapshot, ThtConfig, Waiter};
+use atm_core::{
+    AtmConfig, AtmEngine, EntryKey, InFlightKeyTable, MemoSpec, MemoStore, OutputSnapshot,
+    ThtConfig, Waiter,
+};
 use atm_eval::bench;
-use atm_runtime::{Access, DataStore, TaskId, TaskTypeId};
+use atm_runtime::{
+    Access, DataStore, Decision, Region, TaskId, TaskInterceptor, TaskTypeBuilder, TaskTypeId,
+    TaskTypeInfo, TaskView, Tracer,
+};
 use std::sync::Arc;
+use std::time::Instant;
 
 fn snapshot(store: &DataStore, len: usize, tag: &str) -> Arc<Vec<OutputSnapshot>> {
     let region = store.register_typed(tag, vec![1.0f32; len]).unwrap();
@@ -73,6 +84,152 @@ fn tht_operations() {
     });
 }
 
+/// One memoizable type over 256 B inputs: a kernel that does next to nothing,
+/// so the rows below are the engine's own time.
+fn first_plus_one(spec: MemoSpec) -> TaskTypeInfo {
+    TaskTypeBuilder::new("first_plus_one", |ctx| {
+        let x = ctx.arg::<f64>(0);
+        ctx.out(1, &[x[0] + 1.0]);
+    })
+    .arg::<f64>()
+    .out::<f64>()
+    .memo(spec)
+    .build()
+}
+
+/// Median nanoseconds per `before_execute` (each sample the mean over one
+/// pass of `accesses`, one task per access set, clock reads included). Every
+/// task then runs its kernel if told to and goes through `after_execute`,
+/// as on a worker; `prepare` runs before each pass. None of that is timed.
+fn before_execute_row(
+    label: &str,
+    engine: &AtmEngine,
+    store: &DataStore,
+    info: &TaskTypeInfo,
+    accesses: &[Vec<Access>],
+    expect: Option<Decision>,
+    mut prepare: impl FnMut(),
+) {
+    let tracer = Tracer::new(None);
+    let mut next_id = 0u64;
+    let mut samples = Vec::new();
+    let started = Instant::now();
+    while started.elapsed().as_millis() < 400 {
+        prepare();
+        let mut pass_ns = 0u128;
+        for accesses in accesses {
+            next_id += 1;
+            let view = TaskView {
+                id: TaskId::from_raw(next_id),
+                type_id: TaskTypeId::from_raw(0),
+                info,
+                accesses,
+                memo: None,
+            };
+            let before = Instant::now();
+            let decision = engine.before_execute(view, store, &tracer, 0);
+            pass_ns += before.elapsed().as_nanos();
+            if let Some(expected) = expect {
+                assert_eq!(decision, expected, "{label}");
+            }
+            let executed = decision == Decision::Execute;
+            if executed {
+                (info.kernel)(&atm_runtime::TaskContext::new(store, accesses));
+            }
+            engine.after_execute(view, store, &tracer, 0, executed);
+        }
+        samples.push(pass_ns as f64 / accesses.len() as f64);
+    }
+    samples.sort_by(|a, b| a.total_cmp(b));
+    println!(
+        "engine_before/{label:<21} median {:>12.1} ns/iter  ({} iters)",
+        samples[samples.len() / 2],
+        samples.len() * accesses.len()
+    );
+}
+
+fn engine_before() {
+    const BATCH: usize = 64;
+    let store = DataStore::new();
+    let out = store.register_zeros::<f64>("out", 1).unwrap();
+    let inputs: Vec<Region<f64>> = (0..BATCH)
+        .map(|i| {
+            store
+                .register_typed(format!("in{i}"), vec![i as f64; 32])
+                .unwrap()
+        })
+        .collect();
+    let accesses: Vec<Vec<Access>> = inputs
+        .iter()
+        .map(|input| vec![Access::read(input), Access::write(&out)])
+        .collect();
+
+    // Open, hit: every input is in the THT after the first batch.
+    let exact = first_plus_one(MemoSpec::exact());
+    let engine = AtmEngine::new(AtmConfig::static_atm());
+    before_execute_row("warm-up", &engine, &store, &exact, &accesses, None, || {});
+    before_execute_row(
+        "open_hit",
+        &engine,
+        &store,
+        &exact,
+        &accesses,
+        Some(Decision::Memoized),
+        || {},
+    );
+
+    // Open, miss: one way per bucket and 64 inputs that share few buckets
+    // would still hit; a store that admits nothing never does.
+    let engine = AtmEngine::new(
+        AtmConfig::static_atm()
+            .with_byte_budget(1)
+            .with_admission_fraction(0.5),
+    );
+    before_execute_row(
+        "open_miss",
+        &engine,
+        &store,
+        &exact,
+        &accesses,
+        Some(Decision::Execute),
+        || {},
+    );
+
+    // Gated: an adaptive type whose exact-pinned argument is rewritten before
+    // every task — all cost, no reuse — until its ledger closes it.
+    let adaptive = first_plus_one(MemoSpec::approximate().arg_exact(0));
+    let engine = AtmEngine::new(AtmConfig::dynamic_atm());
+    let mut fresh = 0.5f64;
+    let mut rewrite_inputs = || {
+        for input in &inputs {
+            fresh += 1.0;
+            store.write(*input).lock().as_f64_mut()[0] = fresh;
+        }
+    };
+    for label in ["closing", "gated"] {
+        let expect = (label == "gated").then_some(Decision::Execute);
+        before_execute_row(
+            label,
+            &engine,
+            &store,
+            &adaptive,
+            &accesses,
+            expect,
+            &mut rewrite_inputs,
+        );
+    }
+    let summary = engine.type_summaries().into_values().next().unwrap();
+    println!(
+        "engine_before: gated {} of {} tasks, {} closures",
+        summary.gated, summary.seen, summary.gate_closures
+    );
+    assert!(
+        summary.gated * 10 > summary.seen * 9,
+        "a type that only costs must be gated"
+    );
+}
+
 fn main() {
     tht_operations();
+    engine_before();
 }

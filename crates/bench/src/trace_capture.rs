@@ -91,9 +91,16 @@ pub fn assemble_chrome_trace(obs: &Observability) -> String {
                 .collect::<Vec<_>>()
                 .join("+");
             args.push(("decision", format!("\"{joined}\"")));
-            if let Some(first) = records.first() {
-                args.push(("tau", json_f64(first.tau)));
-                args.push(("p", json_f64(first.p)));
+            // τ and p of the task's own decision; a gate event the task
+            // caused brings the ledger reading behind it.
+            if let Some(own) = records.iter().find(|r| r.gate_ledger().is_none()) {
+                args.push(("tau", json_f64(own.tau)));
+                args.push(("p", json_f64(own.p)));
+            }
+            if let Some((spent, earned, allowance)) = records.iter().find_map(|r| r.gate_ledger()) {
+                args.push(("spent_ns", json_f64(spent)));
+                args.push(("earned_ns", json_f64(earned)));
+                args.push(("allowance_ns", json_f64(allowance)));
             }
         }
         args.push((
@@ -243,12 +250,30 @@ mod tests {
                 t_ns: 1_300,
             },
         );
+        // The same task's settlement closed its type: the span carries the
+        // ledger reading next to the task's own τ and p.
+        obs.record_decision(
+            0,
+            DecisionRecord {
+                task_type: 2,
+                task_id: 7,
+                decision: MemoDecision::GateClose,
+                metric_value: 9_000.0,
+                tau: 1_000.0,
+                p: 4_000.0,
+                producer: None,
+                t_ns: 1_400,
+            },
+        );
         obs.sample_store_bytes(0, 4_096);
         obs.note_type_name(2, "square");
         let json = assemble_chrome_trace(&obs);
+        assert!(json.contains("\"decision\":\"tht_hit+gate_close\""));
+        assert!(json.contains("\"spent_ns\":9000"));
+        assert!(json.contains("\"earned_ns\":1000"));
+        assert!(json.contains("\"allowance_ns\":4000"));
         assert!(json.contains("\"name\":\"Task Execution\""));
         assert!(json.contains("\"name\":\"square\""));
-        assert!(json.contains("\"decision\":\"tht_hit\""));
         assert!(json.contains("\"tau\":0.2"));
         assert!(json.contains("\"name\":\"ready_depth\""));
         assert!(json.contains("\"name\":\"store_bytes\""));

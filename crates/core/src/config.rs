@@ -1,0 +1,159 @@
+//! The engine's configuration: the engine-wide operating mode and the
+//! sizing / eviction policy of the memo store behind the THT.
+
+use crate::tht::ThtConfig;
+use atm_store::{PolicyKind, StoreConfig};
+
+/// Engine-wide operating mode.
+///
+/// Since the per-type [`MemoSpec`](atm_runtime::MemoSpec) redesign, approximation policy lives on
+/// the task type: each memoizable type declares whether it is exact,
+/// adaptive or fixed-precision, with its own `τ_max`, training window,
+/// error metric and per-argument precision overrides. `AtmMode` is demoted
+/// to an engine-wide *default/override* for the benchmark harness:
+///
+/// * [`AtmMode::Dynamic`] — **respect the per-type specs** (the normal
+///   production mode). A type whose spec is
+///   [`MemoSpec::approximate`](atm_runtime::MemoSpec::approximate) trains exactly as the paper's Dynamic ATM
+///   did, so `AtmConfig::dynamic_atm()` with default specs reproduces the
+///   pre-redesign behaviour bit for bit.
+/// * [`AtmMode::Static`] — force exact memoization (`p = 100 %`) on every
+///   memoizable type, ignoring the specs (the paper's Static ATM bars).
+/// * [`AtmMode::FixedP`] — force one constant `p` on every memoizable
+///   type, ignoring the specs (the evaluation's Oracle sweeps).
+/// * [`AtmMode::Off`] — disable ATM entirely (the baseline).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AtmMode {
+    /// ATM disabled: every task executes (the paper's baseline).
+    Off,
+    /// Override: exact memoization with `p = 100 %` for every memoizable
+    /// type (§III-B). Guarantees bit-identical results.
+    Static,
+    /// Respect each task type's [`MemoSpec`](atm_runtime::MemoSpec) (approximate specs train their
+    /// own `p` against their own `τ_max`, §III-D). The default specs make
+    /// this the paper's Dynamic ATM.
+    Dynamic,
+    /// Override: a fixed selection percentage for every memoizable type —
+    /// the "Oracle" configurations of the evaluation (Figures 3–6) are
+    /// produced by sweeping this mode over the 16 values of the training
+    /// ladder.
+    FixedP(f64),
+}
+
+/// Engine configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AtmConfig {
+    /// Operating mode.
+    pub mode: AtmMode,
+    /// Whether the In-flight Key Table is used (Figure 3 separates THT-only
+    /// from THT+IKT configurations).
+    pub use_ikt: bool,
+    /// Task History Table sizing.
+    pub tht: ThtConfig,
+    /// Seed for the hash and the per-type index shuffles (reproducibility).
+    pub key_seed: u64,
+    /// Eviction policy of the memo store behind the THT. The default,
+    /// [`PolicyKind::Fifo`], together with an unlimited budget reproduces
+    /// the paper's table bit for bit.
+    pub policy: PolicyKind,
+    /// Global byte budget of the memo store, enforced across all buckets.
+    /// `None` (the default) disables budget enforcement.
+    pub byte_budget: Option<usize>,
+    /// Admission control: entries charged more than this fraction of the
+    /// byte budget are refused. Ignored without a budget.
+    pub max_entry_fraction: f64,
+}
+
+impl Default for AtmConfig {
+    fn default() -> Self {
+        AtmConfig {
+            mode: AtmMode::Static,
+            use_ikt: true,
+            tht: ThtConfig::default(),
+            key_seed: 0x5EED,
+            policy: PolicyKind::Fifo,
+            byte_budget: None,
+            max_entry_fraction: 1.0,
+        }
+    }
+}
+
+impl AtmConfig {
+    /// Baseline configuration: ATM disabled.
+    pub fn off() -> Self {
+        AtmConfig {
+            mode: AtmMode::Off,
+            ..Default::default()
+        }
+    }
+
+    /// Static ATM (exact memoization).
+    pub fn static_atm() -> Self {
+        AtmConfig {
+            mode: AtmMode::Static,
+            ..Default::default()
+        }
+    }
+
+    /// Dynamic ATM (adaptive approximation).
+    pub fn dynamic_atm() -> Self {
+        AtmConfig {
+            mode: AtmMode::Dynamic,
+            ..Default::default()
+        }
+    }
+
+    /// Oracle-style fixed selection percentage.
+    pub fn fixed_p(p: f64) -> Self {
+        AtmConfig {
+            mode: AtmMode::FixedP(p),
+            ..Default::default()
+        }
+    }
+
+    /// Disables the IKT (THT-only configurations of Figure 3).
+    #[must_use]
+    pub fn without_ikt(mut self) -> Self {
+        self.use_ikt = false;
+        self
+    }
+
+    /// Overrides the THT sizing.
+    #[must_use]
+    pub fn with_tht(mut self, tht: ThtConfig) -> Self {
+        self.tht = tht;
+        self
+    }
+
+    /// Selects the eviction policy of the memo store.
+    #[must_use]
+    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Caps the memo store at a global byte budget.
+    #[must_use]
+    pub fn with_byte_budget(mut self, budget: usize) -> Self {
+        self.byte_budget = Some(budget);
+        self
+    }
+
+    /// Sets the admission-control fraction (of the byte budget).
+    #[must_use]
+    pub fn with_admission_fraction(mut self, fraction: f64) -> Self {
+        self.max_entry_fraction = fraction;
+        self
+    }
+
+    /// The memo-store configuration this engine configuration describes.
+    pub fn store_config(&self) -> StoreConfig {
+        StoreConfig {
+            bucket_bits: self.tht.bucket_bits,
+            ways: self.tht.ways,
+            byte_budget: self.byte_budget,
+            max_entry_fraction: self.max_entry_fraction,
+            policy: self.policy,
+        }
+    }
+}

@@ -5,7 +5,10 @@
 //!
 //! 1. A worker pulls task A from the Ready Queue and calls
 //!    [`AtmEngine::before_execute`]. If A's type is memoizable, the engine
-//!    computes A's hash key over a percentage `p` of its input bytes.
+//!    asks the type's [`TypePolicy`] how to handle it — a type its
+//!    profitability ledger has closed just executes — and otherwise
+//!    computes A's hash key over the percentage `p` of its input bytes the
+//!    policy names.
 //! 2. The Task History Table is probed. On a hit the stored outputs are
 //!    copied into A's output regions (`copyOuts()`) and A never executes —
 //!    unless the Dynamic ATM controller is still training, in which case A
@@ -17,319 +20,73 @@
 //!    finishes, [`AtmEngine::after_execute`] retires the key, performs the
 //!    postponed copy-outs for any tasks that deferred onto A, and stores A's
 //!    outputs in the THT (`updateTHT&IKT()`).
+//!
+//! The engine is mechanism only: which `p`, whether a hit is trusted or
+//! verified, whether the type is keyed at all are the policy's verdicts
+//! ([`crate::policy`]).
 
+use crate::config::{AtmConfig, AtmMode};
 use crate::ikt::{InFlightKeyTable, Waiter};
 use crate::key::{KeyGenerator, KeyScratch};
+use crate::policy::{Admission, GateEvent, TypeCounters, TypePolicy};
 use crate::snapshot::{apply_snapshots_to, OutputSnapshot};
 use crate::stats::{AtmStatsSnapshot, TypeSummary};
-use crate::tht::{EntryKey, ThtConfig};
-use crate::training::{evaluate_metric_data, TrainingController};
+use crate::tht::EntryKey;
+use crate::training::evaluate_metric_data;
+use crate::types::{TypeEntry, TypeTable};
 use atm_hash::Percentage;
 use atm_obs::{
     DecisionRecord, EngineObservation, LatencyMetric, MemoDecision, Observability, StoreObservation,
 };
 use atm_runtime::{
-    ArgPrecision, DataStore, Decision, MemoPolicy, MemoSpec, RegionId, TaskId, TaskInterceptor,
-    TaskTypeId, TaskView, ThreadState, Tracer,
+    DataStore, Decision, RegionId, TaskId, TaskInterceptor, TaskTypeId, TaskView, ThreadState,
+    Tracer,
 };
-use atm_store::{MemoStore, PersistError, PolicyKind, StoreConfig, StoreCountersSnapshot};
+use atm_store::{MemoStore, PersistError, StoreCountersSnapshot};
+#[cfg(debug_assertions)]
 use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Engine-wide operating mode.
-///
-/// Since the per-type [`MemoSpec`] redesign, approximation policy lives on
-/// the task type: each memoizable type declares whether it is exact,
-/// adaptive or fixed-precision, with its own `τ_max`, training window,
-/// error metric and per-argument precision overrides. `AtmMode` is demoted
-/// to an engine-wide *default/override* for the benchmark harness:
-///
-/// * [`AtmMode::Dynamic`] — **respect the per-type specs** (the normal
-///   production mode). A type whose spec is
-///   [`MemoSpec::approximate`] trains exactly as the paper's Dynamic ATM
-///   did, so `AtmConfig::dynamic_atm()` with default specs reproduces the
-///   pre-redesign behaviour bit for bit.
-/// * [`AtmMode::Static`] — force exact memoization (`p = 100 %`) on every
-///   memoizable type, ignoring the specs (the paper's Static ATM bars).
-/// * [`AtmMode::FixedP`] — force one constant `p` on every memoizable
-///   type, ignoring the specs (the evaluation's Oracle sweeps).
-/// * [`AtmMode::Off`] — disable ATM entirely (the baseline).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AtmMode {
-    /// ATM disabled: every task executes (the paper's baseline).
-    Off,
-    /// Override: exact memoization with `p = 100 %` for every memoizable
-    /// type (§III-B). Guarantees bit-identical results.
-    Static,
-    /// Respect each task type's [`MemoSpec`] (approximate specs train their
-    /// own `p` against their own `τ_max`, §III-D). The default specs make
-    /// this the paper's Dynamic ATM.
-    Dynamic,
-    /// Override: a fixed selection percentage for every memoizable type —
-    /// the "Oracle" configurations of the evaluation (Figures 3–6) are
-    /// produced by sweeping this mode over the 16 values of the training
-    /// ladder.
-    FixedP(f64),
-}
-
-/// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AtmConfig {
-    /// Operating mode.
-    pub mode: AtmMode,
-    /// Whether the In-flight Key Table is used (Figure 3 separates THT-only
-    /// from THT+IKT configurations).
-    pub use_ikt: bool,
-    /// Task History Table sizing.
-    pub tht: ThtConfig,
-    /// Seed for the hash and the per-type index shuffles (reproducibility).
-    pub key_seed: u64,
-    /// Eviction policy of the memo store behind the THT. The default,
-    /// [`PolicyKind::Fifo`], together with an unlimited budget reproduces
-    /// the paper's table bit for bit.
-    pub policy: PolicyKind,
-    /// Global byte budget of the memo store, enforced across all buckets.
-    /// `None` (the default) disables budget enforcement.
-    pub byte_budget: Option<usize>,
-    /// Admission control: entries charged more than this fraction of the
-    /// byte budget are refused. Ignored without a budget.
-    pub max_entry_fraction: f64,
-}
-
-impl Default for AtmConfig {
-    fn default() -> Self {
-        AtmConfig {
-            mode: AtmMode::Static,
-            use_ikt: true,
-            tht: ThtConfig::default(),
-            key_seed: 0x5EED,
-            policy: PolicyKind::Fifo,
-            byte_budget: None,
-            max_entry_fraction: 1.0,
-        }
-    }
-}
-
-impl AtmConfig {
-    /// Baseline configuration: ATM disabled.
-    pub fn off() -> Self {
-        AtmConfig {
-            mode: AtmMode::Off,
-            ..Default::default()
-        }
-    }
-
-    /// Static ATM (exact memoization).
-    pub fn static_atm() -> Self {
-        AtmConfig {
-            mode: AtmMode::Static,
-            ..Default::default()
-        }
-    }
-
-    /// Dynamic ATM (adaptive approximation).
-    pub fn dynamic_atm() -> Self {
-        AtmConfig {
-            mode: AtmMode::Dynamic,
-            ..Default::default()
-        }
-    }
-
-    /// Oracle-style fixed selection percentage.
-    pub fn fixed_p(p: f64) -> Self {
-        AtmConfig {
-            mode: AtmMode::FixedP(p),
-            ..Default::default()
-        }
-    }
-
-    /// Disables the IKT (THT-only configurations of Figure 3).
-    #[must_use]
-    pub fn without_ikt(mut self) -> Self {
-        self.use_ikt = false;
-        self
-    }
-
-    /// Overrides the THT sizing.
-    #[must_use]
-    pub fn with_tht(mut self, tht: ThtConfig) -> Self {
-        self.tht = tht;
-        self
-    }
-
-    /// Selects the eviction policy of the memo store.
-    #[must_use]
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Caps the memo store at a global byte budget.
-    #[must_use]
-    pub fn with_byte_budget(mut self, budget: usize) -> Self {
-        self.byte_budget = Some(budget);
-        self
-    }
-
-    /// Sets the admission-control fraction (of the byte budget).
-    #[must_use]
-    pub fn with_admission_fraction(mut self, fraction: f64) -> Self {
-        self.max_entry_fraction = fraction;
-        self
-    }
-
-    /// The memo-store configuration this engine configuration describes.
-    pub fn store_config(&self) -> StoreConfig {
-        StoreConfig {
-            bucket_bits: self.tht.bucket_bits,
-            ways: self.tht.ways,
-            byte_budget: self.byte_budget,
-            max_entry_fraction: self.max_entry_fraction,
-            policy: self.policy,
-        }
-    }
-}
-
-/// The engine's one always-on counter block, kept per task type (the
-/// aggregate [`AtmEngine::stats`] is the sum over the types).
-#[derive(Default)]
-struct TypeCounters {
-    /// Tasks of this type handled by the engine.
-    seen: AtomicU64,
-    /// Tasks bypassed with outputs copied from the THT.
-    tht_bypassed: AtomicU64,
-    /// Tasks deferred to an in-flight producer.
-    ikt_deferred: AtomicU64,
-    /// THT hits that were verified by execution during training.
-    training_hits: AtomicU64,
-    /// Tasks executed.
-    executed: AtomicU64,
-    /// Nanoseconds spent computing hash keys.
-    hash_ns: AtomicU64,
-    /// Nanoseconds spent copying outputs (THT hits, IKT copy-outs, THT updates).
-    copy_ns: AtomicU64,
-}
-
-/// Per-task-type engine state: the resolved policy of one task type and
-/// its counters.
-struct TypeState {
-    /// The type's name, captured once when the type is resolved.
-    name: String,
-    counters: TypeCounters,
-    keygen: KeyGenerator,
-    controller: Mutex<TrainingController>,
-    /// The effective spec of the type (resolved when its first instance
-    /// reached the engine); carries the per-argument precision overrides
-    /// the key pipeline consumes.
-    spec: MemoSpec,
-    /// Whether the engine mode respects the spec's per-argument overrides
-    /// (`Dynamic`) or overrode the policy wholesale (`Static` / `FixedP`,
-    /// whose sweeps must hash every argument uniformly).
-    honor_overrides: bool,
-}
-
-impl TypeCounters {
-    fn add(counter: &AtomicU64, value: u64) {
-        counter.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy of the counters.
-    fn snapshot(&self) -> AtmStatsSnapshot {
-        AtmStatsSnapshot {
-            seen: self.seen.load(Ordering::Relaxed),
-            tht_bypassed: self.tht_bypassed.load(Ordering::Relaxed),
-            ikt_deferred: self.ikt_deferred.load(Ordering::Relaxed),
-            training_hits: self.training_hits.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            hash_ns: self.hash_ns.load(Ordering::Relaxed),
-            copy_ns: self.copy_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl TypeState {
-    /// The type's counters joined with its controller's current state.
-    fn summary(&self) -> TypeSummary {
-        let counts = self.counters.snapshot();
-        let controller = self.controller.lock();
-        TypeSummary {
-            name: self.name.clone(),
-            seen: counts.seen,
-            tht_bypassed: counts.tht_bypassed,
-            ikt_deferred: counts.ikt_deferred,
-            training_hits: counts.training_hits,
-            final_p: controller.current_p().fraction(),
-            steady: !controller.is_training(),
-            unstable_outputs: controller.unstable_outputs().len(),
-            down_shifts: controller.down_shifts(),
-        }
-    }
-
-    /// One selection percentage per read access of `accesses`, in
-    /// declaration order, written into the reused `out` vector: the spec's
-    /// per-argument override where one was declared, the type-wide `p`
-    /// otherwise.
-    fn arg_precisions_into(
-        &self,
-        accesses: &[atm_runtime::Access],
-        p: Percentage,
-        out: &mut Vec<Percentage>,
-    ) {
-        out.clear();
-        out.extend(
-            accesses
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.mode.is_read())
-                .map(|(index, _)| {
-                    if !self.honor_overrides {
-                        return p;
-                    }
-                    match self.spec.precision_override(index) {
-                        Some(ArgPrecision::Exact) => Percentage::FULL,
-                        Some(ArgPrecision::Fraction(f)) => Percentage::from_fraction(f),
-                        None => p,
-                    }
-                }),
-        );
-    }
-}
-
-/// Number of per-worker key-scratch slots the engine keeps. Workers index by
+/// Number of per-worker scratch slots the engine keeps. Workers index by
 /// `worker % KEY_SCRATCH_SLOTS`, so runtimes with more workers than slots
 /// share (the slot lock is uncontended in the common ≤16-worker case).
 const KEY_SCRATCH_SLOTS: usize = 16;
 
 /// One cache-line-isolated scratch slot: the reusable temporaries of the key
-/// pipeline for one worker, so the steady-state lookup path allocates
-/// nothing and workers never write a shared line.
+/// pipeline for one worker and the tickets of the tasks it is executing, so
+/// the steady-state task path allocates nothing and workers never write a
+/// shared line.
 #[repr(align(128))]
 #[derive(Default)]
 struct ScratchSlot {
     scratch: Mutex<WorkerScratch>,
 }
 
-/// The per-worker reusable buffers of `before_execute`'s key computation.
+/// The per-worker state of the task path.
 #[derive(Default)]
 struct WorkerScratch {
     precisions: Vec<Percentage>,
     key: KeyScratch,
+    /// Tickets parked between `before_execute` and `after_execute`. A worker
+    /// runs the two back-to-back around the kernel, so this holds one ticket
+    /// — or one per worker sharing the slot.
+    tickets: Vec<(TaskId, Ticket)>,
 }
 
-/// Bookkeeping attached to a task between `before_execute` and `after_execute`.
-struct PendingExec {
+/// Bookkeeping attached to a keyed task between `before_execute` and
+/// `after_execute`. The key carries the `p` it was sampled at, which is what
+/// the task's training record reports — not whatever the controller has
+/// moved to since.
+struct Ticket {
     key: EntryKey,
     registered_ikt: bool,
     /// THT outputs to compare against after execution (training phase).
     training_reference: Option<Arc<Vec<OutputSnapshot>>>,
-    /// True when the task writes an unstable output region and must not be
-    /// stored in the THT.
-    skip_tht_update: bool,
     /// Timestamp at dispatch; `after_execute` turns it into the measured
-    /// kernel time of this type.
+    /// kernel time of this execution.
     dispatched_ns: u64,
 }
 
@@ -345,14 +102,19 @@ struct DecisionScalars {
 
 /// The ATM engine. Install it into the runtime with
 /// [`atm_runtime::RuntimeBuilder::interceptor`].
+///
+/// The engine is the mechanism — key → probe → IKT → copy-out → snapshot →
+/// insert; what to do with each task type is its [`TypePolicy`]'s call.
+/// `before_execute` and `after_execute` of one task must be called with the
+/// same `worker`, as the scheduler does: the task's ticket waits in that
+/// worker's scratch slot.
 pub struct AtmEngine {
     config: AtmConfig,
     memo_store: MemoStore,
     ikt: InFlightKeyTable,
-    types: Mutex<HashMap<TaskTypeId, Arc<TypeState>>>,
-    pending: Mutex<HashMap<TaskId, PendingExec>>,
+    types: TypeTable,
     obs: Option<Arc<Observability>>,
-    /// Per-worker key-computation scratch (see [`ScratchSlot`]).
+    /// Per-worker scratch and parked tickets (see [`ScratchSlot`]).
     key_scratch: Box<[ScratchSlot]>,
     /// Debug-build odometer of allocation events on the engine's own part of
     /// `before_execute` (see [`AtmEngine::alloc_events`]).
@@ -366,8 +128,7 @@ impl AtmEngine {
         AtmEngine {
             memo_store: MemoStore::new(config.store_config()),
             ikt: InFlightKeyTable::new(),
-            types: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            types: TypeTable::new(),
             config,
             obs: None,
             key_scratch: (0..KEY_SCRATCH_SLOTS)
@@ -381,17 +142,16 @@ impl AtmEngine {
     /// Allocation events recorded on `before_execute` (debug builds only):
     /// the key path's ([`KeyGenerator::alloc_events`], summed over the task
     /// types) plus the engine's own — resolving a task type, growth of the
-    /// per-worker scratch or of the pending-task map, and the waiter built
-    /// when a task defers onto an in-flight producer. A warm engine keeps
-    /// this flat across misses and hits alike; what a miss allocates (its
-    /// output snapshot) it allocates in `after_execute`.
+    /// per-worker scratch or ticket list, and the waiter built when a task
+    /// defers onto an in-flight producer. A warm engine keeps this flat
+    /// across misses and hits alike; what a miss allocates (its output
+    /// snapshot) it allocates in `after_execute`.
     #[cfg(debug_assertions)]
     pub fn alloc_events(&self) -> u64 {
         let keygens: u64 = self
             .types
-            .lock()
-            .values()
-            .map(|t| t.keygen.alloc_events())
+            .iter()
+            .map(|(_, t)| t.keygen.alloc_events())
             .sum();
         self.alloc_events.load(Ordering::Relaxed) + keygens
     }
@@ -405,23 +165,31 @@ impl AtmEngine {
     #[inline(always)]
     fn note_alloc(&self) {}
 
-    /// Files the bookkeeping of a task that is about to execute.
-    fn set_pending(&self, task: TaskId, exec: PendingExec) {
-        let mut pending = self.pending.lock();
-        let capacity = pending.capacity();
-        pending.insert(task, exec);
-        if pending.capacity() != capacity {
+    /// Parks the ticket of a task that is about to execute on `worker`.
+    fn park_ticket(&self, worker: usize, task: TaskId, ticket: Ticket) {
+        let mut slot = self.key_scratch[worker % KEY_SCRATCH_SLOTS].scratch.lock();
+        let capacity = slot.tickets.capacity();
+        slot.tickets.push((task, ticket));
+        if slot.tickets.capacity() != capacity {
             self.note_alloc();
         }
     }
 
+    /// Takes back the ticket `before_execute` parked for `task`, if it
+    /// parked one (a gated or black-listed task executes without).
+    fn take_ticket(&self, worker: usize, task: TaskId) -> Option<Ticket> {
+        let mut slot = self.key_scratch[worker % KEY_SCRATCH_SLOTS].scratch.lock();
+        let at = slot.tickets.iter().position(|(id, _)| *id == task)?;
+        Some(slot.tickets.swap_remove(at).1)
+    }
+
     /// Attaches an observability handle: every memo decision (THT hit, IKT
-    /// defer, miss, training accept/reject, down-shift) lands in its
-    /// decision stream — reuse decisions naming their producer, which makes
-    /// the stream the reuse provenance ([`crate::ReuseEvent::from_decisions`])
-    /// — the memo-lookup latency in its histograms, and the backing store
-    /// reports its own insert/evict events, all on the handle's clock.
-    /// Share the same handle with
+    /// defer, miss, training accept/reject, down-shift, gate close/re-open)
+    /// lands in its decision stream — reuse decisions naming their producer,
+    /// which makes the stream the reuse provenance
+    /// ([`crate::ReuseEvent::from_decisions`]) — the memo-lookup latency in
+    /// its histograms, and the backing store reports its own insert/evict
+    /// events, all on the handle's clock. Share the same handle with
     /// [`atm_runtime::RuntimeBuilder::observability`] to get a unified
     /// [`atm_runtime::Runtime::observe`] snapshot. Without a handle the
     /// engine only counts.
@@ -447,26 +215,18 @@ impl AtmEngine {
     /// Aggregate statistics snapshot: the sum of the per-type counters.
     pub fn stats(&self) -> AtmStatsSnapshot {
         let mut total = AtmStatsSnapshot::default();
-        for state in self.types.lock().values() {
-            let counts = state.counters.snapshot();
-            total.seen += counts.seen;
-            total.tht_bypassed += counts.tht_bypassed;
-            total.ikt_deferred += counts.ikt_deferred;
-            total.training_hits += counts.training_hits;
-            total.executed += counts.executed;
-            total.hash_ns += counts.hash_ns;
-            total.copy_ns += counts.copy_ns;
+        for (_, entry) in self.types.iter() {
+            total += entry.policy.counters.snapshot();
         }
         total
     }
 
-    /// Per-task-type summaries (chosen `p`, phase, hit counts), built on
-    /// read from each type's counters and controller.
+    /// Per-task-type summaries (chosen `p`, phase, hit counts, gate state),
+    /// built on read from each type's counters and policy.
     pub fn type_summaries(&self) -> HashMap<TaskTypeId, TypeSummary> {
         self.types
-            .lock()
             .iter()
-            .map(|(type_id, state)| (*type_id, state.summary()))
+            .map(|(type_id, entry)| (type_id, entry.summary()))
             .collect()
     }
 
@@ -514,9 +274,8 @@ impl AtmEngine {
     pub fn memory_bytes(&self) -> usize {
         let keygens: usize = self
             .types
-            .lock()
-            .values()
-            .map(|t| t.keygen.memory_bytes())
+            .iter()
+            .map(|(_, t)| t.keygen.memory_bytes())
             .sum();
         self.memo_store.memory_bytes() + self.ikt.memory_bytes() + keygens
     }
@@ -525,9 +284,8 @@ impl AtmEngine {
     /// starred values of Figure 5 / the `p` columns of §V-C).
     pub fn current_p(&self, type_id: TaskTypeId) -> Option<f64> {
         self.types
-            .lock()
-            .get(&type_id)
-            .map(|t| t.controller.lock().current_p().fraction())
+            .get(type_id)
+            .map(|t| t.policy.status().p.fraction())
     }
 
     fn mode_enabled(&self) -> bool {
@@ -562,49 +320,41 @@ impl AtmEngine {
         }
     }
 
-    /// Resolves the effective policy of a task type the first time one of
-    /// its instances reaches the engine: the type's (or instance's)
-    /// [`MemoSpec`] decides, unless the engine-wide mode overrides it.
-    fn type_state(&self, view: &TaskView<'_>) -> Arc<TypeState> {
-        let mut types = self.types.lock();
-        if let Some(existing) = types.get(&view.type_id) {
-            return Arc::clone(existing);
-        }
-        let spec = view.memo_spec().cloned().unwrap_or_default();
-        let controller = match self.config.mode {
-            AtmMode::Off | AtmMode::Static => TrainingController::fixed(Percentage::FULL),
-            AtmMode::FixedP(p) => TrainingController::fixed(Percentage::from_fraction(p)),
-            AtmMode::Dynamic => match spec.policy() {
-                MemoPolicy::Exact => TrainingController::fixed(Percentage::FULL),
-                MemoPolicy::FixedPrecision(p) => {
-                    TrainingController::fixed(Percentage::from_fraction(p))
-                }
-                MemoPolicy::Approximate => {
-                    let controller =
-                        TrainingController::new(spec.training_window_len(), spec.tau_max())
-                            .with_metric(spec.error_metric());
-                    match spec.down_shift_margin() {
-                        Some(margin) => controller.with_down_shift(margin),
-                        None => controller,
-                    }
-                }
-            },
+    /// Files a closure or re-opening of `task`'s type, attributed to the
+    /// task whose settlement (or admission) caused it, with the ledger
+    /// reading in the record's scalars.
+    fn record_gate_event(&self, worker: usize, task: &TaskView<'_>, event: GateEvent) {
+        let decision = if event.closed {
+            MemoDecision::GateClose
+        } else {
+            MemoDecision::GateReopen
         };
-        let state = Arc::new(TypeState {
-            name: view.info.name.to_owned(),
-            counters: TypeCounters::default(),
-            keygen: KeyGenerator::new(
-                self.config.key_seed
-                    ^ (view.type_id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                spec.is_type_aware(),
-            ),
-            controller: Mutex::new(controller),
-            spec,
-            honor_overrides: matches!(self.config.mode, AtmMode::Dynamic),
-        });
-        types.insert(view.type_id, Arc::clone(&state));
-        self.note_alloc();
-        state
+        let scalars = DecisionScalars {
+            metric_value: event.spent_ns as f64,
+            tau: event.earned_ns as f64,
+            p: event.allowance_ns as f64,
+        };
+        self.record_memo_decision(worker, task, decision, None, scalars);
+    }
+
+    /// The state of `view`'s task type, resolved the first time one of its
+    /// instances reaches the engine: the type's (or instance's)
+    /// [`MemoSpec`](atm_runtime::MemoSpec) decides the policy, unless the engine-wide mode
+    /// overrides it ([`TypePolicy::resolve`]).
+    fn type_entry(&self, view: &TaskView<'_>) -> &TypeEntry {
+        self.types.get_or_resolve(view.type_id, || {
+            self.note_alloc();
+            let spec = view.memo_spec().cloned().unwrap_or_default();
+            TypeEntry {
+                name: view.info.name.to_owned(),
+                keygen: KeyGenerator::new(
+                    self.config.key_seed
+                        ^ (view.type_id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    spec.is_type_aware(),
+                ),
+                policy: TypePolicy::resolve(self.config.mode, spec),
+            }
+        })
     }
 
     /// True when a stored set of output snapshots can be copied into the
@@ -625,17 +375,6 @@ impl AtmEngine {
                 crate::snapshot::elem_range_of(store, access).len() == snapshot.elem_range.len()
             })
         }) && writes.next().is_none()
-    }
-
-    fn writes_unstable_region(&self, state: &TypeState, view: &TaskView<'_>) -> bool {
-        let controller = state.controller.lock();
-        if controller.unstable_outputs().is_empty() {
-            return false;
-        }
-        view.accesses
-            .iter()
-            .filter(|a| a.mode.is_write())
-            .any(|a| controller.is_unstable(a.region))
     }
 
     fn failing_output_regions(
@@ -672,6 +411,44 @@ impl AtmEngine {
         }
         (overall_tau, failing)
     }
+
+    /// Adaptive-spec training: compares the stored (approximate) outputs a
+    /// training hit found against the freshly computed ones with the type's
+    /// error metric, and hands the verdict to the policy. The record carries
+    /// the p the task's key was sampled at.
+    fn verify_training_hit(
+        &self,
+        policy: &TypePolicy,
+        task: &TaskView<'_>,
+        store: &DataStore,
+        tracer: &Tracer,
+        worker: usize,
+        ticket: &Ticket,
+    ) {
+        let Some(reference) = &ticket.training_reference else {
+            return;
+        };
+        let tau_max = policy.tau_max();
+        let compare_start = tracer.now_ns();
+        let (tau, failing) =
+            self.failing_output_regions(store, task, reference, tau_max, policy.metric());
+        TypeCounters::add(&policy.counters.compare_ns, tracer.now_ns() - compare_start);
+        let down_shifted = policy.record_comparison(tau, &failing);
+        let verdict = if tau < tau_max {
+            MemoDecision::TrainingAccept
+        } else {
+            MemoDecision::TrainingReject
+        };
+        let scalars = DecisionScalars {
+            metric_value: tau,
+            tau: tau_max,
+            p: f64::from_bits(ticket.key.p_bits),
+        };
+        self.record_memo_decision(worker, task, verdict, None, scalars);
+        if down_shifted {
+            self.record_memo_decision(worker, task, MemoDecision::DownShift, None, scalars);
+        }
+    }
 }
 
 impl TaskInterceptor for AtmEngine {
@@ -686,26 +463,41 @@ impl TaskInterceptor for AtmEngine {
             return Decision::Execute;
         }
 
-        let state = self.type_state(&task);
-        TypeCounters::add(&state.counters.seen, 1);
-        let (p, training, tau_max) = {
-            let controller = state.controller.lock();
-            (
-                controller.current_p(),
-                controller.is_training(),
-                controller.tau_max(),
-            )
+        let entry = self.type_entry(&task);
+        let policy = &entry.policy;
+        let counters = &policy.counters;
+        TypeCounters::add(&counters.seen, 1);
+        let plan = match policy.admit() {
+            Admission::Keyed(plan) => plan,
+            // The type is closed: the task executes, and that is all.
+            Admission::Gated(reopened) => {
+                TypeCounters::add(&counters.gated, 1);
+                TypeCounters::add(&counters.executed, 1);
+                if let Some(event) = reopened {
+                    self.record_gate_event(worker, &task, event);
+                }
+                return Decision::Execute;
+            }
         };
+        let p = plan.p;
         // Every decision taken on this path carries the same scalars: no
         // observed error, the τ and the p in effect.
         let decide = |decision, producer| {
             let scalars = DecisionScalars {
                 metric_value: 0.0,
-                tau: tau_max,
+                tau: policy.tau_max(),
                 p: p.fraction(),
             };
             self.record_memo_decision(worker, &task, decision, producer, scalars);
         };
+
+        // Outputs black-listed during training are never memoized in the
+        // steady state (§III-D): execute unkeyed, store nothing.
+        if !plan.training && policy.writes_unstable(task.accesses) {
+            TypeCounters::add(&counters.executed, 1);
+            decide(MemoDecision::MissExecute, None);
+            return Decision::Execute;
+        }
 
         // Hash-key computation (traced as its own state, Figure 7). Each
         // read argument is hashed at the type-wide `p` unless the type's
@@ -714,13 +506,13 @@ impl TaskInterceptor for AtmEngine {
         let mut slot = self.key_scratch[worker % KEY_SCRATCH_SLOTS].scratch.lock();
         let ws = &mut *slot;
         let precisions_capacity = ws.precisions.capacity();
-        state.arg_precisions_into(task.accesses, p, &mut ws.precisions);
+        policy.arg_precisions_into(task.accesses, p, &mut ws.precisions);
         if ws.precisions.capacity() != precisions_capacity {
             self.note_alloc();
         }
         let hash_start = tracer.now_ns();
         let key_result =
-            state
+            entry
                 .keygen
                 .compute_with_scratch(store, task.accesses, &ws.precisions, &mut ws.key);
         let hash_end = tracer.now_ns();
@@ -731,105 +523,92 @@ impl TaskInterceptor for AtmEngine {
             hash_start,
             hash_end,
         );
-        TypeCounters::add(&state.counters.hash_ns, hash_end - hash_start);
+        TypeCounters::add(&counters.hash_ns, hash_end - hash_start);
         let key = EntryKey::new(task.type_id, key_result.key, p.fraction());
-
-        // Outputs black-listed during training are never memoized in the
-        // steady state (§III-D): execute, and skip the THT update later.
-        if !training && self.writes_unstable_region(&state, &task) {
-            self.set_pending(
-                task.id,
-                PendingExec {
-                    key,
-                    registered_ikt: false,
-                    training_reference: None,
-                    skip_tht_update: true,
-                    dispatched_ns: tracer.now_ns(),
-                },
-            );
-            TypeCounters::add(&state.counters.executed, 1);
-            decide(MemoDecision::MissExecute, None);
-            return Decision::Execute;
-        }
 
         // Task History Table probe. An entry only counts as a hit when its
         // stored outputs have exactly the shape this task declares.
-        let lookup_start = self.obs.as_ref().map(|obs| obs.now_ns());
-        let entry = self
+        let hit = self
             .memo_store
             .lookup(&key)
             .filter(|e| Self::entry_matches_shape(store, &e.outputs, task.accesses));
-        if let (Some(obs), Some(start)) = (&self.obs, lookup_start) {
-            obs.record_latency(LatencyMetric::MemoLookup, worker, obs.now_ns() - start);
+        if let Some(obs) = &self.obs {
+            obs.record_latency(
+                LatencyMetric::MemoLookup,
+                worker,
+                tracer.now_ns() - hash_end,
+            );
         }
-        if let Some(entry) = entry {
-            if training {
-                // Training phase: execute anyway and verify the
-                // approximation in `after_execute`.
-                TypeCounters::add(&state.counters.training_hits, 1);
-                self.set_pending(
-                    task.id,
-                    PendingExec {
-                        key,
-                        registered_ikt: false,
-                        training_reference: Some(Arc::clone(&entry.outputs)),
-                        skip_tht_update: true,
-                        dispatched_ns: tracer.now_ns(),
-                    },
-                );
-                TypeCounters::add(&state.counters.executed, 1);
-                return Decision::Execute;
-            }
-
-            // Steady state: provide the outputs without executing. Only now
-            // is the entry's benefit genuinely saved kernel time.
-            self.memo_store.note_saved(entry.benefit_ns);
-            let copy_start = tracer.now_ns();
-            apply_snapshots_to(store, &entry.outputs, task.accesses);
-            let copy_end = tracer.now_ns();
-            tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
-            TypeCounters::add(&state.counters.copy_ns, copy_end - copy_start);
-            TypeCounters::add(&state.counters.tht_bypassed, 1);
-            decide(MemoDecision::ThtHit, Some(entry.producer));
-            return Decision::Memoized;
-        }
-
-        // In-flight Key Table: one access that either defers this task onto
-        // the in-flight producer of its key or leaves the key in the table
-        // while this task executes. During training the task must execute,
-        // so it only ever registers as a producer.
+        // Probe time runs from the end of the hash to the next stamp the
+        // path takes anyway: the start of the copy-out, or dispatch.
+        let mut training_reference = None;
         let mut registered_ikt = false;
-        if self.config.use_ikt && training {
-            registered_ikt = self.ikt.register_producer(key, task.id);
-        } else if self.config.use_ikt {
-            let joined = self.ikt.join_or_produce(key, task.id, || {
-                self.note_alloc();
-                Waiter {
-                    task: task.id,
-                    accesses: task.accesses.to_vec(),
+        if let Some(hit) = hit {
+            if !plan.training {
+                // Steady state: provide the outputs without executing. Only
+                // now is the entry's benefit genuinely saved kernel time.
+                self.memo_store.note_saved(hit.benefit_ns);
+                let copy_start = tracer.now_ns();
+                apply_snapshots_to(store, &hit.outputs, task.accesses);
+                let copy_end = tracer.now_ns();
+                tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
+                TypeCounters::add(&counters.probe_ns, copy_start - hash_end);
+                TypeCounters::add(&counters.copy_ns, copy_end - copy_start);
+                TypeCounters::add(&counters.saved_ns, hit.benefit_ns);
+                TypeCounters::add(&counters.tht_bypassed, 1);
+                decide(MemoDecision::ThtHit, Some(hit.producer));
+                if let Some(event) = policy.settle() {
+                    self.record_gate_event(worker, &task, event);
                 }
-            });
-            if let Some(producer) = joined {
-                TypeCounters::add(&state.counters.ikt_deferred, 1);
-                decide(MemoDecision::IktDefer, Some(producer));
-                return Decision::Deferred;
+                return Decision::Memoized;
             }
-            registered_ikt = true;
+            // Training phase: execute anyway and verify the approximation
+            // in `after_execute`.
+            TypeCounters::add(&counters.training_hits, 1);
+            training_reference = Some(hit.outputs);
+        } else if self.config.use_ikt {
+            // In-flight Key Table: one access that either defers this task
+            // onto the in-flight producer of its key or leaves the key in
+            // the table while this task executes. During training the task
+            // must execute, so it only ever registers as a producer.
+            if plan.training {
+                registered_ikt = self.ikt.register_producer(key, task.id);
+            } else {
+                let joined = self.ikt.join_or_produce(key, task.id, || {
+                    self.note_alloc();
+                    Waiter {
+                        task: task.id,
+                        accesses: task.accesses.to_vec(),
+                    }
+                });
+                if let Some(producer) = joined {
+                    TypeCounters::add(&counters.probe_ns, tracer.now_ns() - hash_end);
+                    TypeCounters::add(&counters.ikt_deferred, 1);
+                    decide(MemoDecision::IktDefer, Some(producer));
+                    return Decision::Deferred;
+                }
+                registered_ikt = true;
+            }
         }
 
-        // Miss everywhere: execute.
-        self.set_pending(
+        // Miss everywhere, or a training hit: execute. `after_execute` picks
+        // the ticket up on this worker.
+        let dispatched_ns = tracer.now_ns();
+        TypeCounters::add(&counters.probe_ns, dispatched_ns - hash_end);
+        TypeCounters::add(&counters.executed, 1);
+        if training_reference.is_none() {
+            decide(MemoDecision::MissExecute, None);
+        }
+        self.park_ticket(
+            worker,
             task.id,
-            PendingExec {
+            Ticket {
                 key,
                 registered_ikt,
-                training_reference: None,
-                skip_tht_update: false,
-                dispatched_ns: tracer.now_ns(),
+                training_reference,
+                dispatched_ns,
             },
         );
-        TypeCounters::add(&state.counters.executed, 1);
-        decide(MemoDecision::MissExecute, None);
         Decision::Execute
     }
 
@@ -844,10 +623,15 @@ impl TaskInterceptor for AtmEngine {
         if !self.mode_enabled() || !task.memoizable() || !executed {
             return Vec::new();
         }
-        let Some(pending) = self.pending.lock().remove(&task.id) else {
+        let Some(ticket) = self.take_ticket(worker, task.id) else {
             return Vec::new();
         };
-        let state = self.type_state(&task);
+        let entry = self
+            .types
+            .get(task.type_id)
+            .expect("a ticket is only parked for a resolved type");
+        let policy = &entry.policy;
+        let counters = &policy.counters;
 
         // Per-task kernel timing: the interval between dispatch and
         // completion is (almost entirely) the kernel run. The measured
@@ -856,95 +640,64 @@ impl TaskInterceptor for AtmEngine {
         // the cost-aware eviction policy divides by entry size. Storing the
         // producing task's own duration (rather than a per-type average)
         // keeps eviction sharp when task durations vary within one type.
-        let kernel_ns = tracer.now_ns().saturating_sub(pending.dispatched_ns);
+        let kernel_ns = tracer.now_ns().saturating_sub(ticket.dispatched_ns);
+        TypeCounters::add(&counters.kernel_ns, kernel_ns);
 
-        // Adaptive-spec training: compare the stored (approximate) outputs
-        // against the freshly computed ones with the type's error metric.
-        if let Some(reference) = &pending.training_reference {
-            let (tau_max, metric) = {
-                let controller = state.controller.lock();
-                (controller.tau_max(), controller.metric())
-            };
-            let (tau, failing) =
-                self.failing_output_regions(store, &task, reference, tau_max, metric);
-            let mut controller = state.controller.lock();
-            let p_tested = controller.current_p().fraction();
-            let shifts_before = controller.down_shifts();
-            if controller.is_training() {
-                controller.record_comparison(tau, &failing);
-            }
-            let down_shifted = controller.down_shifts() > shifts_before;
-            drop(controller);
-            let verdict = if tau < tau_max {
-                MemoDecision::TrainingAccept
-            } else {
-                MemoDecision::TrainingReject
-            };
-            let scalars = DecisionScalars {
-                metric_value: tau,
-                tau: tau_max,
-                p: p_tested,
-            };
-            self.record_memo_decision(worker, &task, verdict, None, scalars);
-            if down_shifted {
-                self.record_memo_decision(worker, &task, MemoDecision::DownShift, None, scalars);
-            }
-        }
+        // A training hit is compared, not stored: the entry it verified is
+        // already in the THT.
+        let store_outputs = ticket.training_reference.is_none();
+        self.verify_training_hit(policy, &task, store, tracer, worker, &ticket);
 
         // Snapshot the outputs once; they serve both the postponed IKT
         // copy-outs and the THT update.
         let mut completed = Vec::new();
-        let need_snapshot = pending.registered_ikt || !pending.skip_tht_update;
-        let outputs: Option<Arc<Vec<OutputSnapshot>>> = if need_snapshot {
+        let outputs: Option<Arc<Vec<OutputSnapshot>>> = store_outputs.then(|| {
             let copy_start = tracer.now_ns();
             let snaps = Arc::new(OutputSnapshot::capture_all(store, task.accesses));
             let copy_end = tracer.now_ns();
             tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
-            TypeCounters::add(&state.counters.copy_ns, copy_end - copy_start);
-            Some(snaps)
-        } else {
-            None
-        };
+            TypeCounters::add(&counters.copy_ns, copy_end - copy_start);
+            snaps
+        });
 
         // Retire the in-flight key and satisfy the tasks deferred onto this one.
-        if pending.registered_ikt {
-            let waiters = self.ikt.retire(&pending.key, task.id);
-            if !waiters.is_empty() {
-                let snaps = outputs
-                    .as_ref()
-                    .expect("snapshot exists when registered in the IKT");
-                for waiter in waiters {
-                    if Self::entry_matches_shape(store, snaps, &waiter.accesses) {
-                        let copy_start = tracer.now_ns();
-                        apply_snapshots_to(store, snaps, &waiter.accesses);
-                        let copy_end = tracer.now_ns();
-                        tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
-                        TypeCounters::add(&state.counters.copy_ns, copy_end - copy_start);
-                    } else {
-                        // Shape mismatch (same key, different output layout):
-                        // the deferred task cannot be satisfied by a copy, so
-                        // run its kernel here — its dependences were already
-                        // satisfied when it was deferred — and complete it.
-                        let ctx = atm_runtime::TaskContext::new(store, &waiter.accesses);
-                        (task.info.kernel)(&ctx);
-                        TypeCounters::add(&state.counters.executed, 1);
-                    }
-                    completed.push(waiter.task);
+        if ticket.registered_ikt {
+            let snaps = outputs
+                .as_ref()
+                .expect("a task registered in the IKT is snapshotted");
+            for waiter in self.ikt.retire(&ticket.key, task.id) {
+                if Self::entry_matches_shape(store, snaps, &waiter.accesses) {
+                    let copy_start = tracer.now_ns();
+                    apply_snapshots_to(store, snaps, &waiter.accesses);
+                    let copy_end = tracer.now_ns();
+                    tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
+                    TypeCounters::add(&counters.copy_ns, copy_end - copy_start);
+                    TypeCounters::add(&counters.saved_ns, kernel_ns);
+                } else {
+                    // Shape mismatch (same key, different output layout):
+                    // the deferred task cannot be satisfied by a copy, so
+                    // run its kernel here — its dependences were already
+                    // satisfied when it was deferred — and complete it.
+                    let ctx = atm_runtime::TaskContext::new(store, &waiter.accesses);
+                    (task.info.kernel)(&ctx);
+                    TypeCounters::add(&counters.executed, 1);
                 }
+                completed.push(waiter.task);
             }
         }
 
-        // Store the outputs in the THT for future reuse, unless this task's
-        // outputs were black-listed.
-        if !pending.skip_tht_update {
-            let still_stable = !self.writes_unstable_region(&state, &task);
-            if still_stable {
-                let snaps = outputs.expect("snapshot exists when the THT is updated");
+        // Store the outputs in the THT for future reuse, unless training
+        // black-listed one of them in the meantime.
+        if let Some(snaps) = outputs {
+            if !policy.writes_unstable(task.accesses) {
                 self.memo_store
-                    .insert(pending.key, task.id, snaps, kernel_ns);
+                    .insert(ticket.key, task.id, snaps, kernel_ns);
             }
         }
 
+        if let Some(event) = policy.settle() {
+            self.record_gate_event(worker, &task, event);
+        }
         completed
     }
 
@@ -956,7 +709,7 @@ impl TaskInterceptor for AtmEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm_runtime::{Access, ErrorMetric, Region, TaskTypeBuilder};
+    use atm_runtime::{Access, ErrorMetric, MemoSpec, Region, TaskTypeBuilder};
 
     fn view_for<'a>(
         id: u64,
@@ -1131,6 +884,55 @@ mod tests {
         assert!(summary.final_p <= Percentage::MIN.fraction() * 2.0 + 1e-12);
     }
 
+    /// The decision stream, the per-type summaries and the aggregate
+    /// counters are three views of the same events (type 0 only).
+    fn assert_stream_reconciles(engine: &AtmEngine, obs: &Observability) {
+        let stats = engine.stats();
+        // `stats()` is made by summing the per-type counters; pin the sum
+        // against the per-type view.
+        let summaries = engine.type_summaries();
+        let sum = |f: fn(&TypeSummary) -> u64| summaries.values().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.seen), stats.seen);
+        assert_eq!(sum(|s| s.tht_bypassed), stats.tht_bypassed);
+        assert_eq!(sum(|s| s.ikt_deferred), stats.ikt_deferred);
+        assert_eq!(sum(|s| s.training_hits), stats.training_hits);
+        assert_eq!(sum(|s| s.gated), stats.gated);
+        assert_eq!(sum(|s| s.saved_ns), stats.saved_ns);
+        assert_eq!(stats.seen, stats.reused() + stats.executed);
+
+        let decisions = obs.decisions();
+        use atm_obs::MemoDecision as D;
+        // Every reuse decision names its producer; nothing else does.
+        for record in &decisions.records {
+            let reuse = matches!(record.decision, D::ThtHit | D::IktDefer);
+            assert_eq!(record.producer.is_some(), reuse, "{record:?}");
+        }
+        assert_eq!(
+            crate::ReuseEvent::from_decisions(&decisions).len() as u64,
+            stats.reused()
+        );
+        assert_eq!(decisions.count(0, D::ThtHit), stats.tht_bypassed);
+        assert_eq!(decisions.count(0, D::IktDefer), stats.ikt_deferred);
+        assert_eq!(
+            decisions.count(0, D::TrainingAccept) + decisions.count(0, D::TrainingReject),
+            stats.training_hits
+        );
+        // Every execution is a cold miss, a verified training hit, or the
+        // unrecorded execution of a gated task.
+        assert_eq!(
+            decisions.count(0, D::MissExecute) + stats.training_hits + stats.gated,
+            stats.executed
+        );
+        // A closure is on the stream once, and so is its re-opening.
+        assert_eq!(decisions.count(0, D::GateClose), sum(|s| s.gate_closures));
+        let still_closed = summaries.values().filter(|s| !s.open).count() as u64;
+        assert_eq!(
+            decisions.count(0, D::GateReopen) + still_closed,
+            decisions.count(0, D::GateClose)
+        );
+        assert_eq!(decisions.dropped, 0);
+    }
+
     #[test]
     fn decision_stream_reconciles_with_engine_stats() {
         let obs = Arc::new(Observability::capture());
@@ -1154,42 +956,14 @@ mod tests {
         }
 
         let stats = engine.stats();
-        // `stats()` is made by summing the per-type counters; pin the sum
-        // against the per-type view.
-        let summaries = engine.type_summaries();
-        let sum = |f: fn(&TypeSummary) -> u64| summaries.values().map(f).sum::<u64>();
-        assert_eq!(sum(|s| s.seen), stats.seen);
-        assert_eq!(sum(|s| s.tht_bypassed), stats.tht_bypassed);
-        assert_eq!(sum(|s| s.ikt_deferred), stats.ikt_deferred);
-        assert_eq!(sum(|s| s.training_hits), stats.training_hits);
         assert_eq!(stats.seen, 6);
-
+        assert_eq!(stats.gated, 0);
+        assert_stream_reconciles(&engine, &obs);
         let decisions = obs.decisions();
         use atm_obs::MemoDecision as D;
-        // Every reuse decision names its producer; nothing else does.
-        for record in &decisions.records {
-            let reuse = matches!(record.decision, D::ThtHit | D::IktDefer);
-            assert_eq!(record.producer.is_some(), reuse, "{record:?}");
-        }
-        assert_eq!(
-            crate::ReuseEvent::from_decisions(&decisions).len() as u64,
-            stats.reused()
-        );
-        assert_eq!(decisions.count(0, D::ThtHit), stats.tht_bypassed);
-        assert_eq!(decisions.count(0, D::IktDefer), stats.ikt_deferred);
-        assert_eq!(
-            decisions.count(0, D::TrainingAccept) + decisions.count(0, D::TrainingReject),
-            stats.training_hits
-        );
-        // Every execution is either a cold miss or a verified training hit.
-        assert_eq!(
-            decisions.count(0, D::MissExecute) + stats.training_hits,
-            stats.executed
-        );
         // Identical inputs verify cleanly: the training hits all accept.
         assert_eq!(decisions.count(0, D::TrainingAccept), stats.training_hits);
         assert_eq!(decisions.count(0, D::DownShift), 0);
-        assert_eq!(decisions.dropped, 0);
         // The memo-lookup histogram saw one probe per steady-phase task.
         let metrics = obs.metrics();
         let lookups = metrics.get(atm_obs::LatencyMetric::MemoLookup);
@@ -1673,9 +1447,9 @@ mod tests {
                 .training_window(1),
         )
         .build();
-        let state = engine.type_state(&view_for(0, 0, &info, &[]));
-        assert_eq!(state.controller.lock().metric(), ErrorMetric::MaxUlp);
-        assert!((state.controller.lock().tau_max() - 1.0).abs() < 1e-12);
+        let policy = &engine.type_entry(&view_for(0, 0, &info, &[])).policy;
+        assert_eq!(policy.metric(), ErrorMetric::MaxUlp);
+        assert!((policy.tau_max() - 1.0).abs() < 1e-12);
 
         // A one-ULP output difference is τ = 1 ≥ τ_max: rejected, p doubles.
         let base = 1.0f64;
@@ -1752,5 +1526,222 @@ mod tests {
         let accesses = vec![Access::read(&input), Access::write(&out)];
         let _ = drive(&engine, &store, view_for(0, 0, &info, &accesses));
         assert!((engine.current_p(TaskTypeId::from_raw(0)).unwrap() - 0.5).abs() < 1e-12);
+    }
+
+    /// A type whose key costs far more than its kernel and never repeats an
+    /// input: 32 KiB hashed in full (the argument is pinned exact, and every
+    /// task brings a fresh region) against a kernel that reads one element.
+    fn costly_key_info(spec: MemoSpec) -> atm_runtime::TaskTypeInfo {
+        TaskTypeBuilder::new("first", |ctx| {
+            let x = ctx.arg::<f64>(0);
+            ctx.out(1, &[x[0] + 1.0]);
+        })
+        .arg::<f64>()
+        .out::<f64>()
+        .memo(spec)
+        .build()
+    }
+
+    /// Drives `tasks` never-repeating instances of `info` and checks every
+    /// output.
+    fn drive_unique_inputs(engine: &AtmEngine, info: &atm_runtime::TaskTypeInfo, tasks: u64) {
+        let store = DataStore::new();
+        let out = store.register_zeros::<f64>("out", 1).unwrap();
+        for i in 0..tasks {
+            let mut values = vec![0.5f64; 4096];
+            values[0] = i as f64;
+            values[4095] = -(i as f64);
+            let input = store.register_typed(format!("in{i}"), values).unwrap();
+            let accesses = vec![Access::read(&input), Access::write(&out)];
+            let (decision, _) = drive(engine, &store, view_for(i, 0, info, &accesses));
+            assert_eq!(decision, Decision::Execute, "task {i}");
+            assert_eq!(store.read(out).lock().as_f64(), &[i as f64 + 1.0]);
+        }
+    }
+
+    /// Fix by construction: the engine-wide overrides and the pinned specs
+    /// have no ledger, so however badly memoization pays every task is keyed
+    /// and probes the store exactly once.
+    #[test]
+    fn static_and_pinned_types_never_gate() {
+        let approximate = || MemoSpec::approximate().arg_exact(0);
+        let cases = [
+            (AtmConfig::static_atm(), approximate()),
+            (AtmConfig::fixed_p(0.5), approximate()),
+            (AtmConfig::dynamic_atm(), MemoSpec::exact()),
+            (AtmConfig::dynamic_atm(), MemoSpec::fixed_precision(0.5)),
+        ];
+        for (config, spec) in cases {
+            let engine = AtmEngine::new(config);
+            drive_unique_inputs(&engine, &costly_key_info(spec.clone()), 600);
+            let stats = engine.stats();
+            let store = engine.store_counters();
+            assert_eq!(stats.seen, 600);
+            assert_eq!(stats.gated, 0, "{config:?} {spec:?}");
+            assert_eq!(store.hits + store.misses, stats.seen);
+            assert_eq!(store.insertions, 600);
+            let summary = engine.type_summaries().into_values().next().unwrap();
+            assert!(summary.open && summary.steady);
+            assert_eq!(summary.gate_closures, 0);
+        }
+    }
+
+    /// The same stream through an adaptive type: the ledger closes it, the
+    /// gated tasks execute (correctly) and touch nothing, and every closure
+    /// is on the decision stream once with its re-opening.
+    #[test]
+    fn a_losing_adaptive_type_is_gated_and_still_computes_correctly() {
+        let obs = Arc::new(Observability::capture());
+        let engine = AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs));
+        let info = costly_key_info(MemoSpec::approximate().arg_exact(0));
+        drive_unique_inputs(&engine, &info, 1_000);
+
+        let stats = engine.stats();
+        let store = engine.store_counters();
+        assert_eq!(stats.seen, 1_000);
+        assert!(stats.gated >= 700, "gated {} of 1 000", stats.gated);
+        assert_eq!(stats.reused(), 0);
+        // A gated task neither probes nor inserts.
+        assert_eq!(store.hits + store.misses, stats.seen - stats.gated);
+        assert_eq!(store.insertions, stats.seen - stats.gated);
+        assert_stream_reconciles(&engine, &obs);
+
+        let summary = engine.type_summaries().into_values().next().unwrap();
+        assert!(summary.gate_closures >= 2);
+        assert_eq!(summary.gated, stats.gated);
+        assert!(summary.kernel_ns > 0 && summary.probe_ns > 0);
+        // Closures and re-openings alternate on the stream, each closure
+        // reporting a ledger that overran its allowance.
+        let gate_records: Vec<_> = obs
+            .decisions()
+            .records
+            .into_iter()
+            .filter(|r| r.gate_ledger().is_some())
+            .collect();
+        for (n, record) in gate_records.iter().enumerate() {
+            let (spent, earned, allowance) = record.gate_ledger().unwrap();
+            if n % 2 == 0 {
+                assert_eq!(record.decision, MemoDecision::GateClose);
+                assert!(spent > earned + allowance, "{record:?}");
+            } else {
+                assert_eq!(record.decision, MemoDecision::GateReopen);
+            }
+        }
+    }
+
+    /// A training record reports the p its task's key was sampled at, not
+    /// the p the controller moved to while the task was running.
+    #[test]
+    fn training_records_carry_the_p_their_key_was_sampled_at() {
+        let obs = Arc::new(Observability::capture());
+        let engine = AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs));
+        let store = DataStore::new();
+        let info = TaskTypeBuilder::new("sum", |ctx| {
+            let total: f64 = ctx.arg::<f64>(0).iter().sum();
+            ctx.out(1, &[total]);
+        })
+        .arg::<f64>()
+        .out::<f64>()
+        .memo(MemoSpec::approximate().tau(1e-12).training_window(64))
+        .build();
+        let tracer = Tracer::new(None);
+        // Three inputs that agree wherever p = 2⁻¹⁵ samples and differ in
+        // the tail: the second and third are training hits on the first.
+        let inputs: Vec<Region<f64>> = (0..3)
+            .map(|i| {
+                let mut values = vec![1.0f64; 4096];
+                values[4095] = i as f64 * 1000.0;
+                store.register_typed(format!("i{i}"), values).unwrap()
+            })
+            .collect();
+        let outs: Vec<Region<f64>> = (0..3)
+            .map(|i| store.register_zeros::<f64>(format!("o{i}"), 1).unwrap())
+            .collect();
+        let accesses: Vec<_> = inputs
+            .iter()
+            .zip(&outs)
+            .map(|(i, o)| vec![Access::read(i), Access::write(o)])
+            .collect();
+        drive(&engine, &store, view_for(0, 0, &info, &accesses[0]));
+
+        // Both hits are keyed at the minimum p before either is verified.
+        let run_kernel = |n: usize| {
+            let ctx = atm_runtime::TaskContext::new(&store, &accesses[n]);
+            (info.kernel)(&ctx);
+        };
+        for n in [1, 2] {
+            let view = view_for(n as u64, 0, &info, &accesses[n]);
+            assert_eq!(
+                engine.before_execute(view, &store, &tracer, n),
+                Decision::Execute
+            );
+        }
+        for n in [1, 2] {
+            run_kernel(n);
+            let view = view_for(n as u64, 0, &info, &accesses[n]);
+            engine.after_execute(view, &store, &tracer, n, true);
+        }
+        // The first rejection doubled p; the second task's record still
+        // says what its key was sampled at.
+        let p_min = Percentage::MIN.fraction();
+        assert_eq!(engine.current_p(TaskTypeId::from_raw(0)), Some(4.0 * p_min));
+        let rejects: Vec<_> = obs
+            .decisions()
+            .records
+            .into_iter()
+            .filter(|r| r.decision == MemoDecision::TrainingReject)
+            .collect();
+        assert_eq!(rejects.len(), 2);
+        assert!(rejects.iter().all(|r| r.p == p_min), "{rejects:?}");
+    }
+
+    /// A steady-state task that writes a black-listed region executes
+    /// without being keyed: no hash, no probe, no ticket.
+    #[test]
+    fn black_listed_outputs_are_not_keyed_in_the_steady_state() {
+        let engine = AtmEngine::new(AtmConfig::dynamic_atm());
+        let store = DataStore::new();
+        let info = TaskTypeBuilder::new("sum", |ctx| {
+            let total: f64 = ctx.arg::<f64>(0).iter().sum();
+            ctx.out(1, &[total]);
+        })
+        .arg::<f64>()
+        .out::<f64>()
+        .memo(MemoSpec::approximate().tau(1e-12).training_window(1))
+        .build();
+        let mut values = vec![1.0f64; 4096];
+        let a = store.register_typed("a", values.clone()).unwrap();
+        values[4095] = 1000.0;
+        let b = store.register_typed("b", values).unwrap();
+        let outs: Vec<Region<f64>> = (0..5)
+            .map(|i| store.register_zeros::<f64>(format!("o{i}"), 1).unwrap())
+            .collect();
+        let mut id = 0;
+        let mut run = |input: &Region<f64>, out: &Region<f64>| {
+            let accesses = vec![Access::read(input), Access::write(out)];
+            id += 1;
+            drive(&engine, &store, view_for(id, 0, &info, &accesses)).0
+        };
+        // `b` collides with `a` at the minimum p and sums differently: its
+        // output region is black-listed and p doubles. `a` twice more at the
+        // new p is a miss, then an accepted hit that ends training.
+        run(&a, &outs[0]);
+        run(&b, &outs[1]);
+        run(&a, &outs[2]);
+        run(&a, &outs[3]);
+        let summary = engine.type_summaries().into_values().next().unwrap();
+        assert!(summary.steady);
+        assert_eq!(summary.unstable_outputs, 1);
+        assert_eq!(run(&a, &outs[4]), Decision::Memoized);
+
+        let (stats, lookups) = (engine.stats(), engine.store_counters());
+        assert_eq!(run(&a, &outs[1]), Decision::Execute);
+        assert_eq!(store.read(outs[1]).lock().as_f64(), &[4096.0]);
+        let after = engine.stats();
+        assert_eq!(after.seen, stats.seen + 1);
+        assert_eq!(after.executed, stats.executed + 1);
+        assert_eq!(after.hash_ns, stats.hash_ns, "not hashed");
+        assert_eq!(engine.store_counters(), lookups, "not probed, not stored");
+        assert_eq!(after.gated, 0, "black-listed is not gated");
     }
 }

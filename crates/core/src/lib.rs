@@ -28,6 +28,13 @@
 //!   running tasks: a ready task whose twin is still executing defers to it
 //!   instead of recomputing.
 //!
+//! * Each type's decisions — which `p`, train or trust, key or not — are its
+//!   [`policy::TypePolicy`]. An adaptive type also keeps a profitability
+//!   ledger there: when keying the type costs more than its hits earn back
+//!   (plus a bounded allowance), the type *closes* for a back-off number of
+//!   tasks, which simply execute. Exact and fixed-precision types are
+//!   pinned open.
+//!
 //! Different types run different policies concurrently in one runtime; the
 //! engine-wide [`AtmMode`] remains only as a bench-harness override (force
 //! everything exact, force one `p`, or disable ATM — see [`AtmMode`]).
@@ -90,18 +97,22 @@
 
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod engine;
 pub mod ikt;
 pub mod key;
+pub mod policy;
 pub mod stats;
 pub mod tht;
 pub mod training;
+mod types;
 
 /// Output snapshots (moved to the `atm-store` crate; re-exported here so the
 /// `atm_core::snapshot` paths keep working).
 pub use atm_store::snapshot;
 
-pub use engine::{AtmConfig, AtmEngine, AtmMode};
+pub use config::{AtmConfig, AtmMode};
+pub use engine::AtmEngine;
 pub use ikt::{InFlightKeyTable, Waiter};
 pub use key::{KeyGenerator, KeyResult};
 pub use snapshot::OutputSnapshot;

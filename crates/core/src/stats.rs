@@ -77,6 +77,19 @@ pub struct TypeSummary {
     /// Number of adaptive down-shifts (`p` halved again after a window of
     /// over-precise acceptances; only for specs that opted in).
     pub down_shifts: u64,
+    /// Tasks executed unkeyed while the type's profitability ledger had it
+    /// closed (always 0 for exact and fixed-precision types).
+    pub gated: u64,
+    /// Nanoseconds spent probing the THT and the IKT.
+    pub probe_ns: u64,
+    /// Kernel nanoseconds of the executions the engine keyed.
+    pub kernel_ns: u64,
+    /// Kernel nanoseconds avoided by steady-state hits and IKT deferrals.
+    pub saved_ns: u64,
+    /// Times the ledger closed the type.
+    pub gate_closures: u64,
+    /// Whether the type is being keyed right now (false while closed).
+    pub open: bool,
 }
 
 #[cfg(test)]

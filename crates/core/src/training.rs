@@ -184,27 +184,6 @@ impl TrainingController {
         self
     }
 
-    /// Creates a controller that is already in the steady state with a fixed
-    /// `p` — used for exact memoization (p = 100 %), fixed-precision specs
-    /// and the Oracle configurations.
-    pub fn fixed(p: Percentage) -> Self {
-        TrainingController {
-            phase: Phase::Steady,
-            p,
-            correct_in_a_row: 0,
-            l_training: 1,
-            tau_max: f64::INFINITY,
-            metric: ErrorMetric::Chebyshev,
-            doublings: 0,
-            comparisons: 0,
-            rejections: 0,
-            down_margin: None,
-            over_precise_streak: 0,
-            down_shifts: 0,
-            unstable_outputs: HashSet::new(),
-        }
-    }
-
     /// Current phase.
     pub fn phase(&self) -> Phase {
         self.phase
@@ -384,16 +363,11 @@ mod tests {
     }
 
     #[test]
-    fn fixed_controller_is_immediately_steady() {
-        let c = TrainingController::fixed(Percentage::from_fraction(0.25));
-        assert_eq!(c.phase(), Phase::Steady);
-        assert!((c.current_p().fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "training phase")]
     fn comparisons_in_steady_state_panic() {
-        let mut c = TrainingController::fixed(Percentage::FULL);
+        let mut c = TrainingController::new(1, 0.01);
+        c.record_comparison(0.0, &[]);
+        assert!(!c.is_training());
         c.record_comparison(0.0, &[]);
     }
 

@@ -1,8 +1,9 @@
 //! The memo-decision audit trail.
 //!
 //! Every decision the memoization stack takes — THT hit, IKT deferral,
-//! miss→execute, training accept/reject, adaptive down-shift, store
-//! admission denial, eviction — is emitted as a structured
+//! miss→execute, training accept/reject, adaptive down-shift, a type closed
+//! or re-opened by its profitability ledger, store admission denial,
+//! eviction — is emitted as a structured
 //! [`DecisionRecord`] into per-worker ring buffers. Memory is bounded: when
 //! a ring is full the oldest record is overwritten and a drop counter
 //! ticks, while the per-`(type, decision)` *counts* stay exact regardless
@@ -34,6 +35,14 @@ pub enum MemoDecision {
     /// The adaptive controller halved `p` again after an over-precise
     /// window.
     DownShift,
+    /// The type's profitability ledger found memoization spending more than
+    /// it earns plus its allowance and closed the type: its next tasks
+    /// execute unkeyed. The record's scalars carry the ledger reading (see
+    /// [`DecisionRecord::gate_ledger`]).
+    GateClose,
+    /// The closure's back-off ran out and the type is keyed again, on a
+    /// fresh (smaller) grant.
+    GateReopen,
     /// The store's admission control refused the entry.
     AdmissionDenied,
     /// The store evicted a resident entry.
@@ -42,13 +51,15 @@ pub enum MemoDecision {
 
 impl MemoDecision {
     /// Every decision kind, in display order.
-    pub const ALL: [MemoDecision; 8] = [
+    pub const ALL: [MemoDecision; 10] = [
         MemoDecision::ThtHit,
         MemoDecision::IktDefer,
         MemoDecision::MissExecute,
         MemoDecision::TrainingAccept,
         MemoDecision::TrainingReject,
         MemoDecision::DownShift,
+        MemoDecision::GateClose,
+        MemoDecision::GateReopen,
         MemoDecision::AdmissionDenied,
         MemoDecision::Eviction,
     ];
@@ -62,6 +73,8 @@ impl MemoDecision {
             MemoDecision::TrainingAccept => "training_accept",
             MemoDecision::TrainingReject => "training_reject",
             MemoDecision::DownShift => "down_shift",
+            MemoDecision::GateClose => "gate_close",
+            MemoDecision::GateReopen => "gate_reopen",
             MemoDecision::AdmissionDenied => "admission_denied",
             MemoDecision::Eviction => "eviction",
         }
@@ -79,12 +92,14 @@ pub struct DecisionRecord {
     /// The decision taken.
     pub decision: MemoDecision,
     /// The decision's driving quantity: observed relative error for
-    /// training comparisons, benefit/charge for store decisions, 0 where
-    /// nothing applies.
+    /// training comparisons, benefit/charge for store decisions, the
+    /// nanoseconds spent for gate decisions, 0 where nothing applies.
     pub metric_value: f64,
-    /// The error tolerance τ in effect (0 for exact specs).
+    /// The error tolerance τ in effect (0 for exact specs). On gate
+    /// decisions: the kernel nanoseconds earned.
     pub tau: f64,
-    /// The selection percentage `p` in effect, as a fraction.
+    /// The selection percentage `p` the task was keyed at, as a fraction.
+    /// On gate decisions: the allowance in nanoseconds.
     pub p: f64,
     /// Reuse provenance: the raw id of the task whose outputs served this
     /// one. `Some` on every [`MemoDecision::ThtHit`] and
@@ -92,6 +107,21 @@ pub struct DecisionRecord {
     pub producer: Option<u64>,
     /// Timestamp on the handle's clock ([`crate::Observability::now_ns`]).
     pub t_ns: u64,
+}
+
+impl DecisionRecord {
+    /// The ledger reading behind a [`MemoDecision::GateClose`] /
+    /// [`MemoDecision::GateReopen`] record as `(spent_ns, earned_ns,
+    /// allowance_ns)` — a closure means `spent > earned + allowance` over
+    /// the opening it ends; a re-opening reports the type's lifetime totals
+    /// and the grant it starts with. `None` for every other decision.
+    pub fn gate_ledger(&self) -> Option<(f64, f64, f64)> {
+        matches!(
+            self.decision,
+            MemoDecision::GateClose | MemoDecision::GateReopen
+        )
+        .then_some((self.metric_value, self.tau, self.p))
+    }
 }
 
 /// One worker shard: a bounded overwrite-oldest ring plus the exact
@@ -229,14 +259,22 @@ impl DecisionSnapshot {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
+            // Gate records name their scalars for what they are.
+            let scalars = match r.gate_ledger() {
+                Some(_) => ["spent_ns", "earned_ns", "allowance_ns"],
+                None => ["metric_value", "tau", "p"],
+            };
             out.push_str(&format!(
                 "{{\"task_type\":{},\"task_id\":{},\"decision\":\"{}\",\
-                 \"metric_value\":{},\"tau\":{},\"p\":{},\"producer\":{},\"t_ns\":{}}}\n",
+                 \"{}\":{},\"{}\":{},\"{}\":{},\"producer\":{},\"t_ns\":{}}}\n",
                 r.task_type,
                 r.task_id,
                 r.decision.name(),
+                scalars[0],
                 crate::chrome::json_f64(r.metric_value),
+                scalars[1],
                 crate::chrome::json_f64(r.tau),
+                scalars[2],
                 crate::chrome::json_f64(r.p),
                 r.producer.map_or("null".to_string(), |id| id.to_string()),
                 r.t_ns
@@ -345,5 +383,25 @@ mod tests {
         assert_eq!(dump.lines().count(), 2);
         assert!(dump.contains("\"decision\":\"training_accept\""));
         assert!(dump.contains("\"task_id\":12"));
+        assert!(dump.contains("\"tau\":0.2"));
+    }
+
+    #[test]
+    fn gate_records_dump_their_ledger_reading_by_name() {
+        let log = DecisionLog::new();
+        let mut close = rec(4, 7, MemoDecision::GateClose, 9);
+        (close.metric_value, close.tau, close.p) = (9_000.0, 1_000.0, 4_000.0);
+        log.record(0, close);
+        assert_eq!(close.gate_ledger(), Some((9_000.0, 1_000.0, 4_000.0)));
+        assert_eq!(rec(4, 8, MemoDecision::ThtHit, 10).gate_ledger(), None);
+        let dump = log.snapshot().to_jsonl();
+        assert!(dump.contains("\"decision\":\"gate_close\""));
+        assert!(dump.contains("\"spent_ns\":9000"), "{dump}");
+        assert!(dump.contains("\"earned_ns\":1000"));
+        assert!(dump.contains("\"allowance_ns\":4000"));
+        assert!(!dump.contains("\"tau\""));
+        let names: std::collections::HashSet<_> =
+            MemoDecision::ALL.iter().map(|d| d.name()).collect();
+        assert_eq!(names.len(), MemoDecision::ALL.len());
     }
 }

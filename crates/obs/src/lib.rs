@@ -275,12 +275,41 @@ pub struct EngineObservation {
     pub ikt_deferred: u64,
     /// THT hits verified by execution during training.
     pub training_hits: u64,
-    /// Tasks executed (memoizable types only).
+    /// Tasks executed (memoizable types only), gated ones included.
     pub executed: u64,
+    /// Tasks executed unkeyed — no hash, probe, IKT, snapshot or insert —
+    /// because the profitability ledger had closed their type.
+    pub gated: u64,
     /// Nanoseconds spent computing hash keys.
     pub hash_ns: u64,
+    /// Nanoseconds spent probing the THT and the IKT.
+    pub probe_ns: u64,
     /// Nanoseconds spent copying outputs.
     pub copy_ns: u64,
+    /// Nanoseconds spent comparing training hits with the executed outputs.
+    pub compare_ns: u64,
+    /// Kernel nanoseconds of the executions the engine keyed (and timed).
+    pub kernel_ns: u64,
+    /// Kernel nanoseconds avoided by steady-state THT hits and served IKT
+    /// deferrals.
+    pub saved_ns: u64,
+}
+
+impl std::ops::AddAssign for EngineObservation {
+    fn add_assign(&mut self, other: Self) {
+        self.seen += other.seen;
+        self.tht_bypassed += other.tht_bypassed;
+        self.ikt_deferred += other.ikt_deferred;
+        self.training_hits += other.training_hits;
+        self.executed += other.executed;
+        self.gated += other.gated;
+        self.hash_ns += other.hash_ns;
+        self.probe_ns += other.probe_ns;
+        self.copy_ns += other.copy_ns;
+        self.compare_ns += other.compare_ns;
+        self.kernel_ns += other.kernel_ns;
+        self.saved_ns += other.saved_ns;
+    }
 }
 
 impl EngineObservation {

@@ -9,7 +9,11 @@
 //! importer relies on. Every layer stamps on the one clock of the run's
 //! observability handle, so the counter tracks (ready depth, store bytes)
 //! must also fall inside the time span the interval tracks cover: a sample
-//! outside it was stamped on some other clock. Like `lint-sync`, the validator is deliberately
+//! outside it was stamped on some other clock. A task span whose `decision`
+//! names a gate event (`gate_close` / `gate_reopen`) must carry the ledger
+//! reading behind it (`spent_ns`, `earned_ns`, `allowance_ns`), or "why did
+//! this type stop memoizing" cannot be answered from the trace. Like
+//! `lint-sync`, the validator is deliberately
 //! dependency-free: a ~100-line recursive-descent JSON parser is all the
 //! format needs.
 
@@ -295,6 +299,21 @@ pub fn check_trace(text: &str) -> Result<String, String> {
                     .ok_or_else(|| format!("event {index}: \"dur\" must be a number"))?;
                 span_start = span_start.min(ts);
                 span_end = span_end.max(ts + dur);
+                let args = event.get("args");
+                let decision = args.and_then(|a| a.get("decision")).and_then(Json::as_str);
+                if decision.is_some_and(|d| d.contains("gate_")) {
+                    for key in ["spent_ns", "earned_ns", "allowance_ns"] {
+                        if args
+                            .and_then(|a| a.get(key))
+                            .and_then(Json::as_num)
+                            .is_none()
+                        {
+                            return Err(format!(
+                                "event {index}: gate decision without a numeric \"{key}\""
+                            ));
+                        }
+                    }
+                }
             }
             "C" => {
                 counters += 1;
@@ -368,6 +387,12 @@ mod tests {
             {"ph":"X","name":"Task Execution","pid":1,"tid":0,"ts":1.000,"dur":4.000},
             {"ph":"X","name":"square","pid":1,"tid":1000,"ts":1.200,"dur":3.600,
              "args":{"decision":"tht_hit","latency_ns":3600}},
+            {"ph":"X","name":"stencil","pid":1,"tid":1001,"ts":1.300,"dur":2.000,
+             "args":{"decision":"miss_execute+gate_close","tau":0.01,"p":0.5,
+                     "spent_ns":8950000,"earned_ns":0,"allowance_ns":8920000,"latency_ns":2000}},
+            {"ph":"X","name":"stencil","pid":1,"tid":1001,"ts":3.400,"dur":1.000,
+             "args":{"decision":"gate_reopen",
+                     "spent_ns":8950000,"earned_ns":0,"allowance_ns":1986000,"latency_ns":1000}},
             {"ph":"C","name":"ready_depth","pid":1,"tid":9998,"ts":1.500,"args":{"value":3}},
             {"ph":"C","name":"ready_depth","pid":1,"tid":9998,"ts":2.500,"args":{"value":2}}
             ]"#,
@@ -377,7 +402,7 @@ mod tests {
     #[test]
     fn accepts_a_well_formed_trace() {
         let summary = check_trace(&valid_trace()).unwrap();
-        assert!(summary.contains("5 events"), "{summary}");
+        assert!(summary.contains("7 events"), "{summary}");
         assert!(summary.contains("2 counter samples"), "{summary}");
     }
 
@@ -395,6 +420,11 @@ mod tests {
             .contains("goes backwards"));
         // ts fine when tracks interleave.
         assert!(check_trace(&valid_trace()).is_ok());
+        // A gate decision that lost its ledger reading.
+        let unexplained = valid_trace().replace("\"earned_ns\":0,\"allowance_ns\":1986000,", "");
+        assert!(check_trace(&unexplained)
+            .unwrap_err()
+            .contains("gate decision without a numeric \"earned_ns\""));
         // A counter sample beyond the last interval: another clock's stamp.
         let misaligned = valid_trace().replace("\"ts\":2.500", "\"ts\":5000.000");
         assert!(check_trace(&misaligned)

@@ -1,5 +1,5 @@
 //! `atm-check` model suite: the workspace's load-bearing hand-rolled
-//! protocols (seven, at last count — see CONCURRENCY.md's inventory),
+//! protocols (eight, at last count — see CONCURRENCY.md's inventory),
 //! encoded as small models and explored by the deterministic model
 //! checker in `atm_sync::check`.
 //!
@@ -20,6 +20,7 @@
 
 mod event_reset;
 mod ikt_regression;
+mod policy_word;
 mod region_digest;
 mod release;
 mod release_packet;
