@@ -19,9 +19,7 @@ use atm_core::{
 };
 use atm_metrics::{correctness_percent, euclidean_relative_error};
 use atm_obs::{CounterSample, DecisionSnapshot, MetricsSnapshot, Observability};
-use atm_runtime::{
-    QueueMode, Runtime, RuntimeBuilder, RuntimeStatsSnapshot, TaskTypeId, TraceSummary,
-};
+use atm_runtime::{Runtime, RuntimeBuilder, RuntimeStatsSnapshot, TaskTypeId, TraceSummary};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -54,9 +52,6 @@ pub struct RunOptions {
     /// states, ready-queue samples, full reuse provenance). Each run builds
     /// its own handle.
     pub observability: Option<fn() -> Observability>,
-    /// Ready-queue discipline of the runtime ([`QueueMode::Stealing`] by
-    /// default; [`QueueMode::Fifo`] reproduces the paper's single queue).
-    pub queue_mode: QueueMode,
     /// Warm-start the memo store from this snapshot before any task runs.
     pub warm_start: Option<PathBuf>,
     /// Persist the memo store to this path after the run completes.
@@ -70,7 +65,6 @@ impl RunOptions {
             workers,
             atm: AtmConfig::off(),
             observability: None,
-            queue_mode: QueueMode::default(),
             warm_start: None,
             store_save: None,
         }
@@ -82,7 +76,6 @@ impl RunOptions {
             workers,
             atm,
             observability: None,
-            queue_mode: QueueMode::default(),
             warm_start: None,
             store_save: None,
         }
@@ -102,13 +95,6 @@ impl RunOptions {
     #[must_use]
     pub fn observed(mut self) -> Self {
         self.observability.get_or_insert(Observability::enabled);
-        self
-    }
-
-    /// Selects the ready-queue discipline.
-    #[must_use]
-    pub fn queued(mut self, mode: QueueMode) -> Self {
-        self.queue_mode = mode;
         self
     }
 
@@ -272,7 +258,6 @@ impl TaskedRun {
         }
         let runtime = builder
             .workers(options.workers)
-            .queue_mode(options.queue_mode)
             .interceptor(Arc::clone(&engine) as Arc<dyn atm_runtime::TaskInterceptor>)
             .build();
         TaskedRun {
@@ -364,14 +349,10 @@ mod tests {
         let base = RunOptions::baseline(4);
         assert_eq!(base.workers, 4);
         assert!(!atm_is_enabled(&base.atm));
-        assert_eq!(base.queue_mode, QueueMode::Stealing);
-        let with = RunOptions::with_atm(2, AtmConfig::static_atm())
-            .traced()
-            .queued(QueueMode::Fifo);
+        let with = RunOptions::with_atm(2, AtmConfig::static_atm()).traced();
         assert!(base.observability.is_none());
         assert!(with.observability.is_some());
         assert!(atm_is_enabled(&with.atm));
-        assert_eq!(with.queue_mode, QueueMode::Fifo);
     }
 
     #[test]

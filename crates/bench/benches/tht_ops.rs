@@ -180,11 +180,7 @@ fn engine_before() {
 
     // Open, miss: one way per bucket and 64 inputs that share few buckets
     // would still hit; a store that admits nothing never does.
-    let engine = AtmEngine::new(
-        AtmConfig::static_atm()
-            .with_byte_budget(1)
-            .with_admission_fraction(0.5),
-    );
+    let engine = AtmEngine::new(AtmConfig::static_atm().with_byte_budget(1));
     before_execute_row(
         "open_miss",
         &engine,

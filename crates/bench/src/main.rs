@@ -20,6 +20,8 @@
 //! as a Chrome Trace Event Format file that <https://ui.perfetto.dev>
 //! loads directly.
 
+#![forbid(unsafe_code)]
+
 use atm_apps::Scale;
 use atm_eval::{all_experiments, run_experiment, EvalContext, Experiment};
 use std::path::PathBuf;

@@ -50,8 +50,6 @@ pub struct AtmConfig {
     pub use_ikt: bool,
     /// Task History Table sizing.
     pub tht: ThtConfig,
-    /// Seed for the hash and the per-type index shuffles (reproducibility).
-    pub key_seed: u64,
     /// Eviction policy of the memo store behind the THT. The default,
     /// [`PolicyKind::Fifo`], together with an unlimited budget reproduces
     /// the paper's table bit for bit.
@@ -59,9 +57,6 @@ pub struct AtmConfig {
     /// Global byte budget of the memo store, enforced across all buckets.
     /// `None` (the default) disables budget enforcement.
     pub byte_budget: Option<usize>,
-    /// Admission control: entries charged more than this fraction of the
-    /// byte budget are refused. Ignored without a budget.
-    pub max_entry_fraction: f64,
 }
 
 impl Default for AtmConfig {
@@ -70,10 +65,8 @@ impl Default for AtmConfig {
             mode: AtmMode::Static,
             use_ikt: true,
             tht: ThtConfig::default(),
-            key_seed: 0x5EED,
             policy: PolicyKind::Fifo,
             byte_budget: None,
-            max_entry_fraction: 1.0,
         }
     }
 }
@@ -139,20 +132,12 @@ impl AtmConfig {
         self
     }
 
-    /// Sets the admission-control fraction (of the byte budget).
-    #[must_use]
-    pub fn with_admission_fraction(mut self, fraction: f64) -> Self {
-        self.max_entry_fraction = fraction;
-        self
-    }
-
     /// The memo-store configuration this engine configuration describes.
     pub fn store_config(&self) -> StoreConfig {
         StoreConfig {
             bucket_bits: self.tht.bucket_bits,
             ways: self.tht.ways,
             byte_budget: self.byte_budget,
-            max_entry_fraction: self.max_entry_fraction,
             policy: self.policy,
         }
     }

@@ -55,6 +55,10 @@ use std::sync::Arc;
 /// share (the slot lock is uncontended in the common ≤16-worker case).
 const KEY_SCRATCH_SLOTS: usize = 16;
 
+/// Seed of the hash and the per-type index shuffles. Part of the snapshot
+/// key space: changing it orphans every persisted entry.
+const KEY_SEED: u64 = 0x5EED;
+
 /// One cache-line-isolated scratch slot: the reusable temporaries of the key
 /// pipeline for one worker and the tickets of the tasks it is executing, so
 /// the steady-state task path allocates nothing and workers never write a
@@ -259,10 +263,10 @@ impl AtmEngine {
     /// normal admission/eviction path; the number admitted is returned.
     ///
     /// A key is the composition of the task's input digests under the
-    /// type's seed (the task-type id mixed into `key_seed`), so the snapshot
-    /// only produces hits when task types are registered in the same order
-    /// and `key_seed` is unchanged — the natural situation for repeated
-    /// runs of one application. A snapshot written in an older key space
+    /// type's seed (the task-type id mixed into a fixed key seed), so
+    /// the snapshot only produces hits when task types are registered in the
+    /// same order — the natural situation for repeated runs of one
+    /// application. A snapshot written in an older key space
     /// (format version 1) is refused with
     /// [`PersistError::UnsupportedVersion`].
     pub fn warm_start_from(&self, path: impl AsRef<Path>) -> Result<usize, PersistError> {
@@ -348,8 +352,7 @@ impl AtmEngine {
             TypeEntry {
                 name: view.info.name.to_owned(),
                 keygen: KeyGenerator::new(
-                    self.config.key_seed
-                        ^ (view.type_id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    KEY_SEED ^ (view.type_id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                     spec.is_type_aware(),
                 ),
                 policy: TypePolicy::resolve(self.config.mode, spec),
@@ -1219,17 +1222,32 @@ mod tests {
 
     #[test]
     fn store_policy_and_budget_are_plumbed_through_the_config() {
-        let config = AtmConfig::static_atm()
-            .with_policy(atm_store::PolicyKind::CostAware)
-            .with_byte_budget(4096)
-            .with_admission_fraction(0.5);
-        let engine = AtmEngine::new(config);
+        let outputs = Arc::new(vec![OutputSnapshot {
+            region: atm_runtime::RegionId::from_raw(0),
+            elem_range: 0..64,
+            data: atm_runtime::RegionData::F64(vec![1.0; 64]),
+        }]);
+        let charge = atm_store::entry_charge_bytes(&outputs);
+        let config = AtmConfig::static_atm().with_policy(atm_store::PolicyKind::CostAware);
+        let key = EntryKey::new(TaskTypeId::from_raw(0), 1, 1.0);
+
+        // An entry exactly as large as the budget is admitted…
+        let engine = AtmEngine::new(config.with_byte_budget(charge));
         let store_config = engine.store().config();
         assert_eq!(store_config.policy, atm_store::PolicyKind::CostAware);
-        assert_eq!(store_config.byte_budget, Some(4096));
-        assert!((store_config.max_entry_fraction - 0.5).abs() < 1e-12);
+        assert_eq!(store_config.byte_budget, Some(charge));
         assert_eq!(engine.store().policy_name(), "cost-aware");
         assert_eq!(engine.store_counters(), Default::default());
+        let outcome = engine
+            .store()
+            .insert(key, TaskId::from_raw(0), Arc::clone(&outputs), 0);
+        assert_eq!(outcome, atm_store::InsertOutcome::Inserted);
+
+        // …and one byte over it is refused.
+        let engine = AtmEngine::new(config.with_byte_budget(charge - 1));
+        let outcome = engine.store().insert(key, TaskId::from_raw(0), outputs, 0);
+        assert_eq!(outcome, atm_store::InsertOutcome::Rejected);
+        assert_eq!(engine.store_counters().rejected_admissions, 1);
     }
 
     #[test]

@@ -95,6 +95,7 @@
 //! assert_eq!(stats.retired_nodes, 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

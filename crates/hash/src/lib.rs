@@ -23,6 +23,7 @@
 //! * [`sampler`] — [`InputSampler`], the per-task-type object that owns the
 //!   cached shuffled index vector and turns `(input bytes, p)` into a key.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod jenkins;

@@ -13,6 +13,7 @@
 //!   specific correctness of the Sparse LU benchmark;
 //! * **reuse**, the percentage of tasks memoized by ATM.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod correctness;

@@ -32,10 +32,9 @@
 //!   task count (observable through the
 //!   [`RuntimeStatsSnapshot::live_nodes`] /
 //!   [`RuntimeStatsSnapshot::retired_nodes`] gauges);
-//! * a **Ready Queue** ([`ready_queue`]) in one of two [`QueueMode`]s —
-//!   the paper's single FIFO, or per-worker work-stealing deques — and a
-//!   **worker pool** ([`scheduler`]) that pulls ready tasks and executes
-//!   them without touching a global lock in steady state;
+//! * a **Ready Queue** ([`ready_queue`]) of per-worker work-stealing deques
+//!   and a **worker pool** ([`scheduler`]) that pulls ready tasks and
+//!   executes them without touching a global lock in steady state;
 //! * the **interceptor hook** ([`interceptor`]) where the ATM engine plugs
 //!   in: it is consulted right after a task is pulled from the Ready Queue
 //!   (memoize / defer / execute) and right after a task completes (update
@@ -50,12 +49,7 @@
 //! ```
 //! use atm_runtime::prelude::*;
 //!
-//! // Work stealing is the default queue mode; `QueueMode::Fifo` restores
-//! // the paper's single global queue (deterministic with one worker).
-//! let rt = RuntimeBuilder::new()
-//!     .workers(2)
-//!     .queue_mode(QueueMode::Stealing)
-//!     .build();
+//! let rt = RuntimeBuilder::new().workers(2).build();
 //! let data = rt.store().register_typed("v", vec![1.0f64, 2.0, 3.0, 4.0]).unwrap();
 //! let sums = rt.store().register_zeros::<f64>("sum", 1).unwrap();
 //!
@@ -96,12 +90,11 @@ pub mod trace;
 pub use access::{Access, AccessMode};
 pub use interceptor::{Decision, NoopInterceptor, TaskInterceptor};
 pub use memo::{ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
-pub use ready_queue::QueueMode;
 pub use region::{
     DataStore, DeregisterError, Elem, ElemType, ElemWindow, Region, RegionData, RegionId,
     RegionRead, RegionReadGuard, RegionStatus, RegisterError, WordSink,
 };
-pub use scheduler::{Affinity, Observation, Runtime, RuntimeBuilder};
+pub use scheduler::{Observation, Runtime, RuntimeBuilder};
 pub use stats::{RuntimeStats, RuntimeStatsSnapshot};
 pub use submit::{BatchBuilder, SubmitError, TaskBuilder};
 pub use task::{
@@ -115,12 +108,11 @@ pub mod prelude {
     pub use crate::access::{Access, AccessMode};
     pub use crate::interceptor::{Decision, NoopInterceptor, TaskInterceptor};
     pub use crate::memo::{ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
-    pub use crate::ready_queue::QueueMode;
     pub use crate::region::{
         DataStore, DeregisterError, Elem, ElemType, Region, RegionData, RegionId, RegionStatus,
         RegisterError,
     };
-    pub use crate::scheduler::{Affinity, Runtime, RuntimeBuilder};
+    pub use crate::scheduler::{Runtime, RuntimeBuilder};
     pub use crate::submit::{BatchBuilder, SubmitError, TaskBuilder};
     pub use crate::task::{
         TaskContext, TaskDesc, TaskId, TaskNotify, TaskSignature, TaskTypeBuilder, TaskTypeId,

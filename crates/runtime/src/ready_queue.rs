@@ -1,21 +1,15 @@
 //! The Ready Queue (RQ).
 //!
 //! Tasks whose dependences are satisfied are moved here; idle worker threads
-//! pull from it. Two disciplines are available ([`QueueMode`]):
-//!
-//! * [`QueueMode::Fifo`] — the paper's single blocking MPMC FIFO. The paper
-//!   uses a single ready queue in the runtime system and even identifies the
-//!   task-creation throughput of the master thread as a bottleneck once ATM
-//!   makes tasks extremely cheap (Figure 8) — this mode preserves that
-//!   behaviour exactly, including the deterministic pop order the trace
-//!   experiments and paper sweeps rely on.
-//! * [`QueueMode::Stealing`] — per-worker deques plus a global injector with
-//!   work stealing. Workers push the tasks they release into their own
-//!   deque (popped LIFO for locality), the master thread submits into the
-//!   injector, and an idle worker steals *half* of a victim's deque. In
-//!   steady state a worker that keeps releasing its own successors never
-//!   touches a shared lock, which is what lets fine-grained (memoized)
-//!   task floods scale with the core count.
+//! pull from it. The paper's runtime uses a single ready queue and identifies
+//! the task-creation throughput of the master thread as a bottleneck once ATM
+//! makes tasks extremely cheap (Figure 8); this queue exists to remove that
+//! bottleneck: per-worker deques plus a global injector with work stealing.
+//! Workers push the tasks they release into their own deque (popped LIFO for
+//! locality), the master thread submits into the injector, and an idle worker
+//! steals *half* of a victim's deque. In steady state a worker that keeps
+//! releasing its own successors never touches a shared lock, which is what
+//! lets fine-grained (memoized) task floods scale with the core count.
 //!
 //! Pushes and pops sample the queue depth through the tracer (kept by a
 //! capture handle only), which is the data behind Figure 8(b)/(d).
@@ -23,31 +17,9 @@
 use crate::task::TaskId;
 use crate::trace::Tracer;
 use atm_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use atm_sync::{Condvar, Event, Mutex};
+use atm_sync::{Event, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Scheduling discipline of the Ready Queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueMode {
-    /// One global FIFO protected by a single lock — the paper's runtime.
-    /// Deterministic pop order with one worker; bit-compatible with the
-    /// pre-stealing scheduler.
-    Fifo,
-    /// Per-worker deques + global injector + work stealing (the default).
-    #[default]
-    Stealing,
-}
-
-impl QueueMode {
-    /// Display name (used by the bench harness).
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueMode::Fifo => "fifo",
-            QueueMode::Stealing => "stealing",
-        }
-    }
-}
 
 /// Outcome of a blocking pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,84 +28,6 @@ pub enum Popped {
     Task(TaskId),
     /// The queue was closed and drained; the worker should exit.
     Closed,
-}
-
-#[derive(Debug, Default)]
-struct FifoState {
-    tasks: VecDeque<TaskId>,
-    closed: bool,
-}
-
-/// The single-lock FIFO (the paper's ready queue).
-#[derive(Debug)]
-struct FifoQueue {
-    state: Mutex<FifoState>,
-    condvar: Condvar,
-}
-
-impl FifoQueue {
-    fn new() -> Self {
-        FifoQueue {
-            state: Mutex::new(FifoState::default()),
-            condvar: Condvar::new(),
-        }
-    }
-
-    fn push_all(&self, ids: &[TaskId], worker: usize, tracer: &Tracer) {
-        if ids.is_empty() {
-            return;
-        }
-        let mut state = self.state.lock();
-        state.tasks.extend(ids.iter().copied());
-        tracer.sample_ready_depth(worker, state.tasks.len());
-        drop(state);
-        // One wakeup per *push*, not per task: a single task needs exactly
-        // one worker; a packet wakes everyone once instead of hammering the
-        // condvar once per id (each sleeper re-checks the queue anyway).
-        if ids.len() == 1 {
-            self.condvar.notify_one();
-        } else {
-            self.condvar.notify_all();
-        }
-    }
-
-    fn pop(&self, worker: usize, tracer: &Tracer) -> Popped {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(id) = state.tasks.pop_front() {
-                tracer.sample_ready_depth(worker, state.tasks.len());
-                return Popped::Task(id);
-            }
-            if state.closed {
-                return Popped::Closed;
-            }
-            self.condvar.wait(&mut state);
-        }
-    }
-
-    fn try_pop(&self, worker: usize, tracer: &Tracer) -> Option<TaskId> {
-        let mut state = self.state.lock();
-        let id = state.tasks.pop_front();
-        if id.is_some() {
-            tracer.sample_ready_depth(worker, state.tasks.len());
-        }
-        id
-    }
-
-    fn depth(&self) -> usize {
-        self.state.lock().tasks.len()
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock();
-        state.closed = true;
-        drop(state);
-        self.condvar.notify_all();
-    }
-
-    fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
 }
 
 /// Largest number of tasks moved by one steal (half the victim's deque,
@@ -145,7 +39,8 @@ const MAX_STEAL_BATCH: usize = 32;
 /// anti-contention; samples are merged and time-sorted on read.
 const MASTER_LANE: usize = usize::MAX;
 
-/// Per-worker deques + injector with steal-half.
+/// A blocking MPMC queue of ready tasks: per-worker deques + injector with
+/// steal-half.
 ///
 /// # Sleep/wake protocol (per-worker parking, eventcount-style)
 ///
@@ -169,7 +64,8 @@ const MASTER_LANE: usize = usize::MAX;
 ///   wait is consumed by the wait, and a stale signal left by a withdrawn
 ///   park is cleared by the reset of the next park.
 #[derive(Debug)]
-struct StealingQueue {
+pub struct ReadyQueue {
+    tracer: Arc<Tracer>,
     /// Master-thread submissions (and pushes from non-worker threads).
     injector: Mutex<VecDeque<TaskId>>,
     /// One deque per worker: the owner pushes/pops at the back (LIFO,
@@ -188,9 +84,12 @@ struct StealingQueue {
     closed: AtomicBool,
 }
 
-impl StealingQueue {
-    fn new(workers: usize) -> Self {
-        StealingQueue {
+impl ReadyQueue {
+    /// Creates an empty, open queue for `workers` worker threads. Depth
+    /// samples are forwarded through `tracer`.
+    pub fn new(workers: usize, tracer: Arc<Tracer>) -> Self {
+        ReadyQueue {
+            tracer,
             injector: Mutex::new(VecDeque::new()),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
@@ -204,9 +103,9 @@ impl StealingQueue {
     /// Accounts for `count` pushed tasks *before* they become visible in a
     /// deque, so a racing consumer can never decrement `pending` below the
     /// number of visible tasks (no underflow).
-    fn note_pushing(&self, count: usize, worker: usize, tracer: &Tracer) {
+    fn note_pushing(&self, count: usize, worker: usize) {
         let depth = self.pending.fetch_add(count, Ordering::SeqCst) + count;
-        tracer.sample_ready_depth(worker, depth);
+        self.tracer.sample_ready_depth(worker, depth);
     }
 
     /// Wakes up to `count` parked workers, each through its own event.
@@ -226,20 +125,30 @@ impl StealingQueue {
         }
     }
 
-    fn push_injector(&self, ids: &[TaskId], tracer: &Tracer) {
+    /// Adds a ready task from outside the worker pool (the master thread)
+    /// and wakes one waiting worker.
+    pub fn push(&self, id: TaskId) {
+        self.push_all(&[id]);
+    }
+
+    /// Adds a batch of ready tasks from outside the worker pool.
+    pub fn push_all(&self, ids: &[TaskId]) {
         if ids.is_empty() {
             return;
         }
-        self.note_pushing(ids.len(), MASTER_LANE, tracer);
+        self.note_pushing(ids.len(), MASTER_LANE);
         self.injector.lock().extend(ids.iter().copied());
         self.wake_after_push(ids.len());
     }
 
-    fn push_local(&self, worker: usize, ids: &[TaskId], tracer: &Tracer) {
+    /// Adds a batch of tasks released by `worker` (a finishing task's newly
+    /// ready successors). They land in the worker's own deque — the
+    /// no-shared-lock fast path.
+    pub fn push_from(&self, worker: usize, ids: &[TaskId]) {
         if ids.is_empty() {
             return;
         }
-        self.note_pushing(ids.len(), worker, tracer);
+        self.note_pushing(ids.len(), worker);
         match self.locals.get(worker) {
             Some(local) => local.lock().extend(ids.iter().copied()),
             // Not a worker thread (e.g. the engine finishing deferred tasks
@@ -249,9 +158,9 @@ impl StealingQueue {
         self.wake_after_push(ids.len());
     }
 
-    fn note_popped(&self, worker: usize, tracer: &Tracer) {
+    fn note_popped(&self, worker: usize) {
         let depth = self.pending.fetch_sub(1, Ordering::SeqCst) - 1;
-        tracer.sample_ready_depth(worker, depth);
+        self.tracer.sample_ready_depth(worker, depth);
     }
 
     /// One full scan: own deque, injector, then steal-half round-robin.
@@ -293,10 +202,12 @@ impl StealingQueue {
         None
     }
 
-    fn pop(&self, worker: usize, tracer: &Tracer) -> Popped {
+    /// Blocks until a task is available for `worker` or the queue is closed
+    /// and drained.
+    pub fn pop(&self, worker: usize) -> Popped {
         loop {
             if let Some(id) = self.scan(worker) {
-                self.note_popped(worker, tracer);
+                self.note_popped(worker);
                 return Popped::Task(id);
             }
             let Some(event) = self.parkers.get(worker) else {
@@ -355,15 +266,23 @@ impl StealingQueue {
         }
     }
 
-    fn try_pop(&self, worker: usize, tracer: &Tracer) -> Option<TaskId> {
+    /// Non-blocking pop; returns `None` when no task is currently findable.
+    pub fn try_pop(&self, worker: usize) -> Option<TaskId> {
         let id = self.scan(worker);
         if id.is_some() {
-            self.note_popped(worker, tracer);
+            self.note_popped(worker);
         }
         id
     }
 
-    fn close(&self) {
+    /// Current number of queued ready tasks.
+    pub fn depth(&self) -> usize {
+        self.pending.load(Ordering::SeqCst)
+    }
+
+    /// Closes the queue: workers drain the remaining tasks and then receive
+    /// [`Popped::Closed`].
+    pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
         {
             let mut stack = self.sleeper_stack.lock();
@@ -379,122 +298,21 @@ impl StealingQueue {
     }
 }
 
-/// A blocking MPMC queue of ready tasks, in one of two [`QueueMode`]s.
-#[derive(Debug)]
-pub struct ReadyQueue {
-    tracer: Arc<Tracer>,
-    imp: QueueImpl,
-}
-
-#[derive(Debug)]
-enum QueueImpl {
-    Fifo(FifoQueue),
-    Stealing(StealingQueue),
-}
-
-impl ReadyQueue {
-    /// Creates an empty, open queue for `workers` worker threads. Depth
-    /// samples are forwarded through `tracer`.
-    pub fn new(mode: QueueMode, workers: usize, tracer: Arc<Tracer>) -> Self {
-        let imp = match mode {
-            QueueMode::Fifo => QueueImpl::Fifo(FifoQueue::new()),
-            QueueMode::Stealing => QueueImpl::Stealing(StealingQueue::new(workers)),
-        };
-        ReadyQueue { tracer, imp }
-    }
-
-    /// The queue's scheduling discipline.
-    pub fn mode(&self) -> QueueMode {
-        match &self.imp {
-            QueueImpl::Fifo(_) => QueueMode::Fifo,
-            QueueImpl::Stealing(_) => QueueMode::Stealing,
-        }
-    }
-
-    /// Adds a ready task from outside the worker pool (the master thread)
-    /// and wakes one waiting worker.
-    pub fn push(&self, id: TaskId) {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.push_all(&[id], MASTER_LANE, &self.tracer),
-            QueueImpl::Stealing(q) => q.push_injector(&[id], &self.tracer),
-        }
-    }
-
-    /// Adds a batch of ready tasks from outside the worker pool.
-    pub fn push_all(&self, ids: &[TaskId]) {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.push_all(ids, MASTER_LANE, &self.tracer),
-            QueueImpl::Stealing(q) => q.push_injector(ids, &self.tracer),
-        }
-    }
-
-    /// Adds a batch of tasks released by `worker` (a finishing task's newly
-    /// ready successors). In stealing mode they land in the worker's own
-    /// deque — the no-shared-lock fast path.
-    pub fn push_from(&self, worker: usize, ids: &[TaskId]) {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.push_all(ids, worker, &self.tracer),
-            QueueImpl::Stealing(q) => q.push_local(worker, ids, &self.tracer),
-        }
-    }
-
-    /// Blocks until a task is available for `worker` or the queue is closed
-    /// and drained.
-    pub fn pop(&self, worker: usize) -> Popped {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.pop(worker, &self.tracer),
-            QueueImpl::Stealing(q) => q.pop(worker, &self.tracer),
-        }
-    }
-
-    /// Non-blocking pop; returns `None` when no task is currently findable.
-    pub fn try_pop(&self, worker: usize) -> Option<TaskId> {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.try_pop(worker, &self.tracer),
-            QueueImpl::Stealing(q) => q.try_pop(worker, &self.tracer),
-        }
-    }
-
-    /// Current number of queued ready tasks.
-    pub fn depth(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.depth(),
-            QueueImpl::Stealing(q) => q.pending.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Closes the queue: workers drain the remaining tasks and then receive
-    /// [`Popped::Closed`].
-    pub fn close(&self) {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.close(),
-            QueueImpl::Stealing(q) => q.close(),
-        }
-    }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        match &self.imp {
-            QueueImpl::Fifo(q) => q.is_closed(),
-            QueueImpl::Stealing(q) => q.closed.load(Ordering::SeqCst),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::thread;
     use std::time::Duration;
 
-    fn queue(mode: QueueMode, workers: usize) -> ReadyQueue {
-        ReadyQueue::new(mode, workers, Arc::new(Tracer::new(None)))
+    fn queue(workers: usize) -> ReadyQueue {
+        ReadyQueue::new(workers, Arc::new(Tracer::new(None)))
     }
 
+    /// Master submissions go through the injector, which hands them out
+    /// oldest first whichever worker asks.
     #[test]
     fn fifo_order_is_preserved() {
-        let q = queue(QueueMode::Fifo, 2);
-        assert_eq!(q.mode(), QueueMode::Fifo);
+        let q = queue(2);
         q.push(TaskId(1));
         q.push(TaskId(2));
         q.push_all(&[TaskId(3), TaskId(4)]);
@@ -508,43 +326,36 @@ mod tests {
 
     #[test]
     fn close_drains_then_signals_closed() {
-        for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-            let q = queue(mode, 1);
-            q.push(TaskId(7));
-            q.close();
-            assert!(q.is_closed());
-            assert_eq!(q.pop(0), Popped::Task(TaskId(7)), "{mode:?}");
-            assert_eq!(q.pop(0), Popped::Closed, "{mode:?}");
-        }
+        let q = queue(1);
+        q.push(TaskId(7));
+        q.close();
+        assert_eq!(q.pop(0), Popped::Task(TaskId(7)));
+        assert_eq!(q.pop(0), Popped::Closed);
     }
 
     #[test]
     fn blocking_pop_wakes_on_push() {
-        for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-            let q = Arc::new(queue(mode, 1));
-            let q2 = Arc::clone(&q);
-            let handle = thread::spawn(move || q2.pop(0));
-            thread::sleep(Duration::from_millis(20));
-            q.push(TaskId(9));
-            assert_eq!(handle.join().unwrap(), Popped::Task(TaskId(9)), "{mode:?}");
-        }
+        let q = Arc::new(queue(1));
+        let q2 = Arc::clone(&q);
+        let handle = thread::spawn(move || q2.pop(0));
+        thread::sleep(Duration::from_millis(20));
+        q.push(TaskId(9));
+        assert_eq!(handle.join().unwrap(), Popped::Task(TaskId(9)));
     }
 
     #[test]
     fn blocking_pop_wakes_on_close() {
-        for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-            let q = Arc::new(queue(mode, 3));
-            let handles: Vec<_> = (0..3)
-                .map(|w| {
-                    let q = Arc::clone(&q);
-                    thread::spawn(move || q.pop(w))
-                })
-                .collect();
-            thread::sleep(Duration::from_millis(20));
-            q.close();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), Popped::Closed, "{mode:?}");
-            }
+        let q = Arc::new(queue(3));
+        let handles: Vec<_> = (0..3)
+            .map(|w| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.pop(w))
+            })
+            .collect();
+        thread::sleep(Duration::from_millis(20));
+        q.close();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), Popped::Closed);
         }
     }
 
@@ -552,7 +363,7 @@ mod tests {
     fn depth_samples_are_recorded_when_tracing() {
         let obs = Arc::new(atm_obs::Observability::capture());
         let tracer = Arc::new(Tracer::new(Some(Arc::clone(&obs))));
-        let q = ReadyQueue::new(QueueMode::Fifo, 1, tracer);
+        let q = ReadyQueue::new(1, tracer);
         q.push(TaskId(1));
         q.push(TaskId(2));
         let _ = q.pop(0);
@@ -567,7 +378,7 @@ mod tests {
     fn stealing_mode_also_samples_depth() {
         let obs = Arc::new(atm_obs::Observability::capture());
         let tracer = Arc::new(Tracer::new(Some(Arc::clone(&obs))));
-        let q = ReadyQueue::new(QueueMode::Stealing, 2, tracer);
+        let q = ReadyQueue::new(2, tracer);
         q.push(TaskId(1));
         q.push_from(0, &[TaskId(2), TaskId(3)]);
         let _ = q.pop(0);
@@ -578,17 +389,15 @@ mod tests {
 
     #[test]
     fn push_all_empty_is_a_noop() {
-        for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-            let q = queue(mode, 1);
-            q.push_all(&[]);
-            q.push_from(0, &[]);
-            assert_eq!(q.depth(), 0, "{mode:?}");
-        }
+        let q = queue(1);
+        q.push_all(&[]);
+        q.push_from(0, &[]);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn owner_pops_lifo_from_its_own_deque() {
-        let q = queue(QueueMode::Stealing, 2);
+        let q = queue(2);
         q.push_from(0, &[TaskId(1), TaskId(2), TaskId(3)]);
         // The owner pops its most recent release first (locality).
         assert_eq!(q.pop(0), Popped::Task(TaskId(3)));
@@ -598,7 +407,7 @@ mod tests {
 
     #[test]
     fn thief_steals_oldest_half_of_the_victim() {
-        let q = queue(QueueMode::Stealing, 2);
+        let q = queue(2);
         q.push_from(0, &[TaskId(1), TaskId(2), TaskId(3), TaskId(4)]);
         // Worker 1 steals the front half (oldest tasks) of worker 0.
         assert_eq!(q.pop(1), Popped::Task(TaskId(1)));
@@ -615,7 +424,7 @@ mod tests {
     /// close. Every pushed task is delivered exactly once.
     #[test]
     fn pushes_wake_only_as_many_parked_workers_as_tasks() {
-        let q = Arc::new(queue(QueueMode::Stealing, 3));
+        let q = Arc::new(queue(3));
         let handles: Vec<_> = (0..3)
             .map(|w| {
                 let q = Arc::clone(&q);
@@ -629,11 +438,7 @@ mod tests {
             })
             .collect();
         // Wait until all three workers are parked.
-        let parked = |q: &ReadyQueue| match &q.imp {
-            QueueImpl::Stealing(s) => s.sleepers.load(Ordering::SeqCst),
-            QueueImpl::Fifo(_) => unreachable!(),
-        };
-        while parked(&q) < 3 {
+        while q.sleepers.load(Ordering::SeqCst) < 3 {
             thread::yield_now();
         }
         q.push_all(&[TaskId(1), TaskId(2)]);
@@ -647,7 +452,7 @@ mod tests {
 
     #[test]
     fn stealing_mode_delivers_every_task_under_contention() {
-        let q = Arc::new(queue(QueueMode::Stealing, 4));
+        let q = Arc::new(queue(4));
         const N: u64 = 4_000;
         let handles: Vec<_> = (0..4)
             .map(|w| {

@@ -20,17 +20,15 @@
 //! Completing a task touches **no global lock**: the dependence graph
 //! releases successors through per-node atomic counters
 //! ([`crate::dependence`]), the released tasks go into the finishing
-//! worker's own deque under [`QueueMode::Stealing`]
-//! ([`crate::ready_queue`]), the `outstanding` taskwait counter is a single
-//! atomic decrement, statistics land in per-worker shards
-//! ([`crate::stats`]), and the worker reads the task descriptor and its
-//! `Arc`-shared task type straight out of the graph node — no per-execution
-//! clones. [`QueueMode::Fifo`] keeps the paper's single-queue behaviour
-//! (and its deterministic single-worker pop order) selectable per runtime.
+//! worker's own deque ([`crate::ready_queue`]), the `outstanding` taskwait
+//! counter is a single atomic decrement, statistics land in per-worker
+//! shards ([`crate::stats`]), and the worker reads the task descriptor and
+//! its `Arc`-shared task type straight out of the graph node — no
+//! per-execution clones.
 
 use crate::dependence::{TaskGraph, TaskNode};
 use crate::interceptor::{Decision, NoopInterceptor, TaskInterceptor};
-use crate::ready_queue::{Popped, QueueMode, ReadyQueue};
+use crate::ready_queue::{Popped, ReadyQueue};
 use crate::region::{DataStore, DeregisterError, RegionId};
 use crate::stats::{RuntimeStats, RuntimeStatsSnapshot};
 use crate::submit::{
@@ -42,61 +40,17 @@ use atm_obs::{
     DecisionSnapshot, EngineObservation, LatencyMetric, MetricsSnapshot, Observability,
     StoreObservation, TaskSpan,
 };
-use atm_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::{Condvar, Mutex, RwLock};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Worker-thread CPU placement policy (see [`RuntimeBuilder::affinity`]).
-///
-/// Pinning is dependency-free (a raw `sched_setaffinity` syscall on Linux
-/// x86_64/aarch64, confined to the `atm-affinity` crate) and degrades to a
-/// no-op on platforms without support: a worker whose pin fails simply runs
-/// unpinned. [`Runtime::pinned_workers`] reports how many pins stuck.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Affinity {
-    /// No pinning (the default): the OS scheduler places workers freely.
-    #[default]
-    None,
-    /// Pin worker `i` to CPU `i % available_parallelism` — one worker per
-    /// core while the pool fits, wrapping beyond that.
-    RoundRobin,
-    /// Pin worker `i` to `cpus[i % cpus.len()]` — explicit placement for
-    /// NUMA experiments. An empty list pins nothing.
-    Explicit(Vec<usize>),
-}
-
-impl Affinity {
-    /// The CPU `worker` should pin to under this policy, `None` when the
-    /// worker runs unpinned.
-    fn cpu_for(&self, worker: usize) -> Option<usize> {
-        match self {
-            Affinity::None => None,
-            Affinity::RoundRobin => {
-                let cores = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1);
-                Some(worker % cores)
-            }
-            Affinity::Explicit(cpus) => {
-                if cpus.is_empty() {
-                    None
-                } else {
-                    Some(cpus[worker % cpus.len()])
-                }
-            }
-        }
-    }
-}
-
 /// Configuration and construction of a [`Runtime`].
 pub struct RuntimeBuilder {
     workers: usize,
-    queue_mode: QueueMode,
     interceptor: Arc<dyn TaskInterceptor>,
     observability: Option<Arc<Observability>>,
     max_live_tasks: Option<u64>,
-    affinity: Affinity,
 }
 
 impl Default for RuntimeBuilder {
@@ -106,27 +60,15 @@ impl Default for RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Starts a builder with 1 worker, no observability handle, the
-    /// work-stealing ready queue and no interceptor (the "no ATM" baseline).
+    /// Starts a builder with 1 worker, no observability handle and no
+    /// interceptor (the "no ATM" baseline).
     pub fn new() -> Self {
         RuntimeBuilder {
             workers: 1,
-            queue_mode: QueueMode::default(),
             interceptor: Arc::new(NoopInterceptor),
             observability: None,
             max_live_tasks: None,
-            affinity: Affinity::default(),
         }
-    }
-
-    /// Sets the worker CPU placement policy (see [`Affinity`]). The default
-    /// is [`Affinity::None`]; pinning lets the `scaling` experiment
-    /// separate scheduler cost from cache/NUMA placement. Pins that the
-    /// platform cannot honour degrade to running unpinned.
-    #[must_use]
-    pub fn affinity(mut self, affinity: Affinity) -> Self {
-        self.affinity = affinity;
-        self
     }
 
     /// Bounds the number of live (submitted but unfinished) tasks. A
@@ -147,16 +89,6 @@ impl RuntimeBuilder {
     pub fn workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "the runtime needs at least one worker thread");
         self.workers = workers;
-        self
-    }
-
-    /// Selects the Ready Queue discipline. [`QueueMode::Stealing`] (the
-    /// default) scales fine-grained task floods across workers;
-    /// [`QueueMode::Fifo`] reproduces the paper's single global queue and
-    /// its deterministic single-worker pop order.
-    #[must_use]
-    pub fn queue_mode(mut self, mode: QueueMode) -> Self {
-        self.queue_mode = mode;
         self
     }
 
@@ -187,7 +119,7 @@ impl RuntimeBuilder {
             store: DataStore::new(),
             registry: RwLock::new(Vec::new()),
             graph: TaskGraph::new(),
-            queue: ReadyQueue::new(self.queue_mode, self.workers, Arc::clone(&tracer)),
+            queue: ReadyQueue::new(self.workers, Arc::clone(&tracer)),
             interceptor: self.interceptor,
             tracer,
             stats: RuntimeStats::with_workers(self.workers),
@@ -196,8 +128,6 @@ impl RuntimeBuilder {
             all_done: Condvar::new(),
             workers: self.workers,
             max_live_tasks: self.max_live_tasks,
-            affinity: self.affinity,
-            pinned_workers: AtomicUsize::new(0),
         });
         let handles = (0..self.workers)
             .map(|worker| {
@@ -231,10 +161,6 @@ struct Inner {
     /// Admission window: cap on `outstanding` enforced at submission (see
     /// [`RuntimeBuilder::max_live_tasks`]). `None` admits unconditionally.
     max_live_tasks: Option<u64>,
-    /// Worker CPU placement policy (see [`RuntimeBuilder::affinity`]).
-    affinity: Affinity,
-    /// How many worker threads successfully pinned themselves at startup.
-    pinned_workers: AtomicUsize,
 }
 
 impl Inner {
@@ -341,13 +267,6 @@ impl Inner {
 
 fn worker_loop(inner: &Arc<Inner>, worker: usize) {
     let stats = inner.stats.shard(worker);
-    // Pin before touching any work so the thread's cache working set builds
-    // on its final core. A failed pin is benign: the worker runs unpinned.
-    if let Some(cpu) = inner.affinity.cpu_for(worker) {
-        if atm_affinity::pin_current_thread(cpu).is_ok() {
-            inner.pinned_workers.fetch_add(1, Ordering::SeqCst);
-        }
-    }
     // Reusable release scratch: successors released by a finish cycle and
     // the nodes of producer-completed deferred tasks accumulate here, so
     // the steady-state finish path allocates nothing.
@@ -463,21 +382,6 @@ impl Runtime {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.inner.workers
-    }
-
-    /// How many workers successfully pinned themselves to a CPU under the
-    /// configured [`Affinity`] policy. Zero under [`Affinity::None`] or on
-    /// platforms without pinning support; a worker whose pin fails is not
-    /// counted but keeps running unpinned. Workers pin during startup, so
-    /// the count is settled once every worker has popped its first task —
-    /// in practice, read it after a [`Runtime::taskwait`].
-    pub fn pinned_workers(&self) -> usize {
-        self.inner.pinned_workers.load(Ordering::SeqCst)
-    }
-
-    /// The Ready Queue discipline this runtime was built with.
-    pub fn queue_mode(&self) -> QueueMode {
-        self.inner.queue.mode()
     }
 
     /// Registers a task type and returns its id. The type info is stored
@@ -916,63 +820,6 @@ mod tests {
         rt.shutdown();
     }
 
-    /// Round-robin affinity pins workers on supported platforms and
-    /// degrades to a no-op (not an error) everywhere else; either way the
-    /// runtime computes the same results.
-    #[test]
-    fn affinity_pins_workers_where_the_platform_allows() {
-        // Probe from a scratch thread so the test thread stays unpinned:
-        // CPU 0 may be outside this process's cpuset even on Linux.
-        let cpu0_pinnable = std::thread::spawn(|| atm_affinity::pin_current_thread(0).is_ok())
-            .join()
-            .unwrap();
-        let rt = RuntimeBuilder::new()
-            .workers(2)
-            .affinity(Affinity::RoundRobin)
-            .build();
-        let acc = rt.store().register_zeros::<f64>("acc", 1).unwrap();
-        let add_one = rt.register_task_type(
-            TaskTypeBuilder::new("add", |ctx| {
-                let v = ctx.arg::<f64>(0)[0];
-                ctx.out(0, &[v + 1.0]);
-            })
-            .inout::<f64>()
-            .build(),
-        );
-        for _ in 0..32 {
-            rt.task(add_one).reads_writes(&acc).submit().unwrap();
-        }
-        rt.taskwait();
-        assert_eq!(rt.store().read(acc).lock().as_f64(), &[32.0]);
-        let pinned = rt.pinned_workers();
-        assert!(pinned <= 2, "at most one pin per worker, got {pinned}");
-        if cpu0_pinnable {
-            // Worker 0 pins CPU 0 under round-robin, which the probe just
-            // proved pinnable from this process.
-            assert!(pinned >= 1, "CPU 0 is pinnable but no worker pinned");
-        }
-        rt.shutdown();
-    }
-
-    /// `Affinity::None` (the default) and an empty explicit CPU list must
-    /// not pin anything.
-    #[test]
-    fn default_affinity_pins_nothing() {
-        for affinity in [Affinity::None, Affinity::Explicit(vec![])] {
-            let rt = RuntimeBuilder::new().workers(2).affinity(affinity).build();
-            let r = rt.store().register_zeros::<f32>("r", 1).unwrap();
-            let tt = rt.register_task_type(
-                TaskTypeBuilder::new("fill", |ctx| ctx.out(0, &[1.0f32]))
-                    .out::<f32>()
-                    .build(),
-            );
-            rt.task(tt).writes(&r).submit().unwrap();
-            rt.taskwait();
-            assert_eq!(rt.pinned_workers(), 0);
-            rt.shutdown();
-        }
-    }
-
     #[test]
     fn stats_and_tracer_capture_execution() {
         let obs = Arc::new(Observability::capture());
@@ -1166,50 +1013,34 @@ mod tests {
         drop(rt);
     }
 
-    #[test]
-    fn stealing_is_the_default_queue_mode_and_fifo_is_selectable() {
-        use crate::ready_queue::QueueMode;
-        let rt = RuntimeBuilder::new().build();
-        assert_eq!(rt.queue_mode(), QueueMode::Stealing);
-        rt.shutdown();
-        let rt = RuntimeBuilder::new().queue_mode(QueueMode::Fifo).build();
-        assert_eq!(rt.queue_mode(), QueueMode::Fifo);
-        rt.shutdown();
-    }
-
+    /// One worker and four run the same dataflow to the same result.
     #[test]
     fn both_queue_modes_run_the_same_dataflow_to_the_same_result() {
-        use crate::ready_queue::QueueMode;
-        for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-            for workers in [1usize, 4] {
-                let rt = RuntimeBuilder::new()
-                    .workers(workers)
-                    .queue_mode(mode)
-                    .build();
-                let acc = rt.store().register_zeros::<f64>("acc", 1).unwrap();
-                let add_one = rt.register_task_type(
-                    TaskTypeBuilder::new("add", |ctx| {
-                        let v = ctx.arg::<f64>(0)[0];
-                        ctx.out(0, &[v + 1.0]);
-                    })
-                    .inout::<f64>()
-                    .build(),
-                );
-                for _ in 0..50 {
-                    rt.task(add_one).reads_writes(&acc).submit().unwrap();
-                }
-                rt.taskwait();
-                assert_eq!(
-                    rt.store().read(acc).lock().as_f64(),
-                    &[50.0],
-                    "{mode:?} with {workers} workers"
-                );
-                let stats = rt.stats();
-                assert_eq!(stats.submitted, 50);
-                assert_eq!(stats.executed, 50);
-                assert_eq!(rt.ready_depth(), 0, "taskwait must leave the queue empty");
-                rt.shutdown();
+        for workers in [1usize, 4] {
+            let rt = RuntimeBuilder::new().workers(workers).build();
+            let acc = rt.store().register_zeros::<f64>("acc", 1).unwrap();
+            let add_one = rt.register_task_type(
+                TaskTypeBuilder::new("add", |ctx| {
+                    let v = ctx.arg::<f64>(0)[0];
+                    ctx.out(0, &[v + 1.0]);
+                })
+                .inout::<f64>()
+                .build(),
+            );
+            for _ in 0..50 {
+                rt.task(add_one).reads_writes(&acc).submit().unwrap();
             }
+            rt.taskwait();
+            assert_eq!(
+                rt.store().read(acc).lock().as_f64(),
+                &[50.0],
+                "{workers} workers"
+            );
+            let stats = rt.stats();
+            assert_eq!(stats.submitted, 50);
+            assert_eq!(stats.executed, 50);
+            assert_eq!(rt.ready_depth(), 0, "taskwait must leave the queue empty");
+            rt.shutdown();
         }
     }
 
@@ -1263,32 +1094,30 @@ mod tests {
 
     #[test]
     fn batch_submission_runs_the_same_dataflow_as_singletons() {
-        for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-            let rt = RuntimeBuilder::new().workers(2).queue_mode(mode).build();
-            let acc = rt.store().register_zeros::<f64>("acc", 1).unwrap();
-            let add_one = rt.register_task_type(
-                TaskTypeBuilder::new("add", |ctx| {
-                    let v = ctx.arg::<f64>(0)[0];
-                    ctx.out(0, &[v + 1.0]);
-                })
-                .inout::<f64>()
-                .build(),
-            );
-            let mut batch = rt.tasks(add_one);
-            for _ in 0..40 {
-                batch = batch.next().reads_writes(&acc);
-            }
-            let ids = batch.submit_all().unwrap();
-            assert_eq!(ids.len(), 40);
-            let distinct: std::collections::BTreeSet<_> = ids.iter().map(|id| id.raw()).collect();
-            assert_eq!(distinct.len(), 40, "batch ids must be distinct");
-            rt.taskwait();
-            assert_eq!(rt.store().read(acc).lock().as_f64(), &[40.0], "{mode:?}");
-            let stats = rt.stats();
-            assert_eq!(stats.submitted, 40);
-            assert_eq!(stats.executed, 40);
-            rt.shutdown();
+        let rt = RuntimeBuilder::new().workers(2).build();
+        let acc = rt.store().register_zeros::<f64>("acc", 1).unwrap();
+        let add_one = rt.register_task_type(
+            TaskTypeBuilder::new("add", |ctx| {
+                let v = ctx.arg::<f64>(0)[0];
+                ctx.out(0, &[v + 1.0]);
+            })
+            .inout::<f64>()
+            .build(),
+        );
+        let mut batch = rt.tasks(add_one);
+        for _ in 0..40 {
+            batch = batch.next().reads_writes(&acc);
         }
+        let ids = batch.submit_all().unwrap();
+        assert_eq!(ids.len(), 40);
+        let distinct: std::collections::BTreeSet<_> = ids.iter().map(|id| id.raw()).collect();
+        assert_eq!(distinct.len(), 40, "batch ids must be distinct");
+        rt.taskwait();
+        assert_eq!(rt.store().read(acc).lock().as_f64(), &[40.0]);
+        let stats = rt.stats();
+        assert_eq!(stats.submitted, 40);
+        assert_eq!(stats.executed, 40);
+        rt.shutdown();
     }
 
     #[test]
@@ -1699,12 +1528,12 @@ mod tests {
 
     #[test]
     fn notify_fires_on_the_deferred_completion_path_too() {
-        // One FIFO worker makes the pop order deterministic: task 0
-        // executes (nothing parked yet), task 1 defers, task 2 executes and
-        // its completion finishes task 1 through `finish_task`.
+        // `DeferSecond` counts arrivals, not ids, so one worker is all the
+        // determinism it needs: the first arrival executes (nothing parked
+        // yet), the second defers, the third executes and its completion
+        // finishes the deferred one through `finish_task`.
         let rt = RuntimeBuilder::new()
             .workers(1)
-            .queue_mode(QueueMode::Fifo)
             .interceptor(Arc::new(DeferSecond {
                 seen: AtomicUsize::new(0),
                 parked: Mutex::new(Vec::new()),

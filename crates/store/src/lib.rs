@@ -9,10 +9,10 @@
 //!   enforced across shards (the paper's `(N, M)` geometry is one
 //!   configuration of [`StoreConfig`]);
 //! * [`EvictionPolicy`] — pluggable eviction: [`policy::Fifo`]
-//!   (paper-faithful default), [`policy::Lru`], and [`policy::CostAware`]
-//!   (benefit = measured kernel nanoseconds saved per stored byte);
-//! * **admission control** — entries whose charge exceeds a configurable
-//!   fraction of the budget are refused;
+//!   (paper-faithful default) and [`policy::CostAware`] (benefit = measured
+//!   kernel nanoseconds saved per stored byte);
+//! * **admission control** — an entry whose charge exceeds the whole budget
+//!   is refused;
 //! * **persistence** ([`persist`]) — a versioned, checksummed,
 //!   dependency-free binary snapshot format ([`MemoStore::save_to`] /
 //!   [`MemoStore::load_from`]) so a run can warm-start from a previous
@@ -50,7 +50,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use persist::PersistError;
-pub use policy::{Candidate, CostAware, EvictionPolicy, Fifo, Lru, PolicyKind};
+pub use policy::{Candidate, CostAware, EvictionPolicy, Fifo, PolicyKind};
 pub use snapshot::OutputSnapshot;
 pub use store::{
     entry_charge_bytes, EntryKey, ExportedEntry, InsertOutcome, MemoHit, MemoStore, StoreConfig,

@@ -37,10 +37,9 @@
 //! weight, and a warm start that finds one degrades to a cold start. The
 //! byte layout itself did not change.
 //!
-//! Warm-start caveat: hash keys embed the task-type id and the key-seed, so
-//! a snapshot is only meaningful to a run that registers its task types in
-//! the same order and uses the same `key_seed` — the natural situation for
-//! repeated runs of one application.
+//! Warm-start caveat: hash keys embed the task-type id, so a snapshot is only
+//! meaningful to a run that registers its task types in the same order — the
+//! natural situation for repeated runs of one application.
 
 use crate::snapshot::OutputSnapshot;
 use crate::store::{ExportedEntry, MemoStore, StoreConfig};
@@ -367,10 +366,10 @@ impl MemoStore {
     ///
     /// Entries are inserted in **ascending benefit density** (saved kernel
     /// nanoseconds per charged byte), so under a tight byte budget the most
-    /// valuable entries arrive last and survive every built-in policy:
+    /// valuable entries arrive last and survive both built-in policies:
     /// cost-aware eviction discards low-density entries by definition, and
-    /// the age-based policies (FIFO, LRU) evict the oldest/stalest — which
-    /// this ordering makes the least valuable. A warm start through a small
+    /// FIFO evicts the oldest — which this ordering makes the least
+    /// valuable. A warm start through a small
     /// budget therefore keeps the best entries deterministically instead of
     /// whatever the snapshot's file order happened to favour.
     pub fn absorb_snapshot_bytes(&self, bytes: &[u8]) -> Result<usize, PersistError> {
@@ -618,11 +617,7 @@ mod tests {
     fn loading_through_a_tight_budget_respects_admission() {
         let (_data, store) = sample_store();
         let bytes = store.to_snapshot_bytes();
-        let tight = MemoStore::new(
-            StoreConfig::default()
-                .with_byte_budget(1)
-                .with_max_entry_fraction(1.0),
-        );
+        let tight = MemoStore::new(StoreConfig::default().with_byte_budget(1));
         let admitted = tight.absorb_snapshot_bytes(&bytes).unwrap();
         assert_eq!(admitted, 0, "nothing fits a 1-byte budget");
         assert_eq!(tight.counters().rejected_admissions as usize, store.len());

@@ -5,11 +5,10 @@
 //! is a managed cache and *what* gets evicted is a policy decision. The
 //! store therefore asks an [`EvictionPolicy`] to pick the victim whenever an
 //! entry must go, both for the per-bucket associativity cap and for the
-//! global byte budget. Three policies ship with the crate:
+//! global byte budget. Two policies ship with the crate:
 //!
 //! * [`Fifo`] — evict the oldest entry (the paper-faithful default; with an
 //!   unlimited budget this reproduces the THT of §III-A bit for bit);
-//! * [`Lru`] — evict the least recently *hit* entry;
 //! * [`CostAware`] — evict the entry with the lowest benefit density, where
 //!   benefit is the measured kernel nanoseconds a hit saves and density is
 //!   benefit per resident byte. Fed from the engine's per-type kernel
@@ -18,18 +17,14 @@
 
 /// Everything a policy may consider about one eviction candidate.
 ///
-/// Sequence numbers come from the store's logical clock: every insertion and
-/// every hit ticks it, so `inserted_seq` orders entries by age and
-/// `last_used_seq` by recency of use (an entry that was never hit keeps its
-/// insertion stamp).
+/// `inserted_seq` comes from the store's logical clock, which every insertion
+/// ticks, so it orders entries by age.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Bytes the entry is charged against the budget.
     pub bytes: usize,
     /// Logical clock value at insertion.
     pub inserted_seq: u64,
-    /// Logical clock value of the most recent hit (or insertion).
-    pub last_used_seq: u64,
     /// Estimated kernel nanoseconds one hit on this entry saves.
     pub benefit_ns: u64,
 }
@@ -51,14 +46,6 @@ pub trait EvictionPolicy: Send + Sync + std::fmt::Debug {
 
     /// Index of the candidate to evict. `candidates` is never empty.
     fn victim(&self, candidates: &[Candidate]) -> usize;
-
-    /// Whether the policy reads [`Candidate::last_used_seq`]. When false
-    /// (the default) the store skips the per-hit recency bookkeeping — an
-    /// atomic clock tick plus a store on a shared cache line — keeping the
-    /// paper-faithful FIFO lookup path as cheap as the original THT's.
-    fn uses_recency(&self) -> bool {
-        false
-    }
 }
 
 /// Selects the candidate minimising `key(c)`; ties go to the oldest entry.
@@ -88,24 +75,6 @@ impl EvictionPolicy for Fifo {
     }
 }
 
-/// Least-recently-used: evict the entry whose last hit is longest ago.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Lru;
-
-impl EvictionPolicy for Lru {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn victim(&self, candidates: &[Candidate]) -> usize {
-        argmin_by(candidates, |c| c.last_used_seq)
-    }
-
-    fn uses_recency(&self) -> bool {
-        true
-    }
-}
-
 /// Cost-aware: evict the entry with the lowest saved-nanoseconds-per-byte.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CostAware;
@@ -130,8 +99,6 @@ pub enum PolicyKind {
     /// [`Fifo`] (the paper-faithful default).
     #[default]
     Fifo,
-    /// [`Lru`].
-    Lru,
     /// [`CostAware`].
     CostAware,
 }
@@ -141,7 +108,6 @@ impl PolicyKind {
     pub fn build(self) -> Box<dyn EvictionPolicy> {
         match self {
             PolicyKind::Fifo => Box::new(Fifo),
-            PolicyKind::Lru => Box::new(Lru),
             PolicyKind::CostAware => Box::new(CostAware),
         }
     }
@@ -150,13 +116,12 @@ impl PolicyKind {
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Fifo => "fifo",
-            PolicyKind::Lru => "lru",
             PolicyKind::CostAware => "cost-aware",
         }
     }
 
     /// All built-in policies (for sweeps in the evaluation harness).
-    pub const ALL: [PolicyKind; 3] = [PolicyKind::Fifo, PolicyKind::Lru, PolicyKind::CostAware];
+    pub const ALL: [PolicyKind; 2] = [PolicyKind::Fifo, PolicyKind::CostAware];
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -169,11 +134,10 @@ impl std::fmt::Display for PolicyKind {
 mod tests {
     use super::*;
 
-    fn candidate(bytes: usize, inserted: u64, used: u64, benefit: u64) -> Candidate {
+    fn candidate(bytes: usize, inserted: u64, benefit: u64) -> Candidate {
         Candidate {
             bytes,
             inserted_seq: inserted,
-            last_used_seq: used,
             benefit_ns: benefit,
         }
     }
@@ -181,37 +145,26 @@ mod tests {
     #[test]
     fn fifo_picks_the_oldest() {
         let c = [
-            candidate(10, 5, 9, 100),
-            candidate(10, 2, 8, 100),
-            candidate(10, 7, 1, 100),
+            candidate(10, 5, 100),
+            candidate(10, 2, 100),
+            candidate(10, 7, 100),
         ];
         assert_eq!(Fifo.victim(&c), 1);
     }
 
     #[test]
-    fn lru_picks_the_least_recently_used() {
-        let c = [
-            candidate(10, 5, 9, 100),
-            candidate(10, 2, 8, 100),
-            candidate(10, 7, 1, 100),
-        ];
-        assert_eq!(Lru.victim(&c), 2);
-    }
-
-    #[test]
     fn cost_aware_picks_the_lowest_benefit_density() {
         let c = [
-            candidate(10, 0, 0, 1_000),    // 100 ns/byte
-            candidate(1_000, 1, 1, 1_000), // 1 ns/byte  <- victim
-            candidate(10, 2, 2, 10_000),   // 1000 ns/byte
+            candidate(10, 0, 1_000),    // 100 ns/byte
+            candidate(1_000, 1, 1_000), // 1 ns/byte  <- victim
+            candidate(10, 2, 10_000),   // 1000 ns/byte
         ];
         assert_eq!(CostAware.victim(&c), 1);
     }
 
     #[test]
     fn ties_break_towards_the_oldest_entry() {
-        let c = [candidate(10, 9, 3, 50), candidate(10, 1, 3, 50)];
-        assert_eq!(Lru.victim(&c), 1);
+        let c = [candidate(10, 9, 50), candidate(10, 1, 50)];
         assert_eq!(CostAware.victim(&c), 1);
     }
 
@@ -222,12 +175,5 @@ mod tests {
             assert_eq!(format!("{kind}"), kind.name());
         }
         assert_eq!(PolicyKind::default(), PolicyKind::Fifo);
-    }
-
-    #[test]
-    fn only_lru_needs_recency_bookkeeping() {
-        assert!(!Fifo.uses_recency());
-        assert!(Lru.uses_recency());
-        assert!(!CostAware.uses_recency());
     }
 }

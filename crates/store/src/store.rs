@@ -10,9 +10,8 @@
 //!   distribution is skewed;
 //! * **pluggable eviction** behind the [`EvictionPolicy`] trait (FIFO is the
 //!   paper-faithful default; see [`crate::policy`]);
-//! * **admission control** — entries whose charge exceeds a configurable
-//!   fraction of the budget are refused outright, so one huge output cannot
-//!   flush the whole table;
+//! * **admission control** — an entry whose charge exceeds the whole budget
+//!   is refused outright, so one huge output cannot flush the whole table;
 //! * **persistence** — see [`crate::persist`] for the versioned, checksummed
 //!   snapshot format behind [`MemoStore::save_to`] / [`MemoStore::load_from`].
 //!
@@ -102,9 +101,6 @@ pub struct StoreConfig {
     /// Global budget on resident bytes across all buckets. `None` disables
     /// budget enforcement (the paper's configuration).
     pub byte_budget: Option<usize>,
-    /// Admission control: an entry whose charge exceeds this fraction of the
-    /// byte budget is refused. Ignored when no budget is set.
-    pub max_entry_fraction: f64,
     /// Eviction policy used for both the per-bucket `ways` cap and the
     /// global budget.
     pub policy: PolicyKind,
@@ -116,7 +112,6 @@ impl Default for StoreConfig {
             bucket_bits: 8,
             ways: 128,
             byte_budget: None,
-            max_entry_fraction: 1.0,
             policy: PolicyKind::Fifo,
         }
     }
@@ -136,13 +131,6 @@ impl StoreConfig {
     #[must_use]
     pub fn with_byte_budget(mut self, budget: usize) -> Self {
         self.byte_budget = Some(budget);
-        self
-    }
-
-    /// Sets the admission fraction.
-    #[must_use]
-    pub fn with_max_entry_fraction(mut self, fraction: f64) -> Self {
-        self.max_entry_fraction = fraction;
         self
     }
 
@@ -180,9 +168,6 @@ struct Slot {
     charged_bytes: AtomicU64,
     /// Logical clock at insertion (identity stamp for raced evictions).
     inserted_seq: AtomicU64,
-    /// Logical clock of the latest hit (LRU bookkeeping; readers store it
-    /// without a version bump, see protocol 6 note on recency races).
-    last_used_seq: AtomicU64,
     /// Queue-order stamp: the slot's position in the bucket's logical FIFO.
     arrival: AtomicU64,
     /// The published outputs: an `Arc` whose strong count the slot owns
@@ -217,7 +202,6 @@ impl Slot {
         Candidate {
             bytes: self.charged_bytes.load(Ordering::Relaxed) as usize,
             inserted_seq: self.inserted_seq.load(Ordering::Relaxed),
-            last_used_seq: self.last_used_seq.load(Ordering::Relaxed),
             benefit_ns: self.benefit_ns.load(Ordering::Relaxed),
         }
     }
@@ -252,7 +236,6 @@ impl Slot {
         self.producer.store(producer.raw(), Ordering::Relaxed);
         self.charged_bytes.store(charged as u64, Ordering::Relaxed);
         self.inserted_seq.store(seq, Ordering::Relaxed);
-        self.last_used_seq.store(seq, Ordering::Relaxed);
         self.benefit_ns.store(benefit, Ordering::Relaxed);
     }
 }
@@ -351,8 +334,7 @@ pub enum InsertOutcome {
     /// eviction. The global byte budget can likewise evict a just-inserted
     /// entry; that case is not distinguished by this variant.
     Evicted,
-    /// Refused by admission control (charge above the configured fraction
-    /// of the byte budget).
+    /// Refused by admission control (charge above the byte budget).
     Rejected,
 }
 
@@ -397,10 +379,8 @@ pub struct MemoStore {
     buckets: Vec<Bucket>,
     config: StoreConfig,
     policy: Box<dyn EvictionPolicy>,
-    /// Cached `policy.uses_recency()` so the read path skips the dyn call.
-    track_recency: bool,
-    /// Logical clock ticked on every insertion and (for recency policies)
-    /// every hit. Deliberately one global padded cell rather than per-bucket:
+    /// Logical clock ticked on every insertion. Deliberately one global
+    /// padded cell rather than per-bucket:
     /// budget eviction compares `inserted_seq` *across* buckets, which needs
     /// one totally ordered clock domain.
     clock: PaddedU64,
@@ -418,29 +398,18 @@ pub struct MemoStore {
 impl MemoStore {
     /// Creates an empty store with the built-in policy named in `config`.
     pub fn new(config: StoreConfig) -> Self {
-        Self::with_policy(config, config.policy.build())
-    }
-
-    /// Creates an empty store with a caller-provided eviction policy.
-    pub fn with_policy(config: StoreConfig, policy: Box<dyn EvictionPolicy>) -> Self {
         assert!(
             config.bucket_bits <= 20,
             "more than 2^20 buckets is never useful"
         );
         assert!(config.ways >= 1, "each bucket needs at least one way");
-        assert!(
-            config.max_entry_fraction > 0.0 && config.max_entry_fraction <= 1.0,
-            "max_entry_fraction must be in (0, 1]"
-        );
         let buckets = (0..(1usize << config.bucket_bits))
             .map(|_| Bucket::new(config.ways))
             .collect();
-        let track_recency = policy.uses_recency();
         MemoStore {
             buckets,
             config,
-            policy,
-            track_recency,
+            policy: config.policy.build(),
             clock: PaddedU64::default(),
             evict_cursor: PaddedUsize::default(),
             resident_bytes: PaddedUsize::default(),
@@ -519,8 +488,7 @@ impl MemoStore {
     /// This takes **no lock**: each slot of the key's bucket is read under
     /// its seqlock version (protocol 6), and a hit clones the outputs `Arc`
     /// under hazard-pointer protection. Concurrent lookups — even of the
-    /// same entry — share no written cache line. A hit refreshes the entry's
-    /// recency stamp (LRU bookkeeping).
+    /// same entry — share no written cache line.
     ///
     /// A hit does *not* accrue `saved_ns`: the caller may still execute the
     /// task (dynamic-ATM training, output-shape mismatch), so it reports
@@ -582,12 +550,6 @@ impl MemoStore {
                 // allocation cannot be freed before the guard clears.
                 let outputs = unsafe { hazard::clone_protected(ptr) };
                 drop(guard);
-                if self.track_recency {
-                    // Plain store, no version bump: a racing replacement can
-                    // at worst donate one freshness tick to the slot's new
-                    // occupant — an LRU approximation, never a safety issue.
-                    slot.last_used_seq.store(self.tick(), Ordering::Relaxed);
-                }
                 return Some(MemoHit {
                     producer: TaskId::from_raw(producer),
                     outputs,
@@ -612,9 +574,6 @@ impl MemoStore {
             // unpublish and retire `ptr` concurrently; the slot keeps its
             // strong count alive for the duration.
             let outputs = unsafe { hazard::clone_protected(ptr) };
-            if self.track_recency {
-                slot.last_used_seq.store(self.tick(), Ordering::Relaxed);
-            }
             return Some(MemoHit {
                 producer: TaskId::from_raw(slot.producer.load(Ordering::Relaxed)),
                 outputs,
@@ -658,8 +617,7 @@ impl MemoStore {
         let bucket = &self.buckets[shard];
         let charged = entry_charge_bytes(&outputs);
         if let Some(budget) = self.config.byte_budget {
-            let cap = (budget as f64 * self.config.max_entry_fraction) as usize;
-            if charged > cap {
+            if charged > budget {
                 bucket
                     .stats
                     .rejected_admissions
@@ -719,7 +677,6 @@ impl MemoStore {
             candidates.push(Candidate {
                 bytes: charged,
                 inserted_seq: seq,
-                last_used_seq: seq,
                 benefit_ns,
             });
             let victim = self.policy.victim(&candidates).min(candidates.len() - 1);
@@ -1072,35 +1029,22 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_oversized_entries() {
-        let config = StoreConfig::default()
-            .with_byte_budget(4096)
-            .with_max_entry_fraction(0.25);
-        let store = MemoStore::new(config);
-        // 2048 payload bytes > 25% of 4096.
-        let outcome = store.insert(key(1), producer(0), snapshot(&[1.0; 512]), 0);
+        let outputs = snapshot(&[1.0; 512]);
+        let charge = entry_charge_bytes(&outputs);
+        // One byte short of the entry's charge: refused, nothing evicted.
+        let store = MemoStore::new(StoreConfig::default().with_byte_budget(charge - 1));
+        store.insert(key(2), producer(0), snapshot(&[1.0; 8]), 0);
+        let outcome = store.insert(key(1), producer(0), Arc::clone(&outputs), 0);
         assert_eq!(outcome, InsertOutcome::Rejected);
-        assert!(store.is_empty());
         assert_eq!(store.counters().rejected_admissions, 1);
-        // A small entry is admitted.
-        let outcome = store.insert(key(2), producer(0), snapshot(&[1.0; 8]), 0);
+        assert_eq!(store.counters().evictions, 0);
+        assert!(store.lookup(&key(2)).is_some(), "a refusal flushes nothing");
+        // An entry exactly as large as the budget is admitted.
+        let store = MemoStore::new(StoreConfig::default().with_byte_budget(charge));
+        let outcome = store.insert(key(1), producer(0), outputs, 0);
         assert_eq!(outcome, InsertOutcome::Inserted);
-        assert_eq!(store.counters().insertions, 1);
-    }
-
-    #[test]
-    fn lru_keeps_recently_hit_entries_under_pressure() {
-        let store = MemoStore::new(one_bucket(PolicyKind::Lru, 2));
-        store.insert(key(1), producer(1), snapshot(&[1.0]), 0);
-        store.insert(key(2), producer(2), snapshot(&[2.0]), 0);
-        // Touch entry 1 so entry 2 becomes the LRU victim.
-        assert!(store.lookup(&key(1)).is_some());
-        store.insert(key(3), producer(3), snapshot(&[3.0]), 0);
-        assert!(
-            store.lookup(&key(1)).is_some(),
-            "recently used must survive"
-        );
-        assert!(store.lookup(&key(2)).is_none(), "LRU entry must be evicted");
-        assert!(store.lookup(&key(3)).is_some());
+        assert_eq!(store.counters().rejected_admissions, 0);
+        assert_eq!(store.memory_bytes(), charge);
     }
 
     #[test]
@@ -1190,7 +1134,7 @@ mod tests {
     /// starvation, so it is exercised directly.
     #[test]
     fn locked_reads_sees_the_same_entries() {
-        let store = MemoStore::new(one_bucket(PolicyKind::Lru, 4));
+        let store = MemoStore::new(one_bucket(PolicyKind::Fifo, 4));
         store.insert(key(1), producer(1), snapshot(&[1.0; 4]), 100);
         store.insert(key(2), producer(2), snapshot(&[2.0; 4]), 200);
         let bucket = &store.buckets[0];
@@ -1259,10 +1203,9 @@ mod tests {
         let metrics = obs.metrics();
         assert_eq!(metrics.get(LatencyMetric::StoreInsert).count, 2);
 
-        // A tiny admission cap refuses the entry and says so.
+        // A budget smaller than the entry refuses it and says so.
         let mut capped = MemoStore::new(StoreConfig {
             byte_budget: Some(64),
-            max_entry_fraction: 0.1,
             ..one_bucket(PolicyKind::Fifo, 8)
         });
         capped.set_observability(Arc::clone(&obs));

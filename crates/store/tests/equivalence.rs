@@ -8,8 +8,7 @@
 //! reference model below *is* the old implementation's semantics — one
 //! `VecDeque` per bucket, replace-in-place keeping the queue position, the
 //! policy consulted over deque-ordered candidates with the incoming entry
-//! last, a logical clock ticked on every insertion and on recency hits —
-//! driven through the same `EvictionPolicy` objects as the real store.
+//! last, a logical clock ticked on every insertion — driven through the same `EvictionPolicy` objects as the real store.
 
 use atm_hash::prng::Xoshiro256StarStar;
 use atm_runtime::{RegionData, RegionId, TaskId, TaskTypeId};
@@ -24,7 +23,6 @@ struct RefEntry {
     values: Vec<f32>,
     charged: usize,
     inserted_seq: u64,
-    last_used_seq: u64,
     benefit_ns: u64,
 }
 
@@ -67,19 +65,13 @@ impl RefStore {
     }
 
     fn lookup(&mut self, key: &EntryKey) -> Option<(TaskId, Vec<f32>, u64)> {
-        let track = self.policy.uses_recency();
         let b = self.bucket_of(key);
         // Newest-entry-wins, as the old `.iter().rev().find(..)`.
         let Some(pos) = self.buckets[b].iter().rposition(|e| e.key == *key) else {
             self.misses += 1;
             return None;
         };
-        // The old store ticked the clock only on recency-tracking hits.
-        let seq = track.then(|| self.tick());
-        let e = &mut self.buckets[b][pos];
-        if let Some(seq) = seq {
-            e.last_used_seq = seq;
-        }
+        let e = &self.buckets[b][pos];
         self.hits += 1;
         Some((e.producer, e.values.clone(), e.benefit_ns))
     }
@@ -101,7 +93,6 @@ impl RefStore {
             values,
             charged,
             inserted_seq: seq,
-            last_used_seq: seq,
             benefit_ns,
         };
         let bucket = &mut self.buckets[b];
@@ -117,7 +108,6 @@ impl RefStore {
                     .map(|e| Candidate {
                         bytes: e.charged,
                         inserted_seq: e.inserted_seq,
-                        last_used_seq: e.last_used_seq,
                         benefit_ns: e.benefit_ns,
                     })
                     .collect();
@@ -271,7 +261,7 @@ fn run_program(config: StoreConfig, seed: u64) {
 #[test]
 fn seqlock_store_is_observationally_equivalent_to_the_deque_store() {
     let mut seed = 0x5E01_0C4A_u64;
-    for policy in [PolicyKind::Fifo, PolicyKind::Lru, PolicyKind::CostAware] {
+    for policy in PolicyKind::ALL {
         for ways in [1usize, 2, 4] {
             for bucket_bits in [0u32, 2] {
                 seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);

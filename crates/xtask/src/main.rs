@@ -16,6 +16,8 @@
 //! have not occurred, and the failure message names the exact file:line to
 //! fix or exempt.
 
+#![forbid(unsafe_code)]
+
 mod check_trace;
 
 use std::fmt::Write as _;

@@ -14,9 +14,8 @@
 //! budget with cost-aware eviction, so reloading a snapshot larger than the
 //! budget keeps the most valuable entries instead of overflowing.
 //!
-//! Warm-start contract: hash keys embed the task-type id and the key seed,
-//! so the second run must register its task types in the same order and use
-//! the same `key_seed` (both are the defaults here).
+//! Warm-start contract: hash keys embed the task-type id, so the second run
+//! must register its task types in the same order.
 //!
 //! Run with: `cargo run --release --example warm_start`
 
@@ -110,8 +109,7 @@ fn main() {
     let warm = AtmEngine::shared(
         AtmConfig::static_atm()
             .with_policy(PolicyKind::CostAware)
-            .with_byte_budget(4 * 1024 * 1024)
-            .with_admission_fraction(0.25),
+            .with_byte_budget(4 * 1024 * 1024),
     );
     let reloaded = warm
         .warm_start_from(&path)

@@ -8,7 +8,7 @@
 //! * [`runtime`] — the task-based dataflow runtime (typed regions, validated
 //!   submission, dependences, ready queue, worker pool, tracing);
 //! * [`store`] — the budgeted, policy-driven, persistent memo store behind
-//!   the Task History Table (byte budgets, FIFO/LRU/cost-aware eviction,
+//!   the Task History Table (byte budgets, FIFO/cost-aware eviction,
 //!   admission control, warm-start snapshots);
 //! * [`atm`] — the ATM engine (Task History Table, In-flight Key Table,
 //!   hash-key pipeline, static/dynamic/oracle modes);
@@ -58,6 +58,7 @@
 //! assert_eq!(engine.stats().tht_bypassed, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The six evaluated applications (re-export of [`atm_apps`]).

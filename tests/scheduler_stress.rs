@@ -3,9 +3,8 @@
 //! The generator builds arbitrary dataflow programs exercising every edge
 //! shape the dependence tracker knows: fan-out (many readers of one
 //! region), fan-in (one task reading many regions), and serialising `inout`
-//! chains. Each program runs under 1, 2 and 8 workers in **both queue
-//! modes** ([`QueueMode::Fifo`] and [`QueueMode::Stealing`]), split into
-//! several taskwait waves, and must:
+//! chains. Each program runs under 1, 2 and 8 workers, split into several
+//! taskwait waves, and must:
 //!
 //! * produce exactly the sequential dataflow result (dataflow order);
 //! * leave the runtime quiescent at every taskwait (empty ready queue);
@@ -15,7 +14,7 @@
 //! Programs run through both submission paths — the singleton
 //! `task(..).submit()` builder and the batched `batch()…submit_all()`
 //! builder — which must be sequential-equivalent (and bit-identical to each
-//! other on a 1-worker FIFO runtime). A dedicated long-running stress
+//! other on a 1-worker runtime). A dedicated long-running stress
 //! (≥ 50k tasks in waves) asserts that graph-node retirement keeps the
 //! resident node count bounded by the in-flight wave, independent of the
 //! total task count.
@@ -24,7 +23,7 @@
 //! reproducible from the case index.
 
 use atm_hash::Xoshiro256StarStar;
-use atm_runtime::{QueueMode, Region, RuntimeBuilder, TaskContext, TaskTypeBuilder};
+use atm_runtime::{Region, RuntimeBuilder, TaskContext, TaskTypeBuilder};
 
 const CASES: usize = 5;
 const WAVES: usize = 3;
@@ -131,13 +130,9 @@ enum Submission {
 fn run_parallel_with(
     program: &GenProgram,
     workers: usize,
-    mode: QueueMode,
     submission: Submission,
 ) -> Vec<Vec<f64>> {
-    let rt = RuntimeBuilder::new()
-        .workers(workers)
-        .queue_mode(mode)
-        .build();
+    let rt = RuntimeBuilder::new().workers(workers).build();
     let regions: Vec<Region<f64>> = (0..program.regions)
         .map(|r| {
             rt.store()
@@ -239,8 +234,7 @@ fn run_parallel_with(
     memory
 }
 
-/// Every (workers × queue mode) configuration computes exactly the
-/// sequential dataflow result on randomized graphs with fan-in, fan-out
+/// Every worker count computes exactly the sequential dataflow result on randomized graphs with fan-in, fan-out
 /// and inout chains, with exact completion counts and quiescent taskwaits.
 #[test]
 fn randomized_dags_run_identically_under_all_scheduler_configurations() {
@@ -249,21 +243,19 @@ fn randomized_dags_run_identically_under_all_scheduler_configurations() {
         let program = gen_program(&mut rng);
         let expected = run_sequential(&program);
         for workers in [1usize, 2, 8] {
-            for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-                let actual = run_parallel_with(&program, workers, mode, Submission::Singleton);
-                assert_eq!(
-                    actual, expected,
-                    "case {case}: {workers} workers / {mode:?} diverged from the sequential semantics"
-                );
-            }
+            let actual = run_parallel_with(&program, workers, Submission::Singleton);
+            assert_eq!(
+                actual, expected,
+                "case {case}: {workers} workers diverged from the sequential semantics"
+            );
         }
     }
 }
 
 /// Batched submission is sequential-equivalent too: staging each wave
 /// through `rt.batch()` computes exactly the same dataflow result as the
-/// singleton submissions, on the same randomized programs, under every
-/// scheduler configuration.
+/// singleton submissions, on the same randomized programs, at every worker
+/// count.
 #[test]
 fn randomized_dags_run_identically_when_submitted_in_batches() {
     let mut rng = Xoshiro256StarStar::new(0x0B47_C4ED);
@@ -271,58 +263,44 @@ fn randomized_dags_run_identically_when_submitted_in_batches() {
         let program = gen_program(&mut rng);
         let expected = run_sequential(&program);
         for workers in [1usize, 2, 8] {
-            for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-                let actual = run_parallel_with(&program, workers, mode, Submission::Batched);
-                assert_eq!(
-                    actual, expected,
-                    "case {case}: batched {workers} workers / {mode:?} diverged from the sequential semantics"
-                );
-            }
+            let actual = run_parallel_with(&program, workers, Submission::Batched);
+            assert_eq!(
+                actual, expected,
+                "case {case}: batched {workers} workers diverged from the sequential semantics"
+            );
         }
     }
 }
 
-/// Single-worker FIFO agreement across the refactor: the batched and
-/// singleton submission paths build the same dependence graph and produce
-/// bit-identical region contents on the same randomized programs. (The
-/// instantaneous queue interleaving between master and worker is timing-
-/// dependent under singleton submission — as it was pre-refactor — so the
-/// invariant asserted here is graph + dataflow-result identity, which is
-/// what the THT results depend on.)
+/// Single-worker agreement: the batched and singleton submission paths
+/// build the same dependence graph and produce bit-identical region contents
+/// on the same randomized programs. (The instantaneous queue interleaving
+/// between master and worker is timing-dependent under singleton
+/// submission, so the invariant asserted here is graph + dataflow-result
+/// identity, which is what the THT results depend on.)
 #[test]
 fn batched_and_singleton_submission_agree_bit_for_bit_on_fifo() {
     let mut rng = Xoshiro256StarStar::new(0xF1F0_0001);
     for case in 0..CASES {
         let program = gen_program(&mut rng);
-        let singleton = run_parallel_with(&program, 1, QueueMode::Fifo, Submission::Singleton);
-        let batched = run_parallel_with(&program, 1, QueueMode::Fifo, Submission::Batched);
+        let singleton = run_parallel_with(&program, 1, Submission::Singleton);
+        let batched = run_parallel_with(&program, 1, Submission::Batched);
         assert_eq!(singleton, batched, "case {case}");
     }
 }
 
 /// Long-running retirement stress: ≥ 50k tasks in waves across 1/2/8
-/// workers × both queue modes. The peak resident node count must be
+/// workers. The peak resident node count must be
 /// bounded by a constant (the in-flight wave), independent of the total
 /// number of tasks submitted — the graph must not grow with the run.
 #[test]
 fn retirement_keeps_live_nodes_bounded_over_long_runs() {
-    const WAVES: usize = 20;
+    const WAVES: usize = 40;
     const WAVE_SIZE: usize = 500;
     const CHAINS: usize = 25;
-    let configurations: [(usize, QueueMode); 6] = [
-        (1, QueueMode::Fifo),
-        (2, QueueMode::Fifo),
-        (8, QueueMode::Fifo),
-        (1, QueueMode::Stealing),
-        (2, QueueMode::Stealing),
-        (8, QueueMode::Stealing),
-    ];
-    // 6 configurations × 20 waves × 500 tasks = 60 000 tasks.
-    for (workers, mode) in configurations {
-        let rt = RuntimeBuilder::new()
-            .workers(workers)
-            .queue_mode(mode)
-            .build();
+    // 3 worker counts × 40 waves × 500 tasks = 60 000 tasks.
+    for workers in [1usize, 2, 8] {
+        let rt = RuntimeBuilder::new().workers(workers).build();
         let cells: Vec<Region<f64>> = (0..CHAINS)
             .map(|c| rt.store().register_zeros(format!("cell{c}"), 1).unwrap())
             .collect();
@@ -349,12 +327,12 @@ fn retirement_keeps_live_nodes_bounded_over_long_runs() {
             let stats = rt.stats();
             assert_eq!(
                 stats.live_nodes, 0,
-                "{workers} workers / {mode:?}: wave {wave} left resident nodes"
+                "{workers} workers: wave {wave} left resident nodes"
             );
             assert_eq!(stats.retired_nodes, wave * WAVE_SIZE as u64);
             assert!(
                 peak_live <= WAVE_SIZE as u64,
-                "{workers} workers / {mode:?}: peak {peak_live} exceeded the wave bound"
+                "{workers} workers: peak {peak_live} exceeded the wave bound"
             );
         }
         let total = (WAVES * WAVE_SIZE) as u64;
@@ -367,7 +345,7 @@ fn retirement_keeps_live_nodes_bounded_over_long_runs() {
             assert_eq!(
                 rt.store().read(*cell).lock().as_f64(),
                 &[expected],
-                "{workers} workers / {mode:?}: chain {c}"
+                "{workers} workers: chain {c}"
             );
         }
         rt.shutdown();
@@ -376,73 +354,66 @@ fn retirement_keeps_live_nodes_bounded_over_long_runs() {
 
 /// A pure inout chain is the worst case for dependence release (every task
 /// serialises on the previous one): the chain must still run strictly in
-/// order under maximal worker counts in both modes.
+/// order under maximal worker counts.
 #[test]
 fn long_inout_chains_serialise_under_contention() {
-    for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-        let rt = RuntimeBuilder::new().workers(8).queue_mode(mode).build();
-        let cell = rt.store().register_zeros::<f64>("cell", 1).unwrap();
-        let tt = rt.register_task_type(
-            TaskTypeBuilder::new("incr", |ctx| {
-                let v = ctx.arg::<f64>(0)[0];
-                ctx.out(0, &[v + 1.0]);
-            })
-            .inout::<f64>()
-            .build(),
-        );
-        for _ in 0..500 {
-            rt.task(tt).reads_writes(&cell).submit().unwrap();
-        }
-        rt.taskwait();
-        assert_eq!(rt.store().read(cell).lock().as_f64(), &[500.0], "{mode:?}");
-        assert_eq!(rt.stats().executed, 500);
-        rt.shutdown();
+    let rt = RuntimeBuilder::new().workers(8).build();
+    let cell = rt.store().register_zeros::<f64>("cell", 1).unwrap();
+    let tt = rt.register_task_type(
+        TaskTypeBuilder::new("incr", |ctx| {
+            let v = ctx.arg::<f64>(0)[0];
+            ctx.out(0, &[v + 1.0]);
+        })
+        .inout::<f64>()
+        .build(),
+    );
+    for _ in 0..500 {
+        rt.task(tt).reads_writes(&cell).submit().unwrap();
     }
+    rt.taskwait();
+    assert_eq!(rt.store().read(cell).lock().as_f64(), &[500.0]);
+    assert_eq!(rt.stats().executed, 500);
+    rt.shutdown();
 }
 
 /// Wide fan-out: one producer releases hundreds of consumers at once; all
-/// of them (and nothing else) must run, in both modes, at every width.
+/// of them (and nothing else) must run, at every width.
 #[test]
 fn wide_fanout_releases_every_consumer_exactly_once() {
-    for mode in [QueueMode::Fifo, QueueMode::Stealing] {
-        for workers in [2usize, 8] {
-            let rt = RuntimeBuilder::new()
-                .workers(workers)
-                .queue_mode(mode)
-                .build();
-            let src = rt.store().register_zeros::<f64>("src", 1).unwrap();
-            let outs: Vec<Region<f64>> = (0..300)
-                .map(|i| rt.store().register_zeros(format!("o{i}"), 1).unwrap())
-                .collect();
-            let produce = rt.register_task_type(
-                TaskTypeBuilder::new("produce", |ctx| ctx.out(0, &[7.0f64]))
-                    .out::<f64>()
-                    .build(),
-            );
-            let consume = rt.register_task_type(
-                TaskTypeBuilder::new("consume", |ctx| {
-                    let v = ctx.arg::<f64>(0)[0];
-                    ctx.out(1, &[v * 2.0]);
-                })
-                .arg::<f64>()
+    for workers in [2usize, 8] {
+        let rt = RuntimeBuilder::new().workers(workers).build();
+        let src = rt.store().register_zeros::<f64>("src", 1).unwrap();
+        let outs: Vec<Region<f64>> = (0..300)
+            .map(|i| rt.store().register_zeros(format!("o{i}"), 1).unwrap())
+            .collect();
+        let produce = rt.register_task_type(
+            TaskTypeBuilder::new("produce", |ctx| ctx.out(0, &[7.0f64]))
                 .out::<f64>()
                 .build(),
-            );
-            rt.task(produce).writes(&src).submit().unwrap();
-            for out in &outs {
-                rt.task(consume).reads(&src).writes(out).submit().unwrap();
-            }
-            rt.taskwait();
-            for out in &outs {
-                assert_eq!(
-                    rt.store().read(*out).lock().as_f64(),
-                    &[14.0],
-                    "{mode:?}/{workers}"
-                );
-            }
-            assert_eq!(rt.stats().executed, 301);
-            assert_eq!(rt.ready_depth(), 0);
-            rt.shutdown();
+        );
+        let consume = rt.register_task_type(
+            TaskTypeBuilder::new("consume", |ctx| {
+                let v = ctx.arg::<f64>(0)[0];
+                ctx.out(1, &[v * 2.0]);
+            })
+            .arg::<f64>()
+            .out::<f64>()
+            .build(),
+        );
+        rt.task(produce).writes(&src).submit().unwrap();
+        for out in &outs {
+            rt.task(consume).reads(&src).writes(out).submit().unwrap();
         }
+        rt.taskwait();
+        for out in &outs {
+            assert_eq!(
+                rt.store().read(*out).lock().as_f64(),
+                &[14.0],
+                "{workers} workers"
+            );
+        }
+        assert_eq!(rt.stats().executed, 301);
+        assert_eq!(rt.ready_depth(), 0);
+        rt.shutdown();
     }
 }
