@@ -109,19 +109,38 @@ impl Access {
     /// True when this access byte-overlaps `other` (same region and
     /// intersecting ranges; `None` ranges cover the whole region).
     pub fn overlaps(&self, other: &Access) -> bool {
-        if self.region != other.region {
-            return false;
-        }
-        match (&self.range, &other.range) {
-            (None, _) | (_, None) => true,
-            (Some(a), Some(b)) => a.start.max(b.start) < a.end.min(b.end),
-        }
+        self.region == other.region && ranges_overlap(&self.range, &other.range)
     }
 
     /// True when the pair of accesses creates a dependence (at least one of
     /// the two writes and the ranges overlap).
     pub fn conflicts_with(&self, other: &Access) -> bool {
         (self.mode.is_write() || other.mode.is_write()) && self.overlaps(other)
+    }
+}
+
+/// True when two byte ranges of one region intersect (`None` is the whole
+/// region; an empty range intersects nothing).
+pub(crate) fn ranges_overlap(a: &Option<Range<usize>>, b: &Option<Range<usize>>) -> bool {
+    match (a, b) {
+        (None, _) | (_, None) => true,
+        (Some(a), Some(b)) => a.start.max(b.start) < a.end.min(b.end),
+    }
+}
+
+/// True when `outer` is known to contain every byte of `inner`, which
+/// makes everything that overlaps `inner` overlap `outer` too. A ranged
+/// `outer` never covers a whole-region `inner` (the dependence tracker does
+/// not know region sizes) nor an empty one (which [`ranges_overlap`] still
+/// lets a whole-region access overlap): "not covered" is always the safe
+/// answer.
+pub(crate) fn range_covers(outer: &Option<Range<usize>>, inner: &Option<Range<usize>>) -> bool {
+    match (outer, inner) {
+        (None, _) => true,
+        (Some(_), None) => false,
+        (Some(outer), Some(inner)) => {
+            !inner.is_empty() && outer.start <= inner.start && inner.end <= outer.end
+        }
     }
 }
 
@@ -204,6 +223,21 @@ mod tests {
         let part = Access::read(&r[0]).with_range(100..200);
         assert!(whole.overlaps(&part));
         assert!(part.conflicts_with(&whole));
+    }
+
+    #[test]
+    fn covering_is_containment_and_never_assumed_for_a_whole_region() {
+        assert!(range_covers(&None, &None));
+        assert!(range_covers(&None, &Some(3..9)));
+        assert!(range_covers(&Some(0..16), &Some(0..16)));
+        assert!(range_covers(&Some(0..16), &Some(4..8)));
+        assert!(!range_covers(&Some(0..16), &Some(8..17)));
+        assert!(!range_covers(&Some(0..usize::MAX), &None));
+        // An empty range overlaps a whole-region access and nothing else, so
+        // only a whole-region access may stand in for it.
+        assert!(ranges_overlap(&None, &Some(5..5)));
+        assert!(!range_covers(&Some(0..16), &Some(5..5)));
+        assert!(range_covers(&None, &Some(5..5)));
     }
 
     #[test]

@@ -1,18 +1,41 @@
 //! Dependence tracking and the Task Dependence Graph (TDG).
 //!
-//! When a task is submitted, the runtime compares its declared accesses with
-//! the accesses of every *unfinished* previously-submitted task on the same
-//! regions. Any overlap involving at least one writer creates a dependence
-//! edge (this covers read-after-write, write-after-read and
-//! write-after-write orderings). A task becomes ready when all its
+//! # Dependence rule
+//!
+//! Every region has a **dependence frontier**: the accesses a later task
+//! could still have to wait for — the last writer of each byte range plus
+//! the readers admitted since. When a task is submitted, each of its
+//! accesses is *admitted* to the frontier of its region
+//! ([`TaskGraph::submit`]):
+//!
+//! 1. every frontier entry the access conflicts with (overlapping byte
+//!    ranges, at least one of the two a writer — read-after-write,
+//!    write-after-read and write-after-write) whose task has not finished
+//!    becomes a predecessor: **one edge per dependence**, however many
+//!    entries of that task the access meets;
+//! 2. a write **drops every entry it writes over completely** (a
+//!    whole-region write clears the frontier, a ranged write drops the
+//!    entries whose range it contains). This is sound because any later
+//!    access that conflicts with a dropped entry also conflicts with the
+//!    write that dropped it, and the writing task already waits on the
+//!    dropped entry's task — so the order is kept transitively;
+//! 3. the access becomes an entry itself.
+//!
+//! An inout chain therefore wires one edge per link (member *i* waits on
+//! member *i − 1*, not on all *i* live earlier members), and the frontier
+//! of a chain's region holds one entry. Entries found finished while
+//! wiring are dropped on the spot, and a frontier that only ever grows —
+//! readers of a region nobody writes — is compacted (finished entries
+//! removed) whenever it doubles, so it stays O(live accessors) however
+//! many tasks read the region. A task becomes ready when all its
 //! predecessors have finished; the scheduler then moves it to the Ready
 //! Queue, exactly as described in §II-C of the paper.
 //!
 //! # Concurrency model
 //!
 //! The graph is engineered so that the steady-state hot path — a worker
-//! finishing a task and releasing its successors — acquires **no graph-wide
-//! lock**:
+//! finishing a task and releasing its successors — touches **only its own
+//! node and its successors**:
 //!
 //! * task nodes live in a **sharded slab** addressed by **generational
 //!   slot ids**: a [`TaskId`] packs the shard, the slot index within the
@@ -26,10 +49,12 @@
 //!   shards deterministically;
 //! * every node carries an **atomic `unresolved` counter** and an atomic
 //!   lifecycle state; releasing a successor is one `fetch_sub`;
-//! * the per-region **live-accessor index** is sharded by region id, so
-//!   pruning a finished task's accesses locks only the shards of the
-//!   regions it touched — and a batch submission locks each touched shard
-//!   once for the whole dependence pass;
+//! * the per-region frontiers are sharded by region id and touched **only
+//!   by submitters** (plus [`TaskGraph::forget_region`] and the gauges): a
+//!   finishing task never looks at them, takes none of their locks and
+//!   frees nothing per access. Whether a frontier entry is still a
+//!   dependence is answered by the entry's task id — a retired id fails
+//!   the generation compare and reads "gone = finished";
 //! * the submission ↔ completion race is resolved with a per-node
 //!   *closed successor list*: [`TaskGraph::finish`] closes the list before
 //!   releasing, and a submitter that finds the list already closed knows
@@ -43,57 +68,60 @@
 //!
 //! Submission is serialised per **submission shard**, not globally: a
 //! submitter locks (in ascending order) the submission shard of every
-//! live-index shard its accesses map to, and holds them across id
-//! assignment, the dependence pass and edge wiring
+//! frontier shard its accesses map to, and holds them across id
+//! assignment, the frontier pass and edge wiring
 //! ([`TaskGraph::lock_submission`]). Two tasks that could ever conflict
-//! share a region, therefore a live-index shard, therefore a submission
+//! share a region, therefore a frontier shard, therefore a submission
 //! shard — so every conflicting pair is fully serialised, the later
 //! submitter draws the larger **sequence number** (sequence numbers are
 //! assigned while the common shard is held and `next_seq` is monotonic)
-//! and observes the earlier task's live accesses, which keeps every edge
-//! pointing from an earlier submission to a later one
+//! and observes the earlier task's frontier entries (or the entry of a
+//! write that dropped them), which keeps every edge pointing from an
+//! earlier submission to a later one
 //! ([`TaskGraph::edges_respect_submission_order`]). Submitters
 //! with disjoint shard sets — independent sessions of a serving tier —
 //! share no lock at all and proceed truly concurrently. Completions may
-//! come from any worker concurrently and never take a submission lock.
+//! come from any worker concurrently and never take a submission or a
+//! frontier lock.
 //!
 //! # Node lifecycle and retirement
 //!
 //! A node moves through `WaitingDeps → Ready → Running (→ Deferred) →
-//! Finished`, and is finally **retired** — its slab slot freed and recycled
-//! — once it satisfies the retirement condition:
-//!
-//! > the task has finished, **and** every successor that registered an edge
-//! > on it has finished.
-//!
-//! The condition is tracked with a refcount-style *retire-hold* counter:
-//! one hold for the task's own completion, plus one per registered
-//! successor edge (taken under the same successor lock that registers the
-//! edge). [`TaskGraph::finish_node`] releases the node's own hold and the
-//! holds it took on its predecessors; whoever releases the last hold frees
-//! the slot onto the shard's free list **and bumps the slot's generation**,
-//! so a stale lookup with a retired id (e.g. a submitter that saw the task
-//! among the live accessors an instant before it finished) fails the
-//! generation compare and observes "gone = finished" instead of aliasing
-//! the slot's next occupant — no ABA, with no id → slot map to maintain.
-//! This bounds the graph's steady-state memory by the *live* task window
-//! instead of the total submitted count — the [`TaskGraph::live_nodes`] /
-//! [`TaskGraph::retired_count`] gauges make that observable, and the slab
-//! holds **no per-id state at all** (a retired id occupies zero bytes).
+//! Finished`, and is **retired** — its slab slot freed and recycled — by
+//! the very [`TaskGraph::finish_node`] call that finishes it: the
+//! retirement condition is "finished". Nothing needs a finished node:
+//! its successors were released from the list it closed, and a frontier
+//! entry or any other holder of its id looks it up, fails the generation
+//! compare (retiring **bumps the slot's generation**) and observes "gone =
+//! finished" instead of aliasing the slot's next occupant — no ABA within
+//! the 2²⁸ generations of a slot, with no id → slot map to maintain. (A
+//! frontier entry that outlives 2²⁸ recyclings of its task's slot could at
+//! worst add one spurious edge onto a live task of an unrelated, earlier
+//! or concurrent submission: a needless wait, never a lost one, and no
+//! cycle.) This bounds the graph's steady-state memory by the *live* task
+//! window instead of the total submitted count — the
+//! [`TaskGraph::live_nodes`] / [`TaskGraph::retired_count`] gauges make
+//! that observable, and the slab holds **no per-id state at all** (a
+//! retired id occupies zero bytes). A frontier holds ids, never nodes, and
+//! lives until its region is deregistered ([`TaskGraph::forget_region`]).
 
-use crate::access::Access;
+use crate::access::{range_covers, ranges_overlap};
 use crate::region::RegionId;
 use crate::task::{TaskDesc, TaskId};
 use atm_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use atm_sync::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Number of node-slab shards (spreads lookup read-locks across cache
 /// lines). Fixed by the shard field of the [`TaskId`] bit layout.
 const NODE_SHARDS: usize = TaskId::SHARDS;
-/// Number of live-accessor shards (spreads per-region bookkeeping locks).
+/// Number of frontier shards (spreads per-region bookkeeping locks).
 const LIVE_SHARDS: usize = 16;
+/// A frontier is first compacted at this many entries, and from then on
+/// whenever it has grown to twice its unfinished entries plus this slack.
+const COMPACT_SLACK: usize = 16;
 
 /// Lifecycle of a task inside the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +168,26 @@ impl NodeState {
 #[derive(Debug, Default)]
 struct SuccessorSlot {
     closed: bool,
-    list: Vec<TaskId>,
+    /// The first registered successor, inline: with one edge per dependence
+    /// most nodes have exactly one, and it costs no heap block that the
+    /// submitter would allocate and the finishing worker free.
+    first: Option<TaskId>,
+    /// Every further successor, in registration order.
+    rest: Vec<TaskId>,
+}
+
+impl SuccessorSlot {
+    fn push(&mut self, succ: TaskId) {
+        if self.first.is_none() {
+            self.first = Some(succ);
+        } else {
+            self.rest.push(succ);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
 }
 
 /// One task node in the TDG. Shared between the slab and the worker that is
@@ -157,14 +204,6 @@ pub struct TaskNode {
     unresolved: AtomicUsize,
     state: AtomicU8,
     successors: Mutex<SuccessorSlot>,
-    /// Retirement refcount: 1 for the task's own completion plus 1 per
-    /// registered successor edge. The releaser of the last hold frees the
-    /// node's slab slot (see the module docs on retirement).
-    retire_holds: AtomicUsize,
-    /// The predecessors this node registered edges on (their retire holds
-    /// are released when this node finishes). Holding the `Arc` keeps a
-    /// predecessor's memory valid even after its slot was recycled.
-    preds: Mutex<Vec<Arc<TaskNode>>>,
 }
 
 impl TaskNode {
@@ -194,12 +233,88 @@ impl TaskNode {
     }
 }
 
-/// The live-accessor map of one shard: per region, the accesses of every
-/// unfinished task touching it.
-type LiveMap = HashMap<RegionId, HashMap<TaskId, Vec<Access>>>;
+/// One admitted access of one task: what a later conflicting access has to
+/// wait for, unless the task has finished. Holds the id, never the node —
+/// a finished task's entry retains nothing.
+#[derive(Debug)]
+struct FrontierEntry {
+    task: TaskId,
+    /// Byte range inside the region; `None` is the whole region.
+    range: Option<Range<usize>>,
+}
 
-/// One shard of the live-accessor index.
+/// The dependence frontier of one region (see the module docs): the write
+/// entries no later write has covered, and the read entries admitted since.
+/// Kept apart because a reader conflicts with writers only — admitting the
+/// n-th reader of a fan-out never walks the n − 1 before it.
+#[derive(Debug)]
+struct Frontier {
+    writers: Vec<FrontierEntry>,
+    readers: Vec<FrontierEntry>,
+    /// Entry count at which finished entries are next compacted away.
+    compact_at: usize,
+}
+
+impl Default for Frontier {
+    fn default() -> Self {
+        Frontier {
+            writers: Vec::new(),
+            readers: Vec::new(),
+            compact_at: COMPACT_SLACK,
+        }
+    }
+}
+
+impl Frontier {
+    fn len(&self) -> usize {
+        self.writers.len() + self.readers.len()
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &FrontierEntry> {
+        self.writers.iter().chain(&self.readers)
+    }
+}
+
+/// The frontiers of one shard's regions.
+type LiveMap = HashMap<RegionId, Frontier>;
+
+/// One shard of the frontier index.
 type LiveShard = Mutex<LiveMap>;
+
+/// The predecessors one submission has already looked at, so that meeting a
+/// task twice — two of its entries in one frontier, or one in each of two
+/// regions — costs one edge. Inline for the usual handful; a wide fan-in
+/// (a write after thousands of readers) spills into an ordered set.
+struct SeenPreds {
+    inline: [TaskId; SeenPreds::INLINE],
+    len: usize,
+    spill: BTreeSet<TaskId>,
+}
+
+impl SeenPreds {
+    const INLINE: usize = 8;
+
+    fn new() -> Self {
+        SeenPreds {
+            inline: [TaskId::from_raw(0); Self::INLINE],
+            len: 0,
+            spill: BTreeSet::new(),
+        }
+    }
+
+    /// Records `id`; false when it was already recorded.
+    fn insert(&mut self, id: TaskId) -> bool {
+        if self.inline[..self.len].contains(&id) {
+            return false;
+        }
+        if self.len < Self::INLINE {
+            self.inline[self.len] = id;
+            self.len += 1;
+            return true;
+        }
+        self.spill.insert(id)
+    }
+}
 
 /// Exclusive hold of the submission shards a set of regions maps to,
 /// returned by [`TaskGraph::lock_submission`]. While a permit is held, no
@@ -262,8 +377,6 @@ impl NodeShard {
             unresolved: AtomicUsize::new(1),
             state: AtomicU8::new(NodeState::WaitingDeps.as_u8()),
             successors: Mutex::new(SuccessorSlot::default()),
-            retire_holds: AtomicUsize::new(1),
-            preds: Mutex::new(Vec::new()),
         });
         entry.node = Some(Arc::clone(&node));
         node
@@ -282,7 +395,7 @@ impl NodeShard {
 
     /// Vacates a slot, bumps its generation (invalidating every id minted
     /// against the old one) and recycles it. Called under the shard's
-    /// write lock by the releaser of the node's last retire hold.
+    /// write lock by the node's own finish.
     fn remove(&mut self, slot: u32, generation: u32) {
         let entry = &mut self.slots[slot as usize];
         debug_assert_eq!(entry.generation, generation, "retiring a stale generation");
@@ -301,11 +414,13 @@ pub struct TaskGraph {
     /// sequence number; slots are recycled (with a generation bump) as
     /// nodes retire.
     shards: Vec<RwLock<NodeShard>>,
-    /// Accesses of unfinished tasks, indexed per region and sharded by
-    /// region id. Finished tasks are pruned, so lookups only scan live
-    /// accessors (a handful per region in the block-structured benchmarks).
+    /// The dependence frontier of every region a task has touched since the
+    /// region was registered, sharded by region id. Written by submitters
+    /// (under the matching submission shard) and by
+    /// [`TaskGraph::forget_region`]; read by the gauges. Completions never
+    /// come here.
     live: Vec<LiveShard>,
-    /// Per-shard submission locks, one per live-index shard. A submitter
+    /// Per-shard submission locks, one per frontier shard. A submitter
     /// locks the shards its accesses touch (ascending, deadlock-free);
     /// conflicting submitters always share a shard, disjoint ones never
     /// contend (see the module docs). Completions never take these.
@@ -314,7 +429,10 @@ pub struct TaskGraph {
     /// creation-order rank ([`TaskNode::seq`]) and picks its slab shard
     /// (`seq % NODE_SHARDS`).
     next_seq: AtomicU64,
-    finished: AtomicU64,
+    /// Dependence edges wired so far (submitters only).
+    edges: AtomicU64,
+    /// Tasks finished — and, since a node retires at its own finish,
+    /// retired — so far: the one completion counter.
     retired: AtomicU64,
 }
 
@@ -329,7 +447,7 @@ impl Default for TaskGraph {
                 .collect(),
             submission: (0..LIVE_SHARDS).map(|_| Mutex::new(())).collect(),
             next_seq: AtomicU64::new(0),
-            finished: AtomicU64::new(0),
+            edges: AtomicU64::new(0),
             retired: AtomicU64::new(0),
         }
     }
@@ -351,15 +469,23 @@ impl TaskGraph {
         self.len() == 0
     }
 
-    /// Number of finished tasks.
+    /// Number of finished tasks. A node retires at its own finish, so this
+    /// is [`TaskGraph::retired_count`] under the name completion callers
+    /// ask for.
     pub fn finished_count(&self) -> u64 {
-        self.finished.load(Ordering::SeqCst)
+        self.retired_count()
     }
 
-    /// Number of retired tasks (finished, all successors finished, slab
-    /// slot freed).
+    /// Number of retired tasks (finished, slab slot freed).
     pub fn retired_count(&self) -> u64 {
         self.retired.load(Ordering::SeqCst)
+    }
+
+    /// Number of dependence edges wired so far. Divided by
+    /// [`TaskGraph::len`] it is the edges-per-task of the program: 1 on an
+    /// inout chain however many of its members are live.
+    pub fn edges_wired(&self) -> u64 {
+        self.edges.load(Ordering::Relaxed)
     }
 
     /// Number of nodes currently resident in the slab (submitted minus
@@ -374,9 +500,9 @@ impl TaskGraph {
     }
 
     /// The node of a task, if it has not retired yet. `None` means the task
-    /// finished, all its successors finished, and its slot was recycled
-    /// (the generation compare fails for the stale id). A bounds check plus
-    /// a generation compare under the shard's read lock — no hash probe.
+    /// finished and its slot was recycled (the generation compare fails for
+    /// the stale id). A bounds check plus a generation compare under the
+    /// shard's read lock — no hash probe.
     pub fn try_node(&self, id: TaskId) -> Option<Arc<TaskNode>> {
         self.shards[id.shard()]
             .read()
@@ -421,37 +547,51 @@ impl TaskGraph {
         }
     }
 
+    /// True while the task behind a frontier entry can still be waited for.
+    /// A finished task is either gone from the slab or about to be.
+    fn is_unfinished(&self, task: TaskId) -> bool {
+        self.try_node(task)
+            .is_some_and(|node| node.state() != NodeState::Finished)
+    }
+
     /// True when at least one unfinished task declares an access on
-    /// `region`. Sampled under the region's live-index shard lock; hold the
+    /// `region`. Sampled under the region's frontier shard lock; hold the
     /// region's [`TaskGraph::lock_submission`] permit to keep the answer
     /// stable against concurrent submitters (deregistration does).
     pub fn region_has_live_accessors(&self, region: RegionId) -> bool {
         self.live[Self::live_shard_index(region)]
             .lock()
             .get(&region)
-            .is_some_and(|accessors| !accessors.is_empty())
+            .is_some_and(|frontier| frontier.entries().any(|e| self.is_unfinished(e.task)))
     }
 
-    /// Number of regions currently present in the live-accessor index
-    /// (regions with at least one unfinished accessor). Entries are pruned
-    /// as their last live task finishes, so this gauge follows the live
-    /// working set, not every region ever touched.
+    /// Drops the frontier of a deregistered region, so the index follows
+    /// the registered regions rather than every region ever touched. The
+    /// caller holds the region's submission permit and has checked
+    /// [`TaskGraph::region_has_live_accessors`]: nothing can be waiting on,
+    /// or be about to conflict with, the entries that go.
+    pub fn forget_region(&self, _permit: &SubmissionPermit<'_>, region: RegionId) {
+        self.live[Self::live_shard_index(region)]
+            .lock()
+            .remove(&region);
+    }
+
+    /// Number of regions that currently have a dependence frontier: every
+    /// region a task has touched and [`TaskGraph::forget_region`] has not
+    /// dropped since. Follows the registered working set, not every region
+    /// ever touched.
     pub fn live_index_regions(&self) -> usize {
         self.live.iter().map(|shard| shard.lock().len()).sum()
     }
 
-    /// Releases one retire hold on `node`; the releaser of the last hold
-    /// frees the slab slot.
-    fn release_retire_hold(&self, node: &TaskNode) {
-        let prev = node.retire_holds.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "retire hold released twice");
-        if prev == 1 {
-            debug_assert_eq!(node.state(), NodeState::Finished);
-            self.shards[node.id.shard()]
-                .write()
-                .remove(node.id.slot(), node.id.generation());
-            self.retired.fetch_add(1, Ordering::SeqCst);
-        }
+    /// Number of entries in the frontier of `region` (for tests and
+    /// diagnostics): bounded by the region's unfinished accessors, not by
+    /// how many tasks ever touched it.
+    pub fn frontier_len(&self, region: RegionId) -> usize {
+        self.live[Self::live_shard_index(region)]
+            .lock()
+            .get(&region)
+            .map_or(0, Frontier::len)
     }
 
     /// Inserts a task, computes its dependences and returns `(id, ready)`.
@@ -488,62 +628,90 @@ impl TaskGraph {
         let node = self.shards[shard_index]
             .write()
             .insert(shard_index, seq, desc);
-        let id = node.id();
+        let edges = self.admit(&node);
+        self.edges.fetch_add(edges, Ordering::Relaxed);
+        (node.id, Self::release_submission_guard(&node))
+    }
 
-        // Collect unique predecessors among live (unfinished) accessors,
-        // registering this task's own accesses as live in the same pass.
-        let mut preds: BTreeSet<TaskId> = BTreeSet::new();
+    /// Admits every access of `node` to the frontier of its region (the
+    /// dependence rule of the module docs) and returns the number of edges
+    /// wired. The one dependence pass: single submissions and batch members
+    /// alike come through here, under their submission permit.
+    fn admit(&self, node: &TaskNode) -> u64 {
+        let mut seen = SeenPreds::new();
+        let mut edges = 0;
         for access in &node.desc.accesses {
+            let writes = access.mode.is_write();
             let mut shard = self.live[Self::live_shard_index(access.region)].lock();
-            let per_region = shard.entry(access.region).or_default();
-            for (tid, prev_accesses) in per_region.iter() {
-                if *tid != id && prev_accesses.iter().any(|prev| access.conflicts_with(prev)) {
-                    preds.insert(*tid);
-                }
+            let frontier = shard.entry(access.region).or_default();
+            // Every scanned pair has a writer in it (a reader never scans
+            // the readers), so overlapping is conflicting.
+            let mut scan = |entries: &mut Vec<FrontierEntry>| {
+                entries.retain(|entry| {
+                    let mut found_finished = false;
+                    if entry.task != node.id
+                        && ranges_overlap(&access.range, &entry.range)
+                        && seen.insert(entry.task)
+                    {
+                        if self.wire_edge(node, entry.task) {
+                            edges += 1;
+                        } else {
+                            found_finished = true;
+                        }
+                    }
+                    let covered = writes && range_covers(&access.range, &entry.range);
+                    !(found_finished || covered)
+                });
+            };
+            scan(&mut frontier.writers);
+            let entry = FrontierEntry {
+                task: node.id,
+                range: access.range.clone(),
+            };
+            if writes {
+                scan(&mut frontier.readers);
+                frontier.writers.push(entry);
+            } else {
+                frontier.readers.push(entry);
             }
-            per_region.entry(id).or_default().push(access.clone());
+            if frontier.len() >= frontier.compact_at {
+                frontier.writers.retain(|e| self.is_unfinished(e.task));
+                frontier.readers.retain(|e| self.is_unfinished(e.task));
+                frontier.compact_at = 2 * frontier.len() + COMPACT_SLACK;
+            }
         }
+        edges
+    }
 
-        // Register one edge per predecessor (see `wire_edges`).
-        self.wire_edges(&node, &preds);
+    /// Registers the edge `pred → node`; false when `pred` has finished
+    /// (closed list) or even retired (gone from the slab) since its
+    /// frontier entry was written — both mean the dependence is already
+    /// satisfied. Holding the predecessor's successor lock while
+    /// incrementing `unresolved` guarantees the matching decrement —
+    /// performed by the predecessor's finish, which needs the same lock to
+    /// close the list — cannot arrive first.
+    fn wire_edge(&self, node: &TaskNode, pred: TaskId) -> bool {
+        let Some(pred_node) = self.try_node(pred) else {
+            return false;
+        };
+        let mut slot = pred_node.successors.lock();
+        if slot.closed {
+            return false;
+        }
+        slot.push(node.id);
+        node.unresolved.fetch_add(1, Ordering::SeqCst);
+        true
+    }
 
-        // Release the submission guard. Exactly one decrement observes the
-        // counter reach zero; if it is ours, the task is ready now.
+    /// Releases the submission guard of a wired node. Exactly one decrement
+    /// observes the counter reach zero; if it is this one, the task is
+    /// ready now and the submitter owns its ready push.
+    fn release_submission_guard(node: &TaskNode) -> bool {
         let ready = node.unresolved.fetch_sub(1, Ordering::SeqCst) == 1;
         if ready {
             node.set_state(NodeState::Ready);
         }
-        (id, ready)
-    }
-
-    /// Registers one edge per predecessor of `node`. Holding the
-    /// predecessor's successor lock while incrementing `unresolved` (and
-    /// taking the retire hold) guarantees the matching decrement —
-    /// performed by the predecessor's finish, which needs the same lock to
-    /// close the list — cannot arrive first. A predecessor observed live
-    /// during the dependence pass may have finished (closed list) or even
-    /// retired (gone from the slab) since: both mean the dependence is
-    /// already satisfied.
-    fn wire_edges<'a>(&self, node: &Arc<TaskNode>, preds: impl IntoIterator<Item = &'a TaskId>) {
-        for pred in preds {
-            let Some(pred_node) = self.try_node(*pred) else {
-                continue;
-            };
-            let registered = {
-                let mut slot = pred_node.successors.lock();
-                if slot.closed {
-                    false
-                } else {
-                    slot.list.push(node.id);
-                    node.unresolved.fetch_add(1, Ordering::SeqCst);
-                    pred_node.retire_holds.fetch_add(1, Ordering::SeqCst);
-                    true
-                }
-            };
-            if registered {
-                node.preds.lock().push(pred_node);
-            }
-        }
+        ready
     }
 
     /// Inserts a batch of tasks, computes their dependences (including the
@@ -551,12 +719,10 @@ impl TaskGraph {
     /// per task, in submission order.
     ///
     /// The amortisation over [`TaskGraph::submit`] in a loop: the touched
-    /// submission shards are locked once, each touched slab shard's write
-    /// lock is taken once, and each touched live-index shard is locked once
-    /// for the whole dependence pass — instead of once per task. Dependence
-    /// edges are wired in a single pass; the semantics (ids, edges, ready
-    /// transitions) are exactly those of submitting the descriptors one by
-    /// one.
+    /// submission shards are locked once and each touched slab shard's
+    /// write lock is taken once — instead of once per task. The semantics
+    /// (ids, edges, ready transitions) are exactly those of submitting the
+    /// descriptors one by one.
     pub fn submit_batch(&self, descs: Vec<TaskDesc>) -> Vec<(TaskId, bool)> {
         let permit = self.lock_submission(
             descs
@@ -603,69 +769,22 @@ impl TaskGraph {
                 nodes[offset] = Some(shard.insert(shard_index, first + offset as u64, desc));
             }
         }
-        let nodes: Vec<Arc<TaskNode>> = nodes
+
+        // Dependence pass in submission order: an earlier member's frontier
+        // entries are what a later member meets, exactly as in the
+        // one-by-one path. A member cannot run before its own guard goes,
+        // so releasing each guard as soon as its edges are wired is safe.
+        let mut edges = 0;
+        let submitted = nodes
             .into_iter()
-            .map(|n| n.expect("every member was inserted"))
-            .collect();
-
-        // Dependence pass: lock every touched live-index shard once, then
-        // walk the batch in submission order — earlier batch members become
-        // visible as live accessors to later ones, exactly as in the
-        // one-by-one path. (Completions lock live shards one at a time and
-        // never wait on a second one while holding a first, so holding the
-        // whole touched set here cannot deadlock.)
-        let mut touched = [false; LIVE_SHARDS];
-        for node in &nodes {
-            for access in &node.desc.accesses {
-                touched[Self::live_shard_index(access.region)] = true;
-            }
-        }
-        let mut preds_per_task: Vec<BTreeSet<TaskId>> = Vec::with_capacity(nodes.len());
-        {
-            let mut guards: Vec<Option<MutexGuard<'_, LiveMap>>> = self
-                .live
-                .iter()
-                .enumerate()
-                .map(|(i, shard)| touched[i].then(|| shard.lock()))
-                .collect();
-            for node in &nodes {
-                let mut preds: BTreeSet<TaskId> = BTreeSet::new();
-                for access in &node.desc.accesses {
-                    let shard = guards[Self::live_shard_index(access.region)]
-                        .as_mut()
-                        .expect("touched shard is locked");
-                    let per_region = shard.entry(access.region).or_default();
-                    for (tid, prev_accesses) in per_region.iter() {
-                        if *tid != node.id
-                            && prev_accesses.iter().any(|prev| access.conflicts_with(prev))
-                        {
-                            preds.insert(*tid);
-                        }
-                    }
-                    per_region.entry(node.id).or_default().push(access.clone());
-                }
-                preds_per_task.push(preds);
-            }
-        }
-
-        // Edge wiring, one pass over the batch.
-        for (node, preds) in nodes.iter().zip(&preds_per_task) {
-            self.wire_edges(node, preds);
-        }
-
-        // Release the submission guards in id order. Exactly one decrement
-        // observes each counter reach zero; if it is ours, the task is
-        // ready now.
-        nodes
-            .iter()
             .map(|node| {
-                let ready = node.unresolved.fetch_sub(1, Ordering::SeqCst) == 1;
-                if ready {
-                    node.set_state(NodeState::Ready);
-                }
-                (node.id, ready)
+                let node = node.expect("every member was inserted");
+                edges += self.admit(&node);
+                (node.id, Self::release_submission_guard(&node))
             })
-            .collect()
+            .collect();
+        self.edges.fetch_add(edges, Ordering::Relaxed);
+        submitted
     }
 
     /// Marks a ready task as picked up by a worker and returns its node, so
@@ -692,13 +811,13 @@ impl TaskGraph {
     /// here: the deferral registration (inside the interceptor) is visible
     /// to the producer's completion path as soon as it happens, so the
     /// producer can legally call [`TaskGraph::finish`] on a still-`Running`
-    /// waiter. In that case the task is already `Finished` (it may even have
-    /// retired) and this call is a no-op — only a `Running` task actually
-    /// moves to `Deferred`.
+    /// waiter. In that case the task is already `Finished` (and, having
+    /// retired with it, most likely gone) and this call is a no-op — only a
+    /// `Running` task actually moves to `Deferred`.
     pub fn mark_deferred(&self, id: TaskId) {
         let Some(node) = self.try_node(id) else {
-            // Finished, all successors finished, slot recycled: the same
-            // tolerated no-op as the already-`Finished` case below.
+            // Finished and its slot recycled: the same tolerated no-op as
+            // the already-`Finished` case below.
             return;
         };
         if node
@@ -719,28 +838,6 @@ impl TaskGraph {
         }
     }
 
-    /// The PR-4 deferred hand-off bug, preserved verbatim as a regression
-    /// seed for the `atm-check` model suite (`tests/model/ikt_regression.rs`):
-    /// it *asserts* the task is still `Running` and then stores `Deferred`,
-    /// instead of tolerating a producer that already finished the waiter.
-    /// The checker must rediscover the resulting panic deterministically
-    /// within a bounded schedule budget; [`TaskGraph::mark_deferred`] (the
-    /// shipped CAS fix) must pass the same budget clean. Never call this
-    /// from production code.
-    #[doc(hidden)]
-    pub fn mark_deferred_legacy(&self, id: TaskId) {
-        let node = self.node(id);
-        // BUG (shipped in PR 4): between the deferral registration and this
-        // call, the in-flight producer can finish the waiter; the state is
-        // then `Finished`, not `Running`, and the worker dies here.
-        assert_eq!(
-            node.state(),
-            NodeState::Running,
-            "only running tasks can be deferred"
-        );
-        node.set_state(NodeState::Deferred);
-    }
-
     /// Completes a task by id (looks the node up first); see
     /// [`TaskGraph::finish_node`] for the lookup-free variant a worker uses
     /// with the node it already holds.
@@ -758,18 +855,17 @@ impl TaskGraph {
         newly_ready
     }
 
-    /// Completes a task: prunes its live accesses, releases its successors,
-    /// releases its retirement holds (its own and those it took on its
-    /// predecessors) and **appends** the successors that became ready to
-    /// `newly_ready` — the caller-owned scratch that lets a worker
-    /// aggregate the releases of a whole finish cycle (the executed task
-    /// plus its producer-completed deferred waiters) into one ready-queue
-    /// packet without allocating per finish.
+    /// Completes a task: closes its successor list, releases its
+    /// successors, retires the node, and **appends** the successors that
+    /// became ready to `newly_ready` — the caller-owned scratch that lets a
+    /// worker aggregate the releases of a whole finish cycle (the executed
+    /// task plus its producer-completed deferred waiters) into one
+    /// ready-queue packet without allocating per finish.
     ///
-    /// Takes no graph-wide lock: only the live-index shards of the regions
-    /// this task touched, the node's own successor lock, one atomic
-    /// decrement per successor — and, for each node this completion
-    /// actually retires, one slab-shard write lock to free the slot.
+    /// Touches the node and its successors only: the node's own successor
+    /// lock, one slab lookup and one atomic decrement per successor, and
+    /// one slab-shard write lock to free the slot. No frontier, no
+    /// submission lock, nothing per access.
     pub fn finish_node_into(&self, node: &TaskNode, newly_ready: &mut Vec<TaskId>) {
         let id = node.id();
         let state = node.state();
@@ -778,30 +874,18 @@ impl TaskGraph {
             "finish() on a task that is not running or deferred: {state:?}"
         );
         node.set_state(NodeState::Finished);
-        self.finished.fetch_add(1, Ordering::SeqCst);
-
-        // Prune live accesses of this task (per-region shard locks only).
-        for access in &node.desc.accesses {
-            let mut shard = self.live[Self::live_shard_index(access.region)].lock();
-            if let Some(per_region) = shard.get_mut(&access.region) {
-                per_region.remove(&id);
-                if per_region.is_empty() {
-                    shard.remove(&access.region);
-                }
-            }
-        }
 
         // Close the successor list: from here on, new submissions treat this
         // task as finished and register no edges onto it.
-        let successors = {
+        let (first, rest) = {
             let mut slot = node.successors.lock();
             slot.closed = true;
-            std::mem::take(&mut slot.list)
+            (slot.first.take(), std::mem::take(&mut slot.rest))
         };
 
-        for succ in successors {
-            // Successors with an unreleased edge cannot retire (their own
-            // completion hold is still pending), so the lookup must succeed.
+        for succ in first.into_iter().chain(rest) {
+            // A successor with an unreleased edge has not run, so it has
+            // not finished, so it has not retired: the lookup must succeed.
             let succ_node = self.node(succ);
             let prev = succ_node.unresolved.fetch_sub(1, Ordering::SeqCst);
             debug_assert!(prev > 0, "successor with no unresolved dependences");
@@ -812,14 +896,11 @@ impl TaskGraph {
             }
         }
 
-        // Retirement: hand back the holds this task took on its
-        // predecessors, then its own completion hold. Whoever releases a
-        // node's last hold frees its slot.
-        let preds = std::mem::take(&mut *node.preds.lock());
-        for pred in &preds {
-            self.release_retire_hold(pred);
-        }
-        self.release_retire_hold(node);
+        // Retirement: nothing needs a finished node (see the module docs).
+        self.shards[id.shard()]
+            .write()
+            .remove(id.slot(), id.generation());
+        self.retired.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Current state of a task. Retired tasks (slot already recycled) are,
@@ -833,7 +914,7 @@ impl TaskGraph {
     /// empty for retired tasks).
     pub fn successors(&self, id: TaskId) -> Vec<TaskId> {
         self.try_node(id)
-            .map_or_else(Vec::new, |node| node.successors.lock().list.clone())
+            .map_or_else(Vec::new, |node| node.successors.lock().iter().collect())
     }
 
     /// Number of unresolved predecessors of a task (for tests and
@@ -848,10 +929,9 @@ impl TaskGraph {
     /// Checks the structural invariant that every edge goes from an earlier
     /// submission (smaller [`TaskNode::seq`]) to a later one — which makes
     /// the TDG acyclic by construction. Walks the resident nodes of every
-    /// shard; a successor that has already retired is skipped (retired =
-    /// finished, so the edge was consumed — a retired successor can still
-    /// appear in a live predecessor's list when the predecessor stays
-    /// resident on behalf of another unfinished successor). Used by tests.
+    /// shard; a successor that retired between the walk and the lookup is
+    /// skipped (retired = finished, so the edge was consumed). Used by
+    /// tests.
     pub fn edges_respect_submission_order(&self) -> bool {
         let mut resident: Vec<Arc<TaskNode>> = Vec::new();
         for shard in &self.shards {
@@ -859,8 +939,8 @@ impl TaskGraph {
             resident.extend(shard.slots.iter().filter_map(|s| s.node.clone()));
         }
         resident.iter().all(|node| {
-            node.successors.lock().list.iter().all(|succ| {
-                self.try_node(*succ)
+            node.successors.lock().iter().all(|succ| {
+                self.try_node(succ)
                     .is_none_or(|succ_node| succ_node.seq() > node.seq())
             })
         })
@@ -1072,23 +1152,29 @@ mod tests {
     }
 
     #[test]
-    fn a_predecessor_retires_only_after_its_successors_finish() {
+    fn a_predecessor_retires_at_its_own_finish_with_successors_still_waiting() {
         let (_store, r) = store_with_regions(1);
         let g = TaskGraph::new();
         let (producer, _) = g.submit(desc(vec![Access::write(&r[0])]));
         let (consumer, _) = g.submit(desc(vec![Access::read(&r[0])]));
         g.mark_running(producer);
-        g.finish(producer);
-        // The producer finished but its successor has not: the edge keeps a
-        // retire hold, so the node stays resident.
-        assert_eq!(g.retired_count(), 0);
-        assert!(g.try_node(producer).is_some());
+        assert_eq!(g.finish(producer), vec![consumer]);
+        // The retirement condition is "finished": the consumer was released
+        // from the list the producer closed, and nothing else needs the
+        // node — a stale lookup reads "gone = finished".
+        assert_eq!(g.retired_count(), 1);
+        assert!(g.try_node(producer).is_none());
+        assert_eq!(g.state(producer), NodeState::Finished);
+        // A late reader meets the producer's frontier entry, finds the id
+        // gone and wires nothing.
+        let (late, ready) = g.submit(desc(vec![Access::read(&r[0])]));
+        assert!(ready);
+        assert_eq!(g.unresolved(late), 0);
         g.mark_running(consumer);
         g.finish(consumer);
-        // The consumer's finish releases the producer's last hold and its
-        // own; both retire.
         assert_eq!(g.retired_count(), 2);
-        assert_eq!(g.live_nodes(), 0);
+        assert_eq!(g.finished_count(), 2, "one counter under both names");
+        assert_eq!(g.live_nodes(), 1);
     }
 
     #[test]
@@ -1251,8 +1337,151 @@ mod tests {
         assert_eq!(g.live_index_regions(), 2);
         g.mark_running(t);
         g.finish(t);
+        // A finish does not visit the frontiers: the entries stay, but they
+        // name a finished task, so nothing is live on either region…
         assert!(!g.region_has_live_accessors(r[0].id()));
-        assert_eq!(g.live_index_regions(), 0, "pruned entries leave the index");
+        assert!(!g.region_has_live_accessors(r[1].id()));
+        assert_eq!(g.live_index_regions(), 2);
+        // …and deregistration is what drops a region's frontier.
+        for region in &r {
+            let permit = g.lock_submission([region.id()]);
+            g.forget_region(&permit, region.id());
+        }
+        assert_eq!(
+            g.live_index_regions(),
+            0,
+            "forgotten regions leave the index"
+        );
+        assert_eq!(g.frontier_len(r[0].id()), 0);
+    }
+
+    /// (ii) One edge per dependence: a chain of 64 live inout tasks has 63
+    /// edges, and its region's frontier is the last writer alone.
+    #[test]
+    fn an_inout_chain_of_64_live_tasks_has_63_edges() {
+        let (_store, r) = store_with_regions(1);
+        let g = TaskGraph::new();
+        let chain: Vec<TaskId> = (0..64)
+            .map(|_| g.submit(desc(vec![Access::read_write(&r[0])])).0)
+            .collect();
+        assert_eq!(g.edges_wired(), 63);
+        assert_eq!(g.frontier_len(r[0].id()), 1);
+        for (i, id) in chain.iter().enumerate() {
+            assert_eq!(g.unresolved(*id), usize::from(i > 0));
+            let next: Vec<TaskId> = chain.get(i + 1).copied().into_iter().collect();
+            assert_eq!(g.successors(*id), next);
+        }
+        // The batch path wires the same graph.
+        let batched = TaskGraph::new();
+        batched.submit_batch(
+            (0..64)
+                .map(|_| desc(vec![Access::read_write(&r[0])]))
+                .collect(),
+        );
+        assert_eq!(batched.edges_wired(), 63);
+    }
+
+    /// (iii) Readers of a region nobody writes never drop each other, so
+    /// only compaction bounds the frontier: it stays within twice the live
+    /// readers (plus the slack) across 10 000 of them, and the last
+    /// thousand submissions cost what the first thousand did.
+    #[test]
+    fn ten_thousand_readers_of_an_unwritten_region_keep_the_frontier_bounded() {
+        const LIVE: usize = 8;
+        let (_store, r) = store_with_regions(1);
+        let g = TaskGraph::new();
+        let mut window = std::collections::VecDeque::new();
+        let mut thousand_ns = Vec::new();
+        for _ in 0..10 {
+            let start = std::time::Instant::now();
+            for _ in 0..1000 {
+                if window.len() == LIVE {
+                    let oldest = window.pop_front().unwrap();
+                    g.mark_running(oldest);
+                    g.finish(oldest);
+                }
+                let (reader, ready) = g.submit(desc(vec![Access::read(&r[0])]));
+                assert!(ready, "readers never wait on readers");
+                window.push_back(reader);
+                assert!(
+                    g.frontier_len(r[0].id()) <= 2 * LIVE + COMPACT_SLACK,
+                    "frontier grew to {} entries with {LIVE} live readers",
+                    g.frontier_len(r[0].id())
+                );
+            }
+            thousand_ns.push(start.elapsed().as_nanos());
+        }
+        assert_eq!(g.edges_wired(), 0);
+        assert_eq!(g.live_nodes(), LIVE as u64);
+        // Generous (×8 against scheduling noise): an unbounded frontier
+        // would be neither scanned nor compacted in constant time.
+        let (first, last) = (thousand_ns[0], thousand_ns[9]);
+        assert!(
+            last <= 8 * first.max(100_000),
+            "submit time grew with the readers ever admitted: {first} ns -> {last} ns per thousand"
+        );
+    }
+
+    /// (iv) A write after many reads waits on every live reader — and on
+    /// none of the finished ones.
+    #[test]
+    fn a_write_after_many_reads_waits_on_every_live_reader() {
+        let (_store, r) = store_with_regions(1);
+        let g = TaskGraph::new();
+        let readers: Vec<TaskId> = (0..40)
+            .map(|_| g.submit(desc(vec![Access::read(&r[0])])).0)
+            .collect();
+        for done in &readers[..15] {
+            g.mark_running(*done);
+            g.finish(*done);
+        }
+        let (writer, ready) = g.submit(desc(vec![Access::write(&r[0])]));
+        assert!(!ready);
+        assert_eq!(g.unresolved(writer), 25);
+        for live in &readers[15..] {
+            assert_eq!(g.successors(*live), vec![writer]);
+        }
+        assert_eq!(
+            g.frontier_len(r[0].id()),
+            1,
+            "the write cleared the frontier"
+        );
+        // The last reader to finish is the one that releases the writer.
+        for live in &readers[15..39] {
+            g.mark_running(*live);
+            assert!(g.finish(*live).is_empty());
+        }
+        g.mark_running(readers[39]);
+        assert_eq!(g.finish(readers[39]), vec![writer]);
+    }
+
+    /// (v) A ranged write drops the entries it covers and only those.
+    #[test]
+    fn a_ranged_write_drops_only_the_entries_it_covers() {
+        let (_store, r) = store_with_regions(1);
+        let g = TaskGraph::new();
+        let region = r[0].id();
+        let (left, _) = g.submit(desc(vec![Access::write(&r[0]).with_range(0..16)]));
+        let (mid, _) = g.submit(desc(vec![Access::read(&r[0]).with_range(8..24)]));
+        let (right, _) = g.submit(desc(vec![Access::write(&r[0]).with_range(32..64)]));
+        assert_eq!(g.frontier_len(region), 3);
+        // Covers `left` (0..16 ⊆ 0..20) but only overlaps `mid` (8..24) and
+        // misses `right`: waits on both it meets, replaces one.
+        let (over, _) = g.submit(desc(vec![Access::write(&r[0]).with_range(0..20)]));
+        assert_eq!(g.unresolved(over), 2);
+        assert_eq!(g.successors(left), vec![mid, over]);
+        assert_eq!(g.successors(mid), vec![over]);
+        assert!(g.successors(right).is_empty());
+        assert_eq!(g.frontier_len(region), 3, "left went, over came");
+        // A reader of the dropped entry's bytes is ordered behind `left`
+        // through `over` alone.
+        let (reader, _) = g.submit(desc(vec![Access::read(&r[0]).with_range(0..8)]));
+        assert_eq!(g.unresolved(reader), 1);
+        assert_eq!(g.successors(over), vec![reader]);
+        // A whole-region write covers everything left.
+        let (all, _) = g.submit(desc(vec![Access::write(&r[0])]));
+        assert_eq!(g.unresolved(all), 4, "mid, right, over, reader");
+        assert_eq!(g.frontier_len(region), 1);
     }
 
     /// Truly concurrent submitters on disjoint regions never share a
@@ -1280,17 +1509,19 @@ mod tests {
             .collect();
         assert_eq!(g.len(), 200);
         assert!(g.edges_respect_submission_order());
-        // Each inout chain serialises on its own region: member i waits on
-        // all i live earlier members, and submission sequence numbers grow
+        // Each inout chain serialises on its own region: every member but
+        // the first waits on the member before it — one edge, however many
+        // earlier members are live — and submission sequence numbers grow
         // along the chain (the packed ids themselves carry no order).
         for chain in &chains {
             assert!(chain
                 .windows(2)
                 .all(|w| g.node(w[0]).seq() < g.node(w[1]).seq()));
             for (i, id) in chain.iter().enumerate() {
-                assert_eq!(g.unresolved(*id), i);
+                assert_eq!(g.unresolved(*id), usize::from(i > 0));
             }
         }
+        assert_eq!(g.edges_wired(), 4 * 49);
         // Drive everything to completion through the release protocol.
         let mut ready: Vec<TaskId> = chains.iter().map(|c| c[0]).collect();
         while let Some(id) = ready.pop() {

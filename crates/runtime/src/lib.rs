@@ -24,12 +24,13 @@
 //!   and one dependence pass, each internal lock taken once per batch;
 //! * **dependence tracking and the Task Dependence Graph** ([`dependence`]):
 //!   read-after-write, write-after-read and write-after-write orderings
-//!   derived from byte-range overlaps between declared accesses, with
-//!   lock-light completion (per-node atomic counters, sharded bookkeeping)
-//!   and **graph-node retirement** — a finished node whose successors have
-//!   all finished is freed and its slab slot recycled, so a long-running
-//!   service's graph memory follows the live task window, not the total
-//!   task count (observable through the
+//!   derived from byte-range overlaps between declared accesses against a
+//!   per-region **dependence frontier** (last writers and the readers
+//!   since: one edge per dependence), with a completion that touches only
+//!   the finishing node and its successors, and **graph-node retirement**
+//!   — a node is freed and its slab slot recycled by its own finish, so a
+//!   long-running service's graph memory follows the live task window, not
+//!   the total task count (observable through the
 //!   [`RuntimeStatsSnapshot::live_nodes`] /
 //!   [`RuntimeStatsSnapshot::retired_nodes`] gauges);
 //! * a **Ready Queue** ([`ready_queue`]) of per-worker work-stealing deques

@@ -259,10 +259,6 @@ impl Inner {
             self.all_done.notify_all();
         }
     }
-
-    fn task_type(&self, id: TaskTypeId) -> Arc<TaskTypeInfo> {
-        Arc::clone(&self.registry.read()[id.index()])
-    }
 }
 
 fn worker_loop(inner: &Arc<Inner>, worker: usize) {
@@ -285,15 +281,18 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
         };
 
         // One graph access marks the task running and hands back its node;
-        // the descriptor is borrowed from the node and the task type is a
-        // shared Arc — nothing on this path clones per execution.
+        // the descriptor and the task type resolved at submission are
+        // borrowed from it — nothing on this path clones per execution.
         let node = inner.graph.start_running(id);
         let desc = node.desc();
-        let info = inner.task_type(desc.task_type);
+        let info = desc
+            .info
+            .as_deref()
+            .expect("a task the runtime submitted carries its resolved type");
         let view = TaskView {
             id,
             type_id: desc.task_type,
-            info: &info,
+            info,
             accesses: &desc.accesses,
             memo: desc.memo.as_ref(),
         };
@@ -423,27 +422,29 @@ impl Runtime {
         BatchBuilder::new(self, Some(task_type))
     }
 
-    /// Validates the store-independent parts of `desc`: the task type
-    /// exists, the accesses match its signature, and the memo spec is
-    /// consistent. The store check ([`check_store`]) is deliberately *not*
-    /// here — it must run under the submission permit so a region cannot be
-    /// deregistered between validation and graph insertion.
-    fn validate_static(&self, desc: &TaskDesc) -> Result<(), SubmitError> {
-        {
-            let registry = self.inner.registry.read();
-            let info =
-                registry
-                    .get(desc.task_type.index())
-                    .ok_or(SubmitError::UnknownTaskType {
-                        task_type: desc.task_type,
-                    })?;
-            if let Some(signature) = &info.signature {
-                check_signature(signature, &desc.accesses)?;
-            }
+    /// Validates the store-independent parts of `desc` against `registry`
+    /// — the task type exists, the accesses match its signature, and the
+    /// memo spec is consistent — and leaves the resolved type in the
+    /// descriptor for the worker that will run it. The store check
+    /// ([`check_store`]) is deliberately *not* here — it must run under the
+    /// submission permit so a region cannot be deregistered between
+    /// validation and graph insertion.
+    fn validate_static(
+        registry: &[Arc<TaskTypeInfo>],
+        desc: &mut TaskDesc,
+    ) -> Result<(), SubmitError> {
+        let info = registry
+            .get(desc.task_type.index())
+            .ok_or(SubmitError::UnknownTaskType {
+                task_type: desc.task_type,
+            })?;
+        if let Some(signature) = &info.signature {
+            check_signature(signature, &desc.accesses)?;
         }
         if let Some(spec) = &desc.memo {
             check_memo(spec, &desc.accesses)?;
         }
+        desc.info = Some(Arc::clone(info));
         Ok(())
     }
 
@@ -481,7 +482,7 @@ impl Runtime {
     /// internal locks over a whole wave.
     pub fn try_submit(&self, mut desc: TaskDesc) -> Result<TaskId, SubmitError> {
         let start = self.inner.tracer.now_ns();
-        self.validate_static(&desc)?;
+        Self::validate_static(&self.inner.registry.read(), &mut desc)?;
         // Take the submission permit before the store check: a region that
         // validates here cannot be deregistered until the permit drops, so
         // the task the graph records never names a retired region.
@@ -524,19 +525,8 @@ impl Runtime {
             // checked in staging order, so the first offending descriptor's
             // error is returned.
             let registry = self.inner.registry.read();
-            for desc in &descs {
-                let info =
-                    registry
-                        .get(desc.task_type.index())
-                        .ok_or(SubmitError::UnknownTaskType {
-                            task_type: desc.task_type,
-                        })?;
-                if let Some(signature) = &info.signature {
-                    check_signature(signature, &desc.accesses)?;
-                }
-                if let Some(spec) = &desc.memo {
-                    check_memo(spec, &desc.accesses)?;
-                }
+            for desc in &mut descs {
+                Self::validate_static(&registry, desc)?;
             }
         }
         // Permit over the union of the batch's regions, then the store
@@ -598,6 +588,7 @@ impl Runtime {
         let mut snapshot = self.inner.stats.snapshot();
         snapshot.live_nodes = self.inner.graph.live_nodes();
         snapshot.retired_nodes = self.inner.graph.retired_count();
+        snapshot.edges = self.inner.graph.edges_wired();
         snapshot.live_index_regions = self.inner.graph.live_index_regions() as u64;
         snapshot
     }
@@ -616,11 +607,13 @@ impl Runtime {
     /// reused.
     pub fn deregister_region(&self, id: impl Into<RegionId>) -> Result<usize, DeregisterError> {
         let id = id.into();
-        let _permit = self.inner.graph.lock_submission([id]);
+        let permit = self.inner.graph.lock_submission([id]);
         if self.inner.graph.region_has_live_accessors(id) {
             return Err(DeregisterError::LiveAccessors(id));
         }
-        self.inner.store.deregister(id)
+        let freed = self.inner.store.deregister(id)?;
+        self.inner.graph.forget_region(&permit, id);
+        Ok(freed)
     }
 
     /// One unified observability snapshot: the runtime counters, the

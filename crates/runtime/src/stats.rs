@@ -83,9 +83,9 @@ impl RuntimeStats {
     }
 
     /// Immutable snapshot of all counters (sums the per-worker shards).
-    /// The graph gauges (`live_nodes`/`retired_nodes`) are owned by the
-    /// dependence graph, not the shards; [`crate::Runtime::stats`] fills
-    /// them in.
+    /// The graph's own counts (`live_nodes`/`retired_nodes`/`edges`/
+    /// `live_index_regions`) are owned by the dependence graph, not the
+    /// shards; [`crate::Runtime::stats`] fills them in.
     pub fn snapshot(&self) -> RuntimeStatsSnapshot {
         let mut snap = RuntimeStatsSnapshot::default();
         for shard in &self.shards {
@@ -119,13 +119,16 @@ pub struct RuntimeStatsSnapshot {
     /// minus retired). Bounded by the live task window, not the run length
     /// — the observable half of the node-retirement scheme.
     pub live_nodes: u64,
-    /// Graph nodes retired so far (finished, all successors finished, slab
-    /// slot recycled).
+    /// Graph nodes retired so far (finished, slab slot recycled): a node
+    /// retires at its own finish, so this is also the number of tasks
+    /// completed.
     pub retired_nodes: u64,
-    /// Regions currently present in the dependence index (regions with an
-    /// accessor entry in the live-access maps). Bounded by the regions the
-    /// live task set actually touches — the observable half of region
-    /// retirement under session churn.
+    /// Dependence edges wired so far. Over `submitted` it is the program's
+    /// edges per task — one on an inout chain, however long its live part.
+    pub edges: u64,
+    /// Regions that currently have a dependence frontier: touched by a
+    /// task and not deregistered since. Bounded by the registered working
+    /// set — the observable half of region retirement under session churn.
     pub live_index_regions: u64,
 }
 

@@ -344,6 +344,7 @@ impl<'rt> TaskBuilder<'rt> {
             memo,
             submitted_at_ns: 0,
             notify: None,
+            info: None,
         })
     }
 }

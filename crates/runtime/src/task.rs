@@ -392,6 +392,11 @@ pub struct TaskDesc {
     /// Completion observer, when the submitter wants one (see
     /// [`TaskNotify`]).
     pub notify: Option<Arc<dyn TaskNotify>>,
+    /// The registered type behind `task_type`, resolved once when
+    /// [`crate::Runtime`] validates the submission, so the worker that runs
+    /// the task reads it from the node instead of going back to the
+    /// registry. `None` on a descriptor that never passed through a runtime.
+    pub(crate) info: Option<Arc<TaskTypeInfo>>,
 }
 
 impl fmt::Debug for TaskDesc {
@@ -418,6 +423,7 @@ impl TaskDesc {
             memo: None,
             submitted_at_ns: 0,
             notify: None,
+            info: None,
         }
     }
 

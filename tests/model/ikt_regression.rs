@@ -6,8 +6,8 @@
 //! worker got around to marking it `Deferred`; the producer can legally
 //! finish the waiter first, and the worker died on the assert. The shipped
 //! fix is a tolerant compare-exchange ([`TaskGraph::mark_deferred`]); the
-//! buggy original is preserved as `mark_deferred_legacy` exactly so this
-//! suite can prove the checker would have caught it.
+//! buggy original is preserved here, as [`mark_deferred_legacy`], exactly
+//! so this suite can prove the checker would have caught it.
 //!
 //! These models drive the *real* `TaskGraph` — not a hand-written replica.
 //! In the ordinary build the graph's internals are uninstrumented, so each
@@ -17,10 +17,28 @@
 //! atomics and locks become instrumented and the checker interleaves the
 //! actual CAS against the actual finish protocol, op by op.
 
-use atm_runtime::dependence::TaskGraph;
-use atm_runtime::{Access, DataStore, TaskDesc, TaskTypeId};
+use atm_runtime::dependence::{NodeState, TaskGraph};
+use atm_runtime::{Access, DataStore, TaskDesc, TaskId, TaskTypeId};
 use atm_sync::check::{thread, Checker, FailureKind};
 use std::sync::Arc;
+
+/// The PR-4 deferred hand-off bug: it *asserts* the task is still `Running`
+/// before marking it deferred, instead of tolerating a producer that
+/// already finished the waiter. The checker must rediscover the resulting
+/// panic deterministically within a bounded schedule budget;
+/// [`TaskGraph::mark_deferred`] (the shipped CAS fix) must pass the same
+/// budget clean.
+fn mark_deferred_legacy(graph: &TaskGraph, task: TaskId) {
+    // BUG (shipped in PR 4): between the deferral registration and this
+    // call, the in-flight producer can finish the waiter; the state is
+    // then `Finished`, not `Running`, and the worker dies here.
+    assert_eq!(
+        graph.state(task),
+        NodeState::Running,
+        "only running tasks can be deferred"
+    );
+    graph.mark_deferred(task);
+}
 
 /// One running task; the producer finishes it while the worker defers it.
 /// Returns the graph so callers can assert quiescence.
@@ -44,7 +62,7 @@ fn deferral_handoff(legacy: bool) {
     let g3 = Arc::clone(&graph);
     let worker = thread::spawn(move || {
         if legacy {
-            g3.mark_deferred_legacy(task);
+            mark_deferred_legacy(&g3, task);
         } else {
             g3.mark_deferred(task);
         }

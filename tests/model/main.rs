@@ -24,7 +24,6 @@ mod policy_word;
 mod region_digest;
 mod release;
 mod release_packet;
-mod retirement;
 mod seqlock_bucket;
 mod sleepers;
 mod slot_reuse;

@@ -12,6 +12,15 @@
 //! happens-before teeth). The negative model weakens the final decrement
 //! to `Relaxed`, severing the publication — the checker must flag the
 //! data race.
+//!
+//! The second pair models where the submitter's predecessor comes from: a
+//! **frontier entry**, which only names a task. Completions never visit
+//! the frontiers, so an entry can name a task that finishes between the
+//! moment the submitter reads it as unfinished and the moment it takes the
+//! successor lock. The closed check under that lock is what makes the
+//! stale read harmless (no edge, no lost release); the negative model
+//! skips it and the checker must find the schedule in which the edge lands
+//! in a list nobody will ever drain.
 
 use atm_sync::atomic::Ordering;
 use atm_sync::check::sync::{AtomicUsize, Data, Mutex};
@@ -117,6 +126,89 @@ fn relaxed_final_decrement_is_flagged_as_a_race() {
         report.failure_kind(),
         Some(FailureKind::DataRace),
         "expected a data race from the relaxed decrement, got {:?}",
+        report.failure
+    );
+}
+
+/// A submitter that found its predecessor in a region's frontier, racing
+/// that predecessor's finish. `check_closed` is the shipped discipline.
+fn stale_frontier_entry_model(check_closed: bool) {
+    struct Model {
+        /// The predecessor's lifecycle state: 0 running, 1 finished. What a
+        /// frontier scan can learn about the task an entry names.
+        pred_finished: AtomicUsize,
+        pred_successors: Mutex<(bool, Vec<u32>)>,
+        unresolved: AtomicUsize,
+        ready_pushes: Data<u32>,
+    }
+    let m = Arc::new(Model {
+        pred_finished: AtomicUsize::new(0),
+        pred_successors: Mutex::new((false, Vec::new())),
+        unresolved: AtomicUsize::new(1),
+        ready_pushes: Data::new(0),
+    });
+
+    // The finishing predecessor: state first, then close and drain — it
+    // never touches the frontier entry that names it.
+    let m2 = Arc::clone(&m);
+    let finisher = thread::spawn(move || {
+        m2.pred_finished.store(1, Ordering::SeqCst);
+        let successors = {
+            let mut slot = m2.pred_successors.lock();
+            slot.0 = true;
+            std::mem::take(&mut slot.1)
+        };
+        for _succ in successors {
+            if m2.unresolved.fetch_sub(1, Ordering::SeqCst) == 1 {
+                m2.ready_pushes.with_mut(|r| *r += 1);
+            }
+        }
+    });
+
+    // The submitter: the frontier entry reads unfinished (or not) …
+    if m.pred_finished.load(Ordering::SeqCst) == 0 {
+        // … and by the time the successor lock is held, it may be stale.
+        let mut slot = m.pred_successors.lock();
+        if !(check_closed && slot.0) {
+            slot.1.push(7);
+            m.unresolved.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    if m.unresolved.fetch_sub(1, Ordering::SeqCst) == 1 {
+        m.ready_pushes.with_mut(|r| *r += 1);
+    }
+    finisher.join();
+
+    assert_eq!(
+        m.unresolved.load(Ordering::SeqCst),
+        0,
+        "an edge was pushed onto a list nobody drains: the release is lost"
+    );
+    assert_eq!(m.ready_pushes.get(), 1, "exactly-once readiness");
+}
+
+#[test]
+fn a_stale_frontier_entry_wires_no_edge_and_loses_no_release() {
+    let report = Checker::exhaustive()
+        .max_schedules(100_000)
+        .check(|| stale_frontier_entry_model(true));
+    report.assert_passed();
+    assert!(
+        report.complete,
+        "the stale-entry model should be exhaustively explorable, ran {}",
+        report.schedules
+    );
+}
+
+#[test]
+fn skipping_the_closed_check_loses_the_release() {
+    let report = Checker::exhaustive()
+        .max_schedules(100_000)
+        .check(|| stale_frontier_entry_model(false));
+    assert_eq!(
+        report.failure_kind(),
+        Some(FailureKind::Panic),
+        "expected the lost release to trip the quiescence assert, got {:?}",
         report.failure
     );
 }
