@@ -14,7 +14,7 @@
 //!   measured on").
 
 use atm_core::{
-    AtmConfig, AtmEngine, AtmMode, AtmStatsSnapshot, MemoSpec, ReuseEvent, StoreCountersSnapshot,
+    AtmConfig, AtmEngine, AtmStatsSnapshot, MemoSpec, ReuseEvent, StoreCountersSnapshot,
     TypeSummary,
 };
 use atm_metrics::{correctness_percent, euclidean_relative_error};
@@ -43,8 +43,8 @@ pub enum Scale {
 pub struct RunOptions {
     /// Number of worker threads (the paper's "number of cores").
     pub workers: usize,
-    /// ATM configuration (use [`AtmConfig::off`] for the baseline).
-    pub atm: AtmConfig,
+    /// ATM configuration; `None` is the baseline, which installs no engine.
+    pub atm: Option<AtmConfig>,
     /// What the run records, as the constructor of its [`atm_obs`] handle:
     /// `None` attaches nothing, [`Observability::enabled`] records latency
     /// histograms and the bounded memo-decision rings,
@@ -63,7 +63,7 @@ impl RunOptions {
     pub fn baseline(workers: usize) -> Self {
         RunOptions {
             workers,
-            atm: AtmConfig::off(),
+            atm: None,
             observability: None,
             warm_start: None,
             store_save: None,
@@ -74,7 +74,7 @@ impl RunOptions {
     pub fn with_atm(workers: usize, atm: AtmConfig) -> Self {
         RunOptions {
             workers,
-            atm,
+            atm: Some(atm),
             observability: None,
             warm_start: None,
             store_save: None,
@@ -119,7 +119,8 @@ impl Default for RunOptions {
     }
 }
 
-/// Result of one taskified benchmark run.
+/// Result of one taskified benchmark run. A baseline run installs no
+/// engine: its engine and store counters and its ATM memory read zero.
 #[derive(Debug, Clone)]
 pub struct AppRun {
     /// The program output the correctness metric is measured on.
@@ -230,36 +231,36 @@ pub trait BenchmarkApp: Send + Sync {
 /// ```
 pub struct TaskedRun {
     runtime: Runtime,
-    engine: Arc<AtmEngine>,
+    engine: Option<Arc<AtmEngine>>,
     started: Instant,
     store_save: Option<PathBuf>,
 }
 
 impl TaskedRun {
-    /// Builds the runtime + ATM engine pair described by `options`. When the
-    /// options carry a warm-start snapshot it is absorbed into the memo
-    /// store before any task can run.
+    /// Builds the runtime (plus the ATM engine, unless a baseline) described
+    /// by `options`. When the options carry a warm-start snapshot it is
+    /// absorbed into the memo store before any task can run.
     pub fn new(options: &RunOptions) -> Self {
         let obs = options.observability.map(|make| Arc::new(make()));
-        let mut engine = AtmEngine::new(options.atm);
-        let mut builder = RuntimeBuilder::new();
+        let mut builder = RuntimeBuilder::new().workers(options.workers);
+        let mut engine = options.atm.map(AtmEngine::new);
         if let Some(obs) = obs {
-            engine = engine.with_observability(Arc::clone(&obs));
+            engine = engine.map(|engine| engine.with_observability(Arc::clone(&obs)));
             builder = builder.observability(obs);
         }
-        let engine = Arc::new(engine);
-        if let Some(path) = &options.warm_start {
-            // Warm start is an optimisation: a missing or corrupt snapshot
-            // (e.g. the first-ever run) degrades to a cold start, it does
-            // not abort the run.
-            if let Err(err) = engine.warm_start_from(path) {
-                eprintln!("warm start from {path:?} unavailable, starting cold: {err}");
+        let engine = engine.map(Arc::new);
+        if let Some(engine) = &engine {
+            if let Some(path) = &options.warm_start {
+                // Warm start is an optimisation: a missing or corrupt
+                // snapshot (e.g. the first-ever run) degrades to a cold
+                // start, it does not abort the run.
+                if let Err(err) = engine.warm_start_from(path) {
+                    eprintln!("warm start from {path:?} unavailable, starting cold: {err}");
+                }
             }
+            builder = builder.interceptor(Arc::clone(engine) as Arc<_>);
         }
-        let runtime = builder
-            .workers(options.workers)
-            .interceptor(Arc::clone(&engine) as Arc<dyn atm_runtime::TaskInterceptor>)
-            .build();
+        let runtime = builder.build();
         TaskedRun {
             runtime,
             engine,
@@ -273,10 +274,10 @@ impl TaskedRun {
         &self.runtime
     }
 
-    /// The ATM engine (rarely needed directly; statistics are collected by
-    /// [`TaskedRun::finish`]).
-    pub fn engine(&self) -> &Arc<AtmEngine> {
-        &self.engine
+    /// The ATM engine, `None` on a baseline run (rarely needed directly;
+    /// statistics are collected by [`TaskedRun::finish`]).
+    pub fn engine(&self) -> Option<&Arc<AtmEngine>> {
+        self.engine.as_ref()
     }
 
     /// Marks the start of the timed parallel section (call after input
@@ -303,10 +304,10 @@ impl TaskedRun {
             }
             None => (None, Vec::new()),
         };
-        if let Some(path) = &self.store_save {
+        if let (Some(engine), Some(path)) = (&self.engine, &self.store_save) {
             // The run's results are already computed; a failed save (full
             // disk, bad path) costs the snapshot, not the run.
-            if let Err(err) = self.engine.save_store(path) {
+            if let Err(err) = engine.save_store(path) {
                 eprintln!("failed to save the memo store to {path:?}: {err}");
             }
         }
@@ -314,15 +315,16 @@ impl TaskedRun {
         // snapshot calls; the engine keeps providing the richer per-type
         // view the observation DTOs do not carry.
         let observation = self.runtime.observe();
+        let engine = self.engine.as_deref();
         let run = AppRun {
             output,
             wall,
             runtime_stats: observation.runtime,
-            atm_stats: self.engine.stats(),
-            store_counters: self.engine.store_counters(),
-            type_summaries: self.engine.type_summaries(),
+            atm_stats: engine.map(AtmEngine::stats).unwrap_or_default(),
+            store_counters: engine.map(AtmEngine::store_counters).unwrap_or_default(),
+            type_summaries: engine.map(AtmEngine::type_summaries).unwrap_or_default(),
             reuse_events: ReuseEvent::from_decisions(&observation.decisions),
-            atm_memory_bytes: self.engine.memory_bytes(),
+            atm_memory_bytes: engine.map_or(0, AtmEngine::memory_bytes),
             app_memory_bytes,
             trace,
             ready_samples,
@@ -334,12 +336,6 @@ impl TaskedRun {
     }
 }
 
-/// Returns true when the engine mode memoizes anything at all (used by apps
-/// to decide whether a baseline run needs the engine's bookkeeping).
-pub fn atm_is_enabled(config: &AtmConfig) -> bool {
-    !matches!(config.mode, AtmMode::Off)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,11 +344,41 @@ mod tests {
     fn run_options_constructors() {
         let base = RunOptions::baseline(4);
         assert_eq!(base.workers, 4);
-        assert!(!atm_is_enabled(&base.atm));
+        assert!(base.atm.is_none());
         let with = RunOptions::with_atm(2, AtmConfig::static_atm()).traced();
         assert!(base.observability.is_none());
         assert!(with.observability.is_some());
-        assert!(atm_is_enabled(&with.atm));
+        assert_eq!(with.atm, Some(AtmConfig::static_atm()));
+    }
+
+    /// The baseline installs no engine: a memoizable task executes every
+    /// time and the run's ATM counters read zero.
+    #[test]
+    fn baseline_run_installs_no_engine_and_reports_zeroed_counters() {
+        let harness = TaskedRun::new(&RunOptions::baseline(1).observed());
+        assert!(harness.engine().is_none());
+        let rt = harness.runtime();
+        let input = rt.store().register_typed("in", vec![1.0f64]).unwrap();
+        let out = rt.store().register_zeros::<f64>("out", 1).unwrap();
+        let tt = rt.register_task_type(
+            atm_runtime::TaskTypeBuilder::new("copy", |ctx| ctx.out(1, &ctx.arg::<f64>(0)))
+                .arg::<f64>()
+                .out::<f64>()
+                .memoizable()
+                .build(),
+        );
+        for _ in 0..3 {
+            rt.task(tt).reads(&input).writes(&out).submit().unwrap();
+        }
+        let run = harness.finish(|store| store.read(out).lock().as_f64().to_vec());
+        assert_eq!(run.output, vec![1.0]);
+        assert_eq!(run.runtime_stats.executed, 3);
+        assert_eq!(run.runtime_stats.bypassed, 0);
+        assert_eq!(run.atm_stats, AtmStatsSnapshot::default());
+        assert_eq!(run.store_counters, StoreCountersSnapshot::default());
+        assert!(run.type_summaries.is_empty());
+        assert_eq!(run.atm_memory_bytes, 0);
+        assert_eq!(run.decisions.total(), 0);
     }
 
     #[test]

@@ -124,7 +124,6 @@ fn before_execute_row(
                 type_id: TaskTypeId::from_raw(0),
                 info,
                 accesses,
-                memo: None,
             };
             let before = Instant::now();
             let decision = engine.before_execute(view, store, &tracer, 0);

@@ -4,13 +4,13 @@
 use crate::tht::ThtConfig;
 use atm_store::{PolicyKind, StoreConfig};
 
-/// Engine-wide operating mode.
+/// Engine-wide operating mode: the paper's three evaluation modes.
 ///
-/// Since the per-type [`MemoSpec`](atm_runtime::MemoSpec) redesign, approximation policy lives on
-/// the task type: each memoizable type declares whether it is exact,
-/// adaptive or fixed-precision, with its own `τ_max`, training window,
-/// error metric and per-argument precision overrides. `AtmMode` is demoted
-/// to an engine-wide *default/override* for the benchmark harness:
+/// Approximation policy lives on the task type: each memoizable type
+/// declares whether it is exact, adaptive or fixed-precision, with its own
+/// `τ_max`, training window, error metric and per-argument precision
+/// overrides ([`MemoSpec`](atm_runtime::MemoSpec)). `AtmMode` says how an
+/// engine treats those declarations:
 ///
 /// * [`AtmMode::Dynamic`] — **respect the per-type specs** (the normal
 ///   production mode). A type whose spec is
@@ -21,11 +21,11 @@ use atm_store::{PolicyKind, StoreConfig};
 ///   memoizable type, ignoring the specs (the paper's Static ATM bars).
 /// * [`AtmMode::FixedP`] — force one constant `p` on every memoizable
 ///   type, ignoring the specs (the evaluation's Oracle sweeps).
-/// * [`AtmMode::Off`] — disable ATM entirely (the baseline).
+///
+/// The paper's no-ATM baseline is no engine at all: a runtime without an
+/// interceptor executes every task.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AtmMode {
-    /// ATM disabled: every task executes (the paper's baseline).
-    Off,
     /// Override: exact memoization with `p = 100 %` for every memoizable
     /// type (§III-B). Guarantees bit-identical results.
     Static,
@@ -72,14 +72,6 @@ impl Default for AtmConfig {
 }
 
 impl AtmConfig {
-    /// Baseline configuration: ATM disabled.
-    pub fn off() -> Self {
-        AtmConfig {
-            mode: AtmMode::Off,
-            ..Default::default()
-        }
-    }
-
     /// Static ATM (exact memoization).
     pub fn static_atm() -> Self {
         AtmConfig {

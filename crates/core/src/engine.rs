@@ -25,7 +25,7 @@
 //! verified, whether the type is keyed at all are the policy's verdicts
 //! ([`crate::policy`]).
 
-use crate::config::{AtmConfig, AtmMode};
+use crate::config::AtmConfig;
 use crate::ikt::{InFlightKeyTable, Waiter};
 use crate::key::{KeyGenerator, KeyScratch};
 use crate::policy::{Admission, GateEvent, TypeCounters, TypePolicy};
@@ -292,10 +292,6 @@ impl AtmEngine {
             .map(|t| t.policy.status().p.fraction())
     }
 
-    fn mode_enabled(&self) -> bool {
-        !matches!(self.config.mode, AtmMode::Off)
-    }
-
     /// Appends one record to the memo-decision audit stream (no-op without
     /// an observability handle). `producer` is the task whose outputs
     /// served this one, on reuse decisions.
@@ -342,18 +338,18 @@ impl AtmEngine {
     }
 
     /// The state of `view`'s task type, resolved the first time one of its
-    /// instances reaches the engine: the type's (or instance's)
-    /// [`MemoSpec`](atm_runtime::MemoSpec) decides the policy, unless the engine-wide mode
-    /// overrides it ([`TypePolicy::resolve`]).
+    /// instances reaches the engine: the type's
+    /// [`MemoSpec`](atm_runtime::MemoSpec) decides the policy, unless the
+    /// engine-wide mode overrides it ([`TypePolicy::resolve`]).
     fn type_entry(&self, view: &TaskView<'_>) -> &TypeEntry {
         self.types.get_or_resolve(view.type_id, || {
             self.note_alloc();
-            let spec = view.memo_spec().cloned().unwrap_or_default();
+            let spec = view.info.memo.clone().unwrap_or_default();
             TypeEntry {
                 name: view.info.name.to_owned(),
                 keygen: KeyGenerator::new(
                     KEY_SEED ^ (view.type_id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    spec.is_type_aware(),
+                    true,
                 ),
                 policy: TypePolicy::resolve(self.config.mode, spec),
             }
@@ -462,7 +458,7 @@ impl TaskInterceptor for AtmEngine {
         tracer: &Tracer,
         worker: usize,
     ) -> Decision {
-        if !self.mode_enabled() || !task.memoizable() {
+        if !task.memoizable() {
             return Decision::Execute;
         }
 
@@ -623,7 +619,7 @@ impl TaskInterceptor for AtmEngine {
         worker: usize,
         executed: bool,
     ) -> Vec<TaskId> {
-        if !self.mode_enabled() || !task.memoizable() || !executed {
+        if !task.memoizable() || !executed {
             return Vec::new();
         }
         let Some(ticket) = self.take_ticket(worker, task.id) else {
@@ -725,7 +721,6 @@ mod tests {
             type_id: TaskTypeId::from_raw(type_id),
             info,
             accesses,
-            memo: None,
         }
     }
 
@@ -826,22 +821,6 @@ mod tests {
         let accesses = vec![Access::read_write(&r)];
         let (d, _) = drive(&engine, &store, view_for(0, 0, &info, &accesses));
         assert_eq!(d, Decision::Execute);
-        assert_eq!(engine.stats().seen, 0);
-    }
-
-    #[test]
-    fn off_mode_never_touches_the_tables() {
-        let engine = AtmEngine::new(AtmConfig::off());
-        let store = DataStore::new();
-        let info = memoizable_info();
-        let input = store.register_typed("in", vec![1.0f64]).unwrap();
-        let out = store.register_zeros::<f64>("out", 1).unwrap();
-        let accesses = vec![Access::read(&input), Access::write(&out)];
-        for id in 0..3 {
-            let (d, _) = drive(&engine, &store, view_for(id, 0, &info, &accesses));
-            assert_eq!(d, Decision::Execute);
-        }
-        assert!(engine.store().is_empty());
         assert_eq!(engine.stats().seen, 0);
     }
 
@@ -1495,43 +1474,6 @@ mod tests {
             engine.failing_output_regions(&store, &view, &reference, 1.0, ErrorMetric::Chebyshev);
         assert!(cheb_tau < 1e-12);
         assert!(cheb_failing.is_empty());
-    }
-
-    #[test]
-    fn first_instance_spec_configures_the_type() {
-        let engine = AtmEngine::new(AtmConfig::dynamic_atm());
-        let store = DataStore::new();
-        let info = memoizable_info(); // default (approximate) type spec
-        let instance_spec = MemoSpec::fixed_precision(0.5);
-        let input = store.register_typed("in", vec![1.0f64; 8]).unwrap();
-        let out = store.register_zeros::<f64>("out", 8).unwrap();
-        let accesses = vec![Access::read(&input), Access::write(&out)];
-        let view = TaskView {
-            memo: Some(&instance_spec),
-            ..view_for(0, 0, &info, &accesses)
-        };
-        let _ = drive(&engine, &store, view);
-        assert_eq!(
-            engine.current_p(TaskTypeId::from_raw(0)),
-            Some(0.5),
-            "the first instance's spec configures the type's controller"
-        );
-
-        // Documented resolution rule: once the type's policy is resolved, a
-        // later instance's spec does not re-configure it.
-        let late_spec = MemoSpec::fixed_precision(0.125);
-        let out2 = store.register_zeros::<f64>("out2", 8).unwrap();
-        let accesses2 = vec![Access::read(&input), Access::write(&out2)];
-        let view2 = TaskView {
-            memo: Some(&late_spec),
-            ..view_for(1, 0, &info, &accesses2)
-        };
-        let _ = drive(&engine, &store, view2);
-        assert_eq!(
-            engine.current_p(TaskTypeId::from_raw(0)),
-            Some(0.5),
-            "later instance specs must not re-configure a resolved type"
-        );
     }
 
     #[test]

@@ -36,8 +36,10 @@
 //!   pinned open.
 //!
 //! Different types run different policies concurrently in one runtime; the
-//! engine-wide [`AtmMode`] remains only as a bench-harness override (force
-//! everything exact, force one `p`, or disable ATM — see [`AtmMode`]).
+//! engine-wide [`AtmMode`] holds the paper's three evaluation modes —
+//! respect each type's spec (Dynamic), force everything exact (Static), or
+//! force one `p` (the Oracle's FixedP). The no-ATM baseline installs no
+//! engine at all.
 //!
 //! The engine plugs into the runtime as a
 //! [`TaskInterceptor`](atm_runtime::TaskInterceptor):

@@ -265,7 +265,7 @@ impl TypePolicy {
     /// the pinned specs never gate, `Dynamic` × `approximate` adapts.
     pub fn resolve(mode: AtmMode, spec: MemoSpec) -> Self {
         match mode {
-            AtmMode::Off | AtmMode::Static => Self::pinned(Percentage::FULL, None),
+            AtmMode::Static => Self::pinned(Percentage::FULL, None),
             AtmMode::FixedP(p) => Self::pinned(Percentage::from_fraction(p), None),
             AtmMode::Dynamic => match spec.policy() {
                 MemoPolicy::Exact => Self::pinned(Percentage::FULL, Some(spec)),

@@ -631,7 +631,6 @@ fn run_task(
         type_id: TaskTypeId::from_raw(type_id),
         info,
         accesses,
-        memo: None,
     };
     let decision = engine.before_execute(view, store, &tracer, 0);
     let executed = decision == Decision::Execute;

@@ -6,7 +6,7 @@
 //! could still have to wait for — the last writer of each byte range plus
 //! the readers admitted since. When a task is submitted, each of its
 //! accesses is *admitted* to the frontier of its region
-//! ([`TaskGraph::submit`]):
+//! ([`TaskGraph::submit_batch`]):
 //!
 //! 1. every frontier entry the access conflicts with (overlapping byte
 //!    ranges, at least one of the two a writer — read-after-write,
@@ -50,9 +50,9 @@
 //! * every node carries an **atomic `unresolved` counter** and an atomic
 //!   lifecycle state; releasing a successor is one `fetch_sub`;
 //! * the per-region frontiers are sharded by region id and touched **only
-//!   by submitters** (plus [`TaskGraph::forget_region`] and the gauges): a
-//!   finishing task never looks at them, takes none of their locks and
-//!   frees nothing per access. Whether a frontier entry is still a
+//!   by permit holders** (submitters, [`TaskGraph::forget_region`]) and the
+//!   gauges: a finishing task never looks at them, takes none of their
+//!   locks and frees nothing per access. Whether a frontier entry is still a
 //!   dependence is answered by the entry's task id — a retired id fails
 //!   the generation compare and reads "gone = finished";
 //! * the submission ↔ completion race is resolved with a per-node
@@ -66,23 +66,25 @@
 //!
 //! # Concurrent submitters
 //!
-//! Submission is serialised per **submission shard**, not globally: a
-//! submitter locks (in ascending order) the submission shard of every
-//! frontier shard its accesses map to, and holds them across id
-//! assignment, the frontier pass and edge wiring
-//! ([`TaskGraph::lock_submission`]). Two tasks that could ever conflict
-//! share a region, therefore a frontier shard, therefore a submission
-//! shard — so every conflicting pair is fully serialised, the later
-//! submitter draws the larger **sequence number** (sequence numbers are
-//! assigned while the common shard is held and `next_seq` is monotonic)
-//! and observes the earlier task's frontier entries (or the entry of a
-//! write that dropped them), which keeps every edge pointing from an
-//! earlier submission to a later one
-//! ([`TaskGraph::edges_respect_submission_order`]). Submitters
+//! The frontiers live in 16 **region shards** (`region % 16`), one lock
+//! each, and that lock is the whole submission protocol: a submitter locks
+//! (in ascending order) the shard of every region its accesses name and
+//! holds them across id assignment, the frontier pass and edge wiring
+//! ([`TaskGraph::lock_submission`]). The held guards *are* the
+//! [`SubmissionPermit`], and the frontier pass reaches each frontier
+//! through it — so admitting an access takes no lock of its own. Two tasks
+//! that could ever conflict share a region, therefore a shard — so every
+//! conflicting pair is fully serialised, the later submitter draws the
+//! larger **sequence number** (sequence numbers are assigned while the
+//! common shard is held and `next_seq` is monotonic) and observes the
+//! earlier task's frontier entries (or the entry of a write that dropped
+//! them), which keeps every edge pointing from an earlier submission to a
+//! later one ([`TaskGraph::edges_respect_submission_order`]). Submitters
 //! with disjoint shard sets — independent sessions of a serving tier —
-//! share no lock at all and proceed truly concurrently. Completions may
-//! come from any worker concurrently and never take a submission or a
-//! frontier lock.
+//! share no lock at all and proceed truly concurrently. The read-only
+//! gauges lock one shard at a time and hold nothing else, so they cannot
+//! close a cycle with a permit holder. Completions may come from any
+//! worker concurrently and never take a shard lock.
 //!
 //! # Node lifecycle and retirement
 //!
@@ -117,7 +119,7 @@ use std::sync::Arc;
 /// Number of node-slab shards (spreads lookup read-locks across cache
 /// lines). Fixed by the shard field of the [`TaskId`] bit layout.
 const NODE_SHARDS: usize = TaskId::SHARDS;
-/// Number of frontier shards (spreads per-region bookkeeping locks).
+/// Number of region shards (frontier maps, one lock each).
 const LIVE_SHARDS: usize = 16;
 /// A frontier is first compacted at this many entries, and from then on
 /// whenever it has grown to twice its unfinished entries plus this slack.
@@ -219,7 +221,7 @@ impl TaskNode {
         self.seq
     }
 
-    /// The task's descriptor (accesses, type, per-instance memo opt-in).
+    /// The task's descriptor (type, accesses, completion observer).
     pub fn desc(&self) -> &TaskDesc {
         &self.desc
     }
@@ -278,9 +280,6 @@ impl Frontier {
 /// The frontiers of one shard's regions.
 type LiveMap = HashMap<RegionId, Frontier>;
 
-/// One shard of the frontier index.
-type LiveShard = Mutex<LiveMap>;
-
 /// The predecessors one submission has already looked at, so that meeting a
 /// task twice — two of its entries in one frontier, or one in each of two
 /// regions — costs one edge. Inline for the usual handful; a wide fan-in
@@ -316,22 +315,32 @@ impl SeenPreds {
     }
 }
 
-/// Exclusive hold of the submission shards a set of regions maps to,
-/// returned by [`TaskGraph::lock_submission`]. While a permit is held, no
-/// other submitter can insert (and no deregistration can race) a task
-/// touching those regions — which is what lets [`crate::Runtime`] validate
-/// a descriptor against the store and then submit it under one critical
-/// section, atomically with respect to region retirement.
+/// Exclusive hold of the region shards a set of regions maps to, returned
+/// by [`TaskGraph::lock_submission`]: the locked frontier maps themselves.
+/// While a permit is held, no other submitter can insert (and no
+/// deregistration can race) a task touching those regions — which is what
+/// lets [`crate::Runtime`] validate a descriptor against the store and then
+/// submit it under one critical section, atomically with respect to region
+/// retirement.
 #[must_use = "a submission permit only excludes other submitters while it is held"]
 pub struct SubmissionPermit<'g> {
-    guards: Vec<MutexGuard<'g, ()>>,
+    /// The guard of each locked shard, indexed by shard.
+    shards: [Option<MutexGuard<'g, LiveMap>>; LIVE_SHARDS],
 }
 
-impl std::fmt::Debug for SubmissionPermit<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubmissionPermit")
-            .field("shards", &self.guards.len())
-            .finish()
+impl SubmissionPermit<'_> {
+    /// The locked frontier map of `region`'s shard; panics when the permit
+    /// was not taken over `region`.
+    fn frontiers(&self, region: RegionId) -> &LiveMap {
+        self.shards[TaskGraph::live_shard_index(region)]
+            .as_deref()
+            .unwrap_or_else(|| panic!("the submission permit does not cover {region:?}"))
+    }
+
+    fn frontiers_mut(&mut self, region: RegionId) -> &mut LiveMap {
+        self.shards[TaskGraph::live_shard_index(region)]
+            .as_deref_mut()
+            .unwrap_or_else(|| panic!("the submission permit does not cover {region:?}"))
     }
 }
 
@@ -415,16 +424,9 @@ pub struct TaskGraph {
     /// nodes retire.
     shards: Vec<RwLock<NodeShard>>,
     /// The dependence frontier of every region a task has touched since the
-    /// region was registered, sharded by region id. Written by submitters
-    /// (under the matching submission shard) and by
-    /// [`TaskGraph::forget_region`]; read by the gauges. Completions never
-    /// come here.
-    live: Vec<LiveShard>,
-    /// Per-shard submission locks, one per frontier shard. A submitter
-    /// locks the shards its accesses touch (ascending, deadlock-free);
-    /// conflicting submitters always share a shard, disjoint ones never
-    /// contend (see the module docs). Completions never take these.
-    submission: Vec<Mutex<()>>,
+    /// region was registered, in region shards whose locks are the
+    /// submission locks (see the module docs). Completions never come here.
+    live: Vec<Mutex<LiveMap>>,
     /// Monotonic submission sequence counter: assigns each task its dense
     /// creation-order rank ([`TaskNode::seq`]) and picks its slab shard
     /// (`seq % NODE_SHARDS`).
@@ -445,7 +447,6 @@ impl Default for TaskGraph {
             live: (0..LIVE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            submission: (0..LIVE_SHARDS).map(|_| Mutex::new(())).collect(),
             next_seq: AtomicU64::new(0),
             edges: AtomicU64::new(0),
             retired: AtomicU64::new(0),
@@ -523,7 +524,7 @@ impl TaskGraph {
         region.index() % LIVE_SHARDS
     }
 
-    /// Locks the submission shards the given regions map to, in ascending
+    /// Locks the region shards the given regions map to, in ascending
     /// shard order (deadlock-free by hierarchy), and returns the permit.
     /// Conflicting submitters share a region and therefore block on a
     /// common shard; disjoint ones acquire disjoint locks and run
@@ -536,15 +537,15 @@ impl TaskGraph {
         for region in regions {
             touched[Self::live_shard_index(region)] = true;
         }
-        SubmissionPermit {
-            guards: self
-                .submission
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| touched[*i])
-                .map(|(_, lock)| lock.lock())
-                .collect(),
+        let mut permit = SubmissionPermit {
+            shards: Default::default(),
+        };
+        for (index, lock) in self.live.iter().enumerate() {
+            if touched[index] {
+                permit.shards[index] = Some(lock.lock());
+            }
         }
+        permit
     }
 
     /// True while the task behind a frontier entry can still be waited for.
@@ -555,25 +556,27 @@ impl TaskGraph {
     }
 
     /// True when at least one unfinished task declares an access on
-    /// `region`. Sampled under the region's frontier shard lock; hold the
-    /// region's [`TaskGraph::lock_submission`] permit to keep the answer
-    /// stable against concurrent submitters (deregistration does).
-    pub fn region_has_live_accessors(&self, region: RegionId) -> bool {
-        self.live[Self::live_shard_index(region)]
-            .lock()
+    /// `region`, read through the permit covering it — so no submitter can
+    /// add an accessor while the answer is in use (deregistration relies on
+    /// it).
+    pub fn region_has_live_accessors(
+        &self,
+        permit: &SubmissionPermit<'_>,
+        region: RegionId,
+    ) -> bool {
+        permit
+            .frontiers(region)
             .get(&region)
             .is_some_and(|frontier| frontier.entries().any(|e| self.is_unfinished(e.task)))
     }
 
     /// Drops the frontier of a deregistered region, so the index follows
     /// the registered regions rather than every region ever touched. The
-    /// caller holds the region's submission permit and has checked
-    /// [`TaskGraph::region_has_live_accessors`]: nothing can be waiting on,
-    /// or be about to conflict with, the entries that go.
-    pub fn forget_region(&self, _permit: &SubmissionPermit<'_>, region: RegionId) {
-        self.live[Self::live_shard_index(region)]
-            .lock()
-            .remove(&region);
+    /// caller holds the region's permit and has checked
+    /// [`TaskGraph::region_has_live_accessors`] under it: nothing can be
+    /// waiting on, or be about to conflict with, the entries that go.
+    pub fn forget_region(&self, permit: &mut SubmissionPermit<'_>, region: RegionId) {
+        permit.frontiers_mut(region).remove(&region);
     }
 
     /// Number of regions that currently have a dependence frontier: every
@@ -594,56 +597,31 @@ impl TaskGraph {
             .map_or(0, Frontier::len)
     }
 
-    /// Inserts a task, computes its dependences and returns `(id, ready)`.
+    /// Inserts a task, computes its dependences and returns `(id, ready)`:
+    /// a batch of one ([`TaskGraph::submit_batch`]).
     ///
     /// `ready == true` means the submitter owns the task's transition to the
     /// Ready Queue. `ready == false` means a predecessor was still in flight
     /// at registration time; whichever predecessor performs the final
     /// release will report the task as newly ready from [`TaskGraph::finish`].
-    ///
-    /// Conflicting submissions are serialised internally (per submission
-    /// shard — see the module docs); completions run concurrently and never
-    /// take a submission lock. This is the lean single-task path — no batch
-    /// scaffolding allocated; see [`TaskGraph::submit_batch`] for the
-    /// lock-amortised wave path. The two are semantically identical
-    /// (property-tested against each other).
     pub fn submit(&self, desc: TaskDesc) -> (TaskId, bool) {
-        let permit = self.lock_submission(desc.accesses.iter().map(|a| a.region));
-        self.submit_with(&permit, desc)
-    }
-
-    /// The body of [`TaskGraph::submit`], for callers that already hold the
-    /// permit covering the descriptor's regions (the runtime validates the
-    /// descriptor against the store inside the same critical section, so a
-    /// region cannot retire between the check and the insertion).
-    pub fn submit_with(&self, _permit: &SubmissionPermit<'_>, desc: TaskDesc) -> (TaskId, bool) {
-        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let shard_index = (seq as usize) % NODE_SHARDS;
-
-        // Insert the node into the slab *before* registering edges: a
-        // predecessor finishing mid-registration must be able to look the
-        // node up. The submission guard (unresolved = 1) keeps the task
-        // from becoming ready until registration is complete. The id is
-        // minted inside the shard (it packs the slot the node lands in).
-        let node = self.shards[shard_index]
-            .write()
-            .insert(shard_index, seq, desc);
-        let edges = self.admit(&node);
-        self.edges.fetch_add(edges, Ordering::Relaxed);
-        (node.id, Self::release_submission_guard(&node))
+        self.submit_batch(vec![desc])
+            .pop()
+            .expect("a batch of one yields one id")
     }
 
     /// Admits every access of `node` to the frontier of its region (the
-    /// dependence rule of the module docs) and returns the number of edges
-    /// wired. The one dependence pass: single submissions and batch members
-    /// alike come through here, under their submission permit.
-    fn admit(&self, node: &TaskNode) -> u64 {
+    /// dependence rule of the module docs), reached through the permit that
+    /// already holds its shard, and returns the number of edges wired.
+    fn admit(&self, permit: &mut SubmissionPermit<'_>, node: &TaskNode) -> u64 {
         let mut seen = SeenPreds::new();
         let mut edges = 0;
         for access in &node.desc.accesses {
             let writes = access.mode.is_write();
-            let mut shard = self.live[Self::live_shard_index(access.region)].lock();
-            let frontier = shard.entry(access.region).or_default();
+            let frontier = permit
+                .frontiers_mut(access.region)
+                .entry(access.region)
+                .or_default();
             // Every scanned pair has a writer in it (a reader never scans
             // the readers), so overlapping is conflicting.
             let mut scan = |entries: &mut Vec<FrontierEntry>| {
@@ -718,68 +696,62 @@ impl TaskGraph {
     /// dependences *between* batch members) and returns one `(id, ready)`
     /// per task, in submission order.
     ///
-    /// The amortisation over [`TaskGraph::submit`] in a loop: the touched
-    /// submission shards are locked once and each touched slab shard's
-    /// write lock is taken once — instead of once per task. The semantics
+    /// The touched region shards are locked once and each touched slab
+    /// shard's write lock is taken once — not once per task. The semantics
     /// (ids, edges, ready transitions) are exactly those of submitting the
-    /// descriptors one by one.
+    /// descriptors as batches of one, in order.
     pub fn submit_batch(&self, descs: Vec<TaskDesc>) -> Vec<(TaskId, bool)> {
-        let permit = self.lock_submission(
+        let mut permit = self.lock_submission(
             descs
                 .iter()
                 .flat_map(|d| d.accesses.iter().map(|a| a.region)),
         );
-        self.submit_batch_with(&permit, descs)
+        self.submit_batch_with(&mut permit, descs)
     }
 
     /// The body of [`TaskGraph::submit_batch`], for callers that already
-    /// hold the permit covering every region in the batch.
+    /// hold the permit covering every region in the batch (the runtime
+    /// validates the batch against the store inside the same critical
+    /// section); panics when the permit misses one.
     pub fn submit_batch_with(
         &self,
-        _permit: &SubmissionPermit<'_>,
+        permit: &mut SubmissionPermit<'_>,
         descs: Vec<TaskDesc>,
     ) -> Vec<(TaskId, bool)> {
-        if descs.is_empty() {
-            return Vec::new();
-        }
         let batch_len = descs.len();
         let first = self.next_seq.fetch_add(batch_len as u64, Ordering::SeqCst);
 
         // Slab insertion (which creates the nodes and mints their packed
         // ids) happens *before* edge registration — a predecessor finishing
         // mid-registration must be able to look a batch member up — with
-        // one write lock per touched shard. Members land in the same shards
-        // and draw the same ids as the equivalent one-by-one submissions
-        // (`seq % NODE_SHARDS`, slots recycled LIFO), which is what keeps
-        // the two paths property-testable against each other. The
+        // one write lock per touched slab shard: member `offset` lands in
+        // shard `(first + offset) % NODE_SHARDS`, and each shard takes its
+        // members in submission order (slots recycled LIFO), so a batch
+        // draws exactly the ids its members would as batches of one. The
         // submission guard (unresolved = 1) keeps each task from becoming
         // ready until its edges are wired.
         let mut descs: Vec<Option<TaskDesc>> = descs.into_iter().map(Some).collect();
         let mut nodes: Vec<Option<Arc<TaskNode>>> = (0..batch_len).map(|_| None).collect();
-        for (shard_index, shard) in self.shards.iter().enumerate() {
-            let mut members = (0..batch_len)
-                .filter(|offset| ((first + *offset as u64) as usize) % NODE_SHARDS == shard_index)
-                .peekable();
-            if members.peek().is_none() {
-                continue;
-            }
-            let mut shard = shard.write();
-            for offset in members {
+        for lane in 0..batch_len.min(NODE_SHARDS) {
+            let shard_index = ((first + lane as u64) as usize) % NODE_SHARDS;
+            let mut shard = self.shards[shard_index].write();
+            for offset in (lane..batch_len).step_by(NODE_SHARDS) {
                 let desc = descs[offset].take().expect("each descriptor moves once");
                 nodes[offset] = Some(shard.insert(shard_index, first + offset as u64, desc));
             }
         }
 
         // Dependence pass in submission order: an earlier member's frontier
-        // entries are what a later member meets, exactly as in the
-        // one-by-one path. A member cannot run before its own guard goes,
-        // so releasing each guard as soon as its edges are wired is safe.
+        // entries are what a later member meets, exactly as if it had been
+        // submitted first on its own. A member cannot run before its own
+        // guard goes, so releasing each guard as soon as its edges are
+        // wired is safe.
         let mut edges = 0;
         let submitted = nodes
             .into_iter()
             .map(|node| {
                 let node = node.expect("every member was inserted");
-                edges += self.admit(&node);
+                edges += self.admit(permit, &node);
                 (node.id, Self::release_submission_guard(&node))
             })
             .collect();
@@ -864,8 +836,8 @@ impl TaskGraph {
     ///
     /// Touches the node and its successors only: the node's own successor
     /// lock, one slab lookup and one atomic decrement per successor, and
-    /// one slab-shard write lock to free the slot. No frontier, no
-    /// submission lock, nothing per access.
+    /// one slab-shard write lock to free the slot. No frontier, no region
+    /// shard lock, nothing per access.
     pub fn finish_node_into(&self, node: &TaskNode, newly_ready: &mut Vec<TaskId>) {
         let id = node.id();
         let state = node.state();
@@ -919,8 +891,8 @@ impl TaskGraph {
 
     /// Number of unresolved predecessors of a task (for tests and
     /// diagnostics; zero for retired tasks). The submission guard is
-    /// released before [`TaskGraph::submit`] returns, so this is exactly
-    /// the number of in-flight predecessors.
+    /// released before [`TaskGraph::submit_batch`] returns, so this is
+    /// exactly the number of in-flight predecessors.
     pub fn unresolved(&self, id: TaskId) -> usize {
         self.try_node(id)
             .map_or(0, |node| node.unresolved.load(Ordering::SeqCst))
@@ -1257,6 +1229,8 @@ mod tests {
         let (_store, r) = store_with_regions(2);
         let singleton = TaskGraph::new();
         let batched = TaskGraph::new();
+        // Each member of the program as a batch of its own, against the
+        // whole program as one batch.
         let program = || {
             vec![
                 desc(vec![Access::write(&r[0])]),
@@ -1265,8 +1239,10 @@ mod tests {
                 desc(vec![Access::read(&r[0])]),
             ]
         };
-        let one_by_one: Vec<(TaskId, bool)> =
-            program().into_iter().map(|d| singleton.submit(d)).collect();
+        let one_by_one: Vec<(TaskId, bool)> = program()
+            .into_iter()
+            .flat_map(|d| singleton.submit_batch(vec![d]))
+            .collect();
         let as_batch = batched.submit_batch(program());
         // Id allocation is deterministic (`seq % NODE_SHARDS` sharding,
         // LIFO slot recycling), so two fresh graphs given the same program
@@ -1329,23 +1305,27 @@ mod tests {
     fn live_accessor_gauges_follow_the_live_set() {
         let (_store, r) = store_with_regions(2);
         let g = TaskGraph::new();
+        let live = |region: &Region<f32>| {
+            let permit = g.lock_submission([region.id()]);
+            g.region_has_live_accessors(&permit, region.id())
+        };
         assert_eq!(g.live_index_regions(), 0);
-        assert!(!g.region_has_live_accessors(r[0].id()));
+        assert!(!live(&r[0]));
         let (t, _) = g.submit(desc(vec![Access::write(&r[0]), Access::read(&r[1])]));
-        assert!(g.region_has_live_accessors(r[0].id()));
-        assert!(g.region_has_live_accessors(r[1].id()));
+        assert!(live(&r[0]));
+        assert!(live(&r[1]));
         assert_eq!(g.live_index_regions(), 2);
         g.mark_running(t);
         g.finish(t);
         // A finish does not visit the frontiers: the entries stay, but they
         // name a finished task, so nothing is live on either region…
-        assert!(!g.region_has_live_accessors(r[0].id()));
-        assert!(!g.region_has_live_accessors(r[1].id()));
+        assert!(!live(&r[0]));
+        assert!(!live(&r[1]));
         assert_eq!(g.live_index_regions(), 2);
         // …and deregistration is what drops a region's frontier.
         for region in &r {
-            let permit = g.lock_submission([region.id()]);
-            g.forget_region(&permit, region.id());
+            let mut permit = g.lock_submission([region.id()]);
+            g.forget_region(&mut permit, region.id());
         }
         assert_eq!(
             g.live_index_regions(),

@@ -91,7 +91,6 @@ mod tests {
             type_id: TaskTypeId(0),
             info: &info,
             accesses: &[],
-            memo: None,
         };
         let noop = NoopInterceptor;
         assert_eq!(

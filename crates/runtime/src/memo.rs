@@ -40,10 +40,8 @@
 //! [`MemoSpec::arg_exact`] override the precision of individual arguments,
 //! so a small control argument can be hashed exactly while a large field
 //! argument is hashed approximately. Overrides are validated against the
-//! task type's declared access signature at registration (and against the
-//! actual accesses at submission, for per-instance specs).
+//! task type's declared access signature at registration.
 
-use crate::access::Access;
 use crate::task::TaskSignature;
 
 /// How a task type's inputs are selected for hashing.
@@ -181,8 +179,7 @@ impl std::fmt::Display for MemoSpecError {
 
 impl std::error::Error for MemoSpecError {}
 
-/// The approximation policy of one memoizable task type (or of one task
-/// instance, when attached through [`crate::TaskBuilder::memo`]).
+/// The approximation policy of one memoizable task type.
 ///
 /// Built fluently from one of the three policy constructors; see the
 /// [module docs](self) for the full picture.
@@ -192,7 +189,6 @@ pub struct MemoSpec {
     tau: f64,
     training_window: usize,
     metric: ErrorMetric,
-    type_aware: bool,
     down_shift: Option<f64>,
     arg_overrides: Vec<(usize, ArgPrecision)>,
 }
@@ -215,7 +211,6 @@ impl MemoSpec {
             tau: 0.01,
             training_window: 15,
             metric: ErrorMetric::Chebyshev,
-            type_aware: true,
             down_shift: None,
             arg_overrides: Vec::new(),
         }
@@ -258,14 +253,6 @@ impl MemoSpec {
     #[must_use]
     pub fn metric(mut self, metric: ErrorMetric) -> Self {
         self.metric = metric;
-        self
-    }
-
-    /// Enables or disables the significance-ordered (MSB-first) byte
-    /// selection of §III-C. On by default.
-    #[must_use]
-    pub fn type_aware(mut self, type_aware: bool) -> Self {
-        self.type_aware = type_aware;
         self
     }
 
@@ -321,11 +308,6 @@ impl MemoSpec {
         self.metric
     }
 
-    /// Whether significance-ordered byte selection is enabled.
-    pub fn is_type_aware(&self) -> bool {
-        self.type_aware
-    }
-
     /// The adaptive down-shift margin, when the spec opted in.
     pub fn down_shift_margin(&self) -> Option<f64> {
         self.down_shift
@@ -344,10 +326,11 @@ impl MemoSpec {
             .map(|&(_, p)| p)
     }
 
-    /// Checks the numeric fields and the override list itself (duplicates,
-    /// fraction ranges) — everything that can be validated without knowing
-    /// the task's parameters.
-    fn validate_values(&self) -> Result<(), MemoSpecError> {
+    /// Validates the spec against the task type's declared access
+    /// signature (called by [`crate::TaskTypeBuilder::build`]): the numeric
+    /// fields, the override list itself (duplicates, fraction ranges), and
+    /// that every override names a readable positional parameter.
+    pub fn validate(&self, signature: Option<&TaskSignature>) -> Result<(), MemoSpecError> {
         if !(self.tau.is_finite() && self.tau > 0.0) {
             return Err(MemoSpecError::InvalidTau { tau: self.tau });
         }
@@ -374,13 +357,6 @@ impl MemoSpec {
                 return Err(MemoSpecError::DuplicateArgOverride { index: *arg });
             }
         }
-        Ok(())
-    }
-
-    /// Validates a type-level spec against the task type's declared access
-    /// signature (called by [`crate::TaskTypeBuilder::build`]).
-    pub fn validate(&self, signature: Option<&TaskSignature>) -> Result<(), MemoSpecError> {
-        self.validate_values()?;
         if self.arg_overrides.is_empty() {
             return Ok(());
         }
@@ -397,25 +373,6 @@ impl MemoSpec {
                 }
             })?;
             if !param.mode.is_read() {
-                return Err(MemoSpecError::ArgNotRead { index });
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates a per-instance spec against the instance's actual accesses
-    /// (called by the submission validator after the accesses themselves
-    /// passed the signature and store checks).
-    pub fn validate_against_accesses(&self, accesses: &[Access]) -> Result<(), MemoSpecError> {
-        self.validate_values()?;
-        for &(index, _) in &self.arg_overrides {
-            let access = accesses
-                .get(index)
-                .ok_or(MemoSpecError::ArgIndexOutOfRange {
-                    index,
-                    arity: accesses.len(),
-                })?;
-            if !access.mode.is_read() {
                 return Err(MemoSpecError::ArgNotRead { index });
             }
         }
@@ -447,7 +404,6 @@ mod tests {
         assert!((spec.tau_max() - 0.01).abs() < 1e-12);
         assert_eq!(spec.training_window_len(), 15);
         assert_eq!(spec.error_metric(), ErrorMetric::Chebyshev);
-        assert!(spec.is_type_aware());
         assert!(spec.arg_overrides().is_empty());
         assert_eq!(spec.down_shift_margin(), None, "down-shift is opt-in");
         assert_eq!(spec.validate(None), Ok(()));
@@ -475,13 +431,11 @@ mod tests {
             .tau(1e-3)
             .metric(ErrorMetric::RelL2)
             .training_window(32)
-            .type_aware(false)
             .arg_exact(0)
             .arg_precision(2, 0.25);
         assert!((spec.tau_max() - 1e-3).abs() < 1e-15);
         assert_eq!(spec.training_window_len(), 32);
         assert_eq!(spec.error_metric(), ErrorMetric::RelL2);
-        assert!(!spec.is_type_aware());
         assert_eq!(spec.precision_override(0), Some(ArgPrecision::Exact));
         assert_eq!(
             spec.precision_override(2),
@@ -605,29 +559,6 @@ mod tests {
         assert_eq!(
             MemoSpec::approximate().arg_exact(0).validate(None),
             Err(MemoSpecError::OverridesRequireSignature)
-        );
-    }
-
-    #[test]
-    fn instance_validation_checks_the_actual_accesses() {
-        use crate::region::DataStore;
-        let store = DataStore::new();
-        let input = store.register_zeros::<f32>("in", 4).unwrap();
-        let out = store.register_zeros::<f32>("out", 4).unwrap();
-        let accesses = vec![Access::read(&input), Access::write(&out)];
-        let ok = MemoSpec::approximate().arg_exact(0);
-        assert_eq!(ok.validate_against_accesses(&accesses), Ok(()));
-        assert_eq!(
-            MemoSpec::approximate()
-                .arg_exact(1)
-                .validate_against_accesses(&accesses),
-            Err(MemoSpecError::ArgNotRead { index: 1 })
-        );
-        assert_eq!(
-            MemoSpec::approximate()
-                .arg_exact(5)
-                .validate_against_accesses(&accesses),
-            Err(MemoSpecError::ArgIndexOutOfRange { index: 5, arity: 2 })
         );
     }
 

@@ -125,13 +125,8 @@ impl ReadyQueue {
         }
     }
 
-    /// Adds a ready task from outside the worker pool (the master thread)
-    /// and wakes one waiting worker.
-    pub fn push(&self, id: TaskId) {
-        self.push_all(&[id]);
-    }
-
-    /// Adds a batch of ready tasks from outside the worker pool.
+    /// Adds a batch of ready tasks from outside the worker pool (the master
+    /// thread) and wakes as many waiting workers.
     pub fn push_all(&self, ids: &[TaskId]) {
         if ids.is_empty() {
             return;
@@ -313,8 +308,8 @@ mod tests {
     #[test]
     fn fifo_order_is_preserved() {
         let q = queue(2);
-        q.push(TaskId(1));
-        q.push(TaskId(2));
+        q.push_all(&[TaskId(1)]);
+        q.push_all(&[TaskId(2)]);
         q.push_all(&[TaskId(3), TaskId(4)]);
         assert_eq!(q.depth(), 4);
         assert_eq!(q.pop(0), Popped::Task(TaskId(1)));
@@ -327,7 +322,7 @@ mod tests {
     #[test]
     fn close_drains_then_signals_closed() {
         let q = queue(1);
-        q.push(TaskId(7));
+        q.push_all(&[TaskId(7)]);
         q.close();
         assert_eq!(q.pop(0), Popped::Task(TaskId(7)));
         assert_eq!(q.pop(0), Popped::Closed);
@@ -339,7 +334,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let handle = thread::spawn(move || q2.pop(0));
         thread::sleep(Duration::from_millis(20));
-        q.push(TaskId(9));
+        q.push_all(&[TaskId(9)]);
         assert_eq!(handle.join().unwrap(), Popped::Task(TaskId(9)));
     }
 
@@ -364,8 +359,8 @@ mod tests {
         let obs = Arc::new(atm_obs::Observability::capture());
         let tracer = Arc::new(Tracer::new(Some(Arc::clone(&obs))));
         let q = ReadyQueue::new(1, tracer);
-        q.push(TaskId(1));
-        q.push(TaskId(2));
+        q.push_all(&[TaskId(1)]);
+        q.push_all(&[TaskId(2)]);
         let _ = q.pop(0);
         let samples = obs.ready_depth_samples();
         assert_eq!(samples.len(), 3);
@@ -379,7 +374,7 @@ mod tests {
         let obs = Arc::new(atm_obs::Observability::capture());
         let tracer = Arc::new(Tracer::new(Some(Arc::clone(&obs))));
         let q = ReadyQueue::new(2, tracer);
-        q.push(TaskId(1));
+        q.push_all(&[TaskId(1)]);
         q.push_from(0, &[TaskId(2), TaskId(3)]);
         let _ = q.pop(0);
         let samples = obs.ready_depth_samples();
@@ -467,7 +462,7 @@ mod tests {
             })
             .collect();
         for i in 0..N {
-            q.push(TaskId(i));
+            q.push_all(&[TaskId(i)]);
         }
         // Give the workers a moment to drain, then close.
         while q.depth() > 0 {

@@ -8,12 +8,12 @@
 //! executing them*, give the configured [`TaskInterceptor`] (the ATM engine)
 //! the chance to memoize or defer them.
 //!
-//! Submissions go through the fluent [`Runtime::task`] builder (or the
-//! lower-level [`Runtime::try_submit`]): every descriptor is validated
-//! against the task type's declared signature and against the store before
-//! it enters the dependence graph, so malformed tasks are rejected with a
-//! [`SubmitError`] on the submitting thread instead of panicking inside a
-//! worker.
+//! Submissions go through one path, [`Runtime::try_submit_all`] — the
+//! fluent [`Runtime::task`] builder and [`Runtime::try_submit`] hand it a
+//! batch of one: every descriptor is validated against the task type's
+//! declared signature and against the store before it enters the dependence
+//! graph, so malformed tasks are rejected with a [`SubmitError`] on the
+//! submitting thread instead of panicking inside a worker.
 //!
 //! # Steady-state hot path
 //!
@@ -31,9 +31,7 @@ use crate::interceptor::{Decision, NoopInterceptor, TaskInterceptor};
 use crate::ready_queue::{Popped, ReadyQueue};
 use crate::region::{DataStore, DeregisterError, RegionId};
 use crate::stats::{RuntimeStats, RuntimeStatsSnapshot};
-use crate::submit::{
-    check_memo, check_signature, check_store, BatchBuilder, SubmitError, TaskBuilder,
-};
+use crate::submit::{check_signature, check_store, BatchBuilder, SubmitError, TaskBuilder};
 use crate::task::{TaskContext, TaskDesc, TaskId, TaskTypeId, TaskTypeInfo, TaskView};
 use crate::trace::{ThreadState, Tracer};
 use atm_obs::{
@@ -294,7 +292,6 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
             type_id: desc.task_type,
             info,
             accesses: &desc.accesses,
-            memo: desc.memo.as_ref(),
         };
 
         let decision = inner
@@ -397,9 +394,8 @@ impl Runtime {
     }
 
     /// Starts a fluent, validating submission of one instance of
-    /// `task_type`. Chain [`TaskBuilder::reads`], [`TaskBuilder::writes`],
-    /// [`TaskBuilder::reads_writes`] (and optionally
-    /// [`TaskBuilder::memo`]), then call [`TaskBuilder::submit`].
+    /// `task_type`. Chain [`TaskBuilder::reads`], [`TaskBuilder::writes`]
+    /// and [`TaskBuilder::reads_writes`], then call [`TaskBuilder::submit`].
     pub fn task(&self, task_type: TaskTypeId) -> TaskBuilder<'_> {
         TaskBuilder::new(self, task_type)
     }
@@ -420,32 +416,6 @@ impl Runtime {
     /// [`BatchBuilder::task`] per staged task.
     pub fn tasks(&self, task_type: TaskTypeId) -> BatchBuilder<'_> {
         BatchBuilder::new(self, Some(task_type))
-    }
-
-    /// Validates the store-independent parts of `desc` against `registry`
-    /// — the task type exists, the accesses match its signature, and the
-    /// memo spec is consistent — and leaves the resolved type in the
-    /// descriptor for the worker that will run it. The store check
-    /// ([`check_store`]) is deliberately *not* here — it must run under the
-    /// submission permit so a region cannot be deregistered between
-    /// validation and graph insertion.
-    fn validate_static(
-        registry: &[Arc<TaskTypeInfo>],
-        desc: &mut TaskDesc,
-    ) -> Result<(), SubmitError> {
-        let info = registry
-            .get(desc.task_type.index())
-            .ok_or(SubmitError::UnknownTaskType {
-                task_type: desc.task_type,
-            })?;
-        if let Some(signature) = &info.signature {
-            check_signature(signature, &desc.accesses)?;
-        }
-        if let Some(spec) = &desc.memo {
-            check_memo(spec, &desc.accesses)?;
-        }
-        desc.info = Some(Arc::clone(info));
-        Ok(())
     }
 
     /// Admits `count` tasks into the live window, or rejects with
@@ -475,36 +445,16 @@ impl Runtime {
         }
     }
 
-    /// Validates and submits one task instance. Dependences on previously
-    /// submitted, unfinished tasks are derived from the declared accesses;
-    /// the task starts executing as soon as they are satisfied. This is the
-    /// lean single-task path; [`Runtime::try_submit_all`] amortises the
-    /// internal locks over a whole wave.
-    pub fn try_submit(&self, mut desc: TaskDesc) -> Result<TaskId, SubmitError> {
-        let start = self.inner.tracer.now_ns();
-        Self::validate_static(&self.inner.registry.read(), &mut desc)?;
-        // Take the submission permit before the store check: a region that
-        // validates here cannot be deregistered until the permit drops, so
-        // the task the graph records never names a retired region.
-        let permit = self
-            .inner
-            .graph
-            .lock_submission(desc.accesses.iter().map(|a| a.region));
-        check_store(&self.inner.store, &desc.accesses)?;
-        self.admit(1)?;
-        desc.submitted_at_ns = start;
-
-        let (id, ready) = self.inner.graph.submit_with(&permit, desc);
-        drop(permit);
-        if ready {
-            self.inner.queue.push(id);
-        }
-        self.inner.note_submitted(1, start);
-        Ok(id)
+    /// Validates and submits one task instance: a batch of one
+    /// ([`Runtime::try_submit_all`]).
+    pub fn try_submit(&self, desc: TaskDesc) -> Result<TaskId, SubmitError> {
+        self.try_submit_all(vec![desc]).map(|ids| ids[0])
     }
 
-    /// Validates and submits a batch of task instances, in order; the
-    /// amortised form of [`Runtime::try_submit`] in a loop.
+    /// Validates and submits a batch of task instances, in order. Each
+    /// task's dependences on previously submitted, unfinished tasks — and
+    /// on earlier members of the batch — are derived from its declared
+    /// accesses; it starts executing as soon as they are satisfied.
     ///
     /// All descriptors are validated **before** anything is submitted (the
     /// task-type registry lock is taken once for the whole batch, each
@@ -523,17 +473,26 @@ impl Runtime {
         {
             // One registry lock for the whole batch; each descriptor is
             // checked in staging order, so the first offending descriptor's
-            // error is returned.
+            // error is returned. The resolved type stays in the descriptor
+            // for the worker that will run it.
             let registry = self.inner.registry.read();
             for desc in &mut descs {
-                Self::validate_static(&registry, desc)?;
+                let Some(info) = registry.get(desc.task_type.index()) else {
+                    let task_type = desc.task_type;
+                    return Err(SubmitError::UnknownTaskType { task_type });
+                };
+                if let Some(signature) = &info.signature {
+                    check_signature(signature, &desc.accesses)?;
+                }
+                desc.info = Some(Arc::clone(info));
+                desc.submitted_at_ns = start;
             }
         }
-        // Permit over the union of the batch's regions, then the store
-        // check inside the critical section (same reasoning as
-        // `try_submit`: no region named here can retire before the batch is
-        // in the graph).
-        let permit = self.inner.graph.lock_submission(
+        // Take the permit over the union of the batch's regions before the
+        // store check: a region that validates here cannot be deregistered
+        // until the permit drops, so the graph never records a task naming
+        // a retired region.
+        let mut permit = self.inner.graph.lock_submission(
             descs
                 .iter()
                 .flat_map(|desc| desc.accesses.iter().map(|a| a.region)),
@@ -544,10 +503,7 @@ impl Runtime {
 
         let count = descs.len() as u64;
         self.admit(count)?;
-        for desc in &mut descs {
-            desc.submitted_at_ns = start;
-        }
-        let submitted = self.inner.graph.submit_batch_with(&permit, descs);
+        let submitted = self.inner.graph.submit_batch_with(&mut permit, descs);
         drop(permit);
         let ready: Vec<TaskId> = submitted
             .iter()
@@ -599,20 +555,20 @@ impl Runtime {
     /// Rejected with [`DeregisterError::LiveAccessors`] while any submitted,
     /// unfinished task accesses the region — drain first (a serving tier
     /// calls this after the session's last request completes). The check and
-    /// the removal run under the region's submission-lock shard, so a
-    /// concurrent submitter either lands before the check (and blocks the
-    /// deregistration) or observes the region as retired
+    /// the removal run under the region's shard lock (a submission permit),
+    /// so a concurrent submitter either lands before the check (and blocks
+    /// the deregistration) or observes the region as retired
     /// ([`SubmitError::RegionRetired`]); there is no window where a task
     /// enters the graph naming a freed region. Deregistered ids are never
     /// reused.
     pub fn deregister_region(&self, id: impl Into<RegionId>) -> Result<usize, DeregisterError> {
         let id = id.into();
-        let permit = self.inner.graph.lock_submission([id]);
-        if self.inner.graph.region_has_live_accessors(id) {
+        let mut permit = self.inner.graph.lock_submission([id]);
+        if self.inner.graph.region_has_live_accessors(&permit, id) {
             return Err(DeregisterError::LiveAccessors(id));
         }
         let freed = self.inner.store.deregister(id)?;
-        self.inner.graph.forget_region(&permit, id);
+        self.inner.graph.forget_region(&mut permit, id);
         Ok(freed)
     }
 
@@ -957,46 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn submission_validates_a_per_instance_memo_spec() {
-        use crate::memo::{MemoSpec, MemoSpecError};
-        let rt = RuntimeBuilder::new().workers(1).build();
-        let input = rt.store().register_zeros::<f64>("in", 2).unwrap();
-        let out = rt.store().register_zeros::<f64>("out", 2).unwrap();
-        let tt = rt.register_task_type(
-            TaskTypeBuilder::new("copy", |ctx| {
-                let v = ctx.arg::<f64>(0);
-                ctx.out(1, &v);
-            })
-            .arg::<f64>()
-            .out::<f64>()
-            .build(),
-        );
-        // Override on the write-only access: rejected at submission.
-        let err = rt
-            .task(tt)
-            .reads(&input)
-            .writes(&out)
-            .memo(MemoSpec::approximate().arg_exact(1))
-            .submit()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SubmitError::InvalidMemoSpec {
-                error: MemoSpecError::ArgNotRead { index: 1 }
-            }
-        );
-        // A valid instance spec goes through.
-        rt.task(tt)
-            .reads(&input)
-            .writes(&out)
-            .memo(MemoSpec::exact())
-            .submit()
-            .unwrap();
-        rt.taskwait();
-        rt.shutdown();
-    }
-
-    #[test]
     fn drop_without_shutdown_does_not_hang() {
         let rt = RuntimeBuilder::new().workers(2).build();
         let r = rt.store().register_zeros::<f32>("r", 1).unwrap();
@@ -1085,32 +1001,40 @@ mod tests {
         Arc::try_unwrap(rt).ok().unwrap().shutdown();
     }
 
+    /// One batch of 40 increments, then the same 40 as batches of one:
+    /// the same dataflow and the same counts.
     #[test]
     fn batch_submission_runs_the_same_dataflow_as_singletons() {
-        let rt = RuntimeBuilder::new().workers(2).build();
-        let acc = rt.store().register_zeros::<f64>("acc", 1).unwrap();
-        let add_one = rt.register_task_type(
-            TaskTypeBuilder::new("add", |ctx| {
-                let v = ctx.arg::<f64>(0)[0];
-                ctx.out(0, &[v + 1.0]);
-            })
-            .inout::<f64>()
-            .build(),
-        );
-        let mut batch = rt.tasks(add_one);
-        for _ in 0..40 {
-            batch = batch.next().reads_writes(&acc);
+        for batched in [true, false] {
+            let rt = RuntimeBuilder::new().workers(2).build();
+            let acc = rt.store().register_zeros::<f64>("acc", 1).unwrap();
+            let add_one = rt.register_task_type(
+                TaskTypeBuilder::new("add", |ctx| {
+                    let v = ctx.arg::<f64>(0)[0];
+                    ctx.out(0, &[v + 1.0]);
+                })
+                .inout::<f64>()
+                .build(),
+            );
+            let ids = if batched {
+                (0..40)
+                    .fold(rt.tasks(add_one), |b, _| b.next().reads_writes(&acc))
+                    .submit_all()
+                    .unwrap()
+            } else {
+                (0..40)
+                    .map(|_| rt.task(add_one).reads_writes(&acc).submit().unwrap())
+                    .collect()
+            };
+            let distinct: std::collections::BTreeSet<_> = ids.iter().map(|id| id.raw()).collect();
+            assert_eq!(distinct.len(), 40, "ids must be distinct");
+            rt.taskwait();
+            assert_eq!(rt.store().read(acc).lock().as_f64(), &[40.0]);
+            let stats = rt.stats();
+            assert_eq!(stats.submitted, 40);
+            assert_eq!(stats.executed, 40);
+            rt.shutdown();
         }
-        let ids = batch.submit_all().unwrap();
-        assert_eq!(ids.len(), 40);
-        let distinct: std::collections::BTreeSet<_> = ids.iter().map(|id| id.raw()).collect();
-        assert_eq!(distinct.len(), 40, "batch ids must be distinct");
-        rt.taskwait();
-        assert_eq!(rt.store().read(acc).lock().as_f64(), &[40.0]);
-        let stats = rt.stats();
-        assert_eq!(stats.submitted, 40);
-        assert_eq!(stats.executed, 40);
-        rt.shutdown();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! widths inside the ATM engine). The fluent builder returned by
 //! [`crate::Runtime::task`] keeps submissions well-formed *by construction*
 //! — accesses are declared through typed [`Region<T>`] handles — and
-//! [`crate::Runtime::try_submit`] validates every descriptor against the
+//! [`crate::Runtime::try_submit_all`] validates every descriptor against the
 //! task type's declared [`TaskSignature`] and against the store before the
 //! task enters the dependence graph:
 //!
@@ -20,22 +20,15 @@
 //! * when the type declared a signature: the number of accesses must fit it
 //!   ([`SubmitError::ArityMismatch`]), and each position must match the
 //!   declared direction ([`SubmitError::ModeMismatch`]) and element type
-//!   ([`SubmitError::TypeMismatch`]);
-//! * when the submission carries a per-instance [`MemoSpec`], the spec's
-//!   per-argument precision overrides must name real, readable accesses
-//!   ([`SubmitError::InvalidMemoSpec`]).
+//!   ([`SubmitError::TypeMismatch`]).
 
 use crate::access::{Access, AccessMode};
-use crate::memo::{MemoSpec, MemoSpecError};
 use crate::region::{DataStore, Elem, ElemType, Region, RegionId};
 use crate::scheduler::Runtime;
 use crate::task::{TaskDesc, TaskId, TaskSignature, TaskTypeId};
 
 /// Why a task submission was rejected.
-///
-/// Not `Eq` because [`SubmitError::InvalidMemoSpec`] carries the offending
-/// floating-point values.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The task type was never registered with this runtime.
     UnknownTaskType {
@@ -107,13 +100,6 @@ pub enum SubmitError {
         /// The element type the submission declared.
         got: ElemType,
     },
-    /// The per-instance memoization spec is invalid for this submission
-    /// (bad threshold/precision values, or a per-argument override naming a
-    /// missing or write-only access).
-    InvalidMemoSpec {
-        /// Why the spec was rejected.
-        error: MemoSpecError,
-    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -157,9 +143,6 @@ impl std::fmt::Display for SubmitError {
                 f,
                 "access #{index} has element type {got} but the task type's signature expects {expected}"
             ),
-            SubmitError::InvalidMemoSpec { error } => {
-                write!(f, "invalid memoization spec: {error}")
-            }
         }
     }
 }
@@ -210,12 +193,6 @@ pub(crate) fn check_signature(
     Ok(())
 }
 
-/// Validates a per-instance memoization spec against the actual accesses.
-pub(crate) fn check_memo(spec: &MemoSpec, accesses: &[Access]) -> Result<(), SubmitError> {
-    spec.validate_against_accesses(accesses)
-        .map_err(|error| SubmitError::InvalidMemoSpec { error })
-}
-
 /// Validates every access against the store: the region must exist (and not
 /// have been deregistered) and hold the element type the access declares.
 pub(crate) fn check_store(store: &DataStore, accesses: &[Access]) -> Result<(), SubmitError> {
@@ -247,7 +224,7 @@ pub(crate) fn check_store(store: &DataStore, accesses: &[Access]) -> Result<(), 
 }
 
 /// Fluent, validating builder for one task submission, obtained from
-/// [`Runtime::task`].
+/// [`Runtime::task`]. The task is submitted as a batch of one.
 ///
 /// ```
 /// use atm_runtime::prelude::*;
@@ -273,79 +250,46 @@ pub(crate) fn check_store(store: &DataStore, accesses: &[Access]) -> Result<(), 
 #[must_use = "a task builder does nothing until `submit()` is called"]
 pub struct TaskBuilder<'rt> {
     runtime: &'rt Runtime,
-    task_type: TaskTypeId,
-    accesses: Vec<Access>,
-    memo: Option<MemoSpec>,
+    desc: TaskDesc,
 }
 
 impl<'rt> TaskBuilder<'rt> {
     pub(crate) fn new(runtime: &'rt Runtime, task_type: TaskTypeId) -> Self {
         TaskBuilder {
             runtime,
-            task_type,
-            accesses: Vec::new(),
-            memo: None,
+            desc: TaskDesc::new(task_type, Vec::new()),
         }
     }
 
     /// Declares the next access as a whole-region read (`in` clause).
     pub fn reads<T: Elem>(mut self, region: &Region<T>) -> Self {
-        self.accesses.push(Access::read(region));
+        self.desc.accesses.push(Access::read(region));
         self
     }
 
     /// Declares the next access as a whole-region write (`out` clause).
     pub fn writes<T: Elem>(mut self, region: &Region<T>) -> Self {
-        self.accesses.push(Access::write(region));
+        self.desc.accesses.push(Access::write(region));
         self
     }
 
     /// Declares the next access as a whole-region read-write (`inout`
     /// clause).
     pub fn reads_writes<T: Elem>(mut self, region: &Region<T>) -> Self {
-        self.accesses.push(Access::read_write(region));
+        self.desc.accesses.push(Access::read_write(region));
         self
     }
 
     /// Appends a pre-built access (escape hatch for ranged accesses built
     /// with [`Access::with_range`]). The access is validated like any other.
     pub fn access(mut self, access: Access) -> Self {
-        self.accesses.push(access);
-        self
-    }
-
-    /// Opts this task instance into memoization with the given policy,
-    /// regardless of whether the task type was registered as memoizable.
-    /// Accepts anything convertible into a [`MemoSpec`].
-    ///
-    /// Policy is resolved **per task type**, by the first memoizable
-    /// instance of the type that reaches the engine: that instance's spec
-    /// (or the type-level spec, when the instance carries none) configures
-    /// the type's key generator and training controller for the rest of
-    /// the run. Specs attached to later instances of an already-resolved
-    /// type are validated but do not re-configure the type — declare
-    /// diverging policies as separate task types instead.
-    pub fn memo(mut self, spec: impl Into<MemoSpec>) -> Self {
-        self.memo = Some(spec.into());
+        self.desc.accesses.push(access);
         self
     }
 
     /// Validates the accumulated descriptor and submits it.
     pub fn submit(self) -> Result<TaskId, SubmitError> {
-        let TaskBuilder {
-            runtime,
-            task_type,
-            accesses,
-            memo,
-        } = self;
-        runtime.try_submit(TaskDesc {
-            task_type,
-            accesses,
-            memo,
-            submitted_at_ns: 0,
-            notify: None,
-            info: None,
-        })
+        self.runtime.try_submit(self.desc)
     }
 }
 
@@ -355,13 +299,13 @@ impl<'rt> TaskBuilder<'rt> {
 ///
 /// Each staged task is opened with [`BatchBuilder::task`] (or
 /// [`BatchBuilder::next`] when the batch was pinned to a type) and described
-/// with the same access/memo vocabulary as the single-task
-/// [`TaskBuilder`]. [`BatchBuilder::submit_all`] validates every staged
-/// descriptor — nothing is submitted on error — and hands the batch to the
-/// dependence graph in one pass: the submission lock, each touched slab
-/// shard's write lock and each touched live-index shard are taken **once
-/// per batch**, which is what removes the per-task locking cost from the
-/// master thread's creation path (the paper's Figure-8 bottleneck).
+/// with the same access vocabulary as the single-task [`TaskBuilder`].
+/// [`BatchBuilder::submit_all`] validates every staged descriptor — nothing
+/// is submitted on error — and hands the batch to the dependence graph in
+/// one pass: each touched region shard's lock and each touched slab shard's
+/// write lock are taken **once per batch**, which is what removes the
+/// per-task locking cost from the master thread's creation path (the
+/// paper's Figure-8 bottleneck).
 ///
 /// ```
 /// use atm_runtime::prelude::*;
@@ -461,22 +405,6 @@ impl<'rt> BatchBuilder<'rt> {
     /// accesses built with [`Access::with_range`]).
     pub fn access(mut self, access: Access) -> Self {
         self.current_mut().accesses.push(access);
-        self
-    }
-
-    /// Opts the open task instance into memoization with the given policy
-    /// (same semantics as [`TaskBuilder::memo`]).
-    pub fn memo(mut self, spec: impl Into<MemoSpec>) -> Self {
-        self.current_mut().memo = Some(spec.into());
-        self
-    }
-
-    /// Stages a pre-built descriptor verbatim (sealing the open task
-    /// first). Escape hatch for callers that assemble [`TaskDesc`]s
-    /// directly.
-    pub fn stage(mut self, desc: TaskDesc) -> Self {
-        self.seal_current();
-        self.staged.push(desc);
         self
     }
 
@@ -710,10 +638,6 @@ mod tests {
                 index: 2,
                 expected: ElemType::I32,
                 got: ElemType::U8,
-            }
-            .to_string(),
-            SubmitError::InvalidMemoSpec {
-                error: MemoSpecError::ArgNotRead { index: 1 },
             }
             .to_string(),
         ];

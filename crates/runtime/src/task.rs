@@ -371,19 +371,15 @@ pub trait TaskNotify: Send + Sync {
     fn task_finished(&self, worker: usize, task: TaskId);
 }
 
-/// One task instance to submit: a task type plus its data accesses, and
-/// optionally a per-instance memoization opt-in.
+/// One task instance to submit: a task type plus its data accesses. How
+/// (and whether) the instance is memoized is its type's declaration
+/// ([`TaskTypeBuilder::memo`]), never the instance's.
 #[derive(Clone)]
 pub struct TaskDesc {
     /// The task type.
     pub task_type: TaskTypeId,
     /// The declared data accesses, in the order the kernel expects them.
     pub accesses: Vec<Access>,
-    /// Per-instance memoization opt-in: `Some(spec)` marks this instance as
-    /// memoizable with the given policy, even when the task type was not
-    /// registered as memoizable. See [`crate::TaskBuilder::memo`] for the
-    /// first-instance-configures-the-type resolution rule.
-    pub memo: Option<MemoSpec>,
     /// Submission timestamp on the runtime's trace clock, stamped by
     /// [`crate::Runtime::try_submit`] / [`crate::Runtime::try_submit_all`]
     /// (0 until then). Feeds the end-to-end task-latency histogram of the
@@ -404,7 +400,6 @@ impl fmt::Debug for TaskDesc {
         f.debug_struct("TaskDesc")
             .field("task_type", &self.task_type)
             .field("accesses", &self.accesses)
-            .field("memo", &self.memo)
             .field("submitted_at_ns", &self.submitted_at_ns)
             .field(
                 "notify",
@@ -415,23 +410,15 @@ impl fmt::Debug for TaskDesc {
 }
 
 impl TaskDesc {
-    /// Creates a descriptor with no per-instance memoization override.
+    /// Creates a descriptor of one instance of `task_type`.
     pub fn new(task_type: TaskTypeId, accesses: Vec<Access>) -> Self {
         TaskDesc {
             task_type,
             accesses,
-            memo: None,
             submitted_at_ns: 0,
             notify: None,
             info: None,
         }
-    }
-
-    /// Attaches a per-instance memoization opt-in.
-    #[must_use]
-    pub fn with_memo(mut self, spec: impl Into<MemoSpec>) -> Self {
-        self.memo = Some(spec.into());
-        self
     }
 
     /// Attaches a completion observer (see [`TaskNotify`]).
@@ -463,25 +450,13 @@ pub struct TaskView<'a> {
     pub info: &'a TaskTypeInfo,
     /// The task's data accesses.
     pub accesses: &'a [Access],
-    /// The per-instance memoization opt-in, when the submission carried one.
-    pub memo: Option<&'a MemoSpec>,
 }
 
-impl<'a> TaskView<'a> {
-    /// Whether this task instance may be memoized: either its type opted in
-    /// at registration, or the submission opted in through
-    /// [`crate::TaskBuilder::memo`].
+impl TaskView<'_> {
+    /// Whether this task may be memoized: its type opted in at registration
+    /// ([`TaskTypeBuilder::memo`]).
     pub fn memoizable(&self) -> bool {
-        self.info.memo.is_some() || self.memo.is_some()
-    }
-
-    /// The approximation policy this instance proposes: the per-instance
-    /// spec when present, the type-level spec otherwise, `None` when the
-    /// task is not memoizable at all. The engine resolves each type's
-    /// effective policy from the *first* memoizable instance it sees (see
-    /// [`crate::TaskBuilder::memo`]).
-    pub fn memo_spec(&self) -> Option<&'a MemoSpec> {
-        self.memo.or(self.info.memo.as_ref())
+        self.info.memoizable()
     }
 }
 
@@ -621,19 +596,13 @@ mod tests {
     #[test]
     fn builder_attaches_the_memo_spec() {
         let info = TaskTypeBuilder::new("bs_thread", |_ctx| {})
-            .memo(
-                MemoSpec::approximate()
-                    .tau(0.2)
-                    .training_window(100)
-                    .type_aware(false),
-            )
+            .memo(MemoSpec::approximate().tau(0.2).training_window(100))
             .build();
         assert_eq!(info.name, "bs_thread");
         assert!(info.memoizable());
         let spec = info.memo.as_ref().unwrap();
         assert_eq!(spec.training_window_len(), 100);
         assert!((spec.tau_max() - 0.2).abs() < 1e-12);
-        assert!(!spec.is_type_aware());
         assert!(
             info.signature.is_none(),
             "no parameters declared, no signature enforced"
@@ -749,19 +718,10 @@ mod tests {
             type_id: TaskTypeId(0),
             info: &plain,
             accesses: &[],
-            memo: None,
         };
         assert!(!view.memoizable());
-        assert!(view.memo_spec().is_none());
-        let spec = MemoSpec::approximate().tau(0.5).training_window(7);
-        let opted = TaskView {
-            memo: Some(&spec),
-            ..view
-        };
-        assert!(opted.memoizable());
-        assert_eq!(opted.memo_spec(), Some(&spec));
 
-        // The instance spec wins over the type-level spec.
+        // The type-level declaration is the only one there is.
         let typed = TaskTypeBuilder::new("typed", |_| {})
             .memo(MemoSpec::exact())
             .build();
@@ -769,13 +729,8 @@ mod tests {
             info: &typed,
             ..view
         };
-        assert_eq!(type_only.memo_spec(), typed.memo.as_ref());
-        let overridden = TaskView {
-            info: &typed,
-            memo: Some(&spec),
-            ..view
-        };
-        assert_eq!(overridden.memo_spec(), Some(&spec));
+        assert!(type_only.memoizable());
+        assert_eq!(type_only.info.memo, Some(MemoSpec::exact()));
     }
 
     #[test]
@@ -851,8 +806,5 @@ mod tests {
         );
         assert_eq!(desc.read_accesses().count(), 2);
         assert_eq!(desc.write_accesses().count(), 2);
-        assert!(desc.memo.is_none());
-        let spec = MemoSpec::fixed_precision(0.5);
-        assert_eq!(desc.with_memo(spec.clone()).memo, Some(spec));
     }
 }

@@ -30,9 +30,11 @@
 //!   [`Observation`] before stopping the workers.
 //!
 //! Memoization composes transparently: configure an [`AtmConfig`] and every
-//! request's tasks go through the THT/IKT exactly as in batch mode — a
-//! service whose tenants resubmit similar work sheds kernel executions and
-//! serves them from the memo store.
+//! request task of a memoizable type (declared on the type, as in batch
+//! mode: [`atm_runtime::TaskTypeBuilder::memo`]) goes through the THT/IKT —
+//! a service whose tenants resubmit similar work sheds kernel executions
+//! and serves them from the memo store. Without one, no engine is
+//! installed.
 //!
 //! # Example
 //!
@@ -74,13 +76,16 @@
 use atm_core::{AtmConfig, AtmEngine};
 use atm_obs::{LatencyMetric, Observability};
 use atm_runtime::{
-    DeregisterError, Elem, MemoSpec, Observation, Region, RegionId, Runtime, RuntimeBuilder,
-    SubmitError, TaskDesc, TaskId, TaskNotify, TaskTypeId, TaskTypeInfo,
+    DeregisterError, Elem, Observation, Region, RegionId, Runtime, RuntimeBuilder, SubmitError,
+    TaskDesc, TaskId, TaskNotify, TaskTypeId, TaskTypeInfo,
 };
 use atm_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use atm_sync::{Condvar, Event, Mutex};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The client backoff [`ServeError::Overloaded`] suggests: 1 ms.
+const RETRY_AFTER_NS: u64 = 1_000_000;
 
 /// Configuration of a [`ServeEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -88,20 +93,18 @@ pub struct ServeConfig {
     workers: usize,
     max_inflight_requests: usize,
     max_live_tasks: u64,
-    retry_after_hint_ns: u64,
     atm: Option<AtmConfig>,
     record_metrics: bool,
 }
 
 impl Default for ServeConfig {
-    /// Two workers, a 64-request window, a 4096-task live window, a 1 ms
-    /// retry hint, no memoization, metrics on.
+    /// Two workers, a 64-request window, a 4096-task live window, no
+    /// memoization, metrics on.
     fn default() -> Self {
         ServeConfig {
             workers: 2,
             max_inflight_requests: 64,
             max_live_tasks: 4096,
-            retry_after_hint_ns: 1_000_000,
             atm: None,
             record_metrics: true,
         }
@@ -135,13 +138,6 @@ impl ServeConfig {
         self
     }
 
-    /// The retry-after hint reported inside [`ServeError::Overloaded`].
-    #[must_use]
-    pub fn retry_after_hint_ns(mut self, ns: u64) -> Self {
-        self.retry_after_hint_ns = ns;
-        self
-    }
-
     /// Installs the ATM memoization engine with this configuration; every
     /// request's tasks then go through the THT/IKT.
     #[must_use]
@@ -164,7 +160,7 @@ impl ServeConfig {
 #[derive(Debug)]
 pub enum ServeError {
     /// The admission window (in-flight requests or live tasks) is full.
-    /// Back off for roughly `retry_after_ns` and resubmit.
+    /// Back off for roughly `retry_after_ns` (1 ms) and resubmit.
     Overloaded {
         /// Occupancy of the window that rejected the request.
         inflight: u64,
@@ -227,7 +223,6 @@ struct Shared {
     /// Requests admitted and not yet completed.
     inflight: AtomicUsize,
     max_inflight: usize,
-    retry_after_hint_ns: u64,
     /// Completion wakeups: [`Session::close`] waits for its own requests,
     /// [`ServeEngine::drain`] for all of them. Waiters re-check their
     /// predicate under the lock; notifiers take the lock before notifying,
@@ -364,7 +359,6 @@ impl ServeEngine {
                 accepting: AtomicBool::new(true),
                 inflight: AtomicUsize::new(0),
                 max_inflight: config.max_inflight_requests,
-                retry_after_hint_ns: config.retry_after_hint_ns,
                 wake_lock: Mutex::new(()),
                 wake: Condvar::new(),
             }),
@@ -569,12 +563,6 @@ impl RequestBuilder<'_, '_> {
         self
     }
 
-    /// Opts the open task into memoization.
-    pub fn memo(mut self, spec: impl Into<MemoSpec>) -> Self {
-        self.current_mut().memo = Some(spec.into());
-        self
-    }
-
     /// Admits and submits the request. Fails fast with
     /// [`ServeError::Overloaded`] when either admission window is full and
     /// with [`ServeError::Draining`] once the service stopped admitting.
@@ -596,7 +584,7 @@ impl RequestBuilder<'_, '_> {
                 return Err(ServeError::Overloaded {
                     inflight: inflight as u64,
                     capacity: shared.max_inflight as u64,
-                    retry_after_ns: shared.retry_after_hint_ns,
+                    retry_after_ns: RETRY_AFTER_NS,
                 });
             }
             match shared.inflight.compare_exchange(
@@ -641,7 +629,7 @@ impl RequestBuilder<'_, '_> {
                 SubmitError::Overloaded { live, capacity } => ServeError::Overloaded {
                     inflight: live,
                     capacity,
-                    retry_after_ns: shared.retry_after_hint_ns,
+                    retry_after_ns: RETRY_AFTER_NS,
                 },
                 other => ServeError::Rejected(other),
             });

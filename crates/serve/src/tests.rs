@@ -29,16 +29,17 @@ impl Gate {
     }
 }
 
+fn scale_info() -> TaskTypeBuilder {
+    TaskTypeBuilder::new("scale", |ctx| {
+        let v: Vec<f64> = ctx.arg::<f64>(0).iter().map(|x| x * 2.0).collect();
+        ctx.out(1, &v);
+    })
+    .arg::<f64>()
+    .out::<f64>()
+}
+
 fn scale_type(serve: &ServeEngine) -> TaskTypeId {
-    serve.register_task_type(
-        TaskTypeBuilder::new("scale", |ctx| {
-            let v: Vec<f64> = ctx.arg::<f64>(0).iter().map(|x| x * 2.0).collect();
-            ctx.out(1, &v);
-        })
-        .arg::<f64>()
-        .out::<f64>()
-        .build(),
-    )
+    serve.register_task_type(scale_info().build())
 }
 
 #[test]
@@ -76,12 +77,7 @@ fn request_round_trip_records_latency() {
 fn full_request_window_is_rejected_with_a_retry_hint() {
     let gate = Arc::new(Gate::default());
     let gate_in_kernel = Arc::clone(&gate);
-    let serve = ServeEngine::new(
-        ServeConfig::default()
-            .workers(1)
-            .max_inflight_requests(2)
-            .retry_after_hint_ns(12_345),
-    );
+    let serve = ServeEngine::new(ServeConfig::default().workers(1).max_inflight_requests(2));
     let blocker = serve.register_task_type(
         TaskTypeBuilder::new("blocker", move |ctx| {
             gate_in_kernel.wait();
@@ -115,7 +111,7 @@ fn full_request_window_is_rejected_with_a_retry_hint() {
             retry_after_ns,
         }) => {
             assert_eq!((inflight, capacity), (2, 2));
-            assert_eq!(retry_after_ns, 12_345);
+            assert_eq!(retry_after_ns, RETRY_AFTER_NS);
         }
         other => panic!("expected Overloaded, got {:?}", other.map(|_| ())),
     }
@@ -378,7 +374,7 @@ fn repeated_requests_are_served_from_the_memo_store() {
             .workers(1)
             .atm(AtmConfig::static_atm()),
     );
-    let scale = scale_type(&serve);
+    let scale = serve.register_task_type(scale_info().memo(MemoSpec::exact()).build());
     let mut session = serve.session().unwrap();
     let input = session.register_region("in", vec![3.0f64; 4]).unwrap();
     let output = session.register_zeros::<f64>("out", 4).unwrap();
@@ -388,7 +384,6 @@ fn repeated_requests_are_served_from_the_memo_store() {
             .task(scale)
             .reads(&input)
             .writes(&output)
-            .memo(MemoSpec::exact())
             .submit()
             .unwrap()
             .wait();

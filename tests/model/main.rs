@@ -19,6 +19,7 @@
 //! modelling guide.
 
 mod event_reset;
+mod frontier_shards;
 mod ikt_regression;
 mod policy_word;
 mod region_digest;

@@ -11,19 +11,22 @@
 //! * account for every task exactly once (exact completion counts);
 //! * retire every finished node (zero resident nodes at every taskwait).
 //!
-//! Programs run through both submission paths — the singleton
-//! `task(..).submit()` builder and the batched `batch()…submit_all()`
-//! builder — which must be sequential-equivalent (and bit-identical to each
-//! other on a 1-worker runtime). A dedicated long-running stress
-//! (≥ 50k tasks in waves) asserts that graph-node retirement keeps the
-//! resident node count bounded by the in-flight wave, independent of the
-//! total task count.
+//! Programs run both as one batch per wave (`batch()…submit_all()`) and
+//! with every task a batch of one (`task(..).submit()`), which must be
+//! sequential-equivalent (and bit-identical to each other on a 1-worker
+//! runtime). A dedicated long-running stress (≥ 50k tasks in waves) asserts
+//! that graph-node retirement keeps the resident node count bounded by the
+//! in-flight wave, independent of the total task count, and a concurrency
+//! stress races two submitters against a thread reading the gauges and
+//! deregistering drained regions — all of them contending for the same
+//! region-shard locks.
 //!
 //! Cases come from the repo's own deterministic PRNG, so every failure is
 //! reproducible from the case index.
 
 use atm_hash::Xoshiro256StarStar;
-use atm_runtime::{Region, RuntimeBuilder, TaskContext, TaskTypeBuilder};
+use atm_runtime::{DeregisterError, Region, RuntimeBuilder, TaskContext, TaskTypeBuilder};
+use std::sync::mpsc;
 
 const CASES: usize = 5;
 const WAVES: usize = 3;
@@ -120,7 +123,7 @@ fn run_sequential(program: &GenProgram) -> Vec<Vec<f64>> {
 /// How a run hands its tasks to the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Submission {
-    /// `rt.task(..).submit()` per task.
+    /// `rt.task(..).submit()` per task: a batch of one.
     Singleton,
     /// `rt.batch()` staging one wave, `submit_all()` once per wave.
     Batched,
@@ -272,12 +275,13 @@ fn randomized_dags_run_identically_when_submitted_in_batches() {
     }
 }
 
-/// Single-worker agreement: the batched and singleton submission paths
-/// build the same dependence graph and produce bit-identical region contents
-/// on the same randomized programs. (The instantaneous queue interleaving
-/// between master and worker is timing-dependent under singleton
-/// submission, so the invariant asserted here is graph + dataflow-result
-/// identity, which is what the THT results depend on.)
+/// Single-worker agreement: a wave submitted as one batch and the same wave
+/// submitted as batches of one build the same dependence graph and produce
+/// bit-identical region contents on the same randomized programs. (The
+/// instantaneous queue interleaving between master and worker is
+/// timing-dependent under one-task batches, so the invariant asserted here
+/// is graph + dataflow-result identity, which is what the THT results
+/// depend on.)
 #[test]
 fn batched_and_singleton_submission_agree_bit_for_bit_on_fifo() {
     let mut rng = Xoshiro256StarStar::new(0xF1F0_0001);
@@ -416,4 +420,80 @@ fn wide_fanout_releases_every_consumer_exactly_once() {
         assert_eq!(rt.ready_depth(), 0);
         rt.shutdown();
     }
+}
+
+/// The region-shard locks under three-way contention: two submitters flood
+/// their own chain, a shared chain and a fresh scratch region per round
+/// (batches of one and of three), while a third thread loops on the gauges
+/// (`rt.stats()` locks every shard in turn) and deregisters each scratch
+/// region once drained. No hang, exact counts, and the index ends at the
+/// three surviving regions.
+#[test]
+fn submitters_gauges_and_deregistration_share_the_shard_locks() {
+    const ROUNDS: usize = 2_000;
+    let rt = RuntimeBuilder::new().workers(2).build();
+    let incr = rt.register_task_type(
+        TaskTypeBuilder::new("incr", |ctx| ctx.out(0, &[ctx.arg::<f64>(0)[0] + 1.0]))
+            .inout::<f64>()
+            .build(),
+    );
+    let cell = |name: String| rt.store().register_zeros::<f64>(name, 1).unwrap();
+    let shared = cell("shared".into());
+    let own = [cell("own0".into()), cell("own1".into())];
+    let (scratch_tx, scratch_rx) = mpsc::channel::<Region<f64>>();
+    std::thread::scope(|scope| {
+        for (submitter, own) in own.iter().enumerate() {
+            let (scratch_tx, cell) = (scratch_tx.clone(), &cell);
+            let rt = &rt;
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let scratch = cell(format!("scratch{submitter}.{round}"));
+                    let chain = [own, &shared, &scratch];
+                    if round % 2 == 0 {
+                        for region in chain {
+                            rt.task(incr).reads_writes(region).submit().unwrap();
+                        }
+                    } else {
+                        let batch = chain
+                            .iter()
+                            .fold(rt.tasks(incr), |b, region| b.next().reads_writes(*region));
+                        batch.submit_all().unwrap();
+                    }
+                    scratch_tx.send(scratch).unwrap();
+                }
+            });
+        }
+        drop(scratch_tx);
+        let (mut pending, mut open) = (Vec::new(), true);
+        while open || !pending.is_empty() {
+            match scratch_rx.try_recv() {
+                Ok(region) => pending.push(region),
+                Err(mpsc::TryRecvError::Disconnected) => open = false,
+                Err(mpsc::TryRecvError::Empty) => {}
+            }
+            assert!(rt.stats().live_index_regions <= 3 + 2 * ROUNDS as u64);
+            pending.retain(|region| match rt.deregister_region(*region) {
+                Ok(bytes) => {
+                    assert_eq!(bytes, std::mem::size_of::<f64>());
+                    false
+                }
+                Err(DeregisterError::LiveAccessors(_)) => true,
+                Err(other) => panic!("unexpected deregistration error: {other:?}"),
+            });
+        }
+    });
+    rt.taskwait();
+    let stats = rt.stats();
+    assert_eq!(stats.submitted, 6 * ROUNDS as u64);
+    assert_eq!(stats.executed, 6 * ROUNDS as u64);
+    assert_eq!(stats.live_nodes, 0);
+    assert_eq!(stats.live_index_regions, 3, "shared + own chains only");
+    assert_eq!(
+        rt.store().read(shared).lock().as_f64(),
+        &[2.0 * ROUNDS as f64]
+    );
+    for own in &own {
+        assert_eq!(rt.store().read(*own).lock().as_f64(), &[ROUNDS as f64]);
+    }
+    rt.shutdown();
 }
