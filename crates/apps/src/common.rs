@@ -306,7 +306,9 @@ impl TaskedRun {
         };
         if let (Some(engine), Some(path)) = (&self.engine, &self.store_save) {
             // The run's results are already computed; a failed save (full
-            // disk, bad path) costs the snapshot, not the run.
+            // disk, bad path) costs this checkpoint, not the run, and leaves
+            // the previous snapshot at `path` intact (the save is a synced
+            // temp file renamed over it).
             if let Err(err) = engine.save_store(path) {
                 eprintln!("failed to save the memo store to {path:?}: {err}");
             }

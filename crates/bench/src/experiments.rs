@@ -1083,7 +1083,6 @@ struct MixedTypeOutcome {
     training_hits: u64,
     tht_bypassed: u64,
     ikt_deferred: u64,
-    down_shifts: u64,
     final_p: f64,
     steady: bool,
     /// `ThtHit` decision events of this type.
@@ -1094,8 +1093,6 @@ struct MixedTypeOutcome {
     decision_accepts: u64,
     /// `TrainingReject` decision events of this type.
     decision_rejects: u64,
-    /// `DownShift` decision events of this type.
-    decision_down_shifts: u64,
 }
 
 impl MixedTypeOutcome {
@@ -1104,7 +1101,6 @@ impl MixedTypeOutcome {
         self.decision_tht_hits == self.tht_bypassed
             && self.decision_ikt_defers == self.ikt_deferred
             && self.decision_accepts + self.decision_rejects == self.training_hits
-            && self.decision_down_shifts == self.down_shifts
     }
 }
 
@@ -1251,14 +1247,12 @@ fn mixed_run(ctx: &EvalContext) -> Vec<MixedTypeOutcome> {
                 training_hits: s.training_hits,
                 tht_bypassed: s.tht_bypassed,
                 ikt_deferred: s.ikt_deferred,
-                down_shifts: s.down_shifts,
                 final_p: s.final_p,
                 steady: s.steady,
                 decision_tht_hits: decisions.count(t, MemoDecision::ThtHit),
                 decision_ikt_defers: decisions.count(t, MemoDecision::IktDefer),
                 decision_accepts: decisions.count(t, MemoDecision::TrainingAccept),
                 decision_rejects: decisions.count(t, MemoDecision::TrainingReject),
-                decision_down_shifts: decisions.count(t, MemoDecision::DownShift),
             }
         })
         .collect();
@@ -1268,137 +1262,9 @@ fn mixed_run(ctx: &EvalContext) -> Vec<MixedTypeOutcome> {
     outcomes
 }
 
-/// Outcome of the down-shift trajectory run.
-#[derive(Debug, Clone)]
-struct DownShiftOutcome {
-    seen: u64,
-    training_hits: u64,
-    tht_bypassed: u64,
-    final_p: f64,
-    down_shifts: u64,
-    steady: bool,
-    /// `DownShift` events in the memo-decision audit stream (must equal
-    /// `down_shifts`).
-    decision_down_shifts: u64,
-    /// `TrainingAccept` + `TrainingReject` events (must equal
-    /// `training_hits`).
-    decision_training: u64,
-}
-
-/// Drives one adaptive type with [`MemoSpec::down_shift`] through the full
-/// trajectory the satellite demands: a chaotic kernel makes a low-mantissa
-/// perturbation *reject* (doubling `p`), then a streak of bit-identical
-/// resubmissions is accepted with τ = 0 — far under τ_max — so the
-/// controller *lowers* `p` again instead of freezing the over-precise value.
-///
-/// The expected stream (1 worker, tasks executed in submission order):
-///
-/// | task | input     | event                                            |
-/// |------|-----------|--------------------------------------------------|
-/// | 0    | pristine  | cold miss, executes, stores @ p = MIN            |
-/// | 1    | perturbed | training hit, chaotic τ ≥ τ_max → p = 2·MIN      |
-/// | 2    | pristine  | key changed with p: miss, executes, stores       |
-/// | 3    | pristine  | training hit, τ = 0 (over-precise streak 1)      |
-/// | 4    | pristine  | training hit, τ = 0 → **down-shift**: p = MIN    |
-/// | 5    | pristine  | training hit @ MIN (task 0's entry), τ = 0       |
-/// | 6    | pristine  | training hit, τ = 0; p already MIN → freeze      |
-/// | 7    | pristine  | steady THT bypass                                |
-fn downshift_run(ctx: &EvalContext) -> DownShiftOutcome {
-    const ELEMS: usize = 64;
-    let obs = Arc::new(Observability::enabled());
-    let engine =
-        Arc::new(AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs)));
-    let rt = RuntimeBuilder::new()
-        .workers(1)
-        .observability(Arc::clone(&obs))
-        .interceptor(engine.clone() as Arc<dyn atm_runtime::TaskInterceptor>)
-        .build();
-
-    // A chaotic kernel: 100 logistic-map iterations (Lyapunov ln 2) amplify
-    // a one-bit input perturbation into a completely decorrelated output,
-    // so approximate aliasing is always caught during training.
-    let tt = rt.register_task_type(
-        TaskTypeBuilder::new("downshift_chaos", |ctx| {
-            let x = ctx.arg::<f64>(0);
-            let out: Vec<f64> = x
-                .iter()
-                .map(|&v| {
-                    let mut y = v / (1.0 + v);
-                    for _ in 0..100 {
-                        y = 4.0 * y * (1.0 - y);
-                    }
-                    y
-                })
-                .collect();
-            ctx.out(1, &out);
-        })
-        .arg::<f64>()
-        .out::<f64>()
-        .memo(
-            MemoSpec::approximate()
-                .tau(0.01)
-                .training_window(2)
-                .down_shift(0.1),
-        )
-        .build(),
-    );
-
-    let payload: Vec<f64> = (0..ELEMS).map(|e| e as f64 * 0.375 + 1.25).collect();
-    // Flip the lowest mantissa bit of every third element: invisible to the
-    // MSB-first byte selection at small p, catastrophic through the chaos.
-    let perturbed: Vec<f64> = payload
-        .iter()
-        .enumerate()
-        .map(|(e, &v)| {
-            if e % 3 == 0 {
-                f64::from_bits(v.to_bits() ^ 1)
-            } else {
-                v
-            }
-        })
-        .collect();
-
-    let pristine = rt.store().register_typed("ds_in", payload).unwrap();
-    let noisy = rt.store().register_typed("ds_noisy", perturbed).unwrap();
-    for (i, input) in [
-        &pristine, &noisy, &pristine, &pristine, &pristine, &pristine, &pristine, &pristine,
-    ]
-    .iter()
-    .enumerate()
-    {
-        let out = rt
-            .store()
-            .register_zeros::<f64>(format!("ds_out{i}"), ELEMS)
-            .unwrap();
-        rt.task(tt).reads(*input).writes(&out).submit().unwrap();
-        rt.taskwait();
-    }
-
-    let summary = engine
-        .type_summaries()
-        .into_values()
-        .next()
-        .expect("one task type ran");
-    rt.shutdown();
-    ctx.absorb_latency(&obs.metrics());
-    let decisions = obs.decisions();
-    let t = tt.index() as u32;
-    DownShiftOutcome {
-        seen: summary.seen,
-        training_hits: summary.training_hits,
-        tht_bypassed: summary.tht_bypassed,
-        final_p: summary.final_p,
-        down_shifts: summary.down_shifts,
-        steady: summary.steady,
-        decision_down_shifts: decisions.count(t, MemoDecision::DownShift),
-        decision_training: decisions.count(t, MemoDecision::TrainingAccept)
-            + decisions.count(t, MemoDecision::TrainingReject),
-    }
-}
-
 /// The mixed per-type-policy experiment: the acceptance demonstration of
 /// the `MemoSpec` redesign (one runtime, three policies, independent
-/// per-type trajectories), plus the adaptive down-shift trajectory.
+/// per-type trajectories).
 pub fn mixed(ctx: &EvalContext) -> Report {
     let mut report = Report::new(
         "mixed",
@@ -1475,10 +1341,6 @@ pub fn mixed(ctx: &EvalContext) -> Report {
             format!("{prefix}_decision_training_rejects"),
             outcome.decision_rejects as f64,
         );
-        report.metric(
-            format!("{prefix}_decision_down_shifts"),
-            outcome.decision_down_shifts as f64,
-        );
     }
     report.metric("decisions_reconcile", if all_reconcile { 1.0 } else { 0.0 });
     report.linef(format_args!(
@@ -1489,36 +1351,6 @@ pub fn mixed(ctx: &EvalContext) -> Report {
     report.line("type re-executes every perturbed input, the adaptive type trains its own p");
     report.line("and then tolerates the noise, and the fixed-p type tolerates it from the");
     report.line("start — the engine-global mode no longer decides.");
-
-    let ds = downshift_run(ctx);
-    report.line("");
-    report.linef(format_args!(
-        "down-shift trajectory (approximate, tau=0.01, window=2, margin=0.1): \
-         seen {}, training hits {}, bypassed {}, down-shifts {}, final p {:.8}, steady {}",
-        ds.seen, ds.training_hits, ds.tht_bypassed, ds.down_shifts, ds.final_p, ds.steady
-    ));
-    report.line("A chaotic perturbation doubles p during training; the following streak of");
-    report.line("over-precise acceptances hands the doubling back instead of freezing it.");
-    report.row(format!(
-        "downshift_chaos,approximate(downshift=0.1),{},{},{},{},{:.8},{}",
-        ds.seen,
-        ds.seen - ds.tht_bypassed,
-        ds.training_hits,
-        ds.tht_bypassed,
-        ds.final_p,
-        ds.steady
-    ));
-    report.metric("downshift_seen", ds.seen as f64);
-    report.metric("downshift_training_hits", ds.training_hits as f64);
-    report.metric("downshift_tht_bypassed", ds.tht_bypassed as f64);
-    report.metric("downshift_final_p", ds.final_p);
-    report.metric("downshift_down_shifts", ds.down_shifts as f64);
-    report.metric("downshift_steady", if ds.steady { 1.0 } else { 0.0 });
-    report.metric(
-        "downshift_decision_down_shifts",
-        ds.decision_down_shifts as f64,
-    );
-    report.metric("downshift_decision_training", ds.decision_training as f64);
     report
 }
 
@@ -1830,8 +1662,8 @@ mod tests {
     fn mixed_report_carries_per_type_metrics() {
         let ctx = EvalContext::new(Scale::Tiny, 1);
         let report = mixed(&ctx);
-        assert_eq!(report.csv_rows.len(), 4);
-        for prefix in ["exact", "adaptive", "fixed", "downshift"] {
+        assert_eq!(report.csv_rows.len(), 3);
+        for prefix in ["exact", "adaptive", "fixed"] {
             for metric in ["final_p", "training_hits", "tht_bypassed", "steady"] {
                 let name = format!("{prefix}_{metric}");
                 assert!(
@@ -1849,35 +1681,11 @@ mod tests {
         assert_eq!(reconcile, 1.0, "audit stream must match engine counters");
     }
 
-    /// Satellite acceptance: after a rejection doubled `p`, a streak of
-    /// over-precise acceptances lowers it again — the controller no longer
-    /// only doubles.
-    #[test]
-    fn downshift_trajectory_lowers_p_after_the_doubling() {
-        let ctx = EvalContext::new(Scale::Tiny, 1);
-        let outcome = downshift_run(&ctx);
-        assert_eq!(outcome.seen, 8);
-        // Task 1 (perturbed, chaotic) was a training hit that rejected and
-        // doubled p; tasks 3-6 were training hits that accepted with τ = 0.
-        assert_eq!(outcome.training_hits, 5);
-        // Exactly one down-shift handed the doubling back …
-        assert_eq!(outcome.down_shifts, 1);
-        // … so the frozen p is back at the ladder's minimum.
-        assert!(
-            (outcome.final_p - atm_core::Percentage::MIN.fraction()).abs() < 1e-15,
-            "final p must be back at MIN, got {}",
-            outcome.final_p
-        );
-        assert!(outcome.steady, "the window after the down-shift freezes");
-        // Only the final steady-state resubmission bypassed.
-        assert_eq!(outcome.tht_bypassed, 1);
-    }
-
     /// Acceptance criterion: the memo-decision audit stream reconciles
     /// exactly with the engine's per-type counters — for every policy,
     /// `ThtHit` events equal `tht_bypassed`, `IktDefer` events equal
-    /// `ikt_deferred`, `TrainingAccept + TrainingReject` equal
-    /// `training_hits`, and `DownShift` events equal `down_shifts`.
+    /// `ikt_deferred`, and `TrainingAccept + TrainingReject` equal
+    /// `training_hits`.
     #[test]
     fn mixed_decision_stream_reconciles_with_type_summaries() {
         let ctx = EvalContext::new(Scale::Tiny, 1);
@@ -1898,18 +1706,9 @@ mod tests {
                 "{}: training events vs training_hits",
                 outcome.name
             );
-            assert_eq!(
-                outcome.decision_down_shifts, outcome.down_shifts,
-                "{}: DownShift events vs down_shifts",
-                outcome.name
-            );
             assert!(outcome.reconciles());
         }
-        let ds = downshift_run(&ctx);
-        assert_eq!(ds.decision_down_shifts, ds.down_shifts);
-        assert_eq!(ds.decision_training, ds.training_hits);
-        assert!(ds.down_shifts > 0, "the trajectory must down-shift");
-        // Both micro-runs fed the context's latency accumulator.
+        // The run fed the context's latency accumulator.
         let latency = ctx.take_latency();
         assert!(latency.get(LatencyMetric::TaskLatency).count > 0);
     }

@@ -39,8 +39,8 @@ use atm_obs::{
     DecisionRecord, EngineObservation, LatencyMetric, MemoDecision, Observability, StoreObservation,
 };
 use atm_runtime::{
-    DataStore, Decision, RegionId, TaskId, TaskInterceptor, TaskTypeId, TaskView, ThreadState,
-    Tracer,
+    DataStore, Decision, ErrorMetric, RegionId, TaskId, TaskInterceptor, TaskTypeId, TaskView,
+    ThreadState, Tracer,
 };
 use atm_store::{MemoStore, PersistError, StoreCountersSnapshot};
 #[cfg(debug_assertions)]
@@ -382,13 +382,9 @@ impl AtmEngine {
         view: &TaskView<'_>,
         reference: &[OutputSnapshot],
         tau_max: f64,
-        metric: atm_runtime::ErrorMetric,
     ) -> (f64, Vec<RegionId>) {
         // Overall τ across all outputs plus the per-output failures, each
-        // output judged with the task type's declared error metric — on the
-        // output's **native element grid** (an f32 output is compared as
-        // f32, so a ULP τ_max counts f32 steps, not the 2²⁹-times-larger
-        // f64 steps the old widen-to-f64 comparison produced).
+        // output judged with the Chebyshev relative error (Eq. 1).
         let writes: Vec<_> = view.accesses.iter().filter(|a| a.mode.is_write()).collect();
         let mut failing = Vec::new();
         let mut overall_tau = 0.0f64;
@@ -402,7 +398,7 @@ impl AtmEngine {
             // Shape or element-type mismatches come back as infinity: a
             // stored entry that no longer matches the task's outputs can
             // never be an acceptable approximation.
-            let tau = evaluate_metric_data(metric, &correct, &snapshot.data);
+            let tau = evaluate_metric_data(ErrorMetric::Chebyshev, &correct, &snapshot.data);
             overall_tau = overall_tau.max(tau);
             if tau >= tau_max {
                 failing.push(access.region);
@@ -412,8 +408,8 @@ impl AtmEngine {
     }
 
     /// Adaptive-spec training: compares the stored (approximate) outputs a
-    /// training hit found against the freshly computed ones with the type's
-    /// error metric, and hands the verdict to the policy. The record carries
+    /// training hit found against the freshly computed ones with the
+    /// Chebyshev error, and hands the verdict to the policy. The record carries
     /// the p the task's key was sampled at.
     fn verify_training_hit(
         &self,
@@ -429,10 +425,9 @@ impl AtmEngine {
         };
         let tau_max = policy.tau_max();
         let compare_start = tracer.now_ns();
-        let (tau, failing) =
-            self.failing_output_regions(store, task, reference, tau_max, policy.metric());
+        let (tau, failing) = self.failing_output_regions(store, task, reference, tau_max);
         TypeCounters::add(&policy.counters.compare_ns, tracer.now_ns() - compare_start);
-        let down_shifted = policy.record_comparison(tau, &failing);
+        policy.record_comparison(tau, &failing);
         let verdict = if tau < tau_max {
             MemoDecision::TrainingAccept
         } else {
@@ -444,9 +439,6 @@ impl AtmEngine {
             p: f64::from_bits(ticket.key.p_bits),
         };
         self.record_memo_decision(worker, task, verdict, None, scalars);
-        if down_shifted {
-            self.record_memo_decision(worker, task, MemoDecision::DownShift, None, scalars);
-        }
     }
 }
 
@@ -505,7 +497,7 @@ impl TaskInterceptor for AtmEngine {
         let mut slot = self.key_scratch[worker % KEY_SCRATCH_SLOTS].scratch.lock();
         let ws = &mut *slot;
         let precisions_capacity = ws.precisions.capacity();
-        policy.arg_precisions_into(task.accesses, p, &mut ws.precisions);
+        policy.precisions_into(task.accesses, p, &mut ws.precisions);
         if ws.precisions.capacity() != precisions_capacity {
             self.note_alloc();
         }
@@ -708,7 +700,7 @@ impl TaskInterceptor for AtmEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm_runtime::{Access, ErrorMetric, MemoSpec, Region, TaskTypeBuilder};
+    use atm_runtime::{Access, MemoSpec, Region, TaskTypeBuilder};
 
     fn view_for<'a>(
         id: u64,
@@ -945,7 +937,6 @@ mod tests {
         use atm_obs::MemoDecision as D;
         // Identical inputs verify cleanly: the training hits all accept.
         assert_eq!(decisions.count(0, D::TrainingAccept), stats.training_hits);
-        assert_eq!(decisions.count(0, D::DownShift), 0);
         // The memo-lookup histogram saw one probe per steady-phase task.
         let metrics = obs.metrics();
         let lookups = metrics.get(atm_obs::LatencyMetric::MemoLookup);
@@ -958,12 +949,12 @@ mod tests {
     }
 
     #[test]
-    fn down_shift_emits_a_decision_event() {
+    fn rejecting_training_stream_records_every_verdict() {
         let obs = Arc::new(Observability::enabled());
         let engine = AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs));
         let store = DataStore::new();
         // A kernel whose output depends on bits the sampled hash key misses:
-        // training comparisons fail, forcing the controller to down-shift.
+        // training comparisons fail and p climbs.
         let info = TaskTypeBuilder::new("sum", |ctx| {
             let x = ctx.arg::<f64>(0);
             let total: f64 = x.iter().sum();
@@ -992,7 +983,7 @@ mod tests {
         let decisions = obs.decisions();
         use atm_obs::MemoDecision as D;
         let summary = engine.type_summaries().into_values().next().unwrap();
-        assert_eq!(decisions.count(0, D::DownShift), summary.down_shifts);
+        assert!(decisions.count(0, D::TrainingReject) > 0);
         assert_eq!(
             decisions.count(0, D::TrainingAccept) + decisions.count(0, D::TrainingReject),
             summary.training_hits
@@ -1425,55 +1416,45 @@ mod tests {
         assert_eq!(store.read(out_c).lock().as_f64(), &[6.0; 64]);
     }
 
-    /// The spec's error metric drives the training comparisons.
+    /// Training judges each output with the Chebyshev error against the
+    /// spec's τ_max: only the output beyond it is flagged, and the returned
+    /// τ is the maximum over the outputs.
     #[test]
     fn spec_metric_is_used_during_training() {
         let engine = AtmEngine::new(AtmConfig::dynamic_atm());
         let store = DataStore::new();
-        let info = TaskTypeBuilder::new("ulp_strict", |ctx| {
+        let info = TaskTypeBuilder::new("two_outputs", |ctx| {
             let x = ctx.arg::<f64>(0);
             ctx.out(1, &x);
+            ctx.out(2, &x);
         })
         .arg::<f64>()
         .out::<f64>()
-        // MaxUlp with τ = 1: only bit-identical outputs pass training.
-        .memo(
-            MemoSpec::approximate()
-                .metric(ErrorMetric::MaxUlp)
-                .tau(1.0)
-                .training_window(1),
-        )
+        .out::<f64>()
+        .memo(MemoSpec::approximate().tau(0.01).training_window(1))
         .build();
         let policy = &engine.type_entry(&view_for(0, 0, &info, &[])).policy;
-        assert_eq!(policy.metric(), ErrorMetric::MaxUlp);
-        assert!((policy.tau_max() - 1.0).abs() < 1e-12);
+        assert!((policy.tau_max() - 0.01).abs() < 1e-12);
 
-        // A one-ULP output difference is τ = 1 ≥ τ_max: rejected, p doubles.
-        let base = 1.0f64;
-        let off_by_one_ulp = f64::from_bits(base.to_bits() + 1);
-        let input = store.register_typed("in", vec![base; 4]).unwrap();
-        let out = store.register_zeros::<f64>("out", 4).unwrap();
-        let accesses = vec![Access::read(&input), Access::write(&out)];
+        let input = store.register_typed("in", vec![2.0f64; 4]).unwrap();
+        let close = store.register_typed("close", vec![2.0f64; 4]).unwrap();
+        let far = store.register_typed("far", vec![2.0f64; 4]).unwrap();
+        let accesses = vec![
+            Access::read(&input),
+            Access::write(&close),
+            Access::write(&far),
+        ];
         let view = view_for(0, 0, &info, &accesses);
-        let reference = vec![OutputSnapshot {
-            region: out.id(),
+        let stored = |region: Region<f64>, value: f64| OutputSnapshot {
+            region: region.id(),
             elem_range: 0..4,
-            data: atm_runtime::RegionData::F64(vec![off_by_one_ulp; 4]),
-        }];
-        store
-            .write(out)
-            .lock()
-            .as_f64_mut()
-            .copy_from_slice(&[base; 4]);
-        let (tau, failing) =
-            engine.failing_output_regions(&store, &view, &reference, 1.0, ErrorMetric::MaxUlp);
-        assert_eq!(tau, 1.0);
-        assert_eq!(failing, vec![out.id()]);
-        // The Chebyshev metric would have accepted the same outputs.
-        let (cheb_tau, cheb_failing) =
-            engine.failing_output_regions(&store, &view, &reference, 1.0, ErrorMetric::Chebyshev);
-        assert!(cheb_tau < 1e-12);
-        assert!(cheb_failing.is_empty());
+            data: atm_runtime::RegionData::F64(vec![value; 4]),
+        };
+        // τ = 0.002 / 2 = 0.001 < τ_max, and τ = 0.5 / 2 = 0.25 ≥ τ_max.
+        let reference = vec![stored(close, 2.002), stored(far, 2.5)];
+        let (tau, failing) = engine.failing_output_regions(&store, &view, &reference, 0.01);
+        assert!((tau - 0.25).abs() < 1e-12, "τ = {tau}");
+        assert_eq!(failing, vec![far.id()]);
     }
 
     #[test]

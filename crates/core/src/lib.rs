@@ -18,10 +18,11 @@
 //!   a percentage `p` of the input bytes (most-significant bytes first), so
 //!   similar-but-not-identical tasks can also be memoized. An adaptive
 //!   [`training::TrainingController`] picks the smallest `p` that keeps the
-//!   per-task error below the spec's `τ_max`, judged with the spec's
-//!   [`ErrorMetric`] over the spec's training
-//!   window (the paper's Dynamic ATM, now with per-type thresholds,
-//!   metrics and per-argument precision overrides).
+//!   per-task Chebyshev error below the spec's `τ_max`: `p` starts at 2⁻¹⁵,
+//!   doubles on every comparison that reaches `τ_max` and freezes after the
+//!   spec's `L_training` acceptances (the paper's Dynamic ATM, with per-type
+//!   thresholds and windows). `arg_exact(i)` hashes a control argument in
+//!   full while the rest is sampled.
 //! * `MemoSpec::fixed_precision(p)` pins `p` offline (the evaluation's
 //!   Oracle configurations).
 //! * The [`ikt::InFlightKeyTable`] catches redundancy between concurrently
@@ -68,9 +69,20 @@
 //!     .memo(MemoSpec::exact())
 //!     .build(),
 //! );
-//! // Another type in the same runtime can train its own approximation:
-//! //   .memo(MemoSpec::approximate().tau(1e-3).metric(ErrorMetric::RelL2)
-//! //         .training_window(32).arg_exact(0))
+//! // Another type in the same runtime trains its own approximation, with
+//! // its small control argument hashed exactly:
+//! let scale = rt.register_task_type(
+//!     TaskTypeBuilder::new("scale", |ctx| {
+//!         let k = f64::from(ctx.arg::<i32>(0)[0]);
+//!         let out: Vec<f64> = ctx.arg::<f64>(1).iter().map(|v| k * v).collect();
+//!         ctx.out(2, &out);
+//!     })
+//!     .arg::<i32>()
+//!     .arg::<f64>()
+//!     .out::<f64>()
+//!     .memo(MemoSpec::approximate().tau(1e-3).training_window(32).arg_exact(0))
+//!     .build(),
+//! );
 //!
 //! // Two tasks with identical inputs: the second one is memoized.
 //! rt.task(sum).reads(&input).writes(&out_a).submit().unwrap();
@@ -80,6 +92,12 @@
 //!
 //! assert_eq!(rt.store().read(out_b).lock().as_f64(), &[10.0]);
 //! assert_eq!(engine.stats().tht_bypassed, 1);
+//!
+//! let k = rt.store().register_typed("k", vec![2i32]).unwrap();
+//! let scaled = rt.store().register_zeros::<f64>("scaled", 4).unwrap();
+//! rt.task(scale).reads(&k).reads(&input).writes(&scaled).submit().unwrap();
+//! rt.taskwait();
+//! assert_eq!(rt.store().read(scaled).lock().as_f64(), &[2.0, 4.0, 6.0, 8.0]);
 //!
 //! // Wave submission goes through the batched builder: one validation and
 //! // one dependence pass for the whole wave. Finished graph nodes retire
@@ -94,7 +112,7 @@
 //! rt.taskwait();
 //! let stats = rt.stats();
 //! assert_eq!(stats.live_nodes, 0, "every finished wave retires");
-//! assert_eq!(stats.retired_nodes, 10);
+//! assert_eq!(stats.retired_nodes, 11);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -121,13 +139,11 @@ pub use key::{KeyGenerator, KeyResult};
 pub use snapshot::OutputSnapshot;
 pub use stats::{AtmStatsSnapshot, ReuseEvent, TypeSummary};
 pub use tht::{EntryKey, ThtConfig};
-pub use training::{
-    evaluate_metric, evaluate_metric_data, Phase, TrainingController, TrainingOutcome,
-};
+pub use training::{evaluate_metric_data, Phase, TrainingController, TrainingOutcome};
 
 /// Re-exports of the per-task-type approximation-policy API (declared on
 /// `TaskTypeBuilder::memo` in `atm-runtime`, consumed by the engine here).
-pub use atm_runtime::{ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
+pub use atm_runtime::{ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
 
 /// Re-export of the selection-percentage type used throughout the API.
 pub use atm_hash::Percentage;

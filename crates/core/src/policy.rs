@@ -31,9 +31,10 @@
 //! * **The policy word.** `(open | closed-remaining, training, black-list,
 //!   p)` is published as one atomic word, so the task path reads the policy
 //!   with one load and a gated task costs one load and one decrement. All
-//!   structural transitions (close, re-open, a controller step) are
-//!   serialised by the adaptive state's mutex; the run-down of a closure is
-//!   lock-free (CONCURRENCY.md protocol 8, `tests/model/policy_word.rs`).
+//!   structural transitions (close, re-open, a controller step — `p` only
+//!   doubles, so the word's ladder step only rises) are serialised by the
+//!   adaptive state's mutex; the run-down of a closure is lock-free
+//!   (CONCURRENCY.md protocol 8, `tests/model/policy_word.rs`).
 //!
 //! **Bounded regret.** An opening loses at most the larger of its
 //! allowance — ε of the kernel time it keyed plus G kernels — and what G
@@ -46,7 +47,7 @@ use crate::config::AtmMode;
 use crate::stats::AtmStatsSnapshot;
 use crate::training::TrainingController;
 use atm_hash::Percentage;
-use atm_runtime::{Access, ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, RegionId};
+use atm_runtime::{Access, MemoPolicy, MemoSpec, RegionId};
 use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::Mutex;
 
@@ -73,7 +74,8 @@ const TRAINING_BIT: u64 = 1 << 32;
 /// Some output region is black-listed: until then
 /// [`TypePolicy::writes_unstable`] answers from the word alone.
 const BLACKLIST_BIT: u64 = 1 << 33;
-/// Step on the training ladder (`p = 2^(step − 15)`), adaptive types only.
+/// Step on the training ladder (`p = 2^(step − 15)`), adaptive types only:
+/// the controller's `doublings()`, so it only ever rises.
 const STEP_SHIFT: u32 = 40;
 
 /// The engine's one always-on counter block, kept per task type (the
@@ -237,8 +239,6 @@ pub struct PolicyStatus {
     pub steady: bool,
     /// Output regions black-listed as unstable.
     pub unstable_outputs: usize,
-    /// Adaptive down-shifts so far.
-    pub down_shifts: u64,
     /// Times the ledger closed the type.
     pub gate_closures: u64,
     /// Whether the type is open (being keyed) right now.
@@ -251,12 +251,11 @@ pub struct TypePolicy {
     pub counters: TypeCounters,
     word: AtomicU64,
     kind: Kind,
-    /// The spec whose per-argument precision overrides the key honours;
-    /// `None` when the engine mode overrode the spec wholesale (`Static` /
-    /// `FixedP` sweeps hash every argument uniformly).
+    /// The spec whose exact arguments the key honours; `None` when the
+    /// engine mode overrode the spec wholesale (`Static` / `FixedP` sweeps
+    /// hash every argument uniformly).
     overrides: Option<MemoSpec>,
     tau_max: f64,
-    metric: ErrorMetric,
 }
 
 impl TypePolicy {
@@ -285,23 +284,16 @@ impl TypePolicy {
             kind: Kind::Pinned(p),
             overrides,
             tau_max: f64::INFINITY,
-            metric: ErrorMetric::Chebyshev,
         }
     }
 
     /// Trains its own `p` against the spec's `τ_max`, under the ledger.
     fn adaptive(spec: MemoSpec) -> Self {
-        let controller = TrainingController::new(spec.training_window_len(), spec.tau_max())
-            .with_metric(spec.error_metric());
-        let controller = match spec.down_shift_margin() {
-            Some(margin) => controller.with_down_shift(margin),
-            None => controller,
-        };
+        let controller = TrainingController::new(spec.training_window_len(), spec.tau_max());
         TypePolicy {
             counters: TypeCounters::default(),
             word: AtomicU64::new(word_of(&controller)),
             tau_max: controller.tau_max(),
-            metric: controller.metric(),
             kind: Kind::Adaptive(Box::new(Mutex::new(Adaptive {
                 controller,
                 ledger: Ledger {
@@ -318,11 +310,6 @@ impl TypePolicy {
     /// The τ_max training comparisons are judged against (∞ when pinned).
     pub fn tau_max(&self) -> f64 {
         self.tau_max
-    }
-
-    /// The error metric training comparisons are judged with.
-    pub fn metric(&self) -> ErrorMetric {
-        self.metric
     }
 
     fn plan(&self, word: u64) -> KeyPlan {
@@ -440,18 +427,15 @@ impl TypePolicy {
     /// regions that individually failed) to the controller and republishes
     /// `p`, phase and black-list. A comparison that arrives after training
     /// ended — its task was keyed while the type still trained — is dropped.
-    /// Returns true when the controller down-shifted (halved `p` again).
-    pub fn record_comparison(&self, tau: f64, failing: &[RegionId]) -> bool {
+    pub fn record_comparison(&self, tau: f64, failing: &[RegionId]) {
         let Kind::Adaptive(state) = &self.kind else {
             unreachable!("a pinned policy never trains");
         };
         let mut state = state.lock();
         let controller = &mut state.controller;
-        let shifts_before = controller.down_shifts();
         if controller.is_training() {
             controller.record_comparison(tau, failing);
         }
-        let down_shifted = controller.down_shifts() > shifts_before;
         // The closure run-down decrements concurrently: keep its bits.
         let published = word_of(controller);
         let mut word = self.word.load(Ordering::Acquire);
@@ -463,7 +447,6 @@ impl TypePolicy {
         ) {
             word = current;
         }
-        down_shifted
     }
 
     /// True when a task with these accesses writes a region black-listed
@@ -483,15 +466,10 @@ impl TypePolicy {
     }
 
     /// One selection percentage per read access of `accesses`, in
-    /// declaration order, written into the reused `out` vector: the spec's
-    /// per-argument override where one was declared and is honoured, the
+    /// declaration order, written into the reused `out` vector: 100 % for an
+    /// argument the spec declares exact (when the spec is honoured), the
     /// type-wide `p` otherwise.
-    pub fn arg_precisions_into(
-        &self,
-        accesses: &[Access],
-        p: Percentage,
-        out: &mut Vec<Percentage>,
-    ) {
+    pub fn precisions_into(&self, accesses: &[Access], p: Percentage, out: &mut Vec<Percentage>) {
         out.clear();
         out.extend(
             accesses
@@ -499,14 +477,14 @@ impl TypePolicy {
                 .enumerate()
                 .filter(|(_, a)| a.mode.is_read())
                 .map(|(index, _)| {
-                    match self
+                    if self
                         .overrides
                         .as_ref()
-                        .and_then(|spec| spec.precision_override(index))
+                        .is_some_and(|spec| spec.is_arg_exact(index))
                     {
-                        Some(ArgPrecision::Exact) => Percentage::FULL,
-                        Some(ArgPrecision::Fraction(f)) => Percentage::from_fraction(f),
-                        None => p,
+                        Percentage::FULL
+                    } else {
+                        p
                     }
                 }),
         );
@@ -516,13 +494,12 @@ impl TypePolicy {
     pub fn status(&self) -> PolicyStatus {
         let word = self.word.load(Ordering::Acquire);
         let plan = self.plan(word);
-        let (unstable_outputs, down_shifts, gate_closures) = match &self.kind {
-            Kind::Pinned(_) => (0, 0, 0),
+        let (unstable_outputs, gate_closures) = match &self.kind {
+            Kind::Pinned(_) => (0, 0),
             Kind::Adaptive(state) => {
                 let state = state.lock();
                 (
                     state.controller.unstable_outputs().len(),
-                    state.controller.down_shifts(),
                     state.ledger.closures,
                 )
             }
@@ -531,7 +508,6 @@ impl TypePolicy {
             p: plan.p,
             steady: !plan.training,
             unstable_outputs,
-            down_shifts,
             gate_closures,
             open: word & CLOSED_MASK == 0,
         }
@@ -540,12 +516,9 @@ impl TypePolicy {
 
 /// The controller's share of the policy word: phase, black-list, ladder step.
 fn word_of(controller: &TrainingController) -> u64 {
-    let step = controller.doublings() as u64 - controller.down_shifts();
-    debug_assert_eq!(
-        Percentage::from_training_step(step as usize),
-        controller.current_p()
-    );
-    let mut word = step << STEP_SHIFT;
+    let step = controller.doublings();
+    debug_assert_eq!(Percentage::from_training_step(step), controller.current_p());
+    let mut word = (step as u64) << STEP_SHIFT;
     if controller.is_training() {
         word |= TRAINING_BIT;
     }
@@ -766,8 +739,8 @@ mod tests {
         let policy = adaptive();
         let region = RegionId::from_raw(7);
         // Two rejections double p twice and black-list a region.
-        assert!(!policy.record_comparison(1.0, &[region]));
-        assert!(!policy.record_comparison(1.0, &[]));
+        policy.record_comparison(1.0, &[region]);
+        policy.record_comparison(1.0, &[]);
         let before = policy.status();
         assert_eq!(before.p, Percentage::from_training_step(2));
         assert!(!before.steady);
@@ -798,6 +771,21 @@ mod tests {
         assert!(plan.training);
         assert!(policy.writes_unstable(&[access(region, AccessMode::Out)]));
         assert!(!policy.writes_unstable(&[access(region, AccessMode::In)]));
+    }
+
+    #[test]
+    fn status_p_is_the_controllers_ladder_step() {
+        let policy = adaptive();
+        let Kind::Adaptive(state) = &policy.kind else {
+            unreachable!("approximate × Dynamic adapts");
+        };
+        // Rejections climb the ladder; acceptances hold p until it freezes.
+        for tau in [1.0, 0.0, 1.0, 1.0, 0.0, 0.5, 1.0] {
+            policy.record_comparison(tau, &[]);
+            let step = state.lock().controller.doublings();
+            assert_eq!(policy.status().p, Percentage::from_training_step(step));
+        }
+        assert_eq!(policy.status().p, Percentage::from_training_step(5));
     }
 
     #[test]
@@ -837,11 +825,9 @@ mod tests {
         ];
         let p = Percentage::from_fraction(0.25);
         let mut out = Vec::new();
-        TypePolicy::resolve(AtmMode::Dynamic, spec.clone())
-            .arg_precisions_into(&accesses, p, &mut out);
+        TypePolicy::resolve(AtmMode::Dynamic, spec.clone()).precisions_into(&accesses, p, &mut out);
         assert_eq!(out, vec![Percentage::FULL, p]);
-        TypePolicy::resolve(AtmMode::FixedP(0.25), spec)
-            .arg_precisions_into(&accesses, p, &mut out);
+        TypePolicy::resolve(AtmMode::FixedP(0.25), spec).precisions_into(&accesses, p, &mut out);
         assert_eq!(out, vec![p, p]);
     }
 }

@@ -74,9 +74,6 @@ pub struct TypeSummary {
     pub steady: bool,
     /// Number of output regions black-listed as unstable.
     pub unstable_outputs: usize,
-    /// Number of adaptive down-shifts (`p` halved again after a window of
-    /// over-precise acceptances; only for specs that opted in).
-    pub down_shifts: u64,
     /// Tasks executed unkeyed while the type's profitability ledger had it
     /// closed (always 0 for exact and fixed-precision types).
     pub gated: u64,

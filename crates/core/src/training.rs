@@ -3,9 +3,8 @@
 //! Dynamic ATM splits the execution into a **training phase** and a
 //! **steady-state phase**. During training, every THT hit still executes the
 //! task and compares the stored (approximate) outputs against the freshly
-//! computed ones with the task type's error metric — the Chebyshev relative
-//! error τ (Eq. 1) by default, or whatever the type's
-//! [`MemoSpec`](atm_runtime::MemoSpec) selected:
+//! computed ones with the Chebyshev relative error τ (Eq. 1). The rule is the
+//! paper's, with its two knobs `τ_max` and `L_training`:
 //!
 //! * if τ ≥ τ_max the approximation was too aggressive: the selection
 //!   percentage `p` is doubled (starting from 2⁻¹⁵, so at most 15 steps
@@ -15,41 +14,21 @@
 //!   freezes `p` and enters the steady state, where hits are bypassed for
 //!   real.
 //!
+//! `p` therefore only ever climbs the ladder: it is always
+//! `Percentage::from_training_step(doublings())`.
+//!
 //! The controller also records which output regions exceeded τ_max during
 //! training (outputs with chaotic behaviour); the engine refuses to memoize
 //! tasks writing those regions in the steady state.
 
 use atm_hash::Percentage;
-use atm_metrics::{chebyshev_relative_error, max_ulp_error, max_ulp_error_f32, rel_l2_error};
+use atm_metrics::chebyshev_relative_error;
 use atm_runtime::{ErrorMetric, RegionData, RegionId};
 use std::collections::HashSet;
 
 /// Evaluates an [`ErrorMetric`] between the correct and the approximated
-/// output of one region (both viewed as `f64` vectors).
-///
-/// For [`ErrorMetric::MaxUlp`] this judges on the `f64` grid; prefer
-/// [`evaluate_metric_data`] when the typed region data is at hand, so f32
-/// outputs are judged on the f32 grid.
-///
-/// # Panics
-/// Panics if the two slices have different lengths.
-pub fn evaluate_metric(metric: ErrorMetric, correct: &[f64], approx: &[f64]) -> f64 {
-    match metric {
-        ErrorMetric::Chebyshev => chebyshev_relative_error(correct, approx),
-        ErrorMetric::RelL2 => rel_l2_error(correct, approx),
-        ErrorMetric::MaxUlp => max_ulp_error(correct, approx),
-    }
-}
-
-/// Evaluates an [`ErrorMetric`] between the correct and the approximated
-/// output of one region, **natively per element type**.
-///
-/// The relative-error metrics (Chebyshev, relative L2) are computed on the
-/// values, so the `f64` view is exact for every element type. The ULP
-/// metric is computed on each type's own grid: `f32` outputs count steps
-/// between adjacent `f32` values (converting them to `f64` first would turn
-/// one f32 step into 2²⁹ f64 steps), integer outputs count the absolute
-/// integer distance.
+/// output of one region, viewed as `f64` values (exact for every element
+/// type).
 ///
 /// Shape or element-type mismatches yield infinity (a stored entry that no
 /// longer matches the task's outputs can never be an acceptable
@@ -62,31 +41,6 @@ pub fn evaluate_metric_data(metric: ErrorMetric, correct: &RegionData, approx: &
         ErrorMetric::Chebyshev => {
             chebyshev_relative_error(&correct.to_f64_vec(), &approx.to_f64_vec())
         }
-        ErrorMetric::RelL2 => rel_l2_error(&correct.to_f64_vec(), &approx.to_f64_vec()),
-        ErrorMetric::MaxUlp => match (correct, approx) {
-            (RegionData::F32(c), RegionData::F32(a)) => max_ulp_error_f32(c, a),
-            (RegionData::F64(c), RegionData::F64(a)) => max_ulp_error(c, a),
-            (RegionData::I32(c), RegionData::I32(a)) => c
-                .iter()
-                .zip(a)
-                .map(|(&x, &y)| x.abs_diff(y))
-                .max()
-                .unwrap_or(0) as f64,
-            (RegionData::I64(c), RegionData::I64(a)) => c
-                .iter()
-                .zip(a)
-                .map(|(&x, &y)| x.abs_diff(y))
-                .max()
-                .unwrap_or(0) as f64,
-            (RegionData::U8(c), RegionData::U8(a)) => c
-                .iter()
-                .zip(a)
-                .map(|(&x, &y)| x.abs_diff(y))
-                .max()
-                .unwrap_or(0)
-                .into(),
-            _ => f64::INFINITY,
-        },
     }
 }
 
@@ -104,13 +58,6 @@ pub enum Phase {
 pub enum TrainingOutcome {
     /// The approximation was within τ_max and counted towards `L_training`.
     Accepted,
-    /// The approximation was accepted, and a long streak of acceptances far
-    /// under τ_max let the controller *halve* `p` again (the opt-in
-    /// down-shift of [`MemoSpec::down_shift`]); the training window
-    /// restarted at the sharper precision.
-    ///
-    /// [`MemoSpec::down_shift`]: atm_runtime::MemoSpec::down_shift
-    AcceptedDownShift,
     /// The approximation exceeded τ_max; `p` was doubled.
     Rejected,
     /// The approximation exceeded τ_max and `p` was already 100 %: the
@@ -127,22 +74,14 @@ pub struct TrainingController {
     correct_in_a_row: usize,
     l_training: usize,
     tau_max: f64,
-    metric: ErrorMetric,
     doublings: usize,
     comparisons: u64,
     rejections: u64,
-    /// Opt-in down-shift: when `Some(margin)`, a streak of `l_training`
-    /// consecutive acceptances with `τ < margin · τ_max` halves `p` again
-    /// instead of freezing (the controller only ever doubled before).
-    down_margin: Option<f64>,
-    over_precise_streak: usize,
-    down_shifts: u64,
     unstable_outputs: HashSet<RegionId>,
 }
 
 impl TrainingController {
-    /// Creates a controller in the training phase with `p = 2⁻¹⁵` and the
-    /// paper-default Chebyshev metric.
+    /// Creates a controller in the training phase with `p = 2⁻¹⁵`.
     pub fn new(l_training: usize, tau_max: f64) -> Self {
         assert!(l_training >= 1, "L_training must be at least 1");
         assert!(tau_max > 0.0, "τ_max must be positive");
@@ -152,36 +91,11 @@ impl TrainingController {
             correct_in_a_row: 0,
             l_training,
             tau_max,
-            metric: ErrorMetric::Chebyshev,
             doublings: 0,
             comparisons: 0,
             rejections: 0,
-            down_margin: None,
-            over_precise_streak: 0,
-            down_shifts: 0,
             unstable_outputs: HashSet::new(),
         }
-    }
-
-    /// Selects the error metric the training comparisons are judged with.
-    #[must_use]
-    pub fn with_metric(mut self, metric: ErrorMetric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Enables the adaptive down-shift: after `l_training` consecutive
-    /// acceptances whose observed error stays below `margin · τ_max`, the
-    /// controller halves `p` (down to [`Percentage::MIN`]) and restarts the
-    /// training window, instead of freezing an over-precise `p`.
-    #[must_use]
-    pub fn with_down_shift(mut self, margin: f64) -> Self {
-        assert!(
-            margin.is_finite() && margin > 0.0 && margin < 1.0,
-            "the down-shift margin must be in (0, 1), got {margin}"
-        );
-        self.down_margin = Some(margin);
-        self
     }
 
     /// Current phase.
@@ -202,11 +116,6 @@ impl TrainingController {
     /// The τ_max threshold.
     pub fn tau_max(&self) -> f64 {
         self.tau_max
-    }
-
-    /// The error metric training comparisons are judged with.
-    pub fn metric(&self) -> ErrorMetric {
-        self.metric
     }
 
     /// Number of training comparisons performed so far.
@@ -245,22 +154,6 @@ impl TrainingController {
         self.comparisons += 1;
         if tau < self.tau_max {
             self.correct_in_a_row += 1;
-            let over_precise = self.down_margin.is_some_and(|m| tau < m * self.tau_max);
-            if over_precise {
-                self.over_precise_streak += 1;
-            } else {
-                self.over_precise_streak = 0;
-            }
-            // Down-shift check comes before the freeze: a whole window of
-            // far-too-precise acceptances means a cheaper p is worth
-            // exploring, so the window restarts at p/2 instead of freezing.
-            if over_precise && self.over_precise_streak >= self.l_training && !self.p.is_min() {
-                self.p = self.p.halved();
-                self.down_shifts += 1;
-                self.over_precise_streak = 0;
-                self.correct_in_a_row = 0;
-                return TrainingOutcome::AcceptedDownShift;
-            }
             if self.correct_in_a_row >= self.l_training {
                 self.phase = Phase::Steady;
             }
@@ -269,7 +162,6 @@ impl TrainingController {
 
         self.rejections += 1;
         self.correct_in_a_row = 0;
-        self.over_precise_streak = 0;
         for &region in failing_regions {
             self.unstable_outputs.insert(region);
         }
@@ -284,20 +176,17 @@ impl TrainingController {
         }
     }
 
-    /// Number of times `p` was doubled during training.
+    /// Number of times `p` was doubled during training: the controller's
+    /// step on the training ladder.
     pub fn doublings(&self) -> usize {
         self.doublings
-    }
-
-    /// Number of times the adaptive down-shift halved `p` again.
-    pub fn down_shifts(&self) -> u64 {
-        self.down_shifts
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atm_hash::Xoshiro256StarStar;
 
     #[test]
     fn starts_at_minimum_p_in_training() {
@@ -362,6 +251,49 @@ mod tests {
         assert_eq!(c.unstable_outputs().len(), 1);
     }
 
+    /// The ladder only climbs: over random comparison streams (`L` in
+    /// 1..=20, τ on both sides of τ_max) every step keeps the controller's
+    /// invariants.
+    #[test]
+    fn random_streams_only_climb_the_ladder() {
+        let mut rng = Xoshiro256StarStar::new(0x1ADDE2);
+        for _ in 0..1_000 {
+            let l = 1 + rng.below(20);
+            let tau_max = rng.range_f64(1e-4, 1.0);
+            let reject_odds = rng.next_f64();
+            let mut c = TrainingController::new(l, tau_max);
+            let mut accepted: Vec<bool> = Vec::new();
+            let mut named = HashSet::new();
+            while c.is_training() && accepted.len() < 200 {
+                let before = c.current_p();
+                let reject = rng.next_f64() < reject_odds;
+                let tau = if reject {
+                    tau_max * rng.range_f64(1.0, 10.0)
+                } else {
+                    tau_max * rng.range_f64(0.0, 0.999)
+                };
+                let failing: Vec<RegionId> = (0..rng.below(3))
+                    .map(|_| RegionId::from_raw(rng.below(8) as u32))
+                    .collect();
+                let outcome = c.record_comparison(tau, &failing);
+                accepted.push(outcome == TrainingOutcome::Accepted);
+                if outcome != TrainingOutcome::Accepted {
+                    named.extend(failing);
+                }
+
+                assert!(c.current_p() >= before, "p never decreases");
+                assert_eq!(c.current_p(), Percentage::from_training_step(c.doublings()));
+                let last_l_accepted =
+                    accepted.len() >= l && accepted[accepted.len() - l..].iter().all(|&a| a);
+                assert_eq!(c.phase() == Phase::Steady, last_l_accepted);
+                if outcome == TrainingOutcome::RejectedAtFullP {
+                    assert!(before.is_full());
+                }
+                assert_eq!(c.unstable_outputs(), &named);
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "training phase")]
     fn comparisons_in_steady_state_panic() {
@@ -378,131 +310,18 @@ mod tests {
     }
 
     #[test]
-    fn metric_defaults_to_chebyshev_and_is_selectable() {
-        let c = TrainingController::new(1, 0.01);
-        assert_eq!(c.metric(), ErrorMetric::Chebyshev);
-        let c = TrainingController::new(1, 0.01).with_metric(ErrorMetric::MaxUlp);
-        assert_eq!(c.metric(), ErrorMetric::MaxUlp);
-    }
-
-    #[test]
-    fn down_shift_lowers_p_after_an_over_precise_window() {
-        let mut c = TrainingController::new(2, 0.01).with_down_shift(0.1);
-        // Two rejections push p up two rungs.
-        assert_eq!(c.record_comparison(1.0, &[]), TrainingOutcome::Rejected);
-        assert_eq!(c.record_comparison(1.0, &[]), TrainingOutcome::Rejected);
-        let high = c.current_p();
-        assert!((high.fraction() - Percentage::MIN.fraction() * 4.0).abs() < 1e-15);
-        // A full window of acceptances far under τ_max halves p instead of
-        // freezing it.
-        assert_eq!(c.record_comparison(0.0, &[]), TrainingOutcome::Accepted);
-        assert_eq!(
-            c.record_comparison(0.0, &[]),
-            TrainingOutcome::AcceptedDownShift
-        );
-        assert!(c.is_training(), "a down-shift restarts the window");
-        assert_eq!(c.down_shifts(), 1);
-        assert!((c.current_p().fraction() - high.halved().fraction()).abs() < 1e-15);
-        // Another over-precise window at p = 2·MIN shifts down to MIN …
-        c.record_comparison(0.0, &[]);
-        assert_eq!(
-            c.record_comparison(0.0, &[]),
-            TrainingOutcome::AcceptedDownShift
-        );
-        assert!(c.current_p().is_min());
-        // … where the next window freezes (no shift below MIN).
-        c.record_comparison(0.0, &[]);
-        assert_eq!(c.record_comparison(0.0, &[]), TrainingOutcome::Accepted);
-        assert_eq!(c.phase(), Phase::Steady);
-        assert_eq!(c.down_shifts(), 2);
-    }
-
-    #[test]
-    fn down_shift_needs_the_full_streak_of_over_precise_acceptances() {
-        let mut c = TrainingController::new(3, 0.01).with_down_shift(0.1);
-        c.record_comparison(1.0, &[]); // p -> 2·MIN
-        assert_eq!(c.record_comparison(0.0, &[]), TrainingOutcome::Accepted);
-        // An acceptance inside (margin·τ_max, τ_max) breaks the streak.
-        assert_eq!(c.record_comparison(0.005, &[]), TrainingOutcome::Accepted);
-        assert_eq!(
-            c.record_comparison(0.0, &[]),
-            TrainingOutcome::Accepted,
-            "the window freezes: only 1 of the last 3 was over-precise"
-        );
-        assert_eq!(c.phase(), Phase::Steady);
-        assert_eq!(c.down_shifts(), 0);
-    }
-
-    #[test]
-    fn without_the_opt_in_the_controller_never_down_shifts() {
-        let mut c = TrainingController::new(2, 0.01);
-        c.record_comparison(1.0, &[]);
-        assert_eq!(c.record_comparison(0.0, &[]), TrainingOutcome::Accepted);
-        assert_eq!(c.record_comparison(0.0, &[]), TrainingOutcome::Accepted);
-        assert_eq!(c.phase(), Phase::Steady);
-        assert_eq!(c.down_shifts(), 0);
-        assert!(
-            (c.current_p().fraction() - Percentage::MIN.fraction() * 2.0).abs() < 1e-15,
-            "the pre-down-shift trajectory is unchanged"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "down-shift margin")]
-    fn down_shift_rejects_an_out_of_range_margin() {
-        let _ = TrainingController::new(1, 0.01).with_down_shift(1.5);
-    }
-
-    #[test]
-    fn metric_data_judges_f32_on_the_f32_grid() {
-        let x = 1.0f32;
-        let next = f32::from_bits(x.to_bits() + 1);
-        let correct = RegionData::F32(vec![x; 3]);
-        let approx = RegionData::F32(vec![x, next, x]);
-        assert_eq!(
-            evaluate_metric_data(ErrorMetric::MaxUlp, &correct, &approx),
-            1.0,
-            "adjacent f32 values are 1 ULP apart on the f32 grid"
-        );
-        // The old f64-grid path saw the same pair as 2²⁹ ULPs apart.
-        let widened_c: Vec<f64> = vec![f64::from(x); 3];
-        let widened_a = vec![f64::from(x), f64::from(next), f64::from(x)];
-        assert_eq!(
-            evaluate_metric(ErrorMetric::MaxUlp, &widened_c, &widened_a),
-            (1u64 << 29) as f64
-        );
-    }
-
-    #[test]
     fn metric_data_handles_f64_integers_and_mismatches() {
-        let next = f64::from_bits(2.0f64.to_bits() + 2);
         assert_eq!(
             evaluate_metric_data(
-                ErrorMetric::MaxUlp,
-                &RegionData::F64(vec![2.0]),
-                &RegionData::F64(vec![next])
+                ErrorMetric::Chebyshev,
+                &RegionData::I32(vec![5, -10]),
+                &RegionData::I32(vec![7, -10])
             ),
-            2.0
-        );
-        assert_eq!(
-            evaluate_metric_data(
-                ErrorMetric::MaxUlp,
-                &RegionData::I32(vec![5, -3]),
-                &RegionData::I32(vec![7, -3])
-            ),
-            2.0
-        );
-        assert_eq!(
-            evaluate_metric_data(
-                ErrorMetric::MaxUlp,
-                &RegionData::U8(vec![10]),
-                &RegionData::U8(vec![250])
-            ),
-            240.0
+            0.2
         );
         // Element-type and shape mismatches can never be acceptable.
         assert!(evaluate_metric_data(
-            ErrorMetric::MaxUlp,
+            ErrorMetric::Chebyshev,
             &RegionData::F32(vec![1.0]),
             &RegionData::F64(vec![1.0])
         )
@@ -513,7 +332,7 @@ mod tests {
             &RegionData::F64(vec![1.0, 2.0])
         )
         .is_infinite());
-        // Value metrics agree with the f64 view.
+        // Chebyshev on f32 agrees with the f64 view.
         assert!(
             (evaluate_metric_data(
                 ErrorMetric::Chebyshev,
@@ -523,17 +342,5 @@ mod tests {
                 .abs()
                 < 1e-6
         );
-    }
-
-    #[test]
-    fn evaluate_metric_dispatches_to_the_right_error() {
-        let correct = [2.0, -4.0, 8.0];
-        let approx = [2.0, -4.4, 8.2];
-        assert!((evaluate_metric(ErrorMetric::Chebyshev, &correct, &approx) - 0.05).abs() < 1e-12);
-        // RelL2 = sqrt(Σd²/Σc²) = sqrt((0.16+0.04)/84)
-        let expected = (0.2f64 / 84.0).sqrt();
-        assert!((evaluate_metric(ErrorMetric::RelL2, &correct, &approx) - expected).abs() < 1e-12);
-        let next = f64::from_bits(2.0f64.to_bits() + 2);
-        assert_eq!(evaluate_metric(ErrorMetric::MaxUlp, &[2.0], &[next]), 2.0);
     }
 }

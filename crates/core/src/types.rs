@@ -36,7 +36,6 @@ impl TypeEntry {
             final_p: status.p.fraction(),
             steady: status.steady,
             unstable_outputs: status.unstable_outputs,
-            down_shifts: status.down_shifts,
             gated: counts.gated,
             probe_ns: counts.probe_ns,
             kernel_ns: counts.kernel_ns,

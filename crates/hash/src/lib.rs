@@ -83,21 +83,9 @@ impl Percentage {
         Percentage((self.0 * 2.0).min(1.0))
     }
 
-    /// Halves the percentage, saturating at [`Percentage::MIN`] (the bottom
-    /// of the training ladder).
-    #[must_use]
-    pub fn halved(self) -> Self {
-        Percentage((self.0 / 2.0).max(Self::MIN.0))
-    }
-
     /// True when the full input is selected (Static ATM).
     pub fn is_full(self) -> bool {
         self.0 >= 1.0
-    }
-
-    /// True when the percentage sits at the bottom of the training ladder.
-    pub fn is_min(self) -> bool {
-        self.0 <= Self::MIN.0
     }
 
     /// Number of bytes selected out of `total` input bytes.
@@ -151,14 +139,5 @@ mod tests {
     #[test]
     fn percentage_clamps_above_one() {
         assert!(Percentage::from_fraction(3.0).is_full());
-    }
-
-    #[test]
-    fn percentage_halving_inverts_doubling_and_saturates_at_min() {
-        let p = Percentage::MIN.doubled().doubled();
-        assert!((p.halved().fraction() - Percentage::MIN.doubled().fraction()).abs() < 1e-15);
-        assert!(Percentage::MIN.halved().is_min());
-        assert!(!Percentage::FULL.is_min());
-        assert!(Percentage::MIN.is_min());
     }
 }

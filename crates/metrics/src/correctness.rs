@@ -76,122 +76,6 @@ pub fn euclidean_relative_error(correct: &[f64], approx: &[f64]) -> f64 {
     }
 }
 
-/// Relative L2 (Euclidean-norm) error between a correct output vector and
-/// an approximated one:
-///
-/// ```text
-/// Er = ‖correct − approx‖₂ / ‖correct‖₂
-/// ```
-///
-/// This is the square root of [`euclidean_relative_error`] (which the paper
-/// defines on *squared* norms): a norm-scale threshold is often easier for
-/// programmers to reason about when declaring a per-task-type `τ_max`, so it
-/// is offered as a selectable training metric next to the paper-default
-/// Chebyshev error.
-///
-/// Edge cases match [`euclidean_relative_error`]: identical vectors give 0,
-/// a zero correct vector with a non-zero approximation gives infinity.
-///
-/// # Panics
-/// Panics if the two slices have different lengths.
-pub fn rel_l2_error(correct: &[f64], approx: &[f64]) -> f64 {
-    euclidean_relative_error(correct, approx).sqrt()
-}
-
-/// Monotone map from an `f64` bit pattern to the unsigned number line, such
-/// that adjacent representable floats map to adjacent integers (the standard
-/// total-order trick: flip all bits of negatives, flip the sign bit of
-/// non-negatives).
-fn monotone_bits(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 0x8000_0000_0000_0000
-    }
-}
-
-/// Maximum units-in-last-place distance between a correct output vector and
-/// an approximated one:
-///
-/// ```text
-/// τ = max_i ulp_distance(correct_i, approx_i)
-/// ```
-///
-/// ULP distance is the number of representable `f64` values between the two
-/// operands (0 for bit-identical values, 1 for adjacent floats, …). Unlike
-/// the relative-error metrics it is meaningful near zero and across
-/// magnitudes, which suits kernels whose outputs must stay bit-stable up to
-/// rounding. When used as a training metric, `τ_max` is a ULP *count*, not
-/// a relative error.
-///
-/// Any NaN on either side yields infinity (a NaN output never counts as a
-/// correct approximation).
-///
-/// # Panics
-/// Panics if the two slices have different lengths.
-pub fn max_ulp_error(correct: &[f64], approx: &[f64]) -> f64 {
-    assert_eq!(
-        correct.len(),
-        approx.len(),
-        "ULP error requires vectors of equal length ({} vs {})",
-        correct.len(),
-        approx.len()
-    );
-    let mut max_ulps = 0u64;
-    for (&c, &a) in correct.iter().zip(approx) {
-        if c.is_nan() || a.is_nan() {
-            return f64::INFINITY;
-        }
-        max_ulps = max_ulps.max(monotone_bits(c).abs_diff(monotone_bits(a)));
-    }
-    max_ulps as f64
-}
-
-/// Monotone map from an `f32` bit pattern to the unsigned number line (the
-/// 32-bit analogue of [`monotone_bits`]): adjacent representable `f32`
-/// values map to adjacent integers.
-fn monotone_bits_f32(x: f32) -> u32 {
-    let bits = x.to_bits();
-    if bits >> 31 == 1 {
-        !bits
-    } else {
-        bits | 0x8000_0000
-    }
-}
-
-/// Maximum ULP distance between two `f32` vectors, **measured on the `f32`
-/// grid**.
-///
-/// This is the native-width counterpart of [`max_ulp_error`]: one step
-/// between adjacent `f32` values counts as 1 ULP. Converting the same
-/// values to `f64` first and using the `f64` grid would inflate that single
-/// step to 2²⁹ ULPs (the gap between consecutive `f32` values measured in
-/// `f64` steps), which makes a ULP-count `τ_max` meaningless for `f32`
-/// kernels — so f32 outputs must be judged here, on their own grid.
-///
-/// Any NaN on either side yields infinity.
-///
-/// # Panics
-/// Panics if the two slices have different lengths.
-pub fn max_ulp_error_f32(correct: &[f32], approx: &[f32]) -> f64 {
-    assert_eq!(
-        correct.len(),
-        approx.len(),
-        "ULP error requires vectors of equal length ({} vs {})",
-        correct.len(),
-        approx.len()
-    );
-    let mut max_ulps = 0u32;
-    for (&c, &a) in correct.iter().zip(approx) {
-        if c.is_nan() || a.is_nan() {
-            return f64::INFINITY;
-        }
-        max_ulps = max_ulps.max(monotone_bits_f32(c).abs_diff(monotone_bits_f32(a)));
-    }
-    f64::from(max_ulps)
-}
-
 /// LU-specific relative residual (Eq. 4 of the paper):
 ///
 /// ```text
@@ -281,71 +165,6 @@ mod tests {
         assert_eq!(correctness_percent(2.0), 0.0);
         assert_eq!(correctness_percent(f64::INFINITY), 0.0);
         assert_eq!(correctness_percent(f64::NAN), 0.0);
-    }
-
-    #[test]
-    fn rel_l2_is_the_root_of_the_squared_norm_ratio() {
-        let correct = [3.0, 4.0];
-        let approx = [3.0, 5.0];
-        // squared ratio = 0.04 -> norm ratio = 0.2
-        assert!((rel_l2_error(&correct, &approx) - 0.2).abs() < 1e-12);
-        assert_eq!(rel_l2_error(&correct, &correct), 0.0);
-        assert!(rel_l2_error(&[0.0], &[1.0]).is_infinite());
-    }
-
-    #[test]
-    fn max_ulp_counts_representable_steps() {
-        let x = 1.0f64;
-        let next = f64::from_bits(x.to_bits() + 1);
-        let next3 = f64::from_bits(x.to_bits() + 3);
-        assert_eq!(max_ulp_error(&[x, x], &[x, x]), 0.0);
-        assert_eq!(max_ulp_error(&[x], &[next]), 1.0);
-        assert_eq!(max_ulp_error(&[x, x], &[next, next3]), 3.0);
-    }
-
-    #[test]
-    fn max_ulp_is_continuous_across_zero_and_rejects_nan() {
-        // -0.0 and +0.0 are adjacent on the monotone scale.
-        assert_eq!(max_ulp_error(&[-0.0], &[0.0]), 1.0);
-        let tiny = f64::from_bits(1); // smallest positive subnormal
-        assert_eq!(max_ulp_error(&[0.0], &[tiny]), 1.0);
-        assert_eq!(max_ulp_error(&[-tiny], &[tiny]), 3.0);
-        assert!(max_ulp_error(&[f64::NAN], &[1.0]).is_infinite());
-        assert!(max_ulp_error(&[1.0], &[f64::NAN]).is_infinite());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn max_ulp_length_mismatch_panics() {
-        let _ = max_ulp_error(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn f32_ulp_is_counted_on_the_f32_grid() {
-        let x = 1.0f32;
-        let next = f32::from_bits(x.to_bits() + 1);
-        assert_eq!(max_ulp_error_f32(&[x], &[x]), 0.0);
-        assert_eq!(max_ulp_error_f32(&[x], &[next]), 1.0);
-        assert_eq!(max_ulp_error_f32(&[-0.0], &[0.0]), 1.0);
-        assert!(max_ulp_error_f32(&[f32::NAN], &[1.0]).is_infinite());
-    }
-
-    /// The divergence that motivates the native metric: one f32 ULP becomes
-    /// 2²⁹ f64 ULPs after conversion, because consecutive f32 values are
-    /// 2²⁹ f64 steps apart.
-    #[test]
-    fn f32_and_f64_grids_diverge_after_conversion() {
-        let x = 1.0f32;
-        let next = f32::from_bits(x.to_bits() + 1);
-        assert_eq!(max_ulp_error_f32(&[x], &[next]), 1.0);
-        let converted = max_ulp_error(&[f64::from(x)], &[f64::from(next)]);
-        assert_eq!(converted, (1u64 << 29) as f64);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn f32_ulp_length_mismatch_panics() {
-        let _ = max_ulp_error_f32(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

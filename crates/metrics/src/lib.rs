@@ -21,7 +21,6 @@ pub mod summary;
 
 pub use correctness::{
     chebyshev_relative_error, correctness_percent, euclidean_relative_error, lu_residual_error,
-    max_ulp_error, max_ulp_error_f32, rel_l2_error,
 };
 pub use summary::{geometric_mean, reuse_percent, speedup, Speedup};
 

@@ -1,9 +1,8 @@
 //! The memo-decision audit trail.
 //!
 //! Every decision the memoization stack takes — THT hit, IKT deferral,
-//! miss→execute, training accept/reject, adaptive down-shift, a type closed
-//! or re-opened by its profitability ledger, store admission denial,
-//! eviction — is emitted as a structured
+//! miss→execute, training accept/reject, a type closed or re-opened by its
+//! profitability ledger, store admission denial, eviction — is emitted as a structured
 //! [`DecisionRecord`] into per-worker ring buffers. Memory is bounded: when
 //! a ring is full the oldest record is overwritten and a drop counter
 //! ticks, while the per-`(type, decision)` *counts* stay exact regardless
@@ -32,9 +31,6 @@ pub enum MemoDecision {
     TrainingAccept,
     /// Training-phase comparison rejected (some output beyond τ).
     TrainingReject,
-    /// The adaptive controller halved `p` again after an over-precise
-    /// window.
-    DownShift,
     /// The type's profitability ledger found memoization spending more than
     /// it earns plus its allowance and closed the type: its next tasks
     /// execute unkeyed. The record's scalars carry the ledger reading (see
@@ -51,13 +47,12 @@ pub enum MemoDecision {
 
 impl MemoDecision {
     /// Every decision kind, in display order.
-    pub const ALL: [MemoDecision; 10] = [
+    pub const ALL: [MemoDecision; 9] = [
         MemoDecision::ThtHit,
         MemoDecision::IktDefer,
         MemoDecision::MissExecute,
         MemoDecision::TrainingAccept,
         MemoDecision::TrainingReject,
-        MemoDecision::DownShift,
         MemoDecision::GateClose,
         MemoDecision::GateReopen,
         MemoDecision::AdmissionDenied,
@@ -72,7 +67,6 @@ impl MemoDecision {
             MemoDecision::MissExecute => "miss_execute",
             MemoDecision::TrainingAccept => "training_accept",
             MemoDecision::TrainingReject => "training_reject",
-            MemoDecision::DownShift => "down_shift",
             MemoDecision::GateClose => "gate_close",
             MemoDecision::GateReopen => "gate_reopen",
             MemoDecision::AdmissionDenied => "admission_denied",
@@ -378,10 +372,11 @@ mod tests {
     fn jsonl_emits_one_line_per_record() {
         let log = DecisionLog::new();
         log.record(0, rec(2, 11, MemoDecision::TrainingAccept, 5));
-        log.record(0, rec(2, 12, MemoDecision::DownShift, 6));
+        log.record(0, rec(2, 12, MemoDecision::TrainingReject, 6));
         let dump = log.snapshot().to_jsonl();
         assert_eq!(dump.lines().count(), 2);
         assert!(dump.contains("\"decision\":\"training_accept\""));
+        assert!(dump.contains("\"decision\":\"training_reject\""));
         assert!(dump.contains("\"task_id\":12"));
         assert!(dump.contains("\"tau\":0.2"));
     }

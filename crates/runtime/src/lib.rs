@@ -90,7 +90,7 @@ pub mod trace;
 
 pub use access::{Access, AccessMode};
 pub use interceptor::{Decision, NoopInterceptor, TaskInterceptor};
-pub use memo::{ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
+pub use memo::{ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
 pub use region::{
     DataStore, DeregisterError, Elem, ElemType, ElemWindow, Region, RegionData, RegionId,
     RegionRead, RegionReadGuard, RegionStatus, RegisterError, WordSink,
@@ -108,7 +108,7 @@ pub use trace::{ThreadState, TraceSummary, Tracer};
 pub mod prelude {
     pub use crate::access::{Access, AccessMode};
     pub use crate::interceptor::{Decision, NoopInterceptor, TaskInterceptor};
-    pub use crate::memo::{ArgPrecision, ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
+    pub use crate::memo::{ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
     pub use crate::region::{
         DataStore, DeregisterError, Elem, ElemType, Region, RegionData, RegionId, RegionStatus,
         RegisterError,

@@ -18,9 +18,8 @@
 //!     .memo(
 //!         MemoSpec::approximate()
 //!             .tau(1e-3)
-//!             .metric(ErrorMetric::RelL2)
 //!             .training_window(32)
-//!             .arg_exact(0) // hash the control argument exactly, always
+//!             .arg_exact(0), // hash the control argument exactly, always
 //!     )
 //!     .build();
 //! assert!(info.memoizable());
@@ -31,16 +30,18 @@
 //! * [`MemoSpec::exact`] — exact memoization (`p = 100 %`), bit-identical
 //!   results (the paper's Static ATM, now selectable per type);
 //! * [`MemoSpec::approximate`] — the runtime trains `p` against the spec's
-//!   [`tau`](MemoSpec::tau), [`training_window`](MemoSpec::training_window)
-//!   and [`metric`](MemoSpec::metric) (the paper's Dynamic ATM);
+//!   [`tau`](MemoSpec::tau) and [`training_window`](MemoSpec::training_window)
+//!   with the paper's one rule: `p` starts at 2⁻¹⁵, doubles whenever the
+//!   Chebyshev error reaches `τ_max` and freezes after `L_training`
+//!   acceptances (the paper's Dynamic ATM);
 //! * [`MemoSpec::fixed_precision`] — a constant `p` chosen offline (the
 //!   paper's Oracle configurations, now declarable per type).
 //!
-//! On top of the type-wide precision, [`MemoSpec::arg_precision`] /
-//! [`MemoSpec::arg_exact`] override the precision of individual arguments,
-//! so a small control argument can be hashed exactly while a large field
-//! argument is hashed approximately. Overrides are validated against the
-//! task type's declared access signature at registration.
+//! On top of the type-wide precision, [`MemoSpec::arg_exact`] hashes
+//! individual arguments in full, so a small control argument never aliases
+//! while a large field argument is hashed approximately. Exact arguments are
+//! validated against the task type's declared access signature at
+//! registration.
 
 use crate::task::TaskSignature;
 
@@ -60,40 +61,16 @@ pub enum MemoPolicy {
 }
 
 /// The error metric the training phase evaluates per output region.
+///
+/// Dynamic ATM judges with the one metric below; the type stays because
+/// the benchmark harness names it through [`MemoSpec::error_metric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ErrorMetric {
-    /// Chebyshev relative error (Eq. 1 of the paper, the default): max
-    /// absolute difference over max absolute correct value. Does not
-    /// accumulate floating-point error and correlates well with program
-    /// correctness.
+    /// Chebyshev relative error (Eq. 1 of the paper): max absolute
+    /// difference over max absolute correct value. Does not accumulate
+    /// floating-point error and correlates well with program correctness.
     #[default]
     Chebyshev,
-    /// Relative L2-norm error: `‖correct − approx‖₂ / ‖correct‖₂`. A
-    /// norm-scale threshold for vector outputs.
-    RelL2,
-    /// Maximum units-in-last-place distance. `τ_max` is interpreted as a ULP
-    /// *count*; meaningful near zero and across magnitudes.
-    MaxUlp,
-}
-
-impl std::fmt::Display for ErrorMetric {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ErrorMetric::Chebyshev => "chebyshev",
-            ErrorMetric::RelL2 => "rel-l2",
-            ErrorMetric::MaxUlp => "max-ulp",
-        })
-    }
-}
-
-/// A per-argument precision override.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArgPrecision {
-    /// Hash every byte of this argument, regardless of the type's `p`.
-    Exact,
-    /// Hash this fraction of the argument's bytes, regardless of the type's
-    /// `p`.
-    Fraction(f64),
 }
 
 /// Why a [`MemoSpec`] was rejected.
@@ -104,42 +81,29 @@ pub enum MemoSpecError {
         /// The offending threshold.
         tau: f64,
     },
-    /// A precision fraction (type-wide or per-argument) is outside `(0, 1]`.
+    /// A fixed precision fraction is outside `(0, 1]`.
     InvalidPrecision {
         /// The offending fraction.
         precision: f64,
     },
     /// The training window must admit at least one comparison.
     ZeroTrainingWindow,
-    /// A per-argument override names a parameter position the task does not
-    /// have.
+    /// An exact argument names a parameter position the task does not have.
     ArgIndexOutOfRange {
-        /// The overridden position.
+        /// The named position.
         index: usize,
         /// Number of positional parameters the task declares.
         arity: usize,
     },
-    /// A per-argument override names a write-only parameter; precision only
+    /// An exact argument names a write-only parameter; precision only
     /// applies to hashed (read) bytes.
     ArgNotRead {
-        /// The overridden position.
+        /// The named position.
         index: usize,
     },
-    /// Two overrides name the same parameter position.
-    DuplicateArgOverride {
-        /// The position overridden twice.
-        index: usize,
-    },
-    /// A type-level spec declares per-argument overrides but the task type
-    /// declared no access signature to validate them against.
+    /// A spec declares exact arguments but the task type declared no access
+    /// signature to validate them against.
     OverridesRequireSignature,
-    /// The down-shift margin must be a fraction strictly between 0 and 1
-    /// (an acceptance counts as over-precise when its error is below
-    /// `margin · τ_max`).
-    InvalidDownShiftMargin {
-        /// The offending margin.
-        margin: f64,
-    },
 }
 
 impl std::fmt::Display for MemoSpecError {
@@ -156,22 +120,15 @@ impl std::fmt::Display for MemoSpecError {
             }
             MemoSpecError::ArgIndexOutOfRange { index, arity } => write!(
                 f,
-                "argument override #{index} is out of range: the task declares {arity} positional parameters"
+                "exact argument #{index} is out of range: the task declares {arity} positional parameters"
             ),
             MemoSpecError::ArgNotRead { index } => write!(
                 f,
-                "argument override #{index} names a write-only parameter; precision applies to hashed (read) bytes"
+                "exact argument #{index} names a write-only parameter; precision applies to hashed (read) bytes"
             ),
-            MemoSpecError::DuplicateArgOverride { index } => {
-                write!(f, "argument #{index} has more than one precision override")
-            }
             MemoSpecError::OverridesRequireSignature => write!(
                 f,
-                "per-argument overrides require the task type to declare an access signature"
-            ),
-            MemoSpecError::InvalidDownShiftMargin { margin } => write!(
-                f,
-                "the down-shift margin must be strictly between 0 and 1, got {margin}"
+                "exact arguments require the task type to declare an access signature"
             ),
         }
     }
@@ -188,14 +145,12 @@ pub struct MemoSpec {
     policy: MemoPolicy,
     tau: f64,
     training_window: usize,
-    metric: ErrorMetric,
-    down_shift: Option<f64>,
-    arg_overrides: Vec<(usize, ArgPrecision)>,
+    exact_args: Vec<usize>,
 }
 
 impl Default for MemoSpec {
     /// The paper's Dynamic ATM defaults: approximate, `τ_max = 1 %`,
-    /// `L_training = 15`, Chebyshev metric, type-aware byte selection.
+    /// `L_training = 15`, Chebyshev metric.
     fn default() -> Self {
         MemoSpec::approximate()
     }
@@ -210,9 +165,7 @@ impl MemoSpec {
             // trained p reach 100 %.
             tau: 0.01,
             training_window: 15,
-            metric: ErrorMetric::Chebyshev,
-            down_shift: None,
-            arg_overrides: Vec::new(),
+            exact_args: Vec::new(),
         }
     }
 
@@ -232,9 +185,7 @@ impl MemoSpec {
         MemoSpec::new(MemoPolicy::FixedPrecision(p))
     }
 
-    /// Sets the maximum tolerated per-task error `τ_max` (a relative error
-    /// for [`ErrorMetric::Chebyshev`]/[`ErrorMetric::RelL2`], a ULP count
-    /// for [`ErrorMetric::MaxUlp`]).
+    /// Sets the maximum tolerated per-task Chebyshev relative error `τ_max`.
     #[must_use]
     pub fn tau(mut self, tau: f64) -> Self {
         self.tau = tau;
@@ -249,42 +200,15 @@ impl MemoSpec {
         self
     }
 
-    /// Selects the error metric evaluated per output region during training.
-    #[must_use]
-    pub fn metric(mut self, metric: ErrorMetric) -> Self {
-        self.metric = metric;
-        self
-    }
-
-    /// Opts an [`MemoSpec::approximate`] type into the adaptive
-    /// **down-shift**: when a full training window of acceptances stays
-    /// below `margin · τ_max` (far more precise than required), the trained
-    /// `p` is *halved* again and the window restarts, instead of freezing
-    /// an over-precise selection percentage. Off by default — the default
-    /// controller only ever doubles `p`, exactly as in the paper.
-    ///
-    /// `margin` must be strictly between 0 and 1.
-    #[must_use]
-    pub fn down_shift(mut self, margin: f64) -> Self {
-        self.down_shift = Some(margin);
-        self
-    }
-
-    /// Overrides the precision of the positional parameter `index` to a
-    /// constant fraction of its bytes, independent of the type-wide `p`.
-    #[must_use]
-    pub fn arg_precision(mut self, index: usize, fraction: f64) -> Self {
-        self.arg_overrides
-            .push((index, ArgPrecision::Fraction(fraction)));
-        self
-    }
-
     /// Hashes the positional parameter `index` exactly (every byte), so a
     /// small control argument never aliases under approximation while the
-    /// large data arguments are still hashed at the type's `p`.
+    /// large data arguments are still hashed at the type's `p`. Naming the
+    /// same position twice is the same as naming it once.
     #[must_use]
     pub fn arg_exact(mut self, index: usize) -> Self {
-        self.arg_overrides.push((index, ArgPrecision::Exact));
+        if !self.exact_args.contains(&index) {
+            self.exact_args.push(index);
+        }
         self
     }
 
@@ -303,33 +227,21 @@ impl MemoSpec {
         self.training_window
     }
 
-    /// The training error metric.
+    /// The training error metric (always the paper's Chebyshev error).
     pub fn error_metric(&self) -> ErrorMetric {
-        self.metric
+        ErrorMetric::Chebyshev
     }
 
-    /// The adaptive down-shift margin, when the spec opted in.
-    pub fn down_shift_margin(&self) -> Option<f64> {
-        self.down_shift
-    }
-
-    /// The declared per-argument overrides, in declaration order.
-    pub fn arg_overrides(&self) -> &[(usize, ArgPrecision)] {
-        &self.arg_overrides
-    }
-
-    /// The precision override of positional parameter `index`, if any.
-    pub fn precision_override(&self, index: usize) -> Option<ArgPrecision> {
-        self.arg_overrides
-            .iter()
-            .find(|(i, _)| *i == index)
-            .map(|&(_, p)| p)
+    /// True when positional parameter `index` is hashed exactly
+    /// ([`MemoSpec::arg_exact`]).
+    pub fn is_arg_exact(&self, index: usize) -> bool {
+        self.exact_args.contains(&index)
     }
 
     /// Validates the spec against the task type's declared access
     /// signature (called by [`crate::TaskTypeBuilder::build`]): the numeric
-    /// fields, the override list itself (duplicates, fraction ranges), and
-    /// that every override names a readable positional parameter.
+    /// fields, and that every exact argument names a readable positional
+    /// parameter.
     pub fn validate(&self, signature: Option<&TaskSignature>) -> Result<(), MemoSpecError> {
         if !(self.tau.is_finite() && self.tau > 0.0) {
             return Err(MemoSpecError::InvalidTau { tau: self.tau });
@@ -337,35 +249,20 @@ impl MemoSpec {
         if self.training_window == 0 {
             return Err(MemoSpecError::ZeroTrainingWindow);
         }
-        if let Some(margin) = self.down_shift {
-            if !(margin.is_finite() && margin > 0.0 && margin < 1.0) {
-                return Err(MemoSpecError::InvalidDownShiftMargin { margin });
-            }
-        }
         if let MemoPolicy::FixedPrecision(p) = self.policy {
             if !(p.is_finite() && p > 0.0 && p <= 1.0) {
                 return Err(MemoSpecError::InvalidPrecision { precision: p });
             }
         }
-        for (index, (arg, precision)) in self.arg_overrides.iter().enumerate() {
-            if let ArgPrecision::Fraction(f) = precision {
-                if !(f.is_finite() && *f > 0.0 && *f <= 1.0) {
-                    return Err(MemoSpecError::InvalidPrecision { precision: *f });
-                }
-            }
-            if self.arg_overrides[..index].iter().any(|(i, _)| i == arg) {
-                return Err(MemoSpecError::DuplicateArgOverride { index: *arg });
-            }
-        }
-        if self.arg_overrides.is_empty() {
+        if self.exact_args.is_empty() {
             return Ok(());
         }
         let Some(signature) = signature else {
             return Err(MemoSpecError::OverridesRequireSignature);
         };
-        for &(index, _) in &self.arg_overrides {
-            // Overrides address the fixed positional parameters; a variadic
-            // tail has no stable positions to override.
+        for &index in &self.exact_args {
+            // Exact arguments address the fixed positional parameters; a
+            // variadic tail has no stable positions to name.
             let param = signature.fixed.get(index).ok_or({
                 MemoSpecError::ArgIndexOutOfRange {
                     index,
@@ -404,44 +301,38 @@ mod tests {
         assert!((spec.tau_max() - 0.01).abs() < 1e-12);
         assert_eq!(spec.training_window_len(), 15);
         assert_eq!(spec.error_metric(), ErrorMetric::Chebyshev);
-        assert!(spec.arg_overrides().is_empty());
-        assert_eq!(spec.down_shift_margin(), None, "down-shift is opt-in");
+        assert!(!spec.is_arg_exact(0));
         assert_eq!(spec.validate(None), Ok(()));
-    }
-
-    #[test]
-    fn down_shift_margin_is_validated() {
-        let spec = MemoSpec::approximate().down_shift(0.1);
-        assert_eq!(spec.down_shift_margin(), Some(0.1));
-        assert_eq!(spec.validate(None), Ok(()));
-        for margin in [0.0, 1.0, -0.5, f64::NAN] {
-            assert!(
-                matches!(
-                    MemoSpec::approximate().down_shift(margin).validate(None),
-                    Err(MemoSpecError::InvalidDownShiftMargin { .. })
-                ),
-                "margin = {margin} must be rejected"
-            );
-        }
     }
 
     #[test]
     fn fluent_setters_compose() {
         let spec = MemoSpec::approximate()
             .tau(1e-3)
-            .metric(ErrorMetric::RelL2)
             .training_window(32)
             .arg_exact(0)
-            .arg_precision(2, 0.25);
+            .arg_exact(2)
+            .arg_exact(0);
         assert!((spec.tau_max() - 1e-3).abs() < 1e-15);
         assert_eq!(spec.training_window_len(), 32);
-        assert_eq!(spec.error_metric(), ErrorMetric::RelL2);
-        assert_eq!(spec.precision_override(0), Some(ArgPrecision::Exact));
+        assert!(spec.is_arg_exact(0));
+        assert!(!spec.is_arg_exact(1));
+        assert!(spec.is_arg_exact(2));
+        // A repeated `arg_exact` is idempotent, not an error.
         assert_eq!(
-            spec.precision_override(2),
-            Some(ArgPrecision::Fraction(0.25))
+            spec,
+            MemoSpec::approximate()
+                .tau(1e-3)
+                .training_window(32)
+                .arg_exact(0)
+                .arg_exact(2)
         );
-        assert_eq!(spec.precision_override(1), None);
+        let signature = sig(&[
+            (AccessMode::In, ElemType::I32),
+            (AccessMode::In, ElemType::F64),
+            (AccessMode::In, ElemType::F64),
+        ]);
+        assert_eq!(spec.validate(Some(&signature)), Ok(()));
     }
 
     #[test]
@@ -468,17 +359,6 @@ mod tests {
             );
         }
         assert_eq!(MemoSpec::fixed_precision(1.0).validate(None), Ok(()));
-    }
-
-    #[test]
-    fn invalid_arg_fraction_is_rejected() {
-        let signature = sig(&[(AccessMode::In, ElemType::F32)]);
-        assert_eq!(
-            MemoSpec::approximate()
-                .arg_precision(0, 0.0)
-                .validate(Some(&signature)),
-            Err(MemoSpecError::InvalidPrecision { precision: 0.0 })
-        );
     }
 
     #[test]
@@ -543,18 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_override_is_rejected() {
-        let signature = sig(&[(AccessMode::In, ElemType::F32)]);
-        assert_eq!(
-            MemoSpec::approximate()
-                .arg_exact(0)
-                .arg_precision(0, 0.5)
-                .validate(Some(&signature)),
-            Err(MemoSpecError::DuplicateArgOverride { index: 0 })
-        );
-    }
-
-    #[test]
     fn overrides_without_a_signature_are_rejected() {
         assert_eq!(
             MemoSpec::approximate().arg_exact(0).validate(None),
@@ -564,20 +432,16 @@ mod tests {
 
     #[test]
     fn errors_render_readable_messages() {
-        let errors: [MemoSpecError; 7] = [
+        let errors: [MemoSpecError; 6] = [
             MemoSpecError::InvalidTau { tau: -1.0 },
             MemoSpecError::InvalidPrecision { precision: 2.0 },
             MemoSpecError::ZeroTrainingWindow,
             MemoSpecError::ArgIndexOutOfRange { index: 3, arity: 2 },
             MemoSpecError::ArgNotRead { index: 1 },
-            MemoSpecError::DuplicateArgOverride { index: 0 },
             MemoSpecError::OverridesRequireSignature,
         ];
         for error in errors {
             assert!(!error.to_string().is_empty());
         }
-        assert_eq!(format!("{}", ErrorMetric::RelL2), "rel-l2");
-        assert_eq!(format!("{}", ErrorMetric::MaxUlp), "max-ulp");
-        assert_eq!(format!("{}", ErrorMetric::Chebyshev), "chebyshev");
     }
 }

@@ -44,7 +44,8 @@
 use crate::snapshot::OutputSnapshot;
 use crate::store::{ExportedEntry, MemoStore, StoreConfig};
 use atm_runtime::{ElemType, RegionData, RegionId, TaskId, TaskTypeId};
-use std::path::Path;
+use atm_sync::atomic::{AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"ATMSTORE";
@@ -333,6 +334,37 @@ fn decode_entries(bytes: &[u8]) -> Result<Vec<ExportedEntry>, PersistError> {
     Ok(entries)
 }
 
+/// A temp-file name next to `path`, unique across the processes and threads
+/// that may checkpoint into one directory.
+fn temp_path_beside(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    path.with_file_name(name)
+}
+
+/// Streams the snapshot of `entries` into a new file at `path` and syncs it.
+fn write_synced(path: &Path, entries: &[ExportedEntry]) -> std::io::Result<()> {
+    let file = std::fs::File::create(path)?;
+    let mut w = ChecksumWriter::new(std::io::BufWriter::new(file));
+    write_snapshot(&mut w, entries)?;
+    let file = w.finish()?.into_inner().map_err(|e| e.into_error())?;
+    file.sync_all()
+}
+
+/// Syncs the directory holding `path`, so a rename into it is durable.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
 impl MemoStore {
     /// Serialises every resident entry into the snapshot byte format.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
@@ -350,14 +382,22 @@ impl MemoStore {
     /// materialises the whole table as a second byte buffer the way
     /// [`MemoStore::to_snapshot_bytes`] does. Inserts and evictions that
     /// land mid-export appear in the next checkpoint.
+    ///
+    /// The save is atomic: the bytes go to a uniquely named temp file next
+    /// to `path`, which is synced and then renamed over `path`, and the
+    /// directory is synced after the rename. A save that fails at any step
+    /// removes its temp file and leaves the previous snapshot as it was.
     pub fn save_to(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        use std::io::Write as _;
+        let path = path.as_ref();
         let entries = self.export();
-        let file = std::fs::File::create(path)?;
-        let mut w = ChecksumWriter::new(std::io::BufWriter::new(file));
-        write_snapshot(&mut w, &entries)?;
-        w.finish()?.flush()?;
-        Ok(())
+        let tmp = temp_path_beside(path);
+        let saved = write_synced(&tmp, &entries)
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .and_then(|()| sync_parent_dir(path));
+        if saved.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        Ok(saved?)
     }
 
     /// Inserts every entry of an in-memory snapshot into this store, going
@@ -554,6 +594,75 @@ mod tests {
             MemoStore::load_from(&path, StoreConfig::default()),
             Err(PersistError::Io(_))
         ));
+    }
+
+    /// A scratch directory of its own for one test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("atm-store-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The save renames a new file over the snapshot instead of truncating
+    /// it: a reader that opened the previous snapshot still reads all of it.
+    #[cfg(unix)]
+    #[test]
+    fn a_save_never_rewrites_the_previous_snapshot_in_place() {
+        use std::io::Read as _;
+        let dir = scratch_dir("replace");
+        let path = dir.join("memo.bin");
+        let (_data, old) = sample_store();
+        old.save_to(&path).unwrap();
+        let mut reader = std::fs::File::open(&path).unwrap();
+
+        let data = DataStore::new();
+        let new = MemoStore::new(StoreConfig::default());
+        let r = data.register_typed("new", vec![9.0f64; 4]).unwrap();
+        let snap = Arc::new(vec![OutputSnapshot::capture(&data, &Access::write(&r))]);
+        new.insert(
+            crate::EntryKey::new(TaskTypeId::from_raw(9), 0x9999, 1.0),
+            TaskId::from_raw(99),
+            snap,
+            5,
+        );
+        new.save_to(&path).unwrap();
+
+        let mut previous = Vec::new();
+        reader.read_to_end(&mut previous).unwrap();
+        assert_eq!(previous, old.to_snapshot_bytes());
+        assert_eq!(decode_entries(&previous).unwrap().len(), old.len());
+        let loaded = MemoStore::load_from(&path, StoreConfig::default()).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert!(loaded
+            .lookup(&crate::EntryKey::new(TaskTypeId::from_raw(9), 0x9999, 1.0))
+            .is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_successful_save_leaves_no_temp_file() {
+        let dir = scratch_dir("no-tmp");
+        let (_data, store) = sample_store();
+        store.save_to(dir.join("memo.bin")).unwrap();
+        store.save_to(dir.join("memo.bin")).unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("memo.bin")]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_save_into_a_missing_directory_is_an_io_error() {
+        let dir = scratch_dir("missing");
+        let (_data, store) = sample_store();
+        assert!(matches!(
+            store.save_to(dir.join("absent").join("memo.bin")),
+            Err(PersistError::Io(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
