@@ -21,7 +21,6 @@ use atm_metrics::{correctness_percent, euclidean_relative_error};
 use atm_obs::{CounterSample, DecisionSnapshot, MetricsSnapshot, Observability};
 use atm_runtime::{Runtime, RuntimeBuilder, RuntimeStatsSnapshot, TaskTypeId, TraceSummary};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,10 +51,6 @@ pub struct RunOptions {
     /// states, ready-queue samples, full reuse provenance). Each run builds
     /// its own handle.
     pub observability: Option<fn() -> Observability>,
-    /// Warm-start the memo store from this snapshot before any task runs.
-    pub warm_start: Option<PathBuf>,
-    /// Persist the memo store to this path after the run completes.
-    pub store_save: Option<PathBuf>,
 }
 
 impl RunOptions {
@@ -65,8 +60,6 @@ impl RunOptions {
             workers,
             atm: None,
             observability: None,
-            warm_start: None,
-            store_save: None,
         }
     }
 
@@ -76,8 +69,6 @@ impl RunOptions {
             workers,
             atm: Some(atm),
             observability: None,
-            warm_start: None,
-            store_save: None,
         }
     }
 
@@ -95,20 +86,6 @@ impl RunOptions {
     #[must_use]
     pub fn observed(mut self) -> Self {
         self.observability.get_or_insert(Observability::enabled);
-        self
-    }
-
-    /// Warm-starts the memo store from a snapshot of a previous run.
-    #[must_use]
-    pub fn warm_started(mut self, path: impl Into<PathBuf>) -> Self {
-        self.warm_start = Some(path.into());
-        self
-    }
-
-    /// Persists the memo store when the run finishes.
-    #[must_use]
-    pub fn saving_store(mut self, path: impl Into<PathBuf>) -> Self {
-        self.store_save = Some(path.into());
         self
     }
 }
@@ -233,13 +210,11 @@ pub struct TaskedRun {
     runtime: Runtime,
     engine: Option<Arc<AtmEngine>>,
     started: Instant,
-    store_save: Option<PathBuf>,
 }
 
 impl TaskedRun {
     /// Builds the runtime (plus the ATM engine, unless a baseline) described
-    /// by `options`. When the options carry a warm-start snapshot it is
-    /// absorbed into the memo store before any task can run.
+    /// by `options`.
     pub fn new(options: &RunOptions) -> Self {
         let obs = options.observability.map(|make| Arc::new(make()));
         let mut builder = RuntimeBuilder::new().workers(options.workers);
@@ -250,14 +225,6 @@ impl TaskedRun {
         }
         let engine = engine.map(Arc::new);
         if let Some(engine) = &engine {
-            if let Some(path) = &options.warm_start {
-                // Warm start is an optimisation: a missing or corrupt
-                // snapshot (e.g. the first-ever run) degrades to a cold
-                // start, it does not abort the run.
-                if let Err(err) = engine.warm_start_from(path) {
-                    eprintln!("warm start from {path:?} unavailable, starting cold: {err}");
-                }
-            }
             builder = builder.interceptor(Arc::clone(engine) as Arc<_>);
         }
         let runtime = builder.build();
@@ -265,7 +232,6 @@ impl TaskedRun {
             runtime,
             engine,
             started: Instant::now(),
-            store_save: options.store_save.clone(),
         }
     }
 
@@ -304,15 +270,6 @@ impl TaskedRun {
             }
             None => (None, Vec::new()),
         };
-        if let (Some(engine), Some(path)) = (&self.engine, &self.store_save) {
-            // The run's results are already computed; a failed save (full
-            // disk, bad path) costs this checkpoint, not the run, and leaves
-            // the previous snapshot at `path` intact (the save is a synced
-            // temp file renamed over it).
-            if let Err(err) = engine.save_store(path) {
-                eprintln!("failed to save the memo store to {path:?}: {err}");
-            }
-        }
         // One unified observation replaces the disjoint runtime/engine/store
         // snapshot calls; the engine keeps providing the richer per-type
         // view the observation DTOs do not carry.
@@ -401,58 +358,6 @@ mod tests {
             decisions: DecisionSnapshot::default(),
         };
         assert!((run.memory_overhead_percent() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_options_carry_persistence_paths() {
-        let options = RunOptions::with_atm(1, AtmConfig::static_atm())
-            .warm_started("/tmp/in.bin")
-            .saving_store("/tmp/out.bin");
-        assert_eq!(options.warm_start.as_deref(), Some("/tmp/in.bin".as_ref()));
-        assert_eq!(options.store_save.as_deref(), Some("/tmp/out.bin".as_ref()));
-        assert!(RunOptions::baseline(1).warm_start.is_none());
-    }
-
-    #[test]
-    fn tasked_run_saves_and_warm_starts_the_store() {
-        let path =
-            std::env::temp_dir().join(format!("atm-apps-warmstart-{}.bin", std::process::id()));
-        let submit_square = |harness: &TaskedRun| {
-            let rt = harness.runtime();
-            let input = rt.store().register_typed("in", vec![3.0f64, 4.0]).unwrap();
-            let out = rt.store().register_zeros::<f64>("out", 2).unwrap();
-            let tt = rt.register_task_type(
-                atm_runtime::TaskTypeBuilder::new("square", |ctx| {
-                    let x = ctx.arg::<f64>(0);
-                    let y: Vec<f64> = x.iter().map(|v| v * v).collect();
-                    ctx.out(1, &y);
-                })
-                .arg::<f64>()
-                .out::<f64>()
-                .memoizable()
-                .build(),
-            );
-            rt.task(tt).reads(&input).writes(&out).submit().unwrap();
-            out
-        };
-
-        // Cold run: executes once, persists the store.
-        let cold_options = RunOptions::with_atm(1, AtmConfig::static_atm()).saving_store(&path);
-        let cold = TaskedRun::new(&cold_options);
-        let out = submit_square(&cold);
-        let cold_run = cold.finish(|store| store.read(out).lock().as_f64().to_vec());
-        assert_eq!(cold_run.output, vec![9.0, 16.0]);
-        assert_eq!(cold_run.store_counters.insertions, 1);
-
-        // Warm run: the very same task is a hit before anything executed.
-        let warm_options = RunOptions::with_atm(1, AtmConfig::static_atm()).warm_started(&path);
-        let warm = TaskedRun::new(&warm_options);
-        let out = submit_square(&warm);
-        let warm_run = warm.finish(|store| store.read(out).lock().as_f64().to_vec());
-        assert_eq!(warm_run.output, vec![9.0, 16.0]);
-        assert_eq!(warm_run.atm_stats.executed, 0, "warm start must bypass");
-        assert_eq!(warm_run.store_counters.hits, 1);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! One function per table/figure of the paper's evaluation section
-//! (`table1`–`table3`, `sizing`, `figure3`–`figure9`), plus the four
-//! experiments that go beyond it: memo-store cache pressure (`pressure`),
-//! warm start (`warmstart`), the mixed per-type-policy run (`mixed`) and the
-//! scheduler sweep over its two supported mode axes (`scaling`) — 15 in all.
-//! Cross-commit performance questions belong to `benchmark/run.sh compare`.
+//! The paper's evaluation section, one function per table or figure: the
+//! three tables (`table1`–`table3`), the §IV-B THT sizing study (`sizing`)
+//! and Figures 3–9 (`figure3`–`figure9`) — 11 experiments, each over the six
+//! benchmark applications. Nothing here goes beyond the paper: runtime
+//! throughput, memo-store pressure and warm start are the benchmark's
+//! workloads (`benchmark/`), and cross-commit performance questions belong
+//! to `benchmark/run.sh compare`.
 
 use crate::measure::{geomean, EvalContext};
 use crate::report::Report;
-use atm_apps::{AppId, RunOptions, Scale};
-use atm_core::{AtmConfig, AtmEngine, MemoSpec, PolicyKind, StoreCountersSnapshot, ThtConfig};
-use atm_obs::{LatencyMetric, MemoDecision, Observability};
-use atm_runtime::{Region, RuntimeBuilder, TaskTypeBuilder, ThreadState};
-use std::sync::Arc;
+use atm_apps::{AppId, RunOptions};
+use atm_core::{AtmConfig, ThtConfig};
+use atm_obs::LatencyMetric;
+use atm_runtime::ThreadState;
 
 /// The experiments the harness can regenerate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,22 +38,11 @@ pub enum Experiment {
     Figure8,
     /// Figure 9: cumulative reuse generation over the task stream.
     Figure9,
-    /// Memo-store cache pressure: byte-budget sweep × eviction policy.
-    Pressure,
-    /// Cold-start vs warm-start from a persisted memo store.
-    WarmStart,
-    /// Per-type `MemoSpec` policies (exact, adaptive, fixed-p) running
-    /// concurrently in one runtime, with independent per-type trajectories.
-    Mixed,
-    /// Scheduler throughput: a fine-grained task flood (memoized and not)
-    /// swept over worker counts × ready-queue modes × dependence-chain
-    /// shapes (count × length), in tasks/sec.
-    Scaling,
 }
 
 impl Experiment {
     /// All experiments, in the order `atm-eval all` runs them.
-    pub const ALL: [Experiment; 15] = [
+    pub const ALL: [Experiment; 11] = [
         Experiment::Table1,
         Experiment::Table2,
         Experiment::Table3,
@@ -65,10 +54,6 @@ impl Experiment {
         Experiment::Figure7,
         Experiment::Figure8,
         Experiment::Figure9,
-        Experiment::Pressure,
-        Experiment::WarmStart,
-        Experiment::Mixed,
-        Experiment::Scaling,
     ];
 
     /// Command-line name.
@@ -85,10 +70,6 @@ impl Experiment {
             Experiment::Figure7 => "figure7",
             Experiment::Figure8 => "figure8",
             Experiment::Figure9 => "figure9",
-            Experiment::Pressure => "pressure",
-            Experiment::WarmStart => "warmstart",
-            Experiment::Mixed => "mixed",
-            Experiment::Scaling => "scaling",
         }
     }
 
@@ -147,10 +128,6 @@ fn dispatch_experiment(experiment: Experiment, ctx: &EvalContext) -> Report {
         Experiment::Figure7 => figure7(ctx),
         Experiment::Figure8 => figure8(ctx),
         Experiment::Figure9 => figure9(ctx),
-        Experiment::Pressure => pressure(ctx),
-        Experiment::WarmStart => warmstart(ctx),
-        Experiment::Mixed => mixed(ctx),
-        Experiment::Scaling => scaling(ctx),
     }
 }
 
@@ -719,826 +696,15 @@ pub fn figure9(ctx: &EvalContext) -> Report {
     report
 }
 
-/// Result of one cache-pressure round (one policy at one budget).
-struct PressureRound {
-    counters: StoreCountersSnapshot,
-    /// Hits observed in the replay phase (phase 2).
-    replay_hits: u64,
-}
-
-/// One cache-pressure round: a synthetic workload with three task types of
-/// very different cost/size profiles, run twice (populate, then replay)
-/// under one eviction policy and one byte budget.
-///
-/// * `heavy` — expensive kernel, tiny output: high benefit density;
-/// * `light` — trivial kernel, 32 KiB output: low benefit density;
-/// * `giant` — trivial kernel, 128 KiB output: admission-control bait at
-///   tight budgets.
-///
-/// Under a budget that cannot hold the light entries, a cost-aware policy
-/// keeps the heavy entries (saving kernel time on replay) while FIFO keeps
-/// whatever arrived last.
-fn pressure_round(policy: PolicyKind, budget: Option<usize>) -> PressureRound {
-    const HEAVY: usize = 12;
-    const LIGHT: usize = 12;
-    const GIANT: usize = 2;
-
-    let mut config = AtmConfig::static_atm()
-        .with_policy(policy)
-        .with_tht(ThtConfig {
-            bucket_bits: 4,
-            ways: 1024,
-        });
-    if let Some(bytes) = budget {
-        config = config.with_byte_budget(bytes);
-    }
-    let engine = AtmEngine::shared(config);
-    let rt = RuntimeBuilder::new()
-        .workers(2)
-        .interceptor(engine.clone())
-        .build();
-
-    let heavy_tt = rt.register_task_type(
-        TaskTypeBuilder::new("pressure_heavy", |ctx| {
-            let x = ctx.arg::<f64>(0);
-            let mut out = [0.0f64; 16];
-            for (i, slot) in out.iter_mut().enumerate() {
-                let mut v = x[i % x.len()];
-                for _ in 0..4000 {
-                    v = (v.sin() + 1.25).sqrt();
-                }
-                *slot = v;
-            }
-            ctx.out(1, &out);
-        })
-        .arg::<f64>()
-        .out::<f64>()
-        .memoizable()
-        .build(),
-    );
-    let light_tt = rt.register_task_type(
-        TaskTypeBuilder::new("pressure_light", |ctx| {
-            let x = ctx.arg::<f64>(0);
-            let out: Vec<f64> = (0..4096).map(|i| x[i % x.len()] + i as f64).collect();
-            ctx.out(1, &out);
-        })
-        .arg::<f64>()
-        .out::<f64>()
-        .memoizable()
-        .build(),
-    );
-    let giant_tt = rt.register_task_type(
-        TaskTypeBuilder::new("pressure_giant", |ctx| {
-            let x = ctx.arg::<f64>(0);
-            let out: Vec<f64> = (0..16384).map(|i| x[i % x.len()] * 0.5).collect();
-            ctx.out(1, &out);
-        })
-        .arg::<f64>()
-        .out::<f64>()
-        .memoizable()
-        .build(),
-    );
-
-    let inputs = |tag: &str, count: usize, len: usize| -> Vec<Region<f64>> {
-        (0..count)
-            .map(|i| {
-                rt.store()
-                    .register_typed(
-                        format!("{tag}_in{i}"),
-                        (0..len)
-                            .map(|j| (i * len + j) as f64 * 0.125 + 0.5)
-                            .collect::<Vec<f64>>(),
-                    )
-                    .unwrap()
-            })
-            .collect()
-    };
-    let heavy_in = inputs("heavy", HEAVY, 16);
-    let light_in = inputs("light", LIGHT, 16);
-    let giant_in = inputs("giant", GIANT, 16);
-
-    let mut out_serial = 0usize;
-    let mut submit_wave = |tts: &[(atm_runtime::TaskTypeId, &[Region<f64>], usize)]| {
-        for &(tt, ins, out_len) in tts {
-            for input in ins {
-                let out = rt
-                    .store()
-                    .register_zeros::<f64>(format!("out{out_serial}"), out_len)
-                    .unwrap();
-                out_serial += 1;
-                rt.task(tt).reads(input).writes(&out).submit().unwrap();
-            }
-            // A barrier per type keeps the populate order deterministic:
-            // heavy entries are the oldest, giants the newest.
-            rt.taskwait();
-        }
-    };
-
-    // Phase 1: populate.
-    submit_wave(&[
-        (heavy_tt, &heavy_in, 16),
-        (light_tt, &light_in, 4096),
-        (giant_tt, &giant_in, 16384),
-    ]);
-    let after_populate = engine.store_counters();
-
-    // Phase 2: replay the same inputs; hits accrue saved kernel time.
-    submit_wave(&[
-        (heavy_tt, &heavy_in, 16),
-        (light_tt, &light_in, 4096),
-        (giant_tt, &giant_in, 16384),
-    ]);
-    let counters = engine.store_counters();
-    let replay_hits = counters.hits - after_populate.hits;
-    rt.shutdown();
-    PressureRound {
-        counters,
-        replay_hits,
-    }
-}
-
-/// The cache-pressure budget sweep: for each eviction policy and each byte
-/// budget, populate the store, replay the same task stream and report what
-/// the store kept and how much kernel time the hits saved.
-pub fn pressure(_ctx: &EvalContext) -> Report {
-    let mut report = Report::new(
-        "pressure",
-        "Memo-store cache pressure — byte-budget sweep × eviction policy",
-        "budget_bytes,policy,replay_hits,insertions,evictions,rejected_admissions,resident_bytes,entries,saved_kernel_ms",
-    );
-    // 48 KiB holds the heavy entries and barely one light entry; 192 KiB a
-    // handful of light entries; `None` is the paper's unlimited table.
-    let budgets: [Option<usize>; 3] = [None, Some(192 * 1024), Some(48 * 1024)];
-    for budget in budgets {
-        // One naming scheme per budget, used by both the human-readable
-        // lines and the JSON metric prefixes so they can never drift apart.
-        let (label, budget_tag) = match budget {
-            None => ("unlimited".to_string(), "unlimited".to_string()),
-            Some(bytes) => (
-                format!("{} KiB", bytes / 1024),
-                format!("{}k", bytes / 1024),
-            ),
-        };
-        report.linef(format_args!("budget {label}:"));
-        for policy in PolicyKind::ALL {
-            let round = pressure_round(policy, budget);
-            let c = round.counters;
-            report.linef(format_args!(
-                "  {:<10} replay hits {:>3}  evictions {:>3}  rejected {:>2}  resident {:>7} B  saved {:>9.3} ms",
-                policy.name(),
-                round.replay_hits,
-                c.evictions,
-                c.rejected_admissions,
-                c.resident_bytes,
-                c.saved_ns as f64 / 1e6,
-            ));
-            report.row(format!(
-                "{},{},{},{},{},{},{},{},{:.4}",
-                budget.unwrap_or(0),
-                policy.name(),
-                round.replay_hits,
-                c.insertions,
-                c.evictions,
-                c.rejected_admissions,
-                c.resident_bytes,
-                c.entries,
-                c.saved_ns as f64 / 1e6,
-            ));
-            let prefix = format!("{budget_tag}_{}", policy.name().replace('-', "_"));
-            report.metric(format!("{prefix}_replay_hits"), round.replay_hits as f64);
-            report.metric(format!("{prefix}_hits"), c.hits as f64);
-            report.metric(format!("{prefix}_misses"), c.misses as f64);
-            report.metric(format!("{prefix}_insertions"), c.insertions as f64);
-            report.metric(format!("{prefix}_evictions"), c.evictions as f64);
-            report.metric(
-                format!("{prefix}_rejected_admissions"),
-                c.rejected_admissions as f64,
-            );
-            report.metric(format!("{prefix}_resident_bytes"), c.resident_bytes as f64);
-            report.metric(format!("{prefix}_saved_ns"), c.saved_ns as f64);
-        }
-    }
-    report.line("Under pressure the cost-aware policy retains the expensive-to-recompute,");
-    report.line("cheap-to-store entries, so replaying the stream saves the most kernel time;");
-    report.line("FIFO retains whatever arrived last, and admission control keeps the giant");
-    report.line("outputs from flushing the table at tight budgets.");
-    report
-}
-
-/// The cold-vs-warm-start experiment: a synthetic stream whose memo store is
-/// persisted and reloaded, plus an application-level warm start through the
-/// apps' `RunOptions`.
-pub fn warmstart(ctx: &EvalContext) -> Report {
-    let mut report = Report::new(
-        "warmstart",
-        "Cold start vs warm start from a persisted memo store",
-        "section,run,executed,tht_hits,first_taskwait_hits,hit_rate_percent",
-    );
-
-    // --- Section A: synthetic stream, hit rate at the first taskwait. ---
-    let path = std::env::temp_dir().join(format!("atm-eval-warmstart-{}.bin", std::process::id()));
-    const TASKS: usize = 8;
-    let run_stream = |engine: Arc<AtmEngine>| -> (u64, u64) {
-        let rt = RuntimeBuilder::new()
-            .workers(2)
-            .interceptor(engine.clone())
-            .build();
-        let tt = rt.register_task_type(
-            TaskTypeBuilder::new("warm_square", |ctx| {
-                let x = ctx.arg::<f64>(0);
-                let y: Vec<f64> = x.iter().map(|v| v * v + 1.0).collect();
-                ctx.out(1, &y);
-            })
-            .arg::<f64>()
-            .out::<f64>()
-            .memoizable()
-            .build(),
-        );
-        for i in 0..TASKS {
-            let input = rt
-                .store()
-                .register_typed(format!("in{i}"), vec![i as f64 + 0.25; 256])
-                .unwrap();
-            let out = rt
-                .store()
-                .register_zeros::<f64>(format!("out{i}"), 256)
-                .unwrap();
-            rt.task(tt).reads(&input).writes(&out).submit().unwrap();
-        }
-        // The *first* taskwait of this run: everything before it either hit
-        // the warm-started table or had to execute.
-        rt.taskwait();
-        let stats = engine.stats();
-        rt.shutdown();
-        (stats.executed, stats.tht_bypassed)
-    };
-
-    let cold_engine = AtmEngine::shared(AtmConfig::static_atm());
-    let (cold_executed, cold_hits) = run_stream(cold_engine.clone());
-    cold_engine
-        .save_store(&path)
-        .expect("persisting the memo store");
-
-    let warm_engine = AtmEngine::shared(AtmConfig::static_atm());
-    let reloaded = warm_engine
-        .warm_start_from(&path)
-        .expect("reloading the memo store");
-    let (warm_executed, warm_hits) = run_stream(warm_engine.clone());
-    let _ = std::fs::remove_file(&path);
-
-    let rate = |hits: u64| 100.0 * hits as f64 / TASKS as f64;
-    report.linef(format_args!(
-        "synthetic stream ({TASKS} distinct tasks, {reloaded} entries reloaded):"
-    ));
-    report.linef(format_args!(
-        "  cold start: {cold_executed} executed, {cold_hits} THT hits at the first taskwait ({:.0}%)",
-        rate(cold_hits)
-    ));
-    report.linef(format_args!(
-        "  warm start: {warm_executed} executed, {warm_hits} THT hits at the first taskwait ({:.0}%)",
-        rate(warm_hits)
-    ));
-    report.row(format!(
-        "synthetic,cold,{cold_executed},{cold_hits},{cold_hits},{:.2}",
-        rate(cold_hits)
-    ));
-    report.row(format!(
-        "synthetic,warm,{warm_executed},{warm_hits},{warm_hits},{:.2}",
-        rate(warm_hits)
-    ));
-    report.metric("synthetic_entries_reloaded", reloaded as f64);
-    report.metric("synthetic_cold_first_taskwait_hits", cold_hits as f64);
-    report.metric("synthetic_warm_first_taskwait_hits", warm_hits as f64);
-    report.metric("synthetic_warm_executed", warm_executed as f64);
-
-    // --- Section B: application-level warm start through RunOptions. ---
-    let app_path =
-        std::env::temp_dir().join(format!("atm-eval-warmstart-app-{}.bin", std::process::id()));
-    let cold = ctx.measure(
-        AppId::Blackscholes,
-        &RunOptions::with_atm(ctx.workers, AtmConfig::static_atm()).saving_store(&app_path),
-    );
-    let warm = ctx.measure(
-        AppId::Blackscholes,
-        &RunOptions::with_atm(ctx.workers, AtmConfig::static_atm()).warm_started(&app_path),
-    );
-    let _ = std::fs::remove_file(&app_path);
-    report.line("blackscholes (app-level, via RunOptions::warm_started):");
-    report.linef(format_args!(
-        "  cold: executed {:>5}, store hits {:>5}, wall {:.2} ms",
-        cold.run.atm_stats.executed,
-        cold.run.store_counters.hits,
-        cold.wall_seconds * 1000.0
-    ));
-    report.linef(format_args!(
-        "  warm: executed {:>5}, store hits {:>5}, wall {:.2} ms",
-        warm.run.atm_stats.executed,
-        warm.run.store_counters.hits,
-        warm.wall_seconds * 1000.0
-    ));
-    for (label, m) in [("cold", &cold), ("warm", &warm)] {
-        let seen = m.run.atm_stats.seen.max(1);
-        report.row(format!(
-            "blackscholes,{label},{},{},{},{:.2}",
-            m.run.atm_stats.executed,
-            m.run.store_counters.hits,
-            m.run.store_counters.hits,
-            100.0 * m.run.store_counters.hits as f64 / seen as f64
-        ));
-        let c = m.run.store_counters;
-        report.metric(
-            format!("blackscholes_{label}_executed"),
-            m.run.atm_stats.executed as f64,
-        );
-        report.metric(format!("blackscholes_{label}_hits"), c.hits as f64);
-        report.metric(format!("blackscholes_{label}_misses"), c.misses as f64);
-        report.metric(
-            format!("blackscholes_{label}_insertions"),
-            c.insertions as f64,
-        );
-        report.metric(
-            format!("blackscholes_{label}_evictions"),
-            c.evictions as f64,
-        );
-        report.metric(
-            format!("blackscholes_{label}_resident_bytes"),
-            c.resident_bytes as f64,
-        );
-        report.metric(format!("blackscholes_{label}_saved_ns"), c.saved_ns as f64);
-    }
-    report.line("A warm-started run hits the table from its very first task: the cold run's");
-    report.line("executions are the price paid exactly once per distinct input.");
-    report
-}
-
-/// Per-type outcome of the mixed-policy run, pairing the engine's
-/// `TypeSummary` counters with the per-type counts of the memo-decision
-/// audit stream. The two views come from independent code paths; the mixed
-/// experiment asserts they reconcile exactly.
-#[derive(Debug, Clone)]
-struct MixedTypeOutcome {
-    name: String,
-    seen: u64,
-    executed_estimate: u64,
-    training_hits: u64,
-    tht_bypassed: u64,
-    ikt_deferred: u64,
-    final_p: f64,
-    steady: bool,
-    /// `ThtHit` decision events of this type.
-    decision_tht_hits: u64,
-    /// `IktDefer` decision events of this type.
-    decision_ikt_defers: u64,
-    /// `TrainingAccept` decision events of this type.
-    decision_accepts: u64,
-    /// `TrainingReject` decision events of this type.
-    decision_rejects: u64,
-}
-
-impl MixedTypeOutcome {
-    /// True when the audit stream agrees with the engine counters.
-    fn reconciles(&self) -> bool {
-        self.decision_tht_hits == self.tht_bypassed
-            && self.decision_ikt_defers == self.ikt_deferred
-            && self.decision_accepts + self.decision_rejects == self.training_hits
-    }
-}
-
-/// Runs three memoizable task types with different [`MemoSpec`]s — exact,
-/// adaptive `τ_max`, and fixed `p` — concurrently in one runtime under the
-/// spec-respecting engine mode, and returns each type's independent
-/// hit/precision trajectory.
-///
-/// Every wave submits, per payload and per type, one *identical*
-/// resubmission (the pristine input region) and one *perturbed* copy (the
-/// same values with the lowest mantissa bit of some elements flipped). The
-/// three policies then diverge on the same stream:
-///
-/// * the **exact** type hits only the identical resubmissions and executes
-///   every perturbed copy;
-/// * the **adaptive** type trains its own `p` down to the minimum and then
-///   bypasses both kinds;
-/// * the **fixed-p** type (25 %, MSB-first) never samples the perturbed
-///   low-mantissa bytes, so it bypasses both kinds from its first wave —
-///   without any training.
-///
-/// One worker keeps the task stream order (and therefore every counter)
-/// deterministic; the policies, not the parallelism, are under test.
-fn mixed_run(ctx: &EvalContext) -> Vec<MixedTypeOutcome> {
-    const WAVES: usize = 4;
-    // One payload per type: at the training ladder's smallest p only a
-    // single MSB byte is sampled, so distinct payloads of one type can
-    // alias during training and make the counters input-dependent — the
-    // policies, not that aliasing, are what this experiment demonstrates.
-    const PAYLOADS: usize = 1;
-    const ELEMS: usize = 64;
-
-    let obs = Arc::new(Observability::enabled());
-    let engine =
-        Arc::new(AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs)));
-    let rt = RuntimeBuilder::new()
-        .workers(1)
-        .observability(Arc::clone(&obs))
-        .interceptor(engine.clone() as Arc<dyn atm_runtime::TaskInterceptor>)
-        .build();
-
-    let square = |ctx: &atm_runtime::TaskContext<'_>| {
-        let x = ctx.arg::<f64>(0);
-        let out: Vec<f64> = x.iter().map(|v| v * v).collect();
-        ctx.out(1, &out);
-    };
-    let types = [
-        rt.register_task_type(
-            TaskTypeBuilder::new("mixed_exact", square)
-                .arg::<f64>()
-                .out::<f64>()
-                .memo(MemoSpec::exact())
-                .build(),
-        ),
-        rt.register_task_type(
-            TaskTypeBuilder::new("mixed_adaptive", square)
-                .arg::<f64>()
-                .out::<f64>()
-                .memo(MemoSpec::approximate().tau(0.2).training_window(2))
-                .build(),
-        ),
-        rt.register_task_type(
-            TaskTypeBuilder::new("mixed_fixed", square)
-                .arg::<f64>()
-                .out::<f64>()
-                .memo(MemoSpec::fixed_precision(0.25))
-                .build(),
-        ),
-    ];
-
-    let payload =
-        |j: usize| -> Vec<f64> { (0..ELEMS).map(|e| (j * ELEMS + e) as f64 + 1.5).collect() };
-    // Low-mantissa noise, distinct per wave: flips the lowest mantissa bits
-    // of every third element — invisible to MSB-first selection at small
-    // p, caught by exact hashing.
-    let perturbed = |j: usize, wave: usize| -> Vec<f64> {
-        payload(j)
-            .into_iter()
-            .enumerate()
-            .map(|(e, v)| {
-                if e % 3 == 0 {
-                    f64::from_bits(v.to_bits() ^ (wave as u64 + 1))
-                } else {
-                    v
-                }
-            })
-            .collect()
-    };
-
-    let pristine: Vec<Vec<Region<f64>>> = (0..3)
-        .map(|t| {
-            (0..PAYLOADS)
-                .map(|j| {
-                    rt.store()
-                        .register_typed(format!("mixed_in_{t}_{j}"), payload(j))
-                        .unwrap()
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut serial = 0usize;
-    for wave in 0..WAVES {
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..PAYLOADS {
-            for (t, tt) in types.iter().enumerate() {
-                // Identical resubmission.
-                let out = rt
-                    .store()
-                    .register_zeros::<f64>(format!("mixed_out{serial}"), ELEMS)
-                    .unwrap();
-                serial += 1;
-                rt.task(*tt)
-                    .reads(&pristine[t][j])
-                    .writes(&out)
-                    .submit()
-                    .unwrap();
-                // Perturbed copy.
-                let noisy = rt
-                    .store()
-                    .register_typed(format!("mixed_noisy{serial}"), perturbed(j, wave))
-                    .unwrap();
-                let out = rt
-                    .store()
-                    .register_zeros::<f64>(format!("mixed_out{serial}"), ELEMS)
-                    .unwrap();
-                serial += 1;
-                rt.task(*tt).reads(&noisy).writes(&out).submit().unwrap();
-            }
-        }
-        rt.taskwait();
-    }
-
-    let summaries = engine.type_summaries();
-    let decisions = obs.decisions();
-    let mut outcomes: Vec<MixedTypeOutcome> = summaries
-        .iter()
-        .map(|(type_id, s)| {
-            let t = type_id.index() as u32;
-            MixedTypeOutcome {
-                name: s.name.clone(),
-                seen: s.seen,
-                executed_estimate: s.seen - s.tht_bypassed - s.ikt_deferred,
-                training_hits: s.training_hits,
-                tht_bypassed: s.tht_bypassed,
-                ikt_deferred: s.ikt_deferred,
-                final_p: s.final_p,
-                steady: s.steady,
-                decision_tht_hits: decisions.count(t, MemoDecision::ThtHit),
-                decision_ikt_defers: decisions.count(t, MemoDecision::IktDefer),
-                decision_accepts: decisions.count(t, MemoDecision::TrainingAccept),
-                decision_rejects: decisions.count(t, MemoDecision::TrainingReject),
-            }
-        })
-        .collect();
-    outcomes.sort_by(|a, b| a.name.cmp(&b.name));
-    rt.shutdown();
-    ctx.absorb_latency(&obs.metrics());
-    outcomes
-}
-
-/// The mixed per-type-policy experiment: the acceptance demonstration of
-/// the `MemoSpec` redesign (one runtime, three policies, independent
-/// per-type trajectories).
-pub fn mixed(ctx: &EvalContext) -> Report {
-    let mut report = Report::new(
-        "mixed",
-        "Mixed per-type MemoSpec policies in one runtime (exact / adaptive / fixed-p)",
-        "task_type,policy,seen,executed,training_hits,tht_bypassed,final_p,steady",
-    );
-    let policies = [
-        ("mixed_adaptive", "approximate(tau=0.2,window=2)"),
-        ("mixed_exact", "exact"),
-        ("mixed_fixed", "fixed_precision(0.25)"),
-    ];
-    report.linef(format_args!(
-        "{:<15} {:<28} {:>5} {:>9} {:>9} {:>9} {:>10} {:>7}",
-        "Task type", "Policy", "seen", "executed", "training", "bypassed", "final_p", "steady"
-    ));
-    let mut all_reconcile = true;
-    for outcome in mixed_run(ctx) {
-        all_reconcile &= outcome.reconciles();
-        let policy = policies
-            .iter()
-            .find(|(n, _)| *n == outcome.name)
-            .map(|(_, p)| *p)
-            .unwrap_or("?");
-        report.linef(format_args!(
-            "{:<15} {:<28} {:>5} {:>9} {:>9} {:>9} {:>10.5} {:>7}",
-            outcome.name,
-            policy,
-            outcome.seen,
-            outcome.executed_estimate,
-            outcome.training_hits,
-            outcome.tht_bypassed,
-            outcome.final_p,
-            outcome.steady
-        ));
-        report.row(format!(
-            "{},{},{},{},{},{},{:.8},{}",
-            outcome.name,
-            policy,
-            outcome.seen,
-            outcome.executed_estimate,
-            outcome.training_hits,
-            outcome.tht_bypassed,
-            outcome.final_p,
-            outcome.steady
-        ));
-        let prefix = outcome.name.trim_start_matches("mixed_").to_string();
-        report.metric(format!("{prefix}_seen"), outcome.seen as f64);
-        report.metric(
-            format!("{prefix}_executed"),
-            outcome.executed_estimate as f64,
-        );
-        report.metric(
-            format!("{prefix}_training_hits"),
-            outcome.training_hits as f64,
-        );
-        report.metric(
-            format!("{prefix}_tht_bypassed"),
-            outcome.tht_bypassed as f64,
-        );
-        report.metric(format!("{prefix}_final_p"), outcome.final_p);
-        report.metric(
-            format!("{prefix}_steady"),
-            if outcome.steady { 1.0 } else { 0.0 },
-        );
-        report.metric(
-            format!("{prefix}_decision_tht_hits"),
-            outcome.decision_tht_hits as f64,
-        );
-        report.metric(
-            format!("{prefix}_decision_training_accepts"),
-            outcome.decision_accepts as f64,
-        );
-        report.metric(
-            format!("{prefix}_decision_training_rejects"),
-            outcome.decision_rejects as f64,
-        );
-    }
-    report.metric("decisions_reconcile", if all_reconcile { 1.0 } else { 0.0 });
-    report.linef(format_args!(
-        "memo-decision audit stream reconciles with the engine counters: {}",
-        if all_reconcile { "yes" } else { "NO" }
-    ));
-    report.line("Each type follows its own declared policy in the same runtime: the exact");
-    report.line("type re-executes every perturbed input, the adaptive type trains its own p");
-    report.line("and then tolerates the noise, and the fixed-p type tolerates it from the");
-    report.line("start — the engine-global mode no longer decides.");
-    report
-}
-
-/// One round of the fine-grained scheduler flood.
-///
-/// `chains` independent dependence chains of `chain_len` tasks each are
-/// submitted behind a *gate* task that blocks until every submission is in
-/// the graph, so the measured interval is pure scheduler work: dependence
-/// release, queueing, dispatch and (for half the chains) THT hits. Odd
-/// chains run a trivial increment kernel (always executed); even chains run
-/// a memoizable constant kernel whose tasks become THT bypasses after the
-/// chain's second step — the "ATM made tasks cheap" regime where the
-/// runtime itself is the bottleneck.
-///
-/// Returns the drain throughput in tasks/sec.
-fn flood_round(
-    workers: usize,
-    chains: usize,
-    chain_len: usize,
-    obs: Option<&Arc<Observability>>,
-) -> f64 {
-    use atm_sync::{Condvar, Mutex};
-
-    let mut engine = AtmEngine::new(AtmConfig::static_atm());
-    if let Some(obs) = obs {
-        engine = engine.with_observability(Arc::clone(obs));
-    }
-    let mut builder = RuntimeBuilder::new()
-        .workers(workers)
-        .interceptor(Arc::new(engine) as Arc<dyn atm_runtime::TaskInterceptor>);
-    if let Some(obs) = obs {
-        builder = builder.observability(Arc::clone(obs));
-    }
-    let rt = builder.build();
-
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let gate_in_kernel = Arc::clone(&gate);
-    let gate_tt = rt.register_task_type(
-        TaskTypeBuilder::new("flood_gate", move |ctx| {
-            let (lock, cvar) = &*gate_in_kernel;
-            let mut open = lock.lock();
-            while !*open {
-                cvar.wait(&mut open);
-            }
-            ctx.out(0, &[1.0f64]);
-        })
-        .out::<f64>()
-        .build(),
-    );
-    // No declared signature: the first task of a chain carries an extra
-    // read of the gate region, later tasks only their chain cell.
-    let plain_tt = rt.register_task_type(
-        TaskTypeBuilder::new("flood_incr", |ctx| {
-            let idx = ctx.accesses().len() - 1;
-            let v = ctx.arg::<f64>(idx)[0];
-            ctx.out(idx, &[v + 1.0]);
-        })
-        .build(),
-    );
-    let memo_tt = rt.register_task_type(
-        TaskTypeBuilder::new("flood_memo", |ctx| {
-            let idx = ctx.accesses().len() - 1;
-            ctx.out(idx, &[42.0f64]);
-        })
-        .memoizable()
-        .build(),
-    );
-
-    let gate_region = rt.store().register_zeros::<f64>("gate", 1).unwrap();
-    let cells: Vec<Region<f64>> = (0..chains)
-        .map(|c| rt.store().register_zeros(format!("chain{c}"), 1).unwrap())
-        .collect();
-
-    rt.task(gate_tt).writes(&gate_region).submit().unwrap();
-    for step in 0..chain_len {
-        for (c, cell) in cells.iter().enumerate() {
-            let tt = if c % 2 == 0 { memo_tt } else { plain_tt };
-            let mut task = rt.task(tt);
-            if step == 0 {
-                task = task.reads(&gate_region);
-            }
-            task.reads_writes(cell).submit().unwrap();
-        }
-    }
-
-    // Everything is in the graph, piled up behind the gate: open it and
-    // time the drain.
-    let started = std::time::Instant::now();
-    {
-        let (lock, cvar) = &*gate;
-        *lock.lock() = true;
-        cvar.notify_all();
-    }
-    rt.taskwait();
-    let elapsed = started.elapsed().as_secs_f64();
-
-    // Sanity: the dataflow ran to completion in order.
-    for (c, cell) in cells.iter().enumerate() {
-        let expected = if c % 2 == 0 { 42.0 } else { chain_len as f64 };
-        assert_eq!(
-            rt.store().read(*cell).lock().as_f64(),
-            &[expected],
-            "chain {c} must run its full {chain_len}-task chain in order"
-        );
-    }
-    rt.shutdown();
-    (chains * chain_len) as f64 / elapsed.max(1e-9)
-}
-
-/// The chain shapes of the scaling sweep for a given scale: (chains,
-/// chain_len) pairs from release-burst-heavy (few long chains: large
-/// simultaneous fan-out never happens, each finish releases one successor,
-/// parallelism is capped by the chain count) to steady-drain-heavy (many
-/// short chains: a huge burst of ready roots, then quick drain).
-fn scaling_shapes(scale: Scale) -> [(usize, usize); 3] {
-    match scale {
-        Scale::Tiny => [(4, 256), (32, 32), (256, 4)],
-        _ => [(4, 1024), (64, 64), (1024, 4)],
-    }
-}
-
-/// The scheduler-scaling experiment: tasks/sec of the fine-grained flood per
-/// (chain shape × worker count). The chain-shape sweep holds the total task
-/// count constant while moving the work's structure from few long
-/// dependence chains (release-bound: parallelism capped by the chain count,
-/// every handoff a dependence release) to many short ones (drain-bound: one
-/// huge ready burst, then queue-throughput limited).
-pub fn scaling(ctx: &EvalContext) -> Report {
-    let mut report = Report::new(
-        "scaling",
-        "Scheduler throughput — fine-grained task flood, chain shape × workers",
-        "chains,chain_len,workers,tasks,rounds_best_tasks_per_sec",
-    );
-    let rounds = match ctx.scale {
-        Scale::Tiny => 2usize,
-        _ => 3,
-    };
-    // One shared handle across every round: the experiment-level latency
-    // percentiles cover the whole sweep.
-    let obs = Arc::new(Observability::enabled());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shapes = scaling_shapes(ctx.scale);
-    // Best rate of each shape at 4 workers, for the burst-vs-release spread.
-    let mut at_four = [0.0f64; 3];
-    for (shape, &(chains, chain_len)) in shapes.iter().enumerate() {
-        let tasks = chains * chain_len;
-        report.linef(format_args!(
-            "{chains} chains x {chain_len} tasks ({tasks} tasks/round, best of {rounds} rounds, {cores} cores):"
-        ));
-        for workers in [1usize, 2, 4] {
-            let tps = (0..rounds)
-                .map(|_| flood_round(workers, chains, chain_len, Some(&obs)))
-                .fold(0.0f64, f64::max);
-            report.linef(format_args!("  {workers} workers  {tps:>12.0} tasks/sec"));
-            report.row(format!("{chains},{chain_len},{workers},{tasks},{tps:.1}"));
-            report.metric(
-                format!("c{chains}x{chain_len}_w{workers}_tasks_per_sec"),
-                tps,
-            );
-            if workers == 4 {
-                at_four[shape] = tps;
-            }
-        }
-    }
-    let (release, burst) = (at_four[0], at_four[2]);
-    if release > 0.0 {
-        report.metric("w4_burst_over_release", burst / release);
-        report.linef(format_args!(
-            "4 workers, burst shape ({}x{}) over release shape ({}x{}): {:.2}x",
-            shapes[2].0,
-            shapes[2].1,
-            shapes[0].0,
-            shapes[0].1,
-            burst / release
-        ));
-    }
-    report.line("Work stealing keeps a released successor on the releasing worker's own");
-    report.line("deque (no shared lock in steady state). Few long chains bound parallelism");
-    report.line("by the chain count (release-limited); many short chains flood the queue up");
-    report.line("front and measure pure drain throughput.");
-    ctx.absorb_latency(&obs.metrics());
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use atm_apps::Scale;
+    use atm_core::{AtmEngine, MemoSpec, TypeSummary};
+    use atm_obs::{DecisionSnapshot, MemoDecision, Observability};
+    use atm_runtime::{Region, RuntimeBuilder, TaskInterceptor, TaskTypeBuilder};
+    use atm_sync::{Condvar, Mutex};
+    use std::sync::Arc;
 
     #[test]
     fn experiment_ids_round_trip() {
@@ -1560,215 +726,6 @@ mod tests {
         let t2 = table2(&ctx);
         assert_eq!(t2.csv_rows.len(), 6);
         assert!(t2.text.contains("Ltraining"));
-    }
-
-    #[test]
-    fn pressure_cost_aware_beats_fifo_at_the_tightest_budget() {
-        let tight = Some(48 * 1024);
-        let fifo = pressure_round(PolicyKind::Fifo, tight);
-        let cost = pressure_round(PolicyKind::CostAware, tight);
-        assert!(
-            cost.counters.saved_ns >= fifo.counters.saved_ns,
-            "cost-aware must save at least as much kernel time as FIFO \
-             at the tightest budget ({} vs {} ns)",
-            cost.counters.saved_ns,
-            fifo.counters.saved_ns
-        );
-        assert!(
-            cost.replay_hits > 0,
-            "cost-aware must retain something worth hitting"
-        );
-        // The giant outputs do not fit a 48 KiB budget at all.
-        assert!(fifo.counters.rejected_admissions > 0);
-        assert!(
-            fifo.counters.resident_bytes <= 48 * 1024,
-            "the budget must hold"
-        );
-    }
-
-    #[test]
-    fn pressure_unlimited_budget_never_evicts_by_budget() {
-        let round = pressure_round(PolicyKind::Fifo, None);
-        assert_eq!(round.counters.rejected_admissions, 0);
-        assert_eq!(
-            round.counters.evictions, 0,
-            "ways=1024 and no budget must keep every entry"
-        );
-        // Replay hits everything that was stored.
-        assert_eq!(round.replay_hits, round.counters.insertions);
-    }
-
-    /// Acceptance criterion of the MemoSpec redesign: one runtime runs an
-    /// exact type, an adaptive type and a fixed-p type concurrently, and
-    /// each type's hit/precision trajectory is independent.
-    #[test]
-    fn mixed_policies_have_independent_per_type_trajectories() {
-        let ctx = EvalContext::new(Scale::Tiny, 1);
-        let outcomes = mixed_run(&ctx);
-        assert_eq!(outcomes.len(), 3);
-        let by_name = |name: &str| {
-            outcomes
-                .iter()
-                .find(|o| o.name == name)
-                .unwrap_or_else(|| panic!("no outcome for {name}"))
-        };
-        // 4 waves × 2 submissions (identical + perturbed) per type.
-        for outcome in &outcomes {
-            assert_eq!(outcome.seen, 8, "{}: stream size", outcome.name);
-        }
-
-        // Exact: p pinned at 100 %, steady from the start, never trains.
-        // Hits exactly the identical resubmissions (waves 2-4) and executes
-        // every perturbed copy.
-        let exact = by_name("mixed_exact");
-        assert_eq!(exact.final_p, 1.0);
-        assert!(exact.steady);
-        assert_eq!(exact.training_hits, 0);
-        assert_eq!(exact.tht_bypassed, 3, "exact hits only identical inputs");
-        assert_eq!(exact.executed_estimate, 5);
-
-        // Adaptive: trains its own p on its own stream (training hits
-        // execute), freezes at the minimum and then bypasses both the
-        // identical and the perturbed submissions.
-        let adaptive = by_name("mixed_adaptive");
-        assert!(adaptive.steady, "window of 2 must finish training");
-        assert_eq!(adaptive.training_hits, 2);
-        assert!(
-            adaptive.final_p < 0.01,
-            "identical-at-MSB inputs keep p minimal, got {}",
-            adaptive.final_p
-        );
-        assert_eq!(
-            adaptive.executed_estimate, 3,
-            "1 cold miss + 2 training executions"
-        );
-        assert_eq!(adaptive.tht_bypassed, 5);
-
-        // Fixed p: steady at its declared precision with no training, and
-        // immune to the low-mantissa noise from the very first wave.
-        let fixed = by_name("mixed_fixed");
-        assert!((fixed.final_p - 0.25).abs() < 1e-12);
-        assert!(fixed.steady);
-        assert_eq!(fixed.training_hits, 0);
-        assert_eq!(fixed.executed_estimate, 1, "only the cold miss runs");
-        assert_eq!(fixed.tht_bypassed, 7);
-
-        // Independence: three different final precisions in one engine.
-        assert!(exact.final_p > fixed.final_p);
-        assert!(fixed.final_p > adaptive.final_p);
-    }
-
-    #[test]
-    fn mixed_report_carries_per_type_metrics() {
-        let ctx = EvalContext::new(Scale::Tiny, 1);
-        let report = mixed(&ctx);
-        assert_eq!(report.csv_rows.len(), 3);
-        for prefix in ["exact", "adaptive", "fixed"] {
-            for metric in ["final_p", "training_hits", "tht_bypassed", "steady"] {
-                let name = format!("{prefix}_{metric}");
-                assert!(
-                    report.metrics.iter().any(|(n, _)| *n == name),
-                    "metric {name} missing from the mixed report"
-                );
-            }
-        }
-        let reconcile = report
-            .metrics
-            .iter()
-            .find(|(n, _)| n == "decisions_reconcile")
-            .expect("mixed must report the reconciliation flag")
-            .1;
-        assert_eq!(reconcile, 1.0, "audit stream must match engine counters");
-    }
-
-    /// Acceptance criterion: the memo-decision audit stream reconciles
-    /// exactly with the engine's per-type counters — for every policy,
-    /// `ThtHit` events equal `tht_bypassed`, `IktDefer` events equal
-    /// `ikt_deferred`, and `TrainingAccept + TrainingReject` equal
-    /// `training_hits`.
-    #[test]
-    fn mixed_decision_stream_reconciles_with_type_summaries() {
-        let ctx = EvalContext::new(Scale::Tiny, 1);
-        for outcome in mixed_run(&ctx) {
-            assert_eq!(
-                outcome.decision_tht_hits, outcome.tht_bypassed,
-                "{}: ThtHit events vs tht_bypassed",
-                outcome.name
-            );
-            assert_eq!(
-                outcome.decision_ikt_defers, outcome.ikt_deferred,
-                "{}: IktDefer events vs ikt_deferred",
-                outcome.name
-            );
-            assert_eq!(
-                outcome.decision_accepts + outcome.decision_rejects,
-                outcome.training_hits,
-                "{}: training events vs training_hits",
-                outcome.name
-            );
-            assert!(outcome.reconciles());
-        }
-        // The run fed the context's latency accumulator.
-        let latency = ctx.take_latency();
-        assert!(latency.get(LatencyMetric::TaskLatency).count > 0);
-    }
-
-    /// The flood completes its dataflow correctly at every worker count
-    /// (the assertions live inside `flood_round`) and reports a sane rate.
-    #[test]
-    fn scaling_flood_round_is_correct_in_every_configuration() {
-        for workers in [1usize, 2, 4] {
-            let tps = flood_round(workers, 8, 25, None);
-            assert!(tps > 0.0, "{workers} workers: throughput must be positive");
-        }
-    }
-
-    #[test]
-    fn scaling_report_covers_the_full_sweep() {
-        let ctx = EvalContext::new(Scale::Tiny, 2);
-        let report = scaling(&ctx);
-        assert_eq!(report.csv_rows.len(), 9, "3 chain shapes x 3 worker counts");
-        for (chains, chain_len) in scaling_shapes(Scale::Tiny) {
-            for workers in [1, 2, 4] {
-                let name = format!("c{chains}x{chain_len}_w{workers}_tasks_per_sec");
-                let value = report
-                    .metrics
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .unwrap_or_else(|| panic!("metric {name} missing"))
-                    .1;
-                assert!(value > 0.0, "{name} must be positive");
-            }
-        }
-        assert!(report
-            .metrics
-            .iter()
-            .any(|(n, _)| n == "w4_burst_over_release"));
-    }
-
-    #[test]
-    fn warmstart_first_taskwait_has_nonzero_hit_rate() {
-        let ctx = EvalContext::new(Scale::Tiny, 1);
-        let report = warmstart(&ctx);
-        let metric = |name: &str| -> f64 {
-            report
-                .metrics
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("metric {name} missing"))
-                .1
-        };
-        assert_eq!(metric("synthetic_cold_first_taskwait_hits"), 0.0);
-        assert!(
-            metric("synthetic_warm_first_taskwait_hits") > 0.0,
-            "a warm-started run must hit the table at its first taskwait"
-        );
-        assert_eq!(metric("synthetic_warm_executed"), 0.0);
-        assert!(
-            metric("blackscholes_warm_hits") >= metric("blackscholes_cold_hits"),
-            "app-level warm start must not hit less than the cold run"
-        );
-        assert!(metric("blackscholes_warm_hits") > 0.0);
     }
 
     #[test]
@@ -1803,5 +760,255 @@ mod tests {
             report.csv_rows.iter().any(|r| r.ends_with("1.0000")),
             "no benchmark generated any reuse"
         );
+    }
+
+    /// One runtime, one engine, three memoizable types declaring an exact,
+    /// an adaptive and a fixed-p `MemoSpec`. Every wave submits, per type,
+    /// one identical resubmission of a pristine input and one copy with the
+    /// lowest mantissa bits of every third element flipped (distinct per
+    /// wave). One worker keeps the stream order, and so every counter,
+    /// deterministic. Returns each type's index, summary and executed
+    /// count, plus the memo-decision audit stream.
+    fn mixed_program() -> (Vec<(u32, TypeSummary, u64)>, DecisionSnapshot) {
+        const WAVES: usize = 4;
+        const ELEMS: usize = 64;
+
+        let obs = Arc::new(Observability::enabled());
+        let engine = Arc::new(
+            AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs)),
+        );
+        let rt = RuntimeBuilder::new()
+            .workers(1)
+            .observability(Arc::clone(&obs))
+            .interceptor(engine.clone() as Arc<dyn TaskInterceptor>)
+            .build();
+        let square = |ctx: &atm_runtime::TaskContext<'_>| {
+            let x = ctx.arg::<f64>(0);
+            let out: Vec<f64> = x.iter().map(|v| v * v).collect();
+            ctx.out(1, &out);
+        };
+        let specs = [
+            ("mixed_exact", MemoSpec::exact()),
+            (
+                "mixed_adaptive",
+                MemoSpec::approximate().tau(0.2).training_window(2),
+            ),
+            ("mixed_fixed", MemoSpec::fixed_precision(0.25)),
+        ];
+        let types: Vec<_> = specs
+            .into_iter()
+            .map(|(name, spec)| {
+                rt.register_task_type(
+                    TaskTypeBuilder::new(name, square)
+                        .arg::<f64>()
+                        .out::<f64>()
+                        .memo(spec)
+                        .build(),
+                )
+            })
+            .collect();
+
+        let payload = || -> Vec<f64> { (0..ELEMS).map(|e| e as f64 + 1.5).collect() };
+        let perturbed = |wave: usize| -> Vec<f64> {
+            payload()
+                .into_iter()
+                .enumerate()
+                .map(|(e, v)| {
+                    if e % 3 == 0 {
+                        f64::from_bits(v.to_bits() ^ (wave as u64 + 1))
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        };
+        let pristine: Vec<Region<f64>> = (0..types.len())
+            .map(|t| {
+                rt.store()
+                    .register_typed(format!("mixed_in_{t}"), payload())
+                    .unwrap()
+            })
+            .collect();
+        let mut serial = 0usize;
+        let mut out_region = || {
+            serial += 1;
+            rt.store()
+                .register_zeros::<f64>(format!("mixed_out{serial}"), ELEMS)
+                .unwrap()
+        };
+        for wave in 0..WAVES {
+            for (t, tt) in types.iter().enumerate() {
+                let out = out_region();
+                rt.task(*tt)
+                    .reads(&pristine[t])
+                    .writes(&out)
+                    .submit()
+                    .unwrap();
+                let noisy = rt
+                    .store()
+                    .register_typed(format!("mixed_noisy_{t}_{wave}"), perturbed(wave))
+                    .unwrap();
+                let out = out_region();
+                rt.task(*tt).reads(&noisy).writes(&out).submit().unwrap();
+            }
+            rt.taskwait();
+        }
+        rt.shutdown();
+
+        let summaries = engine
+            .type_summaries()
+            .into_iter()
+            .map(|(type_id, s)| {
+                let executed = s.seen - s.tht_bypassed - s.ikt_deferred;
+                (type_id.index() as u32, s, executed)
+            })
+            .collect();
+        (summaries, obs.decisions())
+    }
+
+    #[test]
+    fn mixed_policies_have_independent_per_type_trajectories() {
+        let (outcomes, _) = mixed_program();
+        assert_eq!(outcomes.len(), 3);
+        let by_name = |name: &str| {
+            outcomes
+                .iter()
+                .find(|(_, s, _)| s.name == name)
+                .map(|(_, s, executed)| (s, *executed))
+                .unwrap_or_else(|| panic!("no outcome for {name}"))
+        };
+        // 4 waves × 2 submissions (identical + perturbed) per type.
+        for (_, s, _) in &outcomes {
+            assert_eq!(s.seen, 8, "{}: stream size", s.name);
+        }
+
+        // Exact: p pinned at 100 %, steady from the start, never trains.
+        // Hits exactly the identical resubmissions (waves 2-4) and executes
+        // every perturbed copy.
+        let (exact, executed) = by_name("mixed_exact");
+        assert_eq!(exact.final_p, 1.0);
+        assert!(exact.steady);
+        assert_eq!(exact.training_hits, 0);
+        assert_eq!(exact.tht_bypassed, 3, "exact hits only identical inputs");
+        assert_eq!(executed, 5);
+
+        // Adaptive: trains its own p on its own stream (training hits
+        // execute), freezes at the minimum and then bypasses both the
+        // identical and the perturbed submissions.
+        let (adaptive, executed) = by_name("mixed_adaptive");
+        assert!(adaptive.steady, "window of 2 must finish training");
+        assert_eq!(adaptive.training_hits, 2);
+        assert!(
+            adaptive.final_p < 0.01,
+            "identical-at-MSB inputs keep p minimal, got {}",
+            adaptive.final_p
+        );
+        assert_eq!(executed, 3, "1 cold miss + 2 training executions");
+        assert_eq!(adaptive.tht_bypassed, 5);
+
+        // Fixed p: steady at its declared precision with no training, and
+        // immune to the low-mantissa noise from the very first wave.
+        let (fixed, executed) = by_name("mixed_fixed");
+        assert!((fixed.final_p - 0.25).abs() < 1e-12);
+        assert!(fixed.steady);
+        assert_eq!(fixed.training_hits, 0);
+        assert_eq!(executed, 1, "only the cold miss runs");
+        assert_eq!(fixed.tht_bypassed, 7);
+
+        // Independence: three different final precisions in one engine.
+        assert!(exact.final_p > fixed.final_p);
+        assert!(fixed.final_p > adaptive.final_p);
+    }
+
+    /// The memo-decision audit stream, an independent code path, reconciles
+    /// exactly with every type's engine counters.
+    #[test]
+    fn mixed_decision_stream_reconciles_with_type_summaries() {
+        let (outcomes, decisions) = mixed_program();
+        for &(t, ref s, _) in &outcomes {
+            assert_eq!(
+                decisions.count(t, MemoDecision::ThtHit),
+                s.tht_bypassed,
+                "{}: ThtHit events vs tht_bypassed",
+                s.name
+            );
+            assert_eq!(
+                decisions.count(t, MemoDecision::IktDefer),
+                s.ikt_deferred,
+                "{}: IktDefer events vs ikt_deferred",
+                s.name
+            );
+            assert_eq!(
+                decisions.count(t, MemoDecision::TrainingAccept)
+                    + decisions.count(t, MemoDecision::TrainingReject),
+                s.training_hits,
+                "{}: training events vs training_hits",
+                s.name
+            );
+        }
+    }
+
+    /// Eight inout chains pile up behind a gate task that blocks until every
+    /// submission is in the graph, so the whole graph drains at once; every
+    /// chain must still complete in order at 1, 2 and 4 workers.
+    #[test]
+    fn scaling_flood_round_is_correct_in_every_configuration() {
+        const CHAINS: usize = 8;
+        const CHAIN_LEN: usize = 25;
+        for workers in [1usize, 2, 4] {
+            let rt = RuntimeBuilder::new().workers(workers).build();
+            let gate = Arc::new((Mutex::new(false), Condvar::new()));
+            let gate_in_kernel = Arc::clone(&gate);
+            let gate_tt = rt.register_task_type(
+                TaskTypeBuilder::new("gate", move |ctx| {
+                    let (open, cvar) = &*gate_in_kernel;
+                    let mut open = open.lock();
+                    while !*open {
+                        cvar.wait(&mut open);
+                    }
+                    ctx.out(0, &[1.0f64]);
+                })
+                .out::<f64>()
+                .build(),
+            );
+            // No declared signature: a chain's first task also reads the
+            // gate region; the cell is always the last access.
+            let tt = rt.register_task_type(
+                TaskTypeBuilder::new("incr", |ctx| {
+                    let cell = ctx.accesses().len() - 1;
+                    let v = ctx.arg::<f64>(cell)[0];
+                    ctx.out(cell, &[v + 1.0]);
+                })
+                .build(),
+            );
+            let gate_region = rt.store().register_zeros::<f64>("gate", 1).unwrap();
+            let cells: Vec<Region<f64>> = (0..CHAINS)
+                .map(|c| rt.store().register_zeros(format!("cell{c}"), 1).unwrap())
+                .collect();
+            rt.task(gate_tt).writes(&gate_region).submit().unwrap();
+            for step in 0..CHAIN_LEN {
+                for cell in &cells {
+                    let mut task = rt.task(tt);
+                    if step == 0 {
+                        task = task.reads(&gate_region);
+                    }
+                    task.reads_writes(cell).submit().unwrap();
+                }
+            }
+            let (open, cvar) = &*gate;
+            *open.lock() = true;
+            cvar.notify_all();
+            rt.taskwait();
+            for (c, cell) in cells.iter().enumerate() {
+                assert_eq!(
+                    rt.store().read(*cell).lock().as_f64(),
+                    &[CHAIN_LEN as f64],
+                    "{workers} workers: chain {c}"
+                );
+            }
+            let tasks = (CHAINS * CHAIN_LEN + 1) as u64;
+            assert_eq!(rt.stats().executed, tasks, "{workers} workers");
+            rt.shutdown();
+        }
     }
 }

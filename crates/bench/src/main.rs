@@ -1,15 +1,15 @@
-//! `atm-eval` — regenerates the tables and figures of the ATM paper, plus
-//! the memo-store experiments (cache pressure, warm start), the mixed
-//! per-type-policy run and the scheduler scaling sweep. Performance across
+//! `atm-eval` — regenerates the tables and figures of the ATM paper's
+//! evaluation over its six benchmark applications. Performance across
 //! commits is judged by `benchmark/run.sh compare`, not here.
 //!
 //! ```text
-//! atm-eval <experiment>|all [--scale tiny|small] [--workers N]
+//! atm-eval <experiment>|all [--scale tiny|small|paper] [--workers N]
 //!          [--csv DIR] [--json DIR] [--trace FILE] [--quick] [--list]
 //! ```
 //!
-//! Experiments (15): table1 table2 table3 sizing figure3 figure4 figure5
-//! figure6 figure7 figure8 figure9 pressure warmstart mixed scaling.
+//! Experiments (11): table1 table2 table3 sizing figure3 figure4 figure5
+//! figure6 figure7 figure8 figure9. `--scale paper` runs the paper's own
+//! problem sizes (several GiB, long runtimes).
 //!
 //! `--quick` is the CI smoke mode: tiny scale, two workers. `--json DIR`
 //! writes one `BENCH_<experiment>.json` per experiment with the machine-
@@ -38,7 +38,7 @@ struct Cli {
 
 fn usage() -> String {
     format!(
-        "usage: atm-eval <experiment>|all [--scale tiny|small] [--workers N] [--csv DIR] [--json DIR] [--trace FILE] [--quick]\n       atm-eval --list\n\nexperiments: {}",
+        "usage: atm-eval <experiment>|all [--scale tiny|small|paper] [--workers N] [--csv DIR] [--json DIR] [--trace FILE] [--quick]\n       atm-eval --list\n\nexperiments: {}",
         all_experiments().join(" ")
     )
 }
@@ -201,16 +201,19 @@ mod tests {
         assert_eq!(cli.workers, 2);
         assert!(cli.csv_dir.is_none());
         assert!(cli.json_dir.is_none());
+        let paper = parse_args(&strings(&["table1", "--scale", "paper"])).unwrap();
+        assert_eq!(paper.scale, Scale::Paper);
+        assert!(parse_args(&strings(&["table1", "--scale", "huge"])).is_err());
     }
 
     #[test]
     fn quick_mode_forces_tiny_scale_and_caps_workers() {
-        let cli = parse_args(&strings(&["pressure", "warmstart", "--quick"])).unwrap();
+        let cli = parse_args(&strings(&["figure3", "figure6", "--quick"])).unwrap();
         assert_eq!(cli.scale, Scale::Tiny);
         assert_eq!(cli.workers, 2);
         assert_eq!(
             cli.experiments,
-            vec![Experiment::Pressure, Experiment::WarmStart]
+            vec![Experiment::Figure3, Experiment::Figure6]
         );
     }
 
@@ -222,15 +225,9 @@ mod tests {
 
     #[test]
     fn trace_path_is_parsed() {
-        let cli = parse_args(&strings(&[
-            "scaling",
-            "--quick",
-            "--trace",
-            "out/trace.json",
-        ]))
-        .unwrap();
+        let cli = parse_args(&strings(&["all", "--quick", "--trace", "out/trace.json"])).unwrap();
         assert_eq!(cli.trace_path, Some(PathBuf::from("out/trace.json")));
-        assert!(parse_args(&strings(&["scaling", "--trace"])).is_err());
+        assert!(parse_args(&strings(&["figure6", "--trace"])).is_err());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The engine's configuration: the engine-wide operating mode and the
-//! sizing / eviction policy of the memo store behind the THT.
+//! sizing and byte budget of the memo store behind the THT.
 
 use crate::tht::ThtConfig;
-use atm_store::{PolicyKind, StoreConfig};
+use atm_store::StoreConfig;
 
 /// Engine-wide operating mode: the paper's three evaluation modes.
 ///
 /// Approximation policy lives on the task type: each memoizable type
 /// declares whether it is exact, adaptive or fixed-precision, with its own
-/// `τ_max`, training window, error metric and per-argument precision
-/// overrides ([`MemoSpec`](atm_runtime::MemoSpec)). `AtmMode` says how an
+/// `τ_max`, training window and exact arguments
+/// ([`MemoSpec`](atm_runtime::MemoSpec)). `AtmMode` says how an
 /// engine treats those declarations:
 ///
 /// * [`AtmMode::Dynamic`] — **respect the per-type specs** (the normal
@@ -50,12 +50,9 @@ pub struct AtmConfig {
     pub use_ikt: bool,
     /// Task History Table sizing.
     pub tht: ThtConfig,
-    /// Eviction policy of the memo store behind the THT. The default,
-    /// [`PolicyKind::Fifo`], together with an unlimited budget reproduces
-    /// the paper's table bit for bit.
-    pub policy: PolicyKind,
     /// Global byte budget of the memo store, enforced across all buckets.
-    /// `None` (the default) disables budget enforcement.
+    /// `None` (the default) disables budget enforcement, and the store is
+    /// then the paper's table bit for bit.
     pub byte_budget: Option<usize>,
 }
 
@@ -65,7 +62,6 @@ impl Default for AtmConfig {
             mode: AtmMode::Static,
             use_ikt: true,
             tht: ThtConfig::default(),
-            policy: PolicyKind::Fifo,
             byte_budget: None,
         }
     }
@@ -110,13 +106,6 @@ impl AtmConfig {
         self
     }
 
-    /// Selects the eviction policy of the memo store.
-    #[must_use]
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Caps the memo store at a global byte budget.
     #[must_use]
     pub fn with_byte_budget(mut self, budget: usize) -> Self {
@@ -130,7 +119,6 @@ impl AtmConfig {
             bucket_bits: self.tht.bucket_bits,
             ways: self.tht.ways,
             byte_budget: self.byte_budget,
-            policy: self.policy,
         }
     }
 }

@@ -1191,22 +1191,20 @@ mod tests {
     }
 
     #[test]
-    fn store_policy_and_budget_are_plumbed_through_the_config() {
+    fn store_budget_is_plumbed_through_the_config() {
         let outputs = Arc::new(vec![OutputSnapshot {
             region: atm_runtime::RegionId::from_raw(0),
             elem_range: 0..64,
             data: atm_runtime::RegionData::F64(vec![1.0; 64]),
         }]);
         let charge = atm_store::entry_charge_bytes(&outputs);
-        let config = AtmConfig::static_atm().with_policy(atm_store::PolicyKind::CostAware);
+        let config = AtmConfig::static_atm();
         let key = EntryKey::new(TaskTypeId::from_raw(0), 1, 1.0);
 
         // An entry exactly as large as the budget is admitted…
         let engine = AtmEngine::new(config.with_byte_budget(charge));
         let store_config = engine.store().config();
-        assert_eq!(store_config.policy, atm_store::PolicyKind::CostAware);
         assert_eq!(store_config.byte_budget, Some(charge));
-        assert_eq!(engine.store().policy_name(), "cost-aware");
         assert_eq!(engine.store_counters(), Default::default());
         let outcome = engine
             .store()

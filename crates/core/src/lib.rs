@@ -148,9 +148,6 @@ pub use atm_runtime::{ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
 /// Re-export of the selection-percentage type used throughout the API.
 pub use atm_hash::Percentage;
 
-/// Re-exports of the memo-store subsystem the THT is built on: policies,
-/// budgets, admission control and persistence.
-pub use atm_store::{
-    EvictionPolicy, InsertOutcome, MemoStore, PersistError, PolicyKind, StoreConfig,
-    StoreCountersSnapshot,
-};
+/// Re-exports of the memo-store subsystem the THT is built on: budgets,
+/// admission control and persistence.
+pub use atm_store::{InsertOutcome, MemoStore, PersistError, StoreConfig, StoreCountersSnapshot};

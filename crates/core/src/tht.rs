@@ -11,9 +11,9 @@
 //! geometry with FIFO eviction and no byte budget is one configuration of
 //! the store ([`ThtConfig::store_config`]), and that configuration
 //! reproduces the original table bit for bit. The engine holds the store
-//! directly, configured with whatever policy/budget the
-//! [`crate::AtmConfig`] asks for; this module keeps the paper-facing
-//! `(N, M)` vocabulary.
+//! directly, with whatever byte budget the [`crate::AtmConfig`] asks for
+//! (eviction stays FIFO); this module keeps the paper-facing `(N, M)`
+//! vocabulary.
 
 use atm_store::StoreConfig;
 

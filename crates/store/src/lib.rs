@@ -8,9 +8,8 @@
 //! * [`MemoStore`] — a lock-sharded table with a **global byte budget**
 //!   enforced across shards (the paper's `(N, M)` geometry is one
 //!   configuration of [`StoreConfig`]);
-//! * [`EvictionPolicy`] — pluggable eviction: [`policy::Fifo`]
-//!   (paper-faithful default) and [`policy::CostAware`] (benefit = measured
-//!   kernel nanoseconds saved per stored byte);
+//! * **FIFO eviction** — the paper's rule, for the per-bucket `ways` cap
+//!   and the global budget alike;
 //! * **admission control** — an entry whose charge exceeds the whole budget
 //!   is refused;
 //! * **persistence** ([`persist`]) — a versioned, checksummed,
@@ -21,7 +20,7 @@
 //!   holds (moved here from `atm-core` so the store owns its value type).
 //!
 //! ```
-//! use atm_store::{EntryKey, MemoStore, PolicyKind, StoreConfig};
+//! use atm_store::{EntryKey, MemoStore, StoreConfig};
 //! use atm_store::snapshot::OutputSnapshot;
 //! use atm_runtime::{Access, DataStore, TaskId, TaskTypeId};
 //! use std::sync::Arc;
@@ -30,11 +29,7 @@
 //! let region = data.register_typed("out", vec![1.0f64, 2.0]).unwrap();
 //! let outputs = Arc::new(vec![OutputSnapshot::capture(&data, &Access::write(&region))]);
 //!
-//! let store = MemoStore::new(
-//!     StoreConfig::default()
-//!         .with_byte_budget(64 * 1024)
-//!         .with_policy(PolicyKind::CostAware),
-//! );
+//! let store = MemoStore::new(StoreConfig::default().with_byte_budget(64 * 1024));
 //! let key = EntryKey::new(TaskTypeId::from_raw(0), 0xFEED, 1.0);
 //! store.insert(key, TaskId::from_raw(0), outputs, 12_000);
 //! assert!(store.lookup(&key).is_some());
@@ -45,12 +40,10 @@
 
 mod hazard;
 pub mod persist;
-pub mod policy;
 pub mod snapshot;
 pub mod store;
 
 pub use persist::PersistError;
-pub use policy::{Candidate, CostAware, EvictionPolicy, Fifo, PolicyKind};
 pub use snapshot::OutputSnapshot;
 pub use store::{
     entry_charge_bytes, EntryKey, ExportedEntry, InsertOutcome, MemoHit, MemoStore, StoreConfig,

@@ -406,10 +406,9 @@ impl MemoStore {
     ///
     /// Entries are inserted in **ascending benefit density** (saved kernel
     /// nanoseconds per charged byte), so under a tight byte budget the most
-    /// valuable entries arrive last and survive both built-in policies:
-    /// cost-aware eviction discards low-density entries by definition, and
-    /// FIFO evicts the oldest — which this ordering makes the least
-    /// valuable. A warm start through a small
+    /// valuable entries arrive last and survive: FIFO evicts the oldest,
+    /// which this ordering makes the least valuable. A warm start through a
+    /// small
     /// budget therefore keeps the best entries deterministically instead of
     /// whatever the snapshot's file order happened to favour.
     pub fn absorb_snapshot_bytes(&self, bytes: &[u8]) -> Result<usize, PersistError> {
@@ -734,12 +733,9 @@ mod tests {
 
     /// Budget-aware warm start: entries are absorbed in ascending benefit
     /// density, so a tight budget keeps the most valuable entries no matter
-    /// how unfavourably the snapshot file orders them — and regardless of
-    /// the eviction policy.
+    /// how unfavourably the snapshot file orders them.
     #[test]
     fn tight_budget_warm_start_keeps_the_best_entries() {
-        use crate::policy::PolicyKind;
-
         let data = DataStore::new();
         let source = MemoStore::new(StoreConfig::default());
         // One high-benefit entry inserted FIRST (worst case for FIFO under
@@ -763,21 +759,15 @@ mod tests {
         // A budget that holds only a couple of entries.
         let one_entry_bytes = crate::store::entry_charge_bytes(&payload(100));
         let budget = one_entry_bytes * 2 + one_entry_bytes / 2;
-        for policy in PolicyKind::ALL {
-            let tight = MemoStore::new(
-                StoreConfig::default()
-                    .with_byte_budget(budget)
-                    .with_policy(policy),
-            );
-            tight.absorb_snapshot_bytes(&bytes).unwrap();
-            assert!(
-                tight.lookup(&key(0)).is_some(),
-                "{policy}: the high-benefit entry must survive a tight-budget warm start"
-            );
-            assert!(
-                tight.memory_bytes() <= budget,
-                "{policy}: the budget must hold after the warm start"
-            );
-        }
+        let tight = MemoStore::new(StoreConfig::default().with_byte_budget(budget));
+        tight.absorb_snapshot_bytes(&bytes).unwrap();
+        assert!(
+            tight.lookup(&key(0)).is_some(),
+            "the high-benefit entry must survive a tight-budget warm start"
+        );
+        assert!(
+            tight.memory_bytes() <= budget,
+            "the budget must hold after the warm start"
+        );
     }
 }

@@ -7,13 +7,14 @@
 //! and a byte-identical persistence snapshot as the old implementation. The
 //! reference model below *is* the old implementation's semantics — one
 //! `VecDeque` per bucket, replace-in-place keeping the queue position, the
-//! policy consulted over deque-ordered candidates with the incoming entry
-//! last, a logical clock ticked on every insertion — driven through the same `EvictionPolicy` objects as the real store.
+//! incoming entry pushed last and the entry with the smallest insertion stamp
+//! evicted while the bucket overflows, a logical clock ticked on every
+//! insertion.
 
 use atm_hash::prng::Xoshiro256StarStar;
 use atm_runtime::{RegionData, RegionId, TaskId, TaskTypeId};
 use atm_store::snapshot::OutputSnapshot;
-use atm_store::{Candidate, EntryKey, InsertOutcome, MemoStore, PolicyKind, StoreConfig};
+use atm_store::{EntryKey, InsertOutcome, MemoStore, StoreConfig};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -21,7 +22,6 @@ struct RefEntry {
     key: EntryKey,
     producer: TaskId,
     values: Vec<f32>,
-    charged: usize,
     inserted_seq: u64,
     benefit_ns: u64,
 }
@@ -29,7 +29,6 @@ struct RefEntry {
 /// The old store, as a single-threaded model.
 struct RefStore {
     buckets: Vec<VecDeque<RefEntry>>,
-    policy: Box<dyn atm_store::EvictionPolicy>,
     ways: usize,
     clock: u64,
     hits: u64,
@@ -44,7 +43,6 @@ impl RefStore {
             buckets: (0..(1usize << config.bucket_bits))
                 .map(|_| VecDeque::new())
                 .collect(),
-            policy: config.policy.build(),
             ways: config.ways,
             clock: 0,
             hits: 0,
@@ -81,7 +79,6 @@ impl RefStore {
         key: EntryKey,
         producer: TaskId,
         values: Vec<f32>,
-        charged: usize,
         benefit_ns: u64,
     ) -> InsertOutcome {
         let seq = self.tick();
@@ -91,39 +88,27 @@ impl RefStore {
             key,
             producer,
             values,
-            charged,
             inserted_seq: seq,
             benefit_ns,
         };
         let bucket = &mut self.buckets[b];
-        let mut self_evicted = false;
         let replaced = if let Some(pos) = bucket.iter().position(|e| e.key == key) {
             bucket[pos] = entry;
             true
         } else {
             bucket.push_back(entry);
             while bucket.len() > ways {
-                let candidates: Vec<Candidate> = bucket
-                    .iter()
-                    .map(|e| Candidate {
-                        bytes: e.charged,
-                        inserted_seq: e.inserted_seq,
-                        benefit_ns: e.benefit_ns,
-                    })
-                    .collect();
-                let victim = self.policy.victim(&candidates).min(bucket.len() - 1);
-                if let Some(old) = bucket.remove(victim) {
-                    self.evictions += 1;
-                    self_evicted |= old.inserted_seq == seq;
-                }
+                let victim = (0..bucket.len())
+                    .min_by_key(|&i| bucket[i].inserted_seq)
+                    .unwrap();
+                bucket.remove(victim);
+                self.evictions += 1;
             }
             false
         };
         self.insertions += 1;
         if replaced {
             InsertOutcome::Replaced
-        } else if self_evicted {
-            InsertOutcome::Evicted
         } else {
             InsertOutcome::Inserted
         }
@@ -177,10 +162,8 @@ fn run_program(config: StoreConfig, seed: u64) {
             let values = vec![fill; len];
             let producer = TaskId::from_raw(rng.next_u64() % 1024);
             let benefit_ns = rng.next_u64() % 1_000;
-            let outputs = snapshot(&values);
-            let charged = atm_store::entry_charge_bytes(&outputs);
-            let real = store.insert(key, producer, outputs, benefit_ns);
-            let model = reference.insert(key, producer, values, charged, benefit_ns);
+            let real = store.insert(key, producer, snapshot(&values), benefit_ns);
+            let model = reference.insert(key, producer, values, benefit_ns);
             assert_eq!(
                 real, model,
                 "insert outcome diverged at op {op} (seed {seed})"
@@ -261,13 +244,10 @@ fn run_program(config: StoreConfig, seed: u64) {
 #[test]
 fn seqlock_store_is_observationally_equivalent_to_the_deque_store() {
     let mut seed = 0x5E01_0C4A_u64;
-    for policy in PolicyKind::ALL {
-        for ways in [1usize, 2, 4] {
-            for bucket_bits in [0u32, 2] {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let config = StoreConfig::paper(bucket_bits, ways).with_policy(policy);
-                run_program(config, seed);
-            }
+    for ways in [1usize, 2, 4] {
+        for bucket_bits in [0u32, 2] {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            run_program(StoreConfig::paper(bucket_bits, ways), seed);
         }
     }
 }

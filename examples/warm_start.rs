@@ -10,16 +10,15 @@
 //!    [`AtmEngine::warm_start_from`] before any task is submitted — its very
 //!    first taskwait already has a 100 % hit rate and zero kernel runs.
 //!
-//! The warm engine also demonstrates the store's production knobs: a byte
-//! budget with cost-aware eviction, so reloading a snapshot larger than the
-//! budget keeps the most valuable entries instead of overflowing.
+//! The warm engine also runs under a byte budget: a warm start absorbs the
+//! snapshot in ascending benefit density, so reloading a snapshot larger than
+//! the budget keeps the most valuable entries instead of overflowing.
 //!
 //! Warm-start contract: hash keys embed the task-type id, so the second run
 //! must register its task types in the same order.
 //!
 //! Run with: `cargo run --release --example warm_start`
 
-use atm_suite::atm::PolicyKind;
 use atm_suite::prelude::*;
 use std::sync::Arc;
 
@@ -104,13 +103,9 @@ fn main() {
         path.display()
     );
 
-    // --- Run 2: warm. A brand-new engine (budgeted, cost-aware) reloads the
-    // snapshot before its first task; nothing executes. ---
-    let warm = AtmEngine::shared(
-        AtmConfig::static_atm()
-            .with_policy(PolicyKind::CostAware)
-            .with_byte_budget(4 * 1024 * 1024),
-    );
+    // --- Run 2: warm. A brand-new, budgeted engine reloads the snapshot
+    // before its first task; nothing executes. ---
+    let warm = AtmEngine::shared(AtmConfig::static_atm().with_byte_budget(4 * 1024 * 1024));
     let reloaded = warm
         .warm_start_from(&path)
         .expect("reloading the memo store");

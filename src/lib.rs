@@ -76,9 +76,7 @@ pub use atm_store as store;
 
 /// Everything needed to write an ATM-accelerated task application.
 pub mod prelude {
-    pub use atm_core::{
-        AtmConfig, AtmEngine, AtmMode, Percentage, PolicyKind, StoreConfig, ThtConfig,
-    };
+    pub use atm_core::{AtmConfig, AtmEngine, AtmMode, Percentage, StoreConfig, ThtConfig};
     pub use atm_runtime::prelude::*;
 }
 
