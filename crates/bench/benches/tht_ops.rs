@@ -4,6 +4,9 @@
 //! task hits, misses, or belongs to a type its profitability ledger closed
 //! (`engine_before`: the gated row is the whole point of the gate, and a
 //! gate that stops closing shows here as a missing row's worth of time).
+//! Each task reaches the engine as a worker hands it over: its view carries
+//! the region handles resolved once, as at submission, so the rows time the
+//! path workers run — no registry lookup inside it.
 //!
 //! Run with: `cargo bench --bench tht_ops`
 
@@ -13,8 +16,8 @@ use atm_core::{
 };
 use atm_eval::bench;
 use atm_runtime::{
-    Access, DataStore, Decision, Region, TaskId, TaskInterceptor, TaskTypeBuilder, TaskTypeId,
-    TaskTypeInfo, TaskView, Tracer,
+    Access, DataStore, Decision, Region, RegionRef, TaskContext, TaskId, TaskInterceptor,
+    TaskTypeBuilder, TaskTypeId, TaskTypeInfo, TaskView, Tracer,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -97,16 +100,23 @@ fn first_plus_one(spec: MemoSpec) -> TaskTypeInfo {
     .build()
 }
 
+/// One task's accesses and the region handles the runtime resolves for it
+/// at submission.
+struct Resolved {
+    accesses: Vec<Access>,
+    regions: Vec<RegionRef>,
+}
+
 /// Median nanoseconds per `before_execute` (each sample the mean over one
-/// pass of `accesses`, one task per access set, clock reads included). Every
-/// task then runs its kernel if told to and goes through `after_execute`,
-/// as on a worker; `prepare` runs before each pass. None of that is timed.
+/// pass of `tasks`, clock reads included). Every task then runs its kernel
+/// if told to and goes through `after_execute`, as on a worker; `prepare`
+/// runs before each pass. None of that is timed.
 fn before_execute_row(
     label: &str,
     engine: &AtmEngine,
     store: &DataStore,
     info: &TaskTypeInfo,
-    accesses: &[Vec<Access>],
+    tasks: &[Resolved],
     expect: Option<Decision>,
     mut prepare: impl FnMut(),
 ) {
@@ -117,13 +127,14 @@ fn before_execute_row(
     while started.elapsed().as_millis() < 400 {
         prepare();
         let mut pass_ns = 0u128;
-        for accesses in accesses {
+        for task in tasks {
             next_id += 1;
             let view = TaskView {
                 id: TaskId::from_raw(next_id),
                 type_id: TaskTypeId::from_raw(0),
                 info,
-                accesses,
+                accesses: &task.accesses,
+                regions: &task.regions,
             };
             let before = Instant::now();
             let decision = engine.before_execute(view, store, &tracer, 0);
@@ -133,17 +144,17 @@ fn before_execute_row(
             }
             let executed = decision == Decision::Execute;
             if executed {
-                (info.kernel)(&atm_runtime::TaskContext::new(store, accesses));
+                (info.kernel)(&TaskContext::resolved(store, view.accesses, view.regions));
             }
             engine.after_execute(view, store, &tracer, 0, executed);
         }
-        samples.push(pass_ns as f64 / accesses.len() as f64);
+        samples.push(pass_ns as f64 / tasks.len() as f64);
     }
     samples.sort_by(|a, b| a.total_cmp(b));
     println!(
         "engine_before/{label:<21} median {:>12.1} ns/iter  ({} iters)",
         samples[samples.len() / 2],
-        samples.len() * accesses.len()
+        samples.len() * tasks.len()
     );
 }
 
@@ -158,21 +169,25 @@ fn engine_before() {
                 .unwrap()
         })
         .collect();
-    let accesses: Vec<Vec<Access>> = inputs
+    let tasks: Vec<Resolved> = inputs
         .iter()
-        .map(|input| vec![Access::read(input), Access::write(&out)])
+        .map(|input| {
+            let accesses = vec![Access::read(input), Access::write(&out)];
+            let regions = store.resolve(&accesses);
+            Resolved { accesses, regions }
+        })
         .collect();
 
     // Open, hit: every input is in the THT after the first batch.
     let exact = first_plus_one(MemoSpec::exact());
     let engine = AtmEngine::new(AtmConfig::static_atm());
-    before_execute_row("warm-up", &engine, &store, &exact, &accesses, None, || {});
+    before_execute_row("warm-up", &engine, &store, &exact, &tasks, None, || {});
     before_execute_row(
         "open_hit",
         &engine,
         &store,
         &exact,
-        &accesses,
+        &tasks,
         Some(Decision::Memoized),
         || {},
     );
@@ -185,7 +200,7 @@ fn engine_before() {
         &engine,
         &store,
         &exact,
-        &accesses,
+        &tasks,
         Some(Decision::Execute),
         || {},
     );
@@ -208,7 +223,7 @@ fn engine_before() {
             &engine,
             &store,
             &adaptive,
-            &accesses,
+            &tasks,
             expect,
             &mut rewrite_inputs,
         );

@@ -774,9 +774,8 @@ mod tests {
         const ELEMS: usize = 64;
 
         let obs = Arc::new(Observability::enabled());
-        let engine = Arc::new(
-            AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs)),
-        );
+        let engine =
+            Arc::new(AtmEngine::new(AtmConfig::dynamic_atm()).with_observability(Arc::clone(&obs)));
         let rt = RuntimeBuilder::new()
             .workers(1)
             .observability(Arc::clone(&obs))

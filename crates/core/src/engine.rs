@@ -24,12 +24,20 @@
 //! The engine is mechanism only: which `p`, whether a hit is trusted or
 //! verified, whether the type is keyed at all are the policy's verdicts
 //! ([`crate::policy`]).
+//!
+//! Every region the mechanism touches — the key's inputs, the hit's shape
+//! check and copy-out, the captured outputs, the training comparison — it
+//! reaches through the handles the task carries from its submission
+//! ([`TaskView::regions`]); the store's registry is consulted only for the
+//! rare task that deferred onto an in-flight producer, at its copy-out.
 
 use crate::config::AtmConfig;
 use crate::ikt::{InFlightKeyTable, Waiter};
 use crate::key::{KeyGenerator, KeyScratch};
 use crate::policy::{Admission, GateEvent, TypeCounters, TypePolicy};
-use crate::snapshot::{apply_snapshots_to, OutputSnapshot};
+use crate::snapshot::{
+    apply_snapshots_to_resolved, elem_range_within, resolved_writes, OutputSnapshot,
+};
 use crate::stats::{AtmStatsSnapshot, TypeSummary};
 use crate::tht::EntryKey;
 use crate::training::evaluate_metric_data;
@@ -39,8 +47,8 @@ use atm_obs::{
     DecisionRecord, EngineObservation, LatencyMetric, MemoDecision, Observability, StoreObservation,
 };
 use atm_runtime::{
-    DataStore, Decision, ErrorMetric, RegionId, TaskId, TaskInterceptor, TaskTypeId, TaskView,
-    ThreadState, Tracer,
+    Access, DataStore, Decision, ErrorMetric, RegionId, RegionRef, TaskContext, TaskId,
+    TaskInterceptor, TaskTypeId, TaskView, ThreadState, Tracer,
 };
 use atm_store::{MemoStore, PersistError, StoreCountersSnapshot};
 #[cfg(debug_assertions)]
@@ -357,44 +365,41 @@ impl AtmEngine {
     }
 
     /// True when a stored set of output snapshots can be copied into the
-    /// write accesses of `accesses`: the same number of outputs with the
-    /// same element counts, in declaration order. Stored outputs (THT
+    /// write accesses of `accesses` (resolved to `regions`): the same number
+    /// of outputs with the same element counts, in declaration order — read
+    /// off the handles' cached lengths, without a lock. Stored outputs (THT
     /// entries, in-flight producers) can only serve tasks of identical
     /// output shape; task types normally have a fixed one, but the engine
     /// must not trust that (§III-E: under-declared or irregular outputs are
     /// a user-side hazard the runtime has to survive).
     fn entry_matches_shape(
-        store: &DataStore,
         outputs: &[OutputSnapshot],
-        accesses: &[atm_runtime::Access],
+        accesses: &[Access],
+        regions: &[RegionRef],
     ) -> bool {
-        let mut writes = accesses.iter().filter(|a| a.mode.is_write());
+        let mut writes = resolved_writes(accesses, regions);
         outputs.iter().all(|snapshot| {
-            writes.next().is_some_and(|access| {
-                crate::snapshot::elem_range_of(store, access).len() == snapshot.elem_range.len()
+            writes.next().is_some_and(|(access, region)| {
+                elem_range_within(access, region.len()).len() == snapshot.elem_range.len()
             })
         }) && writes.next().is_none()
     }
 
     fn failing_output_regions(
         &self,
-        store: &DataStore,
         view: &TaskView<'_>,
         reference: &[OutputSnapshot],
         tau_max: f64,
     ) -> (f64, Vec<RegionId>) {
         // Overall τ across all outputs plus the per-output failures, each
         // output judged with the Chebyshev relative error (Eq. 1).
-        let writes: Vec<_> = view.accesses.iter().filter(|a| a.mode.is_write()).collect();
         let mut failing = Vec::new();
         let mut overall_tau = 0.0f64;
-        for (access, snapshot) in writes.iter().zip(reference) {
-            let elem_range = crate::snapshot::elem_range_of(store, access);
-            let correct = {
-                let region = store.read(access.region);
-                let guard = region.lock();
-                guard.slice_elems(elem_range)
-            };
+        for ((access, region), snapshot) in
+            resolved_writes(view.accesses, view.regions).zip(reference)
+        {
+            let elem_range = elem_range_within(access, region.len());
+            let correct = region.read().slice_elems(elem_range);
             // Shape or element-type mismatches come back as infinity: a
             // stored entry that no longer matches the task's outputs can
             // never be an acceptable approximation.
@@ -415,7 +420,6 @@ impl AtmEngine {
         &self,
         policy: &TypePolicy,
         task: &TaskView<'_>,
-        store: &DataStore,
         tracer: &Tracer,
         worker: usize,
         ticket: &Ticket,
@@ -425,7 +429,7 @@ impl AtmEngine {
         };
         let tau_max = policy.tau_max();
         let compare_start = tracer.now_ns();
-        let (tau, failing) = self.failing_output_regions(store, task, reference, tau_max);
+        let (tau, failing) = self.failing_output_regions(task, reference, tau_max);
         TypeCounters::add(&policy.counters.compare_ns, tracer.now_ns() - compare_start);
         policy.record_comparison(tau, &failing);
         let verdict = if tau < tau_max {
@@ -446,7 +450,7 @@ impl TaskInterceptor for AtmEngine {
     fn before_execute(
         &self,
         task: TaskView<'_>,
-        store: &DataStore,
+        _store: &DataStore,
         tracer: &Tracer,
         worker: usize,
     ) -> Decision {
@@ -505,7 +509,7 @@ impl TaskInterceptor for AtmEngine {
         let key_result =
             entry
                 .keygen
-                .compute_with_scratch(store, task.accesses, &ws.precisions, &mut ws.key);
+                .compute_resolved(task.accesses, task.regions, &ws.precisions, &mut ws.key);
         let hash_end = tracer.now_ns();
         drop(slot);
         tracer.record(
@@ -522,7 +526,7 @@ impl TaskInterceptor for AtmEngine {
         let hit = self
             .memo_store
             .lookup(&key)
-            .filter(|e| Self::entry_matches_shape(store, &e.outputs, task.accesses));
+            .filter(|e| Self::entry_matches_shape(&e.outputs, task.accesses, task.regions));
         if let Some(obs) = &self.obs {
             obs.record_latency(
                 LatencyMetric::MemoLookup,
@@ -540,7 +544,7 @@ impl TaskInterceptor for AtmEngine {
                 // now is the entry's benefit genuinely saved kernel time.
                 self.memo_store.note_saved(hit.benefit_ns);
                 let copy_start = tracer.now_ns();
-                apply_snapshots_to(store, &hit.outputs, task.accesses);
+                apply_snapshots_to_resolved(&hit.outputs, task.accesses, task.regions);
                 let copy_end = tracer.now_ns();
                 tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
                 TypeCounters::add(&counters.probe_ns, copy_start - hash_end);
@@ -637,29 +641,36 @@ impl TaskInterceptor for AtmEngine {
         // A training hit is compared, not stored: the entry it verified is
         // already in the THT.
         let store_outputs = ticket.training_reference.is_none();
-        self.verify_training_hit(policy, &task, store, tracer, worker, &ticket);
+        self.verify_training_hit(policy, &task, tracer, worker, &ticket);
 
         // Snapshot the outputs once; they serve both the postponed IKT
         // copy-outs and the THT update.
         let mut completed = Vec::new();
         let outputs: Option<Arc<Vec<OutputSnapshot>>> = store_outputs.then(|| {
             let copy_start = tracer.now_ns();
-            let snaps = Arc::new(OutputSnapshot::capture_all(store, task.accesses));
+            let snaps = Arc::new(OutputSnapshot::capture_all_resolved(
+                task.accesses,
+                task.regions,
+            ));
             let copy_end = tracer.now_ns();
             tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
             TypeCounters::add(&counters.copy_ns, copy_end - copy_start);
             snaps
         });
 
-        // Retire the in-flight key and satisfy the tasks deferred onto this one.
+        // Retire the in-flight key and satisfy the tasks deferred onto this
+        // one. Deferrals are rare, so a waiter keeps only its accesses and
+        // resolves its regions here; being unfinished, it keeps them
+        // registered.
         if ticket.registered_ikt {
             let snaps = outputs
                 .as_ref()
                 .expect("a task registered in the IKT is snapshotted");
             for waiter in self.ikt.retire(&ticket.key, task.id) {
-                if Self::entry_matches_shape(store, snaps, &waiter.accesses) {
+                let regions = store.resolve(&waiter.accesses);
+                if Self::entry_matches_shape(snaps, &waiter.accesses, &regions) {
                     let copy_start = tracer.now_ns();
-                    apply_snapshots_to(store, snaps, &waiter.accesses);
+                    apply_snapshots_to_resolved(snaps, &waiter.accesses, &regions);
                     let copy_end = tracer.now_ns();
                     tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
                     TypeCounters::add(&counters.copy_ns, copy_end - copy_start);
@@ -669,7 +680,7 @@ impl TaskInterceptor for AtmEngine {
                     // the deferred task cannot be satisfied by a copy, so
                     // run its kernel here — its dependences were already
                     // satisfied when it was deferred — and complete it.
-                    let ctx = atm_runtime::TaskContext::new(store, &waiter.accesses);
+                    let ctx = TaskContext::resolved(store, &waiter.accesses, &regions);
                     (task.info.kernel)(&ctx);
                     TypeCounters::add(&counters.executed, 1);
                 }
@@ -700,19 +711,43 @@ impl TaskInterceptor for AtmEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atm_runtime::{Access, MemoSpec, Region, TaskTypeBuilder};
+    use atm_runtime::{MemoSpec, Region, TaskTypeBuilder};
 
-    fn view_for<'a>(
+    /// A task built by hand as the runtime submits it: its accesses plus
+    /// their regions, resolved through the store.
+    struct HandBuilt<'a> {
         id: u64,
         type_id: u32,
         info: &'a atm_runtime::TaskTypeInfo,
         accesses: &'a [Access],
-    ) -> TaskView<'a> {
-        TaskView {
-            id: TaskId::from_raw(id),
-            type_id: TaskTypeId::from_raw(type_id),
+        regions: Vec<RegionRef>,
+    }
+
+    impl HandBuilt<'_> {
+        fn view(&self) -> TaskView<'_> {
+            TaskView {
+                id: TaskId::from_raw(self.id),
+                type_id: TaskTypeId::from_raw(self.type_id),
+                info: self.info,
+                accesses: self.accesses,
+                regions: &self.regions,
+            }
+        }
+    }
+
+    fn view_for<'a>(
+        store: &DataStore,
+        id: u64,
+        type_id: u32,
+        info: &'a atm_runtime::TaskTypeInfo,
+        accesses: &'a [Access],
+    ) -> HandBuilt<'a> {
+        HandBuilt {
+            id,
+            type_id,
             info,
             accesses,
+            regions: store.resolve(accesses),
         }
     }
 
@@ -730,12 +765,17 @@ mod tests {
 
     /// Drives the engine by hand (without the scheduler) the way a worker
     /// would: before_execute, optionally run the kernel, after_execute.
-    fn drive(engine: &AtmEngine, store: &DataStore, view: TaskView<'_>) -> (Decision, Vec<TaskId>) {
+    fn drive(
+        engine: &AtmEngine,
+        store: &DataStore,
+        task: HandBuilt<'_>,
+    ) -> (Decision, Vec<TaskId>) {
+        let view = task.view();
         let tracer = Tracer::new(None);
         let decision = engine.before_execute(view, store, &tracer, 0);
         let executed = decision == Decision::Execute;
         if executed {
-            let ctx = atm_runtime::TaskContext::new(store, view.accesses);
+            let ctx = TaskContext::resolved(store, view.accesses, view.regions);
             (view.info.kernel)(&ctx);
         }
         let completed = engine.after_execute(view, store, &tracer, 0, executed);
@@ -753,14 +793,14 @@ mod tests {
         let out_b = store.register_zeros::<f64>("b", 3).unwrap();
 
         let acc_a = vec![Access::read(&input), Access::write(&out_a)];
-        let (d1, _) = drive(&engine, &store, view_for(0, 0, &info, &acc_a));
+        let (d1, _) = drive(&engine, &store, view_for(&store, 0, 0, &info, &acc_a));
         assert_eq!(d1, Decision::Execute);
         assert_eq!(store.read(out_a).lock().as_f64(), &[1.0, 4.0, 9.0]);
 
         // Second task, same input, different output region: must be bypassed
         // and still produce the right output.
         let acc_b = vec![Access::read(&input), Access::write(&out_b)];
-        let (d2, _) = drive(&engine, &store, view_for(1, 0, &info, &acc_b));
+        let (d2, _) = drive(&engine, &store, view_for(&store, 1, 0, &info, &acc_b));
         assert_eq!(d2, Decision::Memoized);
         assert_eq!(store.read(out_b).lock().as_f64(), &[1.0, 4.0, 9.0]);
 
@@ -793,11 +833,11 @@ mod tests {
         let acc_a = vec![Access::read(&in_a), Access::write(&out_a)];
         let acc_b = vec![Access::read(&in_b), Access::write(&out_b)];
         assert_eq!(
-            drive(&engine, &store, view_for(0, 0, &info, &acc_a)).0,
+            drive(&engine, &store, view_for(&store, 0, 0, &info, &acc_a)).0,
             Decision::Execute
         );
         assert_eq!(
-            drive(&engine, &store, view_for(1, 0, &info, &acc_b)).0,
+            drive(&engine, &store, view_for(&store, 1, 0, &info, &acc_b)).0,
             Decision::Execute
         );
         assert_eq!(store.read(out_b).lock().as_f64(), &[1.0, 6.25]);
@@ -811,7 +851,7 @@ mod tests {
         let info = TaskTypeBuilder::new("plain", |_| {}).build();
         let r = store.register_typed("r", vec![1.0f64]).unwrap();
         let accesses = vec![Access::read_write(&r)];
-        let (d, _) = drive(&engine, &store, view_for(0, 0, &info, &accesses));
+        let (d, _) = drive(&engine, &store, view_for(&store, 0, 0, &info, &accesses));
         assert_eq!(d, Decision::Execute);
         assert_eq!(engine.stats().seen, 0);
     }
@@ -838,7 +878,11 @@ mod tests {
         let mut decisions = Vec::new();
         for (i, out) in outs.iter().enumerate() {
             let accesses = vec![Access::read(&input), Access::write(out)];
-            let (d, _) = drive(&engine, &store, view_for(i as u64, 0, &info, &accesses));
+            let (d, _) = drive(
+                &engine,
+                &store,
+                view_for(&store, i as u64, 0, &info, &accesses),
+            );
             decisions.push(d);
         }
         // Task 0 misses and executes; tasks 1 and 2 are training hits (still
@@ -926,7 +970,7 @@ mod tests {
         for i in 0..6u64 {
             let out = store.register_zeros::<f64>(format!("o{i}"), 16).unwrap();
             let accesses = vec![Access::read(&input), Access::write(&out)];
-            drive(&engine, &store, view_for(i, 0, &info, &accesses));
+            drive(&engine, &store, view_for(&store, i, 0, &info, &accesses));
         }
 
         let stats = engine.stats();
@@ -977,7 +1021,11 @@ mod tests {
         for (i, input) in inputs.iter().enumerate() {
             let out = store.register_zeros::<f64>(format!("o{i}"), 4).unwrap();
             let accesses = vec![Access::read(input), Access::write(&out)];
-            drive(&engine, &store, view_for(i as u64, 0, &info, &accesses));
+            drive(
+                &engine,
+                &store,
+                view_for(&store, i as u64, 0, &info, &accesses),
+            );
         }
 
         let decisions = obs.decisions();
@@ -1002,8 +1050,9 @@ mod tests {
 
         let acc_a = vec![Access::read(&input), Access::write(&out_a)];
         let acc_b = vec![Access::read(&input), Access::write(&out_b)];
-        let view_a = view_for(0, 0, &info, &acc_a);
-        let view_b = view_for(1, 0, &info, &acc_b);
+        let task_a = view_for(&store, 0, 0, &info, &acc_a);
+        let task_b = view_for(&store, 1, 0, &info, &acc_b);
+        let (view_a, view_b) = (task_a.view(), task_b.view());
 
         // A starts executing (registers its key in the IKT)…
         assert_eq!(
@@ -1050,14 +1099,19 @@ mod tests {
         let (warm, steady) = inputs.split_at(32);
         for (id, input) in warm.iter().enumerate() {
             let accesses = accesses_of(input);
-            let (d, _) = drive(&engine, &store, view_for(id as u64, 0, &info, &accesses));
+            let (d, _) = drive(
+                &engine,
+                &store,
+                view_for(&store, id as u64, 0, &info, &accesses),
+            );
             assert_eq!(d, Decision::Execute);
         }
 
         let warmed = engine.alloc_events();
         for (id, input) in steady.iter().enumerate() {
             let accesses = accesses_of(input);
-            let view = view_for(100 + id as u64, 0, &info, &accesses);
+            let task = view_for(&store, 100 + id as u64, 0, &info, &accesses);
+            let view = task.view();
             assert_eq!(
                 engine.before_execute(view, &store, &tracer, 0),
                 Decision::Execute
@@ -1073,7 +1127,8 @@ mod tests {
         }
         for (id, input) in inputs.iter().enumerate() {
             let accesses = accesses_of(input);
-            let view = view_for(1_000 + id as u64, 0, &info, &accesses);
+            let task = view_for(&store, 1_000 + id as u64, 0, &info, &accesses);
+            let view = task.view();
             assert_eq!(
                 engine.before_execute(view, &store, &tracer, 0),
                 Decision::Memoized
@@ -1085,15 +1140,15 @@ mod tests {
         // in-flight producer owns a copy of its accesses until it is served.
         let twin_in = store.register_typed("twin", vec![-1.0f64; 4]).unwrap();
         let twin = accesses_of(&twin_in);
-        let producer = view_for(5_000, 0, &info, &twin);
-        let waiter = view_for(5_001, 0, &info, &twin);
+        let producer = view_for(&store, 5_000, 0, &info, &twin);
+        let waiter = view_for(&store, 5_001, 0, &info, &twin);
         assert_eq!(
-            engine.before_execute(producer, &store, &tracer, 0),
+            engine.before_execute(producer.view(), &store, &tracer, 0),
             Decision::Execute
         );
         assert_eq!(engine.alloc_events(), warmed);
         assert_eq!(
-            engine.before_execute(waiter, &store, &tracer, 0),
+            engine.before_execute(waiter.view(), &store, &tracer, 0),
             Decision::Deferred
         );
         assert_eq!(engine.alloc_events(), warmed + 1);
@@ -1112,11 +1167,21 @@ mod tests {
         let acc_a = vec![Access::read(&input), Access::write(&out_a)];
         let acc_b = vec![Access::read(&input), Access::write(&out_b)];
         assert_eq!(
-            engine.before_execute(view_for(0, 0, &info, &acc_a), &store, &tracer, 0),
+            engine.before_execute(
+                view_for(&store, 0, 0, &info, &acc_a).view(),
+                &store,
+                &tracer,
+                0
+            ),
             Decision::Execute
         );
         assert_eq!(
-            engine.before_execute(view_for(1, 0, &info, &acc_b), &store, &tracer, 1),
+            engine.before_execute(
+                view_for(&store, 1, 0, &info, &acc_b).view(),
+                &store,
+                &tracer,
+                1
+            ),
             Decision::Execute,
             "without the IKT a concurrent identical task cannot be deferred"
         );
@@ -1134,7 +1199,7 @@ mod tests {
         let input = store.register_typed("in", vec![1.0f64, 2.0, 3.0]).unwrap();
         let out = store.register_zeros::<f64>("cold_out", 3).unwrap();
         let accesses = vec![Access::read(&input), Access::write(&out)];
-        let (d, _) = drive(&cold, &store, view_for(0, 0, &info, &accesses));
+        let (d, _) = drive(&cold, &store, view_for(&store, 0, 0, &info, &accesses));
         assert_eq!(d, Decision::Execute);
         cold.save_store(&path).unwrap();
 
@@ -1147,7 +1212,7 @@ mod tests {
         let input2 = store2.register_typed("in", vec![1.0f64, 2.0, 3.0]).unwrap();
         let out2 = store2.register_zeros::<f64>("warm_out", 3).unwrap();
         let accesses2 = vec![Access::read(&input2), Access::write(&out2)];
-        let (d2, _) = drive(&warm, &store2, view_for(0, 0, &info, &accesses2));
+        let (d2, _) = drive(&warm, &store2, view_for(&store2, 0, 0, &info, &accesses2));
         assert_eq!(d2, Decision::Memoized, "warm start must hit immediately");
         assert_eq!(store2.read(out2).lock().as_f64(), &[1.0, 4.0, 9.0]);
         assert_eq!(warm.stats().executed, 0);
@@ -1165,7 +1230,7 @@ mod tests {
         let input = store.register_typed("in", vec![1.0f64, 2.0]).unwrap();
         let out = store.register_zeros::<f64>("out", 2).unwrap();
         let accesses = vec![Access::read(&input), Access::write(&out)];
-        drive(&cold, &store, view_for(0, 0, &info, &accesses));
+        drive(&cold, &store, view_for(&store, 0, 0, &info, &accesses));
 
         // Rewrite the version field (bytes 8..12) and the FNV-1a trailer.
         let mut bytes = cold.store().to_snapshot_bytes();
@@ -1226,14 +1291,14 @@ mod tests {
         let input = store.register_typed("in", vec![1.0f64; 64]).unwrap();
         let out = store.register_zeros::<f64>("out", 64).unwrap();
         let accesses = vec![Access::read(&input), Access::write(&out)];
-        let _ = drive(&engine, &store, view_for(0, 0, &info, &accesses));
+        let _ = drive(&engine, &store, view_for(&store, 0, 0, &info, &accesses));
         let exported = engine.store().export();
         assert_eq!(exported.len(), 1);
         // drive() measures real time around the kernel, so the benefit can
         // be small but is recorded from the per-type timing stats.
         let out_b = store.register_zeros::<f64>("b", 64).unwrap();
         let acc_b = vec![Access::read(&input), Access::write(&out_b)];
-        let (d, _) = drive(&engine, &store, view_for(1, 0, &info, &acc_b));
+        let (d, _) = drive(&engine, &store, view_for(&store, 1, 0, &info, &acc_b));
         assert_eq!(d, Decision::Memoized);
         assert_eq!(
             engine.store_counters().saved_ns,
@@ -1277,9 +1342,9 @@ mod tests {
                 .register_zeros::<f64>(format!("out{task_id}"), 64)
                 .unwrap();
             let accesses = vec![Access::read(&input), Access::write(&out)];
-            let view = view_for(task_id, type_id, info, &accesses);
+            let task = view_for(&store, task_id, type_id, info, &accesses);
             task_id += 1;
-            drive(&engine, &store, view).0
+            drive(&engine, &store, task).0
         };
 
         // Interleave instances of the three types.
@@ -1341,7 +1406,7 @@ mod tests {
         let input = store.register_typed("in", vec![1.0f64; 8]).unwrap();
         let out = store.register_zeros::<f64>("out", 8).unwrap();
         let accesses = vec![Access::read(&input), Access::write(&out)];
-        let _ = drive(&engine, &store, view_for(0, 0, &info, &accesses));
+        let _ = drive(&engine, &store, view_for(&store, 0, 0, &info, &accesses));
         assert_eq!(
             engine.current_p(TaskTypeId::from_raw(0)),
             Some(1.0),
@@ -1388,11 +1453,11 @@ mod tests {
             Access::write(&out_b),
         ];
         assert_eq!(
-            drive(&engine, &store, view_for(0, 0, &info, &acc_a)).0,
+            drive(&engine, &store, view_for(&store, 0, 0, &info, &acc_a)).0,
             Decision::Execute
         );
         assert_eq!(
-            drive(&engine, &store, view_for(1, 0, &info, &acc_b)).0,
+            drive(&engine, &store, view_for(&store, 1, 0, &info, &acc_b)).0,
             Decision::Execute,
             "a different control value must miss, not alias the first entry"
         );
@@ -1408,7 +1473,7 @@ mod tests {
             Access::write(&out_c),
         ];
         assert_eq!(
-            drive(&engine, &store, view_for(2, 0, &info, &acc_c)).0,
+            drive(&engine, &store, view_for(&store, 2, 0, &info, &acc_c)).0,
             Decision::Memoized
         );
         assert_eq!(store.read(out_c).lock().as_f64(), &[6.0; 64]);
@@ -1431,7 +1496,9 @@ mod tests {
         .out::<f64>()
         .memo(MemoSpec::approximate().tau(0.01).training_window(1))
         .build();
-        let policy = &engine.type_entry(&view_for(0, 0, &info, &[])).policy;
+        let policy = &engine
+            .type_entry(&view_for(&store, 0, 0, &info, &[]).view())
+            .policy;
         assert!((policy.tau_max() - 0.01).abs() < 1e-12);
 
         let input = store.register_typed("in", vec![2.0f64; 4]).unwrap();
@@ -1442,7 +1509,7 @@ mod tests {
             Access::write(&close),
             Access::write(&far),
         ];
-        let view = view_for(0, 0, &info, &accesses);
+        let task = view_for(&store, 0, 0, &info, &accesses);
         let stored = |region: Region<f64>, value: f64| OutputSnapshot {
             region: region.id(),
             elem_range: 0..4,
@@ -1450,7 +1517,7 @@ mod tests {
         };
         // τ = 0.002 / 2 = 0.001 < τ_max, and τ = 0.5 / 2 = 0.25 ≥ τ_max.
         let reference = vec![stored(close, 2.002), stored(far, 2.5)];
-        let (tau, failing) = engine.failing_output_regions(&store, &view, &reference, 0.01);
+        let (tau, failing) = engine.failing_output_regions(&task.view(), &reference, 0.01);
         assert!((tau - 0.25).abs() < 1e-12, "τ = {tau}");
         assert_eq!(failing, vec![far.id()]);
     }
@@ -1463,7 +1530,7 @@ mod tests {
         let input = store.register_typed("in", vec![1.0f64; 8]).unwrap();
         let out = store.register_zeros::<f64>("out", 8).unwrap();
         let accesses = vec![Access::read(&input), Access::write(&out)];
-        let _ = drive(&engine, &store, view_for(0, 0, &info, &accesses));
+        let _ = drive(&engine, &store, view_for(&store, 0, 0, &info, &accesses));
         assert!((engine.current_p(TaskTypeId::from_raw(0)).unwrap() - 0.5).abs() < 1e-12);
     }
 
@@ -1492,7 +1559,7 @@ mod tests {
             values[4095] = -(i as f64);
             let input = store.register_typed(format!("in{i}"), values).unwrap();
             let accesses = vec![Access::read(&input), Access::write(&out)];
-            let (decision, _) = drive(engine, &store, view_for(i, 0, info, &accesses));
+            let (decision, _) = drive(engine, &store, view_for(&store, i, 0, info, &accesses));
             assert_eq!(decision, Decision::Execute, "task {i}");
             assert_eq!(store.read(out).lock().as_f64(), &[i as f64 + 1.0]);
         }
@@ -1601,7 +1668,7 @@ mod tests {
             .zip(&outs)
             .map(|(i, o)| vec![Access::read(i), Access::write(o)])
             .collect();
-        drive(&engine, &store, view_for(0, 0, &info, &accesses[0]));
+        drive(&engine, &store, view_for(&store, 0, 0, &info, &accesses[0]));
 
         // Both hits are keyed at the minimum p before either is verified.
         let run_kernel = |n: usize| {
@@ -1609,16 +1676,16 @@ mod tests {
             (info.kernel)(&ctx);
         };
         for n in [1, 2] {
-            let view = view_for(n as u64, 0, &info, &accesses[n]);
+            let task = view_for(&store, n as u64, 0, &info, &accesses[n]);
             assert_eq!(
-                engine.before_execute(view, &store, &tracer, n),
+                engine.before_execute(task.view(), &store, &tracer, n),
                 Decision::Execute
             );
         }
         for n in [1, 2] {
             run_kernel(n);
-            let view = view_for(n as u64, 0, &info, &accesses[n]);
-            engine.after_execute(view, &store, &tracer, n, true);
+            let task = view_for(&store, n as u64, 0, &info, &accesses[n]);
+            engine.after_execute(task.view(), &store, &tracer, n, true);
         }
         // The first rejection doubled p; the second task's record still
         // says what its key was sampled at.
@@ -1659,7 +1726,7 @@ mod tests {
         let mut run = |input: &Region<f64>, out: &Region<f64>| {
             let accesses = vec![Access::read(input), Access::write(out)];
             id += 1;
-            drive(&engine, &store, view_for(id, 0, &info, &accesses)).0
+            drive(&engine, &store, view_for(&store, id, 0, &info, &accesses)).0
         };
         // `b` collides with `a` at the minimum p and sums differently: its
         // output region is black-listed and p doubles. `a` twice more at the

@@ -25,13 +25,17 @@
 //!   number of *selected* bytes, which is what makes Dynamic ATM's small
 //!   `p` values reduce the hashing overhead (the gap between "Static ATM"
 //!   and "Oracle (100%)" in Figure 3).
+//!
+//! The engine keys a task through the region handles it carries from its
+//! submission ([`KeyGenerator::compute_resolved`]); the store-taking
+//! [`compute`](KeyGenerator::compute) and
+//! [`compute_uniform`](KeyGenerator::compute_uniform) resolve first and
+//! produce the same keys.
 
-use crate::snapshot::{elem_range_of, elem_range_within};
+use crate::snapshot::elem_range_within;
 use atm_hash::shuffle::InputSpec;
 use atm_hash::{ByteLayout, InputSampler, JenkinsStream, Percentage, PlannedByte};
-use atm_runtime::{
-    Access, DataStore, ElemWindow, RegionData, RegionRead, RegionReadGuard, WordSink,
-};
+use atm_runtime::{Access, DataStore, ElemWindow, RegionData, RegionRead, RegionRef, WordSink};
 use atm_sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,7 +53,7 @@ pub const DIGEST_SEED: u64 = 0xD16E_57ED_0A7B_5EED;
 /// than this many read arguments falls back to heap-allocated guard vectors.
 const INLINE_READS: usize = 8;
 
-/// Reusable scratch for [`KeyGenerator::compute_with_scratch`]: the one
+/// Reusable scratch for [`KeyGenerator::compute_resolved`]: the one
 /// heap-backed temporary the key pipeline needs, owned by the caller (the
 /// engine keeps one per worker) so the steady-state lookup path performs no
 /// allocation — it reaches its high-water capacity during warm-up and is
@@ -126,6 +130,18 @@ impl WordSink for HashSink<'_> {
     fn bytes(&mut self, bytes: &[u8]) {
         self.0.push_slice(bytes);
     }
+}
+
+/// The read accesses of a task paired with their resolved regions, in
+/// declaration order.
+fn reads<'a>(
+    accesses: &'a [Access],
+    regions: &'a [RegionRef],
+) -> impl Iterator<Item = (&'a Access, &'a RegionRef)> {
+    accesses
+        .iter()
+        .zip(regions)
+        .filter(|(a, _)| a.mode.is_read())
 }
 
 /// lookup3 over the little-endian bytes of `window`, a word at a time from
@@ -252,17 +268,9 @@ impl KeyGenerator {
         self.type_aware
     }
 
-    /// Layout signature of a task instance (read accesses only).
-    pub fn signature(store: &DataStore, accesses: &[Access]) -> LayoutSignature {
-        accesses
-            .iter()
-            .filter(|a| a.mode.is_read())
-            .map(|a| (elem_range_of(store, a).len(), a.elem.width()))
-            .collect()
-    }
-
     /// Computes the hash key of a task instance with one selection
-    /// percentage per read access (in access-declaration order).
+    /// percentage per read access (in access-declaration order), resolving
+    /// the accesses' regions through `store` first.
     ///
     /// # Panics
     /// Panics if `precisions` does not have exactly one entry per read
@@ -273,22 +281,29 @@ impl KeyGenerator {
         accesses: &[Access],
         precisions: &[Percentage],
     ) -> KeyResult {
-        let mut scratch = KeyScratch::new();
-        self.compute_with_scratch(store, accesses, precisions, &mut scratch)
+        let regions = store.resolve(accesses);
+        self.compute_resolved(accesses, &regions, precisions, &mut KeyScratch::new())
     }
 
-    /// [`compute`](Self::compute) with caller-owned scratch: the hot-path
-    /// variant the engine calls with its per-worker scratch, so the
-    /// steady-state lookup performs no heap allocation. Results are
-    /// bit-identical to `compute` — the scratch only changes *where* the
-    /// temporaries live, never what is hashed.
-    pub fn compute_with_scratch(
+    /// [`compute`](Self::compute) over resolved regions (`regions[i]` is
+    /// `accesses[i]`'s) with caller-owned scratch: the hot-path variant the
+    /// engine calls with the task's own handles and its per-worker scratch,
+    /// so the steady-state lookup reads no registry and performs no heap
+    /// allocation. Results are bit-identical to `compute` — handles and
+    /// scratch only change *how* the bytes are reached, never what is
+    /// hashed.
+    ///
+    /// # Panics
+    /// Panics if `precisions` does not have exactly one entry per read
+    /// access.
+    pub fn compute_resolved(
         &self,
-        store: &DataStore,
         accesses: &[Access],
+        regions: &[RegionRef],
         precisions: &[Percentage],
         scratch: &mut KeyScratch,
     ) -> KeyResult {
+        debug_assert_eq!(accesses.len(), regions.len(), "one region per access");
         let reads = accesses.iter().filter(|a| a.mode.is_read()).count();
         assert_eq!(
             precisions.len(),
@@ -303,9 +318,9 @@ impl KeyGenerator {
         let uniformly_sampled = precisions.first().is_some_and(|p| !p.is_full())
             && precisions.windows(2).all(|w| w[0] == w[1]);
         if uniformly_sampled {
-            self.compute_sampled(store, accesses, precisions[0], scratch)
+            self.compute_sampled(accesses, regions, precisions[0], scratch)
         } else {
-            self.compute_composed(store, accesses, precisions)
+            self.compute_composed(accesses, regions, precisions)
         }
     }
 
@@ -317,16 +332,14 @@ impl KeyGenerator {
     /// bytes for a sampled one. One region is locked at a time.
     fn compute_composed(
         &self,
-        store: &DataStore,
         accesses: &[Access],
+        regions: &[RegionRef],
         precisions: &[Percentage],
     ) -> KeyResult {
         let mut key = JenkinsStream::new(self.seed, 8 * precisions.len());
         let (mut selected_bytes, mut total_bytes) = (0usize, 0usize);
-        let reads = accesses.iter().filter(|a| a.mode.is_read());
-        for (arg, (access, &p)) in reads.zip(precisions).enumerate() {
-            let region = store.read(access.region);
-            let data = region.lock();
+        for (arg, ((access, region), &p)) in reads(accesses, regions).zip(precisions).enumerate() {
+            let data = region.read();
             let range = elem_range_within(access, data.len());
             let width = access.elem.width();
             let bytes = range.len() * width;
@@ -375,36 +388,34 @@ impl KeyGenerator {
     /// shuffle order, through one lookup3 stream.
     fn compute_sampled(
         &self,
-        store: &DataStore,
         accesses: &[Access],
+        regions: &[RegionRef],
         p: Percentage,
         scratch: &mut KeyScratch,
     ) -> KeyResult {
         // The shuffle visits bytes across *all* segments in selection order,
         // so every read region must be locked at once. Up to INLINE_READS
-        // regions the handles, guards and windows live on the stack; beyond
-        // that we spill to vectors (a counted allocation event).
-        let reads = || accesses.iter().filter(|a| a.mode.is_read());
-        let reads_len = reads().count();
+        // regions the guards and windows live on the stack; beyond that we
+        // spill to vectors (a counted allocation event).
+        let reads_len = reads(accesses, regions).count();
         if reads_len <= INLINE_READS {
-            let mut handles: [Option<RegionReadGuard<'_>>; INLINE_READS] = Default::default();
-            for (handle, access) in handles.iter_mut().zip(reads()) {
-                *handle = Some(store.read(access.region));
-            }
             let mut guards: [Option<RegionRead<'_>>; INLINE_READS] = Default::default();
-            for (guard, handle) in guards.iter_mut().zip(handles.iter().flatten()) {
-                *guard = Some(handle.lock());
+            for (guard, (_, region)) in guards.iter_mut().zip(reads(accesses, regions)) {
+                *guard = Some(region.read());
             }
             let mut segments = [ElemWindow::U8(&[]); INLINE_READS];
             let locked = guards.iter().flatten().map(|guard| &**guard);
-            self.hash_sampled(reads().zip(locked), &mut segments, p, scratch)
+            let read_accesses = reads(accesses, regions).map(|(access, _)| access);
+            self.hash_sampled(read_accesses.zip(locked), &mut segments, p, scratch)
         } else {
             self.note_alloc();
-            let handles: Vec<_> = reads().map(|a| store.read(a.region)).collect();
-            let guards: Vec<_> = handles.iter().map(|h| h.lock()).collect();
+            let guards: Vec<_> = reads(accesses, regions)
+                .map(|(_, region)| region.read())
+                .collect();
             let mut segments = vec![ElemWindow::U8(&[]); reads_len];
             let locked = guards.iter().map(|guard| &**guard);
-            self.hash_sampled(reads().zip(locked), &mut segments, p, scratch)
+            let read_accesses = reads(accesses, regions).map(|(access, _)| access);
+            self.hash_sampled(read_accesses.zip(locked), &mut segments, p, scratch)
         }
     }
 
@@ -755,12 +766,13 @@ mod tests {
 
     #[test]
     fn scratch_and_plain_compute_agree_on_every_path() {
-        // `compute_with_scratch` must be bit-identical to `compute` on the
+        // `compute_resolved` must be bit-identical to `compute` on the
         // uniform-full, uniform-sampled and mixed-precision paths alike.
         let store = DataStore::new();
         let a = store.register_typed("a", vec![1.5f32; 300]).unwrap();
         let b = store.register_typed("b", vec![9i64; 40]).unwrap();
         let accesses = vec![Access::read(&a), Access::read(&b)];
+        let regions = store.resolve(&accesses);
         let keygen = KeyGenerator::new(77, true);
         let mut scratch = KeyScratch::new();
         let cases: Vec<Vec<Percentage>> = vec![
@@ -775,8 +787,7 @@ mod tests {
         ];
         for precisions in &cases {
             let plain = keygen.compute(&store, &accesses, precisions);
-            let scratched =
-                keygen.compute_with_scratch(&store, &accesses, precisions, &mut scratch);
+            let scratched = keygen.compute_resolved(&accesses, &regions, precisions, &mut scratch);
             assert_eq!(plain, scratched, "precisions {precisions:?}");
         }
     }
@@ -792,21 +803,23 @@ mod tests {
         let a = store.register_typed("a", vec![2.5f32; 512]).unwrap();
         let b = store.register_typed("b", vec![3i32; 128]).unwrap();
         let accesses = vec![Access::read(&a), Access::read(&b)];
+        let regions = store.resolve(&accesses);
         let keygen = KeyGenerator::new(5, true);
         let mut scratch = KeyScratch::new();
         let uniform = [Percentage::from_fraction(0.25); 2];
         let full = [Percentage::FULL; 2];
         let mixed = [Percentage::FULL, Percentage::MIN];
+        let compute_all = |scratch: &mut KeyScratch| {
+            for precisions in [&uniform, &full, &mixed] {
+                let _ = keygen.compute_resolved(&accesses, &regions, precisions, scratch);
+            }
+        };
         for _ in 0..3 {
-            let _ = keygen.compute_with_scratch(&store, &accesses, &uniform, &mut scratch);
-            let _ = keygen.compute_with_scratch(&store, &accesses, &full, &mut scratch);
-            let _ = keygen.compute_with_scratch(&store, &accesses, &mixed, &mut scratch);
+            compute_all(&mut scratch);
         }
         let warmed = keygen.alloc_events();
         for _ in 0..1_000 {
-            let _ = keygen.compute_with_scratch(&store, &accesses, &uniform, &mut scratch);
-            let _ = keygen.compute_with_scratch(&store, &accesses, &full, &mut scratch);
-            let _ = keygen.compute_with_scratch(&store, &accesses, &mixed, &mut scratch);
+            compute_all(&mut scratch);
         }
         assert_eq!(
             keygen.alloc_events(),

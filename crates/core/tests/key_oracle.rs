@@ -11,6 +11,14 @@
 //! stale digest, any plan entry that names the wrong byte and any word the
 //! streaming hasher mis-steps shows up as a mismatch.
 //!
+//! The generator is driven the way the engine drives it — through the
+//! region handles a task carries from its submission
+//! ([`KeyGenerator::compute_resolved`]) — while the programs write their
+//! regions through every entry point there is: the store
+//! ([`DataStore::write`], [`DataStore::restore`]) and a resolved
+//! [`RegionRef`] alike. Two ways in, one version counter: no served key may
+//! tell them apart.
+//!
 //! Cases come from the repo's own PRNG, so a failure reproduces from the
 //! step number it prints.
 
@@ -20,8 +28,8 @@ use atm_hash::shuffle::InputSpec;
 use atm_hash::{jenkins_hash64, ByteLayout, InputSampler, JenkinsStream, Xoshiro256StarStar};
 use atm_runtime::{
     Access, AccessMode, DataStore, Decision, Elem, ElemType, MemoSpec, Region, RegionData,
-    RegionId, TaskContext, TaskId, TaskInterceptor, TaskTypeBuilder, TaskTypeId, TaskTypeInfo,
-    TaskView, Tracer,
+    RegionId, RegionRef, TaskContext, TaskId, TaskInterceptor, TaskTypeBuilder, TaskTypeId,
+    TaskTypeInfo, TaskView, Tracer,
 };
 use std::ops::Range;
 
@@ -98,8 +106,8 @@ fn reference_key(
     jenkins_hash64(&contributions, seed)
 }
 
-/// Asserts generator and reference agree, on the plain and the scratch
-/// entry alike.
+/// Asserts the key the generator serves through the accesses' resolved
+/// regions equals the reference.
 fn assert_key_matches(
     context: &str,
     keygen: &KeyGenerator,
@@ -110,7 +118,8 @@ fn assert_key_matches(
     scratch: &mut KeyScratch,
 ) {
     let expected = reference_key(store, accesses, precisions, seed, type_aware);
-    let served = keygen.compute_with_scratch(store, accesses, precisions, scratch);
+    let regions = store.resolve(accesses);
+    let served = keygen.compute_resolved(accesses, &regions, precisions, scratch);
     assert_eq!(
         served.key, expected,
         "{context}: served key differs from the from-scratch reference \
@@ -362,8 +371,9 @@ impl World {
     fn step(&mut self, rng: &mut Xoshiro256StarStar) -> String {
         let slot = rng.below(self.regions.len());
         let handle = self.regions[slot].1;
-        match rng.below(7) {
+        match rng.below(8) {
             0 => typed!(handle, region => self.host_write(region, rng)),
+            7 => typed!(handle, region => self.handle_write(region, rng)),
             1 => typed!(handle, region => self.kernel_write(region, None, rng)),
             2 => {
                 let range = self.sub_range(slot, rng);
@@ -395,6 +405,18 @@ impl World {
             }
         }
         format!("host write to {region:?}")
+    }
+
+    /// Host write through a resolved [`RegionRef`] — the handle a submitted
+    /// task carries — instead of the store.
+    fn handle_write<T: FromBits>(&self, region: Region<T>, rng: &mut Xoshiro256StarStar) -> String {
+        let handle: RegionRef = self.store.region_ref(region);
+        let mut data = handle.write();
+        let elems = data.as_elems_mut::<T>();
+        if !elems.is_empty() {
+            elems[rng.below(elems.len())] = T::from_bits64(rng.next_u64() % 3);
+        }
+        format!("handle write to {region:?}")
     }
 
     /// Kernel write: `TaskContext::out` over the whole region or a range.
@@ -563,10 +585,12 @@ fn unwritten_regions_are_keyed_from_their_digest_and_every_write_refills_it() {
 
     // Every way of writing `a` costs exactly one refill — of `a` alone.
     let ctx_accesses = [Access::write(&a)];
-    let writes: [(&str, &dyn Fn()); 4] = [
+    let a_ref = store.region_ref(a);
+    let writes: [(&str, &dyn Fn()); 5] = [
         ("host write", &|| {
             store.write(a).lock().as_f32_mut()[3] = 9.0
         }),
+        ("handle write", &|| a_ref.write().as_f32_mut()[4] = 8.0),
         ("kernel write", &|| {
             TaskContext::new(&store, &ctx_accesses).out(0, &[4.0f32; 64]);
         }),
@@ -616,7 +640,9 @@ fn scaled_sum(factor: f64) -> TaskTypeInfo {
     .build()
 }
 
-/// Runs one task the way a worker does; returns whether it executed.
+/// Runs one task the way a worker does — its regions resolved once, as at
+/// submission, and reached only through those handles; returns whether it
+/// executed.
 fn run_task(
     engine: &AtmEngine,
     store: &DataStore,
@@ -626,16 +652,18 @@ fn run_task(
     accesses: &[Access],
 ) -> bool {
     let tracer = Tracer::new(None);
+    let regions = store.resolve(accesses);
     let view = TaskView {
         id: TaskId::from_raw(id),
         type_id: TaskTypeId::from_raw(type_id),
         info,
         accesses,
+        regions: &regions,
     };
     let decision = engine.before_execute(view, store, &tracer, 0);
     let executed = decision == Decision::Execute;
     if executed {
-        (info.kernel)(&TaskContext::new(store, accesses));
+        (info.kernel)(&TaskContext::resolved(store, accesses, &regions));
     }
     engine.after_execute(view, store, &tracer, 0, executed);
     executed
@@ -654,11 +682,19 @@ fn memoized_outputs_track_host_writes_restores_and_copy_outs() {
     let mid = store.register_zeros::<f64>("mid", 3).unwrap();
     let end = store.register_zeros::<f64>("end", 2).unwrap();
     let saved = store.snapshot(input);
+    // Host writes alternate between the store and resolved handles — the
+    // tasks' own way in — so a version bump through either is checked.
+    let (input_ref, mid_ref) = (store.region_ref(input), store.region_ref(mid));
     let (mut executed, mut tasks) = (0u64, 0u64);
     for round in 0..300u64 {
+        let through_handle = round % 2 == 1;
         match rng.below(4) {
+            0 if through_handle => {
+                input_ref.write().as_f64_mut()[rng.below(6)] = rng.below(3) as f64
+            }
             0 => store.write(input).lock().as_f64_mut()[rng.below(6)] = rng.below(3) as f64,
             1 => store.restore(input, &saved),
+            2 if through_handle => mid_ref.write().as_f64_mut().fill(-7.0),
             2 => store.write(mid).lock().as_f64_mut().fill(-7.0),
             _ => {}
         }

@@ -91,6 +91,7 @@ mod tests {
             type_id: TaskTypeId(0),
             info: &info,
             accesses: &[],
+            regions: &[],
         };
         let noop = NoopInterceptor;
         assert_eq!(

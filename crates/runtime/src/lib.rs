@@ -7,7 +7,8 @@
 //!
 //! * **data regions** with typed contents ([`region`]), registered with the
 //!   runtime and handed back as phantom-typed [`Region<T>`] handles so the
-//!   element type never has to be restated;
+//!   element type never has to be restated — and resolved, once per task at
+//!   submission, into [`RegionRef`]s the task carries to its worker;
 //! * **task types and task instances** ([`task`]) — one task type per
 //!   annotated function (with a declared access signature), one instance per
 //!   dynamic submission;
@@ -93,7 +94,7 @@ pub use interceptor::{Decision, NoopInterceptor, TaskInterceptor};
 pub use memo::{ErrorMetric, MemoPolicy, MemoSpec, MemoSpecError};
 pub use region::{
     DataStore, DeregisterError, Elem, ElemType, ElemWindow, Region, RegionData, RegionId,
-    RegionRead, RegionReadGuard, RegionStatus, RegisterError, WordSink,
+    RegionRead, RegionReadGuard, RegionRef, RegionStatus, RegisterError, WordSink,
 };
 pub use scheduler::{Observation, Runtime, RuntimeBuilder};
 pub use stats::{RuntimeStats, RuntimeStatsSnapshot};

@@ -21,7 +21,16 @@
 //! already serialises conflicting tasks, so in a correct execution there is
 //! never lock contention on a region; the lock is a cheap safety net that
 //! keeps the whole crate free of `unsafe`.
+//!
+//! The store's registry (id → region) sits behind one lock of its own. A
+//! [`RegionRef`] is a region *resolved*: a handle straight to its slot, so
+//! locking through it never goes back to the registry. The runtime resolves
+//! every task's regions once, when it validates the submission, and the
+//! task carries the handles — kernels ([`crate::TaskContext`]) and the
+//! interceptor ([`crate::TaskView::regions`]) lock regions through them, and
+//! nothing between a task's pop and its retirement reads the registry.
 
+use crate::access::Access;
 use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -606,14 +615,17 @@ impl RegionData {
 struct RegionSlot {
     data: RwLock<RegionData>,
     name: String,
-    /// Cached element type. Regions are fixed-shape once registered
-    /// ([`DataStore::restore`] rejects type changes), so this never goes
-    /// stale — it lets hot paths like submission validation read the type
-    /// without touching the data lock.
+    /// Cached element type and element count. Regions are fixed-shape once
+    /// registered ([`DataStore::restore`] panics on a type or length
+    /// change), so these never go stale — they let submission validation
+    /// and every element-range computation read the shape without touching
+    /// the data lock.
     elem: ElemType,
+    len: usize,
     /// Write version: how many times the region was opened for writing.
-    /// Bumped *under the write lock* by the only two ways into the data
-    /// ([`RegionWriteGuard::lock`], [`DataStore::restore`]) and read under
+    /// Bumped *under the write lock* by [`RegionSlot::write`], the body of
+    /// every way into the data ([`RegionRef::write`],
+    /// [`RegionWriteGuard::lock`], [`DataStore::restore`]), and read under
     /// the read lock, so between two bumps the bytes cannot have changed —
     /// the version identifies the contents (CONCURRENCY.md, protocol 7).
     version: AtomicU64,
@@ -634,6 +646,7 @@ impl RegionSlot {
     fn new(name: String, data: RegionData) -> Self {
         RegionSlot {
             elem: data.elem_type(),
+            len: data.len(),
             data: RwLock::new(data),
             name,
             version: AtomicU64::new(0),
@@ -653,6 +666,77 @@ impl RegionSlot {
         self.version.fetch_add(1, Ordering::Release);
         guard
     }
+
+    fn size_bytes(&self) -> usize {
+        self.len * self.elem.width()
+    }
+}
+
+/// A resolved region: a cheap-to-clone handle straight to one registered
+/// region, obtained from [`DataStore::region_ref`] or
+/// [`DataStore::resolve`] — and, for every task the runtime runs, resolved
+/// once at submission and carried by the task (see the module docs).
+///
+/// Locking through the handle never touches the store's registry. Its
+/// shape ([`len`](Self::len), [`elem_type`](Self::elem_type)) is read
+/// without any lock; the write version and the digest slot are reachable
+/// only through the read guard [`read`](Self::read) returns, and
+/// [`write`](Self::write) bumps the version inside the write lock like
+/// every other way into the data. Like an in-flight guard, a handle keeps
+/// the region's buffer alive past deregistration until it is dropped.
+#[derive(Clone)]
+pub struct RegionRef(Arc<RegionSlot>);
+
+impl RegionRef {
+    /// Locks the region for reading.
+    pub fn read(&self) -> RegionRead<'_> {
+        RegionRead {
+            data: self.0.data.read(),
+            slot: &self.0,
+        }
+    }
+
+    /// Locks the region for writing and bumps its write version.
+    pub fn write(&self) -> RwLockWriteGuard<'_, RegionData> {
+        self.0.write()
+    }
+
+    /// Number of elements in the region (no lock: regions are fixed-shape).
+    pub fn len(&self) -> usize {
+        self.0.len
+    }
+
+    /// True when the region holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Element type of the region (no lock).
+    pub fn elem_type(&self) -> ElemType {
+        self.0.elem
+    }
+
+    /// The name the region was registered under.
+    pub fn name(&self) -> &str {
+        &self.0.name
+    }
+
+    /// How many handles (and in-flight guards) share this region, the
+    /// store's own included while it is registered.
+    #[cfg(test)]
+    pub(crate) fn owners(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+}
+
+impl std::fmt::Debug for RegionRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "RegionRef({:?}: {} × {})",
+            self.0.name, self.0.elem, self.0.len
+        )
+    }
 }
 
 /// Registration state: the region slots plus the name index used to reject
@@ -666,10 +750,22 @@ impl RegionSlot {
 /// reused — a stale handle to a retired region can therefore never alias a
 /// newer region.
 #[derive(Debug, Default)]
-struct Registry {
+pub(crate) struct Registry {
     slots: HashMap<u32, Arc<RegionSlot>>,
     by_name: HashMap<String, RegionId>,
     next_id: u32,
+}
+
+impl Registry {
+    /// The handle of `id`, or — when there is none — whether the id was
+    /// retired or never assigned.
+    pub(crate) fn get(&self, id: RegionId) -> Result<RegionRef, RegionStatus> {
+        match self.slots.get(&id.0) {
+            Some(slot) => Ok(RegionRef(Arc::clone(slot))),
+            None if id.0 < self.next_id => Err(RegionStatus::Retired),
+            None => Err(RegionStatus::Unknown),
+        }
+    }
 }
 
 /// The registry of all regions an application has handed to the runtime.
@@ -679,12 +775,69 @@ struct Registry {
 #[derive(Debug, Default)]
 pub struct DataStore {
     registry: RwLock<Registry>,
+    /// Debug-build odometer of registry read locks (see
+    /// [`DataStore::registry_reads`]).
+    #[cfg(debug_assertions)]
+    registry_reads: AtomicU64,
 }
 
 impl DataStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Takes the registry's read lock, counting it in debug builds.
+    fn registry(&self) -> RwLockReadGuard<'_, Registry> {
+        #[cfg(debug_assertions)]
+        self.registry_reads.fetch_add(1, Ordering::Relaxed);
+        self.registry.read()
+    }
+
+    /// Registry read locks taken so far (debug builds only): every id →
+    /// region lookup, whatever asked for it. The runtime takes one per
+    /// submitted batch and none while it runs tasks — the regression guard
+    /// of resolving regions at submission.
+    #[cfg(debug_assertions)]
+    pub fn registry_reads(&self) -> u64 {
+        self.registry_reads.load(Ordering::Relaxed)
+    }
+
+    /// Holds the registry read lock for a batch of lookups
+    /// ([`Registry::get`]).
+    pub(crate) fn resolver(&self) -> RwLockReadGuard<'_, Registry> {
+        self.registry()
+    }
+
+    /// Resolves a region id to its handle.
+    ///
+    /// # Panics
+    /// Panics if the id does not name a registered region.
+    pub fn region_ref(&self, id: impl Into<RegionId>) -> RegionRef {
+        let id = id.into();
+        self.registry()
+            .get(id)
+            .unwrap_or_else(|_| panic!("unknown region id {id:?}"))
+    }
+
+    /// Resolves the region of every access, in order, under one registry
+    /// lock: `resolve(accesses)[i]` is `accesses[i]`'s region. This is
+    /// what the store-taking conveniences (`TaskContext::new`, the key and
+    /// snapshot adapters of the ATM crates, hand-built task views) call;
+    /// the runtime resolves submitted tasks itself.
+    ///
+    /// # Panics
+    /// Panics if an access names a region that is not registered.
+    pub fn resolve(&self, accesses: &[Access]) -> Vec<RegionRef> {
+        let registry = self.registry();
+        accesses
+            .iter()
+            .map(|access| {
+                registry
+                    .get(access.region)
+                    .unwrap_or_else(|_| panic!("unknown region id {:?}", access.region))
+            })
+            .collect()
     }
 
     /// Registers a new region under a unique name and returns a typed
@@ -754,27 +907,21 @@ impl DataStore {
             });
         };
         registry.by_name.remove(&slot.name);
-        let bytes = slot.data.read().size_bytes();
-        Ok(bytes)
+        Ok(slot.size_bytes())
     }
 
     /// Whether an id currently maps to a region, used to be one, or was
     /// never assigned by this store.
     pub fn region_status(&self, id: impl Into<RegionId>) -> RegionStatus {
-        let id = id.into();
-        let registry = self.registry.read();
-        if registry.slots.contains_key(&id.0) {
-            RegionStatus::Live
-        } else if id.0 < registry.next_id {
-            RegionStatus::Retired
-        } else {
-            RegionStatus::Unknown
+        match self.registry().get(id.into()) {
+            Ok(_) => RegionStatus::Live,
+            Err(status) => status,
         }
     }
 
     /// Number of registered regions.
     pub fn len(&self) -> usize {
-        self.registry.read().slots.len()
+        self.registry().slots.len()
     }
 
     /// True when no regions are registered.
@@ -784,57 +931,47 @@ impl DataStore {
 
     /// Looks a region up by its registration name.
     pub fn lookup(&self, name: &str) -> Option<RegionId> {
-        self.registry.read().by_name.get(name).copied()
+        self.registry().by_name.get(name).copied()
     }
 
     /// The human-readable name given at registration.
     pub fn name(&self, id: impl Into<RegionId>) -> String {
-        self.slot(id.into()).name.clone()
+        self.region_ref(id).name().to_owned()
     }
 
     /// Size of a region in bytes.
     pub fn size_bytes(&self, id: impl Into<RegionId>) -> usize {
-        self.slot(id.into()).data.read().size_bytes()
+        self.region_ref(id).0.size_bytes()
     }
 
     /// Element type of a region.
     pub fn elem_type(&self, id: impl Into<RegionId>) -> ElemType {
-        self.slot(id.into()).elem
+        self.region_ref(id).elem_type()
     }
 
     /// Element type of a region, or `None` when the id is unknown to this
-    /// store. Used by the submission validator to report stale or foreign
-    /// ids as a [`crate::SubmitError`] instead of panicking.
+    /// store.
     pub fn try_elem_type(&self, id: impl Into<RegionId>) -> Option<ElemType> {
-        self.try_slot(id.into()).map(|slot| slot.elem)
-    }
-
-    /// Element types of many regions, resolved under a single registry
-    /// lock and without touching any region's data lock (the element type
-    /// is cached at registration). This keeps submission validation off
-    /// the task-creation hot path's lock budget.
-    pub fn try_elem_types(&self, ids: impl IntoIterator<Item = RegionId>) -> Vec<Option<ElemType>> {
-        let registry = self.registry.read();
-        ids.into_iter()
-            .map(|id| registry.slots.get(&id.0).map(|slot| slot.elem))
-            .collect()
+        self.registry()
+            .get(id.into())
+            .ok()
+            .map(|region| region.elem_type())
     }
 
     /// Total application footprint: the sum of all region sizes in bytes.
     /// Used as the denominator of the Table III memory-overhead figures.
     pub fn total_bytes(&self) -> usize {
-        let registry = self.registry.read();
-        registry
+        self.registry()
             .slots
             .values()
-            .map(|r| r.data.read().size_bytes())
+            .map(|slot| slot.size_bytes())
             .sum()
     }
 
     /// Read access to a region's data.
     pub fn read(&self, id: impl Into<RegionId>) -> RegionReadGuard<'_> {
         RegionReadGuard {
-            slot: self.slot(id.into()),
+            region: self.region_ref(id),
             _marker: std::marker::PhantomData,
         }
     }
@@ -842,7 +979,7 @@ impl DataStore {
     /// Write access to a region's data.
     pub fn write(&self, id: impl Into<RegionId>) -> RegionWriteGuard<'_> {
         RegionWriteGuard {
-            slot: self.slot(id.into()),
+            region: self.region_ref(id),
             _marker: std::marker::PhantomData,
         }
     }
@@ -850,7 +987,7 @@ impl DataStore {
     /// Clones a region's current contents (used for output snapshots and for
     /// the sequential references in tests).
     pub fn snapshot(&self, id: impl Into<RegionId>) -> RegionData {
-        self.slot(id.into()).data.read().clone()
+        self.region_ref(id).read().clone()
     }
 
     /// Clones the typed contents of a region.
@@ -864,32 +1001,20 @@ impl DataStore {
     /// Panics if the new data has a different type or length than the
     /// current contents (regions are fixed-shape once registered).
     pub fn restore(&self, id: impl Into<RegionId>, data: &RegionData) {
-        self.slot(id.into()).write().copy_from(data);
-    }
-
-    fn slot(&self, id: RegionId) -> Arc<RegionSlot> {
-        self.try_slot(id)
-            .unwrap_or_else(|| panic!("unknown region id {id:?}"))
-    }
-
-    fn try_slot(&self, id: RegionId) -> Option<Arc<RegionSlot>> {
-        self.registry.read().slots.get(&id.0).cloned()
+        self.region_ref(id).write().copy_from(data);
     }
 }
 
 /// RAII read guard over a region.
 pub struct RegionReadGuard<'a> {
-    slot: Arc<RegionSlot>,
+    region: RegionRef,
     _marker: std::marker::PhantomData<&'a ()>,
 }
 
 impl RegionReadGuard<'_> {
     /// Locks the region for reading and returns the guard.
     pub fn lock(&self) -> RegionRead<'_> {
-        RegionRead {
-            data: self.slot.data.read(),
-            slot: &self.slot,
-        }
+        self.region.read()
     }
 }
 
@@ -913,8 +1038,9 @@ impl std::ops::Deref for RegionRead<'_> {
 
 impl RegionRead<'_> {
     /// The region's write version: it changes whenever the region is opened
-    /// for writing ([`RegionWriteGuard::lock`], [`DataStore::restore`]) and
-    /// never otherwise, so equal versions of one region mean equal bytes.
+    /// for writing ([`RegionRef::write`], [`RegionWriteGuard::lock`],
+    /// [`DataStore::restore`]) and never otherwise, so equal versions of one
+    /// region mean equal bytes.
     pub fn version(&self) -> u64 {
         self.slot.version.load(Ordering::Acquire)
     }
@@ -945,14 +1071,14 @@ impl RegionRead<'_> {
 
 /// RAII write guard over a region.
 pub struct RegionWriteGuard<'a> {
-    slot: Arc<RegionSlot>,
+    region: RegionRef,
     _marker: std::marker::PhantomData<&'a ()>,
 }
 
 impl RegionWriteGuard<'_> {
     /// Locks the region for writing and returns the guard.
     pub fn lock(&self) -> RwLockWriteGuard<'_, RegionData> {
-        self.slot.write()
+        self.region.write()
     }
 }
 
@@ -1154,6 +1280,44 @@ mod tests {
         store.deregister(a).unwrap();
         // The Arc-shared slot keeps the data alive for the extant guard.
         assert_eq!(guard.lock().as_f64(), &[7.0]);
+    }
+
+    #[test]
+    fn region_refs_and_the_store_share_one_slot_and_one_version() {
+        let store = DataStore::new();
+        let a = store.register_typed("a", vec![1.0f32, 2.0, 3.0]).unwrap();
+        let b = store.register_zeros::<i64>("b", 2).unwrap();
+        let handles = store.resolve(&[Access::read(&b), Access::write(&a)]);
+        let (b_ref, a_ref) = (&handles[0], &handles[1]);
+        assert_eq!(
+            (a_ref.len(), a_ref.elem_type(), a_ref.name()),
+            (3, ElemType::F32, "a")
+        );
+        assert_eq!((b_ref.len(), b_ref.elem_type()), (2, ElemType::I64));
+
+        // A write through the handle and one through the store bump the one
+        // version, and each sees the other's bytes.
+        let v0 = a_ref.read().version();
+        a_ref.write().as_f32_mut()[0] = 9.0;
+        assert_eq!(store.read(a).lock().as_f32(), &[9.0, 2.0, 3.0]);
+        store.write(a).lock().as_f32_mut()[1] = 8.0;
+        store.restore(a, &RegionData::F32(vec![7.0, 8.0, 9.0]));
+        let read = a_ref.read();
+        assert_eq!(&*read, &RegionData::F32(vec![7.0, 8.0, 9.0]));
+        assert_eq!(read.version(), v0 + 3);
+        drop(read);
+
+        // The handle outlives deregistration, like an in-flight guard.
+        store.deregister(a).unwrap();
+        assert_eq!(a_ref.read().as_f32(), &[7.0, 8.0, 9.0]);
+        assert_eq!(a_ref.owners(), 1, "the store let go of its share");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown region id")]
+    fn resolving_an_unknown_region_panics() {
+        let store = DataStore::new();
+        let _ = store.resolve(&[Access::read(&Region::<u8>::new(RegionId(4)))]);
     }
 
     #[test]

@@ -22,16 +22,17 @@
 //! ([`crate::dependence`]), the released tasks go into the finishing
 //! worker's own deque ([`crate::ready_queue`]), the `outstanding` taskwait
 //! counter is a single atomic decrement, statistics land in per-worker
-//! shards ([`crate::stats`]), and the worker reads the task descriptor and
-//! its `Arc`-shared task type straight out of the graph node — no
-//! per-execution clones.
+//! shards ([`crate::stats`]), and the worker reads the task descriptor, its
+//! `Arc`-shared task type and its region handles (all resolved at
+//! submission) straight out of the graph node — no per-execution clones and
+//! no registry lookups, in the kernel or in the interceptor.
 
 use crate::dependence::{TaskGraph, TaskNode};
 use crate::interceptor::{Decision, NoopInterceptor, TaskInterceptor};
 use crate::ready_queue::{Popped, ReadyQueue};
 use crate::region::{DataStore, DeregisterError, RegionId};
 use crate::stats::{RuntimeStats, RuntimeStatsSnapshot};
-use crate::submit::{check_signature, check_store, BatchBuilder, SubmitError, TaskBuilder};
+use crate::submit::{check_signature, resolve_regions, BatchBuilder, SubmitError, TaskBuilder};
 use crate::task::{TaskContext, TaskDesc, TaskId, TaskTypeId, TaskTypeInfo, TaskView};
 use crate::trace::{ThreadState, Tracer};
 use atm_obs::{
@@ -178,7 +179,10 @@ impl Inner {
     /// decrement covering every completed task.
     ///
     /// Completion hooks run last, after the publish and the decrement, so a
-    /// notify that signals "request done" observes a settled runtime.
+    /// notify that signals "request done" observes a settled runtime. The
+    /// deferred tasks' nodes leave `deferred_nodes` with their hooks: a
+    /// retired task — and the region handles it carries — does not outlive
+    /// the cycle that finished it, however long the worker then idles.
     fn finish_cycle(
         &self,
         worker: usize,
@@ -188,7 +192,6 @@ impl Inner {
         deferred_nodes: &mut Vec<Arc<TaskNode>>,
     ) {
         packet.clear();
-        deferred_nodes.clear();
         let cycle_start = self.obs().map(|_| self.tracer.now_ns());
 
         self.graph.finish_node_into(executed, packet);
@@ -214,7 +217,7 @@ impl Inner {
         if let Some(notify) = &executed.desc().notify {
             notify.task_finished(worker, executed.id());
         }
-        for node in deferred_nodes.iter() {
+        for node in deferred_nodes.drain(..) {
             if let Some(notify) = &node.desc().notify {
                 notify.task_finished(worker, node.id());
             }
@@ -267,20 +270,26 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
     let mut packet: Vec<TaskId> = Vec::new();
     let mut deferred_nodes: Vec<Arc<TaskNode>> = Vec::new();
     loop {
-        let idle_start = inner.tracer.now_ns();
+        // The idle interval and the pick-up stamp only feed the
+        // observability handle: without one, the pop is not timed.
+        let idle_start = inner.obs().map(|_| inner.tracer.now_ns());
         let popped = inner.queue.pop(worker);
-        let picked_up = inner.tracer.now_ns();
-        inner
-            .tracer
-            .record(worker, ThreadState::Idle, idle_start, picked_up);
+        let picked_up = idle_start.map(|idle_start| {
+            let picked_up = inner.tracer.now_ns();
+            inner
+                .tracer
+                .record(worker, ThreadState::Idle, idle_start, picked_up);
+            picked_up
+        });
         let id = match popped {
             Popped::Task(id) => id,
             Popped::Closed => break,
         };
 
         // One graph access marks the task running and hands back its node;
-        // the descriptor and the task type resolved at submission are
-        // borrowed from it — nothing on this path clones per execution.
+        // the descriptor, the task type and the region handles resolved at
+        // submission are borrowed from it — nothing on this path clones or
+        // looks anything up per execution.
         let node = inner.graph.start_running(id);
         let desc = node.desc();
         let info = desc
@@ -292,6 +301,7 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
             type_id: desc.task_type,
             info,
             accesses: &desc.accesses,
+            regions: &desc.regions,
         };
 
         let decision = inner
@@ -300,7 +310,7 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
         let executed = match decision {
             Decision::Execute => {
                 let start = inner.tracer.now_ns();
-                let ctx = TaskContext::new(&inner.store, &desc.accesses);
+                let ctx = TaskContext::resolved(&inner.store, &desc.accesses, &desc.regions);
                 (info.kernel)(&ctx);
                 let end = inner.tracer.now_ns();
                 inner
@@ -331,7 +341,7 @@ fn worker_loop(inner: &Arc<Inner>, worker: usize) {
             inner
                 .interceptor
                 .after_execute(view, &inner.store, &inner.tracer, worker, executed);
-        if let Some(obs) = inner.obs() {
+        if let (Some(obs), Some(picked_up)) = (inner.obs(), picked_up) {
             let finished = inner.tracer.now_ns();
             obs.record_latency(
                 LatencyMetric::TaskLatency,
@@ -471,10 +481,10 @@ impl Runtime {
         }
         let start = self.inner.tracer.now_ns();
         {
-            // One registry lock for the whole batch; each descriptor is
-            // checked in staging order, so the first offending descriptor's
-            // error is returned. The resolved type stays in the descriptor
-            // for the worker that will run it.
+            // One task-type registry lock for the whole batch; each
+            // descriptor is checked in staging order, so the first offending
+            // descriptor's error is returned. The resolved type stays in the
+            // descriptor for the worker that will run it.
             let registry = self.inner.registry.read();
             for desc in &mut descs {
                 let Some(info) = registry.get(desc.task_type.index()) else {
@@ -491,15 +501,14 @@ impl Runtime {
         // Take the permit over the union of the batch's regions before the
         // store check: a region that validates here cannot be deregistered
         // until the permit drops, so the graph never records a task naming
-        // a retired region.
+        // a retired region. The check resolves every region once, for the
+        // whole batch, into the handles the tasks carry to their workers.
         let mut permit = self.inner.graph.lock_submission(
             descs
                 .iter()
                 .flat_map(|desc| desc.accesses.iter().map(|a| a.region)),
         );
-        for desc in &descs {
-            check_store(&self.inner.store, &desc.accesses)?;
-        }
+        resolve_regions(&self.inner.store, &mut descs)?;
 
         let count = descs.len() as u64;
         self.admit(count)?;
@@ -650,7 +659,7 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use crate::access::{Access, AccessMode};
-    use crate::region::{ElemType, Region};
+    use crate::region::{ElemType, Region, RegionRef};
     use crate::task::TaskTypeBuilder;
     use atm_sync::atomic::{AtomicUsize, Ordering};
 
@@ -1482,6 +1491,59 @@ mod tests {
             notify.wait_for(3),
             3,
             "every task notifies exactly once, deferred completions included"
+        );
+        rt.shutdown();
+    }
+
+    /// A deferred task finishes on its producer's worker, which then idles:
+    /// the finish cycle must not keep the retired task — and with it the
+    /// region handles it carries — alive until the worker's next cycle.
+    #[test]
+    fn a_deferred_task_does_not_outlive_its_finish_cycle() {
+        let rt = RuntimeBuilder::new()
+            .workers(1)
+            .interceptor(Arc::new(DeferSecond {
+                seen: AtomicUsize::new(0),
+                parked: Mutex::new(Vec::new()),
+            }))
+            .build();
+        let regions: Vec<Region<f32>> = (0..3)
+            .map(|i| rt.store().register_zeros(format!("r{i}"), 1).unwrap())
+            .collect();
+        let tt = rt.register_task_type(
+            TaskTypeBuilder::new("t", |ctx| ctx.out(0, &[1.0f32]))
+                .out::<f32>()
+                .build(),
+        );
+        for r in &regions {
+            rt.task(tt).writes(r).submit().unwrap();
+        }
+        rt.taskwait();
+        assert_eq!(rt.stats().deferred, 1);
+
+        // Whichever task deferred, its region is one of these: retire all
+        // three ids and keep a handle to each.
+        let handles: Vec<_> = regions
+            .iter()
+            .map(|&r| {
+                let handle = rt.store().region_ref(r);
+                rt.deregister_region(r).unwrap();
+                handle
+            })
+            .collect();
+        // `taskwait` may return before the finishing worker has run its
+        // completion hooks; give it a bounded moment to settle.
+        let owners = || handles.iter().map(RegionRef::owners).collect::<Vec<_>>();
+        for _ in 0..2_000 {
+            if owners() == [1, 1, 1] {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(500));
+        }
+        assert_eq!(
+            owners(),
+            [1, 1, 1],
+            "a retired task still holds a deregistered region's buffer"
         );
         rt.shutdown();
     }

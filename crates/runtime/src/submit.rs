@@ -21,9 +21,15 @@
 //!   ([`SubmitError::ArityMismatch`]), and each position must match the
 //!   declared direction ([`SubmitError::ModeMismatch`]) and element type
 //!   ([`SubmitError::TypeMismatch`]).
+//!
+//! Validation is also resolution: the pass that checks every access against
+//! the store — one registry read lock per batch, under the submission
+//! permit — keeps each region's [`crate::RegionRef`] in the descriptor, as
+//! the type check keeps the resolved task type. From there on the task
+//! reaches its regions through those handles alone.
 
 use crate::access::{Access, AccessMode};
-use crate::region::{DataStore, Elem, ElemType, Region, RegionId};
+use crate::region::{DataStore, Elem, ElemType, Region, RegionId, RegionStatus};
 use crate::scheduler::Runtime;
 use crate::task::{TaskDesc, TaskId, TaskSignature, TaskTypeId};
 
@@ -193,32 +199,42 @@ pub(crate) fn check_signature(
     Ok(())
 }
 
-/// Validates every access against the store: the region must exist (and not
-/// have been deregistered) and hold the element type the access declares.
-pub(crate) fn check_store(store: &DataStore, accesses: &[Access]) -> Result<(), SubmitError> {
-    // One registry lock for the whole access list; the cached element types
-    // keep this off every region's data lock (submission is a hot path).
-    // Only the rejection path pays for a second lookup, to tell a retired
-    // region apart from one that never existed.
-    let stored_types = store.try_elem_types(accesses.iter().map(|a| a.region));
-    for (index, (access, stored)) in accesses.iter().zip(stored_types).enumerate() {
-        let stored = stored.ok_or_else(|| match store.region_status(access.region) {
-            crate::region::RegionStatus::Retired => SubmitError::RegionRetired {
-                index,
-                region: access.region,
-            },
-            _ => SubmitError::UnknownRegion {
-                index,
-                region: access.region,
-            },
-        })?;
-        if stored != access.elem {
-            return Err(SubmitError::RegionTypeMismatch {
-                index,
-                declared: access.elem,
-                stored,
-            });
+/// Validates every access of a batch against the store and resolves it: the
+/// region must exist (and not have been deregistered) and hold the element
+/// type the access declares. Each descriptor keeps its regions' handles, so
+/// the worker that runs it never reads the registry.
+///
+/// One registry lock for the whole batch, descriptors checked in staging
+/// order (the first offending one's error is returned); the shape cached on
+/// each handle keeps this off every region's data lock.
+pub(crate) fn resolve_regions(
+    store: &DataStore,
+    descs: &mut [TaskDesc],
+) -> Result<(), SubmitError> {
+    let resolver = store.resolver();
+    for desc in descs {
+        let mut regions = Vec::with_capacity(desc.accesses.len());
+        for (index, access) in desc.accesses.iter().enumerate() {
+            let region = resolver.get(access.region).map_err(|status| match status {
+                RegionStatus::Retired => SubmitError::RegionRetired {
+                    index,
+                    region: access.region,
+                },
+                _ => SubmitError::UnknownRegion {
+                    index,
+                    region: access.region,
+                },
+            })?;
+            if region.elem_type() != access.elem {
+                return Err(SubmitError::RegionTypeMismatch {
+                    index,
+                    declared: access.elem,
+                    stored: region.elem_type(),
+                });
+            }
+            regions.push(region);
         }
+        desc.regions = regions;
     }
     Ok(())
 }
@@ -561,8 +577,15 @@ mod tests {
 
     #[test]
     fn store_check_rejects_unknown_and_mistyped_regions() {
-        let (store, r) = store_with_f32(1);
-        assert_eq!(check_store(&store, &[Access::read(&r[0])]), Ok(()));
+        let (store, r) = store_with_f32(2);
+        let check = |accesses: Vec<Access>| {
+            let mut descs = [TaskDesc::new(TaskTypeId::from_raw(0), accesses)];
+            resolve_regions(&store, &mut descs).map(|()| descs)
+        };
+        // A valid descriptor leaves with one handle per access, in order.
+        let [resolved] = check(vec![Access::read(&r[1]), Access::write(&r[0])]).unwrap();
+        let names: Vec<&str> = resolved.regions.iter().map(|h| h.name()).collect();
+        assert_eq!(names, ["r1", "r0"]);
 
         // A handle from a different store: index 3 does not exist here.
         let other = DataStore::new();
@@ -571,11 +594,11 @@ mod tests {
         }
         let foreign = other.register_zeros::<f32>("o4", 1).unwrap();
         assert_eq!(
-            check_store(&store, &[Access::read(&foreign)]),
-            Err(SubmitError::UnknownRegion {
-                index: 0,
+            check(vec![Access::read(&r[0]), Access::read(&foreign)]).unwrap_err(),
+            SubmitError::UnknownRegion {
+                index: 1,
                 region: foreign.id()
-            })
+            }
         );
 
         // A handle whose slot exists in this store but holds another type
@@ -583,12 +606,22 @@ mod tests {
         // build one, which is the point of the check).
         let mistyped = Region::<f64>::new(r[0].id());
         assert_eq!(
-            check_store(&store, &[Access::read(&mistyped)]),
-            Err(SubmitError::RegionTypeMismatch {
+            check(vec![Access::read(&mistyped)]).unwrap_err(),
+            SubmitError::RegionTypeMismatch {
                 index: 0,
                 declared: ElemType::F64,
                 stored: ElemType::F32
-            })
+            }
+        );
+
+        // A deregistered region is reported as retired, not unknown.
+        store.deregister(r[1]).unwrap();
+        assert_eq!(
+            check(vec![Access::read(&r[1])]).unwrap_err(),
+            SubmitError::RegionRetired {
+                index: 0,
+                region: r[1].id()
+            }
         );
     }
 

@@ -11,11 +11,16 @@
 //! element width.
 //!
 //! A *task instance* ([`TaskDesc`]) is one submission of that type with a
-//! concrete list of data accesses.
+//! concrete list of data accesses. When the runtime accepts a submission it
+//! resolves the task's type and the region of every access once and keeps
+//! them in the descriptor, so the worker that runs the task — its kernel's
+//! [`TaskContext`], the interceptor's [`TaskView`] — reaches both without
+//! going back to a registry.
 
 use crate::access::{Access, AccessMode};
 use crate::memo::{MemoSpec, MemoSpecError};
-use crate::region::{DataStore, Elem, ElemType};
+use crate::region::{DataStore, Elem, ElemType, RegionRef};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -393,6 +398,11 @@ pub struct TaskDesc {
     /// the task reads it from the node instead of going back to the
     /// registry. `None` on a descriptor that never passed through a runtime.
     pub(crate) info: Option<Arc<TaskTypeInfo>>,
+    /// The region of every access, parallel to `accesses`, resolved in the
+    /// same validation pass: kernels and the interceptor lock regions
+    /// through these handles, never through the store's registry. Empty on
+    /// a descriptor that never passed through a runtime.
+    pub(crate) regions: Vec<RegionRef>,
 }
 
 impl fmt::Debug for TaskDesc {
@@ -418,6 +428,7 @@ impl TaskDesc {
             submitted_at_ns: 0,
             notify: None,
             info: None,
+            regions: Vec::new(),
         }
     }
 
@@ -450,6 +461,10 @@ pub struct TaskView<'a> {
     pub info: &'a TaskTypeInfo,
     /// The task's data accesses.
     pub accesses: &'a [Access],
+    /// The region of every access, resolved at submission: `regions[i]` is
+    /// the region `accesses[i]` names. A view built by hand resolves them
+    /// with [`DataStore::resolve`].
+    pub regions: &'a [RegionRef],
 }
 
 impl TaskView<'_> {
@@ -479,19 +494,44 @@ impl fmt::Debug for TaskView<'_> {
 ///
 /// Data flows through the typed positional accessors: [`TaskContext::arg`]
 /// clones the elements covered by a read access, [`TaskContext::out`] writes
-/// a write access. Both check the declared element width once per call
+/// a write access, each locking its region once through the handle the
+/// submission resolved. Both check the declared element width once per call
 /// against the `T` the kernel asks for — and because submission already
 /// validated every access against the store, a type mismatch can only come
 /// from the kernel disagreeing with its own declared signature.
 pub struct TaskContext<'a> {
     store: &'a DataStore,
     accesses: &'a [Access],
+    /// `regions[i]` is the region of `accesses[i]`.
+    regions: Cow<'a, [RegionRef]>,
 }
 
 impl<'a> TaskContext<'a> {
-    /// Creates a context (used by the scheduler and by unit tests).
+    /// Creates a context over `accesses`, resolving their regions through
+    /// `store` first (unit tests and host-side callers).
     pub fn new(store: &'a DataStore, accesses: &'a [Access]) -> Self {
-        TaskContext { store, accesses }
+        TaskContext {
+            store,
+            accesses,
+            regions: Cow::Owned(store.resolve(accesses)),
+        }
+    }
+
+    /// Creates a context over accesses whose regions are already resolved —
+    /// `regions[i]` is `accesses[i]`'s — as a submitted task carries them.
+    /// This is the scheduler's constructor: the kernel never reads the
+    /// store's registry.
+    pub fn resolved(
+        store: &'a DataStore,
+        accesses: &'a [Access],
+        regions: &'a [RegionRef],
+    ) -> Self {
+        debug_assert_eq!(accesses.len(), regions.len(), "one region per access");
+        TaskContext {
+            store,
+            accesses,
+            regions: Cow::Borrowed(regions),
+        }
     }
 
     /// The data store.
@@ -510,7 +550,8 @@ impl<'a> TaskContext<'a> {
     }
 
     /// Element index range of the `idx`-th access (byte range divided by the
-    /// element width; whole region when no range was declared).
+    /// element width; whole region when no range was declared — its length
+    /// is cached on the handle, so no lock is taken).
     pub fn elem_range(&self, idx: usize) -> Range<usize> {
         let access = self.access(idx);
         let width = access.elem.width();
@@ -524,10 +565,7 @@ impl<'a> TaskContext<'a> {
                 debug_assert_eq!(r.end % width, 0, "byte range not aligned to element width");
                 (r.start / width)..(r.end / width)
             }
-            None => {
-                let len = self.store.read(access.region).lock().len();
-                0..len
-            }
+            None => 0..self.regions[idx].len(),
         }
     }
 
@@ -538,11 +576,12 @@ impl<'a> TaskContext<'a> {
     /// element type `T`.
     pub fn arg<T: Elem>(&self, idx: usize) -> Vec<T> {
         let access = self.access(idx);
+        let region = &self.regions[idx];
         assert!(
             access.mode.is_read(),
             "arg::<{}>({idx}) on a write-only access of {}",
             T::ELEM,
-            self.store.name(access.region)
+            region.name()
         );
         assert_eq!(
             access.elem,
@@ -552,9 +591,7 @@ impl<'a> TaskContext<'a> {
             access.elem
         );
         let range = self.elem_range(idx);
-        let region = self.store.read(access.region);
-        let guard = region.lock();
-        guard.as_elems::<T>()[range].to_vec()
+        region.read().as_elems::<T>()[range].to_vec()
     }
 
     /// Writes `values` into the `T` elements covered by the `idx`-th access.
@@ -564,11 +601,12 @@ impl<'a> TaskContext<'a> {
     /// element type `T`, or the lengths differ.
     pub fn out<T: Elem>(&self, idx: usize, values: &[T]) {
         let access = self.access(idx);
+        let region = &self.regions[idx];
         assert!(
             access.mode.is_write(),
             "out::<{}>({idx}) on a read-only access of {}",
             T::ELEM,
-            self.store.name(access.region)
+            region.name()
         );
         assert_eq!(
             access.elem,
@@ -578,9 +616,7 @@ impl<'a> TaskContext<'a> {
             access.elem
         );
         let range = self.elem_range(idx);
-        let region = self.store.write(access.region);
-        let mut guard = region.lock();
-        guard.as_elems_mut::<T>()[range].copy_from_slice(values);
+        region.write().as_elems_mut::<T>()[range].copy_from_slice(values);
     }
 
     /// Number of write accesses declared by the task.
@@ -718,6 +754,7 @@ mod tests {
             type_id: TaskTypeId(0),
             info: &plain,
             accesses: &[],
+            regions: &[],
         };
         assert!(!view.memoizable());
 
@@ -762,6 +799,21 @@ mod tests {
         ctx.out(0, &[3.0f64, 4.0]);
         assert_eq!(store.read(region).lock().as_f64(), &[3.0, 4.0]);
         assert_eq!(ctx.output_count(), 1);
+    }
+
+    #[test]
+    fn a_resolved_context_never_goes_back_to_the_store() {
+        let store = DataStore::new();
+        let region = store.register_typed("v", vec![1.0f64, 2.0]).unwrap();
+        let accesses = vec![Access::read_write(&region)];
+        let regions = store.resolve(&accesses);
+        // With the id retired, only the handles can still reach the buffer.
+        store.deregister(region).unwrap();
+        let ctx = TaskContext::resolved(&store, &accesses, &regions);
+        assert_eq!(ctx.elem_range(0), 0..2);
+        assert_eq!(ctx.arg::<f64>(0), vec![1.0, 2.0]);
+        ctx.out(0, &[3.0f64, 4.0]);
+        assert_eq!(regions[0].read().as_f64(), &[3.0, 4.0]);
     }
 
     #[test]

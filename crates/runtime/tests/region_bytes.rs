@@ -7,7 +7,8 @@
 //! widths, range arithmetic, cross-type restores — so this suite drives
 //! exactly those paths (read, write, slice, restore, the word and lane
 //! views the ATM key generator hashes through, and the write version and
-//! digest slot that let it skip unwritten regions) and the nightly Miri job
+//! digest slot that let it skip unwritten regions, reached through the store
+//! or a resolved `RegionRef` alike) and the nightly Miri job
 //! replays it to certify the absence of UB end to end, `forbid` attr
 //! included.
 
@@ -164,6 +165,35 @@ fn both_write_funnels_bump_the_version_and_reads_do_not() {
     store.deregister(r).unwrap();
     let again = store.register_typed::<i64>("v", vec![7, 7, 7]).unwrap();
     assert_eq!(store.read(again).lock().version(), v0);
+}
+
+#[test]
+fn a_resolved_handle_writes_through_the_same_funnel() {
+    let store = DataStore::new();
+    let r = store.register_typed::<i32>("h", vec![1, 2, 3, 4]).unwrap();
+    let handle = store.region_ref(r);
+    // The shape is cached on the handle; reading it takes no lock.
+    assert_eq!((handle.len(), handle.elem_type()), (4, ElemType::I32));
+    let v0 = handle.read().version();
+    assert_eq!(store.read(r).lock().version(), v0, "one slot, one version");
+
+    // A write through the handle bumps the version the store reads, and a
+    // write through the store the one the handle reads.
+    handle.write().as_elems_mut::<i32>()[2] = 30;
+    let v1 = store.read(r).lock().version();
+    assert!(v1 > v0);
+    assert_eq!(store.contents(&r), vec![1, 2, 30, 4]);
+    store.write(r).lock().as_elems_mut::<i32>()[3] = 40;
+    assert!(handle.read().version() > v1);
+    assert_eq!(handle.read().as_i32(), &[1, 2, 30, 40]);
+
+    // The digest slot is shared too: filled through one, served through
+    // the other, invalidated by a write through either.
+    let sum = |data: &RegionData| data.as_i32().iter().map(|&v| v as u64).sum::<u64>();
+    assert_eq!(handle.read().digest_or_fill(sum), 73);
+    assert_eq!(store.read(r).lock().digest_or_fill(|_| unreachable!()), 73);
+    drop(handle.write());
+    assert_eq!(store.read(r).lock().digest_or_fill(|_| 1), 1, "refilled");
 }
 
 #[test]

@@ -5,8 +5,14 @@
 //! task with a matching key can have its outputs provided without executing
 //! (`copyOuts()` in Figure 1). An [`OutputSnapshot`] is one write access of a
 //! completed task: which region, which element range, and a copy of the data.
+//!
+//! Capture and copy-out work on *resolved* regions — the [`RegionRef`]s a
+//! task carries from its submission — taking one lock per output and no
+//! registry lookup: [`OutputSnapshot::capture_all_resolved`],
+//! [`apply_snapshots_to_resolved`]. The store-taking functions are thin
+//! adapters that resolve first, for host-side callers and tests.
 
-use atm_runtime::{Access, DataStore, RegionData, RegionId};
+use atm_runtime::{Access, DataStore, RegionData, RegionId, RegionRef};
 use std::ops::Range;
 
 /// A copy of one task output (one `Out`/`InOut` access) at task completion.
@@ -26,26 +32,34 @@ impl OutputSnapshot {
     /// # Panics
     /// Panics if `access` is not a write access.
     pub fn capture(store: &DataStore, access: &Access) -> Self {
+        Self::capture_resolved(access, &store.region_ref(access.region))
+    }
+
+    /// [`capture`](Self::capture) from `access`'s resolved region: one read
+    /// lock.
+    fn capture_resolved(access: &Access, region: &RegionRef) -> Self {
         assert!(
             access.mode.is_write(),
             "output snapshots are only taken of write accesses"
         );
-        let elem_range = elem_range_of(store, access);
-        let region = store.read(access.region);
-        let guard = region.lock();
+        let elem_range = elem_range_within(access, region.len());
         OutputSnapshot {
             region: access.region,
-            elem_range: elem_range.clone(),
-            data: guard.slice_elems(elem_range),
+            data: region.read().slice_elems(elem_range.clone()),
+            elem_range,
         }
     }
 
     /// Captures all write accesses of a task, in declaration order.
     pub fn capture_all(store: &DataStore, accesses: &[Access]) -> Vec<OutputSnapshot> {
-        accesses
-            .iter()
-            .filter(|a| a.mode.is_write())
-            .map(|a| Self::capture(store, a))
+        Self::capture_all_resolved(accesses, &store.resolve(accesses))
+    }
+
+    /// [`capture_all`](Self::capture_all) over resolved regions
+    /// (`regions[i]` is `accesses[i]`'s): one read lock per output.
+    pub fn capture_all_resolved(accesses: &[Access], regions: &[RegionRef]) -> Vec<OutputSnapshot> {
+        resolved_writes(accesses, regions)
+            .map(|(access, region)| Self::capture_resolved(access, region))
             .collect()
     }
 
@@ -65,11 +79,18 @@ impl OutputSnapshot {
     /// # Panics
     /// Panics if the destination access covers a different number of elements.
     pub fn apply_to(&self, store: &DataStore, access: &Access) {
+        self.apply_to_resolved(access, &store.region_ref(access.region));
+    }
+
+    /// [`apply_to`](Self::apply_to) into `access`'s resolved region: the
+    /// destination range comes from the handle's cached length, so the copy
+    /// takes the one write lock and nothing else.
+    fn apply_to_resolved(&self, access: &Access, region: &RegionRef) {
         assert!(
             access.mode.is_write(),
             "cannot copy outputs into a read-only access"
         );
-        let dst_range = elem_range_of(store, access);
+        let dst_range = elem_range_within(access, region.len());
         assert_eq!(
             dst_range.len(),
             self.elem_range.len(),
@@ -77,9 +98,7 @@ impl OutputSnapshot {
             self.elem_range.len(),
             dst_range.len()
         );
-        let region = store.write(access.region);
-        let mut guard = region.lock();
-        guard.write_elems(dst_range, &self.data);
+        region.write().write_elems(dst_range, &self.data);
     }
 
     /// Size of the stored data in bytes (THT memory accounting, Table III).
@@ -100,43 +119,65 @@ impl OutputSnapshot {
 /// # Panics
 /// Panics if the number of write accesses differs from the number of snapshots.
 pub fn apply_snapshots_to(store: &DataStore, snapshots: &[OutputSnapshot], accesses: &[Access]) {
-    let writes: Vec<&Access> = accesses.iter().filter(|a| a.mode.is_write()).collect();
+    apply_snapshots_to_resolved(snapshots, accesses, &store.resolve(accesses));
+}
+
+/// [`apply_snapshots_to`] over resolved regions (`regions[i]` is
+/// `accesses[i]`'s): the memoized copy-out, one write lock per output.
+///
+/// # Panics
+/// Panics if the number of write accesses differs from the number of snapshots.
+pub fn apply_snapshots_to_resolved(
+    snapshots: &[OutputSnapshot],
+    accesses: &[Access],
+    regions: &[RegionRef],
+) {
+    let writes = accesses.iter().filter(|a| a.mode.is_write()).count();
     assert_eq!(
-        writes.len(),
+        writes,
         snapshots.len(),
-        "task declares {} outputs but the history entry holds {}",
-        writes.len(),
+        "task declares {writes} outputs but the history entry holds {}",
         snapshots.len()
     );
-    for (snapshot, access) in snapshots.iter().zip(writes) {
-        snapshot.apply_to(store, access);
+    for (snapshot, (access, region)) in snapshots.iter().zip(resolved_writes(accesses, regions)) {
+        snapshot.apply_to_resolved(access, region);
     }
+}
+
+/// The write accesses of a task paired with their resolved regions, in
+/// declaration order.
+pub fn resolved_writes<'a>(
+    accesses: &'a [Access],
+    regions: &'a [RegionRef],
+) -> impl Iterator<Item = (&'a Access, &'a RegionRef)> {
+    debug_assert_eq!(accesses.len(), regions.len(), "one region per access");
+    accesses
+        .iter()
+        .zip(regions)
+        .filter(|(a, _)| a.mode.is_write())
 }
 
 /// Captures the current contents of a task's outputs as flat `f64` values
 /// (concatenating all write accesses). Used as the "correct" side of the
 /// training-phase Chebyshev comparison.
 pub fn outputs_as_f64(store: &DataStore, accesses: &[Access]) -> Vec<f64> {
-    let mut out = Vec::new();
-    for access in accesses.iter().filter(|a| a.mode.is_write()) {
-        let elem_range = elem_range_of(store, access);
-        let region = store.read(access.region);
-        let guard = region.lock();
-        out.extend(guard.slice_elems(elem_range).to_f64_vec());
-    }
-    out
+    OutputSnapshot::capture_all(store, accesses)
+        .iter()
+        .flat_map(OutputSnapshot::as_f64_vec)
+        .collect()
 }
 
 /// Element range covered by an access (whole region when unranged).
 pub fn elem_range_of(store: &DataStore, access: &Access) -> Range<usize> {
     match &access.range {
         Some(_) => elem_range_within(access, 0),
-        None => elem_range_within(access, store.read(access.region).lock().len()),
+        None => elem_range_within(access, store.region_ref(access.region).len()),
     }
 }
 
-/// [`elem_range_of`] for a caller that already holds the region locked and
-/// knows its length: `region_len` is what an unranged access covers.
+/// [`elem_range_of`] for a caller that knows the region's length (a
+/// [`RegionRef::len`], or a region it holds locked): `region_len` is what
+/// an unranged access covers.
 pub fn elem_range_within(access: &Access, region_len: usize) -> Range<usize> {
     match &access.range {
         Some(bytes) => {
@@ -207,6 +248,24 @@ mod tests {
         apply_snapshots_to(&store, &snaps, &dst_accesses);
         assert_eq!(store.read(dst_a).lock().as_f32(), &[1.0, 2.0]);
         assert_eq!(store.read(dst_b).lock().as_i32(), &[7]);
+    }
+
+    #[test]
+    fn resolved_capture_and_copy_out_never_go_back_to_the_store() {
+        let store = DataStore::new();
+        let src = store.register_typed("src", vec![1.0f32, 2.0, 3.0]).unwrap();
+        let dst = store.register_zeros::<f32>("dst", 4).unwrap();
+        let produced = vec![Access::read(&dst), Access::write(&src)];
+        let consumer = vec![Access::write(&dst).with_range(4..16)];
+        let (src_regions, dst_regions) = (store.resolve(&produced), store.resolve(&consumer));
+        // With both ids retired, only the handles still reach the buffers.
+        store.deregister(src).unwrap();
+        store.deregister(dst).unwrap();
+        let snaps = OutputSnapshot::capture_all_resolved(&produced, &src_regions);
+        assert_eq!(snaps.len(), 1);
+        assert_eq!(snaps[0].elem_range, 0..3);
+        apply_snapshots_to_resolved(&snaps, &consumer, &dst_regions);
+        assert_eq!(dst_regions[0].read().as_f32(), &[0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //! are both covered — plus seeded-random exploration of the fully threaded
 //! shape (one writer, readers that come back, repeated writes), which is
 //! too large to enumerate. The last test runs the proof's shape on the
-//! *real* `DataStore`: one atomic slice per call in an ordinary build,
-//! interleaved at every lock and atomic of `region.rs` under
-//! `RUSTFLAGS='--cfg atm_check'`.
+//! *real* `DataStore` — written through a resolved `RegionRef`, read through
+//! the store: one atomic slice per call in an ordinary build, interleaved at
+//! every lock and atomic of `region.rs` under `RUSTFLAGS='--cfg atm_check'`.
 
-use atm_runtime::{DataStore, RegionData};
+use atm_runtime::{DataStore, RegionData, RegionRead};
 use atm_sync::atomic::Ordering;
 use atm_sync::check::sync::{AtomicU64, RwLock};
 use atm_sync::check::{thread, Checker, FailureKind};
@@ -245,24 +245,26 @@ fn publishing_after_the_read_guard_is_dropped_serves_a_stale_digest() {
 #[test]
 fn the_shipped_region_slot_never_serves_a_stale_digest() {
     let byte_of = |data: &RegionData| u64::from(data.as_elems::<u8>()[0]);
+    let check = move |data: &RegionRead<'_>| {
+        assert_eq!(
+            data.digest_or_fill(|data| hash(byte_of(data))),
+            hash(byte_of(data)),
+            "stale digest served by the real region slot"
+        );
+    };
+    // The writer goes through a resolved `RegionRef` — the handle a
+    // submitted task carries — and the reader through the store: two ways
+    // into one slot, one version counter.
     let model = move || {
         let store = Arc::new(DataStore::new());
         let region = store.register_typed("r", vec![1u8]).unwrap();
-        let read = move |store: &DataStore| {
-            let handle = store.read(region);
-            let data = handle.lock();
-            assert_eq!(
-                data.digest_or_fill(|data| hash(byte_of(data))),
-                hash(byte_of(&data)),
-                "stale digest served by the real region slot"
-            );
-        };
+        let handle = store.region_ref(region);
         let reader = {
             let store = Arc::clone(&store);
-            thread::spawn(move || read(&store))
+            thread::spawn(move || check(&store.read(region).lock()))
         };
-        store.write(region).lock().as_elems_mut::<u8>()[0] = 2;
-        read(&store);
+        handle.write().as_elems_mut::<u8>()[0] = 2;
+        check(&handle.read());
         reader.join();
     };
     Checker::exhaustive()
