@@ -6,7 +6,44 @@
 
 use atm_core::{KeyGenerator, Percentage};
 use atm_eval::bench;
+use atm_hash::{digest64, jenkins_hash64};
 use atm_runtime::{Access, DataStore};
+use std::hint::black_box;
+
+/// The exact-argument digest against lookup3, one-shot over the same bytes,
+/// from a control argument (8 B) and a halo (256 B) to a stencil block
+/// (64 KiB) and beyond. Panics — failing CI's smoke run — if the digest is
+/// slower than lookup3 at any size, or less than 2.5× faster at 64 KiB.
+fn digest_vs_lookup3() {
+    for bytes in [8usize, 256, 4 << 10, 64 << 10, 1 << 20] {
+        let input: Vec<u8> = (0..bytes / 4)
+            .flat_map(|i| (i as f32 * 0.37).to_le_bytes())
+            .collect();
+        let size = format!("{bytes}B");
+        let lookup3 = bench("digest_vs_lookup3", &format!("lookup3 {size}"), || {
+            black_box(jenkins_hash64(black_box(&input), 7));
+        });
+        let digest = bench("digest_vs_lookup3", &format!("digest {size}"), || {
+            black_box(digest64(black_box(&input), 7));
+        });
+        let speedup = lookup3.median_ns / digest.median_ns;
+        println!(
+            "  -> lookup3 {:.3} ns/B, digest {:.3} ns/B: {speedup:.2}x",
+            lookup3.median_ns / bytes as f64,
+            digest.median_ns / bytes as f64
+        );
+        assert!(
+            speedup >= 1.0,
+            "the digest is slower than lookup3 at {size} ({speedup:.2}x)"
+        );
+        if bytes == 64 << 10 {
+            assert!(
+                speedup >= 2.5,
+                "the digest is only {speedup:.2}x faster than lookup3 at 64 KiB (floor 2.5x)"
+            );
+        }
+    }
+}
 
 fn keygen_vs_percentage() {
     let store = DataStore::new();
@@ -121,6 +158,7 @@ fn key_path_shapes() {
 }
 
 fn main() {
+    digest_vs_lookup3();
     keygen_vs_percentage();
     keygen_vs_input_size();
     key_path_shapes();

@@ -275,7 +275,7 @@ impl AtmEngine {
     /// the snapshot only produces hits when task types are registered in the
     /// same order — the natural situation for repeated runs of one
     /// application. A snapshot written in an older key space
-    /// (format version 1) is refused with
+    /// (format version 1 or 2) is refused with
     /// [`PersistError::UnsupportedVersion`].
     pub fn warm_start_from(&self, path: impl AsRef<Path>) -> Result<usize, PersistError> {
         self.memo_store.absorb_from(path)
@@ -1219,9 +1219,9 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Exact-shape keys moved to the digest composition, so a snapshot in
-    /// the old key space (format version 1) is refused, not loaded as
-    /// entries that can never hit.
+    /// Exact-shape keys moved to the digest composition (version 2) and
+    /// then to the four-lane digest (version 3), so a snapshot in an old
+    /// key space is refused, not loaded as entries that can never hit.
     #[test]
     fn warm_start_refuses_a_version_1_snapshot() {
         let cold = AtmEngine::new(AtmConfig::static_atm());
@@ -1232,27 +1232,31 @@ mod tests {
         let accesses = vec![Access::read(&input), Access::write(&out)];
         drive(&cold, &store, view_for(&store, 0, 0, &info, &accesses));
 
-        // Rewrite the version field (bytes 8..12) and the FNV-1a trailer.
-        let mut bytes = cold.store().to_snapshot_bytes();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let body = bytes.len() - 8;
-        let checksum = bytes[..body]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            });
-        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
-        let path =
-            std::env::temp_dir().join(format!("atm-engine-v1-snapshot-{}.bin", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
+        for old in [1u32, 2] {
+            // Rewrite the version field (bytes 8..12) and the FNV-1a trailer.
+            let mut bytes = cold.store().to_snapshot_bytes();
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            let body = bytes.len() - 8;
+            let checksum = bytes[..body]
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+                });
+            bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+            let path = std::env::temp_dir().join(format!(
+                "atm-engine-v{old}-snapshot-{}.bin",
+                std::process::id()
+            ));
+            std::fs::write(&path, &bytes).unwrap();
 
-        let warm = AtmEngine::new(AtmConfig::static_atm());
-        assert!(matches!(
-            warm.warm_start_from(&path),
-            Err(PersistError::UnsupportedVersion(1))
-        ));
-        assert!(warm.store().is_empty());
-        std::fs::remove_file(&path).unwrap();
+            let warm = AtmEngine::new(AtmConfig::static_atm());
+            assert!(matches!(
+                warm.warm_start_from(&path),
+                Err(PersistError::UnsupportedVersion(v)) if v == old
+            ));
+            assert!(warm.store().is_empty());
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -1539,8 +1543,10 @@ mod tests {
     /// task brings a fresh region) against a kernel that reads one element.
     fn costly_key_info(spec: MemoSpec) -> atm_runtime::TaskTypeInfo {
         TaskTypeBuilder::new("first", |ctx| {
-            let x = ctx.arg::<f64>(0);
-            ctx.out(1, &[x[0] + 1.0]);
+            // One element, not a copy of the whole 32 KiB input: the key
+            // must cost far more than the kernel even in a release build.
+            let first = ctx.store().read(ctx.access(0).region).lock().as_f64()[0];
+            ctx.out(1, &[first + 1.0]);
         })
         .arg::<f64>()
         .out::<f64>()

@@ -5,14 +5,15 @@
 //! the 8-byte lookup3 key stored in the THT/IKT. A key costs one word-wide
 //! pass over the bytes that *changed*:
 //!
-//! * **Exact arguments** (`p` = 100 %) contribute a *digest*: lookup3 of the
-//!   argument's bytes under the fixed [`DIGEST_SEED`], hashed three 32-bit
-//!   words per step straight from the typed storage. The digest of a
-//!   *whole region* is cached in the region's digest slot, tagged with the
-//!   region's write version ([`RegionRead::digest_or_fill`]): a region
-//!   nobody wrote since it was last hashed is identified by its version,
-//!   not re-read. The key is lookup3, under the task type's seed, over the
-//!   arguments' contributions `d₀‖…‖dₙ`.
+//! * **Exact arguments** (`p` = 100 %) contribute a *digest*: the four-lane
+//!   [`atm_hash::digest`] of the argument's bytes under the fixed
+//!   [`DIGEST_SEED`], fed 64-bit words straight from the typed storage. The
+//!   digest of a *whole region* is cached in the region's digest slot,
+//!   tagged with the region's write version
+//!   ([`RegionRead::digest_or_fill`]): a region nobody wrote since it was
+//!   last hashed is identified by its version, not re-read. The key is
+//!   lookup3, under the task type's seed, over the arguments'
+//!   contributions `d₀‖…‖dₙ`.
 //! * **Sampled arguments** (a per-argument override below 100 % beside
 //!   other precisions) contribute the lookup3 of their selected bytes.
 //! * **Uniformly sampled instances** (one `p` < 100 % for every argument —
@@ -34,7 +35,7 @@
 
 use crate::snapshot::elem_range_within;
 use atm_hash::shuffle::InputSpec;
-use atm_hash::{ByteLayout, InputSampler, JenkinsStream, Percentage, PlannedByte};
+use atm_hash::{ByteLayout, DigestStream, InputSampler, JenkinsStream, Percentage, PlannedByte};
 use atm_runtime::{Access, DataStore, ElemWindow, RegionData, RegionRead, RegionRef, WordSink};
 use atm_sync::Mutex;
 use std::collections::HashMap;
@@ -117,12 +118,12 @@ impl CachedSampler {
     }
 }
 
-/// Feeds a region's words into a lookup3 stream.
-struct HashSink<'a>(&'a mut JenkinsStream);
+/// Feeds a region's words into a digest stream.
+struct DigestSink(DigestStream);
 
-impl WordSink for HashSink<'_> {
+impl WordSink for DigestSink {
     #[inline]
-    fn words(&mut self, words: impl Iterator<Item = u32>) {
+    fn words(&mut self, words: impl Iterator<Item = u64>) {
         self.0.push_words(words);
     }
 
@@ -144,12 +145,13 @@ fn reads<'a>(
         .filter(|(a, _)| a.mode.is_read())
 }
 
-/// lookup3 over the little-endian bytes of `window`, a word at a time from
-/// the typed storage.
-fn digest_of(window: ElemWindow<'_>, bytes: usize) -> u64 {
-    let mut stream = JenkinsStream::new(DIGEST_SEED, bytes);
-    window.le_words(&mut HashSink(&mut stream));
-    stream.finish()
+/// The digest of the little-endian bytes of `window`, a word at a time from
+/// the typed storage: [`atm_hash::digest64`] of
+/// [`RegionData::bytes_in_elem_range`], without the serialisation.
+fn digest_of(window: ElemWindow<'_>) -> u64 {
+    let mut sink = DigestSink(DigestStream::new(DIGEST_SEED));
+    window.le_words(&mut sink);
+    sink.0.finish()
 }
 
 /// lookup3 over the bytes `plan` selects, in plan order; `segments[i]` is
@@ -327,8 +329,8 @@ impl KeyGenerator {
     /// Exact and mixed-precision keys: lookup3, under the type's seed, over
     /// one 8-byte contribution per read argument — the digest of an exact
     /// argument (served from the region's slot when the argument is a whole
-    /// region nobody wrote since it was last hashed; a ranged argument is
-    /// hashed every time and never cached), the lookup3 of its selected
+    /// region nobody wrote since it was last digested; a ranged argument is
+    /// digested every time and never cached), the lookup3 of its selected
     /// bytes for a sampled one. One region is locked at a time.
     fn compute_composed(
         &self,
@@ -354,15 +356,15 @@ impl KeyGenerator {
                     let mut filled = false;
                     let digest = data.digest_or_fill(|whole| {
                         filled = true;
-                        digest_of(whole.window(range), bytes)
+                        digest_of(whole.window(range))
                     });
                     self.note_digest(filled);
                     digest
                 } else {
-                    digest_of(data.window(range), bytes)
+                    digest_of(data.window(range))
                 }
             };
-            key.push_words([contribution as u32, (contribution >> 32) as u32]);
+            key.push_slice(&contribution.to_le_bytes());
         }
         KeyResult {
             key: key.finish(),

@@ -3,8 +3,9 @@
 //! against a from-scratch reference.
 //!
 //! The reference ([`reference_key`]) is deliberately the slow, obvious way:
-//! serialise each argument ([`RegionData::bytes_in_elem_range`]), hash it in
-//! one shot ([`jenkins_hash64`]); for sampled shapes walk the shuffle with
+//! serialise each argument ([`RegionData::bytes_in_elem_range`]), digest an
+//! exact one in one shot ([`digest64`]) and hash everything else in one
+//! shot ([`jenkins_hash64`]); for sampled shapes walk the shuffle with
 //! [`ByteLayout::locate`] and [`RegionData::byte_at`], a byte at a time —
 //! the production walk before sampling plans, kept here as the oracle. It
 //! never looks at a version or a digest slot, so any key served from a
@@ -25,7 +26,9 @@
 use atm_core::key::{KeyScratch, DIGEST_SEED};
 use atm_core::{AtmConfig, AtmEngine, KeyGenerator, OutputSnapshot, Percentage};
 use atm_hash::shuffle::InputSpec;
-use atm_hash::{jenkins_hash64, ByteLayout, InputSampler, JenkinsStream, Xoshiro256StarStar};
+use atm_hash::{
+    digest64, jenkins_hash64, ByteLayout, InputSampler, JenkinsStream, Xoshiro256StarStar,
+};
 use atm_runtime::{
     Access, AccessMode, DataStore, Decision, Elem, ElemType, MemoSpec, Region, RegionData,
     RegionId, RegionRef, TaskContext, TaskId, TaskInterceptor, TaskTypeBuilder, TaskTypeId,
@@ -88,7 +91,7 @@ fn reference_key(
     for (arg, ((access, window), &p)) in reads.iter().zip(&windows).zip(precisions).enumerate() {
         let (data, range) = window;
         let contribution = if p.is_full() {
-            jenkins_hash64(&data.bytes_in_elem_range(range.clone()), DIGEST_SEED)
+            digest64(&data.bytes_in_elem_range(range.clone()), DIGEST_SEED)
         } else {
             let width = access.elem.width();
             let layout = ByteLayout::new(vec![spec_of((access, window))]);

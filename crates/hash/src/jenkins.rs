@@ -5,8 +5,9 @@
 //! collision once in 2³²", which exceeds the task counts of all evaluated
 //! benchmarks. We implement the `lookup3` variant (`hashlittle2`), which
 //! produces two 32-bit words that we combine into the 64-bit key stored in
-//! the Task History Table (the paper stores 8 bytes per key), plus the
-//! classic one-at-a-time hash used in tests and as a cheap secondary check.
+//! the Task History Table (the paper stores 8 bytes per key). The bulk
+//! bytes of exact arguments are fingerprinted by [`crate::digest`] first;
+//! lookup3 hashes those fingerprints and the bytes a sampling plan selects.
 
 /// Rotate-left helper used by the lookup3 mixing functions.
 #[inline(always)]
@@ -121,18 +122,16 @@ pub fn jenkins_hash64(data: &[u8], seed: u64) -> u64 {
 
 /// Incremental 64-bit Jenkins hashing, in constant space.
 ///
-/// The ATM key generator feeds input through this stream from where the
-/// data lives instead of serialising it first: whole element ranges as
-/// little-endian words ([`push_words`](Self::push_words)), raw byte regions
-/// as slices ([`push_slice`](Self::push_slice)), sampled bytes one at a
-/// time ([`push`](Self::push)). lookup3 folds the *total* input length into
-/// the initial state, so the stream must be constructed with the final byte
+/// The ATM key generator feeds it the per-argument contributions of a key
+/// and the gathered bytes of a sampling plan as slices
+/// ([`push_slice`](Self::push_slice)); single bytes go through
+/// [`push`](Self::push). lookup3 folds the *total* input length into the
+/// initial state, so the stream must be constructed with the final byte
 /// count upfront — key generation always knows it. Whole 12-byte blocks are
-/// `mix`ed straight from the caller's words or slice; only a block that
-/// straddles two pushes, and the stream's last block (which lookup3 routes
-/// through `final`), pass through the 12-byte buffer. The result is
-/// bit-identical to [`jenkins_hash64`] over the concatenation of everything
-/// pushed.
+/// `mix`ed straight from the caller's slice; only a block that straddles
+/// two pushes, and the stream's last block (which lookup3 routes through
+/// `final`), pass through the 12-byte buffer. The result is bit-identical
+/// to [`jenkins_hash64`] over the concatenation of everything pushed.
 #[derive(Debug, Clone)]
 pub struct JenkinsStream {
     a: u32,
@@ -249,44 +248,6 @@ impl JenkinsStream {
         self.pushed += bytes.len();
     }
 
-    /// Appends 32-bit words, each as its four little-endian bytes — three
-    /// words per `mix` step while the stream is word-aligned on a block
-    /// boundary, which a run of 4- or 8-byte elements always is after at
-    /// most two words. This is the entry typed region storage hashes
-    /// through (`to_bits`, no serialisation buffer).
-    #[inline]
-    pub fn push_words(&mut self, words: impl IntoIterator<Item = u32>) {
-        let mut words = words.into_iter();
-        // Realign to a block boundary through the buffered path. A stream
-        // left mid-word by an earlier byte push never realigns and takes
-        // this path for every word.
-        while self.filled != 0 {
-            match words.next() {
-                Some(word) => self.push_slice(&word.to_le_bytes()),
-                None => return,
-            }
-        }
-        while self.next_block_is_inner() {
-            let Some(w0) = words.next() else { return };
-            let Some(w1) = words.next() else {
-                return self.push_slice(&w0.to_le_bytes());
-            };
-            let Some(w2) = words.next() else {
-                self.push_slice(&w0.to_le_bytes());
-                return self.push_slice(&w1.to_le_bytes());
-            };
-            debug_assert!(
-                self.pushed + 12 <= self.total,
-                "pushed past the declared total"
-            );
-            self.mix_words(w0, w1, w2);
-        }
-        // The stream's last block.
-        for word in words {
-            self.push_slice(&word.to_le_bytes());
-        }
-    }
-
     /// Number of bytes accumulated so far.
     pub fn len(&self) -> usize {
         self.pushed
@@ -313,23 +274,6 @@ impl JenkinsStream {
         let (c, b) = finish_tail(self.a, self.b, self.c, &self.block[..self.filled]);
         (u64::from(c) << 32) | u64::from(b)
     }
-}
-
-/// Bob Jenkins' one-at-a-time hash (32-bit).
-///
-/// Cheaper but weaker than lookup3; used in unit tests and as a diagnostic
-/// secondary hash when auditing for Task History Table collisions.
-pub fn one_at_a_time(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0;
-    for &byte in data {
-        hash = hash.wrapping_add(u32::from(byte));
-        hash = hash.wrapping_add(hash << 10);
-        hash ^= hash >> 6;
-    }
-    hash = hash.wrapping_add(hash << 3);
-    hash ^= hash >> 11;
-    hash = hash.wrapping_add(hash << 15);
-    hash
 }
 
 #[cfg(test)]
@@ -425,46 +369,14 @@ mod tests {
                 stream.push(byte);
             }
             assert_eq!(stream.finish(), oneshot, "len {len} byte-wise diverged");
-            // The word entry at every split: `split` bytes through the
-            // slice path (leaving the stream at every alignment), then as
-            // many whole words as fit, then the byte tail — and the same
-            // with the words first.
-            let words_of = |bytes: &[u8]| -> Vec<u32> {
-                bytes
-                    .chunks_exact(4)
-                    .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
-                    .collect()
-            };
+            // Two slices split at every point (two contributions back to
+            // back, at every alignment).
             for split in 0..=len {
                 let (head, rest) = data[..len].split_at(split);
-                let whole = rest.len() / 4 * 4;
                 let mut stream = JenkinsStream::new(0xA5A5_5A5A_DEAD_BEEF, len);
                 stream.push_slice(head);
-                stream.push_words(words_of(&rest[..whole]));
-                stream.push_slice(&rest[whole..]);
-                assert_eq!(
-                    stream.finish(),
-                    oneshot,
-                    "len {len}: {split} bytes then words diverged"
-                );
-
-                let whole = head.len() / 4 * 4;
-                let mut stream = JenkinsStream::new(0xA5A5_5A5A_DEAD_BEEF, len);
-                stream.push_words(words_of(&head[..whole]));
-                stream.push_slice(&head[whole..]);
                 stream.push_slice(rest);
-                assert_eq!(
-                    stream.finish(),
-                    oneshot,
-                    "len {len}: words then bytes from {split} diverged"
-                );
-                // Words arriving in two runs (two arguments back to back).
-                if len % 4 == 0 && split % 4 == 0 {
-                    let mut stream = JenkinsStream::new(0xA5A5_5A5A_DEAD_BEEF, len);
-                    stream.push_words(words_of(head));
-                    stream.push_words(words_of(rest));
-                    assert_eq!(stream.finish(), oneshot, "len {len}: word runs {split}");
-                }
+                assert_eq!(stream.finish(), oneshot, "len {len}: split at {split}");
             }
         }
     }
@@ -482,13 +394,6 @@ mod tests {
         let mut stream = JenkinsStream::new(0, 3);
         stream.push(1);
         let _ = stream.finish();
-    }
-
-    #[test]
-    fn one_at_a_time_known_behaviour() {
-        assert_eq!(one_at_a_time(b""), 0);
-        assert_ne!(one_at_a_time(b"a"), one_at_a_time(b"b"));
-        assert_eq!(one_at_a_time(b"hello"), one_at_a_time(b"hello"));
     }
 
     #[test]

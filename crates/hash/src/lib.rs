@@ -13,7 +13,11 @@
 //! This crate provides those pieces as reusable, dependency-free components:
 //!
 //! * [`jenkins`] — Bob Jenkins' `lookup3` hash (`hashlittle2`, combined into
-//!   a 64-bit key) and the classic one-at-a-time hash.
+//!   a 64-bit key), one-shot and streaming: the paper's key function, used
+//!   for every key and for sampled bytes.
+//! * [`digest`] — the four-lane multiply–rotate digest an exact argument
+//!   contributes to its key: every byte of the argument, a 64-bit word at a
+//!   time, four lanes in parallel.
 //! * [`prng`] — a deterministic SplitMix64 / Xoshiro256** pseudo-random
 //!   number generator used for the index shuffles and by the workload
 //!   generators of the application suite (task kernels must be deterministic
@@ -26,12 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod jenkins;
 pub mod prng;
 pub mod sampler;
 pub mod shuffle;
 
-pub use jenkins::{hashlittle2, jenkins_hash64, one_at_a_time, JenkinsStream};
+pub use digest::{digest64, DigestStream};
+pub use jenkins::{hashlittle2, jenkins_hash64, JenkinsStream};
 pub use prng::{SplitMix64, Xoshiro256StarStar};
 pub use sampler::{ByteLayout, InputSampler, PlannedByte, SampledKey};
 pub use shuffle::{fisher_yates, significance_ordered_indices};

@@ -7,9 +7,10 @@
 
 use atm_hash::shuffle::InputSpec;
 use atm_hash::{
-    fisher_yates, jenkins_hash64, significance_ordered_indices, ByteLayout, InputSampler,
-    Percentage, Xoshiro256StarStar,
+    digest64, fisher_yates, jenkins_hash64, significance_ordered_indices, ByteLayout, DigestStream,
+    InputSampler, Percentage, Xoshiro256StarStar,
 };
+use std::collections::HashSet;
 
 const CASES: usize = 128;
 
@@ -48,6 +49,137 @@ fn hash_changes_when_extended() {
             jenkins_hash64(&longer, 0),
             "case {case}: prefix collision"
         );
+    }
+}
+
+/// The little-endian 64-bit words of `bytes` (a multiple of eight long).
+fn words_of(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .collect()
+}
+
+/// The digest stream equals the one-shot digest for every length up to 200
+/// and every split point, whether the pieces arrive as byte runs or as
+/// whole words beside byte runs (the way typed region storage feeds it).
+#[test]
+fn digest_stream_matches_the_one_shot_at_every_length_and_split() {
+    let mut rng = Xoshiro256StarStar::new(0xD16E);
+    let data: Vec<u8> = (0..200).map(|_| rng.next_u64() as u8).collect();
+    let seed = rng.next_u64();
+    for len in 0..=data.len() {
+        let one_shot = digest64(&data[..len], seed);
+        for split in 0..=len {
+            let (head, rest) = data[..len].split_at(split);
+            let mut slices = DigestStream::new(seed);
+            slices.push_slice(head);
+            slices.push_slice(rest);
+            assert_eq!(
+                slices.finish(),
+                one_shot,
+                "len {len}: slices split at {split}"
+            );
+
+            // `split` bytes as a run (leaving the stream at every
+            // alignment), then as many whole words as fit, then the tail.
+            let whole = rest.len() / 8 * 8;
+            let mut bytes_then_words = DigestStream::new(seed);
+            bytes_then_words.push_slice(head);
+            bytes_then_words.push_words(words_of(&rest[..whole]));
+            bytes_then_words.push_slice(&rest[whole..]);
+            assert_eq!(
+                bytes_then_words.finish(),
+                one_shot,
+                "len {len}: {split} bytes then words"
+            );
+
+            // Words first, then bytes from `split` on.
+            let whole = head.len() / 8 * 8;
+            let mut words_then_bytes = DigestStream::new(seed);
+            words_then_bytes.push_words(words_of(&head[..whole]));
+            words_then_bytes.push_slice(&head[whole..]);
+            words_then_bytes.push_slice(rest);
+            assert_eq!(
+                words_then_bytes.finish(),
+                one_shot,
+                "len {len}: words then bytes from {split}"
+            );
+        }
+    }
+}
+
+/// Every single-bit flip of a 4 KiB `f32` block gives its own digest: a
+/// flip changes one 8-byte word, and each lane step is a bijection of its
+/// word.
+#[test]
+fn every_single_bit_flip_of_a_4_kib_block_has_a_distinct_digest() {
+    let mut rng = Xoshiro256StarStar::new(0xF1195);
+    let block: Vec<u8> = (0..1024)
+        .flat_map(|_| ((rng.next_f32() - 0.5) * 1000.0).to_le_bytes())
+        .collect();
+    let mut seen = HashSet::with_capacity(block.len() * 8 + 1);
+    seen.insert(digest64(&block, 0));
+    let mut flipped = block.clone();
+    for bit in 0..block.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            seen.insert(digest64(&flipped, 0)),
+            "flipping bit {bit} collides"
+        );
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+    assert_eq!(seen.len(), 32_768 + 1);
+}
+
+/// Swapping two distinct 8-byte words — within a lane or across lanes —
+/// changes the digest: word order matters.
+#[test]
+fn swapping_two_distinct_words_changes_the_digest() {
+    let mut rng = Xoshiro256StarStar::new(0x5A4B);
+    let input: Vec<u8> = (0..1024).map(|_| rng.next_u64() as u8).collect();
+    let base = digest64(&input, 0);
+    let words = input.len() / 8;
+    let (mut same_lane, mut cross_lane) = (0, 0);
+    for i in 0..words {
+        for j in i + 1..words {
+            let (a, b) = (i * 8..i * 8 + 8, j * 8..j * 8 + 8);
+            if input[a.clone()] == input[b.clone()] {
+                continue;
+            }
+            let mut swapped = input.clone();
+            swapped[a.clone()].copy_from_slice(&input[b.clone()]);
+            swapped[b].copy_from_slice(&input[a]);
+            assert_ne!(digest64(&swapped, 0), base, "swapping words {i} and {j}");
+            if i % 4 == j % 4 {
+                same_lane += 1;
+            } else {
+                cross_lane += 1;
+            }
+        }
+    }
+    assert!(same_lane > 0 && cross_lane > 0);
+}
+
+/// Appending one to eight zero bytes changes the digest (the zero-padded
+/// partial word is told apart from the shorter input by the length).
+#[test]
+fn appending_zero_bytes_changes_the_digest() {
+    let mut rng = Xoshiro256StarStar::new(0x2E60);
+    for case in 0..CASES {
+        let data = random_bytes(&mut rng, 64, 0);
+        let seed = rng.next_u64();
+        let mut seen = HashSet::new();
+        let mut padded = data.clone();
+        assert!(seen.insert(digest64(&padded, seed)));
+        for zeros in 1..=8 {
+            padded.push(0);
+            assert!(
+                seen.insert(digest64(&padded, seed)),
+                "case {case}: {} bytes + {zeros} zero bytes collides",
+                data.len()
+            );
+        }
     }
 }
 

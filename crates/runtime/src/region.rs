@@ -310,16 +310,16 @@ pub enum RegionStatus {
 /// little-endian serialisation that takes it a word at a time (a streaming
 /// hasher, in practice).
 pub trait WordSink {
-    /// A run of 32-bit words, each standing for its four little-endian
+    /// A run of 64-bit words, each standing for its eight little-endian
     /// bytes.
-    fn words(&mut self, words: impl Iterator<Item = u32>);
+    fn words(&mut self, words: impl Iterator<Item = u64>);
     /// A run of raw bytes.
     fn bytes(&mut self, bytes: &[u8]);
 }
 
 /// A borrowed window of a region's elements ([`RegionData::window`]),
 /// readable as the little-endian serialisation the ATM hash keys are
-/// defined over without producing it: whole, a 32-bit word at a time
+/// defined over without producing it: whole, a 64-bit word at a time
 /// ([`le_words`](ElemWindow::le_words)), or one byte of one element
 /// ([`lane`](ElemWindow::lane)).
 #[derive(Debug, Clone, Copy)]
@@ -354,24 +354,33 @@ impl ElemWindow<'_> {
         }
     }
 
-    /// Feeds the window to `sink` as little-endian 32-bit words, straight
-    /// from the typed storage: a 4-byte element is its `to_bits`, an 8-byte
-    /// element its low word then its high word, and a `U8` window — whose
-    /// storage already *is* its serialisation — goes through as one byte
-    /// run. The bytes the sink receives, in order, equal
+    /// Feeds the window to `sink` as little-endian 64-bit words, straight
+    /// from the typed storage: an 8-byte element is its `to_bits`, two
+    /// 4-byte elements are one word (first element low) and an odd last one
+    /// goes through as a 4-byte run, and a `U8` window — whose storage
+    /// already *is* its serialisation — goes through as one byte run. The
+    /// bytes the sink receives, in order, equal
     /// [`RegionData::bytes_in_elem_range`] over the same range; nothing is
     /// allocated or copied on the way. This is the path the key generator
-    /// hashes whole arguments through.
+    /// digests whole arguments through.
     #[inline]
     pub fn le_words(&self, sink: &mut impl WordSink) {
-        fn halves(bits: u64) -> [u32; 2] {
-            [bits as u32, (bits >> 32) as u32]
+        fn pairs<T: Copy>(v: &[T], bits: impl Fn(T) -> u32, sink: &mut impl WordSink) {
+            let mut pairs = v.chunks_exact(2);
+            sink.words(
+                pairs
+                    .by_ref()
+                    .map(|pair| u64::from(bits(pair[0])) | u64::from(bits(pair[1])) << 32),
+            );
+            if let [last] = pairs.remainder() {
+                sink.bytes(&bits(*last).to_le_bytes());
+            }
         }
         match self {
-            ElemWindow::F32(v) => sink.words(v.iter().map(|x| x.to_bits())),
-            ElemWindow::F64(v) => sink.words(v.iter().flat_map(|x| halves(x.to_bits()))),
-            ElemWindow::I32(v) => sink.words(v.iter().map(|&x| x as u32)),
-            ElemWindow::I64(v) => sink.words(v.iter().flat_map(|&x| halves(x as u64))),
+            ElemWindow::F32(v) => pairs(v, f32::to_bits, sink),
+            ElemWindow::F64(v) => sink.words(v.iter().map(|x| x.to_bits())),
+            ElemWindow::I32(v) => pairs(v, |x| x as u32, sink),
+            ElemWindow::I64(v) => sink.words(v.iter().map(|&x| x as u64)),
             ElemWindow::U8(v) => sink.bytes(v),
         }
     }
@@ -1051,8 +1060,8 @@ impl RegionRead<'_> {
     /// this read lock is still held.
     ///
     /// A region has **one** slot, so every caller must pass the same pure
-    /// function of the region's bytes (the ATM key generator's
-    /// fixed-seed lookup3, whatever the task type or engine). Two readers
+    /// function of the region's bytes (the ATM key generator's fixed-seed
+    /// argument digest, whatever the task type or engine). Two readers
     /// that race to fill the slot hold the read lock together, therefore
     /// hash the same version and publish the same value.
     pub fn digest_or_fill(&self, fill: impl FnOnce(&RegionData) -> u64) -> u64 {

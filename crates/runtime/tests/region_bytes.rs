@@ -19,7 +19,7 @@ use atm_runtime::{DataStore, ElemType, RegionData, WordSink};
 struct Collect(Vec<u8>);
 
 impl WordSink for Collect {
-    fn words(&mut self, words: impl Iterator<Item = u32>) {
+    fn words(&mut self, words: impl Iterator<Item = u64>) {
         for word in words {
             self.0.extend_from_slice(&word.to_le_bytes());
         }

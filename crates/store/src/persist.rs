@@ -7,7 +7,7 @@
 //! binary file and [`MemoStore::load_from`] / [`MemoStore::absorb_from`]
 //! rebuild them, letting a run *warm-start* from a previous run's table.
 //!
-//! ## Format (version 2, all integers little-endian)
+//! ## Format (version 3, all integers little-endian)
 //!
 //! ```text
 //! [0..8)   magic  b"ATMSTORE"
@@ -30,12 +30,13 @@
 //! The format version doubles as the **key-space version**: the `hash` of
 //! an entry is only worth storing if the loading run computes the same hash
 //! for the same inputs. Version 1 keyed an exact task by lookup3 over its
-//! concatenated input bytes; version 2 keys it by lookup3 over the
-//! per-argument digests (`atm_core::key`), so a version-1 file holds
-//! entries no version-2 run can ever hit — it is refused with
-//! [`PersistError::UnsupportedVersion`] instead of being loaded as dead
-//! weight, and a warm start that finds one degrades to a cold start. The
-//! byte layout itself did not change.
+//! concatenated input bytes; version 2 by lookup3 over per-argument
+//! digests that were themselves lookup3; version 3 keys it by lookup3 over
+//! per-argument four-lane digests (`atm_hash::digest`, `atm_core::key`).
+//! An older file holds exact entries no version-3 run can ever hit — it is
+//! refused with [`PersistError::UnsupportedVersion`] instead of being
+//! loaded as dead weight, and a warm start that finds one degrades to a
+//! cold start. The byte layout itself did not change.
 //!
 //! Warm-start caveat: hash keys embed the task-type id, so a snapshot is only
 //! meaningful to a run that registers its task types in the same order — the
@@ -49,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"ATMSTORE";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// Error decoding or transferring a store snapshot.
 #[derive(Debug)]
@@ -537,36 +538,34 @@ mod tests {
         ));
     }
 
-    /// A version-1 file is structurally sound but from the old key space
-    /// (exact keys over concatenated input bytes): every way in refuses it,
-    /// and a refused warm start leaves the store empty — a cold start.
+    /// Version-1 and version-2 files are structurally sound but from old
+    /// key spaces (exact keys over concatenated input bytes, then over
+    /// lookup3 digests): every way in refuses them, and a refused warm
+    /// start leaves the store empty — a cold start.
     #[test]
     fn version_1_snapshots_are_refused_by_every_loader() {
         let (_data, store) = sample_store();
-        let mut v1 = store.to_snapshot_bytes();
-        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
-        let body_len = v1.len() - 8;
-        let checksum = fnv1a64(&v1[..body_len]);
-        v1[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        for old in [1u32, 2] {
+            let mut bytes = store.to_snapshot_bytes();
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
+            let body_len = bytes.len() - 8;
+            let checksum = fnv1a64(&bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+            let refused = |result: Result<_, PersistError>| matches!(result, Err(PersistError::UnsupportedVersion(v)) if v == old);
 
-        let cold = MemoStore::new(StoreConfig::default());
-        assert!(matches!(
-            cold.absorb_snapshot_bytes(&v1),
-            Err(PersistError::UnsupportedVersion(1))
-        ));
-        let path =
-            std::env::temp_dir().join(format!("atm-store-v1-test-{}.bin", std::process::id()));
-        std::fs::write(&path, &v1).unwrap();
-        assert!(matches!(
-            cold.absorb_from(&path),
-            Err(PersistError::UnsupportedVersion(1))
-        ));
-        assert!(matches!(
-            MemoStore::load_from(&path, StoreConfig::default()),
-            Err(PersistError::UnsupportedVersion(1))
-        ));
-        std::fs::remove_file(&path).unwrap();
-        assert!(cold.is_empty(), "a refused snapshot must admit nothing");
+            let cold = MemoStore::new(StoreConfig::default());
+            assert!(refused(cold.absorb_snapshot_bytes(&bytes)), "v{old}");
+            let path = std::env::temp_dir()
+                .join(format!("atm-store-v{old}-test-{}.bin", std::process::id()));
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(refused(cold.absorb_from(&path)), "v{old}");
+            assert!(
+                refused(MemoStore::load_from(&path, StoreConfig::default()).map(|_| 0)),
+                "v{old}"
+            );
+            std::fs::remove_file(&path).unwrap();
+            assert!(cold.is_empty(), "a refused snapshot must admit nothing");
+        }
     }
 
     #[test]

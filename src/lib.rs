@@ -13,7 +13,8 @@
 //! * [`atm`] — the ATM engine (Task History Table, In-flight Key Table,
 //!   hash-key pipeline, static/dynamic/oracle modes);
 //! * [`hash`] — the hashing and input-sampling substrate (Jenkins lookup3,
-//!   deterministic PRNG, type-aware byte selection);
+//!   the exact-argument digest, deterministic PRNG, type-aware byte
+//!   selection);
 //! * [`metrics`] — correctness and performance metrics (Chebyshev and
 //!   Euclidean relative errors, speedup, reuse);
 //! * [`apps`] — the six evaluated applications (Blackscholes, Gauss-Seidel,

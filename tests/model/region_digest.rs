@@ -43,7 +43,8 @@ use std::sync::Arc;
 
 const NO_DIGEST: u64 = u64::MAX;
 
-/// Stands in for lookup3: any injective function of the bytes will do.
+/// Stands in for the argument digest: any injective function of the bytes
+/// will do.
 fn hash(bytes: u64) -> u64 {
     bytes.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD16E
 }
