@@ -104,6 +104,10 @@ pub struct AppRun {
     pub output: Vec<f64>,
     /// Wall-clock time of the parallel section (excludes input generation).
     pub wall: Duration,
+    /// Minor page faults the process took over the same section, every
+    /// thread included; 0 where `/proc/self/stat` cannot be read. A
+    /// retained output snapshot faults its pages in on first touch.
+    pub minor_faults: u64,
     /// Runtime-level counters.
     pub runtime_stats: RuntimeStatsSnapshot,
     /// ATM engine counters.
@@ -210,6 +214,7 @@ pub struct TaskedRun {
     runtime: Runtime,
     engine: Option<Arc<AtmEngine>>,
     started: Instant,
+    faults_at_start: u64,
 }
 
 impl TaskedRun {
@@ -232,6 +237,7 @@ impl TaskedRun {
             runtime,
             engine,
             started: Instant::now(),
+            faults_at_start: minor_faults(),
         }
     }
 
@@ -249,6 +255,7 @@ impl TaskedRun {
     /// Marks the start of the timed parallel section (call after input
     /// regions are registered, before the first submit).
     pub fn start_timer(&mut self) {
+        self.faults_at_start = minor_faults();
         self.started = Instant::now();
     }
 
@@ -260,6 +267,7 @@ impl TaskedRun {
     ) -> AppRun {
         self.runtime.taskwait();
         let wall = self.started.elapsed();
+        let minor_faults = minor_faults().saturating_sub(self.faults_at_start);
         let output = collect_output(self.runtime.store());
         let app_memory_bytes = self.runtime.store().total_bytes();
         let (trace, ready_samples) = match self.runtime.observability() {
@@ -278,6 +286,7 @@ impl TaskedRun {
         let run = AppRun {
             output,
             wall,
+            minor_faults,
             runtime_stats: observation.runtime,
             atm_stats: engine.map(AtmEngine::stats).unwrap_or_default(),
             store_counters: engine.map(AtmEngine::store_counters).unwrap_or_default(),
@@ -295,9 +304,41 @@ impl TaskedRun {
     }
 }
 
+/// Minor page faults of this process so far (`minflt`, field 10 of
+/// `/proc/self/stat`); 0 where the file cannot be read.
+fn minor_faults() -> u64 {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|stat| parse_minflt(&stat))
+        .unwrap_or(0)
+}
+
+/// `minflt` of a `/proc/<pid>/stat` line. The command name (field 2) is in
+/// parentheses and may itself hold spaces and `)`, so the fields are counted
+/// from the last `)`: field 3 is the first after it.
+fn parse_minflt(stat: &str) -> Option<u64> {
+    let after_name = &stat[stat.rfind(')')? + 1..];
+    after_name.split_whitespace().nth(10 - 3)?.parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn minflt_is_counted_from_the_last_parenthesis() {
+        let stat = "4242 (a) b (c)) S 1 4242 4242 0 -1 4194560 1234 56 7 8 9 10";
+        assert_eq!(parse_minflt(stat), Some(1234));
+        assert_eq!(parse_minflt("4242 (truncated"), None);
+        assert_eq!(parse_minflt("4242 (x) S 1"), None);
+    }
+
+    #[test]
+    fn minor_faults_read_the_process_counter() {
+        // Any process has faulted pages in by the time its tests run.
+        let linux = std::path::Path::new("/proc/self/stat").exists();
+        assert_eq!(minor_faults() > 0, linux);
+    }
 
     #[test]
     fn run_options_constructors() {
@@ -345,6 +386,7 @@ mod tests {
         let run = AppRun {
             output: vec![],
             wall: Duration::from_secs(1),
+            minor_faults: 0,
             runtime_stats: Default::default(),
             atm_stats: Default::default(),
             store_counters: Default::default(),

@@ -695,6 +695,43 @@ mod tests {
         }
     }
 
+    /// Static ATM keys every stencil task, but the blocks its misses would
+    /// retain are rarely reused: the retention ledger closes, most misses
+    /// insert nothing, and the output stays bit-identical. `Scale::Small`'s
+    /// blocks over 32 sweeps instead of 8: at 512 tasks the first opening's
+    /// grant (64 mean kernels) alone is a third of the run. Release only:
+    /// the verdict weighs kernel time, and a debug kernel is 10–30× slower.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn static_atm_stops_retaining_the_stencils() {
+        for variant in [StencilVariant::GaussSeidel, StencilVariant::Jacobi] {
+            let config = StencilConfig {
+                iterations: 32,
+                ..StencilConfig::for_scale(Scale::Small)
+            };
+            let app = Stencil::new(variant, config);
+            let run = app.run_tasked(&RunOptions::with_atm(2, AtmConfig::static_atm()));
+            let reference = app.reference();
+            assert_eq!(run.output.len(), reference.len());
+            assert!(
+                run.output
+                    .iter()
+                    .zip(reference)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{variant:?}: static ATM must be bit-identical"
+            );
+            let (stats, store) = (run.atm_stats, run.store_counters);
+            assert_eq!(stats.gated, 0, "{variant:?}");
+            assert_eq!(store.hits + store.misses, stats.seen, "{variant:?}");
+            assert!(
+                3 * store.insertions < stats.executed,
+                "{variant:?}: inserted {} of {} executed",
+                store.insertions,
+                stats.executed
+            );
+        }
+    }
+
     #[test]
     fn table_info_reports_block_plus_halo_inputs() {
         let app = Stencil::at_scale(StencilVariant::Jacobi, Scale::Tiny);

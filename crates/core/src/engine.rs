@@ -22,8 +22,8 @@
 //!    outputs in the THT (`updateTHT&IKT()`).
 //!
 //! The engine is mechanism only: which `p`, whether a hit is trusted or
-//! verified, whether the type is keyed at all are the policy's verdicts
-//! ([`crate::policy`]).
+//! verified, whether the type is keyed at all and whether a miss's outputs
+//! are retained are the policy's verdicts ([`crate::policy`]).
 //!
 //! Every region the mechanism touches — the key's inputs, the hit's shape
 //! check and copy-out, the captured outputs, the training comparison — it
@@ -50,7 +50,7 @@ use atm_runtime::{
     Access, DataStore, Decision, ErrorMetric, RegionId, RegionRef, TaskContext, TaskId,
     TaskInterceptor, TaskTypeId, TaskView, ThreadState, Tracer,
 };
-use atm_store::{MemoStore, PersistError, StoreCountersSnapshot};
+use atm_store::{entry_charge_bytes, MemoStore, PersistError, StoreCountersSnapshot};
 #[cfg(debug_assertions)]
 use atm_sync::atomic::{AtomicU64, Ordering};
 use atm_sync::Mutex;
@@ -95,6 +95,8 @@ struct WorkerScratch {
 struct Ticket {
     key: EntryKey,
     registered_ikt: bool,
+    /// A miss puts its outputs in the THT (the policy's `KeyPlan::retain`).
+    retain: bool,
     /// THT outputs to compare against after execution (training phase).
     training_reference: Option<Arc<Vec<OutputSnapshot>>>,
     /// Timestamp at dispatch; `after_execute` turns it into the measured
@@ -328,9 +330,9 @@ impl AtmEngine {
         }
     }
 
-    /// Files a closure or re-opening of `task`'s type, attributed to the
-    /// task whose settlement (or admission) caused it, with the ledger
-    /// reading in the record's scalars.
+    /// Files a closure or re-opening of `task`'s type (of a pinned type's
+    /// retention), attributed to the task whose settlement (or admission)
+    /// caused it, with the ledger reading in the record's scalars.
     fn record_gate_event(&self, worker: usize, task: &TaskView<'_>, event: GateEvent) {
         let decision = if event.closed {
             MemoDecision::GateClose
@@ -462,15 +464,16 @@ impl TaskInterceptor for AtmEngine {
         let policy = &entry.policy;
         let counters = &policy.counters;
         TypeCounters::add(&counters.seen, 1);
-        let plan = match policy.admit() {
+        let (admission, reopened) = policy.admit();
+        if let Some(event) = reopened {
+            self.record_gate_event(worker, &task, event);
+        }
+        let plan = match admission {
             Admission::Keyed(plan) => plan,
             // The type is closed: the task executes, and that is all.
-            Admission::Gated(reopened) => {
+            Admission::Gated => {
                 TypeCounters::add(&counters.gated, 1);
                 TypeCounters::add(&counters.executed, 1);
-                if let Some(event) = reopened {
-                    self.record_gate_event(worker, &task, event);
-                }
                 return Decision::Execute;
             }
         };
@@ -552,7 +555,7 @@ impl TaskInterceptor for AtmEngine {
                 TypeCounters::add(&counters.saved_ns, hit.benefit_ns);
                 TypeCounters::add(&counters.tht_bypassed, 1);
                 decide(MemoDecision::ThtHit, Some(hit.producer));
-                if let Some(event) = policy.settle() {
+                if let Some(event) = policy.settle(false) {
                     self.record_gate_event(worker, &task, event);
                 }
                 return Decision::Memoized;
@@ -600,6 +603,7 @@ impl TaskInterceptor for AtmEngine {
             Ticket {
                 key,
                 registered_ikt,
+                retain: plan.retain,
                 training_reference,
                 dispatched_ns,
             },
@@ -631,22 +635,22 @@ impl TaskInterceptor for AtmEngine {
         // Per-task kernel timing: the interval between dispatch and
         // completion is (almost entirely) the kernel run. The measured
         // duration of *this* execution is the benefit estimate stored with
-        // its THT entry — the kernel nanoseconds a future hit saves — which
-        // the cost-aware eviction policy divides by entry size. Storing the
-        // producing task's own duration (rather than a per-type average)
-        // keeps eviction sharp when task durations vary within one type.
+        // its THT entry — the kernel nanoseconds a future hit saves, which
+        // it adds to `saved_ns` (the ledger's earned) and which orders a
+        // warm start's admissions by density. Storing the producing task's
+        // own duration (rather than a per-type average) keeps both sharp
+        // when task durations vary within one type.
         let kernel_ns = tracer.now_ns().saturating_sub(ticket.dispatched_ns);
         TypeCounters::add(&counters.kernel_ns, kernel_ns);
 
         // A training hit is compared, not stored: the entry it verified is
-        // already in the THT.
-        let store_outputs = ticket.training_reference.is_none();
+        // already in the THT. A miss of a pinned type whose retention is
+        // closed is not stored either.
+        let training = ticket.training_reference.is_some();
+        let retain = ticket.retain && !training;
         self.verify_training_hit(policy, &task, tracer, worker, &ticket);
 
-        // Snapshot the outputs once; they serve both the postponed IKT
-        // copy-outs and the THT update.
-        let mut completed = Vec::new();
-        let outputs: Option<Arc<Vec<OutputSnapshot>>> = store_outputs.then(|| {
+        let capture = || {
             let copy_start = tracer.now_ns();
             let snaps = Arc::new(OutputSnapshot::capture_all_resolved(
                 task.accesses,
@@ -656,17 +660,26 @@ impl TaskInterceptor for AtmEngine {
             tracer.record(worker, ThreadState::Memoization, copy_start, copy_end);
             TypeCounters::add(&counters.copy_ns, copy_end - copy_start);
             snaps
-        });
+        };
+        // A retained miss snapshots its outputs once, before its key
+        // retires; they serve both the postponed IKT copy-outs and the THT
+        // update.
+        let mut outputs: Option<Arc<Vec<OutputSnapshot>>> = retain.then(&capture);
 
         // Retire the in-flight key and satisfy the tasks deferred onto this
-        // one. Deferrals are rare, so a waiter keeps only its accesses and
+        // one; a miss that retains nothing snapshots only when one did.
+        // Deferrals are rare, so a waiter keeps only its accesses and
         // resolves its regions here; being unfinished, it keeps them
         // registered.
-        if ticket.registered_ikt {
-            let snaps = outputs
-                .as_ref()
-                .expect("a task registered in the IKT is snapshotted");
-            for waiter in self.ikt.retire(&ticket.key, task.id) {
+        let mut completed = Vec::new();
+        let waiters = if ticket.registered_ikt {
+            self.ikt.retire(&ticket.key, task.id)
+        } else {
+            Vec::new()
+        };
+        if !waiters.is_empty() {
+            let snaps = outputs.get_or_insert_with(&capture);
+            for waiter in waiters {
                 let regions = store.resolve(&waiter.accesses);
                 if Self::entry_matches_shape(snaps, &waiter.accesses, &regions) {
                     let copy_start = tracer.now_ns();
@@ -690,14 +703,24 @@ impl TaskInterceptor for AtmEngine {
 
         // Store the outputs in the THT for future reuse, unless training
         // black-listed one of them in the meantime.
-        if let Some(snaps) = outputs {
+        let mut retained = false;
+        if retain {
+            let snaps = outputs.expect("a retained miss is snapshotted");
             if !policy.writes_unstable(task.accesses) {
-                self.memo_store
-                    .insert(ticket.key, task.id, snaps, kernel_ns);
+                let charge = entry_charge_bytes(&snaps) as u64;
+                retained = self
+                    .memo_store
+                    .insert(ticket.key, task.id, snaps, kernel_ns)
+                    .is_resident();
+                if retained {
+                    TypeCounters::add(&counters.retained_bytes, charge);
+                }
             }
+        } else if !training {
+            TypeCounters::add(&counters.unretained, 1);
         }
 
-        if let Some(event) = policy.settle() {
+        if let Some(event) = policy.settle(retained) {
             self.record_gate_event(worker, &task, event);
         }
         completed
@@ -917,6 +940,11 @@ mod tests {
         assert_eq!(sum(|s| s.gated), stats.gated);
         assert_eq!(sum(|s| s.saved_ns), stats.saved_ns);
         assert_eq!(stats.seen, stats.reused() + stats.executed);
+        // Every keyed task probed the store once, and every keyed miss
+        // became an entry or was kept out by its type's closed retention
+        // (no store budget, no black-list).
+        let store = engine.store_counters();
+        assert_eq!(store.hits + store.misses, stats.seen - stats.gated);
 
         let decisions = obs.decisions();
         use atm_obs::MemoDecision as D;
@@ -941,7 +969,12 @@ mod tests {
             decisions.count(0, D::MissExecute) + stats.training_hits + stats.gated,
             stats.executed
         );
-        // A closure is on the stream once, and so is its re-opening.
+        assert_eq!(
+            decisions.count(0, D::MissExecute),
+            store.insertions + sum(|s| s.unretained)
+        );
+        // A closure — of keying or of retention — is on the stream once, and
+        // so is its re-opening.
         assert_eq!(decisions.count(0, D::GateClose), sum(|s| s.gate_closures));
         let still_closed = summaries.values().filter(|s| !s.open).count() as u64;
         assert_eq!(
@@ -1572,8 +1605,9 @@ mod tests {
     }
 
     /// Fix by construction: the engine-wide overrides and the pinned specs
-    /// have no ledger, so however badly memoization pays every task is keyed
-    /// and probes the store exactly once.
+    /// are never gated, so however badly memoization pays every task is
+    /// keyed and probes the store exactly once. (Their ledger prices only
+    /// retention: every miss is either an entry or unretained.)
     #[test]
     fn static_and_pinned_types_never_gate() {
         let approximate = || MemoSpec::approximate().arg_exact(0);
@@ -1591,11 +1625,92 @@ mod tests {
             assert_eq!(stats.seen, 600);
             assert_eq!(stats.gated, 0, "{config:?} {spec:?}");
             assert_eq!(store.hits + store.misses, stats.seen);
-            assert_eq!(store.insertions, 600);
             let summary = engine.type_summaries().into_values().next().unwrap();
-            assert!(summary.open && summary.steady);
-            assert_eq!(summary.gate_closures, 0);
+            assert_eq!(store.insertions + summary.unretained, 600);
+            assert!(summary.steady);
         }
+    }
+
+    /// A pinned type whose misses retain far more than they earn back —
+    /// 1 MiB of output from a kernel that writes one element, never the same
+    /// input twice — closes its retention. Closed, it is still keyed and
+    /// probes the store once per task, an entry retained before the closure
+    /// still hits, and nothing is inserted until the back-off runs out.
+    #[test]
+    fn a_pinned_type_that_closes_retention_keeps_keying_and_hitting() {
+        const OUT: usize = 1 << 17;
+        let obs = Arc::new(Observability::capture());
+        let engine = AtmEngine::new(AtmConfig::static_atm()).with_observability(Arc::clone(&obs));
+        let store = DataStore::new();
+        let info = TaskTypeBuilder::new("mark", |ctx| {
+            let x = ctx.store().read(ctx.access(0).region).lock().as_f64()[0];
+            ctx.store().write(ctx.access(1).region).lock().as_f64_mut()[0] = x + 1.0;
+        })
+        .arg::<f64>()
+        .out::<f64>()
+        .memo(MemoSpec::exact())
+        .build();
+        let out = store.register_zeros::<f64>("out", OUT).unwrap();
+        let mut id = 0u64;
+        let mut run = |x: f64| {
+            let input = store.register_typed(format!("in{id}"), vec![x]).unwrap();
+            let accesses = vec![Access::read(&input), Access::write(&out)];
+            let (decision, _) = drive(&engine, &store, view_for(&store, id, 0, &info, &accesses));
+            id += 1;
+            // What a from-scratch run leaves in the region.
+            let written = store.read(out).lock().as_f64().to_vec();
+            assert_eq!(written[0], x + 1.0);
+            assert!(written[1..].iter().all(|&v| v == 0.0));
+            decision
+        };
+        let summary = || engine.type_summaries().into_values().next().unwrap();
+
+        let mut x = 0.0;
+        loop {
+            assert_eq!(run(x), Decision::Execute);
+            x += 1.0;
+            if !summary().open {
+                break;
+            }
+            assert!(x < 1_000.0, "retention never closed");
+        }
+        let closed = summary();
+        assert_eq!((closed.gate_closures, closed.gated), (1, 0));
+        let inserted = engine.store_counters().insertions;
+        assert_eq!(inserted, x as u64);
+
+        // Closed: misses execute and insert nothing; an entry retained
+        // before the closure still hits.
+        for _ in 0..100 {
+            assert_eq!(run(x), Decision::Execute);
+            x += 1.0;
+        }
+        assert_eq!(run(0.0), Decision::Memoized);
+        assert_eq!(engine.store_counters().insertions, inserted);
+        assert_eq!(summary().unretained, 100);
+
+        // The back-off runs out, the type re-opens and retains again.
+        while !summary().open {
+            run(x);
+            x += 1.0;
+        }
+        assert_eq!(run(x), Decision::Execute);
+        assert_eq!(engine.store_counters().insertions, inserted + 1);
+
+        let stats = engine.stats();
+        assert_eq!(stats.gated, 0);
+        assert_eq!(stats.tht_bypassed, 1);
+        assert_stream_reconciles(&engine, &obs);
+        let decisions = obs.decisions();
+        assert_eq!(decisions.count(0, MemoDecision::GateClose), 1);
+        assert_eq!(decisions.count(0, MemoDecision::GateReopen), 1);
+        let closure = decisions
+            .records
+            .iter()
+            .find(|r| r.decision == MemoDecision::GateClose)
+            .and_then(|r| r.gate_ledger());
+        let (spent, earned, allowance) = closure.unwrap();
+        assert!(spent > earned + allowance, "{closure:?}");
     }
 
     /// The same stream through an adaptive type: the ledger closes it, the

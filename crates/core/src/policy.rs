@@ -1,4 +1,5 @@
-//! Per-task-type memoization policy: what `p`, train or not, keyed or gated.
+//! Per-task-type memoization policy: what `p`, train or not, keyed or gated,
+//! retained or not.
 //!
 //! The engine ([`crate::engine`]) is mechanism — key → probe → IKT →
 //! copy-out → snapshot → insert. Everything that *decides* lives here, one
@@ -8,33 +9,42 @@
 //! * **Mode resolution.** [`TypePolicy::resolve`] turns the engine-wide
 //!   [`AtmMode`] and the type's [`MemoSpec`] into one of two kinds. A
 //!   *pinned* policy (`AtmMode::{Static, FixedP}`, `MemoSpec::{exact,
-//!   fixed_precision}`) is open for ever at a constant `p`: it has no
-//!   controller and no ledger, so nothing can ever gate it. An *adaptive*
-//!   policy (`AtmMode::Dynamic` × `MemoSpec::approximate`) owns the
-//!   [`TrainingController`], its output black-list and the profitability
-//!   ledger.
+//!   fixed_precision}`) keys every task at a constant `p`: it has no
+//!   controller, and its ledger prices only what its misses retain. An
+//!   *adaptive* policy (`AtmMode::Dynamic` × `MemoSpec::approximate`) owns
+//!   the [`TrainingController`], its output black-list and a ledger that
+//!   prices keying itself.
 //! * **The ledger** compares, per opening, what memoizing the type has
-//!   *spent* (hash + probe + capture/copy-out + training-comparison ns)
-//!   with what it has *earned* (the kernel ns of every steady-state hit and
-//!   IKT deferral) plus an *allowance* (ε of the kernel ns of the
+//!   *spent* with what it has *earned* (the kernel ns of every steady-state
+//!   hit and IKT deferral) plus an *allowance* (ε of the kernel ns of the
 //!   executions it keyed, and a grant of G mean kernel executions so that a
 //!   one-off investment — a training window, a first sweep that fills the
 //!   region digests — fits). It reads the type's one [`TypeCounters`] block
 //!   and keeps no counts of its own. When `spent > earned + allowance`, and
 //!   the opening has keyed at least G tasks (one slow key is not a verdict),
-//!   the type **closes** for a back-off number of tasks, which execute without
-//!   key, probe, IKT, ticket, snapshot or insert; the back-off doubles per
-//!   consecutive closure and a profitable stretch resets it. Then the type
-//!   re-opens on a smaller grant, with controller state, `p` and black-list
-//!   as they were. Training is thereby bounded by what it costs, not by a
-//!   count: cheap training is never cut, dear training that buys nothing is.
+//!   the type **closes** for a back-off number of tasks; the back-off doubles
+//!   per consecutive closure and a profitable stretch resets it. Then the
+//!   type re-opens on a smaller grant. "Closed" means one of two things:
+//!   - an *adaptive* type's closed tasks are **gated**: they execute without
+//!     key, probe, IKT, ticket, snapshot or insert. Its spent is the ns of
+//!     hashing, probing, capture/copy-out and training comparisons, and it
+//!     re-opens with controller state, `p` and black-list as they were.
+//!     Training is thereby bounded by what it costs, not by a count: cheap
+//!     training is never cut, dear training that buys nothing is.
+//!   - a *pinned* type's closed tasks are keyed and probe the store as
+//!     always — a hit is served from an entry retained earlier — but a miss
+//!     is **not retained**: it executes without output snapshot or insert
+//!     (it still registers in the IKT, and snapshots only for a waiter). Its
+//!     spent is the store charge of the entries it retained times a price
+//!     per byte (`RETAIN_PS_PER_BYTE`, ½ ns). Keying a pinned type is the
+//!     programmer's decision; keeping what it never reuses is not.
 //! * **The policy word.** `(open | closed-remaining, training, black-list,
 //!   p)` is published as one atomic word, so the task path reads the policy
-//!   with one load and a gated task costs one load and one decrement. All
-//!   structural transitions (close, re-open, a controller step — `p` only
-//!   doubles, so the word's ladder step only rises) are serialised by the
-//!   adaptive state's mutex; the run-down of a closure is lock-free
-//!   (CONCURRENCY.md protocol 8, `tests/model/policy_word.rs`).
+//!   with one load and a closed type's task costs one load and one
+//!   decrement. All structural transitions (close, re-open, a controller
+//!   step — `p` only doubles, so the word's ladder step only rises) are
+//!   serialised by the policy's mutex; the run-down of a closure is
+//!   lock-free (CONCURRENCY.md protocol 8, `tests/model/policy_word.rs`).
 //!
 //! **Bounded regret.** An opening loses at most the larger of its
 //! allowance — ε of the kernel time it keyed plus G kernels — and what G
@@ -66,8 +76,23 @@ const GRANT_REPROBE: u64 = 16;
 const BACKOFF_MIN: u64 = 256;
 /// … doubling per consecutive closure up to this.
 const BACKOFF_MAX: u64 = 65_536;
+/// What a pinned type's ledger charges per byte of store charge its misses
+/// retain, in picoseconds (½ ns/B). Retention is not paid where it happens:
+/// the snapshot copy is cheap, but the allocator hands the kernel's
+/// just-freed output buffer to the retained snapshot, so the *next*
+/// kernel's allocation lands on fresh pages and takes their first-touch
+/// faults. The cost shows in kernel time, not `copy_ns`. On a 2-core x86-64
+/// box, static ATM retaining everything against retaining nothing (a 1-byte
+/// store budget) on the benchmark's stencils (64 KiB outputs, 9 rounds a
+/// side) costs 0.1–0.3 ns of kernel time per retained byte, and up to
+/// 0.5 ns of worker wall time; the price sits at the top of that noisy
+/// range. The verdicts do not hang on it: on the benchmark's apps the
+/// stencils stay open at 0.2 ns/B and close from 0.25 ns/B, while
+/// Blackscholes, kmeans, swaptions and Sparse LU stay open through 2 ns/B
+/// (LU first closes at 3 ns/B).
+const RETAIN_PS_PER_BYTE: u64 = 500;
 
-/// Low bits of the policy word: gated tasks left in the current closure
+/// Low bits of the policy word: closed tasks left in the current closure
 /// (0 = open).
 const CLOSED_MASK: u64 = 0xFFFF_FFFF;
 const TRAINING_BIT: u64 = 1 << 32;
@@ -80,7 +105,7 @@ const STEP_SHIFT: u32 = 40;
 
 /// The engine's one always-on counter block, kept per task type (the
 /// aggregate [`crate::AtmEngine::stats`] is the sum over the types). The
-/// profitability ledger reads it; nothing else counts these events. Aligned
+/// ledger reads it; nothing else counts these events. Aligned
 /// to its own cache lines: every worker writes it on every task, and the
 /// policy word beside it is read on every task.
 #[repr(align(128))]
@@ -96,7 +121,7 @@ pub struct TypeCounters {
     pub training_hits: AtomicU64,
     /// Tasks executed, gated ones included.
     pub executed: AtomicU64,
-    /// Tasks executed unkeyed because the type was closed.
+    /// Tasks executed unkeyed because the (adaptive) type was closed.
     pub gated: AtomicU64,
     /// Nanoseconds spent computing hash keys.
     pub hash_ns: AtomicU64,
@@ -111,6 +136,14 @@ pub struct TypeCounters {
     /// Kernel nanoseconds avoided: the stored benefit of every steady-state
     /// THT hit and the producer's kernel time of every served IKT deferral.
     pub saved_ns: AtomicU64,
+    /// Store charge (`atm_store::entry_charge_bytes`) of the entries the
+    /// type's misses put in the store: a pinned type's ledger prices it. Not
+    /// part of [`TypeCounters::snapshot`].
+    pub retained_bytes: AtomicU64,
+    /// Misses executed while a pinned type's retention was closed: no entry
+    /// inserted, and no snapshot taken unless an IKT waiter needed one. Not
+    /// part of [`TypeCounters::snapshot`]; [`crate::TypeSummary`] reports it.
+    pub unretained: AtomicU64,
 }
 
 impl TypeCounters {
@@ -119,7 +152,7 @@ impl TypeCounters {
         counter.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Point-in-time copy of the counters.
+    /// Point-in-time copy of the counters the engine aggregates.
     pub fn snapshot(&self) -> AtmStatsSnapshot {
         let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         AtmStatsSnapshot {
@@ -153,10 +186,18 @@ struct Totals {
 }
 
 impl Totals {
-    fn of(counts: &AtmStatsSnapshot) -> Totals {
+    /// The ledger's reading of a type's counters: a pinned type spends what
+    /// its retained entries cost, an adaptive one what keying costs.
+    fn of(counters: &TypeCounters, pinned: bool) -> Totals {
+        let counts = counters.snapshot();
         let keyed = counts.seen.saturating_sub(counts.gated);
+        let spent = if pinned {
+            counters.retained_bytes.load(Ordering::Relaxed) * RETAIN_PS_PER_BYTE / 1_000
+        } else {
+            counts.hash_ns + counts.probe_ns + counts.copy_ns + counts.compare_ns
+        };
         Totals {
-            spent: counts.hash_ns + counts.probe_ns + counts.copy_ns + counts.compare_ns,
+            spent,
             earned: counts.saved_ns,
             kernel: counts.kernel_ns,
             keyed,
@@ -169,9 +210,9 @@ impl Totals {
     }
 }
 
-/// The profitability ledger of one adaptive type: the counter totals at the
-/// current opening and the closure history. The running totals are the
-/// type's [`TypeCounters`].
+/// The ledger of one type: the counter totals at the current opening and
+/// the closure history. The running totals are the type's
+/// [`TypeCounters`].
 #[derive(Debug)]
 struct Ledger {
     opened_at: Totals,
@@ -181,20 +222,16 @@ struct Ledger {
     closures: u64,
 }
 
-/// The state of an adaptive type behind its mutex.
-struct Adaptive {
-    controller: TrainingController,
+/// What the policy's mutex guards.
+struct State {
     ledger: Ledger,
+    /// An adaptive type's training controller; `None` when pinned.
+    controller: Option<TrainingController>,
 }
 
-enum Kind {
-    /// Open for ever at this `p`: no controller, no ledger.
-    Pinned(Percentage),
-    Adaptive(Box<Mutex<Adaptive>>),
-}
-
-/// A closure or re-opening of a type, with the ledger reading behind it;
-/// the engine files it as a `GateClose` / `GateReopen` decision record.
+/// A closure or re-opening of a type (for a pinned type: of its
+/// retention), with the ledger reading behind it; the engine files it as a
+/// `GateClose` / `GateReopen` decision record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateEvent {
     /// True for a closure, false for a re-opening.
@@ -207,17 +244,16 @@ pub struct GateEvent {
     /// The allowance the closure overran, or the grant the re-opening
     /// starts with.
     pub allowance_ns: u64,
-    /// Tasks the closure gates (closure only).
+    /// Tasks the closure lasts (closure only).
     pub backoff: u64,
 }
 
 /// How the next task of a type is to be handled, read from the policy word.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Admission {
-    /// The type is closed: execute, and do nothing else. Carries the
-    /// re-opening when this was the closure's last gated task.
-    Gated(Option<GateEvent>),
-    /// The type is open: key the task.
+    /// An adaptive type is closed: execute, and do nothing else.
+    Gated,
+    /// Key the task.
     Keyed(KeyPlan),
 }
 
@@ -228,6 +264,9 @@ pub struct KeyPlan {
     pub p: Percentage,
     /// Training: a THT hit executes anyway and is compared.
     pub training: bool,
+    /// A miss puts its outputs in the store; false while a pinned type's
+    /// retention is closed.
+    pub retain: bool,
 }
 
 /// The read side of a policy, for [`crate::TypeSummary`].
@@ -239,9 +278,10 @@ pub struct PolicyStatus {
     pub steady: bool,
     /// Output regions black-listed as unstable.
     pub unstable_outputs: usize,
-    /// Times the ledger closed the type.
+    /// Times the ledger closed the type (a pinned type: its retention).
     pub gate_closures: u64,
-    /// Whether the type is open (being keyed) right now.
+    /// Whether the type is open right now: an adaptive type is keyed, a
+    /// pinned type retains its misses.
     pub open: bool,
 }
 
@@ -250,7 +290,10 @@ pub struct TypePolicy {
     /// The type's counter block: written by the engine, read by the ledger.
     pub counters: TypeCounters,
     word: AtomicU64,
-    kind: Kind,
+    /// `Some(p)`: pinned, keyed at `p` for ever. `None`: adaptive, keyed at
+    /// the ladder step the word carries.
+    pinned: Option<Percentage>,
+    state: Mutex<State>,
     /// The spec whose exact arguments the key honours; `None` when the
     /// engine mode overrode the spec wholesale (`Static` / `FixedP` sweeps
     /// hash every argument uniformly).
@@ -261,49 +304,50 @@ pub struct TypePolicy {
 impl TypePolicy {
     /// The policy of a type whose first instance reached an engine running
     /// in `mode` with effective spec `spec`: the engine-wide overrides and
-    /// the pinned specs never gate, `Dynamic` × `approximate` adapts.
+    /// the pinned specs are keyed at a constant `p` and never gate,
+    /// `Dynamic` × `approximate` adapts.
     pub fn resolve(mode: AtmMode, spec: MemoSpec) -> Self {
         match mode {
-            AtmMode::Static => Self::pinned(Percentage::FULL, None),
-            AtmMode::FixedP(p) => Self::pinned(Percentage::from_fraction(p), None),
+            AtmMode::Static => Self::new(Some(Percentage::FULL), None, None),
+            AtmMode::FixedP(p) => Self::new(Some(Percentage::from_fraction(p)), None, None),
             AtmMode::Dynamic => match spec.policy() {
-                MemoPolicy::Exact => Self::pinned(Percentage::FULL, Some(spec)),
+                MemoPolicy::Exact => Self::new(Some(Percentage::FULL), None, Some(spec)),
                 MemoPolicy::FixedPrecision(p) => {
-                    Self::pinned(Percentage::from_fraction(p), Some(spec))
+                    Self::new(Some(Percentage::from_fraction(p)), None, Some(spec))
                 }
-                MemoPolicy::Approximate => Self::adaptive(spec),
+                MemoPolicy::Approximate => {
+                    let controller =
+                        TrainingController::new(spec.training_window_len(), spec.tau_max());
+                    Self::new(None, Some(controller), Some(spec))
+                }
             },
         }
     }
 
-    /// Open for ever at `p`, steady from the first task.
-    fn pinned(p: Percentage, overrides: Option<MemoSpec>) -> Self {
+    /// Pinned at `pinned`, steady from the first task, or training its own
+    /// `p` against the spec's `τ_max` with `controller`; open, either way.
+    fn new(
+        pinned: Option<Percentage>,
+        controller: Option<TrainingController>,
+        overrides: Option<MemoSpec>,
+    ) -> Self {
         TypePolicy {
             counters: TypeCounters::default(),
-            word: AtomicU64::new(0),
-            kind: Kind::Pinned(p),
-            overrides,
-            tau_max: f64::INFINITY,
-        }
-    }
-
-    /// Trains its own `p` against the spec's `τ_max`, under the ledger.
-    fn adaptive(spec: MemoSpec) -> Self {
-        let controller = TrainingController::new(spec.training_window_len(), spec.tau_max());
-        TypePolicy {
-            counters: TypeCounters::default(),
-            word: AtomicU64::new(word_of(&controller)),
-            tau_max: controller.tau_max(),
-            kind: Kind::Adaptive(Box::new(Mutex::new(Adaptive {
-                controller,
+            word: AtomicU64::new(controller.as_ref().map_or(0, word_of)),
+            pinned,
+            tau_max: controller
+                .as_ref()
+                .map_or(f64::INFINITY, TrainingController::tau_max),
+            state: Mutex::new(State {
                 ledger: Ledger {
                     opened_at: Totals::default(),
                     grant: GRANT_FIRST,
                     consecutive_closures: 0,
                     closures: 0,
                 },
-            }))),
-            overrides: Some(spec),
+                controller,
+            }),
+            overrides,
         }
     }
 
@@ -312,26 +356,32 @@ impl TypePolicy {
         self.tau_max
     }
 
-    fn plan(&self, word: u64) -> KeyPlan {
+    fn plan(&self, word: u64, retain: bool) -> KeyPlan {
         KeyPlan {
-            p: match self.kind {
-                Kind::Pinned(p) => p,
-                Kind::Adaptive(_) => Percentage::from_training_step((word >> STEP_SHIFT) as usize),
-            },
+            p: self
+                .pinned
+                .unwrap_or_else(|| Percentage::from_training_step((word >> STEP_SHIFT) as usize)),
             training: word & TRAINING_BIT != 0,
+            retain,
         }
+    }
+
+    fn totals(&self) -> Totals {
+        Totals::of(&self.counters, self.pinned.is_some())
     }
 
     /// Decides how the next task of the type is handled: one load of the
     /// policy word when the type is open, one load and one decrement when
-    /// it is closed. The closure's last gated task re-opens the type.
-    pub fn admit(&self) -> Admission {
+    /// it is closed. A closed adaptive type gates the task; a closed pinned
+    /// type keys it but retains nothing. The closure's last task re-opens
+    /// the type, and the re-opening comes back with it.
+    pub fn admit(&self) -> (Admission, Option<GateEvent>) {
         let mut word = self.word.load(Ordering::Acquire);
-        loop {
+        let reopened = loop {
             match word & CLOSED_MASK {
-                0 => return Admission::Keyed(self.plan(word)),
+                0 => return (Admission::Keyed(self.plan(word, true)), None),
                 1 => match self.reopen() {
-                    Ok(event) => return Admission::Gated(Some(event)),
+                    Ok(event) => break Some(event),
                     // Another worker got there first (or re-opened and
                     // closed again): read the word it left.
                     Err(current) => word = current,
@@ -342,26 +392,28 @@ impl TypePolicy {
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 ) {
-                    Ok(_) => return Admission::Gated(None),
+                    Ok(_) => break None,
                     Err(current) => word = current,
                 },
             }
-        }
+        };
+        let admission = match self.pinned {
+            Some(_) => Admission::Keyed(self.plan(word, false)),
+            None => Admission::Gated,
+        };
+        (admission, reopened)
     }
 
-    /// Takes the closure's last gated task: under the state lock, re-bases
-    /// the ledger and only then publishes the open word, so no task is
-    /// keyed against the previous opening's books.
+    /// Takes the closure's last task: under the state lock, re-bases the
+    /// ledger and only then publishes the open word, so no task is keyed
+    /// (or retained) against the previous opening's books.
     fn reopen(&self) -> Result<GateEvent, u64> {
-        let Kind::Adaptive(state) = &self.kind else {
-            unreachable!("a pinned policy never closes");
-        };
-        let mut state = state.lock();
+        let mut state = self.state.lock();
         let word = self.word.load(Ordering::Acquire);
         if word & CLOSED_MASK != 1 {
             return Err(word);
         }
-        let now = Totals::of(&self.counters.snapshot());
+        let now = self.totals();
         state.ledger.opened_at = now;
         state.ledger.grant = GRANT_REPROBE;
         // Every other writer of the word holds this lock; lock-free
@@ -378,14 +430,16 @@ impl TypePolicy {
 
     /// Settles the ledger once a keyed task's costs and earnings are on the
     /// counters; returns the closure when the opening has overrun its
-    /// allowance. A pinned policy has no ledger to settle.
-    pub fn settle(&self) -> Option<GateEvent> {
-        let Kind::Adaptive(state) = &self.kind else {
+    /// allowance. `retained`: the task just put an entry in the store. Only
+    /// that moves a pinned type's spent — a hit earns and spends nothing —
+    /// so for a pinned type anything else returns at once, without the lock.
+    pub fn settle(&self, retained: bool) -> Option<GateEvent> {
+        if self.pinned.is_some() && !retained {
             return None;
-        };
-        let mut state = state.lock();
+        }
+        let mut state = self.state.lock();
         let word = self.word.load(Ordering::Acquire);
-        let now = Totals::of(&self.counters.snapshot());
+        let now = self.totals();
         // Nothing to decide for a task keyed before a closure and settling
         // after it, nor before a first kernel has given the grant its unit.
         if word & CLOSED_MASK != 0 || now.keyed_executions == 0 {
@@ -428,11 +482,11 @@ impl TypePolicy {
     /// `p`, phase and black-list. A comparison that arrives after training
     /// ended — its task was keyed while the type still trained — is dropped.
     pub fn record_comparison(&self, tau: f64, failing: &[RegionId]) {
-        let Kind::Adaptive(state) = &self.kind else {
-            unreachable!("a pinned policy never trains");
-        };
-        let mut state = state.lock();
-        let controller = &mut state.controller;
+        let mut state = self.state.lock();
+        let controller = state
+            .controller
+            .as_mut()
+            .expect("a pinned policy never trains");
         if controller.is_training() {
             controller.record_comparison(tau, failing);
         }
@@ -451,18 +505,20 @@ impl TypePolicy {
 
     /// True when a task with these accesses writes a region black-listed
     /// during training: it is never memoized in the steady state (§III-D).
+    /// Answered from the word alone until a region is black-listed, which
+    /// only an adaptive type's training does.
     pub fn writes_unstable(&self, accesses: &[Access]) -> bool {
-        let Kind::Adaptive(state) = &self.kind else {
-            return false;
-        };
         if self.word.load(Ordering::Acquire) & BLACKLIST_BIT == 0 {
             return false;
         }
-        let state = state.lock();
+        let state = self.state.lock();
+        let Some(controller) = &state.controller else {
+            return false;
+        };
         accesses
             .iter()
             .filter(|a| a.mode.is_write())
-            .any(|a| state.controller.is_unstable(a.region))
+            .any(|a| controller.is_unstable(a.region))
     }
 
     /// One selection percentage per read access of `accesses`, in
@@ -493,22 +549,16 @@ impl TypePolicy {
     /// The policy's current state, for summaries and diagnostics.
     pub fn status(&self) -> PolicyStatus {
         let word = self.word.load(Ordering::Acquire);
-        let plan = self.plan(word);
-        let (unstable_outputs, gate_closures) = match &self.kind {
-            Kind::Pinned(_) => (0, 0),
-            Kind::Adaptive(state) => {
-                let state = state.lock();
-                (
-                    state.controller.unstable_outputs().len(),
-                    state.ledger.closures,
-                )
-            }
-        };
+        let plan = self.plan(word, true);
+        let state = self.state.lock();
         PolicyStatus {
             p: plan.p,
             steady: !plan.training,
-            unstable_outputs,
-            gate_closures,
+            unstable_outputs: state
+                .controller
+                .as_ref()
+                .map_or(0, |c| c.unstable_outputs().len()),
+            gate_closures: state.ledger.closures,
             open: word & CLOSED_MASK == 0,
         }
     }
@@ -530,14 +580,16 @@ fn word_of(controller: &TrainingController) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    //! The policy as a table of traces: synthetic (cost, kernel, hit)
-    //! streams fed through `admit` → counters → `settle`, the way the
-    //! engine drives it, with no runtime, data store or memo store.
+    //! The policy as a table of traces: synthetic (cost, kernel, hit,
+    //! retained bytes) streams fed through `admit` → counters → `settle`,
+    //! the way the engine drives it, with no runtime, data store or memo
+    //! store.
 
     use super::*;
     use atm_runtime::{AccessMode, ElemType};
 
     const US: u64 = 1_000;
+    const KIB: u64 = 1_024;
 
     /// What one keyed task of a synthetic stream costs and yields.
     #[derive(Clone, Copy)]
@@ -548,6 +600,8 @@ mod tests {
         kernel_ns: u64,
         /// A steady-state hit (earns `kernel_ns`) instead of an execution.
         hit: bool,
+        /// Store charge of the entry a retained miss inserts.
+        out_bytes: u64,
     }
 
     /// The tally of one stream.
@@ -555,6 +609,8 @@ mod tests {
     struct Tally {
         keyed: u64,
         gated: u64,
+        /// Misses that inserted an entry.
+        retained: u64,
         events: Vec<GateEvent>,
     }
 
@@ -568,26 +624,31 @@ mod tests {
     fn feed(policy: &TypePolicy, shape: Shape, tally: &mut Tally) {
         let counters = &policy.counters;
         TypeCounters::add(&counters.seen, 1);
-        match policy.admit() {
-            Admission::Gated(reopened) => {
-                TypeCounters::add(&counters.gated, 1);
-                TypeCounters::add(&counters.executed, 1);
-                tally.gated += 1;
-                tally.events.extend(reopened);
-            }
-            Admission::Keyed(_) => {
-                tally.keyed += 1;
-                TypeCounters::add(&counters.hash_ns, shape.cost_ns);
-                if shape.hit {
-                    TypeCounters::add(&counters.tht_bypassed, 1);
-                    TypeCounters::add(&counters.saved_ns, shape.kernel_ns);
-                } else {
-                    TypeCounters::add(&counters.executed, 1);
-                    TypeCounters::add(&counters.kernel_ns, shape.kernel_ns);
-                }
-                tally.events.extend(policy.settle());
+        let (admission, reopened) = policy.admit();
+        tally.events.extend(reopened);
+        let Admission::Keyed(plan) = admission else {
+            TypeCounters::add(&counters.gated, 1);
+            TypeCounters::add(&counters.executed, 1);
+            tally.gated += 1;
+            return;
+        };
+        tally.keyed += 1;
+        TypeCounters::add(&counters.hash_ns, shape.cost_ns);
+        let retained = !shape.hit && plan.retain;
+        if shape.hit {
+            TypeCounters::add(&counters.tht_bypassed, 1);
+            TypeCounters::add(&counters.saved_ns, shape.kernel_ns);
+        } else {
+            TypeCounters::add(&counters.executed, 1);
+            TypeCounters::add(&counters.kernel_ns, shape.kernel_ns);
+            if retained {
+                TypeCounters::add(&counters.retained_bytes, shape.out_bytes);
+                tally.retained += 1;
+            } else {
+                TypeCounters::add(&counters.unretained, 1);
             }
         }
+        tally.events.extend(policy.settle(retained));
     }
 
     fn run(policy: &TypePolicy, tasks: u64, shape: impl Fn(u64) -> Shape) -> Tally {
@@ -617,6 +678,7 @@ mod tests {
         cost_ns: 30 * US,
         kernel_ns: 100 * US,
         hit: false,
+        out_bytes: 66 * KIB,
     };
 
     #[test]
@@ -682,6 +744,7 @@ mod tests {
             cost_ns: 4 * US,
             kernel_ns: 500 * US,
             hit: i >= 17,
+            ..LOSER
         });
         // kmeans-shaped: one expensive first sweep (128 blocks pay 110 µs
         // each to fill their digests), a further 144 cheap training tasks,
@@ -690,12 +753,13 @@ mod tests {
             cost_ns: if i < 128 { 110 * US } else { 12 * US },
             kernel_ns: 270 * US,
             hit: i >= 272 && i % 5 != 0,
+            ..LOSER
         });
         // LU-shaped: training never ends, and costs 1 µs against 300 µs.
         let lu = run(&adaptive(), 100_000, |_| Shape {
             cost_ns: US,
             kernel_ns: 300 * US,
-            hit: false,
+            ..LOSER
         });
         for (name, tally) in [
             ("blackscholes", blackscholes),
@@ -764,7 +828,7 @@ mod tests {
             feed(&policy, LOSER, &mut rundown);
         }
         assert_eq!(rundown.gated, BACKOFF_MIN);
-        let Admission::Keyed(plan) = policy.admit() else {
+        let (Admission::Keyed(plan), None) = policy.admit() else {
             panic!("re-opened");
         };
         assert_eq!(plan.p, Percentage::from_training_step(3));
@@ -776,20 +840,18 @@ mod tests {
     #[test]
     fn status_p_is_the_controllers_ladder_step() {
         let policy = adaptive();
-        let Kind::Adaptive(state) = &policy.kind else {
-            unreachable!("approximate × Dynamic adapts");
-        };
+        assert!(policy.pinned.is_none(), "approximate × Dynamic adapts");
         // Rejections climb the ladder; acceptances hold p until it freezes.
         for tau in [1.0, 0.0, 1.0, 1.0, 0.0, 0.5, 1.0] {
             policy.record_comparison(tau, &[]);
-            let step = state.lock().controller.doublings();
+            let step = policy.state.lock().controller.as_ref().unwrap().doublings();
             assert_eq!(policy.status().p, Percentage::from_training_step(step));
         }
         assert_eq!(policy.status().p, Percentage::from_training_step(5));
     }
 
     #[test]
-    fn pinned_policies_have_no_ledger_to_trip() {
+    fn pinned_policies_never_gate_and_close_only_retention() {
         let approximate = MemoSpec::approximate;
         let pinned = [
             TypePolicy::resolve(AtmMode::Static, approximate()),
@@ -799,19 +861,104 @@ mod tests {
         ];
         let expected_p = [1.0, 0.25, 1.0, 0.25];
         for (policy, p) in pinned.iter().zip(expected_p) {
-            assert!(matches!(policy.kind, Kind::Pinned(_)));
-            // Ten times worse than the loser that closes an adaptive type.
+            assert!(policy.pinned.is_some());
+            // Ten times dearer to key than the loser that closes an adaptive
+            // type: keying is the programmer's call, so nothing is gated.
+            // Only the 66 KiB each miss retains is priced, and that closes
+            // retention while every task stays keyed.
             let tally = run(policy, 20_000, |_| Shape {
                 cost_ns: 300 * US,
                 ..LOSER
             });
             assert_eq!((tally.keyed, tally.gated), (20_000, 0));
-            assert!(tally.events.is_empty());
+            let closures = tally.closures();
+            assert!(!closures.is_empty());
             let status = policy.status();
-            assert!(status.open && status.steady);
-            assert_eq!(status.gate_closures, 0);
+            assert!(status.steady);
+            assert_eq!(status.gate_closures, closures.len() as u64);
             assert_eq!(status.p.fraction(), p);
             assert!(policy.tau_max().is_infinite());
+        }
+
+        // The retention ledger over the shapes the benchmark runs. A
+        // stencil: 66 KiB out of a 100 µs kernel, 5 % hits.
+        let policy = TypePolicy::resolve(AtmMode::Static, MemoSpec::exact());
+        let stencil = |i: u64| Shape {
+            hit: i.is_multiple_of(20),
+            ..LOSER
+        };
+        let mut tally = Tally::default();
+        let mut fed = 0;
+        while tally.closures().is_empty() {
+            feed(&policy, stencil(fed), &mut tally);
+            fed += 1;
+        }
+        assert!(fed <= 500, "closed after {fed} tasks");
+        for i in fed..100_000 {
+            feed(&policy, stencil(i), &mut tally);
+        }
+        assert_eq!((tally.keyed, tally.gated), (100_000, 0));
+        assert!(
+            tally.retained * 100 < 15 * 100_000,
+            "retained {} of 100 000",
+            tally.retained
+        );
+        // Closures and re-openings alternate, and the type is re-opened
+        // with its unretained misses on the counters.
+        for pair in tally.events.chunks(2) {
+            assert!(pair[0].closed && pair.get(1).is_none_or(|e| !e.closed));
+        }
+        let unretained = policy.counters.unretained.load(Ordering::Relaxed);
+        assert_eq!(tally.retained + unretained, 95_000);
+
+        // The types that pay keep every miss.
+        type Stream = fn(u64) -> Shape;
+        let paying: [(&str, Stream); 4] = [
+            // serve-zipf's `transform`: 4 KiB out of a 150 µs kernel, 74 % hits.
+            ("transform", |i| Shape {
+                cost_ns: US,
+                kernel_ns: 150 * US,
+                hit: i % 50 < 37,
+                out_bytes: 4 * KIB + 200,
+            }),
+            // Swaptions: two prices out of a 1 ms kernel, 80 % hits.
+            ("swaptions", |i| Shape {
+                cost_ns: US,
+                kernel_ns: 1_000 * US,
+                hit: i % 5 != 0,
+                out_bytes: 256,
+            }),
+            // Sparse LU: a 64 KiB block out of a 300 µs kernel, 5 % hits.
+            ("lu", |i| Shape {
+                cost_ns: US,
+                kernel_ns: 300 * US,
+                hit: i.is_multiple_of(20),
+                out_bytes: 64 * KIB + 200,
+            }),
+            // flood: a 256 B cell (424 B charged) out of a 300 ns kernel. A
+            // worker drains its first segment chain by chain — each chain
+            // misses twice, then hits fourteen times — and everything after
+            // it hits.
+            ("flood", |i| Shape {
+                cost_ns: US / 2,
+                kernel_ns: 300,
+                hit: i >= 128 * 16 || i % 16 >= 2,
+                out_bytes: 424,
+            }),
+        ];
+        for (name, shape) in paying {
+            let policy = TypePolicy::resolve(AtmMode::Static, MemoSpec::exact());
+            let tally = run(&policy, 100_000, shape);
+            assert!(
+                tally.events.is_empty(),
+                "{name}: {:?}",
+                tally.events.first()
+            );
+            assert_eq!(
+                policy.counters.unretained.load(Ordering::Relaxed),
+                0,
+                "{name}"
+            );
         }
     }
 

@@ -75,17 +75,23 @@ pub struct TypeSummary {
     /// Number of output regions black-listed as unstable.
     pub unstable_outputs: usize,
     /// Tasks executed unkeyed while the type's profitability ledger had it
-    /// closed (always 0 for exact and fixed-precision types).
+    /// closed (always 0 for pinned types: exact, fixed-precision, and every
+    /// type under `static_atm()` / `fixed_p()`).
     pub gated: u64,
+    /// Misses executed without capture or insert while a pinned type's
+    /// retention ledger had it closed (always 0 for adaptive types).
+    pub unretained: u64,
     /// Nanoseconds spent probing the THT and the IKT.
     pub probe_ns: u64,
     /// Kernel nanoseconds of the executions the engine keyed.
     pub kernel_ns: u64,
     /// Kernel nanoseconds avoided by steady-state hits and IKT deferrals.
     pub saved_ns: u64,
-    /// Times the ledger closed the type.
+    /// Times the ledger closed the type: an adaptive type's keying, a
+    /// pinned type's retention.
     pub gate_closures: u64,
-    /// Whether the type is being keyed right now (false while closed).
+    /// Whether the type is open right now: an adaptive type is being keyed,
+    /// a pinned type retains its misses.
     pub open: bool,
 }
 

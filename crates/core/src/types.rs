@@ -10,6 +10,7 @@ use crate::key::KeyGenerator;
 use crate::policy::TypePolicy;
 use crate::stats::TypeSummary;
 use atm_runtime::TaskTypeId;
+use atm_sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 /// Everything the engine keeps for one task type.
@@ -37,6 +38,7 @@ impl TypeEntry {
             steady: status.steady,
             unstable_outputs: status.unstable_outputs,
             gated: counts.gated,
+            unretained: self.policy.counters.unretained.load(Ordering::Relaxed),
             probe_ns: counts.probe_ns,
             kernel_ns: counts.kernel_ns,
             saved_ns: counts.saved_ns,

@@ -207,3 +207,105 @@ fn concurrent_same_key_waves_reuse_almost_everything() {
     }
     rt.shutdown();
 }
+
+#[test]
+fn a_producer_that_retains_nothing_still_serves_its_waiters() {
+    // The held-kernel shape of the first test, on a producer whose type has
+    // closed its retention: its misses write one element of a 1 MiB output, never from
+    // the same input twice, so what they would retain far outweighs what
+    // they save. The producer keeps its in-flight key, snapshots its outputs
+    // only because tasks deferred onto it, and inserts nothing.
+    const WAITERS: usize = 3;
+    const OUT: usize = 1 << 17;
+    const HELD: f64 = 0.5;
+
+    let engine = AtmEngine::shared(AtmConfig::static_atm());
+    let rt = RuntimeBuilder::new()
+        .workers(1 + WAITERS)
+        .interceptor(engine.clone())
+        .build();
+    let executions = Arc::new(AtomicUsize::new(0));
+    let in_kernel = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let (executions_k, in_kernel_k, release_k) = (
+        Arc::clone(&executions),
+        Arc::clone(&in_kernel),
+        Arc::clone(&release),
+    );
+    let tt = rt.register_task_type(
+        TaskTypeBuilder::new("held_mark", move |ctx| {
+            let x = ctx.arg::<f64>(0)[0];
+            if x == HELD {
+                executions_k.fetch_add(1, Ordering::SeqCst);
+                in_kernel_k.store(true, Ordering::SeqCst);
+                while !release_k.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+            ctx.store().write(ctx.access(1).region).lock().as_f64_mut()[0] = x + 1.0;
+        })
+        .arg::<f64>()
+        .out::<f64>()
+        .memoizable()
+        .build(),
+    );
+    let mark = |x: f64, out: &Region<f64>| {
+        let input = rt
+            .store()
+            .register_typed(format!("in{}", rt.store().len()), vec![x])
+            .unwrap();
+        rt.task(tt).reads(&input).writes(out).submit().unwrap()
+    };
+
+    // Unique inputs until the type stops retaining.
+    let warm = rt.store().register_zeros::<f64>("warm", OUT).unwrap();
+    let summary = || engine.type_summaries().into_values().next();
+    let mut x = 1.0;
+    while summary().is_none_or(|s| s.open) {
+        assert!(x < 1_000.0, "retention never closed");
+        mark(x, &warm);
+        rt.taskwait();
+        x += 1.0;
+    }
+    let inserted = engine.store_counters().insertions;
+
+    let outs: Vec<Region<f64>> = (0..=WAITERS)
+        .map(|i| rt.store().register_zeros(format!("out{i}"), OUT).unwrap())
+        .collect();
+    mark(HELD, &outs[0]);
+    wait_for(
+        "the producer to enter its kernel",
+        Duration::from_secs(10),
+        || in_kernel.load(Ordering::SeqCst),
+    );
+    for out in &outs[1..] {
+        mark(HELD, out);
+    }
+    wait_for(
+        "all same-key tasks to defer onto the in-flight producer",
+        Duration::from_secs(10),
+        || engine.stats().ikt_deferred == WAITERS as u64,
+    );
+    release.store(true, Ordering::SeqCst);
+    rt.taskwait();
+
+    assert_eq!(executions.load(Ordering::SeqCst), 1, "one execution");
+    for out in &outs {
+        let written = rt.store().read(*out).lock().as_f64().to_vec();
+        assert_eq!(written[0], HELD + 1.0);
+        assert!(written[1..].iter().all(|&v| v == 0.0));
+    }
+    assert_eq!(engine.store_counters().insertions, inserted, "no entry");
+    let closed = summary().unwrap();
+    assert!(!closed.open);
+    assert_eq!(closed.gated, 0);
+    assert!(closed.unretained >= 1);
+
+    // Nothing was retained, so a latecomer with the same key executes.
+    let late = rt.store().register_zeros::<f64>("late", OUT).unwrap();
+    mark(HELD, &late);
+    rt.taskwait();
+    assert_eq!(executions.load(Ordering::SeqCst), 2);
+    assert_eq!(rt.store().read(late).lock().as_f64()[0], HELD + 1.0);
+    rt.shutdown();
+}

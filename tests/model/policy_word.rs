@@ -1,13 +1,13 @@
-//! Protocol 8 — the per-type policy word (the profitability gate of
+//! Protocol 8 — the per-type policy word (the ledger of
 //! `crates/core/src/policy.rs`).
 //!
 //! One atomic word publishes a task type's policy: the low bits count the
-//! gated tasks left in the current closure (0 = open), the bits above carry
+//! closed tasks left in the current closure (0 = open), the bits above carry
 //! the controller's phase and `p`. A **worker** admitting a task loads the
 //! word; open → the task is keyed; count ≥ 2 → it CAS-decrements and the task
-//! is gated; count = 1 → it takes the policy's state lock, re-bases the
-//! ledger and only then stores the open word (the closure's last gated
-//! task). A worker **settling** a keyed task takes the same lock and, if the
+//! is closed (an adaptive type's is gated, a pinned type's keyed but not
+//! retained); count = 1 → it takes the policy's state lock, re-bases the
+//! ledger and only then stores the open word (the closure's last task). A worker **settling** a keyed task takes the same lock and, if the
 //! ledger says so and the word is still open, stores the closed word. The
 //! model is `TypePolicy::{admit, reopen, settle}` with the ledger shrunk to
 //! "is there a closure on the books".
@@ -24,8 +24,8 @@
 //! after another worker's re-opening, the word says "closed, one left"
 //! while the ledger says open, and the next task re-opens a type that is
 //! not closed. The last test runs the run-down race on the *real*
-//! `TypePolicy`: one atomic slice per call in an ordinary build, interleaved
-//! at every lock and atomic of `policy.rs` under
+//! `TypePolicy`, adaptive and pinned: one atomic slice per call in an
+//! ordinary build, interleaved at every lock and atomic of `policy.rs` under
 //! `RUSTFLAGS='--cfg atm_check'`.
 
 use atm_core::policy::{Admission, TypeCounters, TypePolicy};
@@ -258,54 +258,65 @@ fn a_load_store_decrement_loses_a_reopening() {
     assert_eq!(replayed.failure_kind(), Some(FailureKind::Panic));
 }
 
+/// True when the real policy admits a closed task: gated, or keyed but not
+/// retained.
+fn admit_closed(policy: &TypePolicy) -> bool {
+    let (admission, reopened) = policy.admit();
+    if let Some(event) = reopened {
+        assert!(!event.closed);
+    }
+    match admission {
+        Admission::Gated => true,
+        Admission::Keyed(plan) => !plan.retain,
+    }
+}
+
+/// A real policy, adaptive or pinned, closed by its own ledger, run down to
+/// its last three tasks and then raced.
+fn shipped_run_down(pinned: bool) {
+    let spec = if pinned {
+        MemoSpec::exact()
+    } else {
+        MemoSpec::approximate()
+    };
+    let policy = Arc::new(TypePolicy::resolve(AtmMode::Dynamic, spec));
+    // 64 keyed executions that cost a hundred times their kernels — an
+    // adaptive type's keys, a pinned type's retained bytes: the settlement
+    // closes the type for 256 tasks.
+    let counters = &policy.counters;
+    TypeCounters::add(&counters.seen, 64);
+    TypeCounters::add(&counters.executed, 64);
+    TypeCounters::add(&counters.kernel_ns, 64 * 1_000);
+    TypeCounters::add(&counters.hash_ns, 64 * 100_000);
+    TypeCounters::add(&counters.retained_bytes, 64 * 200_000);
+    let closure = policy.settle(true).expect("the ledger closes the type");
+    assert!(closure.closed);
+    for _ in 3..closure.backoff {
+        assert!(admit_closed(&policy), "closed while the closure runs");
+    }
+    let other = {
+        let policy = Arc::clone(&policy);
+        thread::spawn(move || u64::from(admit_closed(&policy)) + u64::from(admit_closed(&policy)))
+    };
+    let closed = u64::from(admit_closed(&policy)) + u64::from(admit_closed(&policy)) + other.join();
+    assert_eq!(closed, 3, "the closure lasts exactly its back-off");
+    let status = policy.status();
+    assert!(status.open, "and is then open");
+    assert_eq!(status.gate_closures, 1);
+    assert!(
+        policy.settle(true).is_none(),
+        "a fresh opening is not judged yet"
+    );
+}
+
 #[test]
 fn the_shipped_policy_word_reopens_a_closure_exactly_once() {
-    let model = || {
-        let policy = Arc::new(TypePolicy::resolve(
-            AtmMode::Dynamic,
-            MemoSpec::approximate(),
-        ));
-        // 64 keyed executions that cost a hundred times their kernels: the
-        // settlement closes the type for 256 tasks.
-        let counters = &policy.counters;
-        TypeCounters::add(&counters.seen, 64);
-        TypeCounters::add(&counters.executed, 64);
-        TypeCounters::add(&counters.kernel_ns, 64 * 1_000);
-        TypeCounters::add(&counters.hash_ns, 64 * 100_000);
-        let closure = policy.settle().expect("the ledger closes the type");
-        assert!(closure.closed);
-        // Run the closure down to its last three tasks, then race them.
-        let admit = |policy: &TypePolicy| -> bool {
-            match policy.admit() {
-                Admission::Gated(reopened) => {
-                    if let Some(event) = reopened {
-                        assert!(!event.closed);
-                    }
-                    true
-                }
-                Admission::Keyed(_) => false,
-            }
-        };
-        for _ in 3..closure.backoff {
-            assert!(admit(&policy), "gated while the closure runs");
-        }
-        let other = {
-            let policy = Arc::clone(&policy);
-            thread::spawn(move || u64::from(admit(&policy)) + u64::from(admit(&policy)))
-        };
-        let gated = u64::from(admit(&policy)) + u64::from(admit(&policy)) + other.join();
-        assert_eq!(gated, 3, "the closure gates exactly its back-off");
-        let status = policy.status();
-        assert!(status.open, "and is then open");
-        assert_eq!(status.gate_closures, 1);
-        assert!(
-            policy.settle().is_none(),
-            "a fresh opening is not judged yet"
-        );
-    };
-    Checker::exhaustive()
-        .max_schedules(2_000)
-        .check(model)
-        .assert_passed();
-    Checker::random(0x90_11C7, 200).check(model).assert_passed();
+    for pinned in [false, true] {
+        let model = move || shipped_run_down(pinned);
+        Checker::exhaustive()
+            .max_schedules(2_000)
+            .check(model)
+            .assert_passed();
+        Checker::random(0x90_11C7, 200).check(model).assert_passed();
+    }
 }
