@@ -15,7 +15,6 @@
 //! trait. Use [`build_app`] to instantiate a benchmark by name at a given
 //! [`Scale`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blackscholes;

@@ -13,7 +13,6 @@
 //! is what the harness is meant to reproduce. See `EXPERIMENTS.md` at the
 //! repository root for a paper-vs-measured discussion.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

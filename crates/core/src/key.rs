@@ -14,8 +14,9 @@
 //!   last hashed is identified by its version, not re-read. The key is
 //!   lookup3, under the task type's seed, over the arguments'
 //!   contributions `d₀‖…‖dₙ`.
-//! * **Sampled arguments** (a per-argument override below 100 % beside
-//!   other precisions) contribute the lookup3 of their selected bytes.
+//! * **Sampled arguments** (the non-exact arguments of a type that pins
+//!   others with `arg_exact(i)`) contribute the lookup3 of their selected
+//!   bytes.
 //! * **Uniformly sampled instances** (one `p` < 100 % for every argument —
 //!   Dynamic ATM's shape) hash the selected bytes of the whole input in the
 //!   order of the per-type shuffled index vector, as the paper describes,

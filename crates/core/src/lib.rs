@@ -115,7 +115,6 @@
 //! assert_eq!(stats.retired_nodes, 11);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

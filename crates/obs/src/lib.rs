@@ -66,7 +66,6 @@
 //! assert!(json.contains("\"ph\":\"X\""));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

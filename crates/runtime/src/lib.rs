@@ -70,11 +70,6 @@
 //! assert_eq!(rt.store().read(sums).lock().as_f64(), &[10.0]);
 //! ```
 
-// The runtime is deliberately `unsafe`-free (audited 2026-08: zero blocks;
-// region storage trades raw address ranges for locked typed buffers — see
-// `region.rs`). Keep it that way: soundness here is load-bearing for the
-// Miri jobs in CI, which run the region byte-path and sync suites.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;

@@ -1,6 +1,6 @@
 //! The region byte-path audit suite, written to run under Miri.
 //!
-//! `crates/runtime` is `#![forbid(unsafe_code)]`: the region store keeps
+//! The workspace forbids `unsafe_code`: the region store keeps
 //! typed, locked buffers where the original runtime tracked raw address
 //! ranges, so there is no `unsafe` block to audit line by line. What CAN
 //! still go wrong without `unsafe` is logic on the byte views — element
@@ -9,8 +9,7 @@
 //! views the ATM key generator hashes through, and the write version and
 //! digest slot that let it skip unwritten regions, reached through the store
 //! or a resolved `RegionRef` alike) and the nightly Miri job
-//! replays it to certify the absence of UB end to end, `forbid` attr
-//! included.
+//! replays it to certify the absence of UB end to end.
 
 use atm_runtime::{DataStore, ElemType, RegionData, WordSink};
 

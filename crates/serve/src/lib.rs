@@ -70,7 +70,6 @@
 //! assert_eq!(report.latency.get(atm_obs::LatencyMetric::Request).count, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use atm_core::{AtmConfig, AtmEngine};

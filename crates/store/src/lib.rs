@@ -5,9 +5,9 @@
 //! memory per bucket. This crate turns that benchmark-harness structure into
 //! a managed subsystem the rest of the workspace builds on:
 //!
-//! * [`MemoStore`] — a lock-sharded table with a **global byte budget**
-//!   enforced across shards (the paper's `(N, M)` geometry is one
-//!   configuration of [`StoreConfig`]);
+//! * [`MemoStore`] — `2^N` buckets of at most `M` entries, one `RwLock`
+//!   each, with a **global byte budget** enforced across buckets (the
+//!   paper's `(N, M)` geometry is one configuration of [`StoreConfig`]);
 //! * **FIFO eviction** — the paper's rule, for the per-bucket `ways` cap
 //!   and the global budget alike;
 //! * **admission control** — an entry whose charge exceeds the whole budget
@@ -38,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-mod hazard;
 pub mod persist;
 pub mod snapshot;
 pub mod store;

@@ -1,9 +1,9 @@
 //! The budgeted, FIFO-evicting memo store.
 //!
 //! [`MemoStore`] generalises the paper's Task History Table (§III-A,
-//! Figure 1): a power-of-two array of buckets, each a **true set-associative
-//! set** of `ways` fixed slots. On top of the paper's geometry it adds what a
-//! production memo table needs:
+//! Figure 1): a power-of-two array of buckets, each holding at most `ways`
+//! entries behind its own lock. On top of the paper's geometry it adds what
+//! a production memo table needs:
 //!
 //! * a **global byte budget** enforced across all buckets — the THT could
 //!   only bound memory per bucket, which bounds nothing when the key
@@ -17,28 +17,19 @@
 //! * **persistence** — see [`crate::persist`] for the versioned, checksummed
 //!   snapshot format behind [`MemoStore::save_to`] / [`MemoStore::load_from`].
 //!
-//! # Read path: seqlock slots, no lock
+//! # Buckets: one lock each, entries in queue order
 //!
-//! Each slot is independently **seqlock-versioned**: writers (serialised on a
-//! per-bucket mutex) bump the slot's version to odd, mutate, publish the
-//! outputs pointer, and bump back to even; readers scan the bucket's slots
-//! with plain atomic loads, validating each slot's version around the reads.
-//! A hit clones the outputs `Arc` without taking any lock, protected by a
-//! hazard pointer (the private `hazard` module) so a concurrent replacement cannot free
-//! the allocation under the reader. The full protocol — and the model that
-//! checks it — is CONCURRENCY.md, protocol 6. The cost model: a miss is
-//! `ways` version loads plus key compares over a contiguous slot array (no
-//! pointer chasing, no shared-line writes); a hit adds one hazard CAS/store
-//! pair on a thread-private line and one `Arc` increment. Nothing on the read
-//! path writes to memory shared with other readers.
-//!
-//! One mutex-guarded pass (the private `lookup_locked`) remains as the
-//! fallback the seqlock path escapes to under writer starvation or hazard
-//! exhaustion.
-//!
-//! Slots are preallocated: the default geometry (2⁸ buckets × 128 ways,
-//! ~96 B per slot) reserves ≈3 MiB up front, the price of fixed-position
-//! publication.
+//! A bucket is one `RwLock<Vec<Entry>>` whose entries sit in the THT's queue
+//! order: a new entry is pushed at the back, a same-key replacement keeps
+//! its position, and a full bucket first removes the entry with the
+//! smallest insertion stamp. A lookup takes the read lock, compares the key
+//! against the resident entries only and clones the hit's outputs `Arc`;
+//! inserts and evictions take the write lock, and no path holds two bucket
+//! locks at once. With the paper's 2⁸ buckets (§IV-B) threads rarely meet
+//! on one lock. Nothing is preallocated: an empty bucket is an empty `Vec`,
+//! so a miss there compares nothing. Replaced and evicted outputs are
+//! dropped after the lock is released, so freeing a large payload never
+//! holds up a bucket.
 //!
 //! # Counters
 //!
@@ -50,16 +41,14 @@
 //! model.
 //!
 //! With no budget the store behaves bit for bit like the original THT: same
-//! bucket indexing (low `N` bits of the hash), same per-bucket FIFO
-//! eviction, same arrival-order bookkeeping as the THT's per-bucket queue.
+//! bucket indexing (low `N` bits of the hash), same per-bucket FIFO queue
+//! and eviction.
 
-use crate::hazard::{self, HazardRegistry};
 use crate::snapshot::OutputSnapshot;
 use atm_obs::{DecisionRecord, LatencyMetric, MemoDecision, Observability};
 use atm_runtime::{TaskId, TaskTypeId};
-use atm_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use atm_sync::{thread_ordinal, Mutex};
-use std::ptr;
+use atm_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use atm_sync::{thread_ordinal, RwLock};
 use std::sync::Arc;
 
 /// The lookup key of a memo entry.
@@ -131,94 +120,17 @@ impl StoreConfig {
     }
 }
 
-/// Retries the seqlock read path grants a torn slot before giving up and
-/// taking the bucket's writer lock for one consistent pass.
-const SEQLOCK_RETRY_LIMIT: usize = 64;
-
-/// One fixed entry slot of a bucket (protocol 6's `Slot`).
-///
-/// Every field is an atomic so the lock-free read path can load them without
-/// UB while a writer mutates; consistency comes from the seqlock `version`,
-/// not from the individual loads. An **empty** slot is one whose `outputs`
-/// pointer is null — the key fields then hold stale bytes from the previous
-/// occupant, which is harmless because readers treat a null pointer as a
-/// mismatch. `arrival` reconstructs the THT's queue order: assigned at first
-/// publication, inherited by same-key replacement, refreshed when an
-/// eviction re-fills the slot with a new entry.
-#[derive(Debug, Default)]
-struct Slot {
-    /// Seqlock version: even = stable, odd = a writer is publishing.
-    version: AtomicU64,
-    hash: AtomicU64,
-    task_type: AtomicU64,
-    p_bits: AtomicU64,
-    producer: AtomicU64,
-    benefit_ns: AtomicU64,
-    charged_bytes: AtomicU64,
+/// One resident entry of a bucket.
+#[derive(Debug)]
+struct Entry {
+    key: EntryKey,
+    producer: TaskId,
+    benefit_ns: u64,
+    charged_bytes: usize,
     /// Logical clock at insertion: the eviction order (smallest goes first)
-    /// and the identity stamp for raced budget evictions.
-    inserted_seq: AtomicU64,
-    /// Queue-order stamp: the slot's position in the bucket's logical FIFO.
-    arrival: AtomicU64,
-    /// The published outputs: an `Arc` whose strong count the slot owns
-    /// (`Arc::into_raw` at publish, reclaimed through [`crate::hazard`]).
-    outputs: AtomicPtr<Vec<OutputSnapshot>>,
-}
-
-impl Slot {
-    #[inline]
-    fn is_occupied(&self) -> bool {
-        !self.outputs.load(Ordering::Relaxed).is_null()
-    }
-
-    #[inline]
-    fn matches(&self, key: &EntryKey) -> bool {
-        self.hash.load(Ordering::Relaxed) == key.hash
-            && self.task_type.load(Ordering::Relaxed) == key.task_type.index() as u64
-            && self.p_bits.load(Ordering::Relaxed) == key.p_bits
-    }
-
-    /// Reconstructs the key. Caller holds the bucket writer lock.
-    fn key(&self) -> EntryKey {
-        EntryKey {
-            task_type: TaskTypeId::from_raw(self.task_type.load(Ordering::Relaxed) as u32),
-            hash: self.hash.load(Ordering::Relaxed),
-            p_bits: self.p_bits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Makes the version odd: readers now retry. Caller holds the bucket
-    /// writer lock.
-    fn begin_publish(&self) {
-        let v = self.version.fetch_add(1, Ordering::SeqCst);
-        debug_assert_eq!(v & 1, 0, "begin_publish on a slot already mid-publish");
-    }
-
-    /// Makes the version even again: the mutated slot is readable.
-    fn end_publish(&self) {
-        let v = self.version.fetch_add(1, Ordering::SeqCst);
-        debug_assert_eq!(v & 1, 1, "end_publish without begin_publish");
-    }
-
-    /// Writes the entry fields (everything but `arrival` and the outputs
-    /// pointer). Caller holds the writer lock and an odd version.
-    fn write_entry(
-        &self,
-        key: &EntryKey,
-        producer: TaskId,
-        charged: usize,
-        seq: u64,
-        benefit: u64,
-    ) {
-        self.hash.store(key.hash, Ordering::Relaxed);
-        self.task_type
-            .store(key.task_type.index() as u64, Ordering::Relaxed);
-        self.p_bits.store(key.p_bits, Ordering::Relaxed);
-        self.producer.store(producer.raw(), Ordering::Relaxed);
-        self.charged_bytes.store(charged as u64, Ordering::Relaxed);
-        self.inserted_seq.store(seq, Ordering::Relaxed);
-        self.benefit_ns.store(benefit, Ordering::Relaxed);
-    }
+    /// and, being unique, the identity of a sampled budget victim.
+    inserted_seq: u64,
+    outputs: Arc<Vec<OutputSnapshot>>,
 }
 
 /// Writer-path statistics of one bucket, on their own cache line so bucket
@@ -229,27 +141,15 @@ struct BucketStats {
     insertions: AtomicU64,
     evictions: AtomicU64,
     rejected_admissions: AtomicU64,
-    /// Occupied slots; exact, maintained under the bucket writer lock.
+    /// Resident entries; exact, maintained under the bucket's write lock.
     entries: AtomicU64,
 }
 
-/// One set-associative bucket: `ways` seqlock slots plus the mutex that
-/// serialises writers (readers never touch it on the seqlock path).
-#[derive(Debug)]
+/// One bucket: its entries in queue order, behind one lock.
+#[derive(Debug, Default)]
 struct Bucket {
-    writer: Mutex<()>,
-    slots: Box<[Slot]>,
+    entries: RwLock<Vec<Entry>>,
     stats: BucketStats,
-}
-
-impl Bucket {
-    fn new(ways: usize) -> Self {
-        Bucket {
-            writer: Mutex::new(()),
-            slots: (0..ways).map(|_| Slot::default()).collect(),
-            stats: BucketStats::default(),
-        }
-    }
 }
 
 /// Read-path statistics stripe: one cache line per shard, indexed by thread
@@ -364,7 +264,6 @@ pub struct MemoStore {
     evict_cursor: PaddedUsize,
     resident_bytes: PaddedUsize,
     reader_stats: Box<[ReaderShard]>,
-    hazards: HazardRegistry,
     /// Observability handle (attached post-construction, see
     /// [`MemoStore::set_observability`]); store-side events are stamped on
     /// its clock, the same one the runtime and the engine stamp on.
@@ -380,7 +279,7 @@ impl MemoStore {
         );
         assert!(config.ways >= 1, "each bucket needs at least one way");
         let buckets = (0..(1usize << config.bucket_bits))
-            .map(|_| Bucket::new(config.ways))
+            .map(|_| Bucket::default())
             .collect();
         MemoStore {
             buckets,
@@ -389,7 +288,6 @@ impl MemoStore {
             evict_cursor: PaddedUsize::default(),
             resident_bytes: PaddedUsize::default(),
             reader_stats: (0..READER_SHARDS).map(|_| ReaderShard::default()).collect(),
-            hazards: HazardRegistry::new(),
             obs: None,
         }
     }
@@ -453,19 +351,24 @@ impl MemoStore {
         &self.reader_stats[thread_ordinal() % READER_SHARDS]
     }
 
-    /// Looks up an entry with exactly this key.
-    ///
-    /// This takes **no lock**: each slot of the key's bucket is read under
-    /// its seqlock version (protocol 6), and a hit clones the outputs `Arc`
-    /// under hazard-pointer protection. Concurrent lookups — even of the
-    /// same entry — share no written cache line.
+    /// Looks up an entry with exactly this key, under its bucket's read
+    /// lock: concurrent lookups share the lock, an insert or eviction on the
+    /// same bucket excludes them.
     ///
     /// A hit does *not* accrue `saved_ns`: the caller may still execute the
     /// task (dynamic-ATM training, output-shape mismatch), so it reports
     /// genuinely avoided work separately via [`MemoStore::note_saved`].
     pub fn lookup(&self, key: &EntryKey) -> Option<MemoHit> {
-        let bucket = &self.buckets[self.bucket_of(key)];
-        let found = self.lookup_seqlock(bucket, key);
+        let found = self.buckets[self.bucket_of(key)]
+            .entries
+            .read()
+            .iter()
+            .find(|e| e.key == *key)
+            .map(|e| MemoHit {
+                producer: e.producer,
+                outputs: Arc::clone(&e.outputs),
+                benefit_ns: e.benefit_ns,
+            });
         let shard = self.reader_shard();
         if found.is_some() {
             shard.hits.fetch_add(1, Ordering::Relaxed);
@@ -473,84 +376,6 @@ impl MemoStore {
             shard.misses.fetch_add(1, Ordering::Relaxed);
         }
         found
-    }
-
-    /// Protocol 6 reader: per-slot seqlock validation, hazard-protected
-    /// `Arc` clone, no lock.
-    fn lookup_seqlock(&self, bucket: &Bucket, key: &EntryKey) -> Option<MemoHit> {
-        'slots: for slot in bucket.slots.iter() {
-            let mut attempts = 0usize;
-            loop {
-                if attempts > SEQLOCK_RETRY_LIMIT {
-                    // Writer starvation (or hazard exhaustion below): one
-                    // locked pass is always consistent.
-                    return self.lookup_locked(bucket, key);
-                }
-                attempts += 1;
-                // R1: snapshot the version; odd means a writer is mid-publish.
-                let v1 = slot.version.load(Ordering::Acquire);
-                if v1 & 1 != 0 {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                // R2: read the key fields and the outputs pointer.
-                let matches = slot.matches(key);
-                let producer = slot.producer.load(Ordering::Relaxed);
-                let benefit_ns = slot.benefit_ns.load(Ordering::Relaxed);
-                let ptr = slot.outputs.load(Ordering::Acquire);
-                if ptr.is_null() || !matches {
-                    if slot.version.load(Ordering::Acquire) == v1 {
-                        // Stable empty-or-mismatch: this slot is not ours.
-                        continue 'slots;
-                    }
-                    continue; // torn read: retry this slot
-                }
-                // R3: publish the hazard, then revalidate. A validated
-                // version proves (in the SeqCst total order) the hazard
-                // store precedes any unpublishing writer's version bump,
-                // so that writer's hazard scan will see it (see hazard.rs).
-                let Some(guard) = self.hazards.claim() else {
-                    return self.lookup_locked(bucket, key);
-                };
-                guard.protect(ptr);
-                if slot.version.load(Ordering::SeqCst) != v1 {
-                    continue; // torn: guard drops, clearing the hazard
-                }
-                // SAFETY: hazard published and validated as above, so the
-                // allocation cannot be freed before the guard clears.
-                let outputs = unsafe { hazard::clone_protected(ptr) };
-                drop(guard);
-                return Some(MemoHit {
-                    producer: TaskId::from_raw(producer),
-                    outputs,
-                    benefit_ns,
-                });
-            }
-        }
-        None
-    }
-
-    /// The mutex-guarded read path: the seqlock reader's fallback. Holding
-    /// the bucket writer lock excludes publication, so slots can be read
-    /// directly and the `Arc` cloned without a hazard.
-    fn lookup_locked(&self, bucket: &Bucket, key: &EntryKey) -> Option<MemoHit> {
-        let _writer = bucket.writer.lock();
-        for slot in bucket.slots.iter() {
-            let ptr = slot.outputs.load(Ordering::Acquire);
-            if ptr.is_null() || !slot.matches(key) {
-                continue;
-            }
-            // SAFETY: the bucket writer lock is held, so no writer can
-            // unpublish and retire `ptr` concurrently; the slot keeps its
-            // strong count alive for the duration.
-            let outputs = unsafe { hazard::clone_protected(ptr) };
-            return Some(MemoHit {
-                producer: TaskId::from_raw(slot.producer.load(Ordering::Relaxed)),
-                outputs,
-                benefit_ns: slot.benefit_ns.load(Ordering::Relaxed),
-            });
-        }
-        None
     }
 
     /// Records that a hit actually replaced an execution, crediting the
@@ -571,7 +396,7 @@ impl MemoStore {
     /// order of [`MemoStore::load_from`].
     ///
     /// An entry with the same key is replaced in place (its bytes are
-    /// released first, so nothing is double-counted; the slot keeps its
+    /// released first, so nothing is double-counted; the entry keeps its
     /// queue position). When the bucket is full or the store exceeds its
     /// byte budget, the oldest entries go until both bounds hold again.
     pub fn insert(
@@ -600,82 +425,64 @@ impl MemoStore {
                 return InsertOutcome::Rejected;
             }
         }
-        let seq = self.tick();
-        // The slot will own one strong count of the outputs.
-        let new_ptr = Arc::into_raw(outputs) as *mut Vec<OutputSnapshot>;
+        let entry = Entry {
+            key,
+            producer,
+            benefit_ns,
+            charged_bytes: charged,
+            inserted_seq: self.tick(),
+            outputs,
+        };
 
         // Count the bytes *before* the entry becomes visible: a concurrent
         // budget eviction may remove the entry (and subtract its charge)
-        // the moment the writer lock drops, and the counter must never
-        // see a subtraction for bytes that were not yet added (usize
+        // the moment the write lock drops, and the counter must never see
+        // a subtraction for bytes that were not yet added (usize
         // wrap-around would read as "over budget" and flush the store).
         self.resident_bytes.0.fetch_add(charged, Ordering::Relaxed);
-        let mut freed = 0usize;
-        let mut evicted = None;
 
-        let writer = bucket.writer.lock();
-        let slots = &bucket.slots;
-        let replaced = if let Some(slot) = slots.iter().find(|s| s.is_occupied() && s.matches(&key))
-        {
-            // Same key: replace in place, keeping the slot's queue position.
-            freed += slot.charged_bytes.load(Ordering::Relaxed) as usize;
-            slot.begin_publish();
-            slot.write_entry(&key, producer, charged, seq, benefit_ns);
-            let old = slot.outputs.swap(new_ptr, Ordering::SeqCst);
-            slot.end_publish();
-            self.hazards.retire(old);
-            true
-        } else if let Some(slot) = slots.iter().find(|s| !s.is_occupied()) {
-            // Free slot: publish the new entry at the back of the queue.
-            slot.begin_publish();
-            slot.write_entry(&key, producer, charged, seq, benefit_ns);
-            slot.arrival.store(seq, Ordering::Relaxed);
-            let old = slot.outputs.swap(new_ptr, Ordering::SeqCst);
-            debug_assert!(old.is_null(), "free slot held a pointer");
-            slot.end_publish();
-            bucket.stats.entries.fetch_add(1, Ordering::Relaxed);
-            false
+        let mut entries = bucket.entries.write();
+        let mut evicted = None;
+        let replaced = if let Some(i) = entries.iter().position(|e| e.key == key) {
+            // Same key: replace in place, keeping the queue position.
+            Some(std::mem::replace(&mut entries[i], entry))
         } else {
-            // Full bucket: the oldest resident goes, and the incoming entry
-            // takes its slot (it is never its own victim).
-            let slot = slots
-                .iter()
-                .min_by_key(|s| s.inserted_seq.load(Ordering::Relaxed))
-                .expect("a bucket has at least one way");
-            let vbytes = slot.charged_bytes.load(Ordering::Relaxed) as usize;
-            freed += vbytes;
-            evicted = Some((
-                slot.key(),
-                TaskId::from_raw(slot.producer.load(Ordering::Relaxed)),
-                vbytes,
-            ));
-            slot.begin_publish();
-            slot.write_entry(&key, producer, charged, seq, benefit_ns);
-            slot.arrival.store(seq, Ordering::Relaxed);
-            let old = slot.outputs.swap(new_ptr, Ordering::SeqCst);
-            slot.end_publish();
-            self.hazards.retire(old);
-            false
+            if entries.len() >= self.config.ways {
+                // Full bucket: the oldest resident goes (the incoming entry
+                // is never its own victim).
+                let oldest = (0..entries.len())
+                    .min_by_key(|&i| entries[i].inserted_seq)
+                    .expect("a full bucket holds at least one entry");
+                evicted = Some(entries.remove(oldest));
+            } else {
+                bucket.stats.entries.fetch_add(1, Ordering::Relaxed);
+            }
+            entries.push(entry);
+            None
         };
-        drop(writer);
+        drop(entries);
 
         bucket.stats.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             bucket.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        // `freed` covers only entries that were visible in the bucket, so
-        // their charges are already in the counter.
-        self.resident_bytes.0.fetch_sub(freed, Ordering::Relaxed);
+        // The released entry was visible in the bucket, so its charge is
+        // already in the counter.
+        if let Some(old) = replaced.as_ref().or(evicted.as_ref()) {
+            self.resident_bytes
+                .0
+                .fetch_sub(old.charged_bytes, Ordering::Relaxed);
+        }
         self.enforce_budget();
         if let (Some(obs), Some(start)) = (obs, insert_start) {
-            if let Some((ekey, eproducer, ebytes)) = evicted {
-                let decision = MemoDecision::Eviction;
-                Self::record_decision(obs, shard, decision, &ekey, eproducer, ebytes);
+            if let Some(victim) = &evicted {
+                let (decision, bytes) = (MemoDecision::Eviction, victim.charged_bytes);
+                Self::record_decision(obs, shard, decision, &victim.key, victim.producer, bytes);
             }
             obs.sample_store_bytes(shard, self.memory_bytes() as u64);
             obs.record_latency(LatencyMetric::StoreInsert, shard, obs.now_ns() - start);
         }
-        if replaced {
+        if replaced.is_some() {
             InsertOutcome::Replaced
         } else {
             InsertOutcome::Inserted
@@ -715,22 +522,19 @@ impl MemoStore {
     fn evict_round(&self, budget: usize) -> bool {
         let n = self.buckets.len();
         let start = self.evict_cursor.0.fetch_add(1, Ordering::Relaxed) % n;
-        // (inserted_seq, bucket, key): the stamp orders and identifies.
-        let mut gathered: Vec<(u64, usize, EntryKey)> = Vec::new();
+        // (inserted_seq, bucket): the stamp orders and identifies.
+        let mut gathered: Vec<(u64, usize)> = Vec::new();
         let mut sampled = 0usize;
         for step in 0..n {
             let b = (start + step) % n;
-            let bucket = &self.buckets[b];
             let before = gathered.len();
-            let writer = bucket.writer.lock();
             gathered.extend(
-                bucket
-                    .slots
+                self.buckets[b]
+                    .entries
+                    .read()
                     .iter()
-                    .filter(|s| s.is_occupied())
-                    .map(|s| (s.inserted_seq.load(Ordering::Relaxed), b, s.key())),
+                    .map(|e| (e.inserted_seq, b)),
             );
-            drop(writer);
             if gathered.len() > before {
                 sampled += 1;
                 if sampled >= EVICTION_SAMPLE_BUCKETS {
@@ -742,31 +546,28 @@ impl MemoStore {
         gathered.sort_unstable_by_key(|g| g.0);
 
         let mut evicted_any = false;
-        for (seq, b, key) in gathered {
+        for (seq, b) in gathered {
             if self.resident_bytes.0.load(Ordering::Relaxed) <= budget {
                 break;
             }
             let bucket = &self.buckets[b];
-            let writer = bucket.writer.lock();
-            let slot = bucket.slots.iter().find(|s| {
-                s.is_occupied() && s.matches(&key) && s.inserted_seq.load(Ordering::Relaxed) == seq
-            });
-            // A raced-away victim just drops out of the sample.
-            if let Some(slot) = slot {
-                let bytes = slot.charged_bytes.load(Ordering::Relaxed) as usize;
-                let producer = TaskId::from_raw(slot.producer.load(Ordering::Relaxed));
-                slot.begin_publish();
-                let old = slot.outputs.swap(ptr::null_mut(), Ordering::SeqCst);
-                slot.end_publish();
-                self.hazards.retire(old);
-                bucket.stats.entries.fetch_sub(1, Ordering::Relaxed);
-                bucket.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                drop(writer);
-                self.resident_bytes.0.fetch_sub(bytes, Ordering::Relaxed);
-                evicted_any = true;
-                if let Some(obs) = &self.obs {
-                    Self::record_decision(obs, b, MemoDecision::Eviction, &key, producer, bytes);
-                }
+            let mut entries = bucket.entries.write();
+            // A raced-away victim (evicted, or replaced under a newer
+            // stamp) just drops out of the sample.
+            let Some(i) = entries.iter().position(|e| e.inserted_seq == seq) else {
+                continue;
+            };
+            let victim = entries.remove(i);
+            bucket.stats.entries.fetch_sub(1, Ordering::Relaxed);
+            bucket.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            drop(entries);
+            self.resident_bytes
+                .0
+                .fetch_sub(victim.charged_bytes, Ordering::Relaxed);
+            evicted_any = true;
+            if let Some(obs) = &self.obs {
+                let (decision, bytes) = (MemoDecision::Eviction, victim.charged_bytes);
+                Self::record_decision(obs, b, decision, &victim.key, victim.producer, bytes);
             }
         }
         evicted_any
@@ -823,55 +624,20 @@ impl MemoStore {
         snap
     }
 
-    /// All resident entries, in bucket order then queue (arrival) order —
-    /// the same sequence the old deque-bucket store produced. This is the
-    /// view the persistence layer serialises.
+    /// All resident entries, in bucket order then queue order — the THT's
+    /// per-bucket queues, read one bucket at a time. This is the view the
+    /// persistence layer serialises.
     pub fn export(&self) -> Vec<ExportedEntry> {
         let mut out = Vec::new();
         for bucket in &self.buckets {
-            let writer = bucket.writer.lock();
-            let mut entries: Vec<(u64, ExportedEntry)> = bucket
-                .slots
-                .iter()
-                .filter(|s| s.is_occupied())
-                .map(|s| {
-                    let ptr = s.outputs.load(Ordering::Acquire);
-                    // SAFETY: the bucket writer lock is held, so the slot's
-                    // strong count stays alive for the clone.
-                    let outputs = unsafe { hazard::clone_protected(ptr) };
-                    (
-                        s.arrival.load(Ordering::Relaxed),
-                        ExportedEntry {
-                            key: s.key(),
-                            producer: TaskId::from_raw(s.producer.load(Ordering::Relaxed)),
-                            benefit_ns: s.benefit_ns.load(Ordering::Relaxed),
-                            outputs,
-                        },
-                    )
-                })
-                .collect();
-            drop(writer);
-            entries.sort_by_key(|e| e.0);
-            out.extend(entries.into_iter().map(|e| e.1));
+            out.extend(bucket.entries.read().iter().map(|e| ExportedEntry {
+                key: e.key,
+                producer: e.producer,
+                benefit_ns: e.benefit_ns,
+                outputs: Arc::clone(&e.outputs),
+            }));
         }
         out
-    }
-}
-
-impl Drop for MemoStore {
-    fn drop(&mut self) {
-        for bucket in &self.buckets {
-            for slot in bucket.slots.iter() {
-                let ptr = slot.outputs.swap(ptr::null_mut(), Ordering::SeqCst);
-                if !ptr.is_null() {
-                    // SAFETY: `&mut self` — no reader can borrow the store,
-                    // so no hazard protects the pointer, and each occupied
-                    // slot owns exactly one strong count.
-                    unsafe { drop(Arc::from_raw(ptr)) };
-                }
-            }
-        }
-        self.hazards.drain_all();
     }
 }
 
@@ -975,6 +741,52 @@ mod tests {
         }
     }
 
+    /// Three inserters on overlapping keys and a reader, against a budget a
+    /// few entries wide. A charge is added before its entry is visible and
+    /// subtracted only for entries that were, so at quiescence the byte
+    /// gauge is exactly the charge of what is resident, within the budget.
+    #[test]
+    fn concurrent_inserts_keep_the_budget_accounting_exact() {
+        let entry = entry_charge_bytes(&snapshot(&[0.0; 16]));
+        let budget = 6 * entry + entry / 2;
+        let store = MemoStore::new(StoreConfig::paper(2, 4).with_byte_budget(budget));
+        std::thread::scope(|scope| {
+            for t in 0..3u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..3_000u64 {
+                        let k = (i * 7 + t * 5) % 24;
+                        // Sizes vary, so a replacement changes the charge.
+                        let len = 16 * (1 + ((i + t) % 3) as usize);
+                        store.insert(key(k), producer(t), snapshot(&vec![k as f32; len]), 0);
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for i in 0..6_000u64 {
+                    if let Some(hit) = store.lookup(&key(i % 24)) {
+                        let values = hit.outputs[0].data.as_f32();
+                        assert!(values.iter().all(|v| *v == (i % 24) as f32), "wrong entry");
+                    }
+                }
+            });
+        });
+        let exported = store.export();
+        let charged: usize = exported
+            .iter()
+            .map(|e| entry_charge_bytes(&e.outputs))
+            .sum();
+        assert!(
+            store.memory_bytes() <= budget,
+            "resident bytes {} exceed the budget {budget}",
+            store.memory_bytes()
+        );
+        assert_eq!(store.memory_bytes(), charged);
+        let counters = store.counters();
+        assert_eq!(counters.entries, exported.len() as u64);
+        assert!(counters.evictions > 0, "the budget must have evicted");
+    }
+
     #[test]
     fn admission_control_rejects_oversized_entries() {
         let outputs = snapshot(&[1.0; 512]);
@@ -1041,29 +853,11 @@ mod tests {
         });
     }
 
-    /// The seqlock reader's fallback is unreachable without writer
-    /// starvation, so it is exercised directly.
-    #[test]
-    fn locked_reads_sees_the_same_entries() {
-        let store = MemoStore::new(one_bucket(4));
-        store.insert(key(1), producer(1), snapshot(&[1.0; 4]), 100);
-        store.insert(key(2), producer(2), snapshot(&[2.0; 4]), 200);
-        let bucket = &store.buckets[0];
-        let hit = store.lookup_locked(bucket, &key(2)).unwrap();
-        assert_eq!(hit.producer, producer(2));
-        assert_eq!(hit.benefit_ns, 200);
-        assert_eq!(hit.outputs[0].data.as_f32(), &[2.0; 4]);
-        assert!(store.lookup_locked(bucket, &key(3)).is_none());
-        let seqlock = store.lookup(&key(2)).unwrap();
-        assert_eq!(seqlock.producer, hit.producer);
-        assert_eq!(seqlock.outputs[0].data.as_f32(), &[2.0; 4]);
-    }
-
     #[test]
     fn concurrent_readers_survive_replacement_storms() {
-        // Hammer one key with concurrent replacements while readers spin on
-        // the seqlock path: every hit must observe a fully published entry
-        // (uniform payload, matching producer parity).
+        // Hammer one key with concurrent replacements while readers look it
+        // up: every hit must observe one whole entry (uniform payload,
+        // matching producer).
         let store = MemoStore::new(one_bucket(2));
         store.insert(key(7), producer(0), snapshot(&[0.0; 32]), 0);
         std::thread::scope(|scope| {

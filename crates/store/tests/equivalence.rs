@@ -1,15 +1,14 @@
-//! Observational equivalence of the seqlock set-associative store against a
-//! reference model of the old mutex-guarded deque-bucket store.
+//! Observational equivalence of `MemoStore` against a reference model of the
+//! THT's deque buckets.
 //!
-//! The lock-free rebuild of `MemoStore` (CONCURRENCY.md, protocol 6) is only
-//! a performance change: single-threaded, every program must produce exactly
-//! the hit/miss/outcome sequence, the same counters, the same export order
-//! and a byte-identical persistence snapshot as the old implementation. The
-//! reference model below *is* the old implementation's semantics — one
-//! `VecDeque` per bucket, replace-in-place keeping the queue position, the
-//! incoming entry pushed last and the entry with the smallest insertion stamp
-//! evicted while the bucket overflows, a logical clock ticked on every
-//! insertion.
+//! Single-threaded, every program must produce exactly the hit/miss/outcome
+//! sequence, the same counters, the same export order and a byte-identical
+//! persistence snapshot as the reference model below: one `VecDeque` per
+//! bucket, replace-in-place keeping the queue position, the incoming entry
+//! pushed last and the entry with the smallest insertion stamp evicted while
+//! the bucket overflows, a logical clock ticked on every insertion. (The
+//! test's name dates from the seqlock-slot store, which this model held to
+//! the same semantics.)
 
 use atm_hash::prng::Xoshiro256StarStar;
 use atm_runtime::{RegionData, RegionId, TaskId, TaskTypeId};

@@ -13,15 +13,10 @@
 
 #[cfg(not(atm_check))]
 pub use std::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+    fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
 };
 
 #[cfg(atm_check)]
 pub use crate::check::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize};
-// `AtomicPtr` has no instrumented twin: pointer-width payloads cannot be
-// modelled by the checker's value-tracking cells, and under the checker an
-// uninstrumented operation is simply atomic (it is not a scheduling point).
-// Protocols built on it get their scheduling points from the instrumented
-// version/lock operations around it — see `CONCURRENCY.md` protocol 6.
 #[cfg(atm_check)]
-pub use std::sync::atomic::{fence, AtomicPtr, Ordering};
+pub use std::sync::atomic::{fence, Ordering};

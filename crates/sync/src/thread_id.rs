@@ -1,7 +1,7 @@
 //! Small, dense, process-wide thread ordinals.
 //!
 //! Several hot paths want to spread per-thread state across a fixed array of
-//! cache-padded shards (striped statistics counters, hazard-slot hints)
+//! cache-padded shards (striped statistics counters)
 //! without threading a worker index through every call site. [`thread_ordinal`]
 //! gives each OS thread a small integer, assigned on first use from a global
 //! counter and cached in a thread-local, so `ordinal % SHARDS` is a stable,

@@ -59,7 +59,6 @@
 //! assert_eq!(engine.stats().tht_bypassed, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The six evaluated applications (re-export of [`atm_apps`]).

@@ -1,5 +1,5 @@
 //! `atm-check` model suite: the workspace's load-bearing hand-rolled
-//! protocols (eight, at last count — see CONCURRENCY.md's inventory),
+//! protocols (seven live ones, at last count — see CONCURRENCY.md's inventory),
 //! encoded as small models and explored by the deterministic model
 //! checker in `atm_sync::check`.
 //!
@@ -14,17 +14,17 @@
 //! written directly against the instrumented types in
 //! `atm_sync::check::sync`. Building the whole workspace with
 //! `RUSTFLAGS='--cfg atm_check'` additionally instruments *production*
-//! code, which `ikt_regression` uses to drive the real `TaskGraph` under
-//! the checker. See `CONCURRENCY.md` for the protocol inventory and the
+//! code, which `ikt_regression` and `memo_store` use to drive the real
+//! `TaskGraph` and `MemoStore` under the checker. See `CONCURRENCY.md` for the protocol inventory and the
 //! modelling guide.
 
 mod event_reset;
 mod frontier_shards;
 mod ikt_regression;
+mod memo_store;
 mod policy_word;
 mod region_digest;
 mod release;
 mod release_packet;
-mod seqlock_bucket;
 mod sleepers;
 mod slot_reuse;
