@@ -11,8 +11,10 @@
 //! figure6 figure7 figure8 figure9. `--scale paper` runs the paper's own
 //! problem sizes (several GiB, long runtimes).
 //!
-//! `--quick` is the CI smoke mode: tiny scale, two workers. `--json DIR`
-//! writes one `BENCH_<experiment>.json` per experiment with the machine-
+//! `--workers` defaults to the host's available parallelism, so a run
+//! never oversubscribes its cores. `--quick` is the CI smoke mode: tiny
+//! scale, at most two workers. `--json DIR` writes one
+//! `eval_<experiment>.json` per experiment with the machine-
 //! readable metrics (memo-store hits, misses, insertions, evictions,
 //! rejected admissions, resident bytes, saved kernel time, task-latency
 //! percentiles). `--trace FILE` additionally runs a small workload under a
@@ -36,15 +38,21 @@ struct Cli {
 
 fn usage() -> String {
     format!(
-        "usage: atm-eval <experiment>|all [--scale tiny|small|paper] [--workers N] [--csv DIR] [--json DIR] [--trace FILE] [--quick]\n       atm-eval --list\n\nexperiments: {}",
+        "usage: atm-eval <experiment>|all [--scale tiny|small|paper] [--workers N] [--csv DIR] [--json DIR] [--trace FILE] [--quick]\n       atm-eval --list\n\n--workers defaults to the available parallelism ({} here)\nexperiments: {}",
+        default_workers(),
         all_experiments().join(" ")
     )
+}
+
+/// One worker per core the host makes available (1 when it cannot tell).
+fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut experiments = Vec::new();
     let mut scale = Scale::Small;
-    let mut workers = 8usize;
+    let mut workers = default_workers();
     let mut csv_dir = None;
     let mut json_dir = None;
     let mut trace_path = None;
@@ -201,6 +209,7 @@ mod tests {
         assert!(cli.json_dir.is_none());
         let paper = parse_args(&strings(&["table1", "--scale", "paper"])).unwrap();
         assert_eq!(paper.scale, Scale::Paper);
+        assert_eq!(paper.workers, default_workers(), "one worker per core");
         assert!(parse_args(&strings(&["table1", "--scale", "huge"])).is_err());
     }
 
@@ -208,7 +217,7 @@ mod tests {
     fn quick_mode_forces_tiny_scale_and_caps_workers() {
         let cli = parse_args(&strings(&["figure3", "figure6", "--quick"])).unwrap();
         assert_eq!(cli.scale, Scale::Tiny);
-        assert_eq!(cli.workers, 2);
+        assert_eq!(cli.workers, default_workers().min(2));
         assert_eq!(
             cli.experiments,
             vec![Experiment::Figure3, Experiment::Figure6]

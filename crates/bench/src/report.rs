@@ -5,7 +5,7 @@ use std::path::Path;
 
 /// The output of one experiment: a title, a free-form text block (what the
 /// user sees on stdout), a set of CSV rows (what plotting scripts read) and
-/// named scalar metrics (what the `BENCH_<id>.json` machine report tracks —
+/// named scalar metrics (what the `eval_<id>.json` machine report tracks —
 /// cache behaviour, hit rates and saved time, not just wall-clock).
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -120,10 +120,10 @@ impl Report {
         out
     }
 
-    /// Writes the JSON report to `<dir>/BENCH_<id>.json`.
+    /// Writes the JSON report to `<dir>/eval_<id>.json`.
     pub fn write_json(&self, dir: &Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.id));
+        let path = dir.join(format!("eval_{}.json", self.id));
         std::fs::write(&path, self.json())?;
         Ok(path)
     }
@@ -193,7 +193,7 @@ mod tests {
         let dir = std::env::temp_dir().join("atm-eval-test-json");
         let _ = std::fs::remove_dir_all(&dir);
         let path = report.write_json(&dir).unwrap();
-        assert!(path.ends_with("BENCH_press.json"));
+        assert!(path.ends_with("eval_press.json"));
         assert_eq!(std::fs::read_to_string(path).unwrap(), json);
         let _ = std::fs::remove_dir_all(&dir);
     }

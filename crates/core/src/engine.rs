@@ -35,9 +35,6 @@ use crate::config::AtmConfig;
 use crate::ikt::{InFlightKeyTable, Waiter};
 use crate::key::{KeyGenerator, KeyScratch};
 use crate::policy::{Admission, GateEvent, TypeCounters, TypePolicy};
-use crate::snapshot::{
-    apply_snapshots_to_resolved, elem_range_within, resolved_writes, OutputSnapshot,
-};
 use crate::stats::{AtmStatsSnapshot, TypeSummary};
 use crate::tht::EntryKey;
 use crate::training::evaluate_metric_data;
@@ -50,6 +47,7 @@ use atm_runtime::{
     Access, DataStore, Decision, ErrorMetric, RegionId, RegionRef, TaskContext, TaskId,
     TaskInterceptor, TaskTypeId, TaskView, ThreadState, Tracer,
 };
+use atm_store::snapshot::{apply_snapshots_to_resolved, resolved_writes, OutputSnapshot};
 use atm_store::{entry_charge_bytes, MemoStore, PersistError, StoreCountersSnapshot};
 #[cfg(debug_assertions)]
 use atm_sync::atomic::{AtomicU64, Ordering};
@@ -368,7 +366,7 @@ impl AtmEngine {
 
     /// True when a stored set of output snapshots can be copied into the
     /// write accesses of `accesses` (resolved to `regions`): the same number
-    /// of outputs with the same element counts, in declaration order — read
+    /// of outputs with the same region lengths, in declaration order — read
     /// off the handles' cached lengths, without a lock. Stored outputs (THT
     /// entries, in-flight producers) can only serve tasks of identical
     /// output shape; task types normally have a fixed one, but the engine
@@ -381,9 +379,9 @@ impl AtmEngine {
     ) -> bool {
         let mut writes = resolved_writes(accesses, regions);
         outputs.iter().all(|snapshot| {
-            writes.next().is_some_and(|(access, region)| {
-                elem_range_within(access, region.len()).len() == snapshot.elem_range.len()
-            })
+            writes
+                .next()
+                .is_some_and(|(_, region)| region.len() == snapshot.data.len())
         }) && writes.next().is_none()
     }
 
@@ -400,12 +398,10 @@ impl AtmEngine {
         for ((access, region), snapshot) in
             resolved_writes(view.accesses, view.regions).zip(reference)
         {
-            let elem_range = elem_range_within(access, region.len());
-            let correct = region.read().slice_elems(elem_range);
             // Shape or element-type mismatches come back as infinity: a
             // stored entry that no longer matches the task's outputs can
             // never be an acceptable approximation.
-            let tau = evaluate_metric_data(ErrorMetric::Chebyshev, &correct, &snapshot.data);
+            let tau = evaluate_metric_data(ErrorMetric::Chebyshev, &region.read(), &snapshot.data);
             overall_tau = overall_tau.max(tau);
             if tau >= tau_max {
                 failing.push(access.region);

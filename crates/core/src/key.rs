@@ -7,9 +7,9 @@
 //!
 //! * **Exact arguments** (`p` = 100 %) contribute a *digest*: the four-lane
 //!   [`atm_hash::digest`] of the argument's bytes under the fixed
-//!   [`DIGEST_SEED`], fed 64-bit words straight from the typed storage. The
-//!   digest of a *whole region* is cached in the region's digest slot,
-//!   tagged with the region's write version
+//!   [`DIGEST_SEED`], fed 64-bit words straight from the typed storage. An
+//!   argument is always a whole region, and its digest is cached in the
+//!   region's digest slot, tagged with the region's write version
 //!   ([`RegionRead::digest_or_fill`]): a region nobody wrote since it was
 //!   last hashed is identified by its version, not re-read. The key is
 //!   lookup3, under the task type's seed, over the arguments'
@@ -34,7 +34,6 @@
 //! [`compute_uniform`](KeyGenerator::compute_uniform) resolve first and
 //! produce the same keys.
 
-use crate::snapshot::elem_range_within;
 use atm_hash::shuffle::InputSpec;
 use atm_hash::{ByteLayout, DigestStream, InputSampler, JenkinsStream, Percentage, PlannedByte};
 use atm_runtime::{Access, DataStore, ElemWindow, RegionData, RegionRead, RegionRef, WordSink};
@@ -147,8 +146,8 @@ fn reads<'a>(
 }
 
 /// The digest of the little-endian bytes of `window`, a word at a time from
-/// the typed storage: [`atm_hash::digest64`] of
-/// [`RegionData::bytes_in_elem_range`], without the serialisation.
+/// the typed storage: [`atm_hash::digest64`] of [`RegionData::to_bytes`],
+/// without the serialisation.
 fn digest_of(window: ElemWindow<'_>) -> u64 {
     let mut sink = DigestSink(DigestStream::new(DIGEST_SEED));
     window.le_words(&mut sink);
@@ -329,10 +328,9 @@ impl KeyGenerator {
 
     /// Exact and mixed-precision keys: lookup3, under the type's seed, over
     /// one 8-byte contribution per read argument — the digest of an exact
-    /// argument (served from the region's slot when the argument is a whole
-    /// region nobody wrote since it was last digested; a ranged argument is
-    /// digested every time and never cached), the lookup3 of its selected
-    /// bytes for a sampled one. One region is locked at a time.
+    /// argument (served from the region's slot when nobody wrote the region
+    /// since it was last digested), the lookup3 of its selected bytes for a
+    /// sampled one. One region is locked at a time.
     fn compute_composed(
         &self,
         accesses: &[Access],
@@ -343,27 +341,22 @@ impl KeyGenerator {
         let (mut selected_bytes, mut total_bytes) = (0usize, 0usize);
         for (arg, ((access, region), &p)) in reads(accesses, regions).zip(precisions).enumerate() {
             let data = region.read();
-            let range = elem_range_within(access, data.len());
             let width = access.elem.width();
-            let bytes = range.len() * width;
+            let bytes = data.len() * width;
             total_bytes += bytes;
             let contribution = if !p.is_full() {
-                let plan = self.arg_plan(arg, (range.len(), width), p);
+                let plan = self.arg_plan(arg, (data.len(), width), p);
                 selected_bytes += plan.len();
-                hash_planned(&plan, &[data.window(range)], self.seed)
+                hash_planned(&plan, &[data.window()], self.seed)
             } else {
                 selected_bytes += bytes;
-                if range == (0..data.len()) {
-                    let mut filled = false;
-                    let digest = data.digest_or_fill(|whole| {
-                        filled = true;
-                        digest_of(whole.window(range))
-                    });
-                    self.note_digest(filled);
-                    digest
-                } else {
-                    digest_of(data.window(range))
-                }
+                let mut filled = false;
+                let digest = data.digest_or_fill(|whole| {
+                    filled = true;
+                    digest_of(whole.window())
+                });
+                self.note_digest(filled);
+                digest
             };
             key.push_slice(&contribution.to_le_bytes());
         }
@@ -436,11 +429,10 @@ impl KeyGenerator {
         scratch.signature.clear();
         let mut total_bytes = 0usize;
         for (segment, (access, data)) in segments.iter_mut().zip(locked) {
-            let range = elem_range_within(access, data.len());
             let width = access.elem.width();
-            total_bytes += range.len() * width;
-            scratch.signature.push((range.len(), width));
-            *segment = data.window(range);
+            total_bytes += data.len() * width;
+            scratch.signature.push((data.len(), width));
+            *segment = data.window();
         }
         if scratch.signature.capacity() != capacity {
             self.note_alloc();
@@ -574,26 +566,6 @@ mod tests {
         let kb = keygen.compute_uniform(&store, &[Access::read(&b)], p);
         assert_eq!(ka.key, kb.key);
         assert_eq!(ka.selected_bytes, 64);
-    }
-
-    #[test]
-    fn ranged_accesses_hash_only_their_window() {
-        let store = DataStore::new();
-        let region = store
-            .register_typed("m", (0..32).map(f64::from).collect::<Vec<_>>())
-            .unwrap();
-        let keygen = KeyGenerator::new(9, false);
-        let first_half = vec![Access::read(&region).with_range(0..128)];
-        let second_half = vec![Access::read(&region).with_range(128..256)];
-        let k1 = keygen.compute_uniform(&store, &first_half, Percentage::FULL);
-        let k2 = keygen.compute_uniform(&store, &second_half, Percentage::FULL);
-        assert_ne!(k1.key, k2.key);
-        assert_eq!(k1.total_bytes, 128);
-
-        // Changing data outside the window must not change the key.
-        store.write(region).lock().as_f64_mut()[20] = 99.0;
-        let k1_again = keygen.compute_uniform(&store, &first_half, Percentage::FULL);
-        assert_eq!(k1.key, k1_again.key);
     }
 
     #[test]

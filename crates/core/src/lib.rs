@@ -127,15 +127,11 @@ pub mod tht;
 pub mod training;
 mod types;
 
-/// Output snapshots (moved to the `atm-store` crate; re-exported here so the
-/// `atm_core::snapshot` paths keep working).
-pub use atm_store::snapshot;
-
+pub use atm_store::OutputSnapshot;
 pub use config::{AtmConfig, AtmMode};
 pub use engine::AtmEngine;
 pub use ikt::{InFlightKeyTable, Waiter};
 pub use key::{KeyGenerator, KeyResult};
-pub use snapshot::OutputSnapshot;
 pub use stats::{AtmStatsSnapshot, ReuseEvent, TypeSummary};
 pub use tht::{EntryKey, ThtConfig};
 pub use training::{evaluate_metric_data, Phase, TrainingController, TrainingOutcome};

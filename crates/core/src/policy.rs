@@ -666,7 +666,6 @@ mod tests {
     fn access(region: RegionId, mode: AccessMode) -> Access {
         Access {
             region,
-            range: None,
             mode,
             elem: ElemType::F64,
         }

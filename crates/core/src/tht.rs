@@ -49,9 +49,9 @@ impl ThtConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::OutputSnapshot;
     use atm_runtime::{Access, DataStore, TaskId, TaskTypeId};
     use atm_store::MemoStore;
+    use atm_store::OutputSnapshot;
     use std::sync::Arc;
 
     /// The paper's table: the store under [`ThtConfig::store_config`].

@@ -3,7 +3,7 @@
 //! against a from-scratch reference.
 //!
 //! The reference ([`reference_key`]) is deliberately the slow, obvious way:
-//! serialise each argument ([`RegionData::bytes_in_elem_range`]), digest an
+//! serialise each argument ([`RegionData::to_bytes`]), digest an
 //! exact one in one shot ([`digest64`]) and hash everything else in one
 //! shot ([`jenkins_hash64`]); for sampled shapes walk the shuffle with
 //! [`ByteLayout::locate`] and [`RegionData::byte_at`], a byte at a time —
@@ -36,17 +36,6 @@ use atm_runtime::{
 };
 use std::ops::Range;
 
-/// Element range of an access, from its declaration and the region's length.
-fn elem_range(store: &DataStore, access: &Access) -> Range<usize> {
-    match &access.range {
-        Some(bytes) => {
-            let width = access.elem.width();
-            (bytes.start / width)..(bytes.end / width)
-        }
-        None => 0..store.read(access.region).lock().len(),
-    }
-}
-
 /// The key `KeyGenerator::new(seed, type_aware)` must serve for these
 /// accesses and precisions, recomputed from the bytes alone.
 fn reference_key(
@@ -58,12 +47,9 @@ fn reference_key(
 ) -> u64 {
     let reads: Vec<&Access> = accesses.iter().filter(|a| a.mode.is_read()).collect();
     assert_eq!(reads.len(), precisions.len());
-    let windows: Vec<(RegionData, Range<usize>)> = reads
-        .iter()
-        .map(|a| (store.snapshot(a.region), elem_range(store, a)))
-        .collect();
-    let spec_of = |(access, (_, range)): (&&Access, &(RegionData, Range<usize>))| InputSpec {
-        elements: range.len(),
+    let contents: Vec<RegionData> = reads.iter().map(|a| store.snapshot(a.region)).collect();
+    let spec_of = |(access, data): (&&Access, &RegionData)| InputSpec {
+        elements: data.len(),
         elem_width: access.elem.width(),
     };
 
@@ -72,15 +58,13 @@ fn reference_key(
     let uniformly_sampled = precisions.first().is_some_and(|p| !p.is_full())
         && precisions.windows(2).all(|w| w[0] == w[1]);
     if uniformly_sampled {
-        let layout = ByteLayout::new(reads.iter().zip(&windows).map(spec_of).collect());
+        let layout = ByteLayout::new(reads.iter().zip(&contents).map(spec_of).collect());
         let sampler = InputSampler::new(layout.clone(), type_aware, seed);
         let selected = sampler.selected_indices(precisions[0]);
         let mut stream = JenkinsStream::new(seed, selected.len());
         for &flat in selected {
             let (segment, offset) = layout.locate(flat as usize);
-            let (data, range) = &windows[segment];
-            let width = reads[segment].elem.width();
-            stream.push(data.byte_at(range.start * width + offset));
+            stream.push(contents[segment].byte_at(offset));
         }
         return stream.finish();
     }
@@ -88,19 +72,17 @@ fn reference_key(
     // Otherwise: one 8-byte contribution per argument, hashed under the
     // generator's seed.
     let mut contributions = Vec::new();
-    for (arg, ((access, window), &p)) in reads.iter().zip(&windows).zip(precisions).enumerate() {
-        let (data, range) = window;
+    for (arg, ((access, data), &p)) in reads.iter().zip(&contents).zip(precisions).enumerate() {
         let contribution = if p.is_full() {
-            digest64(&data.bytes_in_elem_range(range.clone()), DIGEST_SEED)
+            digest64(&data.to_bytes(), DIGEST_SEED)
         } else {
-            let width = access.elem.width();
-            let layout = ByteLayout::new(vec![spec_of((access, window))]);
+            let layout = ByteLayout::new(vec![spec_of((access, data))]);
             let arg_seed = seed ^ (arg as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
             let sampler = InputSampler::new(layout, type_aware, arg_seed);
             let bytes: Vec<u8> = sampler
                 .selected_indices(p)
                 .iter()
-                .map(|&flat| data.byte_at(range.start * width + flat as usize))
+                .map(|&flat| data.byte_at(flat as usize))
                 .collect();
             jenkins_hash64(&bytes, seed)
         };
@@ -159,15 +141,6 @@ fn planned_keys_equal_the_locate_and_byte_at_walk_on_the_unit_suites_shapes() {
         .register_typed("a64", (0..64).map(|i| 1.0 + i as f32).collect::<Vec<_>>())
         .unwrap();
     cases.push((vec![Access::read(&a64)], vec![quarter], 3, true));
-    // ranged_accesses_hash_only_their_window
-    let m = store
-        .register_typed("m", (0..32).map(f64::from).collect::<Vec<_>>())
-        .unwrap();
-    for range in [0..128, 128..256] {
-        let ranged = vec![Access::read(&m).with_range(range)];
-        cases.push((ranged.clone(), vec![Percentage::FULL], 9, false));
-        cases.push((ranged, vec![half], 9, false));
-    }
     // write_only_accesses_do_not_contribute… / empty_inputs…
     let out = store.register_zeros::<f32>("out", 2).unwrap();
     let with_output = vec![Access::read(&four), Access::write(&out)];
@@ -321,6 +294,9 @@ struct World {
     store: DataStore,
     /// `(name, handle)`; two regions per element type.
     regions: Vec<(String, Handle)>,
+    /// The outputs the last copy-out step snapshotted, and their slot: what
+    /// the next one copies back, as a later THT hit on the same blocks does.
+    stash: Option<(usize, OutputSnapshot)>,
 }
 
 impl World {
@@ -328,6 +304,7 @@ impl World {
         let mut world = World {
             store: DataStore::new(),
             regions: Vec::new(),
+            stash: None,
         };
         for slot in 0..10 {
             let name = format!("r{slot}");
@@ -377,13 +354,13 @@ impl World {
         match rng.below(8) {
             0 => typed!(handle, region => self.host_write(region, rng)),
             7 => typed!(handle, region => self.handle_write(region, rng)),
-            1 => typed!(handle, region => self.kernel_write(region, None, rng)),
+            1 => typed!(handle, region => self.kernel_write(region, rng)),
             2 => {
                 let range = self.sub_range(slot, rng);
-                typed!(handle, region => self.kernel_write(region, Some(range), rng))
+                typed!(handle, region => self.sub_slice_write(region, range, rng))
             }
             3 => typed!(handle, region => self.restore(region, rng)),
-            4 => self.copy_out(slot, rng),
+            4 => self.copy_out(slot),
             5 => {
                 // Deregister and re-register under the same name: a new
                 // region — new id, new length, version and digest slot of
@@ -422,24 +399,25 @@ impl World {
         format!("handle write to {region:?}")
     }
 
-    /// Kernel write: `TaskContext::out` over the whole region or a range.
-    fn kernel_write<T: FromBits>(
+    /// Kernel write: `TaskContext::out` over the whole region.
+    fn kernel_write<T: FromBits>(&self, region: Region<T>, rng: &mut Xoshiro256StarStar) -> String {
+        let len = self.store.read(region).lock().len();
+        let accesses = [Access::write(&region)];
+        TaskContext::new(&self.store, &accesses).out(0, &random_elems::<T>(rng, len));
+        format!("kernel write to {region:?}")
+    }
+
+    /// Partial write: a random sub-slice (possibly empty) rewritten through
+    /// the store's write guard.
+    fn sub_slice_write<T: FromBits>(
         &self,
         region: Region<T>,
-        range: Option<Range<usize>>,
+        range: Range<usize>,
         rng: &mut Xoshiro256StarStar,
     ) -> String {
-        let width = T::ELEM.width();
-        let (access, len) = match &range {
-            Some(r) => (
-                Access::write(&region).with_range(r.start * width..r.end * width),
-                r.len(),
-            ),
-            None => (Access::write(&region), self.store.read(region).lock().len()),
-        };
-        let accesses = [access];
-        TaskContext::new(&self.store, &accesses).out(0, &random_elems::<T>(rng, len));
-        format!("kernel write to {region:?} {range:?}")
+        let fresh = random_elems::<T>(rng, range.len());
+        self.store.write(region).lock().as_elems_mut::<T>()[range.clone()].copy_from_slice(&fresh);
+        format!("sub-slice write to {region:?} {range:?}")
     }
 
     fn restore<T: FromBits>(&self, region: Region<T>, rng: &mut Xoshiro256StarStar) -> String {
@@ -449,41 +427,35 @@ impl World {
         format!("restored {region:?}")
     }
 
-    /// The memoized copy-out: snapshot a window of `slot`'s region and
-    /// apply it into its same-typed twin, as a THT hit does.
-    fn copy_out(&self, slot: usize, rng: &mut Xoshiro256StarStar) -> String {
-        let twin = (slot + 5) % 10;
-        let n = rng.below(self.len(slot).min(self.len(twin)) + 1);
-        let from = rng.below(self.len(slot) - n + 1);
-        let to = rng.below(self.len(twin) - n + 1);
-        let width = self.elem(slot).width();
-        let window = |region: RegionId, start: usize| Access {
-            region,
-            range: Some(start * width..(start + n) * width),
+    /// The memoized copy-out: apply the outputs an earlier copy-out step
+    /// snapshotted back into their region, as a THT hit on the same blocks
+    /// does, then snapshot `slot`'s region for the next one.
+    fn copy_out(&mut self, slot: usize) -> String {
+        let output = |world: &World, slot: usize| Access {
+            region: world.id(slot),
             mode: AccessMode::Out,
-            elem: self.elem(slot),
+            elem: world.elem(slot),
         };
-        let snapshot = OutputSnapshot::capture(&self.store, &window(self.id(slot), from));
-        snapshot.apply_to(&self.store, &window(self.id(twin), to));
-        format!("copied {n} elements of r{slot} into r{twin}")
+        let mut did = String::from("nothing to copy back");
+        if let Some((from, snapshot)) = self.stash.take() {
+            // A re-registered slot is a new region: the stash died with the
+            // old one.
+            if snapshot.region == self.id(from) {
+                snapshot.apply_to(&self.store, &output(self, from));
+                did = format!("copied r{from} back");
+            }
+        }
+        let snapshot = OutputSnapshot::capture(&self.store, &output(self, slot));
+        self.stash = Some((slot, snapshot));
+        format!("{did}, snapshotted r{slot}")
     }
 
-    /// A random access list: one to three reads (whole regions, whole
-    /// regions spelled as a range, sub-ranges; the same region may recur)
+    /// A random access list: one to three reads (the same region may recur)
     /// and sometimes a write in between, which no key may depend on.
     fn random_accesses(&self, rng: &mut Xoshiro256StarStar) -> Vec<Access> {
         let mut accesses = Vec::new();
         for _ in 0..1 + rng.below(3) {
             let slot = rng.below(self.regions.len());
-            let width = self.elem(slot).width();
-            let range = match rng.below(4) {
-                0 | 1 => None,
-                2 => Some(0..self.len(slot) * width),
-                _ => {
-                    let elems = self.sub_range(slot, rng);
-                    Some(elems.start * width..elems.end * width)
-                }
-            };
             let mode = if rng.below(5) == 0 {
                 AccessMode::InOut
             } else {
@@ -491,7 +463,6 @@ impl World {
             };
             accesses.push(Access {
                 region: self.id(slot),
-                range,
                 mode,
                 elem: self.elem(slot),
             });
@@ -499,7 +470,6 @@ impl World {
                 let out = rng.below(self.regions.len());
                 accesses.push(Access {
                     region: self.id(out),
-                    range: None,
                     mode: AccessMode::Out,
                     elem: self.elem(out),
                 });
@@ -601,7 +571,7 @@ fn unwritten_regions_are_keyed_from_their_digest_and_every_write_refills_it() {
             store.restore(a, &RegionData::F32(vec![5.0; 64]))
         }),
         ("copy-out", &|| {
-            OutputSnapshot::capture(&store, &ctx_accesses[0]).apply(&store);
+            OutputSnapshot::capture(&store, &ctx_accesses[0]).apply_to(&store, &ctx_accesses[0]);
         }),
     ];
     for (round, (what, write)) in writes.iter().enumerate() {
@@ -613,29 +583,23 @@ fn unwritten_regions_are_keyed_from_their_digest_and_every_write_refills_it() {
         assert_eq!(counts(&first), (5 + 3 * round, 3 + round), "{what}: served");
     }
 
-    // Ranged exact arguments and sampled ones never touch a slot.
+    // Sampled arguments never touch a slot: only the exact `b` is served.
     let before = counts(&first);
-    let ranged = [Access::read(&a).with_range(0..64), Access::read(&b)];
-    let _ = first.compute(&store, &ranged, &exact);
-    assert_eq!(
-        counts(&first),
-        (before.0 + 1, before.1),
-        "only `b` is whole"
-    );
     let _ = first.compute(&store, &accesses, &[Percentage::MIN; 2]);
     let _ = first.compute(&store, &accesses, &[Percentage::MIN, Percentage::FULL]);
-    assert_eq!(counts(&first), (before.0 + 2, before.1));
+    assert_eq!(counts(&first), (before.0 + 1, before.1));
 }
 
 // ---------------------------------------------------------------------------
 // End to end: an engine fed from digests never serves a stale output.
 // ---------------------------------------------------------------------------
 
-fn scaled_sum(factor: f64) -> TaskTypeInfo {
+/// Writes `factor` × the sum of its input over all `out_len` elements of
+/// its output.
+fn scaled_sum(factor: f64, out_len: usize) -> TaskTypeInfo {
     TaskTypeBuilder::new("scaled_sum", move |ctx| {
         let total: f64 = ctx.arg::<f64>(0).iter().sum();
-        let len = ctx.elem_range(1).len();
-        ctx.out(1, &vec![total * factor; len]);
+        ctx.out(1, &vec![total * factor; out_len]);
     })
     .arg::<f64>()
     .out::<f64>()
@@ -679,8 +643,8 @@ fn memoized_outputs_track_host_writes_restores_and_copy_outs() {
     let mut rng = Xoshiro256StarStar::new(0x0E2E);
     let engine = AtmEngine::new(AtmConfig::static_atm());
     let store = DataStore::new();
-    let doubled = scaled_sum(2.0);
-    let negated = scaled_sum(-1.0);
+    let doubled = scaled_sum(2.0, 3);
+    let negated = scaled_sum(-1.0, 2);
     let input = store.register_typed("input", vec![1.0f64; 6]).unwrap();
     let mid = store.register_zeros::<f64>("mid", 3).unwrap();
     let end = store.register_zeros::<f64>("end", 2).unwrap();

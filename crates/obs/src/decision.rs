@@ -59,7 +59,7 @@ impl MemoDecision {
         MemoDecision::Eviction,
     ];
 
-    /// Stable snake_case name used in JSONL dumps and trace args.
+    /// Stable snake_case name used in trace args.
     pub fn name(self) -> &'static str {
         match self {
             MemoDecision::ThtHit => "tht_hit",
@@ -239,43 +239,6 @@ impl DecisionSnapshot {
             .copied()
             .unwrap_or(0)
     }
-
-    /// The retained records of one task type, oldest first.
-    pub fn records_for(&self, task_type: u32) -> Vec<DecisionRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.task_type == task_type)
-            .copied()
-            .collect()
-    }
-
-    /// Dumps the retained records as JSON Lines, one object per record.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            // Gate records name their scalars for what they are.
-            let scalars = match r.gate_ledger() {
-                Some(_) => ["spent_ns", "earned_ns", "allowance_ns"],
-                None => ["metric_value", "tau", "p"],
-            };
-            out.push_str(&format!(
-                "{{\"task_type\":{},\"task_id\":{},\"decision\":\"{}\",\
-                 \"{}\":{},\"{}\":{},\"{}\":{},\"producer\":{},\"t_ns\":{}}}\n",
-                r.task_type,
-                r.task_id,
-                r.decision.name(),
-                scalars[0],
-                crate::chrome::json_f64(r.metric_value),
-                scalars[1],
-                crate::chrome::json_f64(r.tau),
-                scalars[2],
-                crate::chrome::json_f64(r.p),
-                r.producer.map_or("null".to_string(), |id| id.to_string()),
-                r.t_ns
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +269,7 @@ mod tests {
         assert_eq!(times, vec![10, 20, 30]);
         assert_eq!(snap.count(0, MemoDecision::ThtHit), 1);
         assert_eq!(snap.count(0, MemoDecision::MissExecute), 1);
-        assert_eq!(snap.records_for(1).len(), 1);
+        assert_eq!(snap.records.iter().filter(|r| r.task_type == 1).count(), 1);
         assert_eq!(snap.dropped, 0);
     }
 
@@ -369,32 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_emits_one_line_per_record() {
-        let log = DecisionLog::new();
-        log.record(0, rec(2, 11, MemoDecision::TrainingAccept, 5));
-        log.record(0, rec(2, 12, MemoDecision::TrainingReject, 6));
-        let dump = log.snapshot().to_jsonl();
-        assert_eq!(dump.lines().count(), 2);
-        assert!(dump.contains("\"decision\":\"training_accept\""));
-        assert!(dump.contains("\"decision\":\"training_reject\""));
-        assert!(dump.contains("\"task_id\":12"));
-        assert!(dump.contains("\"tau\":0.2"));
-    }
-
-    #[test]
     fn gate_records_dump_their_ledger_reading_by_name() {
-        let log = DecisionLog::new();
         let mut close = rec(4, 7, MemoDecision::GateClose, 9);
         (close.metric_value, close.tau, close.p) = (9_000.0, 1_000.0, 4_000.0);
-        log.record(0, close);
         assert_eq!(close.gate_ledger(), Some((9_000.0, 1_000.0, 4_000.0)));
         assert_eq!(rec(4, 8, MemoDecision::ThtHit, 10).gate_ledger(), None);
-        let dump = log.snapshot().to_jsonl();
-        assert!(dump.contains("\"decision\":\"gate_close\""));
-        assert!(dump.contains("\"spent_ns\":9000"), "{dump}");
-        assert!(dump.contains("\"earned_ns\":1000"));
-        assert!(dump.contains("\"allowance_ns\":4000"));
-        assert!(!dump.contains("\"tau\""));
         let names: std::collections::HashSet<_> =
             MemoDecision::ALL.iter().map(|d| d.name()).collect();
         assert_eq!(names.len(), MemoDecision::ALL.len());

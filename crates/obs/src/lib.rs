@@ -14,7 +14,7 @@
 //!   [`LatencyMetric`], with `p50/p90/p99/p999` extraction) and the
 //!   memo-decision audit trail ([`DecisionSnapshot`]: every interceptor and
 //!   store decision as a structured record in bounded per-worker rings with
-//!   exact per-type counts and a drop counter, dumpable as JSONL).
+//!   exact per-type counts and a drop counter).
 //! * [`Observability::capture`] additionally keeps the **unbounded** logs a
 //!   trace or a figure is drawn from: thread-state intervals
 //!   ([`StateSpan`]), per-task spans ([`TaskSpan`]), ready-queue depth and

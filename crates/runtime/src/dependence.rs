@@ -3,22 +3,21 @@
 //! # Dependence rule
 //!
 //! Every region has a **dependence frontier**: the accesses a later task
-//! could still have to wait for — the last writer of each byte range plus
-//! the readers admitted since. When a task is submitted, each of its
-//! accesses is *admitted* to the frontier of its region
-//! ([`TaskGraph::submit_batch`]):
+//! could still have to wait for — the region's last writer plus the
+//! readers admitted since. Every access names a whole region. When a task
+//! is submitted, each of its accesses is *admitted* to the frontier of its
+//! region ([`TaskGraph::submit_batch`]):
 //!
-//! 1. every frontier entry the access conflicts with (overlapping byte
-//!    ranges, at least one of the two a writer — read-after-write,
-//!    write-after-read and write-after-write) whose task has not finished
-//!    becomes a predecessor: **one edge per dependence**, however many
-//!    entries of that task the access meets;
-//! 2. a write **drops every entry it writes over completely** (a
-//!    whole-region write clears the frontier, a ranged write drops the
-//!    entries whose range it contains). This is sound because any later
-//!    access that conflicts with a dropped entry also conflicts with the
-//!    write that dropped it, and the writing task already waits on the
-//!    dropped entry's task — so the order is kept transitively;
+//! 1. every frontier entry the access conflicts with (at least one of the
+//!    two a writer — read-after-write, write-after-read and
+//!    write-after-write) whose task has not finished becomes a
+//!    predecessor: **one edge per dependence**, however many entries of
+//!    that task the access meets;
+//! 2. a write **drops every entry of the frontier**: it covers the whole
+//!    region. This is sound because any later access that conflicts with
+//!    a dropped entry also conflicts with the write that dropped it, and
+//!    the writing task already waits on the dropped entry's task — so the
+//!    order is kept transitively;
 //! 3. the access becomes an entry itself.
 //!
 //! An inout chain therefore wires one edge per link (member *i* waits on
@@ -107,13 +106,11 @@
 //! retired id occupies zero bytes). A frontier holds ids, never nodes, and
 //! lives until its region is deregistered ([`TaskGraph::forget_region`]).
 
-use crate::access::{range_covers, ranges_overlap};
 use crate::region::RegionId;
 use crate::task::{TaskDesc, TaskId};
 use atm_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use atm_sync::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Number of node-slab shards (spreads lookup read-locks across cache
@@ -235,24 +232,16 @@ impl TaskNode {
     }
 }
 
-/// One admitted access of one task: what a later conflicting access has to
-/// wait for, unless the task has finished. Holds the id, never the node —
-/// a finished task's entry retains nothing.
-#[derive(Debug)]
-struct FrontierEntry {
-    task: TaskId,
-    /// Byte range inside the region; `None` is the whole region.
-    range: Option<Range<usize>>,
-}
-
-/// The dependence frontier of one region (see the module docs): the write
-/// entries no later write has covered, and the read entries admitted since.
-/// Kept apart because a reader conflicts with writers only — admitting the
-/// n-th reader of a fan-out never walks the n − 1 before it.
+/// The dependence frontier of one region (see the module docs): the last
+/// writer (at most one entry, as every write drops the frontier) and the
+/// readers admitted since. An entry is the task's id, never its node —
+/// a finished task's entry retains nothing. Kept apart because a reader
+/// conflicts with writers only — admitting the n-th reader of a fan-out
+/// never walks the n − 1 before it.
 #[derive(Debug)]
 struct Frontier {
-    writers: Vec<FrontierEntry>,
-    readers: Vec<FrontierEntry>,
+    writers: Vec<TaskId>,
+    readers: Vec<TaskId>,
     /// Entry count at which finished entries are next compacted away.
     compact_at: usize,
 }
@@ -272,7 +261,7 @@ impl Frontier {
         self.writers.len() + self.readers.len()
     }
 
-    fn entries(&self) -> impl Iterator<Item = &FrontierEntry> {
+    fn entries(&self) -> impl Iterator<Item = &TaskId> {
         self.writers.iter().chain(&self.readers)
     }
 }
@@ -567,7 +556,7 @@ impl TaskGraph {
         permit
             .frontiers(region)
             .get(&region)
-            .is_some_and(|frontier| frontier.entries().any(|e| self.is_unfinished(e.task)))
+            .is_some_and(|frontier| frontier.entries().any(|&task| self.is_unfinished(task)))
     }
 
     /// Drops the frontier of a deregistered region, so the index follows
@@ -623,38 +612,30 @@ impl TaskGraph {
                 .entry(access.region)
                 .or_default();
             // Every scanned pair has a writer in it (a reader never scans
-            // the readers), so overlapping is conflicting.
-            let mut scan = |entries: &mut Vec<FrontierEntry>| {
-                entries.retain(|entry| {
-                    let mut found_finished = false;
-                    if entry.task != node.id
-                        && ranges_overlap(&access.range, &entry.range)
-                        && seen.insert(entry.task)
-                    {
-                        if self.wire_edge(node, entry.task) {
-                            edges += 1;
-                        } else {
-                            found_finished = true;
-                        }
+            // the readers), so every entry of another task is a dependence.
+            // A write covers the whole region, so it drops every entry it
+            // scans: whatever conflicts with those entries later conflicts
+            // with the write, which already waits on them.
+            let mut scan = |entries: &mut Vec<TaskId>| {
+                entries.retain(|&task| {
+                    if task == node.id || !seen.insert(task) {
+                        return !writes;
                     }
-                    let covered = writes && range_covers(&access.range, &entry.range);
-                    !(found_finished || covered)
+                    let wired = self.wire_edge(node, task);
+                    edges += u64::from(wired);
+                    wired && !writes
                 });
             };
             scan(&mut frontier.writers);
-            let entry = FrontierEntry {
-                task: node.id,
-                range: access.range.clone(),
-            };
             if writes {
                 scan(&mut frontier.readers);
-                frontier.writers.push(entry);
+                frontier.writers.push(node.id);
             } else {
-                frontier.readers.push(entry);
+                frontier.readers.push(node.id);
             }
             if frontier.len() >= frontier.compact_at {
-                frontier.writers.retain(|e| self.is_unfinished(e.task));
-                frontier.readers.retain(|e| self.is_unfinished(e.task));
+                frontier.writers.retain(|&task| self.is_unfinished(task));
+                frontier.readers.retain(|&task| self.is_unfinished(task));
                 frontier.compact_at = 2 * frontier.len() + COMPACT_SLACK;
             }
         }
@@ -1008,22 +989,6 @@ mod tests {
             "a reader submitted after the writer finished must be immediately ready"
         );
         assert_eq!(g.unresolved(reader), 0);
-    }
-
-    #[test]
-    fn ranged_accesses_only_conflict_when_overlapping() {
-        let (_store, r) = store_with_regions(1);
-        let g = TaskGraph::new();
-        let (_w1, _) = g.submit(desc(vec![Access::write(&r[0]).with_range(0..32)]));
-        let (w2, ready2) = g.submit(desc(vec![Access::write(&r[0]).with_range(32..64)]));
-        assert!(ready2, "disjoint block writers must be independent");
-        let (reader, ready3) = g.submit(desc(vec![Access::read(&r[0]).with_range(16..48)]));
-        assert!(
-            !ready3,
-            "a reader straddling both blocks depends on both writers"
-        );
-        assert_eq!(g.unresolved(reader), 2);
-        let _ = w2;
     }
 
     #[test]
@@ -1433,35 +1398,6 @@ mod tests {
         }
         g.mark_running(readers[39]);
         assert_eq!(g.finish(readers[39]), vec![writer]);
-    }
-
-    /// (v) A ranged write drops the entries it covers and only those.
-    #[test]
-    fn a_ranged_write_drops_only_the_entries_it_covers() {
-        let (_store, r) = store_with_regions(1);
-        let g = TaskGraph::new();
-        let region = r[0].id();
-        let (left, _) = g.submit(desc(vec![Access::write(&r[0]).with_range(0..16)]));
-        let (mid, _) = g.submit(desc(vec![Access::read(&r[0]).with_range(8..24)]));
-        let (right, _) = g.submit(desc(vec![Access::write(&r[0]).with_range(32..64)]));
-        assert_eq!(g.frontier_len(region), 3);
-        // Covers `left` (0..16 ⊆ 0..20) but only overlaps `mid` (8..24) and
-        // misses `right`: waits on both it meets, replaces one.
-        let (over, _) = g.submit(desc(vec![Access::write(&r[0]).with_range(0..20)]));
-        assert_eq!(g.unresolved(over), 2);
-        assert_eq!(g.successors(left), vec![mid, over]);
-        assert_eq!(g.successors(mid), vec![over]);
-        assert!(g.successors(right).is_empty());
-        assert_eq!(g.frontier_len(region), 3, "left went, over came");
-        // A reader of the dropped entry's bytes is ordered behind `left`
-        // through `over` alone.
-        let (reader, _) = g.submit(desc(vec![Access::read(&r[0]).with_range(0..8)]));
-        assert_eq!(g.unresolved(reader), 1);
-        assert_eq!(g.successors(over), vec![reader]);
-        // A whole-region write covers everything left.
-        let (all, _) = g.submit(desc(vec![Access::write(&r[0])]));
-        assert_eq!(g.unresolved(all), 4, "mid, right, over, reader");
-        assert_eq!(g.frontier_len(region), 1);
     }
 
     /// Truly concurrent submitters on disjoint regions never share a

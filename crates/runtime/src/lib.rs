@@ -25,8 +25,8 @@
 //!   and one dependence pass, each internal lock taken once per batch;
 //! * **dependence tracking and the Task Dependence Graph** ([`dependence`]):
 //!   read-after-write, write-after-read and write-after-write orderings
-//!   derived from byte-range overlaps between declared accesses against a
-//!   per-region **dependence frontier** (last writers and the readers
+//!   derived from the whole regions the declared accesses name, against a
+//!   per-region **dependence frontier** (the last writer and the readers
 //!   since: one edge per dependence), with a completion that touches only
 //!   the finishing node and its successors, and **graph-node retirement**
 //!   — a node is freed and its slab slot recycled by its own finish, so a

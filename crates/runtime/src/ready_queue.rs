@@ -261,15 +261,6 @@ impl ReadyQueue {
         }
     }
 
-    /// Non-blocking pop; returns `None` when no task is currently findable.
-    pub fn try_pop(&self, worker: usize) -> Option<TaskId> {
-        let id = self.scan(worker);
-        if id.is_some() {
-            self.note_popped(worker);
-        }
-        id
-    }
-
     /// Current number of queued ready tasks.
     pub fn depth(&self) -> usize {
         self.pending.load(Ordering::SeqCst)
@@ -313,10 +304,10 @@ mod tests {
         q.push_all(&[TaskId(3), TaskId(4)]);
         assert_eq!(q.depth(), 4);
         assert_eq!(q.pop(0), Popped::Task(TaskId(1)));
-        assert_eq!(q.try_pop(0), Some(TaskId(2)));
+        assert_eq!(q.pop(0), Popped::Task(TaskId(2)));
         assert_eq!(q.pop(1), Popped::Task(TaskId(3)));
         assert_eq!(q.pop(1), Popped::Task(TaskId(4)));
-        assert_eq!(q.try_pop(0), None);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! *regions* registered with the runtime's [`DataStore`]. A region is a
 //! typed, contiguous buffer (a block of a matrix, a vector of option
 //! records, a set of cluster centres, …). Tasks declare `In`/`Out`/`InOut`
-//! accesses to byte ranges of regions and the runtime derives dependences
-//! from the overlaps.
+//! accesses to whole regions and the runtime derives dependences from the
+//! regions they share: a region is the unit of dependence, hashing and
+//! copy-out.
 //!
 //! Registration returns a phantom-typed [`Region<T>`] handle. The handle
 //! carries the element type at the type level, so access declarations and
@@ -359,10 +360,9 @@ impl ElemWindow<'_> {
     /// 4-byte elements are one word (first element low) and an odd last one
     /// goes through as a 4-byte run, and a `U8` window — whose storage
     /// already *is* its serialisation — goes through as one byte run. The
-    /// bytes the sink receives, in order, equal
-    /// [`RegionData::bytes_in_elem_range`] over the same range; nothing is
-    /// allocated or copied on the way. This is the path the key generator
-    /// digests whole arguments through.
+    /// bytes the sink receives, in order, equal [`RegionData::to_bytes`] of
+    /// the region; nothing is allocated or copied on the way. This is the
+    /// path the key generator digests whole arguments through.
     #[inline]
     pub fn le_words(&self, sink: &mut impl WordSink) {
         fn pairs<T: Copy>(v: &[T], bits: impl Fn(T) -> u32, sink: &mut impl WordSink) {
@@ -434,11 +434,6 @@ impl RegionData {
         self.len() * self.elem_type().width()
     }
 
-    /// Views the contents as a slice of `T`, when the stored type matches.
-    pub fn try_as<T: Elem>(&self) -> Option<&[T]> {
-        T::slice(self)
-    }
-
     /// Views the contents as a typed slice.
     ///
     /// # Panics
@@ -476,62 +471,19 @@ impl RegionData {
     #[inline]
     pub fn byte_at(&self, offset: usize) -> u8 {
         let width = self.elem_type().width();
-        self.window(0..self.len())
-            .lane(offset / width, (offset % width) as u8)
+        self.window().lane(offset / width, (offset % width) as u8)
     }
 
-    /// Borrows the elements in `elem_range` as a typed window — the view the
-    /// ATM key generator reads through (no copy, no serialisation).
+    /// Borrows the elements as a typed window — the view the ATM key
+    /// generator reads through (no copy, no serialisation).
     #[inline]
-    pub fn window(&self, elem_range: std::ops::Range<usize>) -> ElemWindow<'_> {
+    pub fn window(&self) -> ElemWindow<'_> {
         match self {
-            RegionData::F32(v) => ElemWindow::F32(&v[elem_range]),
-            RegionData::F64(v) => ElemWindow::F64(&v[elem_range]),
-            RegionData::I32(v) => ElemWindow::I32(&v[elem_range]),
-            RegionData::I64(v) => ElemWindow::I64(&v[elem_range]),
-            RegionData::U8(v) => ElemWindow::U8(&v[elem_range]),
-        }
-    }
-
-    /// Serialises the elements in `elem_range` to little-endian bytes.
-    pub fn bytes_in_elem_range(&self, elem_range: std::ops::Range<usize>) -> Vec<u8> {
-        match self {
-            RegionData::F32(v) => v[elem_range].iter().flat_map(|x| x.to_le_bytes()).collect(),
-            RegionData::F64(v) => v[elem_range].iter().flat_map(|x| x.to_le_bytes()).collect(),
-            RegionData::I32(v) => v[elem_range].iter().flat_map(|x| x.to_le_bytes()).collect(),
-            RegionData::I64(v) => v[elem_range].iter().flat_map(|x| x.to_le_bytes()).collect(),
-            RegionData::U8(v) => v[elem_range].to_vec(),
-        }
-    }
-
-    /// Clones the elements in `elem_range` as a new [`RegionData`] of the
-    /// same type. Used to snapshot ranged task outputs into the Task
-    /// History Table.
-    pub fn slice_elems(&self, elem_range: std::ops::Range<usize>) -> RegionData {
-        match self {
-            RegionData::F32(v) => RegionData::F32(v[elem_range].to_vec()),
-            RegionData::F64(v) => RegionData::F64(v[elem_range].to_vec()),
-            RegionData::I32(v) => RegionData::I32(v[elem_range].to_vec()),
-            RegionData::I64(v) => RegionData::I64(v[elem_range].to_vec()),
-            RegionData::U8(v) => RegionData::U8(v[elem_range].to_vec()),
-        }
-    }
-
-    /// Overwrites the elements in `elem_range` with the contents of `src`
-    /// (which must have the same type and exactly `elem_range.len()`
-    /// elements). This is the ranged variant of [`RegionData::copy_from`].
-    pub fn write_elems(&mut self, elem_range: std::ops::Range<usize>, src: &RegionData) {
-        match (self, src) {
-            (RegionData::F32(dst), RegionData::F32(s)) => dst[elem_range].copy_from_slice(s),
-            (RegionData::F64(dst), RegionData::F64(s)) => dst[elem_range].copy_from_slice(s),
-            (RegionData::I32(dst), RegionData::I32(s)) => dst[elem_range].copy_from_slice(s),
-            (RegionData::I64(dst), RegionData::I64(s)) => dst[elem_range].copy_from_slice(s),
-            (RegionData::U8(dst), RegionData::U8(s)) => dst[elem_range].copy_from_slice(s),
-            (dst, src) => panic!(
-                "write_elems between incompatible region types ({:?} <- {:?})",
-                dst.elem_type(),
-                src.elem_type()
-            ),
+            RegionData::F32(v) => ElemWindow::F32(v),
+            RegionData::F64(v) => ElemWindow::F64(v),
+            RegionData::I32(v) => ElemWindow::I32(v),
+            RegionData::I64(v) => ElemWindow::I64(v),
+            RegionData::U8(v) => ElemWindow::U8(v),
         }
     }
 
@@ -958,15 +910,6 @@ impl DataStore {
         self.region_ref(id).elem_type()
     }
 
-    /// Element type of a region, or `None` when the id is unknown to this
-    /// store.
-    pub fn try_elem_type(&self, id: impl Into<RegionId>) -> Option<ElemType> {
-        self.registry()
-            .get(id.into())
-            .ok()
-            .map(|region| region.elem_type())
-    }
-
     /// Total application footprint: the sum of all region sizes in bytes.
     /// Used as the denominator of the Table III memory-overhead figures.
     pub fn total_bytes(&self) -> usize {
@@ -1196,27 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_write_elems_round_trip() {
-        let src = RegionData::F32(vec![1.0, 2.0, 3.0, 4.0]);
-        let slice = src.slice_elems(1..3);
-        assert_eq!(slice.as_f32(), &[2.0, 3.0]);
-        let mut dst = RegionData::F32(vec![0.0; 4]);
-        dst.write_elems(2..4, &slice);
-        assert_eq!(dst.as_f32(), &[0.0, 0.0, 2.0, 3.0]);
-        assert_eq!(
-            src.bytes_in_elem_range(0..2),
-            RegionData::F32(vec![1.0, 2.0]).to_bytes()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible region types")]
-    fn write_elems_type_mismatch_panics() {
-        let mut dst = RegionData::F32(vec![0.0; 2]);
-        dst.write_elems(0..1, &RegionData::I32(vec![1]));
-    }
-
-    #[test]
     fn to_f64_vec_converts_integer_regions() {
         assert_eq!(RegionData::I32(vec![1, -2]).to_f64_vec(), vec![1.0, -2.0]);
         assert_eq!(RegionData::U8(vec![3, 4]).to_f64_vec(), vec![3.0, 4.0]);
@@ -1254,7 +1176,6 @@ mod tests {
             store.region_status(RegionId::from_raw(9)),
             RegionStatus::Unknown
         );
-        assert_eq!(store.try_elem_type(a), None);
         assert_eq!(store.lookup("a"), None, "the name index entry must go too");
 
         // Double deregistration and never-registered ids are distinguished.
@@ -1330,18 +1251,10 @@ mod tests {
     }
 
     #[test]
-    fn try_elem_type_reports_unknown_ids() {
-        let store = DataStore::new();
-        let id = store.register_zeros::<u8>("bytes", 3).unwrap();
-        assert_eq!(store.try_elem_type(id), Some(ElemType::U8));
-        assert_eq!(store.try_elem_type(RegionId::from_raw(9)), None);
-    }
-
-    #[test]
     fn typed_views_check_the_variant() {
         let data = RegionData::I64(vec![1, 2]);
-        assert_eq!(data.try_as::<i64>(), Some(&[1i64, 2][..]));
-        assert!(data.try_as::<f64>().is_none());
+        assert_eq!(i64::slice(&data), Some(&[1i64, 2][..]));
+        assert!(f64::slice(&data).is_none());
         assert_eq!(data.as_elems::<i64>(), &[1, 2]);
     }
 

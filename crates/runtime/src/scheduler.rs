@@ -899,29 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn ranged_accesses_submit_through_the_escape_hatch() {
-        let rt = RuntimeBuilder::new().workers(2).build();
-        let r = rt.store().register_zeros::<f32>("r", 8).unwrap();
-        let tt = rt.register_task_type(
-            TaskTypeBuilder::new("fill_half", |ctx| {
-                let len = ctx.elem_range(0).len();
-                ctx.out(0, &vec![1.0f32; len]);
-            })
-            .build(),
-        );
-        rt.task(tt)
-            .access(Access::write(&r).with_range(0..16))
-            .submit()
-            .unwrap();
-        rt.taskwait();
-        assert_eq!(
-            rt.store().read(r).lock().as_f32(),
-            &[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        );
-        rt.shutdown();
-    }
-
-    #[test]
     fn drop_without_shutdown_does_not_hang() {
         let rt = RuntimeBuilder::new().workers(2).build();
         let r = rt.store().register_zeros::<f32>("r", 1).unwrap();

@@ -6,7 +6,9 @@
 //! inside a worker thread (or worse, as silently wrong hash keys or copy
 //! widths inside the ATM engine). The fluent builder returned by
 //! [`crate::Runtime::task`] keeps submissions well-formed *by construction*
-//! — accesses are declared through typed [`Region<T>`] handles — and
+//! — accesses are declared through typed [`Region<T>`] handles
+//! (`reads` / `writes` / `reads_writes`, the only way to declare one), and
+//! each names its whole region, so there is no sub-range to get wrong — and
 //! [`crate::Runtime::try_submit_all`] validates every descriptor against the
 //! task type's declared [`TaskSignature`] and against the store before the
 //! task enters the dependence graph:
@@ -296,13 +298,6 @@ impl<'rt> TaskBuilder<'rt> {
         self
     }
 
-    /// Appends a pre-built access (escape hatch for ranged accesses built
-    /// with [`Access::with_range`]). The access is validated like any other.
-    pub fn access(mut self, access: Access) -> Self {
-        self.desc.accesses.push(access);
-        self
-    }
-
     /// Validates the accumulated descriptor and submits it.
     pub fn submit(self) -> Result<TaskId, SubmitError> {
         self.runtime.try_submit(self.desc)
@@ -414,13 +409,6 @@ impl<'rt> BatchBuilder<'rt> {
     /// read-write (`inout` clause).
     pub fn reads_writes<T: Elem>(mut self, region: &Region<T>) -> Self {
         self.current_mut().accesses.push(Access::read_write(region));
-        self
-    }
-
-    /// Appends a pre-built access to the open task (escape hatch for ranged
-    /// accesses built with [`Access::with_range`]).
-    pub fn access(mut self, access: Access) -> Self {
-        self.current_mut().accesses.push(access);
         self
     }
 

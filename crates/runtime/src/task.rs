@@ -22,7 +22,6 @@ use crate::memo::{MemoSpec, MemoSpecError};
 use crate::region::{DataStore, Elem, ElemType, RegionRef};
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifier of a registered task type.
@@ -443,11 +442,6 @@ impl TaskDesc {
     pub fn read_accesses(&self) -> impl Iterator<Item = &Access> {
         self.accesses.iter().filter(|a| a.mode.is_read())
     }
-
-    /// The accesses the kernel writes (`Out` and `InOut`).
-    pub fn write_accesses(&self) -> impl Iterator<Item = &Access> {
-        self.accesses.iter().filter(|a| a.mode.is_write())
-    }
 }
 
 /// Read-only view of a task handed to interceptors (the ATM engine).
@@ -493,8 +487,8 @@ impl fmt::Debug for TaskView<'_> {
 /// the paper lists under-declared outputs as the main source-code hazard).
 ///
 /// Data flows through the typed positional accessors: [`TaskContext::arg`]
-/// clones the elements covered by a read access, [`TaskContext::out`] writes
-/// a write access, each locking its region once through the handle the
+/// clones the region of a read access, [`TaskContext::out`] overwrites the
+/// region of a write access, each locking it once through the handle the
 /// submission resolved. Both check the declared element width once per call
 /// against the `T` the kernel asks for — and because submission already
 /// validated every access against the store, a type mismatch can only come
@@ -549,27 +543,7 @@ impl<'a> TaskContext<'a> {
         &self.accesses[idx]
     }
 
-    /// Element index range of the `idx`-th access (byte range divided by the
-    /// element width; whole region when no range was declared — its length
-    /// is cached on the handle, so no lock is taken).
-    pub fn elem_range(&self, idx: usize) -> Range<usize> {
-        let access = self.access(idx);
-        let width = access.elem.width();
-        match &access.range {
-            Some(r) => {
-                debug_assert_eq!(
-                    r.start % width,
-                    0,
-                    "byte range not aligned to element width"
-                );
-                debug_assert_eq!(r.end % width, 0, "byte range not aligned to element width");
-                (r.start / width)..(r.end / width)
-            }
-            None => 0..self.regions[idx].len(),
-        }
-    }
-
-    /// Clones the `T` elements covered by the `idx`-th access.
+    /// Clones the `T` elements of the `idx`-th access's region.
     ///
     /// # Panics
     /// Panics if the access is not a read access or was not declared with
@@ -590,11 +564,10 @@ impl<'a> TaskContext<'a> {
             T::ELEM,
             access.elem
         );
-        let range = self.elem_range(idx);
-        region.read().as_elems::<T>()[range].to_vec()
+        region.read().as_elems::<T>().to_vec()
     }
 
-    /// Writes `values` into the `T` elements covered by the `idx`-th access.
+    /// Writes `values` over the `T` elements of the `idx`-th access's region.
     ///
     /// # Panics
     /// Panics if the access is not a write access, was not declared with
@@ -615,13 +588,7 @@ impl<'a> TaskContext<'a> {
             T::ELEM,
             access.elem
         );
-        let range = self.elem_range(idx);
-        region.write().as_elems_mut::<T>()[range].copy_from_slice(values);
-    }
-
-    /// Number of write accesses declared by the task.
-    pub fn output_count(&self) -> usize {
-        self.accesses.iter().filter(|a| a.mode.is_write()).count()
+        region.write().as_elems_mut::<T>().copy_from_slice(values);
     }
 }
 
@@ -771,34 +738,14 @@ mod tests {
     }
 
     #[test]
-    fn context_reads_and_writes_ranged_accesses() {
-        let store = DataStore::new();
-        let input = store
-            .register_typed("in", vec![1.0f32, 2.0, 3.0, 4.0])
-            .unwrap();
-        let output = store.register_zeros::<f32>("out", 4).unwrap();
-        let accesses = vec![
-            Access::read(&input).with_range(4..12),
-            Access::write(&output).with_range(8..16),
-        ];
-        let ctx = TaskContext::new(&store, &accesses);
-        assert_eq!(ctx.elem_range(0), 1..3);
-        assert_eq!(ctx.arg::<f32>(0), vec![2.0, 3.0]);
-        ctx.out(1, &[7.0f32, 8.0]);
-        assert_eq!(store.read(output).lock().as_f32(), &[0.0, 0.0, 7.0, 8.0]);
-    }
-
-    #[test]
     fn context_whole_region_access_covers_everything() {
         let store = DataStore::new();
         let region = store.register_typed("v", vec![1.0f64, 2.0]).unwrap();
         let accesses = vec![Access::read_write(&region)];
         let ctx = TaskContext::new(&store, &accesses);
-        assert_eq!(ctx.elem_range(0), 0..2);
         assert_eq!(ctx.arg::<f64>(0), vec![1.0, 2.0]);
         ctx.out(0, &[3.0f64, 4.0]);
         assert_eq!(store.read(region).lock().as_f64(), &[3.0, 4.0]);
-        assert_eq!(ctx.output_count(), 1);
     }
 
     #[test]
@@ -810,7 +757,6 @@ mod tests {
         // With the id retired, only the handles can still reach the buffer.
         store.deregister(region).unwrap();
         let ctx = TaskContext::resolved(&store, &accesses, &regions);
-        assert_eq!(ctx.elem_range(0), 0..2);
         assert_eq!(ctx.arg::<f64>(0), vec![1.0, 2.0]);
         ctx.out(0, &[3.0f64, 4.0]);
         assert_eq!(regions[0].read().as_f64(), &[3.0, 4.0]);
@@ -857,6 +803,5 @@ mod tests {
             vec![Access::read(&a), Access::read_write(&b), Access::write(&c)],
         );
         assert_eq!(desc.read_accesses().count(), 2);
-        assert_eq!(desc.write_accesses().count(), 2);
     }
 }

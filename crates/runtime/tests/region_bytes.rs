@@ -4,8 +4,8 @@
 //! typed, locked buffers where the original runtime tracked raw address
 //! ranges, so there is no `unsafe` block to audit line by line. What CAN
 //! still go wrong without `unsafe` is logic on the byte views — element
-//! widths, range arithmetic, cross-type restores — so this suite drives
-//! exactly those paths (read, write, slice, restore, the word and lane
+//! widths, lengths, cross-type restores — so this suite drives
+//! exactly those paths (read, write, copy, restore, the word and lane
 //! views the ATM key generator hashes through, and the write version and
 //! digest slot that let it skip unwritten regions, reached through the store
 //! or a resolved `RegionRef` alike) and the nightly Miri job
@@ -58,7 +58,6 @@ fn typed_views_round_trip_through_bytes() {
         assert_eq!(bytes.len(), 16);
         assert_eq!(&bytes[4..8], (-2.5f32).to_le_bytes());
         assert_eq!(data.byte_at(4), (-2.5f32).to_le_bytes()[0]);
-        assert_eq!(data.bytes_in_elem_range(1..3).len(), 8);
     }
 
     // Write through the typed mutable view; the byte view follows.
@@ -71,12 +70,12 @@ fn slice_write_and_restore_preserve_shape() {
     let store = DataStore::new();
     let r = store.register_typed::<i32>("i", (0..8).collect()).unwrap();
 
-    // Slice out the middle, double it, write it back shifted.
-    let middle = store.read(r).lock().slice_elems(2..5);
-    assert_eq!(middle.as_i32(), &[2, 3, 4]);
-    let doubled = RegionData::I32(middle.as_i32().iter().map(|v| v * 2).collect());
-    store.write(r).lock().write_elems(5..8, &doubled);
-    assert_eq!(store.contents(&r), vec![0, 1, 2, 3, 4, 4, 6, 8]);
+    // Copy the region out, double it, write it back whole.
+    let copy = store.snapshot(r);
+    assert_eq!(copy.as_i32(), &[0, 1, 2, 3, 4, 5, 6, 7]);
+    let doubled = RegionData::I32(copy.as_i32().iter().map(|v| v * 2).collect());
+    store.write(r).lock().copy_from(&doubled);
+    assert_eq!(store.contents(&r), vec![0, 2, 4, 6, 8, 10, 12, 14]);
 
     // Snapshot / mutate / restore: the checkpointing path the ATM engine
     // uses for deferred copy-outs.
@@ -84,7 +83,7 @@ fn slice_write_and_restore_preserve_shape() {
     store.write(r).lock().as_i32_mut().fill(-1);
     assert_eq!(store.contents(&r), vec![-1; 8]);
     store.restore(r, &checkpoint);
-    assert_eq!(store.contents(&r), vec![0, 1, 2, 3, 4, 4, 6, 8]);
+    assert_eq!(store.contents(&r), vec![0, 2, 4, 6, 8, 10, 12, 14]);
 }
 
 #[test]
@@ -111,27 +110,36 @@ fn every_element_type_exposes_consistent_bytes() {
     assert_eq!(store.read(u8s).lock().byte_at(1), 0xCD);
 }
 
+/// The first `len` elements of `data`, as a region of their own.
+fn prefix(data: &RegionData, len: usize) -> RegionData {
+    match data {
+        RegionData::F32(v) => RegionData::F32(v[..len].to_vec()),
+        RegionData::F64(v) => RegionData::F64(v[..len].to_vec()),
+        RegionData::I32(v) => RegionData::I32(v[..len].to_vec()),
+        RegionData::I64(v) => RegionData::I64(v[..len].to_vec()),
+        RegionData::U8(v) => RegionData::U8(v[..len].to_vec()),
+    }
+}
+
 #[test]
 fn word_and_lane_views_agree_with_the_serialisation_on_every_window() {
-    for data in one_of_each() {
-        let width = data.elem_type().width();
-        for start in 0..=data.len() {
-            for end in start..=data.len() {
-                let bytes = data.bytes_in_elem_range(start..end);
-                let window = data.window(start..end);
-                // The word view: same bytes, same order, nothing else.
-                let mut fed = Collect::default();
-                window.le_words(&mut fed);
-                assert_eq!(fed.0, bytes, "{:?} {start}..{end}", data.elem_type());
-                // The lane view: byte `lane` of element `elem` of the window.
-                for (offset, &byte) in bytes.iter().enumerate() {
-                    assert_eq!(window.lane(offset / width, (offset % width) as u8), byte);
-                }
+    for full in one_of_each() {
+        let width = full.elem_type().width();
+        // Every length, so the word view meets an odd last 4-byte element
+        // and the empty region too.
+        for len in 0..=full.len() {
+            let data = prefix(&full, len);
+            let bytes = data.to_bytes();
+            let window = data.window();
+            // The word view: same bytes, same order, nothing else.
+            let mut fed = Collect::default();
+            window.le_words(&mut fed);
+            assert_eq!(fed.0, bytes, "{:?} of {len}", data.elem_type());
+            // The lane view and `byte_at`: byte `lane` of element `elem`.
+            for (offset, &byte) in bytes.iter().enumerate() {
+                assert_eq!(window.lane(offset / width, (offset % width) as u8), byte);
+                assert_eq!(data.byte_at(offset), byte);
             }
-        }
-        let all = data.to_bytes();
-        for (offset, &byte) in all.iter().enumerate() {
-            assert_eq!(data.byte_at(offset), byte);
         }
     }
 }

@@ -382,11 +382,6 @@ impl ServeEngine {
         self.runtime.register_task_type(info)
     }
 
-    /// Requests admitted and not yet completed.
-    pub fn inflight_requests(&self) -> usize {
-        self.shared.inflight.load(Ordering::SeqCst)
-    }
-
     /// Opens a session. Fails with [`ServeError::Draining`] once
     /// [`ServeEngine::drain`] has started.
     pub fn session(&self) -> Result<Session<'_>, ServeError> {

@@ -102,7 +102,7 @@ fn full_request_window_is_rejected_with_a_retry_hint() {
         .writes(&regions[1])
         .submit()
         .unwrap();
-    assert_eq!(serve.inflight_requests(), 2);
+    assert_eq!(serve.shared.inflight.load(Ordering::SeqCst), 2);
     // The window is full: the third request is rejected, not queued.
     match session.request().task(blocker).writes(&regions[2]).submit() {
         Err(ServeError::Overloaded {
@@ -172,7 +172,11 @@ fn runtime_live_task_window_backpressures_large_requests() {
         err,
         Err(ServeError::Overloaded { capacity: 2, .. })
     ));
-    assert_eq!(serve.inflight_requests(), 1, "rolled back the request slot");
+    assert_eq!(
+        serve.shared.inflight.load(Ordering::SeqCst),
+        1,
+        "rolled back the request slot"
+    );
     gate.open();
     first.wait();
     session.close().unwrap();
@@ -411,7 +415,7 @@ fn empty_requests_are_rejected_without_consuming_a_slot() {
         session.request().submit(),
         Err(ServeError::EmptyRequest)
     ));
-    assert_eq!(serve.inflight_requests(), 0);
+    assert_eq!(serve.shared.inflight.load(Ordering::SeqCst), 0);
     session.close().unwrap();
     serve.drain();
 }

@@ -468,7 +468,6 @@ mod tests {
     fn untyped_write(id: RegionId, elem: ElemType) -> Access {
         Access {
             region: id,
-            range: None,
             mode: AccessMode::Out,
             elem,
         }

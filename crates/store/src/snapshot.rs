@@ -4,13 +4,15 @@
 //! inputs but has to keep the **full outputs** in the THT so that a future
 //! task with a matching key can have its outputs provided without executing
 //! (`copyOuts()` in Figure 1). An [`OutputSnapshot`] is one write access of a
-//! completed task: which region, which element range, and a copy of the data.
+//! completed task: which region, and a copy of all of its data — an access
+//! always covers its whole region.
 //!
 //! Capture and copy-out work on *resolved* regions — the [`RegionRef`]s a
 //! task carries from its submission — taking one lock per output and no
 //! registry lookup: [`OutputSnapshot::capture_all_resolved`],
-//! [`apply_snapshots_to_resolved`]. The store-taking functions are thin
-//! adapters that resolve first, for host-side callers and tests.
+//! [`apply_snapshots_to_resolved`]. [`OutputSnapshot::capture`] and
+//! [`OutputSnapshot::apply_to`] are thin adapters that resolve first, for
+//! host-side callers and tests.
 
 use atm_runtime::{Access, DataStore, RegionData, RegionId, RegionRef};
 use std::ops::Range;
@@ -20,14 +22,16 @@ use std::ops::Range;
 pub struct OutputSnapshot {
     /// The region the output lives in.
     pub region: RegionId,
-    /// Element range covered by the access.
+    /// Element range of the copied data: always `0..data.len()`, since an
+    /// access covers its whole region. Kept for the snapshot file format
+    /// and the struct's literal users.
     pub elem_range: Range<usize>,
-    /// The copied data (exactly `elem_range.len()` elements).
+    /// The copied data: the region's every element.
     pub data: RegionData,
 }
 
 impl OutputSnapshot {
-    /// Captures the current contents of the output covered by `access`.
+    /// Captures the current contents of the output region of `access`.
     ///
     /// # Panics
     /// Panics if `access` is not a write access.
@@ -42,88 +46,63 @@ impl OutputSnapshot {
             access.mode.is_write(),
             "output snapshots are only taken of write accesses"
         );
-        let elem_range = elem_range_within(access, region.len());
+        let data = RegionData::clone(&region.read());
         OutputSnapshot {
             region: access.region,
-            data: region.read().slice_elems(elem_range.clone()),
-            elem_range,
+            elem_range: 0..data.len(),
+            data,
         }
     }
 
-    /// Captures all write accesses of a task, in declaration order.
-    pub fn capture_all(store: &DataStore, accesses: &[Access]) -> Vec<OutputSnapshot> {
-        Self::capture_all_resolved(accesses, &store.resolve(accesses))
-    }
-
-    /// [`capture_all`](Self::capture_all) over resolved regions
-    /// (`regions[i]` is `accesses[i]`'s): one read lock per output.
+    /// Captures every write access of a task, in declaration order, from
+    /// the resolved regions (`regions[i]` is `accesses[i]`'s): one read
+    /// lock per output.
     pub fn capture_all_resolved(accesses: &[Access], regions: &[RegionRef]) -> Vec<OutputSnapshot> {
         resolved_writes(accesses, regions)
             .map(|(access, region)| Self::capture_resolved(access, region))
             .collect()
     }
 
-    /// Writes the snapshot back into its own region/range. This is how a
-    /// THT hit provides the outputs of the *same* blocks again.
-    pub fn apply(&self, store: &DataStore) {
-        let region = store.write(self.region);
-        let mut guard = region.lock();
-        guard.write_elems(self.elem_range.clone(), &self.data);
-    }
-
-    /// Writes the snapshot into *another* task's output access (same task
-    /// type, so same shape). This is the `copyOuts()` used when the matching
-    /// THT entry was produced by a task operating on different regions, and
-    /// the postponed copy-out of the In-flight Key Table.
+    /// Writes the snapshot into a task's output access — its own region
+    /// again, or another task's of the same type and shape. This is the
+    /// `copyOuts()` of a THT hit and the postponed copy-out of the
+    /// In-flight Key Table.
     ///
     /// # Panics
-    /// Panics if the destination access covers a different number of elements.
+    /// Panics if the destination region holds a different number of
+    /// elements.
     pub fn apply_to(&self, store: &DataStore, access: &Access) {
         self.apply_to_resolved(access, &store.region_ref(access.region));
     }
 
     /// [`apply_to`](Self::apply_to) into `access`'s resolved region: the
-    /// destination range comes from the handle's cached length, so the copy
-    /// takes the one write lock and nothing else.
+    /// length check reads the handle's cached length, so the copy takes
+    /// the one write lock and nothing else.
     fn apply_to_resolved(&self, access: &Access, region: &RegionRef) {
         assert!(
             access.mode.is_write(),
             "cannot copy outputs into a read-only access"
         );
-        let dst_range = elem_range_within(access, region.len());
         assert_eq!(
-            dst_range.len(),
-            self.elem_range.len(),
-            "output shape mismatch: snapshot has {} elements, destination access covers {}",
-            self.elem_range.len(),
-            dst_range.len()
+            region.len(),
+            self.data.len(),
+            "output shape mismatch: snapshot has {} elements, destination region holds {}",
+            self.data.len(),
+            region.len()
         );
-        region.write().write_elems(dst_range, &self.data);
+        region.write().copy_from(&self.data);
     }
 
     /// Size of the stored data in bytes (THT memory accounting, Table III).
     pub fn size_bytes(&self) -> usize {
         self.data.size_bytes()
     }
-
-    /// The stored output as `f64` values (for the Chebyshev comparison of
-    /// the Dynamic ATM training phase).
-    pub fn as_f64_vec(&self) -> Vec<f64> {
-        self.data.to_f64_vec()
-    }
 }
 
-/// Applies a set of snapshots to the corresponding write accesses of another
-/// task (pairing snapshots and write accesses in declaration order).
-///
-/// # Panics
-/// Panics if the number of write accesses differs from the number of snapshots.
-pub fn apply_snapshots_to(store: &DataStore, snapshots: &[OutputSnapshot], accesses: &[Access]) {
-    apply_snapshots_to_resolved(snapshots, accesses, &store.resolve(accesses));
-}
-
-/// [`apply_snapshots_to`] over resolved regions (`regions[i]` is
-/// `accesses[i]`'s): the memoized copy-out, one write lock per output.
+/// Applies a set of snapshots to the write accesses of a task over its
+/// resolved regions (`regions[i]` is `accesses[i]`'s), pairing snapshots
+/// and write accesses in declaration order: the memoized copy-out, one
+/// write lock per output.
 ///
 /// # Panics
 /// Panics if the number of write accesses differs from the number of snapshots.
@@ -157,37 +136,6 @@ pub fn resolved_writes<'a>(
         .filter(|(a, _)| a.mode.is_write())
 }
 
-/// Captures the current contents of a task's outputs as flat `f64` values
-/// (concatenating all write accesses). Used as the "correct" side of the
-/// training-phase Chebyshev comparison.
-pub fn outputs_as_f64(store: &DataStore, accesses: &[Access]) -> Vec<f64> {
-    OutputSnapshot::capture_all(store, accesses)
-        .iter()
-        .flat_map(OutputSnapshot::as_f64_vec)
-        .collect()
-}
-
-/// Element range covered by an access (whole region when unranged).
-pub fn elem_range_of(store: &DataStore, access: &Access) -> Range<usize> {
-    match &access.range {
-        Some(_) => elem_range_within(access, 0),
-        None => elem_range_within(access, store.region_ref(access.region).len()),
-    }
-}
-
-/// [`elem_range_of`] for a caller that knows the region's length (a
-/// [`RegionRef::len`], or a region it holds locked): `region_len` is what
-/// an unranged access covers.
-pub fn elem_range_within(access: &Access, region_len: usize) -> Range<usize> {
-    match &access.range {
-        Some(bytes) => {
-            let width = access.elem.width();
-            (bytes.start / width)..(bytes.end / width)
-        }
-        None => 0..region_len,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,12 +143,10 @@ mod tests {
     #[test]
     fn capture_and_apply_round_trip() {
         let store = DataStore::new();
-        let r = store
-            .register_typed("r", vec![1.0f32, 2.0, 3.0, 4.0])
-            .unwrap();
-        let access = Access::write(&r).with_range(4..12);
+        let r = store.register_typed("r", vec![2.0f32, 3.0]).unwrap();
+        let access = Access::write(&r);
         let snap = OutputSnapshot::capture(&store, &access);
-        assert_eq!(snap.elem_range, 1..3);
+        assert_eq!(snap.elem_range, 0..2);
         assert_eq!(snap.data.as_f32(), &[2.0, 3.0]);
         assert_eq!(snap.size_bytes(), 8);
 
@@ -209,9 +155,9 @@ mod tests {
             .write(r)
             .lock()
             .as_f32_mut()
-            .copy_from_slice(&[9.0; 4]);
-        snap.apply(&store);
-        assert_eq!(store.read(r).lock().as_f32(), &[9.0, 2.0, 3.0, 9.0]);
+            .copy_from_slice(&[9.0; 2]);
+        snap.apply_to(&store, &access);
+        assert_eq!(store.read(r).lock().as_f32(), &[2.0, 3.0]);
     }
 
     #[test]
@@ -235,7 +181,7 @@ mod tests {
             Access::write(&out_a),
             Access::write(&out_b),
         ];
-        let snaps = OutputSnapshot::capture_all(&store, &accesses);
+        let snaps = OutputSnapshot::capture_all_resolved(&accesses, &store.resolve(&accesses));
         assert_eq!(snaps.len(), 2);
 
         let dst_a = store.register_zeros::<f32>("da", 2).unwrap();
@@ -245,7 +191,7 @@ mod tests {
             Access::write(&dst_a),
             Access::write(&dst_b),
         ];
-        apply_snapshots_to(&store, &snaps, &dst_accesses);
+        apply_snapshots_to_resolved(&snaps, &dst_accesses, &store.resolve(&dst_accesses));
         assert_eq!(store.read(dst_a).lock().as_f32(), &[1.0, 2.0]);
         assert_eq!(store.read(dst_b).lock().as_i32(), &[7]);
     }
@@ -254,9 +200,9 @@ mod tests {
     fn resolved_capture_and_copy_out_never_go_back_to_the_store() {
         let store = DataStore::new();
         let src = store.register_typed("src", vec![1.0f32, 2.0, 3.0]).unwrap();
-        let dst = store.register_zeros::<f32>("dst", 4).unwrap();
+        let dst = store.register_zeros::<f32>("dst", 3).unwrap();
         let produced = vec![Access::read(&dst), Access::write(&src)];
-        let consumer = vec![Access::write(&dst).with_range(4..16)];
+        let consumer = vec![Access::write(&dst)];
         let (src_regions, dst_regions) = (store.resolve(&produced), store.resolve(&consumer));
         // With both ids retired, only the handles still reach the buffers.
         store.deregister(src).unwrap();
@@ -265,16 +211,7 @@ mod tests {
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].elem_range, 0..3);
         apply_snapshots_to_resolved(&snaps, &consumer, &dst_regions);
-        assert_eq!(dst_regions[0].read().as_f32(), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn outputs_as_f64_concatenates_write_accesses() {
-        let store = DataStore::new();
-        let a = store.register_typed("a", vec![1.0f32, 2.0]).unwrap();
-        let b = store.register_typed("b", vec![3i32]).unwrap();
-        let accesses = vec![Access::write(&a), Access::read(&a), Access::read_write(&b)];
-        assert_eq!(outputs_as_f64(&store, &accesses), vec![1.0, 2.0, 3.0]);
+        assert_eq!(dst_regions[0].read().as_f32(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -901,7 +901,7 @@ mod tests {
 
         let decisions = obs.decisions();
         assert_eq!(decisions.count(0, MemoDecision::Eviction), 1);
-        let evicted = &decisions.records_for(0)[0];
+        let evicted = decisions.records.iter().find(|r| r.task_type == 0).unwrap();
         assert_eq!(evicted.decision, MemoDecision::Eviction);
         assert_eq!(evicted.task_id, 0, "the FIFO victim is the first producer");
         assert!(evicted.metric_value > 0.0, "eviction reports freed bytes");

@@ -49,11 +49,6 @@ impl<T> JoinHandle<T> {
             None => std::panic::panic_any(Cancelled),
         }
     }
-
-    /// The child's model thread index (0 is the root closure).
-    pub fn thread_index(&self) -> usize {
-        self.child
-    }
 }
 
 impl<T> std::fmt::Debug for JoinHandle<T> {

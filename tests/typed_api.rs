@@ -88,41 +88,6 @@ fn region_round_trips_through_store_and_kernel() {
     }
 }
 
-/// Ranged accesses round-trip through the typed accessors as well: writing
-/// a random window of a region touches exactly that window.
-#[test]
-fn ranged_typed_accessors_only_touch_their_window() {
-    let mut rng = Xoshiro256StarStar::new(0x30B);
-    for case in 0..CASES {
-        let len = 8 + rng.below(56);
-        let start = rng.below(len - 1);
-        let end = start + 1 + rng.below(len - start - 1);
-        let rt = RuntimeBuilder::new().build();
-        let region = rt.store().register_zeros::<f64>("r", len).unwrap();
-        let fill = rt.register_task_type(
-            TaskTypeBuilder::new("fill_window", |ctx| {
-                let window = ctx.elem_range(0);
-                ctx.out(0, &vec![1.0f64; window.len()]);
-            })
-            .build(),
-        );
-        rt.task(fill)
-            .access(Access::write(&region).with_range(start * 8..end * 8))
-            .submit()
-            .unwrap();
-        rt.taskwait();
-        let contents = rt.store().contents(&region);
-        for (i, &v) in contents.iter().enumerate() {
-            let expected = if (start..end).contains(&i) { 1.0 } else { 0.0 };
-            assert_eq!(
-                v, expected,
-                "case {case}: element {i} (window {start}..{end})"
-            );
-        }
-        rt.shutdown();
-    }
-}
-
 fn two_param_type(rt: &Runtime) -> TaskTypeId {
     rt.register_task_type(
         TaskTypeBuilder::new("copy", |ctx| {
