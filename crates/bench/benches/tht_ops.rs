@@ -1,5 +1,7 @@
-//! Task History Table and In-flight Key Table operation costs: lookup hits,
-//! lookup misses, inserts with FIFO eviction, IKT producer/waiter traffic —
+//! Task History Table and In-flight Key Table operation costs: lookup hits
+//! (which bump the entry's hit count), lookup misses, inserts with FIFO
+//! eviction (a full bucket) and with budget eviction (a sample of buckets
+//! ordered by benefit density), IKT producer/waiter traffic —
 //! and what one `AtmEngine::before_execute` costs on top of them when the
 //! task hits, misses, or belongs to a type its profitability ledger closed
 //! (`engine_before`: the gated row is the whole point of the gate, and a
@@ -69,6 +71,31 @@ fn tht_operations() {
         evicting.insert(key(i), TaskId::from_raw(i), Arc::clone(&outputs), 0);
         i = i.wrapping_add(1);
     });
+
+    // Ways to spare and a byte budget of ~120 entries: once it is full,
+    // every insert samples 8 buckets and evicts the least valuable entry.
+    let budgeted = MemoStore::new(
+        ThtConfig {
+            bucket_bits: 4,
+            ways: 1024,
+        }
+        .store_config()
+        .with_byte_budget(512 * 1024),
+    );
+    let mut i = 0u64;
+    bench("tht", "insert_with_budget_eviction", || {
+        budgeted.insert(
+            key(i),
+            TaskId::from_raw(i),
+            Arc::clone(&outputs),
+            (i % 8) * 10_000,
+        );
+        i = i.wrapping_add(1);
+    });
+    assert!(
+        budgeted.counters().evictions > 0,
+        "the budget row must evict"
+    );
 
     let ikt = InFlightKeyTable::new();
     let mut j = 0u64;

@@ -632,10 +632,10 @@ impl TaskInterceptor for AtmEngine {
         // completion is (almost entirely) the kernel run. The measured
         // duration of *this* execution is the benefit estimate stored with
         // its THT entry — the kernel nanoseconds a future hit saves, which
-        // it adds to `saved_ns` (the ledger's earned) and which orders a
-        // warm start's admissions by density. Storing the producing task's
-        // own duration (rather than a per-type average) keeps both sharp
-        // when task durations vary within one type.
+        // it adds to `saved_ns` (the ledger's earned) and which sets the
+        // entry's credit against the store's byte budget. Storing the
+        // producing task's own duration (rather than a per-type average)
+        // keeps both sharp when task durations vary within one type.
         let kernel_ns = tracer.now_ns().saturating_sub(ticket.dispatched_ns);
         TypeCounters::add(&counters.kernel_ns, kernel_ns);
 

@@ -12,7 +12,8 @@
 //! the store ([`ThtConfig::store_config`]), and that configuration
 //! reproduces the original table bit for bit. The engine holds the store
 //! directly, with whatever byte budget the [`crate::AtmConfig`] asks for
-//! (eviction stays FIFO); this module keeps the paper-facing `(N, M)`
+//! (the `ways` cap stays FIFO; the budget evicts by benefit density, see
+//! [`atm_store::store`]); this module keeps the paper-facing `(N, M)`
 //! vocabulary.
 
 use atm_store::StoreConfig;

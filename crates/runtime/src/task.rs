@@ -437,11 +437,6 @@ impl TaskDesc {
         self.notify = Some(notify);
         self
     }
-
-    /// The accesses the kernel reads (`In` and `InOut`).
-    pub fn read_accesses(&self) -> impl Iterator<Item = &Access> {
-        self.accesses.iter().filter(|a| a.mode.is_read())
-    }
 }
 
 /// Read-only view of a task handed to interceptors (the ATM engine).
@@ -802,6 +797,7 @@ mod tests {
             TaskTypeId(0),
             vec![Access::read(&a), Access::read_write(&b), Access::write(&c)],
         );
-        assert_eq!(desc.read_accesses().count(), 2);
+        let reads = desc.accesses.iter().filter(|a| a.mode.is_read()).count();
+        assert_eq!(reads, 2);
     }
 }

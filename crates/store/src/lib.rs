@@ -8,8 +8,10 @@
 //! * [`MemoStore`] — `2^N` buckets of at most `M` entries, one `RwLock`
 //!   each, with a **global byte budget** enforced across buckets (the
 //!   paper's `(N, M)` geometry is one configuration of [`StoreConfig`]);
-//! * **FIFO eviction** — the paper's rule, for the per-bucket `ways` cap
-//!   and the global budget alike;
+//! * **eviction** — the paper's FIFO for the per-bucket `ways` cap; the
+//!   global budget evicts the sampled entry worth least, its saved kernel
+//!   nanoseconds per byte times its hits, aged by a rising floor
+//!   (GreedyDual-Size-Frequency, see [`store`]);
 //! * **admission control** — an entry whose charge exceeds the whole budget
 //!   is refused;
 //! * **persistence** ([`persist`]) — a versioned, checksummed,

@@ -401,37 +401,14 @@ impl MemoStore {
         Ok(saved?)
     }
 
-    /// Inserts every entry of an in-memory snapshot into this store, going
-    /// through the normal admission/eviction path. Returns the number of
-    /// entries admitted.
-    ///
-    /// Entries are inserted in **ascending benefit density** (saved kernel
-    /// nanoseconds per charged byte), so under a tight byte budget the most
-    /// valuable entries arrive last and survive: FIFO evicts the oldest,
-    /// which this ordering makes the least valuable. A warm start through a
-    /// small
-    /// budget therefore keeps the best entries deterministically instead of
-    /// whatever the snapshot's file order happened to favour.
+    /// Inserts every entry of an in-memory snapshot into this store, in
+    /// file order, going through the normal admission/eviction path.
+    /// Returns the number of entries admitted. Under a tight byte budget the
+    /// eviction rule keeps the densest entries (see [`crate::store`]), so
+    /// the file's order does not decide what survives.
     pub fn absorb_snapshot_bytes(&self, bytes: &[u8]) -> Result<usize, PersistError> {
-        let mut entries = decode_entries(bytes)?;
-        let density = |e: &ExportedEntry| {
-            e.benefit_ns as f64 / crate::store::entry_charge_bytes(&e.outputs).max(1) as f64
-        };
-        entries.sort_by(|a, b| {
-            density(a)
-                .partial_cmp(&density(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                // Deterministic tie-break: snapshot keys are unique.
-                .then_with(|| {
-                    (a.key.task_type, a.key.hash, a.key.p_bits).cmp(&(
-                        b.key.task_type,
-                        b.key.hash,
-                        b.key.p_bits,
-                    ))
-                })
-        });
         let mut admitted = 0usize;
-        for entry in entries {
+        for entry in decode_entries(bytes)? {
             let outcome = self.insert(entry.key, entry.producer, entry.outputs, entry.benefit_ns);
             if outcome.is_resident() {
                 admitted += 1;
@@ -729,9 +706,9 @@ mod tests {
         assert_eq!(tight.counters().rejected_admissions as usize, store.len());
     }
 
-    /// Budget-aware warm start: entries are absorbed in ascending benefit
-    /// density, so a tight budget keeps the most valuable entries no matter
-    /// how unfavourably the snapshot file orders them.
+    /// Budget-aware warm start: the eviction rule keeps the most valuable
+    /// entries of a tight budget no matter how unfavourably the snapshot
+    /// file orders them.
     #[test]
     fn tight_budget_warm_start_keeps_the_best_entries() {
         let data = DataStore::new();

@@ -1,4 +1,4 @@
-//! The budgeted, FIFO-evicting memo store.
+//! The budgeted memo store.
 //!
 //! [`MemoStore`] generalises the paper's Task History Table (§III-A,
 //! Figure 1): a power-of-two array of buckets, each holding at most `ways`
@@ -8,10 +8,10 @@
 //! * a **global byte budget** enforced across all buckets — the THT could
 //!   only bound memory per bucket, which bounds nothing when the key
 //!   distribution is skewed;
-//! * **FIFO eviction** for both bounds: a full bucket drops its oldest entry
-//!   (the THT's rule) and the budget drops the oldest entries of a sample of
-//!   buckets, "oldest" being the smallest insertion stamp of one global
-//!   logical clock;
+//! * **two eviction rules, one per bound**: a full bucket drops its oldest
+//!   entry, the smallest insertion stamp of one global logical clock (the
+//!   paper's FIFO, unchanged); the byte budget drops the entries of a sample
+//!   of buckets that are worth least, by the benefit-density rule below;
 //! * **admission control** — an entry whose charge exceeds the whole budget
 //!   is refused outright, so one huge output cannot flush the whole table;
 //! * **persistence** — see [`crate::persist`] for the versioned, checksummed
@@ -23,13 +23,27 @@
 //! order: a new entry is pushed at the back, a same-key replacement keeps
 //! its position, and a full bucket first removes the entry with the
 //! smallest insertion stamp. A lookup takes the read lock, compares the key
-//! against the resident entries only and clones the hit's outputs `Arc`;
-//! inserts and evictions take the write lock, and no path holds two bucket
-//! locks at once. With the paper's 2⁸ buckets (§IV-B) threads rarely meet
-//! on one lock. Nothing is preallocated: an empty bucket is an empty `Vec`,
-//! so a miss there compares nothing. Replaced and evicted outputs are
-//! dropped after the lock is released, so freeing a large payload never
-//! holds up a bucket.
+//! against the resident entries only, bumps the hit's counter (one relaxed
+//! RMW on the entry) and clones its outputs `Arc`; inserts and evictions
+//! take the write lock, and no path holds two bucket locks at once. With
+//! the paper's 2⁸ buckets (§IV-B) threads rarely meet on one lock. Nothing
+//! is preallocated: an empty bucket is an empty `Vec`, so a miss there
+//! compares nothing. Replaced and evicted outputs are dropped after the
+//! lock is released, so freeing a large payload never holds up a bucket.
+//!
+//! # Budget eviction: benefit density, aged
+//!
+//! An entry saves `benefit_ns` of kernel time per hit and costs its charge
+//! in bytes, so the budget keeps the entries whose hits save the most per
+//! byte. This is GreedyDual-Size-Frequency (Cherkasova, HP Labs TR 98-69)
+//! in integers: an entry's *credit* is `benefit_ns × 1024 / charge`, at
+//! least 1, and its priority is `base + hits × credit`, where `base` is the
+//! store's *floor* at insertion plus one credit and `hits` counts the
+//! lookups that found it. A budget eviction removes the sampled entry of
+//! least priority (ties: the smallest stamp, so entries never hit and of
+//! equal credit still leave in FIFO order) and raises the floor to that
+//! priority. The floor is the aging: an entry that stops being hit is
+//! overtaken by newcomers, which start above it. All of it saturates.
 //!
 //! # Counters
 //!
@@ -42,7 +56,7 @@
 //!
 //! With no budget the store behaves bit for bit like the original THT: same
 //! bucket indexing (low `N` bits of the hash), same per-bucket FIFO queue
-//! and eviction.
+//! and eviction. Hit counts and the floor only steer budget evictions.
 
 use crate::snapshot::OutputSnapshot;
 use atm_obs::{DecisionRecord, LatencyMetric, MemoDecision, Observability};
@@ -127,10 +141,35 @@ struct Entry {
     producer: TaskId,
     benefit_ns: u64,
     charged_bytes: usize,
-    /// Logical clock at insertion: the eviction order (smallest goes first)
-    /// and, being unique, the identity of a sampled budget victim.
+    /// Logical clock at insertion: the `ways` cap's eviction order
+    /// (smallest goes first), the budget's tie-break and, being unique, the
+    /// identity of a sampled budget victim.
     inserted_seq: u64,
+    /// What one hit adds to the priority, fixed at insertion (see
+    /// [`credit`]).
+    credit: u64,
+    /// The store's floor at insertion plus one credit.
+    base: u64,
+    /// Lookups that found this entry, bumped under the bucket's read lock.
+    hits: AtomicU64,
     outputs: Arc<Vec<OutputSnapshot>>,
+}
+
+impl Entry {
+    /// The budget's eviction priority, `base + hits × credit`: the least
+    /// valuable entry has the smallest.
+    fn priority(&self) -> u64 {
+        let hits = self.hits.load(Ordering::Relaxed);
+        self.base.saturating_add(hits.saturating_mul(self.credit))
+    }
+}
+
+/// What one hit on an entry is worth to the byte budget: the kernel
+/// nanoseconds it saves per KiB it is charged, at least 1 (so hits count
+/// even for an entry that saves nothing measurable).
+fn credit(benefit_ns: u64, charged_bytes: usize) -> u64 {
+    let per_kib = u128::from(benefit_ns) * 1024 / charged_bytes.max(1) as u128;
+    u64::try_from(per_kib).unwrap_or(u64::MAX).max(1)
 }
 
 /// Writer-path statistics of one bucket, on their own cache line so bucket
@@ -167,7 +206,7 @@ struct ReaderShard {
 /// merely share a line, they do not miscount.
 const READER_SHARDS: usize = 64;
 
-/// A cache-padded `AtomicU64` (the global logical clock).
+/// A cache-padded `AtomicU64` (the global logical clock, the floor).
 #[repr(align(128))]
 #[derive(Debug, Default)]
 struct PaddedU64(AtomicU64);
@@ -205,8 +244,9 @@ pub struct ExportedEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// Stored as a new entry. The byte budget may still evict it before the
-    /// call returns, when evicting everything older in the sampled buckets
-    /// is not enough; that case is not distinguished.
+    /// call returns, when it is worth less than what the sampled buckets
+    /// hold or evicting everything below it is not enough; that case is not
+    /// distinguished.
     Inserted,
     /// An entry with the same key existed and was replaced in place (the
     /// old entry's bytes were released first — no double counting).
@@ -227,9 +267,9 @@ impl InsertOutcome {
 pub use atm_obs::StoreObservation as StoreCountersSnapshot;
 
 /// How many non-empty buckets a budget eviction samples before evicting
-/// their oldest entries. Sampling (rather than scanning every bucket) keeps
-/// eviction cost independent of the table size, the same trade-off
-/// production caches make.
+/// their least valuable entries. Sampling (rather than scanning every
+/// bucket) keeps eviction cost independent of the table size, the same
+/// trade-off production caches make.
 const EVICTION_SAMPLE_BUCKETS: usize = 8;
 
 /// Bytes an entry is charged for, including the container overhead the THT
@@ -238,7 +278,10 @@ const EVICTION_SAMPLE_BUCKETS: usize = 8;
 /// `RegionData` header) per output — not just the payload bytes.
 pub fn entry_charge_bytes(outputs: &[OutputSnapshot]) -> usize {
     use std::mem::size_of;
-    // Entry metadata: key, producer, charge, sequence numbers, benefit.
+    // Entry metadata: key, producer and four words (charge, stamp, benefit
+    // and one spare). The three words budget eviction added (credit, base,
+    // hits) are left out: charging them would move every charge, and the
+    // retention ledger that weighs charges, with it.
     let meta = size_of::<EntryKey>() + size_of::<TaskId>() + 4 * size_of::<u64>();
     // The shared container: the Arc pointer held by the entry, the strong
     // and weak reference counts in the Arc allocation, and the Vec header.
@@ -260,6 +303,9 @@ pub struct MemoStore {
     /// budget eviction compares `inserted_seq` *across* buckets, which needs
     /// one totally ordered clock domain.
     clock: PaddedU64,
+    /// The priority of the latest budget victim, and so the base every new
+    /// entry starts above (GreedyDual's `L`). Only rises.
+    floor: PaddedU64,
     /// Rotating start bucket for budget evictions.
     evict_cursor: PaddedUsize,
     resident_bytes: PaddedUsize,
@@ -285,6 +331,7 @@ impl MemoStore {
             buckets,
             config,
             clock: PaddedU64::default(),
+            floor: PaddedU64::default(),
             evict_cursor: PaddedUsize::default(),
             resident_bytes: PaddedUsize::default(),
             reader_stats: (0..READER_SHARDS).map(|_| ReaderShard::default()).collect(),
@@ -353,7 +400,8 @@ impl MemoStore {
 
     /// Looks up an entry with exactly this key, under its bucket's read
     /// lock: concurrent lookups share the lock, an insert or eviction on the
-    /// same bucket excludes them.
+    /// same bucket excludes them. A hit bumps the entry's hit count, which
+    /// raises its budget-eviction priority.
     ///
     /// A hit does *not* accrue `saved_ns`: the caller may still execute the
     /// task (dynamic-ATM training, output-shape mismatch), so it reports
@@ -364,10 +412,13 @@ impl MemoStore {
             .read()
             .iter()
             .find(|e| e.key == *key)
-            .map(|e| MemoHit {
-                producer: e.producer,
-                outputs: Arc::clone(&e.outputs),
-                benefit_ns: e.benefit_ns,
+            .map(|e| {
+                e.hits.fetch_add(1, Ordering::Relaxed);
+                MemoHit {
+                    producer: e.producer,
+                    outputs: Arc::clone(&e.outputs),
+                    benefit_ns: e.benefit_ns,
+                }
             });
         let shard = self.reader_shard();
         if found.is_some() {
@@ -392,13 +443,14 @@ impl MemoStore {
     ///
     /// `benefit_ns` is the caller's estimate of the kernel nanoseconds one
     /// hit on this entry saves (the ATM engine feeds its measured per-type
-    /// kernel time); it feeds the `saved_ns` counter and the warm-start
-    /// order of [`MemoStore::load_from`].
+    /// kernel time); it feeds the `saved_ns` counter and the entry's credit
+    /// against the byte budget (see the module docs).
     ///
     /// An entry with the same key is replaced in place (its bytes are
     /// released first, so nothing is double-counted; the entry keeps its
-    /// queue position). When the bucket is full or the store exceeds its
-    /// byte budget, the oldest entries go until both bounds hold again.
+    /// queue position and starts over with no hits). A full bucket drops
+    /// its oldest entry; over the byte budget, the least valuable sampled
+    /// entries go until it holds again.
     pub fn insert(
         &self,
         key: EntryKey,
@@ -425,12 +477,16 @@ impl MemoStore {
                 return InsertOutcome::Rejected;
             }
         }
+        let credit = credit(benefit_ns, charged);
         let entry = Entry {
             key,
             producer,
             benefit_ns,
             charged_bytes: charged,
             inserted_seq: self.tick(),
+            credit,
+            base: self.floor.0.load(Ordering::Relaxed).saturating_add(credit),
+            hits: AtomicU64::new(0),
             outputs,
         };
 
@@ -489,8 +545,8 @@ impl MemoStore {
         }
     }
 
-    /// Evicts entries (oldest first, sampled across buckets) until the
-    /// resident bytes fit the budget again.
+    /// Evicts entries (least priority first, sampled across buckets) until
+    /// the resident bytes fit the budget again.
     fn enforce_budget(&self) {
         let Some(budget) = self.config.byte_budget else {
             return;
@@ -516,14 +572,16 @@ impl MemoStore {
     }
 
     /// Samples up to [`EVICTION_SAMPLE_BUCKETS`] non-empty buckets starting
-    /// at a rotating cursor, then evicts the sample's entries oldest first
-    /// until the budget holds or the sample is exhausted. Returns true when
+    /// at a rotating cursor, then evicts the sample's entries least priority
+    /// first until the budget holds or the sample is exhausted; each victim
+    /// raises the floor to the priority it was chosen at. Returns true when
     /// at least one entry was removed.
     fn evict_round(&self, budget: usize) -> bool {
         let n = self.buckets.len();
         let start = self.evict_cursor.0.fetch_add(1, Ordering::Relaxed) % n;
-        // (inserted_seq, bucket): the stamp orders and identifies.
-        let mut gathered: Vec<(u64, usize)> = Vec::new();
+        // (priority, inserted_seq, bucket): priority then stamp order, the
+        // stamp identifies.
+        let mut gathered: Vec<(u64, u64, usize)> = Vec::new();
         let mut sampled = 0usize;
         for step in 0..n {
             let b = (start + step) % n;
@@ -533,7 +591,7 @@ impl MemoStore {
                     .entries
                     .read()
                     .iter()
-                    .map(|e| (e.inserted_seq, b)),
+                    .map(|e| (e.priority(), e.inserted_seq, b)),
             );
             if gathered.len() > before {
                 sampled += 1;
@@ -542,14 +600,18 @@ impl MemoStore {
                 }
             }
         }
-        // Stamps are unique (one global clock), so this is a total order.
-        gathered.sort_unstable_by_key(|g| g.0);
-
         let mut evicted_any = false;
-        for (seq, b) in gathered {
-            if self.resident_bytes.0.load(Ordering::Relaxed) <= budget {
+        while self.resident_bytes.0.load(Ordering::Relaxed) > budget {
+            // Stamps are unique (one global clock), so this is a total
+            // order. A round rarely needs more than one victim, so each is
+            // found by a scan: cheaper than sorting the sample.
+            let Some(next) = (gathered.iter().enumerate())
+                .min_by_key(|(_, g)| (g.0, g.1))
+                .map(|(i, _)| i)
+            else {
                 break;
-            }
+            };
+            let (priority, seq, b) = gathered.swap_remove(next);
             let bucket = &self.buckets[b];
             let mut entries = bucket.entries.write();
             // A raced-away victim (evicted, or replaced under a newer
@@ -561,6 +623,7 @@ impl MemoStore {
             bucket.stats.entries.fetch_sub(1, Ordering::Relaxed);
             bucket.stats.evictions.fetch_add(1, Ordering::Relaxed);
             drop(entries);
+            self.floor.0.fetch_max(priority, Ordering::Relaxed);
             self.resident_bytes
                 .0
                 .fetch_sub(victim.charged_bytes, Ordering::Relaxed);
@@ -739,6 +802,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Residency without bumping hit counts (a lookup would).
+    fn resident(store: &MemoStore, hash: u64) -> bool {
+        store.export().iter().any(|e| e.key == key(hash))
+    }
+
+    /// Keys hit a few times survive a run of one-shot inserts twice the
+    /// budget's size, which FIFO would have flushed them with.
+    #[test]
+    fn hit_entries_survive_a_scan_of_one_shot_inserts() {
+        let charge = entry_charge_bytes(&snapshot(&[0.0; 64]));
+        let capacity = 8u64;
+        let store = MemoStore::new(
+            StoreConfig::paper(2, 1024).with_byte_budget(capacity as usize * charge),
+        );
+        let hot = 0..4u64;
+        for k in hot.clone() {
+            store.insert(key(k), producer(k), snapshot(&[k as f32; 64]), 1_000);
+            for _ in 0..16 {
+                assert!(store.lookup(&key(k)).is_some());
+            }
+        }
+        let scan = 100..100 + 2 * capacity;
+        for k in scan.clone() {
+            store.insert(key(k), producer(k), snapshot(&[k as f32; 64]), 1_000);
+        }
+        for k in hot {
+            assert!(resident(&store, k), "hot key {k} was evicted by the scan");
+        }
+        let scanned = scan.filter(|&k| resident(&store, k)).count() as u64;
+        assert_eq!(scanned, capacity - 4, "the scan keeps the other slots");
+        assert_eq!(store.counters().evictions, capacity + 4);
+    }
+
+    /// The floor ages: an entry hit in the past but no longer falls below
+    /// the newcomers a run of one-shot inserts keeps raising the floor with,
+    /// and goes.
+    #[test]
+    fn an_entry_no_longer_hit_ages_out() {
+        let charge = entry_charge_bytes(&snapshot(&[0.0; 64]));
+        let store = MemoStore::new(StoreConfig::paper(2, 1024).with_byte_budget(4 * charge));
+        store.insert(key(0), producer(0), snapshot(&[0.0; 64]), 1_000);
+        for _ in 0..2 {
+            assert!(store.lookup(&key(0)).is_some());
+        }
+        for k in 100..132u64 {
+            store.insert(key(k), producer(k), snapshot(&[k as f32; 64]), 1_000);
+        }
+        assert!(!resident(&store, 0), "a once-hot entry must age out");
+        assert!(store.floor.0.load(Ordering::Relaxed) > 0);
+    }
+
+    /// With equal hits, the entry that saves more kernel time per byte
+    /// outlives the one that saves less, though it is older.
+    #[test]
+    fn denser_entries_outlive_sparser_ones_at_equal_hits() {
+        let charge = entry_charge_bytes(&snapshot(&[0.0; 64]));
+        let store =
+            MemoStore::new(StoreConfig::paper(2, 1024).with_byte_budget(2 * charge + charge / 2));
+        let (dense, sparse, newcomer) = (1, 2, 3);
+        store.insert(key(dense), producer(1), snapshot(&[1.0; 64]), 1_000_000);
+        store.insert(key(sparse), producer(2), snapshot(&[2.0; 64]), 1_000);
+        assert!(store.lookup(&key(dense)).is_some());
+        assert!(store.lookup(&key(sparse)).is_some());
+        store.insert(key(newcomer), producer(3), snapshot(&[3.0; 64]), 1_000_000);
+        assert!(resident(&store, dense), "the denser, older entry must stay");
+        assert!(!resident(&store, sparse), "the sparser entry goes first");
+        assert!(resident(&store, newcomer));
+        assert_eq!(store.counters().evictions, 1);
+    }
+
+    /// The priority arithmetic saturates: a maximal benefit over a one-byte
+    /// charge, with maximal hits and base, neither overflows nor panics, and
+    /// a store fed such entries keeps evicting by the budget.
+    #[test]
+    fn priority_arithmetic_saturates() {
+        assert_eq!(credit(u64::MAX, 1), u64::MAX);
+        assert_eq!(credit(0, 1), 1, "a credit is at least 1");
+        assert_eq!(credit(1, usize::MAX), 1);
+        let entry = Entry {
+            key: key(0),
+            producer: producer(0),
+            benefit_ns: u64::MAX,
+            charged_bytes: 1,
+            inserted_seq: 0,
+            credit: credit(u64::MAX, 1),
+            base: u64::MAX,
+            hits: AtomicU64::new(u64::MAX),
+            outputs: snapshot(&[]),
+        };
+        assert_eq!(entry.priority(), u64::MAX);
+
+        let charge = entry_charge_bytes(&snapshot(&[0.0; 8]));
+        let store = MemoStore::new(StoreConfig::paper(2, 1024).with_byte_budget(3 * charge));
+        for k in 0..12u64 {
+            store.insert(key(k), producer(k), snapshot(&[k as f32; 8]), u64::MAX);
+            for _ in 0..3 {
+                let _ = store.lookup(&key(k));
+            }
+        }
+        assert_eq!(store.floor.0.load(Ordering::Relaxed), u64::MAX);
+        assert_eq!(store.len(), 3);
+        assert!(store.memory_bytes() <= 3 * charge);
     }
 
     /// Three inserters on overlapping keys and a reader, against a budget a

@@ -10,9 +10,10 @@
 //!    [`AtmEngine::warm_start_from`] before any task is submitted — its very
 //!    first taskwait already has a 100 % hit rate and zero kernel runs.
 //!
-//! The warm engine also runs under a byte budget: a warm start absorbs the
-//! snapshot in ascending benefit density, so reloading a snapshot larger than
-//! the budget keeps the most valuable entries instead of overflowing.
+//! The warm engine also runs under a byte budget: the budget evicts the
+//! entries that save the least kernel time per byte, so reloading a snapshot
+//! larger than the budget keeps the most valuable entries instead of
+//! overflowing.
 //!
 //! Warm-start contract: hash keys embed the task-type id, so the second run
 //! must register its task types in the same order.

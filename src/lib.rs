@@ -7,9 +7,10 @@
 //!
 //! * [`runtime`] — the task-based dataflow runtime (typed regions, validated
 //!   submission, dependences, ready queue, worker pool, tracing);
-//! * [`store`] — the budgeted, policy-driven, persistent memo store behind
-//!   the Task History Table (byte budgets, FIFO/cost-aware eviction,
-//!   admission control, warm-start snapshots);
+//! * [`store`] — the budgeted, persistent memo store behind the Task
+//!   History Table (byte budgets, FIFO eviction per bucket and
+//!   benefit-density eviction for the budget, admission control,
+//!   warm-start snapshots);
 //! * [`atm`] — the ATM engine (Task History Table, In-flight Key Table,
 //!   hash-key pipeline, static/dynamic/oracle modes);
 //! * [`hash`] — the hashing and input-sampling substrate (Jenkins lookup3,
